@@ -4,12 +4,12 @@ GO ?= go
 
 all: check
 
-# check is the default gate: formatting, vet, build, the full test suite
-# (every package runs with the invariant auditor on), the race detector
-# over the internal packages, and the runner-memoization, event-stream,
-# fault-recovery, scale-benchmark, scenario-matrix and profiler smoke
-# tests plus the perf-regression guard (and its selftest).
-check: fmt vet build test race bench-smoke events-smoke fault-smoke bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard
+# check is the default gate. scripts/check.sh is the one list of gates
+# (formatting, vet, build, the full test suite, the race detector over the
+# internal packages, the smoke tests and the perf-regression guard); the
+# targets below run one gate each.
+check:
+	@./scripts/check.sh
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -102,9 +102,12 @@ bench-append:
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 
-# fuzz explores random start/scale/preempt/reclaim interleavings and
-# incremental-vs-rescan differential workloads beyond the seed corpora that
-# already run under `make test`.
+# fuzz runs every Fuzz* target of every package for a minute each, beyond
+# the seed corpora that already run under `make test`.
 fuzz:
-	$(GO) test -fuzz FuzzChaosInterleavings -fuzztime 60s ./internal/sim/
-	$(GO) test -fuzz FuzzIncrementalVsRescan -fuzztime 60s ./internal/sched/
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 60s $$pkg || exit 1; \
+		done; \
+	done

@@ -6,9 +6,10 @@
 // proposal is formed against a possibly-stale snapshot of the global free
 // pool taken at epoch start, conflicts are detected at commit time when a
 // proposed server was already granted to a lower-ID shard, and losers are
-// retried against the live view a bounded number of times. The existing
-// loan/reclaim/return verbs become shard-to-shard transfers through
-// sim.Shards.Transfer.
+// retried against the live view a bounded number of times. The per-borrower
+// decision and the reclaim/return verbs are internal/orchestrator's own
+// (orchestrator.Loans), with servers leaving a borrower as shard-to-shard
+// transfers through sim.Shards.Transfer instead of pool moves.
 //
 // A 1-training+1-inference topology reduces to the unsharded orchestrator
 // decision-for-decision: one borrower means the stale snapshot is never
@@ -29,32 +30,21 @@ import (
 	"lyra/internal/sim"
 )
 
-// loanBuffer mirrors orchestrator.loanBuffer: slack kept on loan beyond
-// measured demand (zero keeps on-loan servers saturated, Figure 9).
-const loanBuffer = 0
-
 // DefaultMaxRetries bounds the conflict-retry rounds of one loan commit.
 const DefaultMaxRetries = 3
 
-// Arbiter is the global capacity arbitrator. The flags mirror
-// orchestrator.Orchestrator so per-shard decisions match the unsharded
-// policy exactly; Targets holds one inference-capacity targeter per
+// Arbiter is the global capacity arbitrator. It embeds the orchestrator's
+// loan protocol (policy, flags, and the per-borrower decide/reclaim/return
+// verbs), so every borrowing shard decides exactly as the unsharded
+// orchestrator does; what it adds is genuinely multi-shard: routing,
+// headroom netting across inference shards, the stale snapshot and the
+// conflict-retry loan. Targets holds one inference-capacity targeter per
 // inference shard (nil when loaning is disabled — Route still works).
 type Arbiter struct {
 	// Targets[m] is inference shard m's loan-target source (usually the
 	// reactive inference.Scheduler, optionally wrapped in a Forecaster).
 	Targets []orchestrator.LoanTargeter
-	// Policy plans reclaiming on each borrowing shard.
-	Policy reclaim.Policy
-	// Less is the job scheduler's queue order, used to re-enqueue preempted
-	// jobs.
-	Less func(a, b *job.Job) bool
-	// IncludeElasticDemand / LoanOnlyDemand / EmergencyReclaim carry the
-	// orchestrator's demand-estimation and degraded-mode flags through to
-	// the per-shard assessments.
-	IncludeElasticDemand bool
-	LoanOnlyDemand       bool
-	EmergencyReclaim     bool
+	orchestrator.Loans
 	// MaxRetries bounds the conflict-retry rounds when a loan proposal
 	// loses the optimistic commit race (0 means DefaultMaxRetries).
 	MaxRetries int
@@ -62,28 +52,36 @@ type Arbiter struct {
 
 // New returns an arbiter with the default retry bound.
 func New(targets []orchestrator.LoanTargeter, policy reclaim.Policy, less func(a, b *job.Job) bool) *Arbiter {
-	return &Arbiter{Targets: targets, Policy: policy, Less: less, MaxRetries: DefaultMaxRetries}
+	return &Arbiter{
+		Targets:    targets,
+		Loans:      orchestrator.Loans{Policy: policy, Less: less},
+		MaxRetries: DefaultMaxRetries,
+	}
 }
 
 // Route implements sim.ShardArbiter: the arriving job goes to the
 // least-loaded training shard, where load is the committed and queued GPU
 // demand relative to the shard's own training capacity. Ties break to the
-// lowest shard ID, so routing is deterministic for any arrival order.
+// lowest shard ID, so routing is deterministic for any arrival order. With
+// one training shard there is nothing to weigh.
 func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
-	best, bestLoad := 0, math.Inf(1)
-	for n, st := range sh.Train() {
-		tot := st.Cluster.TotalGPUs(cluster.PoolTraining)
-		load := math.Inf(1)
-		if tot > 0 {
-			used := st.Cluster.UsedGPUs(cluster.PoolTraining) + st.Cluster.UsedGPUs(cluster.PoolOnLoan)
-			queued := 0
-			for _, p := range st.Pending {
-				queued += p.BaseGPUs()
+	best := 0
+	if sh.NumTrain > 1 {
+		bestLoad := math.Inf(1)
+		for n, st := range sh.Train() {
+			tot := st.Cluster.TotalGPUs(cluster.PoolTraining)
+			load := math.Inf(1)
+			if tot > 0 {
+				used := st.Cluster.UsedGPUs(cluster.PoolTraining) + st.Cluster.UsedGPUs(cluster.PoolOnLoan)
+				queued := 0
+				for _, p := range st.Pending {
+					queued += p.BaseGPUs()
+				}
+				load = float64(used+queued) / float64(tot)
 			}
-			load = float64(used+queued) / float64(tot)
-		}
-		if load < bestLoad {
-			best, bestLoad = n, load
+			if load < bestLoad {
+				best, bestLoad = n, load
+			}
 		}
 	}
 	if sh.Tagged && sh.Rec.Enabled() {
@@ -103,15 +101,14 @@ func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
 // already has out on loan, yielding the signed global headroom; it also
 // snapshots the global free inference pool — the possibly-stale view every
 // borrower will propose against. Then the concurrent assessment runs each
-// training shard's read-only demand estimate (busy on-loan servers plus
-// the orchestrator's loan-demand formula) on its own goroutine over purely
-// local state. Finally the serial commit walks borrowing shards in ID
-// order: each computes its capacity cap (its current loan plus the global
-// headroom — for one borrower exactly the inference scheduler's target),
-// emits the per-shard orch.epoch decision, and executes at most one verb:
-// loan (optimistic proposal against the stale snapshot, conflict-retry on
-// commit), reclaim (the unsharded reclaim verbatim over the shard's own
-// borrowed servers, returns routed home), or voluntary idle return.
+// training shard's read-only demand estimate (Loans.Assess) on its own
+// goroutine over purely local state. Finally the serial commit walks
+// borrowing shards in ID order: each computes its capacity cap (its current
+// loan plus the global headroom — for one borrower exactly the inference
+// scheduler's target) and runs the shared per-borrower decision
+// (Loans.Decide), with loans going through the optimistic proposal against
+// the stale snapshot and reclaimed or idle servers transferred to their
+// home shards.
 func (a *Arbiter) Epoch(sh *sim.Shards) {
 	train := sh.Train()
 	now := sh.States[0].Now
@@ -138,50 +135,24 @@ func (a *Arbiter) Epoch(sh *sim.Shards) {
 		wg.Add(1)
 		go func(n int, st *sim.State) {
 			defer wg.Done()
-			busy[n] = st.Cluster.BusyServers(cluster.PoolOnLoan)
-			demand[n] = orchestrator.DemandServers(st, a.IncludeElasticDemand, a.LoanOnlyDemand)
+			busy[n], demand[n] = a.Assess(st)
 		}(n, train[n])
 	}
 	wg.Wait()
 
 	// Serial commit in shard ID order.
 	for n, st := range train {
-		cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
-		capSrv := cur + headroom
+		capSrv := st.Cluster.PoolSize(cluster.PoolOnLoan) + headroom
 		if capSrv < 0 {
 			capSrv = 0
 		}
-		want := busy[n] + demand[n] + loanBuffer
-		if want > capSrv {
-			want = capSrv
+		b := orchestrator.Borrower{St: st, Shard: -1}
+		if sh.Tagged {
+			b.Shard = n
 		}
-		if a.EmergencyReclaim {
-			want = orchestrator.RaiseForCapacityLoss(st, busy[n], want, capSrv)
-		}
-		if st.Obs.Enabled() {
-			f := obs.Fields{
-				"cap_srv": capSrv, "on_loan": cur, "busy": busy[n],
-				"demand_srv": demand[n], "want": want,
-			}
-			if sh.Tagged {
-				f["shard"] = n
-			}
-			st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchEpoch).WithF(f))
-		}
-		switch {
-		case want > cur:
-			sp := st.Prof.Start("loan")
-			a.loan(sh, n, want-cur, stale)
-			sp.End()
-		case capSrv < cur:
-			sp := st.Prof.Start("reclaim")
-			a.reclaim(sh, n, cur-capSrv)
-			sp.End()
-		case want < cur:
-			sp := st.Prof.Start("return-idle")
-			a.returnIdle(sh, n, cur-want)
-			sp.End()
-		}
+		a.Decide(b, capSrv, busy[n], demand[n],
+			func(k int) { a.loan(sh, n, k, stale) },
+			func(sid int) { sh.Transfer(sid, sh.Home(sid), cluster.PoolInference) })
 	}
 }
 
@@ -262,146 +233,5 @@ func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
 		}
 		st.Obs.Emit(ev)
 		st.Obs.Add("orch.loans", 1)
-	}
-}
-
-// returnIdle hands back up to n of shard `from`'s empty borrowed servers —
-// a voluntary trim, lowest IDs first, each transferred to its home
-// inference shard.
-func (a *Arbiter) returnIdle(sh *sim.Shards, from, n int) {
-	if n <= 0 {
-		return
-	}
-	st := sh.States[from]
-	picked := make([]int, 0, n)
-	st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
-		if s.Used() > 0 {
-			return true
-		}
-		picked = append(picked, s.ID)
-		return len(picked) < n
-	})
-	var moved []int
-	for _, sid := range picked {
-		sh.Transfer(sid, sh.Home(sid), cluster.PoolInference)
-		if st.Obs.Enabled() {
-			moved = append(moved, sid)
-		}
-	}
-	if len(moved) > 0 {
-		f := obs.Fields{"servers": moved, "count": len(moved)}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(f))
-		st.Obs.Add("orch.returns", 1)
-	}
-}
-
-// reclaim vacates n of shard `from`'s borrowed servers and transfers them
-// to their home inference shards. The candidate set, plan, preemption
-// order, collateral accounting, and every emitted event mirror the
-// unsharded orchestrator's reclaim verbatim — only the final pool move is
-// a cross-shard transfer.
-func (a *Arbiter) reclaim(sh *sim.Shards, from, n int) {
-	st := sh.States[from]
-	onLoan := st.Cluster.PoolServers(cluster.PoolOnLoan)
-	lookup := func(id int) *job.Job { return st.Running[id] }
-	sp := st.Prof.Start("reclaim.plan")
-	plan := a.Policy.Plan(onLoan, lookup, n)
-	sp.End()
-	if len(plan.Servers) == 0 {
-		return
-	}
-	planned := make(map[int]bool, len(plan.Servers))
-	demand := 0
-	for _, sid := range plan.Servers {
-		planned[sid] = true
-		demand += st.Cluster.Server(sid).NumGPUs
-	}
-
-	if st.Obs.Enabled() {
-		cands := make([]int, 0, len(onLoan))
-		for _, s := range onLoan {
-			cands = append(cands, s.ID)
-		}
-		picks := make([]obs.Fields, 0, len(plan.Picks))
-		for _, p := range plan.Picks {
-			picks = append(picks, obs.Fields{
-				"server": p.Server, "phase": p.Phase,
-				"cost": p.Cost, "reuse": p.Reuse, "damage": p.Damage,
-			})
-		}
-		f := obs.Fields{
-			"want": n, "candidates": cands, "servers": plan.Servers,
-			"preempt_jobs": plan.PreemptJobs, "scale_in": orchestrator.ScaleInPairs(plan.ScaleIn),
-			"flex_only": plan.FlexOnly, "picks": picks,
-		}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(f))
-	}
-
-	savedCause := st.Cause
-	st.Cause = "reclaim"
-	asp := st.Prof.Start("reclaim.apply")
-	defer func() { asp.End(); st.Cause = savedCause }()
-
-	// Release flexible server groups first (pure scale-in, no preemption),
-	// jobs in sorted order so the event stream stays deterministic.
-	scaleJobs := make([]int, 0, len(plan.ScaleIn))
-	for id := range plan.ScaleIn {
-		scaleJobs = append(scaleJobs, id)
-	}
-	sort.Ints(scaleJobs)
-	for _, id := range scaleJobs {
-		j := st.Running[id]
-		if j == nil {
-			continue
-		}
-		for _, sid := range plan.ScaleIn[id] {
-			st.RemoveFlexibleOnServer(j, sid)
-		}
-	}
-
-	// Preempt jobs whose base workers sit on the selected servers; GPUs on
-	// non-selected servers are the collateral damage of §7.3.
-	collateral := 0
-	for _, id := range plan.PreemptJobs {
-		j := st.Running[id]
-		if j == nil {
-			continue
-		}
-		for _, w := range j.Workers {
-			if !planned[w.Server] {
-				collateral += w.GPUs
-			}
-		}
-		st.Preempt(j, a.Less)
-	}
-
-	for _, sid := range plan.Servers {
-		sh.Transfer(sid, sh.Home(sid), cluster.PoolInference)
-	}
-
-	st.ReclaimOps++
-	st.ReclaimedSrv += len(plan.Servers)
-	st.FlexSatisfied += plan.FlexOnly
-	st.DemandGPUs += demand
-	st.VacatedGPUs += demand + collateral
-
-	if st.Obs.Enabled() {
-		f := obs.Fields{
-			"servers": plan.Servers, "preempted": len(plan.PreemptJobs),
-			"demand_gpus": demand, "collateral_gpus": collateral,
-			"flex_only": plan.FlexOnly,
-		}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(f))
-		st.Obs.Add("orch.reclaims", 1)
-		st.Obs.Observe("orch.collateral_gpus", float64(collateral))
 	}
 }

@@ -19,10 +19,12 @@ import (
 	"lyra/internal/sim"
 )
 
-// Orchestrator wires the inference scheduler's instructions to a reclaim
-// policy and executes both directions of capacity movement.
-type Orchestrator struct {
-	Inf    LoanTargeter
+// Loans is the loan protocol's policy and its per-borrower verbs, shared by
+// every component that sits in the orchestrator's seat: Orchestrator over
+// one state, and the sharded arbiter (internal/arbiter) over each borrowing
+// training shard. Both embed it, so their decisions, accounting and events
+// are one body of code.
+type Loans struct {
 	Policy reclaim.Policy
 	// Less is the job scheduler's queue order, used to re-enqueue
 	// preempted jobs (Figure 4, step 5).
@@ -45,6 +47,29 @@ type Orchestrator struct {
 	// the inference utilization threshold is respected. Off by default;
 	// runs without it are byte-identical to the pre-policy orchestrator.
 	EmergencyReclaim bool
+}
+
+// Borrower is one training-side state's seat in a loan decision.
+type Borrower struct {
+	St *sim.State
+	// Shard tags the decision's events with the borrowing shard; negative
+	// leaves them untagged.
+	Shard int
+}
+
+// tag adds the borrower's shard to an event payload when it has one.
+func (b Borrower) tag(f obs.Fields) obs.Fields {
+	if b.Shard >= 0 {
+		f["shard"] = b.Shard
+	}
+	return f
+}
+
+// Orchestrator wires the inference scheduler's instructions to a reclaim
+// policy and executes both directions of capacity movement.
+type Orchestrator struct {
+	Inf LoanTargeter
+	Loans
 	// Audit, when set, re-runs the invariant suite (internal/invariant)
 	// after every epoch, panicking on a violation — the same net the
 	// simulator's engine casts, available to substrates (unit tests, the
@@ -55,7 +80,7 @@ type Orchestrator struct {
 // New returns an orchestrator. The targeter is usually the reactive
 // inference.Scheduler; wrap it in a Forecaster for proactive reclaiming.
 func New(inf LoanTargeter, policy reclaim.Policy, less func(a, b *job.Job) bool) *Orchestrator {
-	return &Orchestrator{Inf: inf, Policy: policy, Less: less}
+	return &Orchestrator{Inf: inf, Loans: Loans{Policy: policy, Less: less}}
 }
 
 // loanBuffer is the slack kept on loan beyond measured demand. Zero keeps
@@ -63,50 +88,76 @@ func New(inf LoanTargeter, policy reclaim.Policy, less func(a, b *job.Job) bool)
 // the price of loans lagging a demand spike by one orchestrator epoch.
 const loanBuffer = 0
 
-// Epoch implements sim.Orchestrator. The inference scheduler's target is a
-// *cap* on loaning, not a mandate: Lyra borrows only as many servers as the
-// training side can actually use (pending base demand plus unmet elastic
-// flexible demand, plus a small buffer), which is what keeps the paper's
-// on-loan servers above 92% utilization (Figure 9). Idle on-loan servers
-// beyond demand are returned voluntarily — no preemption — while a cap
-// decrease forces reclaiming through the policy.
+// Epoch implements sim.Orchestrator: one loan decision over the one state,
+// capped by the inference scheduler's target, with servers crossing the
+// management boundary as pool moves inside the state's cluster.
 func (o *Orchestrator) Epoch(st *sim.State) {
 	capSrv := o.Inf.TargetOnLoan(int64(st.Now))
-	cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
-	busy := o.busyOnLoanServers(st)
-	demandSrv := o.demandServers(st)
-	want := busy + demandSrv + loanBuffer
-	if want > capSrv {
-		want = capSrv
-	}
-	if o.EmergencyReclaim {
-		want = o.raiseForCapacityLoss(st, busy, want, capSrv)
-	}
-	if st.Obs.Enabled() {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchEpoch).WithF(obs.Fields{
-			"cap_srv": capSrv, "on_loan": cur, "busy": busy,
-			"demand_srv": demandSrv, "want": want,
-		}))
-	}
-	switch {
-	case want > cur:
-		sp := st.Prof.Start("loan")
-		o.loan(st, want-cur)
-		sp.End()
-	case capSrv < cur:
-		sp := st.Prof.Start("reclaim")
-		o.reclaim(st, cur-capSrv)
-		sp.End()
-	case want < cur:
-		sp := st.Prof.Start("return-idle")
-		o.returnIdle(st, cur-want)
-		sp.End()
-	}
+	busy, demand := o.Assess(st)
+	o.Decide(Borrower{St: st, Shard: -1}, capSrv, busy, demand,
+		func(n int) { loan(st, n) },
+		func(sid int) {
+			if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
+				failMove(st, sid, cluster.PoolInference, err)
+			}
+		})
 	if o.Audit != nil {
 		ctx := fmt.Sprintf("orchestrator:epoch t=%g", st.Now)
 		if err := o.Audit.Audit(st.AuditView(ctx, o.Less)); err != nil {
 			panic(err)
 		}
+	}
+}
+
+// Assess is the read-only half of a loan decision: the on-loan servers st
+// cannot give up (those hosting any workers — never trimmed voluntarily;
+// O(1) off the cluster's maintained empty-server counter) and the
+// additional inference servers it could fill right now. It touches only st,
+// so borrowers may be assessed concurrently.
+func (l *Loans) Assess(st *sim.State) (busy, demand int) {
+	return st.Cluster.BusyServers(cluster.PoolOnLoan), l.demandServers(st)
+}
+
+// Decide is the per-borrower loan decision. capSrv is a *cap* on loaning,
+// not a mandate: Lyra borrows only as many servers as the training side can
+// actually use (pending base demand plus unmet elastic flexible demand,
+// plus a small buffer), which is what keeps the paper's on-loan servers
+// above 92% utilization (Figure 9). Idle on-loan servers beyond demand are
+// returned voluntarily — no preemption — while a cap decrease forces
+// reclaiming through the policy. At most one verb runs: loan brings up to n
+// more inference servers into the borrower's on-loan pool, and giveBack is
+// how an emptied on-loan server leaves the borrower for the inference side
+// (a pool move within one cluster, a transfer home across shards). Neither
+// is retained, so callers' closures stay on the stack.
+func (l *Loans) Decide(b Borrower, capSrv, busy, demand int, loan func(n int), giveBack func(sid int)) {
+	st := b.St
+	cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
+	want := busy + demand + loanBuffer
+	if want > capSrv {
+		want = capSrv
+	}
+	if l.EmergencyReclaim {
+		want = raiseForCapacityLoss(st, busy, want, capSrv)
+	}
+	if st.Obs.Enabled() {
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchEpoch).WithF(b.tag(obs.Fields{
+			"cap_srv": capSrv, "on_loan": cur, "busy": busy,
+			"demand_srv": demand, "want": want,
+		})))
+	}
+	switch {
+	case want > cur:
+		sp := st.Prof.Start("loan")
+		loan(want - cur)
+		sp.End()
+	case capSrv < cur:
+		sp := st.Prof.Start("reclaim")
+		l.reclaim(b, cur-capSrv, giveBack)
+		sp.End()
+	case want < cur:
+		sp := st.Prof.Start("return-idle")
+		returnIdle(b, cur-want, giveBack)
+		sp.End()
 	}
 }
 
@@ -117,15 +168,7 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 // on-loan capacity is pulled in — and kept — ahead of the voluntary
 // idle-return path. The inference scheduler's cap still binds: the raise
 // never exceeds capSrv, so inference's utilization threshold holds.
-func (o *Orchestrator) raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
-	return RaiseForCapacityLoss(st, busy, want, capSrv)
-}
-
-// RaiseForCapacityLoss is the package-level form of the emergency-reclaim
-// policy, shared with the sharded arbiter (internal/arbiter) so a
-// 1-training+1-inference sharded topology reproduces the unsharded
-// orchestrator's decisions byte-for-byte.
-func RaiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
+func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 	trainCap := st.Cluster.TotalGPUs(cluster.PoolTraining)
 	floor := 0
 	for _, j := range st.Running {
@@ -154,26 +197,12 @@ func RaiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 	return raised
 }
 
-// busyOnLoanServers counts on-loan servers currently hosting any workers;
-// they are never trimmed voluntarily. O(1) off the cluster's maintained
-// empty-server counter.
-func (o *Orchestrator) busyOnLoanServers(st *sim.State) int {
-	return st.Cluster.BusyServers(cluster.PoolOnLoan)
-}
-
 // demandServers estimates how many additional inference servers the
 // training side could fill right now: the pending base demand plus the
 // running elastic jobs' unmet flexible demand, beyond the free schedulable
 // GPUs, converted at the T4 memory-doubling rate (§2.1: local batches
 // split, twice the GPUs per worker).
-func (o *Orchestrator) demandServers(st *sim.State) int {
-	return DemandServers(st, o.IncludeElasticDemand, o.LoanOnlyDemand)
-}
-
-// DemandServers is the package-level form of the loan-demand estimate,
-// shared with the sharded arbiter so per-shard demand assessments match the
-// unsharded orchestrator's exactly.
-func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
+func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
 	demand := 0
 	for _, j := range st.Pending {
@@ -182,12 +211,12 @@ func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
 		// for the rest of the backlog would idle the servers.
 		if (j.Fungible || j.Elastic || j.Hetero) && place.FitsOnLoan(j) {
 			demand += j.BaseGPUs()
-			if includeElastic {
+			if l.IncludeElasticDemand {
 				demand += j.FlexRange() * j.GPUsPerWorker
 			}
 		}
 	}
-	if includeElastic {
+	if l.IncludeElasticDemand {
 		for _, j := range st.Running {
 			if !j.Elastic {
 				continue
@@ -202,7 +231,7 @@ func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
 		}
 	}
 	supply := freeT + freeL
-	if loanOnly {
+	if l.LoanOnlyDemand {
 		supply = freeL
 	}
 	shortfall := demand - supply
@@ -213,15 +242,17 @@ func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
 	return (shortfall + perServer - 1) / perServer
 }
 
-// returnIdle hands back up to n empty on-loan servers — a voluntary trim,
-// so only servers with no workers qualify and nothing is preempted.
-func (o *Orchestrator) returnIdle(st *sim.State, n int) {
+// returnIdle hands back up to n of the borrower's empty on-loan servers — a
+// voluntary trim, so only servers with no workers qualify and nothing is
+// preempted.
+func returnIdle(b Borrower, n int, giveBack func(sid int)) {
 	// Collect candidates first, then move: Move re-indexes pools, so it
 	// must not run inside a live pool iteration. Lowest IDs go first,
 	// matching the pre-index slice order.
 	if n <= 0 {
 		return
 	}
+	st := b.St
 	picked := make([]int, 0, n)
 	st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
 		if s.Used() > 0 {
@@ -230,25 +261,19 @@ func (o *Orchestrator) returnIdle(st *sim.State, n int) {
 		picked = append(picked, s.ID)
 		return len(picked) < n
 	})
-	var moved []int
 	for _, sid := range picked {
-		if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
-			failMove(st, "return idle", sid, cluster.PoolInference, err)
-		}
-		if st.Obs.Enabled() {
-			moved = append(moved, sid)
-		}
+		giveBack(sid)
 	}
-	if len(moved) > 0 {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(obs.Fields{
-			"servers": moved, "count": len(moved),
-		}))
+	if st.Obs.Enabled() && len(picked) > 0 {
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(b.tag(obs.Fields{
+			"servers": picked, "count": len(picked),
+		})))
 		st.Obs.Add("orch.returns", 1)
 	}
 }
 
 // loan moves n inference servers onto the training scheduler's whitelist.
-func (o *Orchestrator) loan(st *sim.State, n int) {
+func loan(st *sim.State, n int) {
 	// Same collect-then-move discipline as returnIdle: lowest-ID inference
 	// servers are loaned first, as before.
 	if n <= 0 {
@@ -259,18 +284,14 @@ func (o *Orchestrator) loan(st *sim.State, n int) {
 		picked = append(picked, s.ID)
 		return len(picked) < n
 	})
-	var moved []int
 	for _, sid := range picked {
 		if err := st.Cluster.Move(sid, cluster.PoolOnLoan); err != nil {
-			failMove(st, "loan", sid, cluster.PoolOnLoan, err)
-		}
-		if st.Obs.Enabled() {
-			moved = append(moved, sid)
+			failMove(st, sid, cluster.PoolOnLoan, err)
 		}
 	}
-	if len(moved) > 0 {
+	if st.Obs.Enabled() && len(picked) > 0 {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchLoan).WithF(obs.Fields{
-			"servers": moved, "count": len(moved),
+			"servers": picked, "count": len(picked),
 		}))
 		st.Obs.Add("orch.loans", 1)
 	}
@@ -278,8 +299,8 @@ func (o *Orchestrator) loan(st *sim.State, n int) {
 
 // failMove raises a structured pool-membership violation for a failed
 // cross-pool server move.
-func failMove(st *sim.State, op string, sid int, to cluster.Pool, err error) {
-	invariant.Fail(fmt.Sprintf("orchestrator:%s t=%g", op, st.Now), invariant.Violation{
+func failMove(st *sim.State, sid int, to cluster.Pool, err error) {
+	invariant.Fail(fmt.Sprintf("orchestrator:move t=%g", st.Now), invariant.Violation{
 		Rule:     invariant.RulePoolMembership,
 		Subject:  fmt.Sprintf("server %d", sid),
 		Expected: fmt.Sprintf("move to pool %v to succeed", to),
@@ -287,16 +308,17 @@ func failMove(st *sim.State, op string, sid int, to cluster.Pool, err error) {
 	})
 }
 
-// reclaim vacates n on-loan servers and returns them to the inference
-// cluster, recording preemption and collateral-damage accounting on the
-// state.
-func (o *Orchestrator) reclaim(st *sim.State, n int) {
+// reclaim vacates n of the borrower's on-loan servers and returns them to
+// the inference side, recording preemption and collateral-damage accounting
+// on the state.
+func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
+	st := b.St
 	// PoolServers returns a defensive copy, so the candidate snapshot stays
-	// valid while the plan's Moves re-index the pools below.
+	// valid while the plan's returns re-index the pools below.
 	onLoan := st.Cluster.PoolServers(cluster.PoolOnLoan)
 	lookup := func(id int) *job.Job { return st.Running[id] }
 	sp := st.Prof.Start("reclaim.plan")
-	plan := o.Policy.Plan(onLoan, lookup, n)
+	plan := l.Policy.Plan(onLoan, lookup, n)
 	sp.End()
 	if len(plan.Servers) == 0 {
 		return
@@ -320,11 +342,11 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 				"cost": p.Cost, "reuse": p.Reuse, "damage": p.Damage,
 			})
 		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(obs.Fields{
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(b.tag(obs.Fields{
 			"want": n, "candidates": cands, "servers": plan.Servers,
 			"preempt_jobs": plan.PreemptJobs, "scale_in": scaleInPairs(plan.ScaleIn),
 			"flex_only": plan.FlexOnly, "picks": picks,
-		}))
+		})))
 	}
 
 	// The state methods called below tag their lifecycle events with the
@@ -366,13 +388,11 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 				collateral += w.GPUs
 			}
 		}
-		st.Preempt(j, o.Less)
+		st.Preempt(j, l.Less)
 	}
 
 	for _, sid := range plan.Servers {
-		if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
-			failMove(st, "reclaim", sid, cluster.PoolInference, err)
-		}
+		giveBack(sid)
 	}
 
 	st.ReclaimOps++
@@ -382,11 +402,11 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 	st.VacatedGPUs += demand + collateral
 
 	if st.Obs.Enabled() {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(obs.Fields{
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(b.tag(obs.Fields{
 			"servers": plan.Servers, "preempted": len(plan.PreemptJobs),
 			"demand_gpus": demand, "collateral_gpus": collateral,
 			"flex_only": plan.FlexOnly,
-		}))
+		})))
 		st.Obs.Add("orch.reclaims", 1)
 		st.Obs.Observe("orch.collateral_gpus", float64(collateral))
 	}
@@ -394,11 +414,7 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 
 // scaleInPairs flattens a scale-in map into deterministic [job, server]
 // pairs sorted by job then server.
-func scaleInPairs(m map[int][]int) [][2]int { return ScaleInPairs(m) }
-
-// ScaleInPairs is the package-level form of the scale-in flattening, shared
-// with the sharded arbiter's reclaim-plan event payload.
-func ScaleInPairs(m map[int][]int) [][2]int {
+func scaleInPairs(m map[int][]int) [][2]int {
 	out := make([][2]int, 0, len(m))
 	ids := make([]int, 0, len(m))
 	for id := range m {

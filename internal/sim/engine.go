@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
@@ -38,7 +39,9 @@ type Config struct {
 	MaxTime float64
 	// InferenceUtil reports the inference cluster's own utilization at
 	// time t for combined-usage accounting; nil means no inference
-	// cluster in the usage metrics.
+	// cluster in the usage metrics. New reads it for its one state;
+	// NewSharded takes one series per inference shard from
+	// ShardedConfig.InfUtil instead.
 	InferenceUtil func(t int64) float64
 	// Audit enables the invariant audit layer (internal/invariant): after
 	// every processed event the full conservation/legality suite is
@@ -235,27 +238,49 @@ type MemorylessScheduler interface {
 	Memoryless() bool
 }
 
-// Engine drives one simulation.
+// Engine drives one simulation over a topology of shard states (Shards):
+// one global serial event heap, per-shard states mutated only by their own
+// events, and a scheduler phase that calls the one scheduler inline when
+// there is one training shard and otherwise fans out to one goroutine per
+// training shard before an ID-ordered deterministic merge re-emits each
+// shard's event fragment. The unsharded run is the one-state topology New
+// builds; every shard count runs this loop, which is what the
+// topology-invariance tests (TestShardedGoldenIdentity, FuzzShardedVsSingle)
+// pin byte for byte.
 type Engine struct {
 	cfg     Config
-	st      *State
-	sched   Scheduler
-	orch    Orchestrator
-	jobs    []*job.Job
-	byID    map[int]*job.Job
-	horizon int64
+	sh      *Shards
+	arb     ShardArbiter
+	orch    bool
+	refTopo *cluster.Cluster
+	// infUtil[i] is state i's own inference utilization series for
+	// combined-usage accounting; nil for states that carry none.
+	infUtil []func(int64) float64
+
+	jobs     []*job.Job
+	byID     map[int]*job.Job
+	jobShard map[int]int
+	horizon  int64
 
 	events  eventHeap
 	seq     int64
 	version map[int]int
+	now     float64
 
 	completed int
 	ranOnLoan map[int]bool
 	audit     *invariant.Auditor
-	// recoverTo routes each quarantined server home on recovery: crashed
-	// training servers return to training, but a server that died on loan
-	// goes back to the inference pool (the crash ended the loan).
-	recoverTo map[int]cluster.Pool
+	// recoverTo holds one record per quarantined server: the shard holding
+	// it, the pool it returns to on recovery, and when it went down.
+	// Crashed training servers return to training; a server that died on
+	// loan goes back to its home shard's inference pool (the crash ended
+	// the loan, and the quarantined husk was transferred home).
+	recoverTo map[int]recoverDest
+	// lostGPUSec accumulates GPU-seconds of quarantined capacity: each
+	// recovery adds downtime × the server's GPUs, in event order, so the
+	// float sum does not depend on how the cluster is cut (result adds the
+	// residual for servers still down at the end of the run).
+	lostGPUSec float64
 	// domainSched is the correlated-outage marker timeline (rack/zone
 	// down/up); evDomain events carry an index into it in their jobID
 	// field. The markers are pushed whenever the schedule is non-empty —
@@ -271,6 +296,11 @@ type Engine struct {
 	// a newer hold or an intervening crash supersedes it.
 	recoverSeq map[int]int
 
+	// Cross-shard conservation baseline: global GPU and server totals at
+	// construction, which every audited transition must preserve.
+	totalGPUs    int
+	totalServers int
+
 	trainUsage   *metrics.TimeSeries
 	overallUsage *metrics.TimeSeries
 	onLoanUsage  *metrics.TimeSeries
@@ -283,47 +313,115 @@ type Engine struct {
 	// walks this delta instead of the whole pending queue.
 	arrived []*job.Job
 
-	// Quiescent-epoch skip (DESIGN.md §10): when the scheduler is
-	// memoryless (a pure function of State) and the state version at this
-	// epoch equals the version at the start of the previous Schedule call,
-	// the previous pass already ran against this exact state and changed
-	// nothing — re-running it is a no-op by construction, so the engine
-	// skips it. Any mutation (arrival, finish, progress, crash, move)
-	// bumps the version and ends the quiescent window.
-	skipOK        bool
-	schedVerSet   bool
-	schedStartVer uint64
+	// epochs holds each training shard's scheduler-epoch state.
+	epochs        []shardEpoch
 	skippedEpochs int64
+
+	// Per-training-shard obs fragment machinery for the concurrent
+	// scheduler phase (more than one training shard, obs on): each shard's
+	// goroutine records into its own Buffer through a fork sharing the
+	// global counter registry; the serial merge re-emits the fragments in
+	// shard ID order.
+	frag  []*obs.Buffer
+	forks []*obs.Recorder
+
+	// loanFrom is sample's per-state scratch: GPUs each state currently has
+	// out on loan.
+	loanFrom []int
 }
+
+// recoverDest is where a quarantined server goes when it recovers, and
+// since when it has been down.
+type recoverDest struct {
+	shard int
+	pool  cluster.Pool
+	since float64
+}
+
+// shardEpoch is one training shard's scheduler-epoch state.
+//
+// Quiescent-epoch skip (DESIGN.md §10): when the scheduler is memoryless (a
+// pure function of State) and the state version at this epoch equals the
+// version at the start of the previous Schedule call, the previous pass
+// already ran against this exact state and changed nothing — re-running it
+// is a no-op by construction, so the engine skips it. Any mutation (arrival,
+// finish, progress, crash, move) bumps the version and ends the quiescent
+// window.
+type shardEpoch struct {
+	skipOK   bool
+	verSet   bool
+	startVer uint64
+	// run marks the shards whose scheduler runs this epoch; queue, starts,
+	// preempt and scale are the pre-epoch counters the obs epoch summary
+	// reports deltas against. All five are rewritten every epoch.
+	run                           bool
+	queue, starts, preempt, scale int
+}
+
+// seat puts an Orchestrator in the arbiter's place for the one-state
+// topology: there is one training shard to route to, and the orchestrator
+// epoch runs over the one state.
+type seat struct{ orch Orchestrator }
+
+func (seat) Route(*Shards, *job.Job) int { return 0 }
+func (s seat) Epoch(sh *Shards)          { s.orch.Epoch(sh.States[0]) }
 
 // New builds an engine replaying jobs (sorted by arrival) on c under the
 // given scheduler and optional orchestrator (nil disables capacity
-// loaning). horizon is the trace length in seconds.
+// loaning). horizon is the trace length in seconds. The run is the
+// one-state topology of NewSharded: a single State whose cluster carries
+// the training, on-loan and inference pools, so every server's home and
+// owner is shard 0 and Shards.Transfer is Cluster.Move.
 func New(c *cluster.Cluster, jobs []*job.Job, horizon int64, sched Scheduler, orch Orchestrator, cfg Config) *Engine {
+	e := NewSharded(ShardedConfig{
+		Train:       []*cluster.Cluster{c},
+		Scheds:      []Scheduler{sched},
+		Arbiter:     seat{orch},
+		Orchestrate: orch != nil,
+		RefTopo:     c,
+	}, jobs, horizon, cfg)
+	e.infUtil[0] = cfg.InferenceUtil
+	return e
+}
+
+// NewSharded builds an engine replaying jobs on the given topology.
+func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	sh := NewShards(sc, cfg)
+	nT := sh.NumTrain
 	e := &Engine{
 		cfg:       cfg,
-		st:        newState(c, cfg.Scaling, cfg.PreemptOverhead),
-		sched:     sched,
-		orch:      orch,
+		sh:        sh,
+		arb:       sc.Arbiter,
+		orch:      sc.Orchestrate,
+		refTopo:   sc.RefTopo,
+		infUtil:   make([]func(int64) float64, len(sh.States)),
 		jobs:      jobs,
 		byID:      make(map[int]*job.Job, len(jobs)),
+		jobShard:  make(map[int]int),
 		horizon:   horizon,
 		version:   make(map[int]int),
 		ranOnLoan: make(map[int]bool),
+		epochs:    make([]shardEpoch, nT),
+		loanFrom:  make([]int, len(sh.States)),
 	}
+	copy(e.infUtil[nT:], sc.InfUtil)
 	for _, j := range jobs {
 		e.byID[j.ID] = j
 	}
-	e.st.Rescan = cfg.Rescan
-	if m, ok := sched.(MemorylessScheduler); ok && m.Memoryless() && !cfg.Rescan {
-		e.skipOK = true
+	for n, s := range sc.Scheds {
+		m, ok := s.(MemorylessScheduler)
+		e.epochs[n].skipOK = ok && m.Memoryless() && !cfg.Rescan
 	}
 	if cfg.Audit {
 		e.audit = invariant.New()
+		for _, st := range sh.States {
+			e.totalGPUs += totalClusterGPUs(st.Cluster)
+			e.totalServers += st.Cluster.NumServers()
+		}
 	}
 	if cfg.Faults.Enabled() {
-		e.recoverTo = make(map[int]cluster.Pool)
+		e.recoverTo = make(map[int]recoverDest)
 		if cfg.Faults.StragglerFrac > 0 {
 			for _, j := range jobs {
 				j.SlowFactor = cfg.Faults.SlowFactorFor(j.ID)
@@ -335,14 +433,22 @@ func New(c *cluster.Cluster, jobs []*job.Job, horizon int64, sched Scheduler, or
 		}
 	}
 	if cfg.BackoffBase > 0 {
-		e.st.backoffBase = cfg.BackoffBase
-		e.st.backoffCap = cfg.BackoffCap
-		e.st.crashCount = make(map[int]int)
-		e.st.held = make(map[int]*job.Job)
-		e.st.heldUntil = make(map[int]float64)
+		for _, st := range sh.Train() {
+			st.backoffBase = cfg.BackoffBase
+			st.backoffCap = cfg.BackoffCap
+			st.crashCount = make(map[int]int)
+			st.held = make(map[int]*job.Job)
+			st.heldUntil = make(map[int]float64)
+		}
 	}
-	e.st.Obs = cfg.Obs
-	e.st.Prof = cfg.Prof
+	if cfg.Obs.Enabled() && nT > 1 {
+		e.frag = make([]*obs.Buffer, nT)
+		e.forks = make([]*obs.Recorder, nT)
+		for n := range e.frag {
+			e.frag[n] = &obs.Buffer{}
+			e.forks[n] = cfg.Obs.Fork(e.frag[n])
+		}
+	}
 	e.trainUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
 	e.overallUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
 	e.onLoanUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
@@ -357,35 +463,52 @@ func (e *Engine) push(t float64, kind eventKind, jobID, version int) {
 	heap.Push(&e.events, event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
 }
 
+// setNow stamps the event time onto every shard state: serial mutators and
+// the concurrent scheduler phase all read their own state's clock.
+func (e *Engine) setNow(t float64) {
+	e.now = t
+	for _, st := range e.sh.States {
+		st.Now = t
+	}
+}
+
+// shardOf returns the state of the training shard job id was routed to.
+func (e *Engine) shardOf(id int) *State {
+	return e.sh.States[e.jobShard[id]]
+}
+
 // refresh recomputes the completion event of a job after any throughput
-// change and records on-loan residency.
-func (e *Engine) refresh(j *job.Job) {
+// change and records on-loan residency, against the job's shard state.
+func (e *Engine) refresh(st *State, j *job.Job) {
 	e.version[j.ID]++
 	if j.State != job.Running {
 		return
 	}
 	for _, w := range j.Workers {
-		if e.st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
+		if st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
 			e.ranOnLoan[j.ID] = true
 			break
 		}
 	}
-	rt, ok := j.RemainingRuntime(e.st.Scaling)
+	rt, ok := j.RemainingRuntime(st.Scaling)
 	if !ok {
-		invariant.Fail(fmt.Sprintf("sim:refresh t=%g job=%d", e.st.Now, j.ID), invariant.Violation{
+		invariant.Fail(fmt.Sprintf("sim:refresh t=%g job=%d", st.Now, j.ID), invariant.Violation{
 			Rule:     invariant.RuleThroughput,
 			Subject:  fmt.Sprintf("job %d", j.ID),
 			Expected: "a positive throughput for the current allocation",
-			Actual:   fmt.Sprintf("no throughput (%d workers, scaling %+v)", j.NumWorkers(), e.st.Scaling),
+			Actual:   fmt.Sprintf("no throughput (%d workers, scaling %+v)", j.NumWorkers(), st.Scaling),
 			Detail:   "running job cannot make progress; allocation violates the throughput model's domain",
 		})
 	}
-	e.push(e.st.Now+rt, evFinish, j.ID, e.version[j.ID])
+	e.push(st.Now+rt, evFinish, j.ID, e.version[j.ID])
 }
 
+// drain flushes every training shard's changed set in shard ID order.
 func (e *Engine) drain() {
-	for _, j := range e.st.drainChanged() {
-		e.refresh(j)
+	for _, st := range e.sh.Train() {
+		for _, j := range st.drainChanged() {
+			e.refresh(st, j)
+		}
 	}
 }
 
@@ -393,14 +516,14 @@ func (e *Engine) drain() {
 // entries that have aged out of the trailing window.
 func (e *Engine) noteCrash(sid int) {
 	ts := e.crashTimes[sid]
-	cut := e.st.Now - e.cfg.HystWindow
+	cut := e.now - e.cfg.HystWindow
 	kept := ts[:0]
 	for _, t := range ts {
 		if t > cut {
 			kept = append(kept, t)
 		}
 	}
-	e.crashTimes[sid] = append(kept, e.st.Now)
+	e.crashTimes[sid] = append(kept, e.now)
 }
 
 // holdRecovery decides whether a recovery event for a repeat-crashing
@@ -418,7 +541,7 @@ func (e *Engine) holdRecovery(ev event) bool {
 		return true // superseded retry: drop it, a later recovery governs
 	}
 	recent := 0
-	cut := e.st.Now - e.cfg.HystWindow
+	cut := e.now - e.cfg.HystWindow
 	for _, t := range e.crashTimes[sid] {
 		if t > cut {
 			recent++
@@ -433,10 +556,10 @@ func (e *Engine) holdRecovery(ev event) bool {
 	}
 	hold := e.cfg.HystHold * float64(uint64(1)<<extra)
 	e.recoverSeq[sid]++
-	e.push(e.st.Now+hold, evRecover, sid, e.recoverSeq[sid])
-	if rec := e.st.Obs; rec.Enabled() {
-		rec.Emit(obs.Ev(e.st.Now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
-			"server": sid, "recent": recent, "hold": hold, "until": e.st.Now + hold,
+	e.push(e.now+hold, evRecover, sid, e.recoverSeq[sid])
+	if rec := e.sh.Rec; rec.Enabled() {
+		rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
+			"server": sid, "recent": recent, "hold": hold, "until": e.now + hold,
 		}))
 		rec.Add("fault.holddowns", 1)
 	}
@@ -447,6 +570,7 @@ func (e *Engine) holdRecovery(ev event) bool {
 // cap, and returns the collected results. The default cap leaves room for
 // the drain phase: a job arriving at the end of the horizon may run for
 // days (the trace generator's runtime clamp) on top of its queuing delay.
+// Each serial event is routed to the shard state owning its subject.
 func (e *Engine) Run() *Result {
 	maxTime := e.cfg.MaxTime
 	if maxTime == 0 {
@@ -456,7 +580,7 @@ func (e *Engine) Run() *Result {
 		e.push(float64(j.Arrival), evArrival, j.ID, 0)
 	}
 	e.push(0, evSched, 0, 0)
-	if e.orch != nil {
+	if e.orch {
 		e.push(0, evOrch, 0, 0)
 	}
 	e.push(0, evMetrics, 0, 0)
@@ -464,10 +588,13 @@ func (e *Engine) Run() *Result {
 		// The whole crash/recovery timeline — independent per-server draws
 		// plus correlated rack/zone outages, merged per server — is
 		// pre-generated from the plan's seeded streams, so it is identical
-		// regardless of how the run unfolds. The event's jobID field
-		// carries the server ID (crash/recover) or the index into
-		// domainSched (domain markers).
-		evs, devs := fault.FullSchedule(*e.cfg.Faults, e.st.Cluster, e.horizon)
+		// regardless of how the run unfolds. It is generated from the
+		// reference topology, not the shard clusters: per-server draws key
+		// on global server IDs and domain streams on the reference
+		// rack/zone indexes, so every way of cutting one cluster draws the
+		// same schedule. The event's jobID field carries the server ID
+		// (crash/recover) or the index into domainSched (domain markers).
+		evs, devs := fault.FullSchedule(*e.cfg.Faults, e.refTopo, e.horizon)
 		for _, fe := range evs {
 			kind := evCrash
 			if fe.Recover {
@@ -487,144 +614,42 @@ func (e *Engine) Run() *Result {
 		if ev.t > maxTime {
 			break
 		}
-		e.st.Now = ev.t
+		e.setNow(ev.t)
 		sp := e.cfg.Prof.Start(profEventName[ev.kind])
 		switch ev.kind {
 		case evArrival:
-			j := e.byID[ev.jobID]
-			hour := int(j.Arrival / 3600)
-			if hour < len(e.hourlyArrived) {
-				e.hourlyArrived[hour]++
-			}
-			if rec := e.st.Obs; rec.Enabled() {
-				rec.Emit(obs.JobEv(e.st.Now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
-					"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
-					"gpus_per_worker": j.GPUsPerWorker, "work": j.Work,
-				}))
-				rec.Add("sim.arrivals", 1)
-			}
-			e.st.enqueue(j, e.sched.Less)
-			if !e.cfg.Rescan {
-				e.arrived = append(e.arrived, j)
-			}
+			e.arrive(ev)
 		case evFinish:
-			j := e.byID[ev.jobID]
-			if j.State != job.Running || ev.version != e.version[j.ID] {
-				break // stale event from a superseded allocation
-			}
-			e.st.advance(j)
-			if j.Remaining > 1e-6 || j.OverheadLeft > 1e-9 {
-				// Numerical safety: reschedule at the recomputed time.
-				e.st.markChanged(j)
-				e.drain()
-				break
-			}
-			e.st.finish(j)
-			e.completed++
-			e.st.drainChanged() // no new finish event needed
-			// The job can never run again: drop its stale-event version
-			// counter so long traces don't accumulate dead entries.
-			delete(e.version, j.ID)
+			e.finishEvent(ev)
 		case evDomain:
-			// Pure announcement: the member-server crashes/recoveries of a
-			// correlated outage are already in the schedule as ordinary
-			// crash/recover events (merged per server), so the marker only
-			// records that they share one cause.
-			if rec := e.st.Obs; rec.Enabled() {
-				d := e.domainSched[ev.jobID]
-				name, servers := "rack", e.st.Cluster.RackServers(d.Domain)
-				if d.Zone {
-					name, servers = "zone", e.st.Cluster.ZoneServers(d.Domain)
-				}
-				cause := name + "-down"
-				if d.Recover {
-					cause = name + "-up"
-				}
-				rec.Emit(obs.Ev(e.st.Now, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
-					"domain": d.Domain, "servers": len(servers),
-				}))
-				rec.Add("fault.domain_events", 1)
-			}
+			e.domainEvent(ev)
 		case evCrash:
-			if origin, ok := e.st.CrashServer(ev.jobID, e.sched.Less); ok {
-				to := origin
-				if origin == cluster.PoolOnLoan {
-					to = cluster.PoolInference
-				}
-				e.recoverTo[ev.jobID] = to
-				if e.cfg.HystCrashes > 0 {
-					e.noteCrash(ev.jobID)
-				}
-				for _, h := range e.st.takeNewHolds() {
-					e.push(h.until, evRelease, h.jobID, 0)
-				}
-			} else if e.cfg.HystCrashes > 0 {
-				// A scheduled crash striking a server still held in
-				// quarantine supersedes its pending hysteresis retry: the
-				// new outage's own scheduled recovery governs from here.
-				e.recoverSeq[ev.jobID]++
-			}
-			e.drain()
+			e.crashEvent(ev)
 		case evRecover:
-			if to, ok := e.recoverTo[ev.jobID]; ok {
-				if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
-					break
-				}
-				e.st.RecoverServer(ev.jobID, to)
-				delete(e.recoverTo, ev.jobID)
-			}
+			e.recoverEvent(ev)
 		case evRelease:
-			e.st.releaseHeld(ev.jobID, e.sched.Less)
+			e.shardOf(ev.jobID).releaseHeld(ev.jobID, e.sh.Less)
 		case evOrch:
-			e.orch.Epoch(e.st)
-			// The orchestrator moves servers through Cluster.Move directly;
-			// conservatively treat every orchestrator epoch as a mutation.
-			e.st.MarkExternalChange()
+			e.arb.Epoch(e.sh)
+			// The orchestrator moves servers through Cluster.Move and
+			// Shards.Transfer directly; conservatively treat every
+			// orchestrator epoch as a mutation.
+			for _, st := range e.sh.States {
+				st.MarkExternalChange()
+			}
 			e.drain()
 			if e.completed < len(e.jobs) {
-				e.push(e.st.Now+float64(e.cfg.OrchInterval), evOrch, 0, 0)
+				e.push(e.now+float64(e.cfg.OrchInterval), evOrch, 0, 0)
 			}
 		case evSched:
-			rec := e.st.Obs
-			var qBefore, startsBefore, preemptBefore, scaleBefore int
-			if rec.Enabled() {
-				qBefore, startsBefore = len(e.st.Pending), e.st.Starts
-				preemptBefore, scaleBefore = e.st.Preemptions, e.st.ScalingOps
-			}
-			e.st.Epoch++
-			// Quiescent-epoch skip. Obs runs always schedule: a pass that
-			// changes nothing still emits decision-trace events (e.g. the
-			// phase-2 summary), and the golden stream pins those bytes.
-			if ver := e.st.Version(); e.skipOK && !rec.Enabled() &&
-				e.schedVerSet && ver == e.schedStartVer {
-				e.skippedEpochs++
-			} else {
-				e.schedStartVer, e.schedVerSet = ver, true
-				e.sched.Schedule(e.st)
-			}
-			e.noteFirstTry()
-			e.drain()
-			if rec.Enabled() {
-				freeTrain, freeLoan := e.st.FreeSchedulableGPUs()
-				rec.Emit(obs.Ev(e.st.Now, obs.KindSchedEpoch).WithF(obs.Fields{
-					"epoch": e.st.Epoch, "queue_before": qBefore, "queue_after": len(e.st.Pending),
-					"running": len(e.st.Running), "started": e.st.Starts - startsBefore,
-					"preempted":   e.st.Preemptions - preemptBefore,
-					"scaling_ops": e.st.ScalingOps - scaleBefore,
-					"free_train":  freeTrain, "free_loan": freeLoan,
-					"on_loan_srv": e.st.Cluster.PoolSize(cluster.PoolOnLoan),
-				}))
-			}
-			if e.completed < len(e.jobs) {
-				e.push(e.st.Now+float64(e.cfg.SchedInterval), evSched, 0, 0)
-			}
+			e.schedEvent()
 		case evMetrics:
 			// Usage is sampled over the trace window only; the drain
 			// phase after the last arrival would otherwise dilute the
 			// means the paper reports over the measurement period.
 			e.sample()
-			e.st.Obs.EmitCounters(e.st.Now)
-			if next := e.st.Now + float64(e.cfg.MetricsInterval); next < float64(e.horizon) && next < maxTime {
+			e.sh.Rec.EmitCounters(e.now)
+			if next := e.now + float64(e.cfg.MetricsInterval); next < float64(e.horizon) && next < maxTime {
 				e.push(next, evMetrics, 0, 0)
 			}
 		}
@@ -636,6 +661,211 @@ func (e *Engine) Run() *Result {
 		sp.End()
 	}
 	return e.result()
+}
+
+func (e *Engine) arrive(ev event) {
+	j := e.byID[ev.jobID]
+	target := e.arb.Route(e.sh, j)
+	e.jobShard[j.ID] = target
+	st := e.sh.States[target]
+	hour := int(j.Arrival / 3600)
+	if hour < len(e.hourlyArrived) {
+		e.hourlyArrived[hour]++
+	}
+	if rec := e.sh.Rec; rec.Enabled() {
+		rec.Emit(obs.JobEv(e.now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
+			"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
+			"gpus_per_worker": j.GPUsPerWorker, "work": j.Work,
+		}))
+		rec.Add("sim.arrivals", 1)
+	}
+	st.enqueue(j, e.sh.Less)
+	if !e.cfg.Rescan {
+		e.arrived = append(e.arrived, j)
+	}
+}
+
+func (e *Engine) finishEvent(ev event) {
+	j := e.byID[ev.jobID]
+	if j.State != job.Running || ev.version != e.version[j.ID] {
+		return // stale event from a superseded allocation
+	}
+	st := e.shardOf(j.ID)
+	st.advance(j)
+	if j.Remaining > 1e-6 || j.OverheadLeft > 1e-9 {
+		// Numerical safety: reschedule at the recomputed time.
+		st.markChanged(j)
+		e.drain()
+		return
+	}
+	st.finish(j)
+	e.completed++
+	st.drainChanged() // no new finish event needed
+	// The job can never run again: drop its stale-event version counter
+	// and its shard routing so long traces don't accumulate dead entries.
+	delete(e.version, j.ID)
+	delete(e.jobShard, j.ID)
+}
+
+// domainEvent is a pure announcement: the member-server crashes/recoveries
+// of a correlated outage are already in the schedule as ordinary
+// crash/recover events (merged per server), so the marker only records
+// that they share one cause.
+func (e *Engine) domainEvent(ev event) {
+	if rec := e.sh.Rec; rec.Enabled() {
+		d := e.domainSched[ev.jobID]
+		name, servers := "rack", e.refTopo.RackServers(d.Domain)
+		if d.Zone {
+			name, servers = "zone", e.refTopo.ZoneServers(d.Domain)
+		}
+		cause := name + "-down"
+		if d.Recover {
+			cause = name + "-up"
+		}
+		rec.Emit(obs.Ev(e.now, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
+			"domain": d.Domain, "servers": len(servers),
+		}))
+		rec.Add("fault.domain_events", 1)
+	}
+}
+
+func (e *Engine) crashEvent(ev event) {
+	sid := ev.jobID
+	owner := e.sh.Owner(sid)
+	st := e.sh.States[owner]
+	if origin, ok := st.CrashServer(sid, e.sh.Less); ok {
+		to := recoverDest{shard: owner, pool: origin, since: e.now}
+		if origin == cluster.PoolOnLoan {
+			// The crash ended the loan: the server will recover into its
+			// home shard's inference pool, and a quarantined husk that
+			// crossed shards to be loaned transfers home now.
+			to.shard, to.pool = e.sh.Home(sid), cluster.PoolInference
+			e.sh.Transfer(sid, to.shard, cluster.PoolQuarantine)
+		}
+		e.recoverTo[sid] = to
+		if e.cfg.HystCrashes > 0 {
+			e.noteCrash(sid)
+		}
+		for _, h := range st.takeNewHolds() {
+			e.push(h.until, evRelease, h.jobID, 0)
+		}
+	} else if e.cfg.HystCrashes > 0 {
+		// A scheduled crash striking a server still held in quarantine
+		// supersedes its pending hysteresis retry: the new outage's own
+		// scheduled recovery governs from here.
+		e.recoverSeq[sid]++
+	}
+	e.drain()
+}
+
+func (e *Engine) recoverEvent(ev event) {
+	sid := ev.jobID
+	if to, ok := e.recoverTo[sid]; ok {
+		if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
+			return
+		}
+		st := e.sh.States[to.shard]
+		if st.RecoverServer(sid, to.pool) {
+			e.lostGPUSec += (e.now - to.since) * float64(st.Cluster.Server(sid).NumGPUs)
+		}
+		delete(e.recoverTo, sid)
+	}
+}
+
+// schedEvent is the shard-scheduling phase: every training shard whose
+// state changed since its scheduler last ran gets a Schedule call over
+// purely local state, then first-try bookkeeping and completion-event
+// refreshes drain and each shard's epoch summary is emitted in shard ID
+// order.
+func (e *Engine) schedEvent() {
+	train := e.sh.Train()
+	rec := e.sh.Rec
+	for n, st := range train {
+		ep := &e.epochs[n]
+		if rec.Enabled() {
+			ep.queue, ep.starts = len(st.Pending), st.Starts
+			ep.preempt, ep.scale = st.Preemptions, st.ScalingOps
+		}
+		st.Epoch++
+		// Quiescent-epoch skip. Obs runs always schedule: a pass that
+		// changes nothing still emits decision-trace events (e.g. the
+		// phase-2 summary), and the golden stream pins those bytes.
+		ver := st.Version()
+		ep.run = !(ep.skipOK && !rec.Enabled() && ep.verSet && ver == ep.startVer)
+		if ep.run {
+			ep.startVer, ep.verSet = ver, true
+		} else {
+			e.skippedEpochs++
+		}
+	}
+	if len(train) == 1 {
+		// One training shard has nothing to run beside: Schedule runs on the
+		// engine goroutine with the real recorder and profiler, so its phase
+		// spans nest under epoch.sched.
+		if e.epochs[0].run {
+			e.sh.Scheds[0].Schedule(train[0])
+		}
+	} else {
+		e.scheduleForked(train)
+	}
+	e.noteFirstTry()
+	e.drain()
+	if rec.Enabled() {
+		for n, st := range train {
+			ep := &e.epochs[n]
+			freeTrain, freeLoan := st.FreeSchedulableGPUs()
+			f := obs.Fields{
+				"epoch": st.Epoch, "queue_before": ep.queue, "queue_after": len(st.Pending),
+				"running": len(st.Running), "started": st.Starts - ep.starts,
+				"preempted":   st.Preemptions - ep.preempt,
+				"scaling_ops": st.ScalingOps - ep.scale,
+				"free_train":  freeTrain, "free_loan": freeLoan,
+				"on_loan_srv": st.Cluster.PoolSize(cluster.PoolOnLoan),
+			}
+			if e.sh.Tagged {
+				f["shard"] = n
+			}
+			rec.Emit(obs.Ev(e.now, obs.KindSchedEpoch).WithF(f))
+		}
+	}
+	if e.completed < len(e.jobs) {
+		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
+	}
+}
+
+// scheduleForked runs this epoch's shard schedulers concurrently, one
+// goroutine each, recording obs into a private fragment buffer through a
+// fork of the global recorder (counter adds are commutative and land
+// directly in the shared registry) and with span profiling off (a profiler
+// has one span stack). The join re-emits the fragments in shard ID order,
+// so the stream is byte-identical across runs and goroutine schedules.
+func (e *Engine) scheduleForked(train []*State) {
+	rec := e.sh.Rec
+	var wg sync.WaitGroup
+	for n, st := range train {
+		if !e.epochs[n].run {
+			continue
+		}
+		if rec.Enabled() {
+			st.Obs = e.forks[n]
+		}
+		st.Prof = nil
+		wg.Add(1)
+		go func(n int, st *State) {
+			defer wg.Done()
+			e.sh.Scheds[n].Schedule(st)
+		}(n, st)
+	}
+	wg.Wait()
+	for n, st := range train {
+		st.Obs = rec
+		st.Prof = e.cfg.Prof
+		if rec.Enabled() && e.epochs[n].run {
+			for _, fe := range e.frag[n].Drain() {
+				rec.Emit(fe)
+			}
+		}
+	}
 }
 
 // noteFirstTry counts jobs that failed to get resources on their first
@@ -665,27 +895,40 @@ func (e *Engine) noteFirstTry() {
 // noteFirstTryRescan is the retained full-queue scan, kept as the reference
 // implementation the differential fuzz target compares against.
 func (e *Engine) noteFirstTryRescan() {
-	for _, j := range e.st.Pending {
-		if j.Preemptions > 0 || j.Started {
-			continue
-		}
-		// First epoch strictly after arrival has passed without a start.
-		if e.st.Now-float64(j.Arrival) >= float64(e.cfg.SchedInterval) {
-			continue // already counted at an earlier epoch
-		}
-		hour := int(j.Arrival / 3600)
-		if hour < len(e.hourlyQueued) {
-			e.hourlyQueued[hour]++
+	for _, st := range e.sh.Train() {
+		for _, j := range st.Pending {
+			if j.Preemptions > 0 || j.Started {
+				continue
+			}
+			// First epoch strictly after arrival has passed without a start.
+			if e.now-float64(j.Arrival) >= float64(e.cfg.SchedInterval) {
+				continue // already counted at an earlier epoch
+			}
+			hour := int(j.Arrival / 3600)
+			if hour < len(e.hourlyQueued) {
+				e.hourlyQueued[hour]++
+			}
 		}
 	}
 }
 
+// sample appends one usage sample, with per-pool sums taken across shards.
+// The inference workload always runs on the servers remaining in the
+// inference pool: each state that carries a utilization series has its busy
+// GPU count follow that series over its full nominal size (its inference
+// pool plus the GPUs it currently has out on loan), capped by what is not
+// on loan.
 func (e *Engine) sample() {
-	c := e.st.Cluster
-	usedTrain := c.UsedGPUs(cluster.PoolTraining)
-	totTrain := c.TotalGPUs(cluster.PoolTraining)
-	usedLoan := c.UsedGPUs(cluster.PoolOnLoan)
-	totLoan := c.TotalGPUs(cluster.PoolOnLoan)
+	var usedTrain, totTrain, usedLoan, totLoan, totInf int
+	for _, st := range e.sh.States {
+		c := st.Cluster
+		usedTrain += c.UsedGPUs(cluster.PoolTraining)
+		totTrain += c.TotalGPUs(cluster.PoolTraining)
+		usedLoan += c.UsedGPUs(cluster.PoolOnLoan)
+		totLoan += c.TotalGPUs(cluster.PoolOnLoan)
+		totInf += c.TotalGPUs(cluster.PoolInference)
+	}
+	totInf += totLoan
 	if totTrain > 0 {
 		e.trainUsage.Append(float64(usedTrain) / float64(totTrain))
 	}
@@ -694,21 +937,31 @@ func (e *Engine) sample() {
 	} else {
 		e.onLoanUsage.Append(math.NaN())
 	}
-	// The inference workload always runs on the servers remaining in the
-	// inference pool; its busy GPU count follows the utilization series
-	// over the full inference-cluster size, capped by what is not on loan.
-	totInf := c.TotalGPUs(cluster.PoolInference) + totLoan
-	if e.cfg.InferenceUtil != nil && totInf > 0 {
-		infBusy := e.cfg.InferenceUtil(int64(e.st.Now)) * float64(totInf)
-		if maxBusy := float64(totInf - totLoan); infBusy > maxBusy {
-			infBusy = maxBusy
-		}
-		overall := (float64(usedTrain+usedLoan) + infBusy) / float64(totTrain+totInf)
-		e.overallUsage.Append(overall)
-	} else if totTrain+totInf > 0 {
-		e.overallUsage.Append(float64(usedTrain+usedLoan) / float64(totTrain+totInf))
+	if totTrain+totInf == 0 {
+		// A degenerate cluster (no capacity at all, e.g. everything crashed
+		// and quarantined) appends nothing, mirroring the trainUsage guard
+		// above — an unguarded divide here poisoned the overall-usage mean
+		// with NaN.
+		return
 	}
-	// A degenerate cluster (no capacity at all, e.g. everything crashed and
-	// quarantined) appends nothing, mirroring the trainUsage guard above —
-	// an unguarded divide here poisoned the overall-usage mean with NaN.
+	clear(e.loanFrom)
+	for _, st := range e.sh.Train() {
+		st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
+			e.loanFrom[e.sh.Home(s.ID)] += s.NumGPUs
+			return true
+		})
+	}
+	infBusy := 0.0
+	for i, util := range e.infUtil {
+		nominal := e.sh.States[i].Cluster.TotalGPUs(cluster.PoolInference) + e.loanFrom[i]
+		if util == nil || nominal == 0 {
+			continue
+		}
+		busy := util(int64(e.now)) * float64(nominal)
+		if maxBusy := float64(nominal - e.loanFrom[i]); busy > maxBusy {
+			busy = maxBusy
+		}
+		infBusy += busy
+	}
+	e.overallUsage.Append((float64(usedTrain+usedLoan) + infBusy) / float64(totTrain+totInf))
 }

@@ -63,47 +63,56 @@ type Result struct {
 	HourlyQueuedRatio []float64
 }
 
+// result assembles the run's Result with counters summed across shards.
 func (e *Engine) result() *Result {
 	r := &Result{
 		Jobs:               e.jobs,
 		Completed:          e.completed,
 		RanOnLoan:          e.ranOnLoan,
-		Preemptions:        e.st.Preemptions,
-		ScalingOps:         e.st.ScalingOps,
-		ReclaimOps:         e.st.ReclaimOps,
-		ReclaimedServers:   e.st.ReclaimedSrv,
-		Crashes:            e.st.Crashes,
-		Recoveries:         e.st.Recoveries,
-		SchedEpochs:        e.st.Epoch,
 		SkippedSchedEpochs: e.skippedEpochs,
+		LostCapacityGPUSec: e.lostGPUSec,
 		TrainUsage:         e.trainUsage,
 		OverallUsage:       e.overallUsage,
 		OnLoanUsage:        e.onLoanUsage,
 	}
-	if n := len(e.jobs); n > 0 {
-		r.PreemptionRatio = float64(e.st.Preemptions) / float64(n)
+	var demand, vacated, flexSat int
+	for _, st := range e.sh.States {
+		r.Preemptions += st.Preemptions
+		r.ScalingOps += st.ScalingOps
+		r.ReclaimOps += st.ReclaimOps
+		r.ReclaimedServers += st.ReclaimedSrv
+		r.Crashes += st.Crashes
+		r.Recoveries += st.Recoveries
+		flexSat += st.FlexSatisfied
+		demand += st.DemandGPUs
+		vacated += st.VacatedGPUs
+		if st.Epoch > r.SchedEpochs {
+			r.SchedEpochs = st.Epoch // only training shards count epochs
+		}
 	}
-	if e.st.DemandGPUs > 0 {
-		r.CollateralDamage = float64(e.st.VacatedGPUs-e.st.DemandGPUs) / float64(e.st.DemandGPUs)
+	if n := len(e.jobs); n > 0 {
+		r.PreemptionRatio = float64(r.Preemptions) / float64(n)
+	}
+	if demand > 0 {
+		r.CollateralDamage = float64(vacated-demand) / float64(demand)
 		if r.CollateralDamage < 0 {
 			r.CollateralDamage = 0
 		}
 	}
-	if e.st.ReclaimedSrv > 0 {
-		r.FlexSatisfiedShare = float64(e.st.FlexSatisfied) / float64(e.st.ReclaimedSrv)
+	if r.ReclaimedServers > 0 {
+		r.FlexSatisfiedShare = float64(flexSat) / float64(r.ReclaimedServers)
 	}
-	r.LostCapacityGPUSec = e.st.LostGPUSec
-	if len(e.st.quarAt) > 0 {
-		// Residual for servers still quarantined at the end of the run,
-		// accumulated in server-ID order so the float sum is deterministic.
-		ids := make([]int, 0, len(e.st.quarAt))
-		for id := range e.st.quarAt {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			r.LostCapacityGPUSec += (e.st.Now - e.st.quarAt[id]) * float64(e.st.Cluster.Server(id).NumGPUs)
-		}
+	// Residual for servers still quarantined at the end of the run,
+	// accumulated in server-ID order so the float sum is deterministic.
+	down := make([]int, 0, len(e.recoverTo))
+	for sid := range e.recoverTo {
+		down = append(down, sid)
+	}
+	sort.Ints(down)
+	for _, sid := range down {
+		q := e.recoverTo[sid]
+		gpus := e.sh.States[q.shard].Cluster.Server(sid).NumGPUs
+		r.LostCapacityGPUSec += (e.now - q.since) * float64(gpus)
 	}
 	r.HourlyQueuedRatio = make([]float64, len(e.hourlyArrived))
 	for h, n := range e.hourlyArrived {

@@ -1,28 +1,26 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 
 	"lyra/internal/cluster"
-	"lyra/internal/fault"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
-	"lyra/internal/metrics"
 	"lyra/internal/obs"
 )
 
-// Shards is the arbiter-visible sharded topology: every shard is a full
-// *State over its own indexed cluster, training shards first (indexes
+// Shards is the topology an Engine runs over: every shard is a full *State
+// over its own indexed cluster, training shards first (indexes
 // [0, NumTrain)), inference shards after. Each server has a fixed home
 // shard (the shard whose ID range contains it) and a current owner shard
 // (where it is attached right now); loans detach a server from its home
 // inference shard and adopt it into a borrowing training shard's on-loan
 // pool, and reclaims/returns reverse the transfer. The global capacity
 // arbitrator (internal/arbiter) operates on this view.
+//
+// The unsharded run is the one-state topology (New): a single training
+// State whose cluster also carries the inference pool, so every server's
+// home and owner is shard 0 and there is no inference shard.
 type Shards struct {
 	// States holds one simulation state per shard, training shards first.
 	States []*State
@@ -33,14 +31,16 @@ type Shards struct {
 	// Less is the shared queue priority order (identical across shard
 	// scheduler instances of the same scheme).
 	Less func(a, b *job.Job) bool
-	// Tagged reports whether obs events carry shard decoration. A
-	// 1-training+1-inference topology is untagged so its event stream is
-	// byte-identical to the unsharded engine's.
+	// Tagged reports whether obs events carry shard decoration. Topologies
+	// with one training shard and at most one inference shard are untagged,
+	// so their event streams are byte-identical to one another.
 	Tagged bool
 	// Rec is the global event recorder shared by all shards during serial
 	// phases (nil when obs is off).
 	Rec *obs.Recorder
 
+	// Both indexes stay empty for the one-state topology: a missing entry
+	// reads as shard 0, which is every server's home and owner there.
 	home  map[int]int // server ID -> home shard (fixed)
 	owner map[int]int // server ID -> current owner shard
 }
@@ -91,10 +91,10 @@ func (sh *Shards) failTransfer(sid, to int, p cluster.Pool, err error) {
 	})
 }
 
-// ShardArbiter is the global capacity arbitrator driving a sharded
-// topology: it routes arriving jobs to training shards and runs the
-// cross-shard loan/reclaim/return epoch. It sits exactly where the
-// Orchestrator interface sits for the unsharded engine.
+// ShardArbiter is the global capacity arbitrator driving a topology: it
+// routes arriving jobs to training shards and runs the cross-shard
+// loan/reclaim/return epoch. New seats an Orchestrator here for the
+// one-state topology.
 type ShardArbiter interface {
 	// Route picks the training shard for an arriving job (deterministic:
 	// least-loaded with lowest-ID tie-break).
@@ -128,88 +128,24 @@ type ShardedConfig struct {
 	InfUtil []func(t int64) float64
 }
 
-// ShardedEngine drives one simulation over a sharded topology. It mirrors
-// Engine event for event: one global serial event heap with identical kind
-// ordering, per-shard states mutated only by their own events, and a
-// scheduler phase that fans out to one goroutine per training shard before
-// an ID-ordered deterministic merge re-emits each shard's event fragment.
-// A 1-training+1-inference topology reproduces the unsharded engine's
-// event stream byte-for-byte; the unsharded Engine is left untouched as
-// the differential reference (FuzzShardedVsSingle).
-type ShardedEngine struct {
-	cfg     Config
-	sh      *Shards
-	arb     ShardArbiter
-	orch    bool
-	refTopo *cluster.Cluster
-	infUtil []func(int64) float64
-
-	jobs     []*job.Job
-	byID     map[int]*job.Job
-	jobShard map[int]int
-	horizon  int64
-
-	events  eventHeap
-	seq     int64
-	version map[int]int
-	now     float64
-
-	completed int
-	ranOnLoan map[int]bool
-	audit     *invariant.Auditor
-	// recoverSh / recoverPool route each quarantined server on recovery:
-	// the shard holding it (its home shard for servers that died on loan —
-	// the crash ended the loan and the quarantined husk was transferred
-	// home) and the pool it returns to.
-	recoverSh   map[int]int
-	recoverPool map[int]cluster.Pool
-	domainSched []fault.DomainEvent
-	crashTimes  map[int][]float64
-	recoverSeq  map[int]int
-
-	// Cross-shard conservation baseline: global GPU and server totals at
-	// construction, which every audited transition must preserve.
-	totalGPUs    int
-	totalServers int
-
-	trainUsage   *metrics.TimeSeries
-	overallUsage *metrics.TimeSeries
-	onLoanUsage  *metrics.TimeSeries
-
-	hourlyArrived []int
-	hourlyQueued  []int
-	arrived       []*job.Job
-
-	// Per-training-shard quiescent-epoch skip state (engine.go).
-	skipOK        []bool
-	schedVerSet   []bool
-	schedStartVer []uint64
-	skippedEpochs int64
-
-	// Per-training-shard obs fragment machinery for the concurrent
-	// scheduler phase: each shard's goroutine records into its own Buffer
-	// through a fork sharing the global counter registry; the serial merge
-	// re-emits the fragments in shard ID order.
-	frag  []*obs.Buffer
-	forks []*obs.Recorder
-}
-
 // NewShards builds the per-shard states and server-ownership index of a
-// sharded topology without an engine around them. NewSharded uses it;
-// arbiter unit tests drive a ShardArbiter's Epoch against it directly.
+// topology without an engine around them. NewSharded uses it; arbiter unit
+// tests drive a ShardArbiter's Epoch against it directly.
 func NewShards(sc ShardedConfig, cfg Config) *Shards {
 	cfg = cfg.withDefaults()
 	nT, nI := len(sc.Train), len(sc.Inf)
 	sh := &Shards{
 		Scheds:   sc.Scheds,
 		NumTrain: nT,
-		Tagged:   !(nT == 1 && nI == 1),
+		Tagged:   nT > 1 || nI > 1,
 		Rec:      cfg.Obs,
-		home:     make(map[int]int),
-		owner:    make(map[int]int),
 	}
 	if nT > 0 {
 		sh.Less = sc.Scheds[0].Less
+	}
+	if nT+nI > 1 {
+		sh.home = make(map[int]int)
+		sh.owner = make(map[int]int)
 	}
 	for i, c := range append(append([]*cluster.Cluster(nil), sc.Train...), sc.Inf...) {
 		st := newState(c, cfg.Scaling, cfg.PreemptOverhead)
@@ -217,6 +153,9 @@ func NewShards(sc ShardedConfig, cfg Config) *Shards {
 		st.Obs = cfg.Obs
 		st.Prof = cfg.Prof
 		sh.States = append(sh.States, st)
+		if sh.home == nil {
+			continue
+		}
 		c.EachServer(func(s *cluster.Server) bool {
 			sh.home[s.ID] = i
 			sh.owner[s.ID] = i
@@ -224,667 +163,4 @@ func NewShards(sc ShardedConfig, cfg Config) *Shards {
 		})
 	}
 	return sh
-}
-
-// NewSharded builds a sharded engine replaying jobs on the given topology.
-func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *ShardedEngine {
-	cfg = cfg.withDefaults()
-	sh := NewShards(sc, cfg)
-	nT := sh.NumTrain
-	e := &ShardedEngine{
-		cfg:       cfg,
-		sh:        sh,
-		arb:       sc.Arbiter,
-		orch:      sc.Orchestrate,
-		refTopo:   sc.RefTopo,
-		infUtil:   sc.InfUtil,
-		jobs:      jobs,
-		byID:      make(map[int]*job.Job, len(jobs)),
-		jobShard:  make(map[int]int, len(jobs)),
-		horizon:   horizon,
-		version:   make(map[int]int),
-		ranOnLoan: make(map[int]bool),
-	}
-	for _, j := range jobs {
-		e.byID[j.ID] = j
-	}
-	e.skipOK = make([]bool, nT)
-	e.schedVerSet = make([]bool, nT)
-	e.schedStartVer = make([]uint64, nT)
-	for n, s := range sc.Scheds {
-		if m, ok := s.(MemorylessScheduler); ok && m.Memoryless() && !cfg.Rescan {
-			e.skipOK[n] = true
-		}
-	}
-	if cfg.Audit {
-		e.audit = invariant.New()
-		for _, st := range sh.States {
-			e.totalGPUs += totalClusterGPUs(st.Cluster)
-			e.totalServers += st.Cluster.NumServers()
-		}
-	}
-	if cfg.Faults.Enabled() {
-		e.recoverSh = make(map[int]int)
-		e.recoverPool = make(map[int]cluster.Pool)
-		if cfg.Faults.StragglerFrac > 0 {
-			for _, j := range jobs {
-				j.SlowFactor = cfg.Faults.SlowFactorFor(j.ID)
-			}
-		}
-		if cfg.HystCrashes > 0 {
-			e.crashTimes = make(map[int][]float64)
-			e.recoverSeq = make(map[int]int)
-		}
-	}
-	if cfg.BackoffBase > 0 {
-		for _, st := range sh.Train() {
-			st.backoffBase = cfg.BackoffBase
-			st.backoffCap = cfg.BackoffCap
-			st.crashCount = make(map[int]int)
-			st.held = make(map[int]*job.Job)
-			st.heldUntil = make(map[int]float64)
-		}
-	}
-	if cfg.Obs.Enabled() {
-		e.frag = make([]*obs.Buffer, nT)
-		e.forks = make([]*obs.Recorder, nT)
-		for n := range e.frag {
-			e.frag[n] = &obs.Buffer{}
-			e.forks[n] = cfg.Obs.Fork(e.frag[n])
-		}
-	}
-	e.trainUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
-	e.overallUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
-	e.onLoanUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
-	hours := int(horizon/3600) + 1
-	e.hourlyArrived = make([]int, hours)
-	e.hourlyQueued = make([]int, hours)
-	return e
-}
-
-func totalClusterGPUs(c *cluster.Cluster) int {
-	sum := 0
-	for p := cluster.Pool(0); p < numPoolsAudit; p++ {
-		sum += c.TotalGPUs(p)
-	}
-	return sum
-}
-
-// numPoolsAudit mirrors cluster's pool count for conservation sums.
-const numPoolsAudit = cluster.PoolQuarantine + 1
-
-func (e *ShardedEngine) push(t float64, kind eventKind, jobID, version int) {
-	e.seq++
-	heap.Push(&e.events, event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
-}
-
-// setNow stamps the event time onto every shard state: serial mutators and
-// the concurrent scheduler phase all read their own state's clock.
-func (e *ShardedEngine) setNow(t float64) {
-	e.now = t
-	for _, st := range e.sh.States {
-		st.Now = t
-	}
-}
-
-// shardOf returns the state owning job j's shard.
-func (e *ShardedEngine) shardOf(id int) *State {
-	return e.sh.States[e.jobShard[id]]
-}
-
-// refresh recomputes the completion event of a job after any throughput
-// change and records on-loan residency, against the job's shard state.
-func (e *ShardedEngine) refresh(st *State, j *job.Job) {
-	e.version[j.ID]++
-	if j.State != job.Running {
-		return
-	}
-	for _, w := range j.Workers {
-		if st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
-			e.ranOnLoan[j.ID] = true
-			break
-		}
-	}
-	rt, ok := j.RemainingRuntime(st.Scaling)
-	if !ok {
-		invariant.Fail(fmt.Sprintf("sim:refresh t=%g job=%d", st.Now, j.ID), invariant.Violation{
-			Rule:     invariant.RuleThroughput,
-			Subject:  fmt.Sprintf("job %d", j.ID),
-			Expected: "a positive throughput for the current allocation",
-			Actual:   fmt.Sprintf("no throughput (%d workers, scaling %+v)", j.NumWorkers(), st.Scaling),
-			Detail:   "running job cannot make progress; allocation violates the throughput model's domain",
-		})
-	}
-	e.push(st.Now+rt, evFinish, j.ID, e.version[j.ID])
-}
-
-// drain flushes every shard's changed set in shard ID order. A 1+1
-// topology keeps all jobs in shard 0, so the push order matches the
-// unsharded engine's exactly.
-func (e *ShardedEngine) drain() {
-	for _, st := range e.sh.Train() {
-		for _, j := range st.drainChanged() {
-			e.refresh(st, j)
-		}
-	}
-}
-
-func (e *ShardedEngine) noteCrash(sid int) {
-	ts := e.crashTimes[sid]
-	cut := e.now - e.cfg.HystWindow
-	kept := ts[:0]
-	for _, t := range ts {
-		if t > cut {
-			kept = append(kept, t)
-		}
-	}
-	e.crashTimes[sid] = append(kept, e.now)
-}
-
-// holdRecovery mirrors Engine.holdRecovery over the global clock.
-func (e *ShardedEngine) holdRecovery(ev event) bool {
-	sid := ev.jobID
-	if ev.version != 0 && ev.version != e.recoverSeq[sid] {
-		return true
-	}
-	recent := 0
-	cut := e.now - e.cfg.HystWindow
-	for _, t := range e.crashTimes[sid] {
-		if t > cut {
-			recent++
-		}
-	}
-	if recent < e.cfg.HystCrashes {
-		return false
-	}
-	extra := recent - e.cfg.HystCrashes
-	if extra > 4 {
-		extra = 4
-	}
-	hold := e.cfg.HystHold * float64(uint64(1)<<extra)
-	e.recoverSeq[sid]++
-	e.push(e.now+hold, evRecover, sid, e.recoverSeq[sid])
-	if rec := e.sh.Rec; rec.Enabled() {
-		rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
-			"server": sid, "recent": recent, "hold": hold, "until": e.now + hold,
-		}))
-		rec.Add("fault.holddowns", 1)
-	}
-	return true
-}
-
-// Run executes the sharded simulation to completion or the MaxTime cap.
-// The event loop is Engine.Run's, with each serial event routed to the
-// shard state owning its subject and the scheduler phase fanned out to
-// concurrent per-shard goroutines joined by a deterministic merge.
-func (e *ShardedEngine) Run() *Result {
-	maxTime := e.cfg.MaxTime
-	if maxTime == 0 {
-		maxTime = 4*float64(e.horizon) + 7*86400
-	}
-	for _, j := range e.jobs {
-		e.push(float64(j.Arrival), evArrival, j.ID, 0)
-	}
-	e.push(0, evSched, 0, 0)
-	if e.orch {
-		e.push(0, evOrch, 0, 0)
-	}
-	e.push(0, evMetrics, 0, 0)
-	if e.cfg.Faults.Enabled() {
-		// The timeline is generated from the reference topology, not the
-		// shard clusters: per-server draws key on global server IDs and
-		// domain streams on the reference rack/zone indexes, so the
-		// schedule is byte-identical to the unsharded engine's.
-		evs, devs := fault.FullSchedule(*e.cfg.Faults, e.refTopo, e.horizon)
-		for _, fe := range evs {
-			kind := evCrash
-			if fe.Recover {
-				kind = evRecover
-			}
-			e.push(fe.T, kind, fe.Server, 0)
-		}
-		e.domainSched = devs
-		for i := range devs {
-			e.push(devs[i].T, evDomain, i, 0)
-		}
-	}
-	heap.Init(&e.events)
-
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
-		if ev.t > maxTime {
-			break
-		}
-		e.setNow(ev.t)
-		sp := e.cfg.Prof.Start(profEventName[ev.kind])
-		switch ev.kind {
-		case evArrival:
-			e.arrive(ev)
-		case evFinish:
-			e.finishEvent(ev)
-		case evDomain:
-			e.domainEvent(ev)
-		case evCrash:
-			e.crashEvent(ev)
-		case evRecover:
-			e.recoverEvent(ev)
-		case evRelease:
-			st := e.shardOf(ev.jobID)
-			st.releaseHeld(ev.jobID, e.sh.Less)
-		case evOrch:
-			e.arb.Epoch(e.sh)
-			for _, st := range e.sh.States {
-				st.MarkExternalChange()
-			}
-			e.drain()
-			if e.completed < len(e.jobs) {
-				e.push(e.now+float64(e.cfg.OrchInterval), evOrch, 0, 0)
-			}
-		case evSched:
-			e.schedEvent()
-		case evMetrics:
-			e.sample()
-			e.sh.Rec.EmitCounters(e.now)
-			if next := e.now + float64(e.cfg.MetricsInterval); next < float64(e.horizon) && next < maxTime {
-				e.push(next, evMetrics, 0, 0)
-			}
-		}
-		if e.audit != nil {
-			asp := e.cfg.Prof.Start("audit")
-			e.auditAfter(ev)
-			asp.End()
-		}
-		sp.End()
-	}
-	return e.result()
-}
-
-func (e *ShardedEngine) arrive(ev event) {
-	j := e.byID[ev.jobID]
-	target := e.arb.Route(e.sh, j)
-	e.jobShard[j.ID] = target
-	st := e.sh.States[target]
-	hour := int(j.Arrival / 3600)
-	if hour < len(e.hourlyArrived) {
-		e.hourlyArrived[hour]++
-	}
-	if rec := e.sh.Rec; rec.Enabled() {
-		rec.Emit(obs.JobEv(e.now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
-			"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
-			"gpus_per_worker": j.GPUsPerWorker, "work": j.Work,
-		}))
-		rec.Add("sim.arrivals", 1)
-	}
-	st.enqueue(j, e.sh.Less)
-	if !e.cfg.Rescan {
-		e.arrived = append(e.arrived, j)
-	}
-}
-
-func (e *ShardedEngine) finishEvent(ev event) {
-	j := e.byID[ev.jobID]
-	if j.State != job.Running || ev.version != e.version[j.ID] {
-		return
-	}
-	st := e.shardOf(j.ID)
-	st.advance(j)
-	if j.Remaining > 1e-6 || j.OverheadLeft > 1e-9 {
-		st.markChanged(j)
-		e.drain()
-		return
-	}
-	st.finish(j)
-	e.completed++
-	st.drainChanged()
-	delete(e.version, j.ID)
-}
-
-func (e *ShardedEngine) domainEvent(ev event) {
-	if rec := e.sh.Rec; rec.Enabled() {
-		d := e.domainSched[ev.jobID]
-		name, servers := "rack", e.refTopo.RackServers(d.Domain)
-		if d.Zone {
-			name, servers = "zone", e.refTopo.ZoneServers(d.Domain)
-		}
-		cause := name + "-down"
-		if d.Recover {
-			cause = name + "-up"
-		}
-		rec.Emit(obs.Ev(e.now, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
-			"domain": d.Domain, "servers": len(servers),
-		}))
-		rec.Add("fault.domain_events", 1)
-	}
-}
-
-func (e *ShardedEngine) crashEvent(ev event) {
-	sid := ev.jobID
-	owner := e.sh.Owner(sid)
-	st := e.sh.States[owner]
-	if origin, ok := st.CrashServer(sid, e.sh.Less); ok {
-		recoverSh, to := owner, origin
-		if origin == cluster.PoolOnLoan {
-			// The crash ended the loan: the quarantined husk transfers to
-			// its home inference shard (carrying its lost-capacity clock)
-			// and will recover into that shard's inference pool, exactly
-			// as the unsharded engine recovers it into PoolInference.
-			recoverSh, to = e.sh.Home(sid), cluster.PoolInference
-			if recoverSh != owner {
-				at := st.quarAt[sid]
-				delete(st.quarAt, sid)
-				e.sh.Transfer(sid, recoverSh, cluster.PoolQuarantine)
-				home := e.sh.States[recoverSh]
-				if home.quarAt == nil {
-					home.quarAt = make(map[int]float64)
-				}
-				home.quarAt[sid] = at
-			}
-		}
-		e.recoverSh[sid] = recoverSh
-		e.recoverPool[sid] = to
-		if e.cfg.HystCrashes > 0 {
-			e.noteCrash(sid)
-		}
-		for _, h := range st.takeNewHolds() {
-			e.push(h.until, evRelease, h.jobID, 0)
-		}
-	} else if e.cfg.HystCrashes > 0 {
-		e.recoverSeq[sid]++
-	}
-	e.drain()
-}
-
-func (e *ShardedEngine) recoverEvent(ev event) {
-	sid := ev.jobID
-	if to, ok := e.recoverPool[sid]; ok {
-		if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
-			return
-		}
-		e.sh.States[e.recoverSh[sid]].RecoverServer(sid, to)
-		delete(e.recoverPool, sid)
-		delete(e.recoverSh, sid)
-	}
-}
-
-// schedEvent is the concurrent shard-scheduling phase: every training
-// shard whose state changed since its scheduler last ran gets a goroutine
-// running Schedule over purely local state, recording obs into a private
-// fragment buffer through a fork of the global recorder (counter adds are
-// commutative and land directly in the shared registry). The join then
-// merges deterministically in shard ID order: fragments re-emit, the
-// first-try bookkeeping and completion-event refreshes drain, and each
-// shard's epoch summary is emitted — byte-identical across runs and
-// goroutine schedules, and byte-identical to the unsharded engine for a
-// 1+1 topology.
-func (e *ShardedEngine) schedEvent() {
-	train := e.sh.Train()
-	rec := e.sh.Rec
-	type before struct{ q, starts, preempt, scale int }
-	var stats []before
-	if rec.Enabled() {
-		stats = make([]before, len(train))
-		for n, st := range train {
-			stats[n] = before{len(st.Pending), st.Starts, st.Preemptions, st.ScalingOps}
-		}
-	}
-	run := make([]bool, len(train))
-	for n, st := range train {
-		st.Epoch++
-		ver := st.Version()
-		if e.skipOK[n] && !rec.Enabled() && e.schedVerSet[n] && ver == e.schedStartVer[n] {
-			e.skippedEpochs++
-			continue
-		}
-		e.schedStartVer[n], e.schedVerSet[n] = ver, true
-		run[n] = true
-	}
-	var wg sync.WaitGroup
-	for n := range train {
-		if !run[n] {
-			continue
-		}
-		st := train[n]
-		if rec.Enabled() {
-			st.Obs = e.forks[n]
-		}
-		st.Prof = nil
-		wg.Add(1)
-		go func(n int, st *State) {
-			defer wg.Done()
-			e.sh.Scheds[n].Schedule(st)
-		}(n, st)
-	}
-	wg.Wait()
-	for n, st := range train {
-		st.Obs = rec
-		st.Prof = e.cfg.Prof
-		if rec.Enabled() && run[n] {
-			for _, fe := range e.frag[n].Drain() {
-				rec.Emit(fe)
-			}
-		}
-	}
-	e.noteFirstTry()
-	e.drain()
-	if rec.Enabled() {
-		for n, st := range train {
-			freeTrain, freeLoan := st.FreeSchedulableGPUs()
-			f := obs.Fields{
-				"epoch": st.Epoch, "queue_before": stats[n].q, "queue_after": len(st.Pending),
-				"running": len(st.Running), "started": st.Starts - stats[n].starts,
-				"preempted":   st.Preemptions - stats[n].preempt,
-				"scaling_ops": st.ScalingOps - stats[n].scale,
-				"free_train":  freeTrain, "free_loan": freeLoan,
-				"on_loan_srv": st.Cluster.PoolSize(cluster.PoolOnLoan),
-			}
-			if e.sh.Tagged {
-				f["shard"] = n
-			}
-			rec.Emit(obs.Ev(e.now, obs.KindSchedEpoch).WithF(f))
-		}
-	}
-	if e.completed < len(e.jobs) {
-		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
-	}
-}
-
-// noteFirstTry mirrors Engine.noteFirstTry over the global arrival delta.
-func (e *ShardedEngine) noteFirstTry() {
-	if e.cfg.Rescan {
-		for _, st := range e.sh.Train() {
-			for _, j := range st.Pending {
-				if j.Preemptions > 0 || j.Started {
-					continue
-				}
-				if st.Now-float64(j.Arrival) >= float64(e.cfg.SchedInterval) {
-					continue
-				}
-				hour := int(j.Arrival / 3600)
-				if hour < len(e.hourlyQueued) {
-					e.hourlyQueued[hour]++
-				}
-			}
-		}
-		return
-	}
-	for _, j := range e.arrived {
-		if j.State != job.Pending || j.Started || j.Preemptions > 0 {
-			continue
-		}
-		hour := int(j.Arrival / 3600)
-		if hour < len(e.hourlyQueued) {
-			e.hourlyQueued[hour]++
-		}
-	}
-	e.arrived = e.arrived[:0]
-}
-
-// sample mirrors Engine.sample with per-pool sums taken across shards and
-// the inference busy estimate taken per inference shard (each shard's
-// utilization series over its own size plus the GPUs it currently has out
-// on loan, capped by what remains in its pool). For one inference shard
-// the arithmetic is operation-for-operation the unsharded engine's.
-func (e *ShardedEngine) sample() {
-	var usedTrain, totTrain, usedLoan, totLoan int
-	for _, st := range e.sh.States {
-		c := st.Cluster
-		usedTrain += c.UsedGPUs(cluster.PoolTraining)
-		totTrain += c.TotalGPUs(cluster.PoolTraining)
-		usedLoan += c.UsedGPUs(cluster.PoolOnLoan)
-		totLoan += c.TotalGPUs(cluster.PoolOnLoan)
-	}
-	if totTrain > 0 {
-		e.trainUsage.Append(float64(usedTrain) / float64(totTrain))
-	}
-	if totLoan > 0 {
-		e.onLoanUsage.Append(float64(usedLoan) / float64(totLoan))
-	} else {
-		e.onLoanUsage.Append(math.NaN())
-	}
-	var totInf int
-	for _, st := range e.sh.States {
-		totInf += st.Cluster.TotalGPUs(cluster.PoolInference)
-	}
-	totInf += totLoan
-	if len(e.infUtil) > 0 && totInf > 0 {
-		// Per-inference-shard busy estimate: loaned GPUs are attributed to
-		// their home shard, so each shard's utilization applies to its full
-		// nominal size and is capped by the GPUs still in its pool.
-		loanFrom := make([]int, len(e.infUtil))
-		for _, st := range e.sh.Train() {
-			st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
-				loanFrom[e.sh.Home(s.ID)-e.sh.NumTrain] += s.NumGPUs
-				return true
-			})
-		}
-		infBusy := 0.0
-		for m, inf := range e.sh.Inference() {
-			totInfM := inf.Cluster.TotalGPUs(cluster.PoolInference) + loanFrom[m]
-			if totInfM == 0 {
-				continue
-			}
-			busy := e.infUtil[m](int64(e.now)) * float64(totInfM)
-			if maxBusy := float64(totInfM - loanFrom[m]); busy > maxBusy {
-				busy = maxBusy
-			}
-			infBusy += busy
-		}
-		overall := (float64(usedTrain+usedLoan) + infBusy) / float64(totTrain+totInf)
-		e.overallUsage.Append(overall)
-	} else if totTrain+totInf > 0 {
-		e.overallUsage.Append(float64(usedTrain+usedLoan) / float64(totTrain+totInf))
-	}
-}
-
-// auditAfter runs the invariant suite over every shard state plus the
-// cross-shard conservation rule: the global GPU and server totals must
-// match the per-shard sums (no GPU created or lost across a loan in
-// flight), and every server must be attached to exactly the shard the
-// ownership index says.
-func (e *ShardedEngine) auditAfter(ev event) {
-	for i, st := range e.sh.States {
-		ctx := fmt.Sprintf("sim:shard%d:%v t=%g job=%d", i, ev.kind, e.now, ev.jobID)
-		if err := e.audit.Audit(st.AuditView(ctx, e.sh.Less)); err != nil {
-			panic(err)
-		}
-		if err := st.AuditIncremental(); err != nil {
-			panic(fmt.Errorf("%s: incremental bookkeeping diverged: %w", ctx, err))
-		}
-	}
-	ctx := fmt.Sprintf("sim:shards:%v t=%g", ev.kind, e.now)
-	gpus, servers := 0, 0
-	for i, st := range e.sh.States {
-		gpus += totalClusterGPUs(st.Cluster)
-		servers += st.Cluster.NumServers()
-		owned := true
-		st.Cluster.EachServer(func(s *cluster.Server) bool {
-			if e.sh.Owner(s.ID) != i {
-				invariant.Fail(ctx, invariant.Violation{
-					Rule:     invariant.RuleCrossShard,
-					Subject:  fmt.Sprintf("server %d", s.ID),
-					Expected: fmt.Sprintf("attached to its owner shard %d", e.sh.Owner(s.ID)),
-					Actual:   fmt.Sprintf("attached to shard %d", i),
-				})
-				owned = false
-			}
-			return owned
-		})
-	}
-	if gpus != e.totalGPUs || servers != e.totalServers {
-		invariant.Fail(ctx, invariant.Violation{
-			Rule:     invariant.RuleCrossShard,
-			Subject:  "sharded topology",
-			Expected: fmt.Sprintf("%d GPUs on %d servers across all shards", e.totalGPUs, e.totalServers),
-			Actual:   fmt.Sprintf("%d GPUs on %d servers", gpus, servers),
-		})
-	}
-}
-
-// result mirrors Engine.result with counters summed across shards. The
-// still-quarantined residual is accumulated in global server ID order, the
-// same order the unsharded engine uses.
-func (e *ShardedEngine) result() *Result {
-	r := &Result{
-		Jobs:               e.jobs,
-		Completed:          e.completed,
-		RanOnLoan:          e.ranOnLoan,
-		SkippedSchedEpochs: e.skippedEpochs,
-		TrainUsage:         e.trainUsage,
-		OverallUsage:       e.overallUsage,
-		OnLoanUsage:        e.onLoanUsage,
-	}
-	var demand, vacated, flexSat, reclaimed int
-	type quar struct {
-		at   float64
-		gpus int
-	}
-	residual := make(map[int]quar)
-	for i, st := range e.sh.States {
-		r.Preemptions += st.Preemptions
-		r.ScalingOps += st.ScalingOps
-		r.ReclaimOps += st.ReclaimOps
-		r.Crashes += st.Crashes
-		r.Recoveries += st.Recoveries
-		r.LostCapacityGPUSec += st.LostGPUSec
-		reclaimed += st.ReclaimedSrv
-		flexSat += st.FlexSatisfied
-		demand += st.DemandGPUs
-		vacated += st.VacatedGPUs
-		if i < e.sh.NumTrain && st.Epoch > r.SchedEpochs {
-			r.SchedEpochs = st.Epoch
-		}
-		for sid, at := range st.quarAt {
-			residual[sid] = quar{at: at, gpus: st.Cluster.Server(sid).NumGPUs}
-		}
-	}
-	r.ReclaimedServers = reclaimed
-	if n := len(e.jobs); n > 0 {
-		r.PreemptionRatio = float64(r.Preemptions) / float64(n)
-	}
-	if demand > 0 {
-		r.CollateralDamage = float64(vacated-demand) / float64(demand)
-		if r.CollateralDamage < 0 {
-			r.CollateralDamage = 0
-		}
-	}
-	if reclaimed > 0 {
-		r.FlexSatisfiedShare = float64(flexSat) / float64(reclaimed)
-	}
-	if len(residual) > 0 {
-		ids := make([]int, 0, len(residual))
-		for id := range residual {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			r.LostCapacityGPUSec += (e.now - residual[id].at) * float64(residual[id].gpus)
-		}
-	}
-	r.HourlyQueuedRatio = make([]float64, len(e.hourlyArrived))
-	for h, n := range e.hourlyArrived {
-		if n > 0 {
-			r.HourlyQueuedRatio[h] = float64(e.hourlyQueued[h]) / float64(n)
-		}
-	}
-	return r
 }

@@ -126,14 +126,6 @@ type State struct {
 	heldUntil   map[int]float64  // job ID -> hold expiry time
 	newHolds    []holdRec        // holds placed since the engine last drained them
 
-	// quarAt records when each quarantined server went down, feeding the
-	// lost-capacity integral (LostGPUSec). Allocated lazily on first crash.
-	quarAt map[int]float64
-	// LostGPUSec accumulates GPU-seconds of quarantined capacity: each
-	// recovery adds downtime × the server's GPUs (result() adds the
-	// residual for servers still down at the end of the run).
-	LostGPUSec float64
-
 	// Counters surfaced in results.
 	Preemptions   int
 	ScalingOps    int
@@ -792,10 +784,6 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) (cluster.Po
 	}
 	st.Crashes++
 	st.bump() // quarantine removes schedulable capacity even with no evictions
-	if st.quarAt == nil {
-		st.quarAt = make(map[int]float64)
-	}
-	st.quarAt[sid] = st.Now
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindFaultCrash).WithF(obs.Fields{
 			"server": sid, "pool": origin.String(), "gpus": s.NumGPUs,
@@ -827,10 +815,6 @@ func (st *State) RecoverServer(sid int, to cluster.Pool) bool {
 	}
 	st.Recoveries++
 	st.bump() // returned capacity may unlock pending work
-	if at, ok := st.quarAt[sid]; ok {
-		st.LostGPUSec += (st.Now - at) * float64(s.NumGPUs)
-		delete(st.quarAt, sid)
-	}
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindFaultRecover).WithF(obs.Fields{
 			"server": sid, "to": to.String(),

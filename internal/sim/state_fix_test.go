@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"lyra/internal/cluster"
 	"lyra/internal/job"
 )
 
@@ -108,20 +109,42 @@ func TestRemoveFlexibleWorkersNoOps(t *testing.T) {
 	}
 }
 
+// modRoute is a routing-only ShardArbiter: job ID modulo the training shard
+// count.
+type modRoute struct{}
+
+func (modRoute) Route(sh *Shards, j *job.Job) int { return j.ID % sh.NumTrain }
+func (modRoute) Epoch(*Shards)                    {}
+
 func TestBookkeepingMapsDroppedOnFinish(t *testing.T) {
-	c := smallCluster(4, 0)
-	var jobs []*job.Job
-	for i := 0; i < 30; i++ {
-		jobs = append(jobs, job.New(i, int64(i*97), job.Generic, 1+i%3, 1, 1, float64(100+53*i)))
+	mkJobs := func() []*job.Job {
+		var jobs []*job.Job
+		for i := 0; i < 30; i++ {
+			jobs = append(jobs, job.New(i, int64(i*97), job.Generic, 1+i%3, 1, 1, float64(100+53*i)))
+		}
+		return jobs
 	}
-	e := New(c, jobs, 86400, fifoSched{}, nil, Config{Audit: true})
-	res := e.Run()
-	if res.Completed != 30 {
-		t.Fatalf("completed %d/30", res.Completed)
+	shard := func(training, inf, firstID, id int) *cluster.Cluster {
+		return cluster.New(cluster.Config{TrainingServers: training, InferenceServers: inf, FirstID: firstID, Shard: id})
 	}
-	lastUpdate, versions := e.BookkeepingSizes()
-	if lastUpdate != 0 || versions != 0 {
-		t.Errorf("per-job bookkeeping survives completion: lastUpdate=%d versions=%d, want 0/0",
-			lastUpdate, versions)
+	for name, e := range map[string]*Engine{
+		"one-state": New(smallCluster(4, 0), mkJobs(), 86400, fifoSched{}, nil, Config{Audit: true}),
+		"2+2": NewSharded(ShardedConfig{
+			Train:   []*cluster.Cluster{shard(2, 0, 0, 0), shard(2, 0, 2, 1)},
+			Inf:     []*cluster.Cluster{shard(0, 1, 4, 2), shard(0, 1, 5, 3)},
+			Scheds:  []Scheduler{fifoSched{}, fifoSched{}},
+			Arbiter: modRoute{},
+			RefTopo: smallCluster(4, 2),
+		}, mkJobs(), 86400, Config{Audit: true}),
+	} {
+		res := e.Run()
+		if res.Completed != 30 {
+			t.Fatalf("%s: completed %d/30", name, res.Completed)
+		}
+		lastUpdate, versions, shards := e.BookkeepingSizes()
+		if lastUpdate != 0 || versions != 0 || shards != 0 {
+			t.Errorf("%s: per-job bookkeeping survives completion: lastUpdate=%d versions=%d shards=%d, want 0/0/0",
+				name, lastUpdate, versions, shards)
+		}
 	}
 }

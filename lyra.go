@@ -655,38 +655,6 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 	est := predict.WithError(cfg.FracWrongEstimate, cfg.MaxEstimateError, cfg.Seed+77)
 	est.Annotate(tr.Jobs)
 
-	if cfg.TrainingShards > 0 {
-		res := runSharded(cfg, tr, rec, p, psp)
-		psp = p.Start("report")
-		rep = buildReport(res, tr)
-		if cfg.Events {
-			rep.Events = buf.Bytes()
-		}
-		psp.End()
-		rep.Prof = p.Report()
-		return rep, nil
-	}
-
-	c := cluster.New(cfg.Cluster)
-	s := schedulerRegistry[cfg.Scheduler](cfg)
-
-	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13), tr.Horizon, 300)
-	infSched := inference.NewScheduler(util, cfg.Cluster.InferenceServers, cfg.Headroom)
-
-	var orch sim.Orchestrator
-	if cfg.Loaning {
-		policy := reclaimRegistry[cfg.Reclaim](cfg)
-		var targeter orchestrator.LoanTargeter = infSched
-		if cfg.ProactiveReclaim {
-			targeter = orchestrator.NewForecaster(infSched, cfg.Seed+19)
-		}
-		o := orchestrator.New(targeter, policy, s.Less)
-		o.IncludeElasticDemand = cfg.Elastic && cfg.Scheduler != SchedFIFO
-		o.LoanOnlyDemand = cfg.Opportunistic
-		o.EmergencyReclaim = cfg.EmergencyReclaim
-		orch = o
-	}
-
 	// Post-normalization the config's zero values are literal; the
 	// simulator still treats zero as "default", so explicit zeros cross
 	// the boundary as the simulator's own negative sentinel.
@@ -700,9 +668,9 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		MaxTime:         cfg.MaxTime,
 		PreemptOverhead: preempt,
 		Scaling:         cfg.Scaling,
-		InferenceUtil:   func(t int64) float64 { return infSched.UtilizationAt(t) },
 		Audit:           cfg.Audit,
 		Obs:             rec,
+		Prof:            p,
 	}
 	if cfg.Faults.Enabled() {
 		fp := cfg.Faults
@@ -717,24 +685,19 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		simCfg.HystWindow = cfg.HystWindow
 		simCfg.HystHold = cfg.HystHold
 	}
-	simCfg.Prof = p
-	eng := sim.New(c, tr.Jobs, tr.Horizon, s, orch, simCfg)
+	// The two kinds of run differ only in how they cut the cluster.
+	var eng *sim.Engine
+	if cfg.TrainingShards > 0 {
+		eng = shardedEngine(cfg, tr, simCfg)
+	} else {
+		eng = oneStateEngine(cfg, tr, simCfg)
+	}
 	psp.End()
 	psp = p.Start("sim")
 	res := eng.Run()
 	psp.End()
 	psp = p.Start("report")
-	rep = buildReport(res, tr)
-	if cfg.Events {
-		rep.Events = buf.Bytes()
-	}
-	psp.End()
-	rep.Prof = p.Report()
-	return rep, nil
-}
-
-func buildReport(res *sim.Result, tr *Trace) *Report {
-	return &Report{
+	rep = &Report{
 		Queue:              res.QueuingSummary(),
 		JCT:                res.JCTSummary(),
 		OnLoanQueue:        res.OnLoanQueuingSummary(),
@@ -753,5 +716,50 @@ func buildReport(res *sim.Result, tr *Trace) *Report {
 		Recoveries:         res.Recoveries,
 		LostCapacityGPUSec: res.LostCapacityGPUSec,
 		Raw:                res,
+	}
+	if cfg.Events {
+		rep.Events = buf.Bytes()
+	}
+	psp.End()
+	rep.Prof = p.Report()
+	return rep, nil
+}
+
+// oneStateEngine puts the whole configured cluster in one state: one
+// scheduler, and the orchestrator over that state when loaning is on.
+func oneStateEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
+	s := schedulerRegistry[cfg.Scheduler](cfg)
+	infSched, targeter := inferenceSide(cfg, tr.Horizon, cfg.Cluster.InferenceServers, 0)
+	var orch sim.Orchestrator
+	if cfg.Loaning {
+		orch = &orchestrator.Orchestrator{Inf: targeter, Loans: loanProtocol(cfg, s.Less)}
+	}
+	simCfg.InferenceUtil = infSched.UtilizationAt
+	return sim.New(cluster.New(cfg.Cluster), tr.Jobs, tr.Horizon, s, orch, simCfg)
+}
+
+// inferenceSide builds one inference pool's utilization series and loan
+// targeter. Shard 0 keeps the base seeds (Seed+13, and Seed+19 for the
+// forecaster), so every topology with one inference pool sees the same
+// series; higher shards get salted, decorrelated streams.
+func inferenceSide(cfg Config, horizon int64, servers, shard int) (*inference.Scheduler, orchestrator.LoanTargeter) {
+	salt := int64(101 * shard)
+	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13+salt), horizon, 300)
+	is := inference.NewScheduler(util, servers, cfg.Headroom)
+	if cfg.ProactiveReclaim {
+		return is, orchestrator.NewForecaster(is, cfg.Seed+19+salt)
+	}
+	return is, is
+}
+
+// loanProtocol is the loan policy cfg selects, shared by the orchestrator
+// and the arbiter.
+func loanProtocol(cfg Config, less func(a, b *job.Job) bool) orchestrator.Loans {
+	return orchestrator.Loans{
+		Policy:               reclaimRegistry[cfg.Reclaim](cfg),
+		Less:                 less,
+		IncludeElasticDemand: cfg.Elastic && cfg.Scheduler != SchedFIFO,
+		LoanOnlyDemand:       cfg.Opportunistic,
+		EmergencyReclaim:     cfg.EmergencyReclaim,
 	}
 }

@@ -14,7 +14,14 @@ import (
 // measure wall time. Running the same audited scenario with profiling off
 // and on must therefore produce byte-identical event streams — a single
 // decision shifted by the instrumentation would diverge at least one line.
+// The 1+1 case pins that a topology with one training shard schedules on
+// the engine goroutine, where the scheduler's phase spans are recorded.
 func TestProfilingDoesNotPerturbEvents(t *testing.T) {
+	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 0) })
+	t.Run("1+1", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 1) })
+}
+
+func profilingDoesNotPerturbEvents(t *testing.T, shards int) {
 	run := func(p *prof.Profiler) *lyra.Report {
 		tcfg := lyra.DefaultTraceConfig(7)
 		tcfg.Days = 1
@@ -26,6 +33,7 @@ func TestProfilingDoesNotPerturbEvents(t *testing.T) {
 		cfg.Events = true
 		cfg.SchedInterval = 300
 		cfg.Audit = true
+		cfg.TrainingShards, cfg.InferenceShards = shards, shards
 
 		rep, err := lyra.RunProfiled(cfg, tr, p)
 		if err != nil {

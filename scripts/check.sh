@@ -1,6 +1,6 @@
 #!/bin/sh
-# check.sh runs the repository's full verification gate — the same steps as
-# `make check` — for environments without make.
+# check.sh is the repository's full verification gate; `make check` and CI
+# both run it.
 set -eu
 cd "$(dirname "$0")/.."
 

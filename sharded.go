@@ -4,9 +4,7 @@ import (
 	"lyra/internal/arbiter"
 	"lyra/internal/cluster"
 	"lyra/internal/inference"
-	"lyra/internal/obs"
 	"lyra/internal/orchestrator"
-	"lyra/internal/prof"
 	"lyra/internal/sim"
 )
 
@@ -26,13 +24,12 @@ func splitServers(total, n int) []int {
 	return out
 }
 
-// runSharded is the sharded counterpart of RunProfiled's engine setup: it
-// carves the configured cluster into per-shard indexed clusters over
-// contiguous global ID ranges (training shards first, then inference
-// shards, matching the unsharded layout), instantiates one scheduler per
-// training shard and one loan targeter per inference shard, wires the
-// global capacity arbitrator, and runs the sharded engine.
-func runSharded(cfg Config, tr *Trace, rec *obs.Recorder, p *prof.Profiler, prep prof.Span) *sim.Result {
+// shardedEngine carves the configured cluster into per-shard indexed
+// clusters over contiguous global ID ranges (training shards first, then
+// inference shards, matching the unsharded layout), instantiates one
+// scheduler per training shard and one loan targeter per inference shard,
+// and seats the global capacity arbitrator.
+func shardedEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 	cc := cfg.Cluster
 	if cc.GPUsPerServer == 0 {
 		cc.GPUsPerServer = cluster.DefaultGPUsPerServer
@@ -47,31 +44,29 @@ func runSharded(cfg Config, tr *Trace, rec *obs.Recorder, p *prof.Profiler, prep
 	// Reference topology of the full unsharded shape: fault timelines key
 	// their per-server draws on global server IDs and domain streams on
 	// this topology's rack/zone indexes, so a sharded run draws the exact
-	// fault schedule the unsharded engine would.
+	// fault schedule the unsharded run does.
 	refTopo := cluster.New(cfg.Cluster)
 
 	trainCounts := splitServers(cc.TrainingServers, cfg.TrainingShards)
 	infCounts := splitServers(cc.InferenceServers, cfg.InferenceShards)
 	firstID := 0
+	shard := func(training, inference, id int) *cluster.Cluster {
+		c := cluster.New(cluster.Config{
+			TrainingServers: training, InferenceServers: inference, GPUsPerServer: cc.GPUsPerServer,
+			TrainingGPU: cc.TrainingGPU, InferenceGPU: cc.InferenceGPU,
+			RackSize: cc.RackSize, ZoneRacks: cc.ZoneRacks,
+			FirstID: firstID, Shard: id,
+		})
+		firstID += training + inference
+		return c
+	}
 	trainCls := make([]*cluster.Cluster, 0, cfg.TrainingShards)
 	infCls := make([]*cluster.Cluster, 0, cfg.InferenceShards)
 	for i, cnt := range trainCounts {
-		trainCls = append(trainCls, cluster.New(cluster.Config{
-			TrainingServers: cnt, GPUsPerServer: cc.GPUsPerServer,
-			TrainingGPU: cc.TrainingGPU, InferenceGPU: cc.InferenceGPU,
-			RackSize: cc.RackSize, ZoneRacks: cc.ZoneRacks,
-			FirstID: firstID, Shard: i,
-		}))
-		firstID += cnt
+		trainCls = append(trainCls, shard(cnt, 0, i))
 	}
 	for m, cnt := range infCounts {
-		infCls = append(infCls, cluster.New(cluster.Config{
-			InferenceServers: cnt, GPUsPerServer: cc.GPUsPerServer,
-			TrainingGPU: cc.TrainingGPU, InferenceGPU: cc.InferenceGPU,
-			RackSize: cc.RackSize, ZoneRacks: cc.ZoneRacks,
-			FirstID: firstID, Shard: cfg.TrainingShards + m,
-		}))
-		firstID += cnt
+		infCls = append(infCls, shard(0, cnt, cfg.TrainingShards+m))
 	}
 
 	// One scheduler instance per training shard: each runs over purely
@@ -81,70 +76,25 @@ func runSharded(cfg Config, tr *Trace, rec *obs.Recorder, p *prof.Profiler, prep
 		scheds[n] = schedulerRegistry[cfg.Scheduler](cfg)
 	}
 
-	// Per-inference-shard utilization series and loan targeters. Shard 0
-	// keeps the unsharded seed (Seed+13, and Seed+19 for the forecaster)
-	// so a 1+1 topology sees the exact series a single-cluster run would;
-	// higher shards get salted, decorrelated streams.
 	targets := make([]orchestrator.LoanTargeter, cfg.InferenceShards)
 	infUtil := make([]func(int64) float64, cfg.InferenceShards)
 	for m := range targets {
-		util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13+int64(101*m)), tr.Horizon, 300)
-		is := inference.NewScheduler(util, infCounts[m], cfg.Headroom)
+		var is *inference.Scheduler
+		is, targets[m] = inferenceSide(cfg, tr.Horizon, infCounts[m], m)
 		infUtil[m] = is.UtilizationAt
-		var t orchestrator.LoanTargeter = is
-		if cfg.ProactiveReclaim {
-			t = orchestrator.NewForecaster(is, cfg.Seed+19+int64(101*m))
-		}
-		targets[m] = t
 	}
 
 	// The arbiter always routes; it only brokers loans when loaning is on
-	// (Orchestrate gates the epoch, mirroring the single-path nil
+	// (Orchestrate gates the epoch, mirroring the one-state nil
 	// orchestrator).
 	arb := arbiter.New(nil, nil, scheds[0].Less)
 	if cfg.Loaning {
 		arb.Targets = targets
-		arb.Policy = reclaimRegistry[cfg.Reclaim](cfg)
-		arb.IncludeElasticDemand = cfg.Elastic && cfg.Scheduler != SchedFIFO
-		arb.LoanOnlyDemand = cfg.Opportunistic
-		arb.EmergencyReclaim = cfg.EmergencyReclaim
+		arb.Loans = loanProtocol(cfg, scheds[0].Less)
 	}
 
-	preempt := cfg.PreemptOverhead
-	if preempt == 0 {
-		preempt = -1
-	}
-	simCfg := sim.Config{
-		SchedInterval:   cfg.SchedInterval,
-		OrchInterval:    cfg.OrchInterval,
-		MaxTime:         cfg.MaxTime,
-		PreemptOverhead: preempt,
-		Scaling:         cfg.Scaling,
-		Audit:           cfg.Audit,
-		Obs:             rec,
-	}
-	if cfg.Faults.Enabled() {
-		fp := cfg.Faults
-		simCfg.Faults = &fp
-	}
-	if cfg.RestartBackoff {
-		simCfg.BackoffBase = cfg.BackoffBase
-		simCfg.BackoffCap = cfg.BackoffCap
-	}
-	if cfg.QuarantineHysteresis {
-		simCfg.HystCrashes = cfg.HystCrashes
-		simCfg.HystWindow = cfg.HystWindow
-		simCfg.HystHold = cfg.HystHold
-	}
-	simCfg.Prof = p
-
-	eng := sim.NewSharded(sim.ShardedConfig{
+	return sim.NewSharded(sim.ShardedConfig{
 		Train: trainCls, Inf: infCls, Scheds: scheds, Arbiter: arb,
 		Orchestrate: cfg.Loaning, RefTopo: refTopo, InfUtil: infUtil,
 	}, tr.Jobs, tr.Horizon, simCfg)
-	prep.End()
-	sp := p.Start("sim")
-	res := eng.Run()
-	sp.End()
-	return res
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lyra"
@@ -185,9 +186,63 @@ func FuzzShardedVsSingle(f *testing.F) {
 			t.Fatalf("sharded 1+1 diverged from unsharded engine at byte %d (single: %q, sharded: %q)",
 				d, window(single.Events, d), window(sharded.Events, d))
 		}
-		if single.Completed != sharded.Completed || single.Preemptions != sharded.Preemptions {
-			t.Fatalf("result counters diverged: completed %d vs %d, preemptions %d vs %d",
-				single.Completed, sharded.Completed, single.Preemptions, sharded.Preemptions)
+		if a, b := scalars(single), scalars(sharded); !reflect.DeepEqual(a, b) {
+			t.Fatalf("reports diverged:\nsingle:  %+v\nsharded: %+v", a, b)
 		}
 	})
+}
+
+// scalars returns r with everything but its scalar statistics dropped, so
+// two reports compare by value.
+func scalars(r *lyra.Report) lyra.Report {
+	c := *r
+	c.Events, c.Prof, c.Raw = nil, nil, nil
+	return c
+}
+
+// TestTopologyInvariants runs one faulted, audited scenario through every
+// way of cutting the cluster. The auditor (cross-shard conservation
+// included) panics the run on any violation, so a returned report means it
+// held at every event; job width is capped at the smallest shard so every
+// topology can place every job. One state and 1+1 are the same simulation
+// and must report the same statistics.
+func TestTopologyInvariants(t *testing.T) {
+	tcfg := lyra.DefaultTraceConfig(5)
+	tcfg.Days = 1
+	tcfg.TrainingGPUs = 96
+	tcfg.MaxJobGPUs = 32 // 12 training servers over 3 shards: 4 servers of 8 GPUs each
+	tr := lyra.GenerateTrace(tcfg)
+
+	fp, err := lyra.ParseFaultPlan("mtbf=21600,mttr=900,rackout=43200")
+	if err != nil {
+		t.Fatalf("fault plan: %v", err)
+	}
+	fp.Seed = 5
+
+	reports := make(map[string]*lyra.Report)
+	for _, topo := range []struct {
+		name       string
+		train, inf int
+	}{{"one-state", 0, 0}, {"1+1", 1, 1}, {"2+2", 2, 2}, {"3+2", 3, 2}} {
+		cfg := lyra.DefaultConfig()
+		cfg.Cluster = lyra.ClusterConfig{TrainingServers: 12, InferenceServers: 8}
+		cfg.Audit = true
+		cfg.SchedInterval = 300
+		cfg.Faults = fp
+		cfg.TrainingShards, cfg.InferenceShards = topo.train, topo.inf
+		r, err := lyra.Run(cfg, tr)
+		if err != nil {
+			t.Fatalf("%s: %v", topo.name, err)
+		}
+		if r.Completed != r.Total {
+			t.Errorf("%s: completed %d of %d jobs", topo.name, r.Completed, r.Total)
+		}
+		if r.Crashes == 0 || r.Recoveries == 0 {
+			t.Errorf("%s: fault plan injected nothing (crashes %d, recoveries %d)", topo.name, r.Crashes, r.Recoveries)
+		}
+		reports[topo.name] = r
+	}
+	if a, b := scalars(reports["one-state"]), scalars(reports["1+1"]); !reflect.DeepEqual(a, b) {
+		t.Errorf("one-state and 1+1 reports differ:\none-state: %+v\n1+1:       %+v", a, b)
+	}
 }

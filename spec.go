@@ -97,7 +97,7 @@ type ClusterSpec struct {
 
 // ShardSpec partitions the topology into independently scheduled shards
 // routed by the global capacity arbitrator. Both counts must be set
-// together; zero/zero is the classic unsharded engine.
+// together; zero/zero is the unsharded run (one state).
 type ShardSpec struct {
 	Training  int `json:"training,omitempty"`
 	Inference int `json:"inference,omitempty"`
