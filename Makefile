@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench bench-smoke events-smoke fault-smoke bench-scale bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard bench-append fuzz
+.PHONY: all check fmt vet build test race bench bench-smoke events-smoke fault-smoke matrix-smoke prof-smoke shard-smoke fuzz
 
 all: check
 
 # check is the default gate. scripts/check.sh is the one list of gates
 # (formatting, vet, build, the full test suite, the race detector over the
-# internal packages, the smoke tests and the perf-regression guard); the
-# targets below run one gate each.
+# internal packages and the smoke tests); the targets below run one gate
+# each. Performance is measured by the repository benchmark (BENCHMARK.json,
+# benchmark/README.md), not here.
 check:
 	@./scripts/check.sh
 
@@ -47,20 +48,6 @@ events-smoke:
 fault-smoke:
 	@./scripts/fault_smoke.sh
 
-# bench-scale runs BenchmarkBestFit / BenchmarkEpoch at the 1x/10x/100x
-# tiers (100x = one hundred times the paper's production cluster, a capped
-# window of epochs) and prints the results as JSON — the numbers recorded
-# in BENCH_cluster.json (the repo's perf trajectory for the indexed cluster
-# core). Append an entry there after intentional perf-relevant changes.
-bench-scale:
-	@./scripts/bench_scale.sh
-
-# bench-scale-smoke is the `check` wiring: one short run (1x plus a short
-# 100x window) asserting the scale benchmarks still complete, the 100x tier
-# stays feasible, and the JSON pipeline works.
-bench-scale-smoke:
-	@./scripts/bench_scale.sh -short /dev/null
-
 # matrix-smoke proves the declarative scenario harness end to end: the
 # shipped pack (testdata/scenarios/) dry-compiles, the smoke spec's
 # scenario×scheme matrix meets its SLO assertions through the real
@@ -83,19 +70,6 @@ prof-smoke:
 # cross-shard conservation auditor on.
 shard-smoke:
 	@./scripts/shard_smoke.sh
-
-# bench-guard is the perf-regression gate over BENCH_cluster.json: the
-# latest recorded entry must stay within a 25% ns/epoch budget of the one
-# before it, and the selftest proves a doctored 2x-slower entry fails.
-bench-guard:
-	@./scripts/bench_guard.sh
-	@./scripts/bench_guard.sh -selftest
-
-# bench-append records one perf-trajectory point: full scale benchmarks,
-# appended to BENCH_cluster.json as a labeled dated entry, then guarded.
-# Usage: make bench-append LABEL="what changed"
-bench-append:
-	@./scripts/bench_append.sh "$(LABEL)"
 
 # bench runs the audit-overhead and experiment benchmarks (audit off: the
 # numbers quoted in DESIGN.md come from BenchmarkEngineAudit).

@@ -29,7 +29,10 @@ import (
 	"lyra/internal/runner"
 )
 
-// benchStats is the -stats-json document (BENCH_runner.json).
+// benchStats is the -stats-json document: one pool's memoization traffic
+// and wall time (scripts/bench_smoke.sh reads it). The recorded perf ledger
+// is the repository benchmark, benchmark/ — its registry-sim workload
+// samples this harness.
 type benchStats struct {
 	Scale     string  `json:"scale"`
 	Exp       string  `json:"exp"`

@@ -14,21 +14,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
+	"lyra"
 	"lyra/internal/cliflags"
 	"lyra/internal/cluster"
-	"lyra/internal/fault"
-	"lyra/internal/inference"
-	"lyra/internal/invariant"
-	"lyra/internal/job"
-	"lyra/internal/obs"
-	"lyra/internal/orchestrator"
-	"lyra/internal/reclaim"
-	"lyra/internal/sched"
-	"lyra/internal/sim"
-	"lyra/internal/testbed"
 	"lyra/internal/trace"
 )
 
@@ -39,7 +29,7 @@ func main() {
 	g.SeedFlag("")
 	g.AuditFlag("tick")
 	g.EventsFlag("job lifecycle, tick epochs, container transitions")
-	g.FaultFlags("mtbf=3600,mttr=300,launchfail=0.05,rpcerr=0.02")
+	g.FaultFlags("mtbf=3600,mttr=300,launchfail=0.05")
 	g.ProfFlags()
 	var (
 		speedup = flag.Float64("speedup", 4000, "simulated seconds per wall second")
@@ -50,80 +40,34 @@ func main() {
 		g.Fatal(err)
 	}
 
-	var faultPlan *fault.Plan
-	if fp, err := g.Plan(); err != nil {
+	faultPlan, err := g.Plan()
+	if err != nil {
 		g.Fatal(err)
-	} else if fp.Enabled() {
-		faultPlan = &fp
 	}
-
-	var s sim.Scheduler
-	switch g.Scheme {
-	case "lyra":
-		s = sched.NewLyra()
-	case "fifo":
-		s = &sched.FIFO{}
-	case "gandiva":
-		s = &sched.Gandiva{}
-	case "afs":
-		s = &sched.AFS{}
-	case "pollux":
-		s = sched.NewPollux(g.Seed + 5)
-	default:
-		g.Usage("unknown scheme %q", g.Scheme)
+	cfg := lyra.Config{
+		Cluster:   cluster.TestbedConfig(),
+		Scheduler: lyra.SchedulerKind(g.Scheme),
+		Elastic:   true,
+		Loaning:   g.Reclaim != "none",
+		Reclaim:   lyra.ReclaimKind(g.Reclaim),
+		Audit:     g.Audit,
+		Events:    g.Events != "",
+		Faults:    faultPlan,
+		Seed:      g.Seed,
 	}
-
-	var rp reclaim.Policy
-	switch g.Reclaim {
-	case "lyra":
-		rp = reclaim.Lyra{}
-	case "scf":
-		rp = reclaim.SCF{}
-	case "random":
-		rp = reclaim.Random{Rng: rand.New(rand.NewSource(g.Seed + 31))}
-	case "optimal":
-		rp = reclaim.Optimal{}
-	case "none":
-	default:
-		g.Usage("unknown reclaim policy %q", g.Reclaim)
-	}
-
 	tr := trace.GenerateTestbed(g.Seed, *jobs)
 
-	// The recorder fans out to a JSONL file plus a small ring; on an
-	// invariant violation the ring tail is printed as lead-up context.
-	var (
-		rec  *obs.Recorder
-		ring *obs.Ring
-	)
-	if g.Events != "" {
-		ef, err := os.Create(g.Events)
-		if err != nil {
-			g.Fatal(err)
-		}
-		defer ef.Close()
-		ring = obs.NewRing(128)
-		rec = obs.NewRecorder(obs.NewJSONLWriter(ef), ring)
-	}
-
-	tbCfg := testbed.Config{
-		Cluster: cluster.TestbedConfig(), Speedup: *speedup, Seed: g.Seed,
-		Audit: g.Audit, Obs: rec, Faults: faultPlan,
-	}
-	var orchBuilder func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator
-	if rp != nil {
-		orchBuilder = func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator {
-			return orchestrator.New(inf, rp, less)
-		}
-	}
-	tb := testbed.New(tbCfg, tr, s, orchBuilder)
 	pr := g.Collector().NewProfiler("testbed/" + g.Scheme)
 	rsp := pr.Start("run")
-	res, verr := runTestbed(tb, tr.Horizon, ring)
+	res, err := lyra.RunTestbed(cfg, tr, lyra.TestbedOptions{Speedup: *speedup})
 	rsp.End()
-	if verr != nil {
-		obs.WriteViolationReport(os.Stderr, verr)
-		os.Exit(1)
+	if err != nil {
+		g.Fatal(err)
+	}
+	if g.Events != "" {
+		if err := os.WriteFile(g.Events, res.Events, 0o644); err != nil {
+			g.Fatal(err)
+		}
 	}
 
 	fmt.Printf("jobs: %d submitted, %d completed\n", res.Total, res.Completed)
@@ -137,27 +81,8 @@ func main() {
 		fmt.Printf("faults   crashes=%d recoveries=%d launch-failures=%d\n",
 			res.Crashes, res.Recoveries, res.LaunchFailures)
 	}
-	lyraWL, infWL := tb.Whitelists()
-	fmt.Printf("whitelists at exit: lyra=%d servers, inference=%d servers\n", lyraWL.Len(), infWL.Len())
+	fmt.Printf("whitelists at exit: lyra=%d servers, inference=%d servers\n", res.LyraServers, res.InferenceServers)
 	if err := g.FinishProf(os.Stdout); err != nil {
 		g.Fatal(err)
 	}
-}
-
-// runTestbed drives the testbed, converting an invariant-audit panic into a
-// structured violation report (with the event-ring tail attached when
-// recording) instead of a raw stack trace. Other panics pass through.
-func runTestbed(tb *testbed.Testbed, horizon int64, ring *obs.Ring) (res testbed.Result, verr *obs.ViolationError) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		ie, ok := r.(*invariant.Error)
-		if !ok {
-			panic(r)
-		}
-		verr = &obs.ViolationError{Report: ie, Tail: ring.Tail(32)}
-	}()
-	return tb.Run(horizon), nil
 }

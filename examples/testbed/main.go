@@ -6,14 +6,10 @@ package main
 
 import (
 	"fmt"
+	"log"
 
+	"lyra"
 	"lyra/internal/cluster"
-	"lyra/internal/inference"
-	"lyra/internal/job"
-	"lyra/internal/orchestrator"
-	"lyra/internal/reclaim"
-	"lyra/internal/sched"
-	"lyra/internal/testbed"
 	"lyra/internal/trace"
 )
 
@@ -21,18 +17,15 @@ func main() {
 	workload := trace.GenerateTestbed(11, 40)
 	fmt.Printf("testbed workload: %d jobs over an 8-hour window (accelerated)\n", len(workload.Jobs))
 
-	cfg := testbed.Config{
-		Cluster: cluster.TestbedConfig(), // 4x V100 + 4x T4 servers, 64 GPUs
-		Speedup: 6000,
-		Seed:    11,
+	// The same Config a simulation takes: full Lyra (SJF+MCKP, elastic
+	// scaling, loaning with the knapsack reclaim) on the §7.5 cluster.
+	cfg := lyra.DefaultConfig()
+	cfg.Cluster = cluster.TestbedConfig() // 4x V100 + 4x T4 servers, 64 GPUs
+	cfg.Seed = 11
+	res, err := lyra.RunTestbed(cfg, workload, lyra.TestbedOptions{Speedup: 6000})
+	if err != nil {
+		log.Fatal(err)
 	}
-	scheduler := sched.NewLyra()
-	tb := testbed.New(cfg, workload, scheduler,
-		func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator {
-			return orchestrator.New(inf, reclaim.Lyra{}, less)
-		})
-
-	res := tb.Run(workload.Horizon)
 
 	fmt.Printf("\ncompleted %d/%d jobs\n", res.Completed, res.Total)
 	fmt.Printf("queuing: mean=%.0fs p95=%.0fs   JCT: mean=%.0fs p95=%.0fs\n",
@@ -42,6 +35,5 @@ func main() {
 	fmt.Printf("elastic scaling operations: %d; worker joins: %d\n", res.ScalingOps, res.WorkerJoins)
 	fmt.Printf("orchestrator: %d reclaim operations, %d preemptions (%.1f%%)\n",
 		res.ReclaimOps, res.Preemptions, 100*res.PreemptionRatio)
-	lyraWL, infWL := tb.Whitelists()
-	fmt.Printf("final whitelists: lyra controls %d servers, inference %d\n", lyraWL.Len(), infWL.Len())
+	fmt.Printf("final whitelists: lyra controls %d servers, inference %d\n", res.LyraServers, res.InferenceServers)
 }

@@ -116,7 +116,7 @@ func (g *Group) EventsFlag(what string) {
 // FaultFlags registers -faults and -fault-seed with the shared syntax docs.
 func (g *Group) FaultFlags(example string) {
 	g.fs.StringVar(&g.Faults, "faults", "",
-		fmt.Sprintf("fault-injection plan, e.g. %q (keys: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, rpcerr, rpcdelay, seed)", example))
+		fmt.Sprintf("fault-injection plan, e.g. %q (keys: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, seed; the testbed rejects rackout/zoneout)", example))
 	g.fs.Int64Var(&g.FaultSeed, "fault-seed", 0, "seed for the fault-injection streams (0 = use -seed)")
 }
 

@@ -6,83 +6,40 @@ import (
 
 	"lyra"
 	"lyra/internal/cluster"
-	"lyra/internal/inference"
-	"lyra/internal/metrics"
-	"lyra/internal/orchestrator"
-	"lyra/internal/reclaim"
 	"lyra/internal/runner"
-	"lyra/internal/sched"
-	"lyra/internal/sim"
-	"lyra/internal/trace"
 )
-
-// calibrationSim is the simulator leg's memoized result: the aggregate
-// statistics the comparison consumes.
-type calibrationSim struct {
-	Queue     metrics.Summary
-	JCT       metrics.Summary
-	Completed int
-}
 
 // Calibration reproduces the simulator-fidelity methodology of §7.2: the
 // same small trace is executed by the discrete-event simulator and by the
-// prototype runtime under the same scheduler configuration, and the
+// prototype runtime under one lyra.Config — the same assembled scheduler
+// and orchestrator, the same intervals and utilization timebase — and the
 // aggregate queuing/JCT statistics are compared. The paper reports 6.2% and
 // 3.4% differences in average and 95%ile JCT and 3.5% / 4.4% in queuing,
 // attributing them to worker placement/removal overheads the simulator
 // does not capture — exactly the launch latency the prototype's containers
-// pay here. The simulator leg drives sim.New directly (no estimate
-// annotation, testbed intervals), so it goes through the pool's generic Do
-// with an explicit content key instead of a Spec.
+// pay here.
 func Calibration(p Params) []*Table {
-	pool := p.pool()
-
-	simKey, err := runner.KeyOf("calibration-sim", struct {
-		Seed  int64
-		Audit bool
-	}{p.Seed, p.Audit})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	simV, err := pool.Do(simKey, func() (any, error) {
-		tr := trace.GenerateTestbed(p.Seed, 60)
-		simSched := sched.NewLyra()
-		c := cluster.New(cluster.TestbedConfig())
-		util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(p.Seed+13), tr.Horizon, 300)
-		infSched := inference.NewScheduler(util, cluster.TestbedConfig().InferenceServers, 0.02)
-		orch := orchestrator.New(infSched, reclaim.Lyra{}, simSched.Less)
-		res := sim.New(c, tr.Clone().Jobs, tr.Horizon, simSched, orch, sim.Config{
-			SchedInterval: 30, OrchInterval: 300, Audit: p.Audit,
-		}).Run()
-		return calibrationSim{
-			Queue:     res.QueuingSummary(),
-			JCT:       res.JCTSummary(),
-			Completed: res.Completed,
-		}, nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	simRes := simV.(calibrationSim)
-
-	// Prototype leg: identical intervals and utilization timebase; the
-	// container launch latency is the real-world effect under study.
-	tbRes, err := pool.Testbed(runner.TestbedSpec{
-		Name:          "calibration/testbed",
-		Jobs:          60,
-		Seed:          p.Seed,
-		Scheduler:     lyra.SchedLyra,
+	cfg := lyra.Config{
+		Cluster:       cluster.TestbedConfig(),
 		Elastic:       true,
 		Loaning:       true,
-		Speedup:       8000,
 		SchedInterval: 30,
 		OrchInterval:  300,
-		UtilCompress:  1,
+		Seed:          p.Seed,
 		Audit:         p.Audit,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
 	}
+	simRes := mustSim(p, runner.Spec{
+		Name:   "calibration/sim",
+		Config: cfg,
+		Trace:  runner.TraceSpec{TestbedJobs: 60, TestbedSeed: p.Seed},
+	})
+	tbRes := mustTestbedAll(p, []runner.TestbedSpec{{
+		Name:         "calibration/testbed",
+		Config:       cfg,
+		Jobs:         60,
+		Speedup:      8000,
+		UtilCompress: 1,
+	}})[0]
 
 	t := &Table{
 		ID:     "calibration",

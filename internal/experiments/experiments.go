@@ -14,7 +14,6 @@ import (
 
 	"lyra"
 	"lyra/internal/runner"
-	"lyra/internal/testbed"
 )
 
 // Params scales an experiment run. Full is the paper's production scale;
@@ -202,7 +201,7 @@ func mustSimAll(p Params, specs []runner.Spec) []*lyra.Report {
 }
 
 // mustTestbedAll is mustSimAll for prototype-runtime runs.
-func mustTestbedAll(p Params, specs []runner.TestbedSpec) []testbed.Result {
+func mustTestbedAll(p Params, specs []runner.TestbedSpec) []lyra.TestbedResult {
 	results, err := p.pool().TestbedAll(specs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))

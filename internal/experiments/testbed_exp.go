@@ -4,25 +4,23 @@ import (
 	"fmt"
 
 	"lyra"
+	"lyra/internal/cluster"
 	"lyra/internal/runner"
-	"lyra/internal/testbed"
 )
 
 // testbedSpec declares one scheme on the §7.5 64-GPU prototype: 180 jobs
 // (~10 of them elastic, like Basic), submissions spanning 8 hours, training
 // times from 2 minutes to 2 hours, demand capped at half the cluster,
-// replayed at 4000x real time.
-func testbedSpec(p Params, name string) runner.TestbedSpec {
-	return runner.TestbedSpec{
-		Name:    name,
-		Jobs:    180,
-		Seed:    p.Seed,
-		Speedup: 4000,
-		Audit:   p.Audit,
-	}
+// replayed at 4000x real time. cfg is the scheme alone; the cluster, seed
+// and audit switch are filled in here.
+func testbedSpec(p Params, name string, cfg lyra.Config) runner.TestbedSpec {
+	cfg.Cluster = cluster.TestbedConfig()
+	cfg.Seed = p.Seed
+	cfg.Audit = p.Audit
+	return runner.TestbedSpec{Name: name, Config: cfg, Jobs: 180, Speedup: 4000}
 }
 
-func testbedRow(name string, r testbed.Result, loaning bool) []string {
+func testbedRow(name string, r lyra.TestbedResult, loaning bool) []string {
 	preempt := fmtPct(r.PreemptionRatio)
 	if !loaning {
 		preempt = "NA"
@@ -44,52 +42,27 @@ func Table10(p Params) []*Table {
 		Title:  "Testbed results (64-GPU prototype, 180-job trace)",
 		Header: []string{"scheme", "q_mean", "q_med", "q_p95", "jct_mean", "jct_med", "jct_p95", "preempt"},
 	}
-	type row struct {
-		name    string
-		spec    runner.TestbedSpec
-		loaning bool
-	}
-	mk := func(name string, mut func(*runner.TestbedSpec)) runner.TestbedSpec {
-		s := testbedSpec(p, "table10/"+name)
-		mut(&s)
-		return s
-	}
-	rows := []row{
-		{"Baseline(FIFO)", mk("Baseline(FIFO)", func(s *runner.TestbedSpec) {
-			s.Scheduler = lyra.SchedFIFO
-		}), false},
-		{"Lyra(full)", mk("Lyra(full)", func(s *runner.TestbedSpec) {
-			s.Elastic, s.Loaning = true, true
-		}), true},
-		{"Loan/Random", mk("Loan/Random", func(s *runner.TestbedSpec) {
-			s.Loaning, s.Reclaim = true, lyra.ReclaimRandom
-		}), true},
-		{"Loan/SCF", mk("Loan/SCF", func(s *runner.TestbedSpec) {
-			s.Loaning, s.Reclaim = true, lyra.ReclaimSCF
-		}), true},
-		{"Loan/Lyra", mk("Loan/Lyra", func(s *runner.TestbedSpec) {
-			s.Loaning = true
-		}), true},
-		{"Elastic/Gandiva", mk("Elastic/Gandiva", func(s *runner.TestbedSpec) {
-			s.Scheduler = lyra.SchedGandiva
-		}), false},
-		{"Elastic/AFS", mk("Elastic/AFS", func(s *runner.TestbedSpec) {
-			s.Scheduler = lyra.SchedAFS
-		}), false},
-		{"Elastic/Pollux", mk("Elastic/Pollux", func(s *runner.TestbedSpec) {
-			s.Scheduler = lyra.SchedPollux
-		}), false},
-		{"Elastic/Lyra", mk("Elastic/Lyra", func(s *runner.TestbedSpec) {
-			s.Elastic = true
-		}), false},
+	rows := []struct {
+		name string
+		cfg  lyra.Config
+	}{
+		{"Baseline(FIFO)", lyra.Config{Scheduler: lyra.SchedFIFO}},
+		{"Lyra(full)", lyra.Config{Elastic: true, Loaning: true}},
+		{"Loan/Random", lyra.Config{Loaning: true, Reclaim: lyra.ReclaimRandom}},
+		{"Loan/SCF", lyra.Config{Loaning: true, Reclaim: lyra.ReclaimSCF}},
+		{"Loan/Lyra", lyra.Config{Loaning: true}},
+		{"Elastic/Gandiva", lyra.Config{Scheduler: lyra.SchedGandiva}},
+		{"Elastic/AFS", lyra.Config{Scheduler: lyra.SchedAFS}},
+		{"Elastic/Pollux", lyra.Config{Scheduler: lyra.SchedPollux}},
+		{"Elastic/Lyra", lyra.Config{Elastic: true}},
 	}
 	specs := make([]runner.TestbedSpec, len(rows))
 	for i, r := range rows {
-		specs[i] = r.spec
+		specs[i] = testbedSpec(p, "table10/"+r.name, r.cfg)
 	}
 	results := mustTestbedAll(p, specs)
 	for i, r := range rows {
-		t.Rows = append(t.Rows, testbedRow(r.name, results[i], r.loaning))
+		t.Rows = append(t.Rows, testbedRow(r.name, results[i], r.cfg.Loaning))
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: Lyra improves queuing ~1.38x and JCT ~1.22x over Baseline; reclaiming order Lyra < SCF < Random preemptions",
@@ -114,9 +87,8 @@ func Fig17(p Params) []*Table {
 	var specs []runner.TestbedSpec
 	for _, elastic := range []bool{false, true} {
 		for _, rc := range kinds {
-			s := testbedSpec(p, fmt.Sprintf("fig17/%s/elastic=%v", rc.name, elastic))
-			s.Elastic, s.Loaning, s.Reclaim = elastic, true, rc.kind
-			specs = append(specs, s)
+			specs = append(specs, testbedSpec(p, fmt.Sprintf("fig17/%s/elastic=%v", rc.name, elastic),
+				lyra.Config{Elastic: elastic, Loaning: true, Reclaim: rc.kind}))
 		}
 	}
 	results := mustTestbedAll(p, specs)

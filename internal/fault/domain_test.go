@@ -44,15 +44,14 @@ func TestDomainKeysEnabledAndValidated(t *testing.T) {
 // ParsePlan cycle.
 func TestParsePlanAllKeysRoundTrip(t *testing.T) {
 	spec := "mtbf=21600,mttr=300,rackout=43200,rackmttr=1200,zoneout=86400,zonemttr=2400," +
-		"straggler=0.1,slow=0.5,launchfail=0.05,retries=4,rpcerr=0.02,rpcdelay=0.001,seed=7"
+		"straggler=0.1,slow=0.5,launchfail=0.05,retries=4,seed=7"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Plan{Seed: 7, ServerMTBF: 21600, ServerMTTR: 300,
 		RackOutMTBF: 43200, RackMTTR: 1200, ZoneOutMTBF: 86400, ZoneMTTR: 2400,
-		StragglerFrac: 0.1, SlowFactor: 0.5, LaunchFailProb: 0.05, MaxLaunchRetries: 4,
-		RPCErrProb: 0.02, RPCDelay: 0.001}
+		StragglerFrac: 0.1, SlowFactor: 0.5, LaunchFailProb: 0.05, MaxLaunchRetries: 4}
 	if p != want {
 		t.Fatalf("parsed %+v, want %+v", p, want)
 	}

@@ -4,7 +4,7 @@
 // from checkpoints (§4, §6) — yet a perfectly reliable substrate never
 // exercises any of the recovery machinery. This package supplies the missing
 // churn: server crashes with timed recoveries, per-job straggler slowdowns,
-// container launch failures, and flaky/slow RPC in the testbed wire layer.
+// and container launch failures in the testbed.
 //
 // Everything is described by a Plan, a pure-data value with its own random
 // seed. Two properties follow and are load-bearing for the rest of the repo:
@@ -85,14 +85,6 @@ type Plan struct {
 	// MaxLaunchRetries bounds consecutive launch failures per job before
 	// the terminal requeue. Defaults to 5 when LaunchFailProb is set.
 	MaxLaunchRetries int
-
-	// RPCErrProb is the probability that one testbed RPC call fails with
-	// ErrInjectedRPC (the client retries transient errors with capped
-	// exponential backoff). 0 disables flaky RPC.
-	RPCErrProb float64
-	// RPCDelay is an injected per-call service delay in wall-clock
-	// seconds (slow RPC). 0 disables it.
-	RPCDelay float64
 }
 
 // Enabled reports whether the plan injects anything at all. It is nil-safe:
@@ -102,8 +94,7 @@ func (p *Plan) Enabled() bool {
 		return false
 	}
 	return p.ServerMTBF > 0 || p.RackOutMTBF > 0 || p.ZoneOutMTBF > 0 ||
-		p.StragglerFrac > 0 || p.LaunchFailProb > 0 ||
-		p.RPCErrProb > 0 || p.RPCDelay > 0
+		p.StragglerFrac > 0 || p.LaunchFailProb > 0
 }
 
 // Normalize returns the plan with defaults applied to the dependent fields
@@ -164,18 +155,14 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("fault: LaunchFailProb %v outside [0, 1)", p.LaunchFailProb)
 	case p.MaxLaunchRetries < 0:
 		return fmt.Errorf("fault: MaxLaunchRetries %d negative", p.MaxLaunchRetries)
-	case p.RPCErrProb < 0 || p.RPCErrProb >= 1:
-		return fmt.Errorf("fault: RPCErrProb %v outside [0, 1)", p.RPCErrProb)
-	case p.RPCDelay < 0:
-		return fmt.Errorf("fault: RPCDelay %v negative", p.RPCDelay)
 	}
 	return nil
 }
 
 // ParsePlan decodes the CLI fault spec: a comma-separated key=value list,
 // e.g. "mtbf=21600,mttr=600,straggler=0.1,slow=0.5,launchfail=0.05,
-// rpcerr=0.05,rpcdelay=0.001,seed=7". Unknown keys are rejected with the
-// valid list; the result is normalized and validated.
+// seed=7". Unknown keys are rejected with the valid list; the result is
+// normalized and validated.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	if strings.TrimSpace(spec) == "" {
@@ -226,12 +213,8 @@ func ParsePlan(spec string) (Plan, error) {
 			p.SlowFactor = f
 		case "launchfail":
 			p.LaunchFailProb = f
-		case "rpcerr":
-			p.RPCErrProb = f
-		case "rpcdelay":
-			p.RPCDelay = f
 		default:
-			return p, fmt.Errorf("fault: unknown spec key %q (valid: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, rpcerr, rpcdelay, seed)", key)
+			return p, fmt.Errorf("fault: unknown spec key %q (valid: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, seed)", key)
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -264,12 +247,6 @@ func (p Plan) String() string {
 	if n.LaunchFailProb > 0 {
 		add("launchfail", n.LaunchFailProb)
 		parts = append(parts, fmt.Sprintf("retries=%d", n.MaxLaunchRetries))
-	}
-	if n.RPCErrProb > 0 {
-		add("rpcerr", n.RPCErrProb)
-	}
-	if n.RPCDelay > 0 {
-		add("rpcdelay", n.RPCDelay)
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -506,31 +483,14 @@ func (p *Plan) SlowFactorFor(id int) float64 {
 	return 1
 }
 
-// ErrInjectedRPC is the error an injected RPC fault returns. It crosses the
-// net/rpc boundary as a ServerError carrying this message, which IsInjected
-// recognizes on the client side as transient (retryable).
-var ErrInjectedRPC = errors.New("fault: injected rpc error")
-
 // ErrInjectedLaunch is the error an injected container-launch failure
 // returns from ResourceManager.Launch.
 var ErrInjectedLaunch = errors.New("fault: injected launch failure")
 
-// IsInjected reports whether err is (or wraps, possibly across an RPC
-// boundary that flattened it to a string) an injected fault.
-func IsInjected(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrInjectedRPC) || errors.Is(err, ErrInjectedLaunch) {
-		return true
-	}
-	return strings.Contains(err.Error(), "fault: injected")
-}
-
-// Injector draws launch-failure and RPC-fault decisions from the plan's
-// seeded stream. It is used by the testbed's live substrate, where calls
-// arrive from concurrent goroutines: the mutex serializes the stream, and
-// the draw order follows real execution order (the testbed is a measurement
+// Injector draws launch-failure decisions from the plan's seeded stream. It
+// is used by the testbed's live substrate, where calls arrive from
+// concurrent goroutines: the mutex serializes the stream, and the draw
+// order follows real execution order (the testbed is a measurement
 // substrate, excluded from the byte-identity guarantee — see DESIGN.md §6).
 // A nil Injector injects nothing.
 type Injector struct {
@@ -540,13 +500,13 @@ type Injector struct {
 }
 
 // NewInjector returns an injector for the plan, or nil when the plan
-// injects neither launch failures nor RPC faults.
+// injects no launch failures.
 func NewInjector(p *Plan) *Injector {
 	if p == nil {
 		return nil
 	}
 	n := p.Normalize()
-	if n.LaunchFailProb <= 0 && n.RPCErrProb <= 0 && n.RPCDelay <= 0 {
+	if n.LaunchFailProb <= 0 {
 		return nil
 	}
 	inj := &Injector{
@@ -567,23 +527,6 @@ func (in *Injector) LaunchFails() bool {
 	fail := in.rng.Float64() < in.plan.LaunchFailProb
 	in.mu <- struct{}{}
 	return fail
-}
-
-// RPCFault draws one RPC-call decision: an injected service delay in
-// wall-clock seconds (0 for none) and whether the call fails. Nil-safe.
-func (in *Injector) RPCFault() (delay float64, fail bool) {
-	if in == nil {
-		return 0, false
-	}
-	<-in.mu
-	defer func() { in.mu <- struct{}{} }()
-	if in.plan.RPCDelay > 0 {
-		delay = in.plan.RPCDelay * in.rng.Float64()
-	}
-	if in.plan.RPCErrProb > 0 {
-		fail = in.rng.Float64() < in.plan.RPCErrProb
-	}
-	return delay, fail
 }
 
 // MaxRetries exposes the normalized launch-retry bound. Nil-safe (returns

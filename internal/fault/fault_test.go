@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,8 +21,6 @@ func TestEnabled(t *testing.T) {
 		{ServerMTBF: 3600},
 		{StragglerFrac: 0.1},
 		{LaunchFailProb: 0.05},
-		{RPCErrProb: 0.05},
-		{RPCDelay: 0.01},
 	} {
 		p := p
 		if !p.Enabled() {
@@ -54,7 +53,7 @@ func TestValidate(t *testing.T) {
 		{},
 		{ServerMTBF: 3600, ServerMTTR: 60},
 		{StragglerFrac: 1, SlowFactor: 1},
-		{LaunchFailProb: 0.99, RPCErrProb: 0.5, RPCDelay: 2},
+		{LaunchFailProb: 0.99},
 	}
 	for _, p := range good {
 		if err := p.Validate(); err != nil {
@@ -67,8 +66,6 @@ func TestValidate(t *testing.T) {
 		{StragglerFrac: 1.5},
 		{StragglerFrac: 0.5, SlowFactor: 2},
 		{LaunchFailProb: 1},
-		{RPCErrProb: -0.1},
-		{RPCDelay: -1},
 		{LaunchFailProb: 0.1, MaxLaunchRetries: -1},
 	}
 	for _, p := range bad {
@@ -79,13 +76,13 @@ func TestValidate(t *testing.T) {
 }
 
 func TestParsePlanRoundTrip(t *testing.T) {
-	spec := "mtbf=21600,mttr=300,straggler=0.1,slow=0.5,launchfail=0.05,retries=4,rpcerr=0.02,rpcdelay=0.001,seed=7"
+	spec := "mtbf=21600,mttr=300,straggler=0.1,slow=0.5,launchfail=0.05,retries=4,seed=7"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Plan{Seed: 7, ServerMTBF: 21600, ServerMTTR: 300, StragglerFrac: 0.1,
-		SlowFactor: 0.5, LaunchFailProb: 0.05, MaxLaunchRetries: 4, RPCErrProb: 0.02, RPCDelay: 0.001}
+		SlowFactor: 0.5, LaunchFailProb: 0.05, MaxLaunchRetries: 4}
 	if p != want {
 		t.Fatalf("parsed %+v, want %+v", p, want)
 	}
@@ -192,58 +189,34 @@ func TestInjectorDraws(t *testing.T) {
 	if NewInjector(&Plan{ServerMTBF: 3600}) != nil {
 		t.Error("crash-only plan yields a live injector")
 	}
-	inj := NewInjector(&Plan{Seed: 9, LaunchFailProb: 0.5, RPCErrProb: 0.5, RPCDelay: 0.01})
-	fails, rpcFails, delayed := 0, 0, 0
+	inj := NewInjector(&Plan{Seed: 9, LaunchFailProb: 0.5})
+	fails := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if inj.LaunchFails() {
 			fails++
 		}
-		d, f := inj.RPCFault()
-		if f {
-			rpcFails++
-		}
-		if d > 0 {
-			delayed++
-		}
-		if d < 0 || d > 0.01 {
-			t.Fatalf("delay %g outside [0, RPCDelay]", d)
-		}
 	}
-	for name, got := range map[string]int{"launch failures": fails, "rpc failures": rpcFails} {
-		if got < n/4 || got > 3*n/4 {
-			t.Errorf("%s: %d of %d draws, want roughly half", name, got, n)
-		}
-	}
-	if delayed < n*9/10 { // uniform in [0, RPCDelay): essentially every draw
-		t.Errorf("rpc delays: %d of %d draws nonzero, want nearly all", delayed, n)
+	if fails < n/4 || fails > 3*n/4 {
+		t.Errorf("launch failures: %d of %d draws, want roughly half", fails, n)
 	}
 	var nilInj *Injector
 	if nilInj.LaunchFails() {
 		t.Error("nil injector fails launches")
-	}
-	if d, f := nilInj.RPCFault(); d != 0 || f {
-		t.Error("nil injector injects rpc faults")
 	}
 	if nilInj.MaxRetries() != 5 {
 		t.Errorf("nil injector MaxRetries = %d, want default 5", nilInj.MaxRetries())
 	}
 }
 
-func TestIsInjected(t *testing.T) {
-	if !IsInjected(ErrInjectedRPC) || !IsInjected(ErrInjectedLaunch) {
-		t.Error("sentinel errors not recognized")
-	}
-	// net/rpc flattens server-side errors to strings; the substring match
-	// must still classify them as injected.
-	if !IsInjected(strErr("remote: fault: injected rpc error")) {
-		t.Error("string-flattened injected error not recognized")
-	}
-	if IsInjected(nil) || IsInjected(strErr("testbed: kill unknown container 3")) {
-		t.Error("non-injected error classified as injected")
+// A setting the prototype cannot honour is a named error, not a silent
+// no-op: the wire-layer keys went with the wire layer.
+func TestParsePlanRejectsRemovedRPCKeys(t *testing.T) {
+	for _, spec := range []string{"rpcerr=0.02", "mtbf=3600,rpcdelay=0.01"} {
+		_, err := ParsePlan(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown spec key") ||
+			!strings.Contains(err.Error(), "launchfail, retries, seed)") {
+			t.Errorf("ParsePlan(%q) = %v, want the unknown-key error with the valid list", spec, err)
+		}
 	}
 }
-
-type strErr string
-
-func (e strErr) Error() string { return string(e) }

@@ -60,13 +60,12 @@ const (
 	KindContainerKill    Kind = "container.kill"
 	KindContainerRelease Kind = "container.release"
 
-	// Fault injection (internal/fault): server crash/recovery, an injected
-	// or exhausted RPC fault, a container-launch failure, and the restart a
-	// fault forced on a job (emitted alongside the job.preempt/job.queue
-	// lifecycle pair so timelines say *why* the job bounced).
+	// Fault injection (internal/fault): server crash/recovery, a
+	// container-launch failure, and the restart a fault forced on a job
+	// (emitted alongside the job.preempt/job.queue lifecycle pair so
+	// timelines say *why* the job bounced).
 	KindFaultCrash   Kind = "fault.crash"
 	KindFaultRecover Kind = "fault.recover"
-	KindFaultRPC     Kind = "fault.rpc"
 	KindFaultLaunch  Kind = "fault.launch"
 	KindJobRestart   Kind = "job.restart"
 

@@ -39,7 +39,8 @@ func benchCluster(scale int) (*cluster.Cluster, cluster.Config) {
 
 // BenchmarkBestFit measures one best-fit placement (plus the matching
 // release, so the cluster state is identical every iteration) at 1x and 10x
-// the paper's server count. Recorded in BENCH_cluster.json.
+// the paper's server count (the repository benchmark's place.Gang layer
+// metric times the same kernel on each workload's own cluster shape).
 func BenchmarkBestFit(b *testing.B) {
 	for _, scale := range []int{1, 10} {
 		b.Run(fmt.Sprintf("%dx", scale), func(b *testing.B) {

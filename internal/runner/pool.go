@@ -2,29 +2,19 @@ package runner
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 
 	"lyra"
-	"lyra/internal/cluster"
-	"lyra/internal/inference"
-	"lyra/internal/job"
 	"lyra/internal/obs"
-	"lyra/internal/orchestrator"
 	"lyra/internal/prof"
-	"lyra/internal/reclaim"
-	"lyra/internal/sched"
-	"lyra/internal/sim"
-	"lyra/internal/testbed"
 	"lyra/internal/trace"
 )
 
 // Stats counts the pool's memoization traffic.
 type Stats struct {
-	// Requests is the number of memoized lookups (simulations, testbed
-	// runs, and generic Do calls; base-trace synthesis is counted
-	// separately).
+	// Requests is the number of memoized lookups (simulations and testbed
+	// runs; base-trace synthesis is counted separately).
 	Requests int64
 	// Hits is how many requests were served from the cache or joined an
 	// in-flight execution of the same key (singleflight).
@@ -129,19 +119,11 @@ func (p *Pool) Profile(c *prof.Collector) {
 	p.mu.Unlock()
 }
 
-// Do memoizes fn under key with singleflight semantics, bounded by the
-// worker pool. It is the generic layer under Sim and Testbed — use it for
-// bespoke experiment legs (the §7.2 calibration does) with a KeyOf-derived
-// key covering every input that influences the result. Errors are cached
-// like results: deterministic failures fail once.
-func (p *Pool) Do(key string, fn func() (any, error)) (any, error) {
-	return p.do(key, fn, true, false)
-}
-
-// do implements the memoized singleflight. bounded selects whether fn
-// counts against the worker pool; trace synthesis runs unbounded because
-// its callers already hold a worker slot (a bounded nested acquire could
-// deadlock a 1-worker pool) and is tallied as TraceGens instead.
+// do memoizes fn under key with singleflight semantics; errors are cached
+// like results, so a deterministic failure fails once. bounded selects
+// whether fn counts against the worker pool; trace synthesis runs unbounded
+// because its callers already hold a worker slot (a bounded nested acquire
+// could deadlock a 1-worker pool) and is tallied as TraceGens instead.
 func (p *Pool) do(key string, fn func() (any, error), bounded, traceGen bool) (any, error) {
 	p.mu.Lock()
 	if c, ok := p.calls[key]; ok {
@@ -321,21 +303,21 @@ func (p *Pool) materializeTrace(ts TraceSpec) (*lyra.Trace, error) {
 }
 
 // Testbed executes (or recalls) one prototype-runtime run.
-func (p *Pool) Testbed(spec TestbedSpec) (testbed.Result, error) {
+func (p *Pool) Testbed(spec TestbedSpec) (lyra.TestbedResult, error) {
 	key, err := spec.Key()
 	if err != nil {
-		return testbed.Result{}, err
+		return lyra.TestbedResult{}, err
 	}
 	v, err := p.do(key, func() (any, error) { return runTestbed(spec) }, true, false)
 	if err != nil {
-		return testbed.Result{}, fmt.Errorf("runner: %s: %w", spec.label(), err)
+		return lyra.TestbedResult{}, fmt.Errorf("runner: %s: %w", spec.label(), err)
 	}
-	return v.(testbed.Result), nil
+	return v.(lyra.TestbedResult), nil
 }
 
 // TestbedAll is SimAll for testbed runs.
-func (p *Pool) TestbedAll(specs []TestbedSpec) ([]testbed.Result, error) {
-	results := make([]testbed.Result, len(specs))
+func (p *Pool) TestbedAll(specs []TestbedSpec) ([]lyra.TestbedResult, error) {
+	results := make([]lyra.TestbedResult, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i := range specs {
@@ -354,72 +336,10 @@ func (p *Pool) TestbedAll(specs []TestbedSpec) ([]testbed.Result, error) {
 	return results, nil
 }
 
-func runTestbed(spec TestbedSpec) (testbed.Result, error) {
-	var zero testbed.Result
+func runTestbed(spec TestbedSpec) (lyra.TestbedResult, error) {
 	if spec.Jobs <= 0 {
-		return zero, fmt.Errorf("testbed spec needs Jobs > 0")
+		return lyra.TestbedResult{}, fmt.Errorf("testbed spec needs Jobs > 0")
 	}
-	s, err := testbedScheduler(spec)
-	if err != nil {
-		return zero, err
-	}
-	var orchBuilder func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator
-	if spec.Loaning {
-		policy, err := testbedReclaim(spec)
-		if err != nil {
-			return zero, err
-		}
-		orchBuilder = func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator {
-			return orchestrator.New(inf, policy, less)
-		}
-	}
-	cfg := testbed.Config{
-		Cluster:       cluster.TestbedConfig(),
-		Speedup:       spec.Speedup,
-		SchedInterval: spec.SchedInterval,
-		OrchInterval:  spec.OrchInterval,
-		UtilCompress:  spec.UtilCompress,
-		Audit:         spec.Audit,
-		Seed:          spec.Seed,
-	}
-	if spec.Faults.Enabled() {
-		f := spec.Faults.Normalize()
-		cfg.Faults = &f
-	}
-	tr := trace.GenerateTestbed(spec.Seed, spec.Jobs)
-	tb := testbed.New(cfg, tr, s, orchBuilder)
-	return tb.Run(tr.Horizon), nil
-}
-
-// testbedScheduler mirrors the §7.5 scheme table: the scheduler kinds are
-// validated against the root package's registry so unknown names fail with
-// the same list Validate reports.
-func testbedScheduler(spec TestbedSpec) (sim.Scheduler, error) {
-	switch spec.Scheduler {
-	case lyra.SchedFIFO:
-		return &sched.FIFO{}, nil
-	case lyra.SchedLyra, "":
-		return &sched.Lyra{Elastic: spec.Elastic}, nil
-	case lyra.SchedGandiva:
-		return &sched.Gandiva{}, nil
-	case lyra.SchedAFS:
-		return &sched.AFS{}, nil
-	case lyra.SchedPollux:
-		return sched.NewPollux(spec.Seed + 5), nil
-	}
-	return nil, fmt.Errorf("unknown testbed scheduler %q (valid: %v)", spec.Scheduler, lyra.Schedulers())
-}
-
-func testbedReclaim(spec TestbedSpec) (reclaim.Policy, error) {
-	switch spec.Reclaim {
-	case lyra.ReclaimLyra, "":
-		return reclaim.Lyra{}, nil
-	case lyra.ReclaimRandom:
-		return reclaim.Random{Rng: rand.New(rand.NewSource(spec.Seed + 31))}, nil
-	case lyra.ReclaimSCF:
-		return reclaim.SCF{}, nil
-	case lyra.ReclaimOptimal:
-		return reclaim.Optimal{}, nil
-	}
-	return nil, fmt.Errorf("unknown testbed reclaim policy %q (valid: %v)", spec.Reclaim, lyra.Reclaims())
+	tr := trace.GenerateTestbed(spec.Config.Seed, spec.Jobs)
+	return lyra.RunTestbed(spec.Config, tr, lyra.TestbedOptions{Speedup: spec.Speedup, UtilCompress: spec.UtilCompress})
 }

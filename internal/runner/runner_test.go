@@ -68,6 +68,38 @@ func TestKeyEqualForSemanticallyEqualSpecs(t *testing.T) {
 	if mustKey(t, noLoanA) != mustKey(t, noLoanB) {
 		t.Errorf("inert Reclaim changed the key of a non-loaning spec")
 	}
+
+	// Testbed specs key through the same Normalize (at the prototype's
+	// interval defaults), so the same rules hold for them.
+	tbKey := func(mut func(*lyra.Config)) string {
+		s := TestbedSpec{Config: tinyCfg(), Jobs: 60}
+		mut(&s.Config)
+		k, err := s.Key()
+		if err != nil {
+			t.Fatalf("testbed Key: %v", err)
+		}
+		return k
+	}
+	tbRef := tbKey(func(*lyra.Config) {})
+	for name, mut := range map[string]func(*lyra.Config){
+		"headroom default":  func(c *lyra.Config) { c.Headroom = 0.02 },
+		"reclaim default":   func(c *lyra.Config) { c.Reclaim = lyra.ReclaimLyra },
+		"intervals default": func(c *lyra.Config) { c.SchedInterval, c.OrchInterval = 10, 60 },
+	} {
+		if k := tbKey(mut); k != tbRef {
+			t.Errorf("testbed %s: key %s != base %s", name, k, tbRef)
+		}
+	}
+	noLoan := tbKey(func(c *lyra.Config) { c.Loaning = false })
+	if noLoan != tbKey(func(c *lyra.Config) { c.Loaning, c.Reclaim = false, lyra.ReclaimSCF }) {
+		t.Errorf("inert Reclaim changed the key of a non-loaning testbed spec")
+	}
+	if noLoan == tbRef {
+		t.Errorf("loaning flip did not change the testbed key")
+	}
+	if tbKey(func(c *lyra.Config) { c.SchedInterval, c.OrchInterval = 60, 300 }) == tbRef {
+		t.Errorf("the simulator's interval defaults key equal to the testbed's")
+	}
 }
 
 // Every meaningful knob flip must change the key.
@@ -124,35 +156,6 @@ func TestKeyDiffersPerField(t *testing.T) {
 	}
 }
 
-func TestTestbedKeyCanonicalizes(t *testing.T) {
-	a := TestbedSpec{Jobs: 60, Seed: 1, Loaning: true}
-	b := TestbedSpec{Jobs: 60, Seed: 1, Loaning: true, Scheduler: lyra.SchedLyra, Reclaim: lyra.ReclaimLyra, Name: "x"}
-	ka, err := a.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Errorf("testbed defaults not canonicalized: %s vs %s", ka, kb)
-	}
-	c := a
-	c.Loaning = false
-	c.Reclaim = lyra.ReclaimSCF // inert without loaning
-	d := a
-	d.Loaning = false
-	kc, _ := c.Key()
-	kd, _ := d.Key()
-	if kc != kd {
-		t.Errorf("inert testbed Reclaim changed the key")
-	}
-	if kc == ka {
-		t.Errorf("loaning flip did not change the key")
-	}
-}
-
 // Concurrent requests for one key run the function exactly once and all
 // observe its result (singleflight). Run under -race via make race.
 func TestDoSingleflight(t *testing.T) {
@@ -165,12 +168,12 @@ func TestDoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := p.Do("k", func() (any, error) {
+			v, err := p.do("k", func() (any, error) {
 				ran.Add(1)
 				return "value", nil
-			})
+			}, true, false)
 			if err != nil {
-				t.Errorf("Do: %v", err)
+				t.Errorf("do: %v", err)
 			}
 			results[i] = v
 		}(i)
@@ -195,10 +198,10 @@ func TestDoCachesErrors(t *testing.T) {
 	p := New(2)
 	var ran atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, err := p.Do("bad", func() (any, error) {
+		_, err := p.do("bad", func() (any, error) {
 			ran.Add(1)
 			return nil, fmt.Errorf("boom")
-		})
+		}, true, false)
 		if err == nil || err.Error() != "boom" {
 			t.Fatalf("attempt %d: err = %v, want boom", i, err)
 		}
@@ -227,7 +230,7 @@ func TestPoolDefaultsAndValidation(t *testing.T) {
 	if _, err := p.Sim(badBoot); err == nil {
 		t.Errorf("Sim accepted an out-of-range bootstrap index")
 	}
-	badTB := TestbedSpec{Jobs: 10, Scheduler: "nonsense"}
+	badTB := TestbedSpec{Jobs: 10, Config: lyra.Config{Scheduler: "nonsense"}}
 	if _, err := p.Testbed(badTB); err == nil {
 		t.Errorf("Testbed accepted an unknown scheduler")
 	}

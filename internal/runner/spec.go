@@ -134,59 +134,34 @@ func (s Spec) label() string {
 	return string(s.Config.Scheduler)
 }
 
-// TestbedSpec declares one prototype-runtime run (§7.5) in declarative
-// form. Unlike simulations, testbed runs execute real goroutines against an
-// accelerated wall clock, so their results are measurements rather than
-// pure functions — the pool still memoizes them (one invocation's tables
-// reuse a single run) but they are excluded from the byte-identity
-// guarantee.
+// TestbedSpec declares one prototype-runtime run (§7.5): the same
+// lyra.Config a Spec carries, run by lyra.RunTestbed over a generated
+// testbed workload. Unlike simulations, testbed runs execute real
+// goroutines against an accelerated wall clock, so their results are
+// measurements rather than pure functions — the pool still memoizes them
+// (one invocation's tables reuse a single run) but they are excluded from
+// the byte-identity guarantee.
 type TestbedSpec struct {
 	// Name labels the run in error messages; it does not affect identity.
 	Name string `json:"-"`
 
+	// Config is the scheme under test; Config.Seed also seeds the workload.
+	Config lyra.Config
+
 	// Jobs sizes the testbed workload (trace.GenerateTestbed).
 	Jobs int
-	Seed int64
 
-	// Scheduler and Elastic pick the scheduling scheme; Elastic only
-	// matters for SchedLyra (phase 2 on/off).
-	Scheduler lyra.SchedulerKind
-	Elastic   bool
-
-	// Loaning attaches the orchestrator with the given reclaiming policy
-	// ("" defaults to ReclaimLyra).
-	Loaning bool
-	Reclaim lyra.ReclaimKind
-
-	// Speedup, SchedInterval, OrchInterval and UtilCompress override the
-	// testbed defaults (simulated seconds per wall second, epochs, and the
-	// diurnal-curve compression).
-	Speedup       float64
-	SchedInterval float64
-	OrchInterval  float64
-	UtilCompress  int
-
-	Audit bool
-
-	// Faults optionally injects crashes, stragglers, launch failures and
-	// wire faults (lyra.FaultPlan). The zero plan injects nothing and keys
-	// identically to its absence.
-	Faults lyra.FaultPlan
+	// Speedup and UtilCompress are lyra.TestbedOptions' knobs (zero selects
+	// their defaults).
+	Speedup      float64
+	UtilCompress int
 }
 
-// Key returns the testbed spec's content key.
+// Key returns the testbed spec's content key, canonical through the same
+// normalization lyra.RunTestbed applies.
 func (s TestbedSpec) Key() (string, error) {
 	s.Name = ""
-	if s.Scheduler == "" {
-		s.Scheduler = lyra.SchedLyra
-	}
-	if s.Loaning && s.Reclaim == "" {
-		s.Reclaim = lyra.ReclaimLyra
-	}
-	if !s.Loaning {
-		s.Reclaim = ""
-	}
-	s.Faults = s.Faults.Normalize()
+	s.Config = s.Config.NormalizeTestbed()
 	return KeyOf("testbed", s)
 }
 
@@ -194,5 +169,5 @@ func (s TestbedSpec) label() string {
 	if s.Name != "" {
 		return s.Name
 	}
-	return "testbed/" + string(s.Scheduler)
+	return "testbed/" + string(s.Config.Scheduler)
 }

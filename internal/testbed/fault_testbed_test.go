@@ -5,10 +5,6 @@ import (
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
-	"lyra/internal/inference"
-	"lyra/internal/job"
-	"lyra/internal/orchestrator"
-	"lyra/internal/reclaim"
 	"lyra/internal/sched"
 	"lyra/internal/trace"
 )
@@ -32,14 +28,10 @@ func TestEndToEndWithFaults(t *testing.T) {
 		LaunchFailProb: 0.15,
 		StragglerFrac:  0.2,
 	}
-	cfg := Config{
-		Cluster: cluster.TestbedConfig(), Speedup: 20000, Seed: 7,
-		Audit: true, Faults: plan,
-	}
-	tb := New(cfg, tr, sched.NewLyra(),
-		func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator {
-			return orchestrator.New(inf, reclaim.Lyra{}, less)
-		})
+	cfg := testConfig(20000)
+	cfg.Faults = plan
+	s := sched.NewLyra()
+	tb := New(cfg, tr, s, lyraOrchestrator(7, tr, s.Less))
 	res := tb.Run(tr.Horizon)
 
 	if res.Completed != 40 {
@@ -55,7 +47,7 @@ func TestEndToEndWithFaults(t *testing.T) {
 
 	// Whitelists must mirror the pools, with quarantined servers under
 	// neither scheduler's control.
-	lyraWL, infWL := tb.Whitelists()
+	lyraWL, infWL := tb.lyraWL, tb.infWL
 	for _, s := range tb.st.Cluster.Servers() {
 		switch s.Pool {
 		case cluster.PoolQuarantine:
@@ -96,8 +88,8 @@ func TestEndToEndWithFaults(t *testing.T) {
 // fault_e2e_test.go.)
 func TestTestbedFaultsDisabledInjectsNothing(t *testing.T) {
 	tr := trace.GenerateTestbed(3, 20)
-	cfg := Config{Cluster: cluster.TestbedConfig(), Speedup: 40000, Seed: 3,
-		Audit: true, Faults: &fault.Plan{Seed: 99}}
+	cfg := testConfig(40000)
+	cfg.Faults = &fault.Plan{Seed: 99}
 	tb := New(cfg, tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)
 	if res.Completed != 20 {

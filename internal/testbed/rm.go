@@ -52,9 +52,8 @@ type ResourceManager struct {
 	// it before the first Launch; the readiness event is emitted from the
 	// container goroutine, which the recorder serializes.
 	Obs *obs.Recorder
-	// Injector optionally injects container-launch failures (and is shared
-	// with the RPC service for wire faults). Set it before the first
-	// Launch; nil injects nothing.
+	// Injector optionally injects container-launch failures. Set it before
+	// the first Launch; nil injects nothing.
 	Injector *fault.Injector
 
 	mu         sync.Mutex

@@ -1,12 +1,12 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
-	"lyra/internal/inference"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
 	"lyra/internal/metrics"
@@ -16,35 +16,28 @@ import (
 	"lyra/internal/trace"
 )
 
-// Config parameterizes a testbed run. Intervals are simulated seconds.
+// Config parameterizes a testbed run. Intervals are simulated seconds. The
+// scheme-side values (intervals, preemption overhead, throughput model) are
+// taken literally: lyra.RunTestbed resolves their defaults from the
+// lyra.Config, the one place a scheme is described.
 type Config struct {
 	Cluster cluster.Config
 	// Speedup is simulated seconds per wall second (default 2000).
 	Speedup float64
-	// SchedInterval and OrchInterval default to 10 s and 60 s — the same
-	// ratio as production (the scheduler runs much more often, §3) at a
-	// scale where a few-hour trace finishes in seconds of wall time.
+	// SchedInterval and OrchInterval are the scheduler tick and the
+	// orchestrator epoch; both must be positive.
 	SchedInterval float64
 	OrchInterval  float64
 	// LaunchDelay is the container start latency (default 5 s).
 	LaunchDelay float64
-	// PreemptOverhead is the restart cost for preempted jobs (default
-	// 63 s, the value the paper measures on this testbed and feeds back
-	// into the simulator).
+	// PreemptOverhead is the restart cost for preempted jobs (the paper
+	// measures 63 s on this testbed and feeds it back into the simulator).
 	PreemptOverhead float64
-	// Headroom of the inference cluster (default 0.02).
-	Headroom float64
 	// Scaling is the throughput model.
 	Scaling job.ScalingModel
 	// MaxSimTime caps the run (simulated seconds); 0 means 4x the trace
 	// horizon.
 	MaxSimTime float64
-	// UtilCompress squeezes the diurnal inference-utilization curve in
-	// time so that a half-day testbed run still exercises several
-	// loan/reclaim cycles (default 4: one "day" of traffic passes every
-	// six hours). The paper's testbed scales the inference trace down to
-	// the testbed capacity the same way.
-	UtilCompress int
 	// Audit enables the invariant audit layer (internal/invariant): after
 	// every scheduler tick the conservation/legality suite is checked
 	// over the shared state, panicking with a structured report on the
@@ -59,37 +52,18 @@ type Config struct {
 	Obs *obs.Recorder
 	// Faults is the optional deterministic fault-injection plan
 	// (internal/fault). The crash/recovery timeline is pre-generated from
-	// the plan's seed; launch failures and RPC faults draw from the shared
-	// injector in real execution order (the testbed is a live, concurrent
-	// substrate — see DESIGN.md §8). Nil injects nothing.
+	// the plan's seed; launch failures draw from the injector in real
+	// execution order (the testbed is a live, concurrent substrate — see
+	// DESIGN.md §8). Nil injects nothing.
 	Faults *fault.Plan
-	Seed   int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Speedup == 0 {
 		c.Speedup = 2000
 	}
-	if c.SchedInterval == 0 {
-		c.SchedInterval = 10
-	}
-	if c.OrchInterval == 0 {
-		c.OrchInterval = 60
-	}
 	if c.LaunchDelay == 0 {
 		c.LaunchDelay = 5
-	}
-	if c.PreemptOverhead == 0 {
-		c.PreemptOverhead = 63
-	}
-	if c.Headroom == 0 {
-		c.Headroom = 0.02
-	}
-	if c.Scaling == (job.ScalingModel{}) {
-		c.Scaling = job.Linear
-	}
-	if c.UtilCompress == 0 {
-		c.UtilCompress = 4
 	}
 	return c
 }
@@ -105,7 +79,6 @@ type Result struct {
 	PreemptionRatio  float64
 	ScalingOps       int
 	CollateralDamage float64
-	LoanOps          int
 	ReclaimOps       int
 
 	ContainersLaunched int64
@@ -119,6 +92,16 @@ type Result struct {
 	Crashes        int
 	Recoveries     int
 	LaunchFailures int
+
+	// LyraServers and InferenceServers are the two whitelists' sizes at
+	// exit (§6: every server is under exactly one scheduler's control, or
+	// quarantined).
+	LyraServers      int
+	InferenceServers int
+
+	// Events is the recorded JSONL stream when the caller that owns the
+	// recorder's sink attached one (lyra.RunTestbed with Config.Events).
+	Events []byte
 }
 
 // Testbed wires the prototype together. The scheduler and orchestrator are
@@ -148,7 +131,7 @@ type Testbed struct {
 
 	// Fault machinery (nil / empty without a plan): the pre-generated
 	// crash/recovery timeline with a cursor, the recovery routing map, the
-	// per-job launch-retry state, and the shared launch/RPC injector.
+	// per-job launch-retry state, and the launch-failure injector.
 	faultEvents    []fault.Event
 	faultIdx       int
 	recoverTo      map[int]cluster.Pool
@@ -164,10 +147,14 @@ type launchRetry struct {
 	nextTry  float64 // simulated time before which no relaunch is tried
 }
 
-// New builds a testbed over the given trace and scheduler/orchestrator
-// combination. orch may be nil (no capacity loaning).
-func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, reclaimPolicy func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator) *Testbed {
+// New builds a testbed over the given trace and an assembled scheme: the
+// scheduler and, for capacity loaning, the orchestrator over the inference
+// side the caller built (nil for no loaning).
+func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Orchestrator) *Testbed {
 	cfg = cfg.withDefaults()
+	if cfg.SchedInterval <= 0 || cfg.OrchInterval <= 0 {
+		panic(fmt.Sprintf("testbed: intervals must be positive (sched %g, orch %g)", cfg.SchedInterval, cfg.OrchInterval))
+	}
 	c := cluster.New(cfg.Cluster)
 	clock := NewClock(cfg.Speedup)
 	tb := &Testbed{
@@ -176,6 +163,7 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, reclaimPolicy func(le
 		rm:          NewResourceManager(clock, cfg.LaunchDelay),
 		st:          sim.NewStateForTest(c, cfg.Scaling, cfg.PreemptOverhead),
 		sched:       sched,
+		orch:        orch,
 		controllers: make(map[int]*Controller),
 		byID:        make(map[int]*job.Job),
 		pendingSrc:  append([]*job.Job(nil), tr.Jobs...),
@@ -210,17 +198,6 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, reclaimPolicy func(le
 		tb.infWL.Add(s.ID)
 		return true
 	})
-	if reclaimPolicy != nil {
-		full := inference.GenerateUtilization(
-			inference.DefaultUtilizationConfig(cfg.Seed+13),
-			tr.Horizon*int64(cfg.UtilCompress), 300)
-		util := metrics.NewTimeSeries(0, 300)
-		for i := 0; i < len(full.Values); i += cfg.UtilCompress {
-			util.Append(full.Values[i])
-		}
-		infSched := inference.NewScheduler(util, cfg.Cluster.InferenceServers, cfg.Headroom)
-		tb.orch = reclaimPolicy(sched.Less, infSched)
-	}
 	return tb
 }
 
@@ -389,7 +366,7 @@ func (tb *Testbed) reconcileContainers(now float64) {
 			}
 			c, err := tb.rm.Launch(j.ID, w.Server, w.GPUs, w.Flexible)
 			if err != nil {
-				if !fault.IsInjected(err) {
+				if !errors.Is(err, fault.ErrInjectedLaunch) {
 					tb.failContainer("launch", j.ID, 0, err)
 				}
 				failedThisTick = true
@@ -571,6 +548,8 @@ func (tb *Testbed) result() Result {
 		Crashes:            tb.st.Crashes,
 		Recoveries:         tb.st.Recoveries,
 		LaunchFailures:     tb.launchFailures,
+		LyraServers:        tb.lyraWL.Len(),
+		InferenceServers:   tb.infWL.Len(),
 	}
 	if tb.total > 0 {
 		res.PreemptionRatio = float64(tb.st.Preemptions) / float64(tb.total)
@@ -580,6 +559,3 @@ func (tb *Testbed) result() Result {
 	}
 	return res
 }
-
-// Whitelists exposes the two whitelists for inspection.
-func (tb *Testbed) Whitelists() (lyra, inf *Whitelist) { return tb.lyraWL, tb.infWL }

@@ -174,12 +174,31 @@ func TestControllerEvents(t *testing.T) {
 	}
 }
 
+// testConfig is the prototype at the scale lyra.RunTestbed runs it (10 s /
+// 60 s epochs, the measured 63 s restart cost), auditing every tick.
+func testConfig(speedup float64) Config {
+	return Config{
+		Cluster: cluster.TestbedConfig(), Speedup: speedup,
+		SchedInterval: 10, OrchInterval: 60, PreemptOverhead: 63, Scaling: job.Linear,
+		Audit: true,
+	}
+}
+
+// lyraOrchestrator is the Lyra loan protocol over the inference side of the
+// testbed cluster for tr, built the way the root package assembles it.
+func lyraOrchestrator(seed int64, tr *trace.Trace, less func(a, b *job.Job) bool) *orchestrator.Orchestrator {
+	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(seed+13), tr.Horizon, 300)
+	inf := inference.NewScheduler(util, cluster.TestbedConfig().InferenceServers, 0.02)
+	o := orchestrator.New(inf, reclaim.Lyra{}, less)
+	o.IncludeElasticDemand = true
+	return o
+}
+
 // TestEndToEndFIFO runs the full testbed with the FIFO scheduler on a small
 // workload: every job must complete, and the cluster must be clean.
 func TestEndToEndFIFO(t *testing.T) {
 	tr := trace.GenerateTestbed(3, 25)
-	cfg := Config{Cluster: cluster.TestbedConfig(), Speedup: 20000, Audit: true, Seed: 3}
-	tb := New(cfg, tr, &sched.FIFO{}, nil)
+	tb := New(testConfig(20000), tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)
 	if res.Completed != 25 {
 		t.Fatalf("completed %d/25", res.Completed)
@@ -202,16 +221,13 @@ func TestEndToEndFIFO(t *testing.T) {
 // orchestrator, whitelist handovers — and checks the books stay balanced.
 func TestEndToEndLyraWithLoaning(t *testing.T) {
 	tr := trace.GenerateTestbed(5, 30)
-	cfg := Config{Cluster: cluster.TestbedConfig(), Speedup: 20000, Audit: true, Seed: 5}
-	tb := New(cfg, tr, sched.NewLyra(),
-		func(less func(a, b *job.Job) bool, inf *inference.Scheduler) *orchestrator.Orchestrator {
-			return orchestrator.New(inf, reclaim.Lyra{}, less)
-		})
+	s := sched.NewLyra()
+	tb := New(testConfig(20000), tr, s, lyraOrchestrator(5, tr, s.Less))
 	res := tb.Run(tr.Horizon)
 	if res.Completed != 30 {
 		t.Fatalf("completed %d/30", res.Completed)
 	}
-	lyraWL, infWL := tb.Whitelists()
+	lyraWL, infWL := tb.lyraWL, tb.infWL
 	if lyraWL.Len()+infWL.Len() != 8 {
 		t.Errorf("whitelists cover %d servers, want 8", lyraWL.Len()+infWL.Len())
 	}

@@ -6,8 +6,10 @@
 //
 // The package is organized as the paper's system is:
 //
-//   - this root package: configuration, scheme registry, and the Run entry
-//     point that replays a trace through the discrete-event simulator;
+//   - this root package: configuration, scheme registry, and the two entry
+//     points that assemble a Config's scheme once and run it on either
+//     substrate — Run replays a trace through the discrete-event simulator,
+//     RunTestbed through the prototype runtime;
 //   - internal/sched, internal/alloc, internal/place, internal/reclaim,
 //     internal/orchestrator: Lyra's scheduler and every compared scheme;
 //   - internal/sim: the discrete-event cluster simulator;
@@ -68,7 +70,7 @@ type (
 	Summary = metrics.Summary
 	// FaultPlan is the deterministic fault-injection plan (internal/fault):
 	// seeded server crashes with timed recoveries, straggler slowdowns, and
-	// (testbed) container-launch/RPC faults. The zero plan injects nothing.
+	// (testbed) container-launch failures. The zero plan injects nothing.
 	FaultPlan = fault.Plan
 )
 
@@ -630,30 +632,9 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		return nil, err
 	}
 	psp := p.Start("prepare")
-
-	var (
-		rec  *obs.Recorder
-		ring *obs.Ring
-		buf  bytes.Buffer
-	)
-	if cfg.Events {
-		ring = obs.NewRing(128)
-		rec = obs.NewRecorder(obs.NewJSONLWriter(&buf), ring)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		ie, ok := r.(*invariant.Error)
-		if !ok {
-			panic(r)
-		}
-		rep, err = nil, &obs.ViolationError{Report: ie, Tail: ring.Tail(32)}
-	}()
-	tr = tr.Clone()
-	est := predict.WithError(cfg.FracWrongEstimate, cfg.MaxEstimateError, cfg.Seed+77)
-	est.Annotate(tr.Jobs)
+	r := newRun(cfg, tr)
+	defer r.recoverViolation(&err)
+	tr = r.tr
 
 	// Post-normalization the config's zero values are literal; the
 	// simulator still treats zero as "default", so explicit zeros cross
@@ -669,7 +650,7 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		PreemptOverhead: preempt,
 		Scaling:         cfg.Scaling,
 		Audit:           cfg.Audit,
-		Obs:             rec,
+		Obs:             r.rec,
 		Prof:            p,
 	}
 	if cfg.Faults.Enabled() {
@@ -717,34 +698,90 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		LostCapacityGPUSec: res.LostCapacityGPUSec,
 		Raw:                res,
 	}
-	if cfg.Events {
-		rep.Events = buf.Bytes()
-	}
+	rep.Events = r.buf.Bytes() // nil when recording was off
 	psp.End()
 	rep.Prof = p.Report()
 	return rep, nil
 }
 
-// oneStateEngine puts the whole configured cluster in one state: one
-// scheduler, and the orchestrator over that state when loaning is on.
+// run is the prelude Run and RunTestbed share, built from a normalized and
+// validated config: a private copy of the trace with the running-time
+// estimates annotated, and — when Config.Events is set — the recorder
+// writing JSONL into buf beside the ring that keeps a violation's lead-up.
+type run struct {
+	tr   *Trace
+	rec  *obs.Recorder
+	ring *obs.Ring
+	buf  bytes.Buffer
+}
+
+func newRun(cfg Config, tr *Trace) *run {
+	r := &run{tr: tr.Clone()}
+	if cfg.Events {
+		r.ring = obs.NewRing(128)
+		r.rec = obs.NewRecorder(obs.NewJSONLWriter(&r.buf), r.ring)
+	}
+	predict.WithError(cfg.FracWrongEstimate, cfg.MaxEstimateError, cfg.Seed+77).Annotate(r.tr.Jobs)
+	return r
+}
+
+// recoverViolation, deferred by an entry point, returns an invariant panic
+// as a *obs.ViolationError carrying the ring's tail; any other panic passes
+// through.
+func (r *run) recoverViolation(err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	ie, ok := p.(*invariant.Error)
+	if !ok {
+		panic(p)
+	}
+	*err = &obs.ViolationError{Report: ie, Tail: r.ring.Tail(32)}
+}
+
+// oneStateEngine puts the whole configured cluster in one state.
 func oneStateEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
-	s := schedulerRegistry[cfg.Scheduler](cfg)
-	infSched, targeter := inferenceSide(cfg, tr.Horizon, cfg.Cluster.InferenceServers, 0)
-	var orch sim.Orchestrator
-	if cfg.Loaning {
-		orch = &orchestrator.Orchestrator{Inf: targeter, Loans: loanProtocol(cfg, s.Less)}
+	s, orch, infSched := oneStateScheme(cfg, tr.Horizon, 1)
+	var seat sim.Orchestrator
+	if orch != nil {
+		seat = orch
 	}
 	simCfg.InferenceUtil = infSched.UtilizationAt
-	return sim.New(cluster.New(cfg.Cluster), tr.Jobs, tr.Horizon, s, orch, simCfg)
+	return sim.New(cluster.New(cfg.Cluster), tr.Jobs, tr.Horizon, s, seat, simCfg)
+}
+
+// oneStateScheme assembles the scheme cfg selects over one undivided
+// cluster: the scheduler, the inference pool, and the orchestrator over both
+// when loaning is on (nil otherwise). It is the one assembly both substrates
+// run — the simulator's one-state engine at compress 1, the prototype's
+// tick loop at TestbedOptions.UtilCompress.
+func oneStateScheme(cfg Config, horizon int64, compress int) (sim.Scheduler, *orchestrator.Orchestrator, *inference.Scheduler) {
+	s := schedulerRegistry[cfg.Scheduler](cfg)
+	infSched, targeter := inferenceSide(cfg, horizon, cfg.Cluster.InferenceServers, 0, compress)
+	if !cfg.Loaning {
+		return s, nil, infSched
+	}
+	return s, &orchestrator.Orchestrator{Inf: targeter, Loans: loanProtocol(cfg, s.Less)}, infSched
 }
 
 // inferenceSide builds one inference pool's utilization series and loan
 // targeter. Shard 0 keeps the base seeds (Seed+13, and Seed+19 for the
 // forecaster), so every topology with one inference pool sees the same
-// series; higher shards get salted, decorrelated streams.
-func inferenceSide(cfg Config, horizon int64, servers, shard int) (*inference.Scheduler, orchestrator.LoanTargeter) {
+// series; higher shards get salted, decorrelated streams. compress > 1
+// squeezes the diurnal curve in time — every compress-th sample of a series
+// generated compress times as long — so a run of a few simulated hours
+// still sees whole loan/reclaim cycles.
+func inferenceSide(cfg Config, horizon int64, servers, shard, compress int) (*inference.Scheduler, orchestrator.LoanTargeter) {
 	salt := int64(101 * shard)
-	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13+salt), horizon, 300)
+	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13+salt), horizon*int64(compress), 300)
+	if compress > 1 {
+		full := util.Values
+		util = metrics.NewTimeSeries(0, 300)
+		for i := 0; i < len(full); i += compress {
+			util.Append(full[i])
+		}
+	}
 	is := inference.NewScheduler(util, servers, cfg.Headroom)
 	if cfg.ProactiveReclaim {
 		return is, orchestrator.NewForecaster(is, cfg.Seed+19+salt)

@@ -3,8 +3,9 @@ package lyra_test
 // Scale benchmarks for the indexed cluster core: BenchmarkEpoch drives the
 // full Lyra scheduler (epoch loop, placement, loaning) over a one-day trace
 // at three scales. Together with BenchmarkBestFit (internal/place) these
-// are the perf-trajectory points recorded in BENCH_cluster.json;
-// `make bench-scale` regenerates them.
+// are working benchmarks for `go test -bench`; the recorded, gated numbers
+// are the repository benchmark's (BENCHMARK.json, benchmark/README.md),
+// whose scale-faulted workload is the 100x-faulted tier here.
 
 import (
 	"testing"

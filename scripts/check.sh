@@ -33,9 +33,6 @@ echo "== events-smoke (event-stream determinism end to end)"
 echo "== fault-smoke (fault injection + recovery end to end)"
 ./scripts/fault_smoke.sh
 
-echo "== bench-scale-smoke (scale benchmarks complete and emit JSON)"
-./scripts/bench_scale.sh -short /dev/null
-
 echo "== matrix-smoke (declarative scenario specs + SLO gating end to end)"
 ./scripts/matrix_smoke.sh
 
@@ -44,9 +41,5 @@ echo "== prof-smoke (span profiler + Chrome trace end to end)"
 
 echo "== shard-smoke (sharded engine: determinism + loan-conflict path end to end)"
 ./scripts/shard_smoke.sh
-
-echo "== bench-guard (perf trajectory within budget; selftest proves it can fail)"
-./scripts/bench_guard.sh
-./scripts/bench_guard.sh -selftest
 
 echo "OK"

@@ -83,7 +83,7 @@ echo "rack outages lost no jobs ($completed/$submitted), streams identical acros
 
 echo "== fault-smoke: crash-heavy testbed run (audit on)"
 "$dir/lyra-testbed" -scheme lyra -jobs 30 -speedup 20000 -seed 7 \
-	-faults "mtbf=7200,mttr=300,launchfail=0.1,rpcerr=0.02" \
+	-faults "mtbf=7200,mttr=300,launchfail=0.1" \
 	-audit -events "$dir/tb.jsonl" > "$dir/tb.out"
 cat "$dir/tb.out"
 tb_recoveries=$(sed -n 's/^faults .*recoveries=\([0-9][0-9]*\).*/\1/p' "$dir/tb.out")
@@ -92,5 +92,12 @@ if [ -z "$tb_recoveries" ] || [ "$tb_recoveries" -eq 0 ]; then
 	exit 1
 fi
 echo "testbed recovered $tb_recoveries times"
+
+echo "== fault-smoke: a fault key the testbed cannot honour is an error, not a no-op"
+if "$dir/lyra-testbed" -jobs 4 -faults rpcerr=0.02 > /dev/null 2> "$dir/bad.err" || ! grep -q 'valid: mtbf, .*launchfail, retries, seed' "$dir/bad.err"; then
+	echo "fault-smoke FAILED: -faults rpcerr=0.02 did not fail with the valid-key list:" >&2
+	cat "$dir/bad.err" >&2
+	exit 1
+fi
 
 echo "fault-smoke OK"

@@ -1,0 +1,105 @@
+package lyra
+
+import (
+	"fmt"
+
+	"lyra/internal/testbed"
+)
+
+// TestbedOptions are the knobs only the prototype runtime has; everything
+// about the scheme itself is the Config.
+type TestbedOptions struct {
+	// Speedup is simulated seconds per wall second (default 2000).
+	Speedup float64
+	// LaunchDelay is the container start latency in simulated seconds
+	// (default 5).
+	LaunchDelay float64
+	// UtilCompress squeezes the diurnal inference-utilization curve in time
+	// so that a half-day testbed run still exercises several loan/reclaim
+	// cycles (default 4: one "day" of traffic passes every six hours; 1 is
+	// the simulator's timebase). The paper's testbed scales the inference
+	// trace down to the testbed capacity the same way.
+	UtilCompress int
+}
+
+// TestbedResult is what a prototype run reports (Table 10 / Figure 17
+// inputs).
+type TestbedResult = testbed.Result
+
+// NormalizeTestbed is Normalize at the prototype's scale: a zero
+// SchedInterval / OrchInterval defaults to 10 s / 60 s — the same ratio as
+// production (the scheduler runs much more often, §3) at a scale where a
+// few-hour trace finishes in seconds of wall time. RunTestbed applies it;
+// the runner keys testbed runs through it.
+func (c Config) NormalizeTestbed() Config {
+	if !c.DefaultsApplied {
+		if c.SchedInterval == 0 {
+			c.SchedInterval = 10
+		}
+		if c.OrchInterval == 0 {
+			c.OrchInterval = 60
+		}
+	}
+	return c.Normalize()
+}
+
+// RunTestbed runs tr under cfg on the prototype runtime (internal/testbed,
+// §7.5): goroutine-backed worker containers with launch latency, per-job
+// elastic controllers and the whitelist handover, driven at an accelerated
+// wall clock. The scheme is assembled exactly as Run assembles it — same
+// registries, loan protocol and inference side — so one Config describes
+// the same scheduler and orchestrator on either substrate; only the
+// substrate differs. Invariant violations come back as *obs.ViolationError,
+// as from Run.
+//
+// The prototype is one training plus one inference pool without topology,
+// and its tick loop implements no engine-side degraded-mode policy: a
+// Config asking for shards, RestartBackoff, QuarantineHysteresis or
+// rack/zone outages is rejected with the field named rather than run
+// without them.
+func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (res TestbedResult, err error) {
+	cfg = cfg.NormalizeTestbed()
+	if err := cfg.Validate(); err != nil {
+		return res, err
+	}
+	switch {
+	case cfg.TrainingShards > 0:
+		return res, fmt.Errorf("lyra: TrainingShards/InferenceShards %d/%d: the testbed is one training and one inference pool (sharded topologies run in the simulator)", cfg.TrainingShards, cfg.InferenceShards)
+	case cfg.RestartBackoff:
+		return res, fmt.Errorf("lyra: RestartBackoff: the testbed's tick loop does not implement restart backoff")
+	case cfg.QuarantineHysteresis:
+		return res, fmt.Errorf("lyra: QuarantineHysteresis: the testbed's tick loop does not implement quarantine hysteresis")
+	case cfg.Faults.RackOutMTBF > 0:
+		return res, fmt.Errorf("lyra: Faults.RackOutMTBF (rackout) %v: the testbed has no rack topology", cfg.Faults.RackOutMTBF)
+	case cfg.Faults.ZoneOutMTBF > 0:
+		return res, fmt.Errorf("lyra: Faults.ZoneOutMTBF (zoneout) %v: the testbed has no zone topology", cfg.Faults.ZoneOutMTBF)
+	case opt.UtilCompress < 0:
+		return res, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
+	}
+	if opt.UtilCompress == 0 {
+		opt.UtilCompress = 4
+	}
+	r := newRun(cfg, tr)
+	defer r.recoverViolation(&err)
+
+	s, orch, _ := oneStateScheme(cfg, r.tr.Horizon, opt.UtilCompress)
+	tbCfg := testbed.Config{
+		Cluster:         cfg.Cluster,
+		Speedup:         opt.Speedup,
+		LaunchDelay:     opt.LaunchDelay,
+		SchedInterval:   float64(cfg.SchedInterval),
+		OrchInterval:    float64(cfg.OrchInterval),
+		PreemptOverhead: cfg.PreemptOverhead,
+		Scaling:         cfg.Scaling,
+		MaxSimTime:      cfg.MaxTime,
+		Audit:           cfg.Audit,
+		Obs:             r.rec,
+	}
+	if cfg.Faults.Enabled() {
+		fp := cfg.Faults
+		tbCfg.Faults = &fp
+	}
+	res = testbed.New(tbCfg, r.tr, s, orch).Run(r.tr.Horizon)
+	res.Events = r.buf.Bytes() // nil when recording was off
+	return res, nil
+}

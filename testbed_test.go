@@ -1,0 +1,140 @@
+package lyra
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"lyra/internal/cluster"
+	"lyra/internal/invariant"
+	"lyra/internal/obs"
+	"lyra/internal/orchestrator"
+	"lyra/internal/trace"
+)
+
+func testbedCfg(cfg Config) Config {
+	cfg.Cluster = cluster.TestbedConfig()
+	cfg.Audit = true
+	return cfg
+}
+
+// loanView renders what distinguishes one assembled orchestrator from
+// another: the loan-protocol flags and the kinds of policy and targeter.
+func loanView(o *orchestrator.Orchestrator) string {
+	return fmt.Sprintf("elastic=%v loanOnly=%v emergency=%v policy=%T targeter=%T",
+		o.IncludeElasticDemand, o.LoanOnlyDemand, o.EmergencyReclaim, o.Policy, o.Inf)
+}
+
+// The prototype's orchestrator must be the simulator's for the same Config:
+// same loan-protocol flags, same kind of loan targeter. (Before the shared
+// assembly the testbed wired a bare orchestrator.New — all three flags
+// false, the forecaster unreachable.)
+func TestTestbedSchemeMatchesSimulator(t *testing.T) {
+	opportunistic := DefaultConfig()
+	opportunistic.Elastic, opportunistic.Reclaim, opportunistic.Opportunistic = false, ReclaimRandom, true
+	proactive := DefaultConfig()
+	proactive.ProactiveReclaim, proactive.EmergencyReclaim = true, true
+	horizon := trace.GenerateTestbed(1, 12).Horizon
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"default", DefaultConfig(),
+			"elastic=true loanOnly=false emergency=false policy=reclaim.Lyra targeter=*inference.Scheduler"},
+		{"opportunistic", opportunistic,
+			"elastic=false loanOnly=true emergency=false policy=reclaim.Random targeter=*inference.Scheduler"},
+		{"proactive", proactive,
+			"elastic=true loanOnly=false emergency=true policy=reclaim.Lyra targeter=*orchestrator.Forecaster"},
+	} {
+		cfg := testbedCfg(tc.cfg)
+		// What oneStateEngine seats, and what RunTestbed hands testbed.New.
+		_, simOrch, _ := oneStateScheme(cfg.Normalize(), horizon, 1)
+		_, tbOrch, _ := oneStateScheme(cfg.NormalizeTestbed(), horizon, 4)
+		if got := loanView(simOrch); got != tc.want {
+			t.Errorf("%s: simulator orchestrator is %s, want %s", tc.name, got, tc.want)
+		}
+		if got := loanView(tbOrch); got != tc.want {
+			t.Errorf("%s: testbed orchestrator is %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// Every registered scheduler, without loaning and under every registered
+// reclaiming policy, drives the prototype to completion with the auditor on
+// every tick.
+func TestRunTestbedEveryScheme(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the prototype at wall-clock pace")
+	}
+	tr := trace.GenerateTestbed(3, 12)
+	for _, s := range Schedulers() {
+		for _, rc := range append([]ReclaimKind{""}, Reclaims()...) {
+			s, rc := s, rc
+			t.Run(fmt.Sprintf("%s/reclaim=%s", s, rc), func(t *testing.T) {
+				t.Parallel()
+				cfg := testbedCfg(Config{Scheduler: s, Elastic: true, Loaning: rc != "", Reclaim: rc, Seed: 3})
+				res, err := RunTestbed(cfg, tr, TestbedOptions{Speedup: 40000})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Completed != 12 || res.Total != 12 {
+					t.Errorf("completed %d of %d jobs, want 12", res.Completed, res.Total)
+				}
+				if res.LyraServers+res.InferenceServers != 8 {
+					t.Errorf("whitelists cover %d servers, want 8", res.LyraServers+res.InferenceServers)
+				}
+			})
+		}
+	}
+}
+
+// Settings the prototype cannot honour are errors naming the field, not
+// silent no-ops.
+func TestRunTestbedRejectsWhatItCannotHonour(t *testing.T) {
+	tr := trace.GenerateTestbed(1, 4)
+	for field, mut := range map[string]func(*Config){
+		"TrainingShards":       func(c *Config) { c.TrainingShards, c.InferenceShards = 2, 2 },
+		"RestartBackoff":       func(c *Config) { c.RestartBackoff = true },
+		"QuarantineHysteresis": func(c *Config) { c.QuarantineHysteresis = true },
+		"rackout":              func(c *Config) { c.Faults = FaultPlan{RackOutMTBF: 3600} },
+		"zoneout":              func(c *Config) { c.Faults = FaultPlan{ZoneOutMTBF: 3600} },
+		"Scheduler":            func(c *Config) { c.Scheduler = "nonsense" },
+	} {
+		cfg := testbedCfg(DefaultConfig())
+		mut(&cfg)
+		if _, err := RunTestbed(cfg, tr, TestbedOptions{}); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: RunTestbed error = %v, want one naming the field", field, err)
+		}
+	}
+	if _, err := RunTestbed(testbedCfg(DefaultConfig()), tr, TestbedOptions{UtilCompress: -1}); err == nil {
+		t.Error("RunTestbed accepted a negative UtilCompress")
+	}
+}
+
+// The one recover wrapper both entry points defer: an invariant panic comes
+// back as a *obs.ViolationError with the event ring's tail, anything else
+// keeps panicking.
+func TestRecoverViolation(t *testing.T) {
+	entry := func(panicWith func(r *run)) (err error) {
+		r := newRun(Config{Events: true}.Normalize(), &Trace{})
+		defer r.recoverViolation(&err)
+		panicWith(r)
+		return nil
+	}
+	err := entry(func(r *run) {
+		r.rec.Emit(obs.Ev(1, obs.KindSchedEpoch))
+		invariant.Fail("test:tick t=1", invariant.Violation{Rule: invariant.RuleLifecycle, Subject: "job 1"})
+	})
+	var ve *obs.ViolationError
+	if !errors.As(err, &ve) || len(ve.Tail) != 1 {
+		t.Fatalf("invariant panic returned %v, want a *obs.ViolationError with the one recorded event", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a non-invariant panic was swallowed")
+		}
+	}()
+	_ = entry(func(*run) { panic("boom") })
+}
