@@ -71,10 +71,13 @@ prof-smoke:
 shard-smoke:
 	@./scripts/shard_smoke.sh
 
-# bench runs the audit-overhead and experiment benchmarks (audit off: the
-# numbers quoted in DESIGN.md come from BenchmarkEngineAudit).
+# bench runs the audit-overhead benchmark (audit off: the numbers quoted in
+# DESIGN.md come from BenchmarkEngineAudit) and the one-second loops of the
+# phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
+# instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it.
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
+	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

@@ -8,6 +8,8 @@
 package alloc
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lyra/internal/cluster"
@@ -19,9 +21,8 @@ import (
 // generated per elastic job. Jobs with a wider flexible range get evenly
 // spaced worker counts; this keeps the pseudo-polynomial DP fast at
 // production scale while preserving the choice structure. Sweeps override
-// it per call via Tuning.MaxItems — the package default is never mutated,
-// so concurrent simulations stay independent.
-var Phase2MaxItems = 8
+// it per call via Tuning.MaxItems.
+const Phase2MaxItems = 8
 
 // Tuning carries the per-call MCKP knobs. The zero value selects the
 // package defaults (StabilityBonus, Phase2MaxItems); the ablation
@@ -64,10 +65,16 @@ type Extra struct {
 func JCTReduction(j *job.Job, extra int, sm job.ScalingModel) float64 {
 	base := j.NominalThroughput(j.MinWorkers, cluster.V100, sm)
 	more := j.NominalThroughput(j.MinWorkers+extra, cluster.V100, sm)
+	return reduction(j.Remaining, base, more)
+}
+
+// reduction is the running time saved on remaining work by raising the
+// throughput from base to more.
+func reduction(remaining, base, more float64) float64 {
 	if base <= 0 || more <= 0 {
 		return 0
 	}
-	return j.Remaining/base - j.Remaining/more
+	return remaining/base - remaining/more
 }
 
 // ThroughputCache memoizes per-job nominal-throughput tables. A job's
@@ -112,46 +119,46 @@ func (c *ThroughputCache) nominal(j *job.Job, w int) float64 {
 	return j.NominalThroughput(w, cluster.V100, c.sm)
 }
 
-// jctReduction is JCTReduction served from the cache.
-func (c *ThroughputCache) jctReduction(j *job.Job, extra int) float64 {
-	t := c.table(j)
-	base, more := t[0], c.nominal(j, j.MinWorkers+extra)
-	if base <= 0 || more <= 0 {
-		return 0
-	}
-	return j.Remaining/base - j.Remaining/more
+// Workspace is one scheduler's phase-2 scratch, reused from epoch to epoch
+// so that a solve allocates only what it returns: the throughput tables,
+// the MCKP solver's rows and pick arena, and the buffers the groups are
+// built in. The zero value is ready; not safe for concurrent use.
+type Workspace struct {
+	tables  *ThroughputCache
+	solver  knapsack.Solver
+	ordered []*job.Job      // ID-sorted copy of an unsorted input
+	items   []knapsack.Item // every group's items, back to back
+	extras  []int           // extras[i] is the extra-worker count items[i] stands for
+	start   []int           // group g is items[start[g]:start[g+1]]
+	owners  []*job.Job      // owners[g] is the job group g belongs to
+	groups  [][]knapsack.Item
 }
 
-// itemExtras returns the candidate extra-worker counts for one job: all of
-// 1..FlexRange when small, otherwise maxItems evenly spaced values always
-// including FlexRange. current (the job's present extra workers) is always
-// included so the stability bonus below has an item to attach to.
-func itemExtras(flexRange, current, maxItems int) []int {
+// itemExtras appends to dst the candidate extra-worker counts for one job,
+// ascending: all of 1..FlexRange when small, otherwise maxItems evenly
+// spaced values always including FlexRange. current (the job's present
+// extra workers) is always included so the stability bonus below has an
+// item to attach to.
+func itemExtras(dst []int, flexRange, current, maxItems int) []int {
 	if flexRange <= maxItems {
-		out := make([]int, flexRange)
-		for i := range out {
-			out[i] = i + 1
+		for k := 1; k <= flexRange; k++ {
+			dst = append(dst, k)
 		}
-		return out
+		return dst
 	}
-	out := make([]int, 0, maxItems+1)
+	prev := 0
 	for i := 1; i <= maxItems; i++ {
-		k := i * flexRange / maxItems
-		if k == 0 {
-			k = 1
-		}
-		if len(out) > 0 && out[len(out)-1] == k {
+		k := i * flexRange / maxItems // >= 1: flexRange > maxItems
+		if k == prev {
 			continue
 		}
-		if current > 0 && current <= flexRange && len(out) > 0 && out[len(out)-1] < current && current < k {
-			out = append(out, current)
+		if prev < current && current < k {
+			dst = append(dst, current)
 		}
-		out = append(out, k)
+		dst = append(dst, k)
+		prev = k
 	}
-	if current > 0 && current <= flexRange && (len(out) == 0 || out[0] > current) {
-		out = append([]int{current}, out...)
-	}
-	return out
+	return dst
 }
 
 // StabilityBonus is the default relative value bump a job's current
@@ -162,25 +169,33 @@ func itemExtras(flexRange, current, maxItems int) []int {
 // Pollux at 1.76x Lyra's scaling-operation count; the damping keeps Lyra on
 // the right side of that comparison). Pass Tuning.StabilityBonus = 1 to
 // disable per call (the ablation experiments do).
-var StabilityBonus = 1.08
+const StabilityBonus = 1.08
 
 // Phase2 solves the flexible-demand allocation as a multiple-choice
 // knapsack (§5.2): each elastic job contributes a group of items (one per
 // candidate extra-worker count), weights are GPUs, values are JCT
 // reductions, and the capacity is the number of GPUs available for flexible
 // workers. It returns the target extra workers per job (jobs absent from
-// the result get zero). cache, when non-nil, serves the throughput lookups
-// from per-job memoized tables (same values, fewer model evaluations); nil
-// evaluates the model directly.
-func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning, cache *ThroughputCache) []Extra {
+// the result get zero). ws is the caller's reused Workspace; nil solves in
+// a fresh one, with the same result.
+func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning, ws *Workspace) []Extra {
 	if capacityGPUs <= 0 || len(jobs) == 0 {
 		return nil
 	}
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	if ws.tables == nil {
+		ws.tables = NewThroughputCache(sm)
+	}
 	bonus, maxItems := tune.stabilityBonus(), tune.maxItems()
-	// Deterministic group order.
-	ordered := make([]*job.Job, len(jobs))
-	copy(ordered, jobs)
-	sort.Slice(ordered, func(i, k int) bool { return ordered[i].ID < ordered[k].ID })
+	// Deterministic group order: by ID, as State.ElasticOrdered already is.
+	ordered := jobs
+	if !slices.IsSortedFunc(jobs, byID) {
+		ws.ordered = append(ws.ordered[:0], jobs...)
+		ordered = ws.ordered
+		slices.SortFunc(ordered, byID)
+	}
 
 	// Shortcut: if everything fits, skip the DP.
 	total := 0
@@ -196,9 +211,6 @@ func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning,
 		}
 		return out
 	}
-	if capacityGPUs > total {
-		capacityGPUs = total
-	}
 
 	// Scale weights down by the common GPU granularity.
 	g := 0
@@ -209,45 +221,41 @@ func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning,
 		g = 1
 	}
 
-	groups := make([][]knapsack.Item, 0, len(ordered))
-	extras := make([][]int, 0, len(ordered))
-	groupJobs := make([]*job.Job, 0, len(ordered))
+	ws.items, ws.extras, ws.start, ws.owners = ws.items[:0], ws.extras[:0], ws.start[:0], ws.owners[:0]
 	for _, j := range ordered {
 		fr := j.FlexRange()
 		if fr == 0 {
 			continue
 		}
 		cur := j.FlexibleWorkers()
-		ks := itemExtras(fr, cur, maxItems)
-		items := make([]knapsack.Item, len(ks))
-		for i, k := range ks {
-			var v float64
-			if cache != nil {
-				v = cache.jctReduction(j, k)
-			} else {
-				v = JCTReduction(j, k, sm)
-			}
+		ws.start = append(ws.start, len(ws.items))
+		ws.owners = append(ws.owners, j)
+		ws.extras = itemExtras(ws.extras, fr, cur, maxItems)
+		tput := ws.tables.table(j)
+		for _, k := range ws.extras[len(ws.items):] {
+			v := reduction(j.Remaining, tput[0], tput[k])
 			if k == cur {
 				v *= bonus
 			}
-			items[i] = knapsack.Item{
-				Weight: k * j.GPUsPerWorker / g,
-				Value:  v,
-			}
+			ws.items = append(ws.items, knapsack.Item{Weight: k * j.GPUsPerWorker / g, Value: v})
 		}
-		groups = append(groups, items)
-		extras = append(extras, ks)
-		groupJobs = append(groupJobs, j)
 	}
-	_, choice := knapsack.MultiChoice(groups, capacityGPUs/g)
-	var out []Extra
+	ws.start = append(ws.start, len(ws.items))
+	ws.groups = ws.groups[:0]
+	for gi := range ws.owners {
+		ws.groups = append(ws.groups, ws.items[ws.start[gi]:ws.start[gi+1]])
+	}
+	_, choice := ws.solver.MultiChoice(ws.groups, capacityGPUs/g)
+	out := make([]Extra, 0, len(choice))
 	for gi, ci := range choice {
 		if ci >= 0 {
-			out = append(out, Extra{ID: groupJobs[gi].ID, Extra: extras[gi][ci]})
+			out = append(out, Extra{ID: ws.owners[gi].ID, Extra: ws.extras[ws.start[gi]+ci]})
 		}
 	}
 	return out
 }
+
+func byID(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
 
 func gcd(a, b int) int {
 	for b != 0 {

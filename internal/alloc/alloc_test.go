@@ -2,9 +2,13 @@ package alloc
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lyra/internal/job"
+	"lyra/internal/knapsack"
 )
 
 // tableJobs builds the elastic jobs of Table 2: A (w in [2,6], min running
@@ -133,7 +137,7 @@ func TestPhase2StabilityBonusPreventsChurn(t *testing.T) {
 }
 
 func TestItemExtrasSmallRange(t *testing.T) {
-	got := itemExtras(3, 0, Phase2MaxItems)
+	got := itemExtras(nil, 3, 0, Phase2MaxItems)
 	want := []int{1, 2, 3}
 	if len(got) != 3 || got[0] != want[0] || got[2] != want[2] {
 		t.Errorf("itemExtras(3) = %v", got)
@@ -141,7 +145,7 @@ func TestItemExtrasSmallRange(t *testing.T) {
 }
 
 func TestItemExtrasLargeRangeIncludesCurrentAndMax(t *testing.T) {
-	got := itemExtras(40, 7, Phase2MaxItems)
+	got := itemExtras(nil, 40, 7, Phase2MaxItems)
 	if got[len(got)-1] != 40 {
 		t.Errorf("max extra missing: %v", got)
 	}
@@ -202,5 +206,206 @@ func TestAFSRespectsCapacityAndRange(t *testing.T) {
 	}
 	if total != 8 {
 		t.Errorf("abundant capacity should fill both ranges: %v", got)
+	}
+}
+
+// refItemExtras is itemExtras as it was before it appended into caller
+// scratch, kept verbatim as the oracle: a fresh slice per call, the current
+// count prepended by copy when it precedes every spaced value.
+func refItemExtras(flexRange, current, maxItems int) []int {
+	if flexRange <= maxItems {
+		out := make([]int, flexRange)
+		for i := range out {
+			out[i] = i + 1
+		}
+		return out
+	}
+	out := make([]int, 0, maxItems+1)
+	for i := 1; i <= maxItems; i++ {
+		k := i * flexRange / maxItems
+		if k == 0 {
+			k = 1
+		}
+		if len(out) > 0 && out[len(out)-1] == k {
+			continue
+		}
+		if current > 0 && current <= flexRange && len(out) > 0 && out[len(out)-1] < current && current < k {
+			out = append(out, current)
+		}
+		out = append(out, k)
+	}
+	if current > 0 && current <= flexRange && (len(out) == 0 || out[0] > current) {
+		out = append([]int{current}, out...)
+	}
+	return out
+}
+
+func TestItemExtrasMatchesReference(t *testing.T) {
+	// Appending after stale scratch must leave the prefix alone and add
+	// exactly the reference's values, for every range, current count
+	// (including out-of-range ones) and item cap.
+	for flexRange := 0; flexRange <= 70; flexRange++ {
+		for current := -1; current <= flexRange+2; current++ {
+			for maxItems := 1; maxItems <= 12; maxItems++ {
+				got := itemExtras([]int{-7, -8}, flexRange, current, maxItems)
+				want := append([]int{-7, -8}, refItemExtras(flexRange, current, maxItems)...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("itemExtras(%d, %d, %d) = %v, want %v", flexRange, current, maxItems, got, want)
+				}
+			}
+		}
+	}
+}
+
+// refPhase2 is Phase2 as it was before the Workspace, kept verbatim as the
+// oracle: fresh slices per call, the model evaluated per item through
+// JCTReduction, a zero-workspace solve.
+func refPhase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning) []Extra {
+	if capacityGPUs <= 0 || len(jobs) == 0 {
+		return nil
+	}
+	bonus, maxItems := tune.stabilityBonus(), tune.maxItems()
+	ordered := make([]*job.Job, len(jobs))
+	copy(ordered, jobs)
+	sort.Slice(ordered, func(i, k int) bool { return ordered[i].ID < ordered[k].ID })
+	total := 0
+	for _, j := range ordered {
+		total += j.FlexRange() * j.GPUsPerWorker
+	}
+	if total <= capacityGPUs {
+		out := make([]Extra, 0, len(ordered))
+		for _, j := range ordered {
+			if j.FlexRange() > 0 {
+				out = append(out, Extra{ID: j.ID, Extra: j.FlexRange()})
+			}
+		}
+		return out
+	}
+	g := 0
+	for _, j := range ordered {
+		g = gcd(g, j.GPUsPerWorker)
+	}
+	if g == 0 {
+		g = 1
+	}
+	groups := make([][]knapsack.Item, 0, len(ordered))
+	extras := make([][]int, 0, len(ordered))
+	groupJobs := make([]*job.Job, 0, len(ordered))
+	for _, j := range ordered {
+		fr := j.FlexRange()
+		if fr == 0 {
+			continue
+		}
+		cur := j.FlexibleWorkers()
+		ks := refItemExtras(fr, cur, maxItems)
+		items := make([]knapsack.Item, len(ks))
+		for i, k := range ks {
+			v := JCTReduction(j, k, sm)
+			if k == cur {
+				v *= bonus
+			}
+			items[i] = knapsack.Item{Weight: k * j.GPUsPerWorker / g, Value: v}
+		}
+		groups = append(groups, items)
+		extras = append(extras, ks)
+		groupJobs = append(groupJobs, j)
+	}
+	_, choice := knapsack.MultiChoice(groups, capacityGPUs/g)
+	var out []Extra
+	for gi, ci := range choice {
+		if ci >= 0 {
+			out = append(out, Extra{ID: groupJobs[gi].ID, Extra: extras[gi][ci]})
+		}
+	}
+	return out
+}
+
+// contendedJobs draws n elastic jobs with mixed worker shapes, flexible
+// ranges from 0 (no group) to well past the default item cap, partial
+// progress and some flexible workers already held, in shuffled ID order.
+func contendedJobs(rng *rand.Rand, n int) []*job.Job {
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		minW := rng.Intn(4) + 1
+		j := job.New(i+1, 0, job.Generic, 1<<rng.Intn(3), minW, minW+[]int{0, 1, 3, 8, 9, 30}[rng.Intn(6)], float64(rng.Intn(5000)+60))
+		j.Elastic = true
+		j.Remaining = j.Work * (0.1 + 0.9*rng.Float64())
+		for w := 0; w < minW; w++ {
+			j.Workers = append(j.Workers, job.Worker{Server: w, GPUs: j.GPUsPerWorker})
+		}
+		for w := rng.Intn(j.FlexRange() + 1); w > 0 && rng.Intn(2) == 0; w-- {
+			j.Workers = append(j.Workers, job.Worker{Server: 100 + w, GPUs: j.GPUsPerWorker, Flexible: true})
+		}
+		jobs[i] = j
+	}
+	rng.Shuffle(n, func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
+	return jobs
+}
+
+func TestPhase2ReusedWorkspaceMatchesFresh(t *testing.T) {
+	// One Workspace through a call sequence whose candidate set grows and
+	// shrinks (stale scratch behind every buffer), with unsorted and
+	// sorted input, FlexRange == 0 jobs, item caps below and above the
+	// jobs' flexible ranges, capacities from one GPU to everything-fits
+	// and progress advancing between calls: every call must return what a
+	// nil workspace returns, and what Phase2 returned before it had one.
+	rng := rand.New(rand.NewSource(5))
+	jobs := contendedJobs(rng, 60)
+	sorted := slices.Clone(jobs)
+	slices.SortFunc(sorted, byID)
+	var ws Workspace
+	solves := 0
+	for call := 0; call < 300; call++ {
+		in := jobs
+		if call%2 == 1 {
+			in = sorted
+		}
+		in = in[:[]int{60, 7, 33, 1, 60, 2}[call%6]]
+		tune := Tuning{MaxItems: []int{0, 2, 40, 1}[call%4], StabilityBonus: []float64{0, 1, 1.5}[call%3]}
+		capacity := rng.Intn(400) + 1
+		got := Phase2(in, capacity, job.Imperfect, tune, &ws)
+		want := Phase2(in, capacity, job.Imperfect, tune, nil)
+		ref := refPhase2(in, capacity, job.Imperfect, tune)
+		if !slices.Equal(got, want) || !slices.Equal(got, ref) {
+			t.Fatalf("call %d (%d jobs, capacity %d, %+v):\nreused workspace %v\nfresh %v\nreference %v",
+				call, len(in), capacity, tune, got, want, ref)
+		}
+		used, demand := 0, 0
+		for _, e := range got {
+			used += e.Extra * sorted[e.ID-1].GPUsPerWorker
+		}
+		if used > capacity {
+			t.Fatalf("call %d: targets use %d GPUs of %d", call, used, capacity)
+		}
+		for _, j := range in {
+			demand += j.FlexRange() * j.GPUsPerWorker
+			j.Remaining *= 0.97
+		}
+		if demand > capacity {
+			solves++
+		}
+	}
+	if solves < 100 {
+		t.Fatalf("only %d of 300 calls reached the MCKP: the sequence tests too little", solves)
+	}
+}
+
+// BenchmarkPhase2 is phase 2's one-second loop (make bench): 354 contended
+// elastic jobs for the paper's 245 GPUs, through a reused Workspace as the
+// scheduler holds one and through nil as the reference path does.
+func BenchmarkPhase2(b *testing.B) {
+	jobs := contendedJobs(rand.New(rand.NewSource(1)), 354)
+	slices.SortFunc(jobs, byID)
+	for _, ws := range []*Workspace{new(Workspace), nil} {
+		name := "reused"
+		if ws == nil {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Phase2(jobs, 245, job.Imperfect, Tuning{}, ws)
+			}
+		})
 	}
 }

@@ -2,38 +2,9 @@ package knapsack
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
-
-// FuzzZeroOneAgainstBrute cross-checks the DP against exhaustive search on
-// fuzzer-chosen instances.
-func FuzzZeroOneAgainstBrute(f *testing.F) {
-	f.Add(uint16(0x1234), uint8(5), uint8(10))
-	f.Add(uint16(0xffff), uint8(8), uint8(0))
-	f.Fuzz(func(t *testing.T, bits uint16, n, capacity uint8) {
-		items := make([]Item, int(n)%10+1)
-		for i := range items {
-			items[i] = Item{
-				Weight: int(bits>>(uint(i)%12)) % 8,
-				Value:  float64((int(bits) * (i + 3)) % 40),
-			}
-		}
-		capGPUs := int(capacity) % 24
-		dp, sel := ZeroOne(items, capGPUs)
-		brute, _ := ZeroOneBrute(items, capGPUs)
-		if math.Abs(dp-brute) > 1e-9 {
-			t.Fatalf("dp=%v brute=%v items=%v cap=%d", dp, brute, items, capGPUs)
-		}
-		w, v := 0, 0.0
-		for _, idx := range sel {
-			w += items[idx].Weight
-			v += items[idx].Value
-		}
-		if w > capGPUs || math.Abs(v-dp) > 1e-9 {
-			t.Fatalf("selection inconsistent: w=%d v=%v dp=%v", w, v, dp)
-		}
-	})
-}
 
 // FuzzMultiChoiceAgainstBrute cross-checks the MCKP DP.
 func FuzzMultiChoiceAgainstBrute(f *testing.F) {
@@ -66,6 +37,24 @@ func FuzzMultiChoiceAgainstBrute(f *testing.F) {
 		}
 		if w > capGPUs || math.Abs(v-dp) > 1e-9 {
 			t.Fatalf("choice inconsistent: w=%d v=%v dp=%v", w, v, dp)
+		}
+	})
+}
+
+// FuzzMultiChoiceAgainstReference drives one reused Solver through a
+// fuzzer-chosen sequence of instances, large then small then large again,
+// and requires every solve to be bit-equal in value and choice to the
+// reference DP (refMultiChoice).
+func FuzzMultiChoiceAgainstReference(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(3))
+	f.Add(int64(-7), uint8(2), uint8(60))
+	f.Add(int64(1<<40), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, first, second uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var s Solver
+		for _, maxGroups := range []int{int(first), int(second), int(first)} {
+			groups, capacity := randomInstance(rng, maxGroups)
+			checkAgainstReference(t, &s, groups, capacity)
 		}
 	})
 }

@@ -1,8 +1,6 @@
-// Package knapsack implements the combinatorial kernels Lyra's scheduling
-// reduces to: the 0-1 knapsack (server reclaiming without value coupling),
-// the multiple-choice knapsack (phase-2 elastic allocation, §5.2), and
-// brute-force reference solvers used to verify the DP implementations and
-// to compute the exhaustive-optimal reclaiming baseline (§7.3).
+// Package knapsack implements the combinatorial kernel Lyra's phase-2
+// elastic allocation reduces to, the multiple-choice knapsack (§5.2), and
+// the brute-force reference solver the tests verify it against.
 package knapsack
 
 import "math"
@@ -17,72 +15,24 @@ type Item struct {
 // eps absorbs float rounding when comparing candidate values.
 const eps = 1e-9
 
-// ZeroOne solves the 0-1 knapsack problem by dynamic programming: choose a
-// subset of items with total weight <= capacity maximizing total value.
-// It returns the best value and the chosen item indices in ascending order.
-// Complexity O(n*capacity) time, O(n*capacity) space.
-func ZeroOne(items []Item, capacity int) (float64, []int) {
-	if capacity < 0 {
-		return 0, nil
-	}
-	n := len(items)
-	// dp[i][w] = best value using items[0:i] with weight budget w.
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, capacity+1)
-	}
-	for i := 1; i <= n; i++ {
-		it := items[i-1]
-		for w := 0; w <= capacity; w++ {
-			dp[i][w] = dp[i-1][w]
-			if it.Weight <= w {
-				if v := dp[i-1][w-it.Weight] + it.Value; v > dp[i][w]+eps {
-					dp[i][w] = v
-				}
-			}
-		}
-	}
-	// Recover the selection.
-	var chosen []int
-	w := capacity
-	for i := n; i >= 1; i-- {
-		if dp[i][w] > dp[i-1][w]+eps {
-			chosen = append(chosen, i-1)
-			w -= items[i-1].Weight
-		}
-	}
-	reverse(chosen)
-	return dp[n][capacity], chosen
+// MaxGroupItems is the most items one group may hold: the pick table
+// stores the chosen item's index plus one (0 = none) as an int16.
+const MaxGroupItems = math.MaxInt16
+
+// Solver is the reusable workspace of MultiChoice: two value rows, one flat
+// pick arena holding each group's band of budgets, and the bands. Buffers
+// grow on demand and are never shrunk, so a warm Solver allocates only the
+// returned choice slice. The zero value is ready; a Solver is not safe for
+// concurrent use. A group of more than MaxGroupItems items panics.
+type Solver struct {
+	dp, next    []float64
+	pick        []int16 // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
+	lo, hi, off []int
 }
 
-// ZeroOneBrute solves the 0-1 knapsack by exhaustive enumeration. It is
-// exponential and exists to cross-check ZeroOne in tests. Panics are avoided
-// by capping n at 24 items; larger inputs return (NaN, nil).
-func ZeroOneBrute(items []Item, capacity int) (float64, []int) {
-	n := len(items)
-	if n > 24 {
-		return math.NaN(), nil
-	}
-	best, bestMask := 0.0, 0
-	for mask := 0; mask < 1<<n; mask++ {
-		w, v := 0, 0.0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				w += items[i].Weight
-				v += items[i].Value
-			}
-		}
-		if w <= capacity && v > best+eps {
-			best, bestMask = v, mask
-		}
-	}
-	var chosen []int
-	for i := 0; i < n; i++ {
-		if bestMask&(1<<i) != 0 {
-			chosen = append(chosen, i)
-		}
-	}
-	return best, chosen
+// MultiChoice solves one instance in a fresh Solver.
+func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
+	return new(Solver).MultiChoice(groups, capacity)
 }
 
 // MultiChoice solves the multiple-choice knapsack problem (§5.2): from each
@@ -92,49 +42,91 @@ func ZeroOneBrute(items []Item, capacity int) (float64, []int) {
 //
 // This is exactly the formulation Lyra uses for phase-2 allocation: each
 // elastic job is a group; the item for "+k workers" has weight k*GPUs and
-// value equal to the job's JCT reduction. The DP runs in
-// O(totalItems*capacity) pseudo-polynomial time, which the paper reports as
-// at most 0.02 s for 354 items and 245 GPUs.
-func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
-	choice := make([]int, len(groups))
+// value equal to the job's JCT reduction (the paper reports at most 0.02 s
+// for 354 items and 245 GPUs). The DP visits every item once per budget of
+// its group's band [lo, hi], at most totalItems*(capacity+1) cells. The
+// bands are exact (DESIGN.md §10): with maxw the heaviest usable item of a
+// group, every budget above hi = min(capacity, Σ maxw of groups 0..g)
+// repeats the row's cell at hi, and the recovery walk down from capacity
+// never reads group g below lo = capacity - Σ maxw of groups g+1.. . Per
+// budget the items are tried in index order against the same running best,
+// so ties break as in the one-cell-at-a-time textbook DP.
+func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
+	n := len(groups)
+	choice := make([]int, n)
 	for i := range choice {
 		choice[i] = -1
 	}
-	if capacity < 0 {
+	if capacity < 0 || n == 0 {
 		return 0, choice
 	}
-	// dp[w] after processing g groups; pick[g][w] = item chosen for group
-	// g at budget w (-1 = none).
-	dp := make([]float64, capacity+1)
-	next := make([]float64, capacity+1)
-	pick := make([][]int16, len(groups))
+	s.lo, s.hi, s.off = grow(s.lo, n), grow(s.hi, n), grow(s.off, n)
+	reach := 0 // forward: hi[g]; lo[g] holds maxw until the backward pass
 	for g, items := range groups {
-		pick[g] = make([]int16, capacity+1)
-		for w := 0; w <= capacity; w++ {
-			next[w] = dp[w]
-			pick[g][w] = -1
-			for idx, it := range items {
-				if it.Weight < 0 || it.Weight > w {
-					continue
+		if len(items) > MaxGroupItems {
+			panic("knapsack: group exceeds MaxGroupItems")
+		}
+		maxw := 0
+		for _, it := range items {
+			if it.Weight <= capacity {
+				maxw = max(maxw, it.Weight)
+			}
+		}
+		reach = min(capacity, reach+maxw)
+		s.lo[g], s.hi[g] = maxw, reach
+	}
+	cells, need := 0, capacity // backward: lo[g] (no higher than hi[g]) and the row offsets
+	for g := n - 1; g >= 0; g-- {
+		maxw := s.lo[g]
+		s.lo[g], s.off[g] = min(need, s.hi[g]), cells
+		cells += s.hi[g] - s.lo[g] + 1
+		need = max(0, need-maxw)
+	}
+	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
+
+	dp, next := s.dp, s.next
+	clear(dp[:s.hi[0]+1])
+	for g, items := range groups {
+		lo, hi := s.lo[g], s.hi[g]
+		row := s.pick[s.off[g]:][:hi-lo+1]
+		clear(row)
+		copy(next[lo:hi+1], dp[lo:hi+1])
+		for idx, it := range items {
+			if it.Weight < 0 || it.Weight > hi {
+				continue
+			}
+			from := max(lo, it.Weight)
+			dst := next[from : hi+1]
+			src, pk := dp[from-it.Weight:][:len(dst)], row[from-lo:][:len(dst)]
+			for i, best := range dst {
+				if v := src[i] + it.Value; v > best+eps {
+					dst[i], pk[i] = v, int16(idx+1)
 				}
-				if v := dp[w-it.Weight] + it.Value; v > next[w]+eps {
-					next[w] = v
-					pick[g][w] = int16(idx)
-				}
+			}
+		}
+		if g+1 < n { // the next row reads this one's flat tail up to its own hi
+			for w := hi + 1; w <= s.hi[g+1]; w++ {
+				next[w] = next[hi]
 			}
 		}
 		dp, next = next, dp
 	}
-	// Recover choices.
 	w := capacity
-	for g := len(groups) - 1; g >= 0; g-- {
-		idx := pick[g][w]
-		choice[g] = int(idx)
-		if idx >= 0 {
-			w -= groups[g][idx].Weight
+	for g := n - 1; g >= 0; g-- {
+		if p := s.pick[s.off[g]+min(w, s.hi[g])-s.lo[g]]; p > 0 {
+			choice[g] = int(p) - 1
+			w -= groups[g][p-1].Weight
 		}
 	}
-	return dp[capacity], choice
+	return dp[s.hi[n-1]], choice
+}
+
+// grow returns s with length n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MultiChoiceBrute solves MCKP by exhaustive enumeration for verification.
@@ -179,10 +171,4 @@ func MultiChoiceBrute(groups [][]Item, capacity int) (float64, []int) {
 	}
 	rec(0, 0, 0)
 	return best, bestChoice
-}
-
-func reverse(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -3,87 +3,11 @@ package knapsack
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
-
-func TestZeroOneKnown(t *testing.T) {
-	items := []Item{{Weight: 2, Value: 3}, {Weight: 3, Value: 4}, {Weight: 4, Value: 5}, {Weight: 5, Value: 6}}
-	best, chosen := ZeroOne(items, 5)
-	if best != 7 {
-		t.Errorf("best = %v, want 7 (items 0+1)", best)
-	}
-	wantChosen := []int{0, 1}
-	if len(chosen) != 2 || chosen[0] != wantChosen[0] || chosen[1] != wantChosen[1] {
-		t.Errorf("chosen = %v, want %v", chosen, wantChosen)
-	}
-}
-
-func TestZeroOneEmptyAndNegative(t *testing.T) {
-	if best, chosen := ZeroOne(nil, 10); best != 0 || chosen != nil {
-		t.Errorf("empty: %v %v", best, chosen)
-	}
-	if best, _ := ZeroOne([]Item{{Weight: 1, Value: 1}}, -1); best != 0 {
-		t.Errorf("negative capacity: %v", best)
-	}
-}
-
-func TestZeroOneZeroWeightItems(t *testing.T) {
-	items := []Item{{Weight: 0, Value: 2}, {Weight: 1, Value: 1}}
-	best, chosen := ZeroOne(items, 0)
-	if best != 2 || len(chosen) != 1 || chosen[0] != 0 {
-		t.Errorf("zero-weight item not taken for free: best=%v chosen=%v", best, chosen)
-	}
-}
-
-func TestZeroOneSelectionConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(12) + 1
-		items := make([]Item, n)
-		for i := range items {
-			items[i] = Item{Weight: rng.Intn(8), Value: float64(rng.Intn(20))}
-		}
-		cap := rng.Intn(20)
-		best, chosen := ZeroOne(items, cap)
-		w, v := 0, 0.0
-		for _, idx := range chosen {
-			w += items[idx].Weight
-			v += items[idx].Value
-		}
-		if w > cap {
-			t.Fatalf("selection overweight: %d > %d", w, cap)
-		}
-		if math.Abs(v-best) > 1e-9 {
-			t.Fatalf("selection value %v != reported best %v", v, best)
-		}
-	}
-}
-
-func TestPropertyZeroOneMatchesBrute(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 1
-		items := make([]Item, n)
-		for i := range items {
-			items[i] = Item{Weight: rng.Intn(10), Value: float64(rng.Intn(50))}
-		}
-		cap := rng.Intn(25)
-		dp, _ := ZeroOne(items, cap)
-		brute, _ := ZeroOneBrute(items, cap)
-		return math.Abs(dp-brute) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestZeroOneBruteTooLarge(t *testing.T) {
-	items := make([]Item, 30)
-	if v, sel := ZeroOneBrute(items, 5); !math.IsNaN(v) || sel != nil {
-		t.Error("brute force should refuse >24 items")
-	}
-}
 
 func TestMultiChoiceKnownFigure6(t *testing.T) {
 	// Figure 6 of the paper: job A (2 GPUs/worker, one extra worker with
@@ -189,11 +113,11 @@ func TestMultiChoiceBruteTooLarge(t *testing.T) {
 	}
 }
 
-func TestMultiChoicePaperScalePerformance(t *testing.T) {
-	// §5.2 reports 354 items / 245 GPUs solved in 0.02 s; the DP must be
-	// comfortably fast at that scale.
-	rng := rand.New(rand.NewSource(42))
-	groups := make([][]Item, 59) // 59 groups x 6 items = 354 items
+// paperScaleGroups is the instance size §5.2 quotes: 59 groups x 6 items =
+// 354 items, solved against 245 GPUs.
+func paperScaleGroups(seed int64) [][]Item {
+	rng := rand.New(rand.NewSource(seed))
+	groups := make([][]Item, 59)
 	for g := range groups {
 		items := make([]Item, 6)
 		for i := range items {
@@ -201,8 +125,198 @@ func TestMultiChoicePaperScalePerformance(t *testing.T) {
 		}
 		groups[g] = items
 	}
-	best, choice := MultiChoice(groups, 245)
-	if best <= 0 || len(choice) != 59 {
-		t.Errorf("paper-scale MCKP produced best=%v len(choice)=%d", best, len(choice))
+	return groups
+}
+
+func TestMultiChoicePaperScalePerformance(t *testing.T) {
+	// §5.2 reports 354 items / 245 GPUs solved in at most 0.02 s. The
+	// fastest of a few solves is held to that bound, so a descheduled test
+	// process does not fail it; a warm Solver allocates only the choice
+	// slice it returns.
+	groups := paperScaleGroups(42)
+	var s Solver
+	fastest := time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		best, choice := s.MultiChoice(groups, 245)
+		fastest = min(fastest, time.Since(start))
+		if best <= 0 || len(choice) != 59 {
+			t.Fatalf("paper-scale MCKP produced best=%v len(choice)=%d", best, len(choice))
+		}
+	}
+	if fastest >= 20*time.Millisecond {
+		t.Errorf("paper-scale MCKP took %v, the paper's bound is 20ms", fastest)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.MultiChoice(groups, 245) }); allocs > 1 {
+		t.Errorf("warm Solver allocates %v times per solve, want <= 1", allocs)
+	}
+}
+
+func TestMultiChoiceGroupTooLargePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a group of more than MaxGroupItems items must panic, not wrap its int16 pick")
+		}
+	}()
+	MultiChoice([][]Item{make([]Item, MaxGroupItems+1)}, 1)
+}
+
+// refMultiChoice is the textbook MCKP DP this package shipped before the
+// banded Solver, kept verbatim as the oracle: one cell at a time over the
+// full capacity of every group, a fresh pick matrix per call. The Solver
+// must agree with it bit for bit, value and choice (the tie-breaks are part
+// of the golden event stream).
+func refMultiChoice(groups [][]Item, capacity int) (float64, []int) {
+	choice := make([]int, len(groups))
+	for i := range choice {
+		choice[i] = -1
+	}
+	if capacity < 0 {
+		return 0, choice
+	}
+	// dp[w] after processing g groups; pick[g][w] = item chosen for group
+	// g at budget w (-1 = none).
+	dp := make([]float64, capacity+1)
+	next := make([]float64, capacity+1)
+	pick := make([][]int16, len(groups))
+	for g, items := range groups {
+		pick[g] = make([]int16, capacity+1)
+		for w := 0; w <= capacity; w++ {
+			next[w] = dp[w]
+			pick[g][w] = -1
+			for idx, it := range items {
+				if it.Weight < 0 || it.Weight > w {
+					continue
+				}
+				if v := dp[w-it.Weight] + it.Value; v > next[w]+eps {
+					next[w] = v
+					pick[g][w] = int16(idx)
+				}
+			}
+		}
+		dp, next = next, dp
+	}
+	// Recover choices.
+	w := capacity
+	for g := len(groups) - 1; g >= 0; g-- {
+		idx := pick[g][w]
+		choice[g] = int(idx)
+		if idx >= 0 {
+			w -= groups[g][idx].Weight
+		}
+	}
+	return dp[capacity], choice
+}
+
+// randomInstance draws one MCKP instance of up to maxGroups groups. mode
+// picks the value distribution: random floats, small integers (many exact
+// ties), multiples of eps/2 (differences at the comparison threshold) or
+// signed values. Weights run from -1 (skipped by the DP) and 0 (free) up;
+// some groups are empty; the capacity runs from -2 past the sum of the
+// heaviest items, so both band edges and the everything-fits case occur.
+func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
+	mode, maxWeight := rng.Intn(4), rng.Intn(12)+1
+	groups := make([][]Item, rng.Intn(maxGroups+1))
+	reach := 0
+	for g := range groups {
+		items := make([]Item, rng.Intn(6))
+		maxw := 0
+		for i := range items {
+			it := Item{Weight: rng.Intn(maxWeight+2) - 1}
+			switch mode {
+			case 0:
+				it.Value = rng.Float64() * 100
+			case 1:
+				it.Value = float64(rng.Intn(4))
+			case 2:
+				it.Value = float64(rng.Intn(9)) * 0.5e-9
+			default:
+				it.Value = rng.Float64()*20 - 10
+			}
+			items[i] = it
+			maxw = max(maxw, it.Weight)
+		}
+		groups[g] = items
+		reach += maxw
+	}
+	return groups, rng.Intn(reach+6) - 2
+}
+
+// checkAgainstReference solves one instance through s and through the
+// reference DP and requires bit-equal value and identical choice.
+func checkAgainstReference(t *testing.T, s *Solver, groups [][]Item, capacity int) {
+	t.Helper()
+	got, gotChoice := s.MultiChoice(groups, capacity)
+	want, wantChoice := refMultiChoice(groups, capacity)
+	if math.Float64bits(got) != math.Float64bits(want) || !slices.Equal(gotChoice, wantChoice) {
+		t.Fatalf("Solver = (%v, %v), reference = (%v, %v)\ncapacity %d groups %v",
+			got, gotChoice, want, wantChoice, capacity, groups)
+	}
+}
+
+func TestPropertyMultiChoiceMatchesReference(t *testing.T) {
+	// One reused Solver through instances of growing and shrinking size:
+	// stale rows, picks and bands from a larger solve must never leak into
+	// a smaller one.
+	rng := rand.New(rand.NewSource(17))
+	var s Solver
+	for trial := 0; trial < 4000; trial++ {
+		maxGroups := []int{3, 40, 8, 1, 20}[trial%5]
+		groups, capacity := randomInstance(rng, maxGroups)
+		checkAgainstReference(t, &s, groups, capacity)
+	}
+	// Band edges by hand: nothing fits, everything fits, all groups empty.
+	tight := [][]Item{{{Weight: 3, Value: 1}}, {}, {{Weight: 0, Value: 2}, {Weight: 2, Value: 2}}}
+	for _, capacity := range []int{0, 1, 5, 6, 1000} {
+		checkAgainstReference(t, &s, tight, capacity)
+	}
+	checkAgainstReference(t, &s, [][]Item{{}, {}}, 4)
+}
+
+// medianProdIdealGroups has the shape of the median phase-2 instance of the
+// repository benchmark's prod-ideal workload (seed 1, 1,232 solves): 277
+// groups, 854 items, capacity 1,042, the heaviest items summing to about
+// three times the capacity.
+func medianProdIdealGroups() [][]Item {
+	rng := rand.New(rand.NewSource(1))
+	groups := make([][]Item, 277)
+	for g := range groups {
+		items := make([]Item, 3)
+		if g%12 == 1 {
+			items = make([]Item, 4) // 254*3 + 23*4 = 854 items
+		}
+		step := rng.Intn(7) + 1 // heaviest item 3..28 GPUs, 12 on average
+		for i := range items {
+			items[i] = Item{Weight: step * (i + 1), Value: rng.Float64() * 1000 * float64(i+1) / float64(i+2)}
+		}
+		groups[g] = items
+	}
+	return groups
+}
+
+// BenchmarkMultiChoice is the kernel's one-second loop (make bench): a warm
+// Solver as the scheduler holds one, the zero-workspace package function,
+// and the reference DP for the ratio.
+func BenchmarkMultiChoice(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		groups   [][]Item
+		capacity int
+	}{
+		{"paper-59x6-cap245", paperScaleGroups(42), 245},
+		{"prod-ideal-median-277g-854i-cap1042", medianProdIdealGroups(), 1042},
+	} {
+		var s Solver
+		for _, solve := range []struct {
+			name string
+			fn   func([][]Item, int) (float64, []int)
+		}{{"warm", s.MultiChoice}, {"fresh", MultiChoice}, {"reference", refMultiChoice}} {
+			b.Run(shape.name+"/"+solve.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					solve.fn(shape.groups, shape.capacity)
+				}
+			})
+		}
 	}
 }

@@ -41,12 +41,13 @@ type Lyra struct {
 	// independently.
 	Tuning alloc.Tuning
 
-	// cache memoizes per-job nominal-throughput tables for the phase-2
-	// MCKP (see alloc.ThroughputCache: pure memoization, bit-identical
-	// decisions). p2target is the per-epoch target map, reused across
-	// epochs. Both are per-instance — scheduler factories build a fresh
-	// instance per run, so concurrent simulations stay independent.
-	cache    *alloc.ThroughputCache
+	// ws is the phase-2 MCKP's reused scratch (see alloc.Workspace:
+	// memoized throughput tables, solver rows, group buffers; decisions
+	// are bit-identical to a fresh one). p2target is the per-epoch target
+	// map, reused across epochs. Both are per-instance — scheduler
+	// factories build a fresh instance per run and per shard, so
+	// concurrent simulations stay independent.
+	ws       alloc.Workspace
 	p2target map[int]int
 }
 
@@ -54,7 +55,7 @@ type Lyra struct {
 func NewLyra() *Lyra { return &Lyra{Elastic: true} }
 
 // Memoryless implements sim.MemorylessScheduler: Schedule is a pure
-// function of the state (the throughput cache is memoization, not memory).
+// function of the state (the phase-2 workspace is scratch, not memory).
 func (l *Lyra) Memoryless() bool { return true }
 
 // Less implements sim.Scheduler: SJF over estimated runtime, or
@@ -111,11 +112,12 @@ func (l *Lyra) phase2(st *sim.State) {
 	flexGPUs := st.FlexNominalGPUs()
 	freeT, freeL := st.FreeSchedulableGPUs()
 	capacity := freeT + freeL + flexGPUs
-	if l.cache == nil && !st.Rescan {
-		l.cache = alloc.NewThroughputCache(st.Scaling)
+	ws := &l.ws
+	if st.Rescan {
+		ws = nil // the reference path solves in a fresh workspace every epoch
 	}
 	sp := st.Prof.Start("phase2.mckp")
-	targets := alloc.Phase2(cands, capacity, st.Scaling, l.Tuning, l.cache)
+	targets := alloc.Phase2(cands, capacity, st.Scaling, l.Tuning, ws)
 	sp.End()
 	if st.Obs.Enabled() {
 		tf := make([]obs.Fields, 0, len(targets))

@@ -44,6 +44,7 @@ import (
 	"lyra/internal/inference"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
+	"lyra/internal/knapsack"
 	"lyra/internal/metrics"
 	"lyra/internal/obs"
 	"lyra/internal/orchestrator"
@@ -386,10 +387,10 @@ func (c Config) Normalize() Config {
 			c.PreemptOverhead = 63
 		}
 		if c.StabilityBonus == 0 {
-			c.StabilityBonus = 1.08
+			c.StabilityBonus = alloc.StabilityBonus
 		}
 		if c.Phase2MaxItems == 0 {
-			c.Phase2MaxItems = 8
+			c.Phase2MaxItems = alloc.Phase2MaxItems
 		}
 		if c.Loaning && c.Reclaim == "" {
 			c.Reclaim = ReclaimLyra
@@ -488,8 +489,10 @@ func (c Config) Validate() error {
 	if n.StabilityBonus <= 0 {
 		return fmt.Errorf("lyra: StabilityBonus %v must be positive (1 disables the damping)", n.StabilityBonus)
 	}
-	if n.Phase2MaxItems < 1 {
-		return fmt.Errorf("lyra: Phase2MaxItems %d must be at least 1", n.Phase2MaxItems)
+	// A job's group holds up to Phase2MaxItems spaced items plus its current
+	// allocation; the solver indexes a group's items in an int16.
+	if n.Phase2MaxItems < 1 || n.Phase2MaxItems >= knapsack.MaxGroupItems {
+		return fmt.Errorf("lyra: Phase2MaxItems %d outside [1, %d]", n.Phase2MaxItems, knapsack.MaxGroupItems-1)
 	}
 	if n.RestartBackoff {
 		if n.BackoffBase <= 0 {

@@ -2,6 +2,7 @@ package lyra
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lyra/internal/job"
@@ -94,6 +95,22 @@ func TestRunRejectsUnknownKinds(t *testing.T) {
 	cfg.Reclaim = "bogus"
 	if _, err := Run(cfg, tr); err == nil {
 		t.Error("unknown reclaim policy accepted")
+	}
+}
+
+func TestValidatePhase2MaxItemsRange(t *testing.T) {
+	// The MCKP solver indexes a group's items in an int16: a cap that lets
+	// a group outgrow it must be refused by name, not wrap at solve time.
+	for items, ok := range map[int]bool{-1: false, 1: true, 8: true, 32766: true, 32767: false, 1 << 20: false} {
+		cfg := DefaultConfig()
+		cfg.Phase2MaxItems = items
+		err := cfg.Validate()
+		if ok && err != nil {
+			t.Errorf("Phase2MaxItems %d rejected: %v", items, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "Phase2MaxItems")) {
+			t.Errorf("Phase2MaxItems %d: error %v, want one naming the field", items, err)
+		}
 	}
 }
 
