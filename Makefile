@@ -74,10 +74,14 @@ shard-smoke:
 # bench runs the audit-overhead benchmark (audit off: the numbers quoted in
 # DESIGN.md come from BenchmarkEngineAudit) and the one-second loops of the
 # phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
-# instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it.
+# instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
+# and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
+# and a whole-server worker (falls through to the idle servers) at 1x, 10x and
+# 100x the paper's cluster, which must read flat across the three.
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
+	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

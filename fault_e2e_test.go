@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"lyra/internal/cluster"
+	"lyra/internal/fault"
 	"lyra/internal/job"
 	"lyra/internal/obs"
 )
@@ -261,5 +263,84 @@ func TestCrashStormEndToEnd(t *testing.T) {
 	// same-instant restart burst must not exceed the plain run's.
 	if degMax > plainMax {
 		t.Errorf("degraded restart burst %v exceeds plain %v; backoff made storms worse", degMax, plainMax)
+	}
+}
+
+// TestMaxTimeBoundIsInvisible: the engine stores no initial event past
+// MaxTime and generates the fault schedule only up to the first whole second
+// after it. Neither may show before the cap: under all three outage kinds
+// and all three degraded-mode policies, with the auditor on, the event
+// stream before T is byte for byte the same whether the run is capped at T,
+// at 2T or not at all. T sits a quarter second after a scheduled crash that
+// is applied, so a bound drawn one second too tight loses an event the
+// uncapped run records.
+func TestMaxTimeBoundIsInvisible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three audited one-day runs")
+	}
+	tcfg := DefaultTraceConfig(7)
+	tcfg.Days = 1
+	tcfg.TrainingGPUs = 256
+	tr := GenerateTrace(tcfg)
+
+	cfg := DefaultConfig()
+	cfg.Cluster = ClusterConfig{TrainingServers: 32, InferenceServers: 32}
+	cfg.Audit = true
+	cfg.Events = true
+	cfg.Faults = FaultPlan{Seed: 11, ServerMTBF: 43200, ServerMTTR: 600,
+		RackOutMTBF: 43200, RackMTTR: 900, ZoneOutMTBF: 86400, ZoneMTTR: 1800}
+	cfg.RestartBackoff = true
+	cfg.QuarantineHysteresis = true
+	cfg.EmergencyReclaim = true
+
+	crashAt := -1.0
+	sched, _ := fault.FullSchedule(cfg.Faults, cluster.New(cfg.Cluster), tr.Horizon)
+	for _, ev := range sched {
+		if !ev.Recover && ev.T > 20000 {
+			crashAt = ev.T
+			break
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("the plan schedules no crash after t=20000")
+	}
+	T := crashAt + 0.25
+
+	// before returns the stream up to its first event at or after T, and
+	// whether the crash at crashAt is in it.
+	before := func(maxTime float64) ([]byte, bool) {
+		c := cfg
+		c.MaxTime = maxTime
+		rep, err := Run(c, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.ReadJSONL(bytes.NewReader(rep.Events))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, crashed := 0, false
+		for i, line := range bytes.SplitAfter(rep.Events, []byte("\n")) {
+			if i >= len(events) || events[i].T >= T {
+				break
+			}
+			n += len(line)
+			crashed = crashed || (events[i].Kind == obs.KindFaultCrash && events[i].T == crashAt)
+		}
+		return rep.Events[:n], crashed
+	}
+
+	want, crashed := before(0)
+	if !crashed {
+		t.Fatalf("the uncapped run applies no crash at t=%g: the test does not reach the case it is for", crashAt)
+	}
+	for _, maxTime := range []float64{T, 2 * T} {
+		if got, _ := before(maxTime); !bytes.Equal(got, want) {
+			t.Errorf("MaxTime=%g: %d bytes of events before t=%g, the uncapped run has %d; streams differ",
+				maxTime, len(got), T, len(want))
+		}
+	}
+	if !t.Failed() {
+		t.Logf("%d identical bytes before t=%g", len(want), T)
 	}
 }

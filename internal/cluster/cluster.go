@@ -5,9 +5,10 @@
 // the paper's orchestrator manipulates (§6, "Interface for capacity
 // loaning") and the free-GPU accounting the job scheduler allocates from.
 //
-// The cluster is maintain-on-write: every pool keeps an ID-ordered member
-// index, a free-count bucket index (servers grouped by free GPUs, the
-// best-fit index), and O(1) capacity counters (free/used/total/flexible
+// The cluster is maintain-on-write: every pool keeps an ordered member set,
+// a free-count bucket index (servers grouped by free GPUs, hosting work and
+// idle kept apart: the best-fit index), each an idset over server slots,
+// and O(1) capacity counters (free/used/total/flexible
 // GPUs, empty/partial server counts, per-GPU-type splits), all updated
 // inside Allocate/Release/ReleaseJob/Move. Reads — placement lookups,
 // capacity counts, pool iteration — never rescan or re-sort the cluster;
@@ -284,14 +285,15 @@ type Cluster struct {
 	shard int
 	// n counts attached (non-nil) servers.
 	n int
-	// pools[p] holds pool p's members in ascending ID order, maintained
-	// incrementally on addServer/Move — reads never sort.
-	pools [numPools][]*Server
-	// buckets[p][f] holds pool p's servers with exactly f free GPUs, each
-	// bucket in ascending ID order: the best-fit placement index. A
-	// server's allocation change moves it between buckets (see
-	// serverChanged).
-	buckets [numPools][][]*Server
+	// pools[p] is the set of pool p's server slots (ID - firstID), written
+	// only by addServer/Detach/Move; iteration ascends by ID.
+	pools [numPools]idset
+	// buckets[p][f] holds pool p's servers with exactly f free GPUs that
+	// host work (Used > 0), idle[p][f] the empty ones (f == NumGPUs): the
+	// best-fit placement index, hosting servers before idle ones. A server's
+	// allocation change moves it between sets (see serverChanged).
+	buckets [numPools][]idset
+	idle    [numPools][]idset
 	// O(1) capacity counters per pool.
 	freeCnt  [numPools]int
 	usedCnt  [numPools]int
@@ -481,42 +483,33 @@ func (c *Cluster) ZoneServers(z int) []int {
 	return c.zones[z]
 }
 
-// insertByID inserts s into an ID-ordered server list.
-func insertByID(list []*Server, s *Server) []*Server {
-	i := sort.Search(len(list), func(k int) bool { return list[k].ID >= s.ID })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = s
-	return list
+// fileUnder returns the best-fit set a server of pool p with free free GPUs
+// belongs in: idle[p][free] when that leaves it empty, buckets[p][free]
+// otherwise.
+func (c *Cluster) fileUnder(p Pool, s *Server, free int) *idset {
+	side := &c.buckets[p]
+	if free == s.NumGPUs {
+		side = &c.idle[p]
+	}
+	for len(*side) <= free {
+		*side = append(*side, idset{})
+	}
+	return &(*side)[free]
 }
 
-// removeByID removes s from an ID-ordered server list. A missing entry is
-// index corruption, which must fail loudly rather than silently desync.
-func removeByID(list []*Server, s *Server) []*Server {
-	i := sort.Search(len(list), func(k int) bool { return list[k].ID >= s.ID })
-	if i >= len(list) || list[i] != s {
+// mustDel removes s from one of its index sets. A missing entry is index
+// corruption, which must fail loudly rather than silently desync.
+func (c *Cluster) mustDel(set *idset, s *Server) {
+	if !set.del(s.ID - c.firstID) {
 		panic(fmt.Sprintf("cluster: server %d missing from its index", s.ID))
 	}
-	copy(list[i:], list[i+1:])
-	return list[:len(list)-1]
-}
-
-func (c *Cluster) bucketInsert(p Pool, s *Server) {
-	for len(c.buckets[p]) <= s.free {
-		c.buckets[p] = append(c.buckets[p], nil)
-	}
-	c.buckets[p][s.free] = insertByID(c.buckets[p][s.free], s)
-}
-
-func (c *Cluster) bucketRemove(p Pool, s *Server, free int) {
-	c.buckets[p][free] = removeByID(c.buckets[p][free], s)
 }
 
 // enterPool adds s (whose Pool field is already p) to every per-pool index
 // and counter.
 func (c *Cluster) enterPool(p Pool, s *Server) {
-	c.pools[p] = insertByID(c.pools[p], s)
-	c.bucketInsert(p, s)
+	c.pools[p].add(s.ID - c.firstID)
+	c.fileUnder(p, s, s.free).add(s.ID - c.firstID)
 	c.freeCnt[p] += s.free
 	c.usedCnt[p] += s.Used()
 	c.totalCnt[p] += s.NumGPUs
@@ -533,8 +526,8 @@ func (c *Cluster) enterPool(p Pool, s *Server) {
 
 // leavePool removes s from pool p's indexes and counters.
 func (c *Cluster) leavePool(p Pool, s *Server) {
-	c.pools[p] = removeByID(c.pools[p], s)
-	c.bucketRemove(p, s, s.free)
+	c.mustDel(&c.pools[p], s)
+	c.mustDel(c.fileUnder(p, s, s.free), s)
 	c.freeCnt[p] -= s.free
 	c.usedCnt[p] -= s.Used()
 	c.totalCnt[p] -= s.NumGPUs
@@ -551,15 +544,15 @@ func (c *Cluster) leavePool(p Pool, s *Server) {
 
 // serverChanged is the single write-path hook: a server whose free count
 // moved from oldFree to s.free (and whose flexible GPUs moved by flexDelta)
-// is re-bucketed and every affected counter is updated in O(log bucket).
+// is re-filed and every affected counter is updated in O(1).
 func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 	p := s.Pool
 	c.flexCnt[p] += flexDelta
 	if oldFree == s.free {
 		return
 	}
-	c.bucketRemove(p, s, oldFree)
-	c.bucketInsert(p, s)
+	c.mustDel(c.fileUnder(p, s, oldFree), s)
+	c.fileUnder(p, s, s.free).add(s.ID - c.firstID)
 	d := s.free - oldFree
 	c.freeCnt[p] += d
 	c.usedCnt[p] -= d
@@ -674,24 +667,27 @@ func (c *Cluster) Adopt(s *Server, p Pool) error {
 // ID. The copy is safe to hold across pool moves; use EachPoolServer on hot
 // paths that only iterate.
 func (c *Cluster) PoolServers(p Pool) []*Server {
-	return append([]*Server(nil), c.pools[p]...)
+	out := make([]*Server, 0, c.pools[p].n)
+	c.EachPoolServer(p, func(s *Server) bool { out = append(out, s); return true })
+	return out
 }
 
 // EachPoolServer calls fn for every server in pool p in ascending ID order,
 // stopping early when fn returns false. It iterates the live index without
-// allocating: the callback may change allocations (scale-ins, releases) but
-// must not move servers between pools — collect IDs first and move after
-// iterating.
+// allocating: the callback may change allocations (scale-ins, releases — the
+// pool set is not written by those) but must not move servers between pools
+// — collect IDs first and move after iterating.
 func (c *Cluster) EachPoolServer(p Pool, fn func(*Server) bool) {
-	for _, s := range c.pools[p] {
-		if !fn(s) {
+	set := &c.pools[p]
+	for i := set.next(0); i >= 0; i = set.next(i + 1) {
+		if !fn(c.servers[i]) {
 			return
 		}
 	}
 }
 
 // PoolSize returns the number of servers in pool p.
-func (c *Cluster) PoolSize(p Pool) int { return len(c.pools[p]) }
+func (c *Cluster) PoolSize(p Pool) int { return c.pools[p].n }
 
 // Move transfers a server between pools, implementing the whitelist update
 // of §6. Moving a server out of the training scheduler's control
@@ -715,25 +711,6 @@ func (c *Cluster) Move(id int, to Pool) error {
 	return nil
 }
 
-// SchedulableServers returns the servers the training scheduler may place
-// workers on: the training pool plus the on-loan pool, sorted by ID. The
-// two pool indexes are already ID-ordered, so this is a merge, not a sort.
-func (c *Cluster) SchedulableServers() []*Server {
-	t, l := c.pools[PoolTraining], c.pools[PoolOnLoan]
-	out := make([]*Server, 0, len(t)+len(l))
-	for len(t) > 0 && len(l) > 0 {
-		if t[0].ID < l[0].ID {
-			out = append(out, t[0])
-			t = t[1:]
-		} else {
-			out = append(out, l[0])
-			l = l[1:]
-		}
-	}
-	out = append(out, t...)
-	return append(out, l...)
-}
-
 // FreeGPUs returns the number of free GPUs in pool p. O(1).
 func (c *Cluster) FreeGPUs(p Pool) int { return c.freeCnt[p] }
 
@@ -749,7 +726,7 @@ func (c *Cluster) FlexibleGPUs(p Pool) int { return c.flexCnt[p] }
 
 // BusyServers returns the number of pool p's servers hosting at least one
 // allocated GPU. O(1).
-func (c *Cluster) BusyServers(p Pool) int { return len(c.pools[p]) - c.emptyCnt[p] }
+func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] }
 
 // NormalizedFreeCapacity returns free GPUs in the training scheduler's
 // pools weighted by GPU speed, the normalization §5.2 applies to on-loan
@@ -778,12 +755,12 @@ func (c *Cluster) Fragmentation() int {
 // non-nil, restricts candidates to one GPU type; exclude lists servers that
 // must not be used.
 //
-// The lookup walks the free-count bucket index upward from the smallest
-// possibly-fitting bucket: the first eligible non-empty server found is the
-// exact fitBetter winner (buckets ascend by free count and are ID-ordered),
-// and the first eligible empty server is remembered as the fallback. With
-// B = GPUs per server distinct free counts this is O(B + matches scanned)
-// instead of a full pool scan.
+// The lookup walks the hosting sets upward from the smallest possibly-fitting
+// free count, then the idle sets the same way, and returns the first
+// eligible server: sets ascend by free count and iterate by ID, so that is
+// the exact fitBetter winner, whatever mix of server sizes the pool holds.
+// With B = GPUs per server distinct free counts this is O(B + ineligible
+// servers passed over); nothing is scanned past the answer.
 func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude map[int]struct{}) *Server {
 	minNeed := -1
 	if fixed != nil {
@@ -807,27 +784,23 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclud
 	if minNeed == 0 {
 		minNeed = 1 // a worker occupies at least one GPU
 	}
-	var bestEmpty *Server
-	for f := minNeed; f < len(c.buckets[p]); f++ {
-		for _, s := range c.buckets[p][f] {
-			if fixed != nil && s.GPU != *fixed {
-				continue
-			}
-			if s.free < need(s.GPU) {
-				continue
-			}
-			if _, excluded := exclude[s.ID]; excluded {
-				continue
-			}
-			if s.free < s.NumGPUs {
-				return s // non-empty: beats every empty server and any higher bucket
-			}
-			if bestEmpty == nil {
-				bestEmpty = s
+	for _, side := range [2][]idset{c.buckets[p], c.idle[p]} {
+		for f := minNeed; f < len(side); f++ {
+			for i := side[f].next(0); i >= 0; i = side[f].next(i + 1) {
+				s := c.servers[i]
+				if fixed != nil && s.GPU != *fixed {
+					continue
+				}
+				if s.free < need(s.GPU) {
+					continue
+				}
+				if _, excluded := exclude[s.ID]; !excluded {
+					return s
+				}
 			}
 		}
 	}
-	return bestEmpty
+	return nil
 }
 
 // CheckInvariants verifies internal consistency and returns the first
@@ -837,15 +810,14 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclud
 func (c *Cluster) CheckInvariants() error {
 	seen := make(map[int]Pool)
 	for p := Pool(0); p < numPools; p++ {
-		prev := -1
-		for _, s := range c.pools[p] {
+		for i := c.pools[p].next(0); i >= 0; i = c.pools[p].next(i + 1) {
+			s := c.Server(i + c.firstID)
+			if s == nil {
+				return fmt.Errorf("pool %v indexes slot %d, which holds no server", p, i)
+			}
 			if s.Pool != p {
 				return fmt.Errorf("server %d indexed under %v but Pool=%v", s.ID, p, s.Pool)
 			}
-			if s.ID <= prev {
-				return fmt.Errorf("pool %v index out of ID order at server %d", p, s.ID)
-			}
-			prev = s.ID
 			if dup, ok := seen[s.ID]; ok {
 				return fmt.Errorf("server %d in two pools: %v and %v", s.ID, dup, p)
 			}
@@ -895,17 +867,20 @@ func (c *Cluster) CheckInvariants() error {
 
 // AuditIndexes recounts every incrementally-maintained counter and index
 // from scratch — per-pool free/used/total/flexible GPUs, empty/partial
-// server counts, per-type splits, and free-count bucket membership — and
-// returns the first disagreement with the maintained values. It is the
+// server counts, per-type splits, and the membership, side (hosting or
+// idle) and member count of every free-count set — and returns the first
+// disagreement with the maintained values. It is the
 // equivalence oracle keeping the maintain-on-write fast paths honest: the
 // invariant audit layer calls it after every audited transition, so any
 // write path that forgets to update an index fails the whole test suite at
 // the transition that introduced the drift.
 func (c *Cluster) AuditIndexes() error {
 	for p := Pool(0); p < numPools; p++ {
-		var free, used, total, flex, empty, partial int
+		var members, free, used, total, flex, empty, partial int
 		var byType, freeType [numGPUTypes]int
-		for _, s := range c.pools[p] {
+		for i := c.pools[p].next(0); i >= 0; i = c.pools[p].next(i + 1) {
+			s := c.servers[i]
+			members++
 			free += s.free
 			used += s.Used()
 			total += s.NumGPUs
@@ -931,25 +906,32 @@ func (c *Cluster) AuditIndexes() error {
 			return fmt.Errorf("pool %v: per-type counters %v/%v, recount %v/%v",
 				p, c.srvByType[p], c.freeByType[p], byType, freeType)
 		}
-		inBuckets := 0
-		for f, bucket := range c.buckets[p] {
-			prev := -1
-			for _, s := range bucket {
-				if s.free != f {
-					return fmt.Errorf("pool %v: server %d with %d free GPUs filed in bucket %d", p, s.ID, s.free, f)
-				}
-				if s.Pool != p {
-					return fmt.Errorf("pool %v bucket %d: server %d belongs to pool %v", p, f, s.ID, s.Pool)
-				}
-				if s.ID <= prev {
-					return fmt.Errorf("pool %v bucket %d out of ID order at server %d", p, f, s.ID)
-				}
-				prev = s.ID
-			}
-			inBuckets += len(bucket)
+		if members != c.pools[p].n {
+			return fmt.Errorf("pool %v: set counts %d members, holds %d", p, c.pools[p].n, members)
 		}
-		if inBuckets != len(c.pools[p]) {
-			return fmt.Errorf("pool %v: %d servers in buckets, %d in pool index", p, inBuckets, len(c.pools[p]))
+		inBuckets := 0
+		for k, side := range [2][]idset{c.buckets[p], c.idle[p]} {
+			for f := range side {
+				found := 0
+				for i := side[f].next(0); i >= 0; i = side[f].next(i + 1) {
+					s := c.Server(i + c.firstID)
+					if s == nil {
+						return fmt.Errorf("pool %v bucket %d indexes slot %d, which holds no server", p, f, i)
+					}
+					if s.Pool != p || s.free != f || (s.Used() == 0) != (k == 1) {
+						return fmt.Errorf("pool %v bucket %d (idle=%v) holds server %d of pool %v with %d of %d GPUs free",
+							p, f, k == 1, s.ID, s.Pool, s.free, s.NumGPUs)
+					}
+					found++
+				}
+				if found != side[f].n {
+					return fmt.Errorf("pool %v bucket %d (idle=%v): set counts %d members, holds %d", p, f, k == 1, side[f].n, found)
+				}
+				inBuckets += found
+			}
+		}
+		if inBuckets != members {
+			return fmt.Errorf("pool %v: %d servers in buckets, %d in pool index", p, inBuckets, members)
 		}
 	}
 	return nil

@@ -176,26 +176,6 @@ func TestMoveUnknownServer(t *testing.T) {
 	}
 }
 
-func TestSchedulableServers(t *testing.T) {
-	c := New(Config{TrainingServers: 3, InferenceServers: 3})
-	if got := len(c.SchedulableServers()); got != 3 {
-		t.Errorf("schedulable = %d, want 3 before loaning", got)
-	}
-	inf := c.PoolServers(PoolInference)
-	if err := c.Move(inf[0].ID, PoolOnLoan); err != nil {
-		t.Fatal(err)
-	}
-	ss := c.SchedulableServers()
-	if len(ss) != 4 {
-		t.Fatalf("schedulable = %d, want 4 after loaning one", len(ss))
-	}
-	for i := 1; i < len(ss); i++ {
-		if ss[i-1].ID >= ss[i].ID {
-			t.Errorf("SchedulableServers not sorted by ID")
-		}
-	}
-}
-
 func TestGPUAccounting(t *testing.T) {
 	c := New(Config{TrainingServers: 2, InferenceServers: 1})
 	s0 := c.PoolServers(PoolTraining)[0]

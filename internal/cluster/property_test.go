@@ -6,6 +6,10 @@ package cluster_test
 // indexed implementation, and every read — pool membership, all capacity
 // counters, fragmentation, busy-server counts, normalized capacity, and
 // the best-fit choice under random constraints — must agree at every step.
+// The cluster mixes 8-GPU and 4-GPU servers, so an empty small server and a
+// half-used large one hold the same free count: best-fit must still prefer
+// the one hosting work, which is what the hosting/idle split of the index
+// is for.
 // AuditIndexes and CheckInvariants run after each operation too, so the
 // test also exercises the audit layer's recount against states no
 // scheduler would naturally produce.
@@ -149,8 +153,29 @@ func (m *refModel) move(id int, to Pool) error {
 	return nil
 }
 
-func buildPair(cfg Config) (*Cluster, *refModel) {
+func buildPair(t *testing.T, cfg Config) (*Cluster, *refModel) {
 	c := New(cfg)
+	// 4-GPU servers take over two low IDs per side, so that an empty small
+	// server sorts before the 8-GPU servers it ties with at 4 free GPUs, and
+	// two IDs past the home range, where the indexes must grow to take them.
+	nT, n := cfg.TrainingServers, cfg.TrainingServers+cfg.InferenceServers
+	for _, a := range []struct {
+		id   int
+		pool Pool
+		gpu  GPUType
+	}{
+		{0, PoolTraining, V100}, {2, PoolTraining, V100}, {n, PoolTraining, V100},
+		{nT, PoolOnLoan, T4}, {nT + 1, PoolOnLoan, T4}, {n + 1, PoolOnLoan, T4},
+	} {
+		if a.id < n {
+			if _, err := c.Detach(a.id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Adopt(NewServer(a.id, a.gpu, 4, a.pool), a.pool); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := &refModel{}
 	for _, s := range c.Servers() {
 		m.servers = append(m.servers, &refServer{
@@ -221,6 +246,17 @@ func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refMo
 		for i := rng.Intn(4); i > 0; i-- {
 			exclude[rng.Intn(len(m.servers))] = struct{}{}
 		}
+		if trial >= 2 {
+			// Aim the filters at the idle side: shut out the pool's first
+			// few empty servers, the ones an idle walk reaches first.
+			k := 1 + rng.Intn(3)
+			for _, s := range m.servers {
+				if k > 0 && s.pool == p && s.used() == 0 {
+					exclude[s.id] = struct{}{}
+					k--
+				}
+			}
+		}
 		got := c.BestFit(p, need, fixed, exclude)
 		want := m.bestFit(p, need, fixed, exclude)
 		gotID := -1
@@ -240,7 +276,7 @@ func TestIndexedClusterMatchesReferenceModel(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := Config{TrainingServers: 6, InferenceServers: 6, GPUsPerServer: 8}
-			c, m := buildPair(cfg)
+			c, m := buildPair(t, cfg)
 			nextJob := 1
 			for step := 0; step < 600; step++ {
 				id := rng.Intn(len(m.servers))

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -233,5 +234,83 @@ func TestFullScheduleZoneCoversAllMembers(t *testing.T) {
 		if !d.Zone {
 			t.Fatalf("rack event %+v from a zone-only plan", d)
 		}
+	}
+}
+
+// TestFullScheduleShorterHorizonIsAPrefix is what lets the engine stop
+// generating at its MaxTime: every stream is drawn sequentially, so the
+// schedule over a shorter horizon h holds exactly the longer one's events
+// before h. A downtime merged across h may recover at a different time, but
+// past h on both sides. Repair times are long against the outage rates so
+// that most trials have merges straddling h.
+func TestFullScheduleShorterHorizonIsAPrefix(t *testing.T) {
+	topo := fakeTopo{servers: 32}
+	for r := 0; r < 8; r++ {
+		topo.racks = append(topo.racks, []int{4 * r, 4*r + 1, 4*r + 2, 4*r + 3})
+	}
+	for z := 0; z < 4; z++ {
+		topo.zones = append(topo.zones, append(append([]int(nil), topo.racks[2*z]...), topo.racks[2*z+1]...))
+	}
+	rng := rand.New(rand.NewSource(1))
+	merged := 0
+	for trial := 0; trial < 60; trial++ {
+		p := Plan{Seed: rng.Int63(),
+			ServerMTBF: 3000 + rng.Float64()*30000, ServerMTTR: 60 + rng.Float64()*4000,
+			RackOutMTBF: 5000 + rng.Float64()*40000, RackMTTR: 300 + rng.Float64()*6000,
+			ZoneOutMTBF: 10000 + rng.Float64()*80000, ZoneMTTR: 600 + rng.Float64()*9000}
+		switch trial % 4 { // every outage kind also runs without the others
+		case 1:
+			p.ZoneOutMTBF = 0
+		case 2:
+			p.RackOutMTBF = 0
+		case 3:
+			p.ServerMTBF = 0
+		}
+		H := 20000 + rng.Int63n(80000)
+		h := 1 + rng.Int63n(H-1)
+		short, shortDom := FullSchedule(p, topo, h)
+		long, longDom := FullSchedule(p, topo, H)
+		var wantEv []Event
+		for _, ev := range long {
+			if ev.T < float64(h) {
+				wantEv = append(wantEv, ev)
+			}
+		}
+		inLong := make(map[Event]bool, len(long))
+		for _, ev := range long {
+			inLong[ev] = true
+		}
+		var gotEv []Event
+		for _, ev := range short {
+			switch {
+			case ev.T < float64(h):
+				gotEv = append(gotEv, ev)
+			case !ev.Recover:
+				t.Fatalf("trial %d: horizon %d scheduled a crash at %g", trial, h, ev.T)
+			case !inLong[ev]:
+				merged++ // the longer horizon extends this downtime: merged across h
+			}
+		}
+		if !reflect.DeepEqual(gotEv, wantEv) {
+			t.Fatalf("trial %d (%v): events before h=%d differ between horizons %d and %d:\n short %v\n long  %v",
+				trial, p, h, h, H, gotEv, wantEv)
+		}
+		var wantDom, gotDom []DomainEvent
+		for _, d := range longDom {
+			if d.T < float64(h) {
+				wantDom = append(wantDom, d)
+			}
+		}
+		for _, d := range shortDom {
+			if d.T < float64(h) {
+				gotDom = append(gotDom, d)
+			}
+		}
+		if !reflect.DeepEqual(gotDom, wantDom) {
+			t.Fatalf("trial %d (%v): domain markers before h=%d differ between horizons %d and %d", trial, p, h, h, H)
+		}
+	}
+	if merged == 0 {
+		t.Error("no downtime was merged across h: the test does not reach the case it is for")
 	}
 }

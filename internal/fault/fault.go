@@ -26,6 +26,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -132,8 +133,25 @@ func (p Plan) Normalize() Plan {
 // — not the normalized form — so a negative rate is rejected even though
 // Normalize would canonicalize such a disabled plan away; zero-valued
 // dependent fields (SlowFactor, MaxLaunchRetries) are fine because
-// Normalize fills their defaults.
+// Normalize fills their defaults. A non-finite value is rejected first and
+// by name: NaN passes every range comparison below, an infinite MTTR would
+// schedule recoveries that never come, and a NaN one would put events with
+// no defined order on the timeline.
 func (p Plan) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ServerMTBF", p.ServerMTBF}, {"ServerMTTR", p.ServerMTTR},
+		{"RackOutMTBF", p.RackOutMTBF}, {"RackMTTR", p.RackMTTR},
+		{"ZoneOutMTBF", p.ZoneOutMTBF}, {"ZoneMTTR", p.ZoneMTTR},
+		{"StragglerFrac", p.StragglerFrac}, {"SlowFactor", p.SlowFactor},
+		{"LaunchFailProb", p.LaunchFailProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.ServerMTBF < 0:
 		return fmt.Errorf("fault: ServerMTBF %v negative", p.ServerMTBF)
@@ -284,8 +302,9 @@ func Schedule(p Plan, numServers int, horizon int64) []Event {
 		return nil
 	}
 	var out []Event
+	rng := rand.New(rand.NewSource(0))
 	for sid := 0; sid < numServers; sid++ {
-		for _, iv := range renewal(subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
+		for _, iv := range renewal(rng, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
 			out = append(out, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
 		}
 	}
@@ -297,12 +316,16 @@ func Schedule(p Plan, numServers int, horizon int64) []Event {
 // mean mtbf, exponential down-times with mean mttr floored at one second —
 // and returns its downtime intervals [start, end) with start < horizon. The
 // draw order (one up-time, then alternating down-time/up-time) is the
-// schedule contract: Schedule's per-server streams are defined by it.
-func renewal(seed int64, mtbf, mttr float64, horizon int64) [][2]float64 {
+// schedule contract: Schedule's per-server streams are defined by it, and a
+// shorter horizon yields a prefix of the same stream. rng is the one
+// generator of the caller's whole schedule, reseeded here for this stream:
+// seeding rewrites the source's entire state, so the draws are those of a
+// fresh rand.NewSource(seed) without its 4.9 KB allocation per stream.
+func renewal(rng *rand.Rand, seed int64, mtbf, mttr float64, horizon int64) [][2]float64 {
 	if mtbf <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng.Seed(seed)
 	var out [][2]float64
 	t := rng.ExpFloat64() * mtbf
 	for t < float64(horizon) {
@@ -381,9 +404,10 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 	if numServers <= 0 || horizon <= 0 {
 		return nil, nil
 	}
+	rng := rand.New(rand.NewSource(0))
 	down := make([][][2]float64, numServers)
 	for sid := 0; sid < numServers; sid++ {
-		down[sid] = renewal(subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
+		down[sid] = renewal(rng, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
 	}
 	var domains []DomainEvent
 	addDomain := func(zone bool, d int, members []int, ivs [][2]float64) {
@@ -398,11 +422,11 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 	}
 	for r := 0; r < topo.NumRacks(); r++ {
 		addDomain(false, r, topo.RackServers(r),
-			renewal(subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR, horizon))
+			renewal(rng, subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR, horizon))
 	}
 	for z := 0; z < topo.NumZones(); z++ {
 		addDomain(true, z, topo.ZoneServers(z),
-			renewal(subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
+			renewal(rng, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
 	}
 	var out []Event
 	for sid := 0; sid < numServers; sid++ {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,6 +219,59 @@ func TestParsePlanRejectsRemovedRPCKeys(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "unknown spec key") ||
 			!strings.Contains(err.Error(), "launchfail, retries, seed)") {
 			t.Errorf("ParsePlan(%q) = %v, want the unknown-key error with the valid list", spec, err)
+		}
+	}
+}
+
+// NaN passes every range comparison, an infinite repair time never repairs,
+// and a NaN one has no place on an ordered timeline: each non-finite float
+// field is rejected, by its field name, from the spec syntax and from a
+// hand-built plan alike.
+func TestNonFiniteFieldsRejectedByName(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		field string
+	}{
+		{"mtbf=nan", "ServerMTBF"},
+		{"mtbf=3600,mttr=inf", "ServerMTTR"},
+		{"mtbf=3600,mttr=nan", "ServerMTTR"},
+		{"mtbf=-inf", "ServerMTBF"},
+		{"rackout=NaN", "RackOutMTBF"},
+		{"rackout=3600,rackmttr=+Inf", "RackMTTR"},
+		{"zoneout=inf", "ZoneOutMTBF"},
+		{"zoneout=3600,zonemttr=nan", "ZoneMTTR"},
+		{"straggler=nan", "StragglerFrac"},
+		{"straggler=0.1,slow=nan", "SlowFactor"},
+		{"launchfail=nan", "LaunchFailProb"},
+	} {
+		p, err := ParsePlan(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("ParsePlan(%q) = %+v, %v; want a not-finite error naming %s", c.spec, p, err, c.field)
+		}
+	}
+	nan := math.NaN()
+	for _, p := range []Plan{
+		{ServerMTBF: nan}, {ServerMTBF: 1, ServerMTTR: math.Inf(1)}, {RackMTTR: nan},
+		{ZoneOutMTBF: math.Inf(-1)}, {StragglerFrac: nan}, {SlowFactor: nan}, {LaunchFailProb: nan},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("plan %+v: want error, got nil", p)
+		}
+	}
+}
+
+// The engine bounds the schedule by its MaxTime, and draws every stream from
+// one reseeded generator. Both must be invisible: a stream through the shared
+// generator is the stream of a fresh source, whatever was drawn before it.
+func TestRenewalReseededEqualsFreshSource(t *testing.T) {
+	shared := rand.New(rand.NewSource(0))
+	for i := 0; i < 200; i++ {
+		seed := subSeed(99, i)
+		mtbf, mttr := 500+float64(i)*37, 20+float64(i%7)*90
+		got := renewal(shared, seed, mtbf, mttr, 50000)
+		want := renewal(rand.New(rand.NewSource(seed)), seed, mtbf, mttr, 50000)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream %d: reseeded generator drew %v, fresh source %v", i, got, want)
 		}
 	}
 }

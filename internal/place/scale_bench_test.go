@@ -38,26 +38,31 @@ func benchCluster(scale int) (*cluster.Cluster, cluster.Config) {
 }
 
 // BenchmarkBestFit measures one best-fit placement (plus the matching
-// release, so the cluster state is identical every iteration) at 1x and 10x
-// the paper's server count (the repository benchmark's place.Gang layer
-// metric times the same kernel on each workload's own cluster shape).
+// release, so the cluster state is identical every iteration) at 1x, 10x and
+// 100x the paper's server count (the repository benchmark's place.Gang layer
+// metric times the same kernel on each workload's own cluster shape). A
+// 1-GPU worker always lands on a server already hosting work; a whole-server
+// worker fits none of those and falls through to the idle servers, the case
+// that cost a scan of every empty server while only the first was measured.
 func BenchmarkBestFit(b *testing.B) {
-	for _, scale := range []int{1, 10} {
-		b.Run(fmt.Sprintf("%dx", scale), func(b *testing.B) {
-			c, _ := benchCluster(scale)
-			j := job.New(1000000, 0, job.Generic, 1, 1, 1, 3600)
-			opt := PreferTraining(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ws := UpTo(c, j, 1, opt)
-				if len(ws) != 1 {
-					b.Fatalf("placed %d workers, want 1", len(ws))
+	for _, gpus := range []int{1, cluster.DefaultGPUsPerServer} {
+		for _, scale := range []int{1, 10, 100} {
+			b.Run(fmt.Sprintf("%dgpu/%dx", gpus, scale), func(b *testing.B) {
+				c, _ := benchCluster(scale)
+				j := job.New(1000000, 0, job.Generic, gpus, 1, 1, 3600)
+				opt := PreferTraining(true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ws := UpTo(c, j, 1, opt)
+					if len(ws) != 1 {
+						b.Fatalf("placed %d workers, want 1", len(ws))
+					}
+					if err := c.Server(ws[0].Server).Release(j.ID, ws[0].GPUs); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := c.Server(ws[0].Server).Release(j.ID, ws[0].GPUs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

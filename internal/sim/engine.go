@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -35,7 +34,8 @@ type Config struct {
 	PreemptOverhead float64
 	// Scaling is the throughput model (Linear by default).
 	Scaling job.ScalingModel
-	// MaxTime hard-caps simulated time; 0 means 4x the trace horizon.
+	// MaxTime hard-caps simulated time; 0 means 4x the trace horizon plus
+	// seven days (room for the drain phase, see Run).
 	MaxTime float64
 	// InferenceUtil reports the inference cluster's own utilization at
 	// time t for combined-usage accounting; nil means no inference
@@ -211,21 +211,69 @@ type event struct {
 	seq     int64
 }
 
+// before is the timeline order: time, kind priority, sequence number. The
+// last is unique, so the order is total and any correct heap pops the same.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events by value: no per-event boxing,
+// and init heapifies a timeline that was appended to in O(n).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h[j].before(&h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h eventHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+func (h *eventHeap) pop() event {
+	old := *h
+	ev, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return ev
+}
 
 // MemorylessScheduler marks schedulers whose Schedule is a pure function of
 // the State: invoked twice against an identical state, the second call
@@ -460,7 +508,7 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 
 func (e *Engine) push(t float64, kind eventKind, jobID, version int) {
 	e.seq++
-	heap.Push(&e.events, event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
+	e.events.push(event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
 }
 
 // setNow stamps the event time onto every shard state: serial mutators and
@@ -576,14 +624,7 @@ func (e *Engine) Run() *Result {
 	if maxTime == 0 {
 		maxTime = 4*float64(e.horizon) + 7*86400
 	}
-	for _, j := range e.jobs {
-		e.push(float64(j.Arrival), evArrival, j.ID, 0)
-	}
-	e.push(0, evSched, 0, 0)
-	if e.orch {
-		e.push(0, evOrch, 0, 0)
-	}
-	e.push(0, evMetrics, 0, 0)
+	var crashes []fault.Event
 	if e.cfg.Faults.Enabled() {
 		// The whole crash/recovery timeline — independent per-server draws
 		// plus correlated rack/zone outages, merged per server — is
@@ -592,25 +633,56 @@ func (e *Engine) Run() *Result {
 		// reference topology, not the shard clusters: per-server draws key
 		// on global server IDs and domain streams on the reference
 		// rack/zone indexes, so every way of cutting one cluster draws the
-		// same schedule. The event's jobID field carries the server ID
-		// (crash/recover) or the index into domainSched (domain markers).
-		evs, devs := fault.FullSchedule(*e.cfg.Faults, e.refTopo, e.horizon)
-		for _, fe := range evs {
-			kind := evCrash
-			if fe.Recover {
-				kind = evRecover
-			}
-			e.push(fe.T, kind, fe.Server, 0)
+		// same schedule.
+		//
+		// Nothing after maxTime is processed, so the schedule stops at the
+		// first whole second past it: each stream is drawn sequentially, so a
+		// shorter horizon yields a prefix of it, and a merged downtime can
+		// then only differ in a recovery that lies past maxTime either way.
+		until := e.horizon
+		if maxTime < float64(until) {
+			until = int64(maxTime) + 1
 		}
-		e.domainSched = devs
-		for i := range devs {
-			e.push(devs[i].T, evDomain, i, 0)
+		sp := e.cfg.Prof.Start("faults.schedule")
+		crashes, e.domainSched = fault.FullSchedule(*e.cfg.Faults, e.refTopo, until)
+		sp.End()
+	}
+
+	// The initial timeline is appended to and heapified once. Every event
+	// takes its sequence number; one past maxTime is not stored, because the
+	// loop below stops before it could be processed. A fault event's jobID
+	// field carries the server ID (crash/recover) or the index into
+	// domainSched (domain markers).
+	sp := e.cfg.Prof.Start("timeline.load")
+	load := func(t float64, kind eventKind, id int) {
+		e.seq++
+		if t <= maxTime {
+			e.events = append(e.events, event{t: t, kind: kind, jobID: id, seq: e.seq})
 		}
 	}
-	heap.Init(&e.events)
+	for _, j := range e.jobs {
+		load(float64(j.Arrival), evArrival, j.ID)
+	}
+	load(0, evSched, 0)
+	if e.orch {
+		load(0, evOrch, 0)
+	}
+	load(0, evMetrics, 0)
+	for _, fe := range crashes {
+		kind := evCrash
+		if fe.Recover {
+			kind = evRecover
+		}
+		load(fe.T, kind, fe.Server)
+	}
+	for i := range e.domainSched {
+		load(e.domainSched[i].T, evDomain, i)
+	}
+	e.events.init()
+	sp.End()
 
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		if ev.t > maxTime {
 			break
 		}

@@ -513,7 +513,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("lyra: HystHold %v must be positive with QuarantineHysteresis on", n.HystHold)
 		}
 	}
-	if err := n.Faults.Validate(); err != nil {
+	// The plan as written, not as normalized: a NaN or negative rate reads
+	// as "disabled" and would be canonicalized away before it was seen.
+	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("lyra: Faults: %w", err)
 	}
 	if n.TrainingShards < 0 || n.InferenceShards < 0 {

@@ -2,6 +2,7 @@ package lyra
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +111,24 @@ func TestValidatePhase2MaxItemsRange(t *testing.T) {
 		}
 		if !ok && (err == nil || !strings.Contains(err.Error(), "Phase2MaxItems")) {
 			t.Errorf("Phase2MaxItems %d: error %v, want one naming the field", items, err)
+		}
+	}
+}
+
+func TestValidateSurfacesNonFiniteFaultPlan(t *testing.T) {
+	// A hand-built plan never passes through ParseFaultPlan. A NaN rate
+	// reads as "disabled" and would normalize away unseen; an infinite
+	// repair time schedules recoveries that never come.
+	for field, plan := range map[string]FaultPlan{
+		"ServerMTBF":  {ServerMTBF: math.NaN()},
+		"ServerMTTR":  {ServerMTBF: 3600, ServerMTTR: math.Inf(1)},
+		"RackMTTR":    {RackOutMTBF: 3600, RackMTTR: math.NaN()},
+		"ZoneOutMTBF": {ZoneOutMTBF: math.Inf(1)},
+	} {
+		cfg := DefaultConfig()
+		cfg.Faults = plan
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Faults") || !strings.Contains(err.Error(), field) {
+			t.Errorf("plan %+v: Validate = %v, want an error naming Faults and %s", plan, err, field)
 		}
 	}
 }

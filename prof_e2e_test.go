@@ -15,13 +15,18 @@ import (
 // and on must therefore produce byte-identical event streams — a single
 // decision shifted by the instrumentation would diverge at least one line.
 // The 1+1 case pins that a topology with one training shard schedules on
-// the engine goroutine, where the scheduler's phase spans are recorded.
+// the engine goroutine, where the scheduler's phase spans are recorded. The
+// faulted case pins that the engine's set-up — generating the fault schedule
+// and loading the initial timeline — is named, not left as "sim" self time.
 func TestProfilingDoesNotPerturbEvents(t *testing.T) {
-	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 0) })
-	t.Run("1+1", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 1) })
+	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{}) })
+	t.Run("1+1", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 1, lyra.FaultPlan{}) })
+	t.Run("faulted", func(t *testing.T) {
+		profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{Seed: 5, ServerMTBF: 21600, RackOutMTBF: 43200})
+	})
 }
 
-func profilingDoesNotPerturbEvents(t *testing.T, shards int) {
+func profilingDoesNotPerturbEvents(t *testing.T, shards int, faults lyra.FaultPlan) {
 	run := func(p *prof.Profiler) *lyra.Report {
 		tcfg := lyra.DefaultTraceConfig(7)
 		tcfg.Days = 1
@@ -34,6 +39,7 @@ func profilingDoesNotPerturbEvents(t *testing.T, shards int) {
 		cfg.SchedInterval = 300
 		cfg.Audit = true
 		cfg.TrainingShards, cfg.InferenceShards = shards, shards
+		cfg.Faults = faults
 
 		rep, err := lyra.RunProfiled(cfg, tr, p)
 		if err != nil {
@@ -60,10 +66,11 @@ func profilingDoesNotPerturbEvents(t *testing.T, shards int) {
 	if r == nil {
 		t.Fatal("profiled run has no Prof report")
 	}
-	for _, path := range [][]string{
+	paths := [][]string{
 		{"prepare"},
 		{"sim"},
 		{"report"},
+		{"sim", "timeline.load"},
 		{"sim", "epoch.sched"},
 		{"sim", "epoch.orch"},
 		{"sim", "arrival"},
@@ -75,7 +82,11 @@ func profilingDoesNotPerturbEvents(t *testing.T, shards int) {
 		{"sim", "epoch.sched", "phase2", "phase2.mckp"},
 		{"sim", "epoch.sched", "phase2", "phase2.apply"},
 		{"sim", "epoch.sched", "audit"},
-	} {
+	}
+	if faults.Enabled() {
+		paths = append(paths, []string{"sim", "faults.schedule"}, []string{"sim", "crash"}, []string{"sim", "recover"})
+	}
+	for _, path := range paths {
 		n := r.Find(path...)
 		if n == nil {
 			t.Errorf("report missing phase %v", path)
