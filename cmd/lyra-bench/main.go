@@ -30,7 +30,7 @@ import (
 )
 
 // benchStats is the -stats-json document: one pool's memoization traffic
-// and wall time (scripts/bench_smoke.sh reads it). The recorded perf ledger
+// and wall time (the bench case of scripts/smoke.sh reads it). The recorded perf ledger
 // is the repository benchmark, benchmark/ — its registry-sim workload
 // samples this harness.
 type benchStats struct {
@@ -51,7 +51,6 @@ func main() {
 	g := cliflags.New("lyra-bench", flag.CommandLine)
 	g.SeedFlag("random seed for trace synthesis and tie-breaking")
 	g.ParallelFlag("simulations")
-	g.SpecFlag("as a scheme matrix through the memoizing pool instead of the experiment registry")
 	g.ProfFlags()
 	var (
 		exp       = flag.String("exp", "all", "experiment name (see -list) or 'all'")
@@ -69,32 +68,6 @@ func main() {
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Printf("%-12s %s\n", e.Name, e.What)
-		}
-		return
-	}
-
-	if g.SpecPath != "" {
-		// Declarative path: run the spec's scenario×scheme matrix through
-		// a bench pool (same memoization economics, -stats applies).
-		cells, err := cliflags.LoadMatrix([]string{g.SpecPath}, false, 1)
-		if err != nil {
-			g.Fatal(err)
-		}
-		pool := runner.New(g.Parallel)
-		pool.Profile(g.Collector())
-		start := time.Now()
-		m := pool.Matrix(cells)
-		m.WriteTable(os.Stdout)
-		if *stats {
-			fmt.Fprintf(os.Stderr, "[pool: %s; %d workers; %d cells in %s]\n",
-				pool.Stats(), pool.Parallelism(), len(m.Cells), time.Since(start).Round(time.Millisecond))
-		}
-		if err := g.FinishProf(os.Stderr); err != nil {
-			g.Fatal(err)
-		}
-		if !m.OK() {
-			fmt.Fprintf(os.Stderr, "lyra-bench: %d of %d cells failed their SLOs\n", m.Failures(), len(m.Cells))
-			os.Exit(1)
 		}
 		return
 	}

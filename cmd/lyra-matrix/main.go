@@ -7,7 +7,7 @@
 // compiles every spec through the same Config path hand-built experiments
 // use, fans the cells out over the parallel memoizing runner, and exits
 // non-zero if any cell errors or breaks an SLO bound — the repository's
-// perf/SLO regression gate (`make matrix-smoke`).
+// perf/SLO regression gate (`make smoke CASE=matrix`).
 //
 // Usage:
 //
@@ -34,11 +34,11 @@ import (
 
 func main() {
 	g := cliflags.New("lyra-matrix", flag.CommandLine)
-	g.SpecFlag("(or every *.yaml/*.json in the directory)")
 	g.ParallelFlag("simulations")
 	g.AuditFlag("simulator event")
 	g.ProfFlags()
 	var (
+		spec     = flag.String("spec", "", "run the scenario spec (YAML/JSON) at this path (or every *.yaml/*.json in the directory)")
 		dry      = flag.Bool("dry", false, "compile and list the matrix cells without running them")
 		tighten  = flag.Float64("tighten", 1, "scale every SLO upper bound by this factor (CI uses <1 to prove the harness fails on regressions)")
 		jsonPath = flag.String("json", "", "also write the structured matrix report as JSON to this file")
@@ -48,10 +48,10 @@ func main() {
 		g.Fatal(err)
 	}
 
-	if g.SpecPath == "" {
+	if *spec == "" {
 		g.Usage("-spec is required (a spec file or a directory of them)")
 	}
-	paths, err := specPaths(g.SpecPath)
+	paths, err := specPaths(*spec)
 	if err != nil {
 		g.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 		g.Fatal(err)
 	}
 	if len(cells) == 0 {
-		g.Fatal(fmt.Errorf("no cells compiled from %s", g.SpecPath))
+		g.Fatal(fmt.Errorf("no cells compiled from %s", *spec))
 	}
 
 	if *dry {
@@ -77,7 +77,8 @@ func main() {
 
 	pool := runner.New(g.Parallel)
 	pool.Profile(g.Collector())
-	m := cliflags.RunMatrix(pool, cells, os.Stdout)
+	m := pool.Matrix(cells)
+	m.WriteTable(os.Stdout)
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, m); err != nil {
 			g.Fatal(err)

@@ -4,11 +4,8 @@
 // before any trace is synthesized or loaded, so a typo in -scheme,
 // -reclaim or -scenario fails in milliseconds with the valid values listed.
 //
-// With -spec the whole run is declared in a scenario-spec file (cluster,
-// trace, workload mix, fault plan, scheme matrix, SLO assertions) instead
-// of flags; lyra-sim then prints the per-cell reports and exits non-zero
-// if any SLO bound is violated. See testdata/scenarios/ and cmd/lyra-matrix
-// for the matrix-gating harness.
+// Declarative scenario specs (cluster, trace, workload mix, fault plan,
+// scheme matrix, SLO assertions) run through cmd/lyra-matrix.
 //
 // Usage examples:
 //
@@ -19,7 +16,6 @@
 //	lyra-sim -scheme lyra,fifo,gandiva,afs,pollux -parallel 4
 //	lyra-sim -scheme lyra -faults "mtbf=21600,mttr=600,straggler=0.1"
 //	lyra-sim -scheme lyra -training-shards 2 -inference-shards 2   # arbitrated shards (DESIGN.md §14)
-//	lyra-sim -spec testdata/scenarios/multitenant.yaml
 //	lyra-sim -scheme lyra -prof -trace out.json   # self-timing report + Perfetto trace
 package main
 
@@ -43,7 +39,6 @@ func main() {
 	g.AuditFlag("event")
 	g.EventsFlag("single scheme only")
 	g.FaultFlags("mtbf=21600,mttr=600,straggler=0.1")
-	g.SpecFlag("as a scheme matrix with SLO gating, ignoring the scheme/trace flags")
 	g.ShardFlags()
 	g.ProfFlags()
 	var (
@@ -63,12 +58,6 @@ func main() {
 	flag.Parse()
 	if err := g.StartPprof(); err != nil {
 		g.Fatal(err)
-	}
-
-	if g.SpecPath != "" {
-		runSpec(g)
-		finishProf(g)
-		return
 	}
 
 	// Validate everything BEFORE synthesizing or loading a trace: a typo
@@ -169,30 +158,6 @@ func main() {
 func finishProf(g *cliflags.Group) {
 	if err := g.FinishProf(os.Stdout); err != nil {
 		g.Fatal(err)
-	}
-}
-
-// runSpec executes a declarative scenario spec: every cell's full report,
-// then the SLO verdict table, exit 1 on any violation.
-func runSpec(g *cliflags.Group) {
-	cells, err := cliflags.LoadMatrix([]string{g.SpecPath}, g.Audit, 1)
-	if err != nil {
-		g.Fatal(err)
-	}
-	pool := runner.New(g.Parallel)
-	pool.Profile(g.Collector())
-	m := pool.Matrix(cells)
-	for _, c := range m.Cells {
-		if c.Err != nil {
-			g.Fatal(fmt.Errorf("%s/%s: %w", c.Spec, c.Cell, c.Err))
-		}
-		report(c.Spec+"/"+c.Cell, len(m.Cells) > 1, c.Report)
-	}
-	m.WriteTable(os.Stdout)
-	if !m.OK() {
-		finishProf(g)
-		fmt.Fprintf(os.Stderr, "lyra-sim: %d of %d cells violated their SLOs\n", m.Failures(), len(m.Cells))
-		os.Exit(1)
 	}
 }
 

@@ -46,7 +46,7 @@ func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Buffer) {
 		for i := 0; i < 10; i++ {
 			j := job.New(100*n+i, 0, job.Generic, 4, 1, 1, 1000)
 			j.Fungible = true
-			sim.EnqueueForTest(st, j, lessByID)
+			st.Enqueue(j, lessByID)
 		}
 	}
 	a := New(

@@ -20,7 +20,6 @@ import (
 	"lyra"
 	"lyra/internal/obs"
 	"lyra/internal/prof"
-	"lyra/internal/runner"
 )
 
 // FlagSet is the subset of *flag.FlagSet the group needs; the standard
@@ -45,7 +44,6 @@ type Group struct {
 	Events    string
 	Faults    string
 	FaultSeed int64
-	SpecPath  string
 
 	// Profiling flags (ProfFlags): the self-timing report switch, the
 	// Chrome-trace output path, and the pprof profile paths.
@@ -128,11 +126,6 @@ func (g *Group) ShardFlags() {
 		"partition the training cluster into this many arbitrated shards (0 = unsharded)")
 	g.fs.IntVar(&g.InferenceShards, "inference-shards", 0,
 		"partition the inference cluster into this many arbitrated shards (0 = unsharded)")
-}
-
-// SpecFlag registers -spec, the declarative scenario-spec entry point.
-func (g *Group) SpecFlag(what string) {
-	g.fs.StringVar(&g.SpecPath, "spec", "", "run the scenario spec (YAML/JSON) at this path "+what)
 }
 
 // ProfFlags registers the shared profiling flags: -prof (print the wall-
@@ -295,8 +288,7 @@ func kindCSV(ks []lyra.SchedulerKind) string {
 // LoadMatrix loads the spec files, compiles them, and applies the given
 // per-cell adjustments: audit turns the invariant auditor on in every
 // cell's config, tighten != 1 scales every SLO upper bound (the CI failure
-// -path proof). It is the shared core of lyra-matrix and of lyra-sim /
-// lyra-bench -spec.
+// -path proof).
 func LoadMatrix(paths []string, audit bool, tighten float64) ([]lyra.CompiledCell, error) {
 	var cells []lyra.CompiledCell
 	for _, path := range paths {
@@ -319,12 +311,4 @@ func LoadMatrix(paths []string, audit bool, tighten float64) ([]lyra.CompiledCel
 		}
 	}
 	return cells, nil
-}
-
-// RunMatrix executes compiled cells on the pool and writes the verdict
-// table to w. The returned report's OK() decides the exit code.
-func RunMatrix(pool *runner.Pool, cells []lyra.CompiledCell, w *os.File) *runner.MatrixReport {
-	m := pool.Matrix(cells)
-	m.WriteTable(w)
-	return m
 }

@@ -299,14 +299,12 @@ type Cluster struct {
 	usedCnt  [numPools]int
 	totalCnt [numPools]int
 	flexCnt  [numPools]int
-	// partialCnt / emptyCnt count servers with 0 < Used < NumGPUs and
-	// Used == 0. srvByType / freeByType split membership and free GPUs by
-	// GPU type (pools are homogeneous in practice; nothing here assumes
-	// it), giving O(1) NormalizedFreeCapacity and pool-GPU lookups.
-	partialCnt [numPools]int
-	emptyCnt   [numPools]int
-	srvByType  [numPools][numGPUTypes]int
-	freeByType [numPools][numGPUTypes]int
+	// emptyCnt counts servers with Used == 0 (BusyServers). srvByType
+	// splits membership by GPU type (pools are homogeneous in practice;
+	// nothing here assumes it), so BestFit knows in O(1) whether a pool
+	// holds any server of a type.
+	emptyCnt  [numPools]int
+	srvByType [numPools][numGPUTypes]int
 	// Failure-domain topology, assigned once in New and immutable after:
 	// rackOf/zoneOf map server ID -> domain index, racks/zones list each
 	// domain's member server IDs in ascending order. Racks never span the
@@ -392,9 +390,6 @@ func New(cfg Config) *Cluster {
 	c.assignDomains(cfg)
 	return c
 }
-
-// FirstID returns the lowest server ID of the cluster's home ID range.
-func (c *Cluster) FirstID() int { return c.firstID }
 
 // Shard returns the shard label assigned at construction (zero when
 // unsharded).
@@ -515,12 +510,8 @@ func (c *Cluster) enterPool(p Pool, s *Server) {
 	c.totalCnt[p] += s.NumGPUs
 	c.flexCnt[p] += s.flexTotal
 	c.srvByType[p][s.GPU]++
-	c.freeByType[p][s.GPU] += s.free
-	switch u := s.Used(); {
-	case u == 0:
+	if s.Used() == 0 {
 		c.emptyCnt[p]++
-	case u < s.NumGPUs:
-		c.partialCnt[p]++
 	}
 }
 
@@ -533,12 +524,8 @@ func (c *Cluster) leavePool(p Pool, s *Server) {
 	c.totalCnt[p] -= s.NumGPUs
 	c.flexCnt[p] -= s.flexTotal
 	c.srvByType[p][s.GPU]--
-	c.freeByType[p][s.GPU] -= s.free
-	switch u := s.Used(); {
-	case u == 0:
+	if s.Used() == 0 {
 		c.emptyCnt[p]--
-	case u < s.NumGPUs:
-		c.partialCnt[p]--
 	}
 }
 
@@ -556,18 +543,11 @@ func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 	d := s.free - oldFree
 	c.freeCnt[p] += d
 	c.usedCnt[p] -= d
-	c.freeByType[p][s.GPU] += d
-	switch oldUsed := s.NumGPUs - oldFree; {
-	case oldUsed == 0:
+	if oldFree == s.NumGPUs {
 		c.emptyCnt[p]--
-	case oldUsed < s.NumGPUs:
-		c.partialCnt[p]--
 	}
-	switch newUsed := s.Used(); {
-	case newUsed == 0:
+	if s.Used() == 0 {
 		c.emptyCnt[p]++
-	case newUsed < s.NumGPUs:
-		c.partialCnt[p]++
 	}
 }
 
@@ -728,29 +708,9 @@ func (c *Cluster) FlexibleGPUs(p Pool) int { return c.flexCnt[p] }
 // allocated GPU. O(1).
 func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] }
 
-// NormalizedFreeCapacity returns free GPUs in the training scheduler's
-// pools weighted by GPU speed, the normalization §5.2 applies to on-loan
-// inference GPUs when computing resource capacity. O(GPU types).
-func (c *Cluster) NormalizedFreeCapacity() float64 {
-	t := 0.0
-	for _, p := range []Pool{PoolTraining, PoolOnLoan} {
-		for g := GPUType(0); g < numGPUTypes; g++ {
-			t += float64(c.freeByType[p][g]) * g.Speed()
-		}
-	}
-	return t
-}
-
-// Fragmentation counts schedulable servers that are partially allocated
-// (neither empty nor full) — the fragmentation the BFD placement of §5.3
-// tries to minimize. O(1).
-func (c *Cluster) Fragmentation() int {
-	return c.partialCnt[PoolTraining] + c.partialCnt[PoolOnLoan]
-}
-
 // BestFit returns the best-fit server in pool p for one worker that needs
 // need(gpu) GPUs on a server of type gpu, or nil. Preference order matches
-// the placement tie-break contract (place.fitBetter): non-empty servers
+// the placement tie-break contract (package place): non-empty servers
 // before empty ones, then least free GPUs, then lowest ID. fixed, when
 // non-nil, restricts candidates to one GPU type; exclude lists servers that
 // must not be used.
@@ -758,7 +718,7 @@ func (c *Cluster) Fragmentation() int {
 // The lookup walks the hosting sets upward from the smallest possibly-fitting
 // free count, then the idle sets the same way, and returns the first
 // eligible server: sets ascend by free count and iterate by ID, so that is
-// the exact fitBetter winner, whatever mix of server sizes the pool holds.
+// the exact winner of that order, whatever mix of server sizes the pool holds.
 // With B = GPUs per server distinct free counts this is O(B + ineligible
 // servers passed over); nothing is scanned past the answer.
 func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude map[int]struct{}) *Server {
@@ -866,8 +826,8 @@ func (c *Cluster) CheckInvariants() error {
 }
 
 // AuditIndexes recounts every incrementally-maintained counter and index
-// from scratch — per-pool free/used/total/flexible GPUs, empty/partial
-// server counts, per-type splits, and the membership, side (hosting or
+// from scratch — per-pool free/used/total/flexible GPUs, empty-server
+// counts, per-type membership, and the membership, side (hosting or
 // idle) and member count of every free-count set — and returns the first
 // disagreement with the maintained values. It is the
 // equivalence oracle keeping the maintain-on-write fast paths honest: the
@@ -876,8 +836,8 @@ func (c *Cluster) CheckInvariants() error {
 // the transition that introduced the drift.
 func (c *Cluster) AuditIndexes() error {
 	for p := Pool(0); p < numPools; p++ {
-		var members, free, used, total, flex, empty, partial int
-		var byType, freeType [numGPUTypes]int
+		var members, free, used, total, flex, empty int
+		var byType [numGPUTypes]int
 		for i := c.pools[p].next(0); i >= 0; i = c.pools[p].next(i + 1) {
 			s := c.servers[i]
 			members++
@@ -886,25 +846,19 @@ func (c *Cluster) AuditIndexes() error {
 			total += s.NumGPUs
 			flex += s.flexTotal
 			byType[s.GPU]++
-			freeType[s.GPU] += s.free
-			switch u := s.Used(); {
-			case u == 0:
+			if s.Used() == 0 {
 				empty++
-			case u < s.NumGPUs:
-				partial++
 			}
 		}
 		if free != c.freeCnt[p] || used != c.usedCnt[p] || total != c.totalCnt[p] || flex != c.flexCnt[p] {
 			return fmt.Errorf("pool %v: counters free/used/total/flex = %d/%d/%d/%d, recount = %d/%d/%d/%d",
 				p, c.freeCnt[p], c.usedCnt[p], c.totalCnt[p], c.flexCnt[p], free, used, total, flex)
 		}
-		if empty != c.emptyCnt[p] || partial != c.partialCnt[p] {
-			return fmt.Errorf("pool %v: empty/partial counters = %d/%d, recount = %d/%d",
-				p, c.emptyCnt[p], c.partialCnt[p], empty, partial)
+		if empty != c.emptyCnt[p] {
+			return fmt.Errorf("pool %v: empty counter = %d, recount = %d", p, c.emptyCnt[p], empty)
 		}
-		if byType != c.srvByType[p] || freeType != c.freeByType[p] {
-			return fmt.Errorf("pool %v: per-type counters %v/%v, recount %v/%v",
-				p, c.srvByType[p], c.freeByType[p], byType, freeType)
+		if byType != c.srvByType[p] {
+			return fmt.Errorf("pool %v: per-type counters %v, recount %v", p, c.srvByType[p], byType)
 		}
 		if members != c.pools[p].n {
 			return fmt.Errorf("pool %v: set counts %d members, holds %d", p, c.pools[p].n, members)

@@ -193,32 +193,6 @@ func TestGPUAccounting(t *testing.T) {
 	}
 }
 
-func TestNormalizedFreeCapacity(t *testing.T) {
-	c := New(Config{TrainingServers: 1, InferenceServers: 1})
-	inf := c.PoolServers(PoolInference)[0]
-	if err := c.Move(inf.ID, PoolOnLoan); err != nil {
-		t.Fatal(err)
-	}
-	want := 8*V100.Speed() + 8*T4.Speed()
-	if got := c.NormalizedFreeCapacity(); got != want {
-		t.Errorf("normalized capacity = %v, want %v", got, want)
-	}
-}
-
-func TestFragmentation(t *testing.T) {
-	c := New(Config{TrainingServers: 3, InferenceServers: 0})
-	ts := c.PoolServers(PoolTraining)
-	if err := ts[0].Allocate(1, 8, false); err != nil { // full: not fragmented
-		t.Fatal(err)
-	}
-	if err := ts[1].Allocate(2, 3, false); err != nil { // partial: fragmented
-		t.Fatal(err)
-	}
-	if got := c.Fragmentation(); got != 1 {
-		t.Errorf("fragmentation = %d, want 1", got)
-	}
-}
-
 // TestPropertyAllocationConservation drives a random sequence of allocate/
 // release/move operations and checks invariants after every step.
 func TestPropertyAllocationConservation(t *testing.T) {

@@ -16,7 +16,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,7 +67,7 @@ func (m *refModel) poolIDs(p Pool) []int {
 	return ids
 }
 
-func (m *refModel) counts(p Pool) (free, used, total, flex, empty, partial int) {
+func (m *refModel) counts(p Pool) (free, used, total, flex, empty int) {
 	for _, s := range m.servers {
 		if s.pool != p {
 			continue
@@ -78,28 +77,15 @@ func (m *refModel) counts(p Pool) (free, used, total, flex, empty, partial int) 
 		used += s.used()
 		total += s.numGPUs
 		flex += s.flexTotal()
-		switch u := s.used(); {
-		case u == 0:
+		if s.used() == 0 {
 			empty++
-		case u < s.numGPUs:
-			partial++
 		}
 	}
 	return
 }
 
-func (m *refModel) normalizedFree() float64 {
-	t := 0.0
-	for _, s := range m.servers {
-		if s.pool == PoolTraining || s.pool == PoolOnLoan {
-			t += float64(s.free()) * s.gpu.Speed()
-		}
-	}
-	return t
-}
-
 // bestFit is the reference placement: a full scan in ID order applying the
-// fitBetter preference (non-empty first, then least free, then lowest ID),
+// placement preference (non-empty first, then least free, then lowest ID),
 // exactly as place.bestFit did before the bucket index existed.
 func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude map[int]struct{}) int {
 	best := -1
@@ -200,7 +186,7 @@ func compare(t *testing.T, step int, c *Cluster, m *refModel) {
 				t.Fatalf("step %d pool %v: member[%d] = %d, want %d", step, p, i, s.ID, wantIDs[i])
 			}
 		}
-		free, used, total, flex, empty, partial := m.counts(p)
+		free, used, total, flex, empty := m.counts(p)
 		if c.FreeGPUs(p) != free || c.UsedGPUs(p) != used || c.TotalGPUs(p) != total || c.FlexibleGPUs(p) != flex {
 			t.Fatalf("step %d pool %v: counters free/used/total/flex = %d/%d/%d/%d, want %d/%d/%d/%d",
 				step, p, c.FreeGPUs(p), c.UsedGPUs(p), c.TotalGPUs(p), c.FlexibleGPUs(p), free, used, total, flex)
@@ -208,14 +194,6 @@ func compare(t *testing.T, step int, c *Cluster, m *refModel) {
 		if c.BusyServers(p) != len(wantIDs)-empty {
 			t.Fatalf("step %d pool %v: busy = %d, want %d", step, p, c.BusyServers(p), len(wantIDs)-empty)
 		}
-		if p == PoolTraining {
-			if c.Fragmentation() != partial+func() int { _, _, _, _, _, lp := m.counts(PoolOnLoan); return lp }() {
-				t.Fatalf("step %d: fragmentation = %d", step, c.Fragmentation())
-			}
-		}
-	}
-	if got, want := c.NormalizedFreeCapacity(), m.normalizedFree(); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("step %d: normalized free capacity = %g, want %g", step, got, want)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)

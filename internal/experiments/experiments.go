@@ -65,9 +65,6 @@ func (p Params) TraceConfig() lyra.TraceConfig {
 	return cfg
 }
 
-// Trace synthesizes the workload for these parameters.
-func (p Params) Trace() *lyra.Trace { return lyra.GenerateTrace(p.TraceConfig()) }
-
 // Table is a printable experiment result.
 type Table struct {
 	ID     string // e.g. "table5", "fig10"

@@ -172,30 +172,3 @@ func (s *Scheduler) TargetForUtilization(util float64) int {
 	}
 	return int(math.Floor(idle * float64(s.TotalServers)))
 }
-
-// Instruction is one loan/reclaim command sent to Lyra's resource
-// orchestrator (Figure 4, arrow (a)).
-type Instruction struct {
-	Time    int64
-	Loan    int // servers newly offered for loaning
-	Reclaim int // servers that must be returned
-}
-
-// Instructions derives the command stream for an orchestrator that runs
-// every epoch seconds, given the number of servers currently on loan is
-// tracked externally starting from zero.
-func (s *Scheduler) Instructions(horizon, epoch int64) []Instruction {
-	var out []Instruction
-	onLoan := 0
-	for t := int64(0); t < horizon; t += epoch {
-		target := s.TargetOnLoan(t)
-		switch {
-		case target > onLoan:
-			out = append(out, Instruction{Time: t, Loan: target - onLoan})
-		case target < onLoan:
-			out = append(out, Instruction{Time: t, Reclaim: onLoan - target})
-		}
-		onLoan = target
-	}
-	return out
-}

@@ -135,45 +135,3 @@ func TestTargetOnLoanHeadroom(t *testing.T) {
 		t.Errorf("target with headroom violation = %d, want 0", got)
 	}
 }
-
-func TestInstructionsConservation(t *testing.T) {
-	ts := GenerateUtilization(DefaultUtilizationConfig(3), 2*86400, 300)
-	s := NewScheduler(ts, 520, 0.02)
-	ins := s.Instructions(2*86400, 300)
-	onLoan := 0
-	for _, in := range ins {
-		if in.Loan > 0 && in.Reclaim > 0 {
-			t.Fatal("instruction both loans and reclaims")
-		}
-		if in.Loan < 0 || in.Reclaim < 0 {
-			t.Fatal("negative instruction")
-		}
-		onLoan += in.Loan - in.Reclaim
-		if onLoan < 0 {
-			t.Fatalf("reclaimed more than loaned at t=%d", in.Time)
-		}
-		if onLoan > 520 {
-			t.Fatalf("loaned more than the cluster at t=%d", in.Time)
-		}
-	}
-	if len(ins) == 0 {
-		t.Error("diurnal utilization should produce instructions")
-	}
-}
-
-func TestInstructionsMatchTarget(t *testing.T) {
-	ts := GenerateUtilization(DefaultUtilizationConfig(5), 86400, 300)
-	s := NewScheduler(ts, 520, 0.02)
-	ins := s.Instructions(86400, 300)
-	onLoan := 0
-	idx := 0
-	for tm := int64(0); tm < 86400; tm += 300 {
-		for idx < len(ins) && ins[idx].Time == tm {
-			onLoan += ins[idx].Loan - ins[idx].Reclaim
-			idx++
-		}
-		if want := s.TargetOnLoan(tm); onLoan != want {
-			t.Fatalf("t=%d: on-loan %d != target %d", tm, onLoan, want)
-		}
-	}
-}

@@ -50,7 +50,7 @@ import (
 // Rule identifiers, stable strings tests can assert on.
 const (
 	RuleClusterInternal  = "cluster-internal"         // cluster.CheckInvariants failed
-	RuleIndexConsistency = "index-consistency"        // cluster.AuditIndexes found counter/bucket drift
+	RuleIndexConsistency = "index-consistency"        // a maintained index, view or counter differs from its recount
 	RuleGPUConservation  = "gpu-conservation"         // workers vs allocations vs pool totals
 	RuleLifecycle        = "lifecycle"                // job state vs workers vs queue membership
 	RuleQueueOrder       = "queue-order"              // Pending sortedness, duplicates, stale entries

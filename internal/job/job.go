@@ -286,15 +286,6 @@ func (j *Job) GPUsHeld() int {
 	return n
 }
 
-// ServerSet returns the distinct server IDs hosting this job's workers.
-func (j *Job) ServerSet() map[int]struct{} {
-	set := make(map[int]struct{}, len(j.Workers))
-	for _, w := range j.Workers {
-		set[w.Server] = struct{}{}
-	}
-	return set
-}
-
 // Advance retires dt seconds of progress at the current throughput and
 // returns the work retired. It never drives Remaining below zero.
 func (j *Job) Advance(dt float64, sm ScalingModel) float64 {

@@ -128,47 +128,3 @@ func grow[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// MultiChoiceBrute solves MCKP by exhaustive enumeration for verification.
-// The product of (len(group)+1) over groups must stay below ~2^22; larger
-// inputs return (NaN, nil).
-func MultiChoiceBrute(groups [][]Item, capacity int) (float64, []int) {
-	total := 1
-	for _, g := range groups {
-		total *= len(g) + 1
-		if total > 1<<22 {
-			return math.NaN(), nil
-		}
-	}
-	best := 0.0
-	bestChoice := make([]int, len(groups))
-	for i := range bestChoice {
-		bestChoice[i] = -1
-	}
-	choice := make([]int, len(groups))
-	for i := range choice {
-		choice[i] = -1
-	}
-	var rec func(g int, w int, v float64)
-	rec = func(g, w int, v float64) {
-		if w > capacity {
-			return
-		}
-		if g == len(groups) {
-			if v > best+eps {
-				best = v
-				copy(bestChoice, choice)
-			}
-			return
-		}
-		choice[g] = -1
-		rec(g+1, w, v)
-		for idx, it := range groups[g] {
-			choice[g] = idx
-			rec(g+1, w+it.Weight, v+it.Value)
-		}
-		choice[g] = -1
-	}
-	rec(0, 0, 0)
-	return best, bestChoice
-}

@@ -44,7 +44,3 @@ func BootstrapMeanCI(xs []float64, resamples int, confidence float64, seed int64
 		Hi:   Percentile(means, 100*(1-alpha)),
 	}
 }
-
-// Overlaps reports whether two confidence intervals overlap — the quick
-// significance check used when comparing scheme reductions.
-func (c CI) Overlaps(o CI) bool { return c.Lo <= o.Hi && o.Lo <= c.Hi }

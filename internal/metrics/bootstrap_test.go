@@ -46,18 +46,6 @@ func TestBootstrapMeanCIDefaults(t *testing.T) {
 	}
 }
 
-func TestCIOverlaps(t *testing.T) {
-	a := CI{Lo: 1, Hi: 3}
-	b := CI{Lo: 2.5, Hi: 4}
-	c := CI{Lo: 3.5, Hi: 5}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("a and c do not overlap")
-	}
-}
-
 func TestBootstrapNarrowsWithSampleSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	small := make([]float64, 20)

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -78,20 +77,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Reduction returns the paper's improvement metric: duration under the
-// compared scheme divided by duration under Lyra (§7.1). A value of 1.5
-// reads as "Lyra brings a 1.5x reduction". Division by zero yields +Inf for
-// positive numerators and 1 for 0/0.
-func Reduction(compared, lyra float64) float64 {
-	if lyra == 0 {
-		if compared == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return compared / lyra
-}
-
 // Mean returns the arithmetic mean of xs, 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -119,9 +104,6 @@ func NewTimeSeries(start, interval int64) *TimeSeries {
 
 // Append adds the next sample.
 func (ts *TimeSeries) Append(v float64) { ts.Values = append(ts.Values, v) }
-
-// TimeAt returns the timestamp of sample i.
-func (ts *TimeSeries) TimeAt(i int) int64 { return ts.Start + int64(i)*ts.Interval }
 
 // Mean returns the mean of all samples.
 func (ts *TimeSeries) Mean() float64 { return Mean(ts.Values) }
@@ -172,10 +154,4 @@ func (ts *TimeSeries) Bucket(width int64) *TimeSeries {
 		out.Append(Mean(ts.Values[i:end]))
 	}
 	return out
-}
-
-// FormatSeconds renders a duration in seconds in the compact style the
-// paper's tables use (integer seconds).
-func FormatSeconds(v float64) string {
-	return fmt.Sprintf("%.0f", v)
 }

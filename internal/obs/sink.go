@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 )
 
@@ -117,15 +116,3 @@ func (s *JSONLWriter) Record(ev Event) {
 
 // Err reports the first write or encoding error, if any.
 func (s *JSONLWriter) Err() error { return s.err }
-
-// HumanWriter renders each event with Event.String — the greppable
-// narrative form used by violation reports and `lyra-events`.
-type HumanWriter struct {
-	w io.Writer
-}
-
-// NewHumanWriter returns a human-readable sink over w.
-func NewHumanWriter(w io.Writer) *HumanWriter { return &HumanWriter{w: w} }
-
-// Record implements Sink.
-func (s *HumanWriter) Record(ev Event) { fmt.Fprintln(s.w, ev.String()) }

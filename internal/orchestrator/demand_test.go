@@ -21,7 +21,7 @@ func startOnServer0(t *testing.T, st *sim.State, j *job.Job, base, flexible int)
 		}
 		ws = append(ws, job.Worker{Server: 0, GPU: s.GPU, GPUs: j.GPUsPerWorker, Flexible: flex})
 	}
-	sim.EnqueueForTest(st, j, lessByID)
+	st.Enqueue(j, lessByID)
 	st.Start(j, ws)
 	st.CompactPending()
 }
@@ -51,7 +51,7 @@ func TestOverProvisionedElasticDemandClampedAtZero(t *testing.T) {
 	// Pending fungible backlog of 4 GPUs.
 	backlog := job.New(3, 0, job.Generic, 1, 4, 4, 1000)
 	backlog.Fungible = true
-	sim.EnqueueForTest(st, backlog, lessByID)
+	st.Enqueue(backlog, lessByID)
 
 	// demand = 4 (backlog) + 3 (under's unmet) + 0 (over, clamped);
 	// supply = 2 free training GPUs; shortfall 5 -> 2 T4 servers at the

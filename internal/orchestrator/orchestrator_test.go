@@ -26,7 +26,7 @@ func fixedSeries(utils []float64, servers int) *inference.Scheduler {
 
 func newHarness(training, inf int, utils []float64) (*sim.State, *Orchestrator) {
 	c := cluster.New(cluster.Config{TrainingServers: training, InferenceServers: inf})
-	st := sim.NewStateForTest(c, job.Linear, 63)
+	st := sim.NewState(c, job.Linear, 63)
 	o := New(fixedSeries(utils, inf), reclaim.Lyra{}, lessByID)
 	return st, o
 }
@@ -47,7 +47,7 @@ func TestNonFungibleDemandDoesNotLoan(t *testing.T) {
 	// A backlog that cannot run on T4 servers must not trigger loaning.
 	for i := 0; i < 3; i++ {
 		j := job.New(i, 0, job.Generic, 8, 1, 1, 1000) // not fungible
-		sim.EnqueueForTest(st, j, lessByID)
+		st.Enqueue(j, lessByID)
 	}
 	o.Epoch(st)
 	if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != 0 {
@@ -62,7 +62,7 @@ func TestLoanFollowsDemandUpToCap(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		j := job.New(i, 0, job.Generic, 4, 1, 1, 1000)
 		j.Fungible = true
-		sim.EnqueueForTest(st, j, lessByID)
+		st.Enqueue(j, lessByID)
 	}
 	o.Epoch(st)
 	if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != 4 {
@@ -76,7 +76,7 @@ func TestUnloanableWorkersCreateNoDemand(t *testing.T) {
 	// loan, so it must not trigger loaning even though it is fungible.
 	j := job.New(1, 0, job.Generic, 8, 1, 1, 1000)
 	j.Fungible = true
-	sim.EnqueueForTest(st, j, lessByID)
+	st.Enqueue(j, lessByID)
 	o.Epoch(st)
 	if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != 0 {
 		t.Errorf("on-loan = %d, want 0 for an unloanable worker", got)
@@ -91,7 +91,7 @@ func TestReclaimEmptyServersNoPreemption(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		j := job.New(i, 0, job.Generic, 4, 1, 1, 1000)
 		j.Fungible = true
-		sim.EnqueueForTest(st, j, lessByID)
+		st.Enqueue(j, lessByID)
 	}
 	o.Epoch(st)
 	if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != 2 {
@@ -120,7 +120,7 @@ func TestVoluntaryReturnOfIdleServers(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		j := job.New(i, 0, job.Generic, 4, 1, 1, 1000)
 		j.Fungible = true
-		sim.EnqueueForTest(st, j, lessByID)
+		st.Enqueue(j, lessByID)
 		jobs = append(jobs, j)
 	}
 	o.Epoch(st)
@@ -147,7 +147,7 @@ func TestReclaimPreemptsBaseJobs(t *testing.T) {
 	// The pending fungible job is the loan demand.
 	j := job.New(1, 0, job.Generic, 4, 1, 1, 10000)
 	j.Fungible = true
-	sim.EnqueueForTest(st, j, lessByID)
+	st.Enqueue(j, lessByID)
 	o.Epoch(st)
 	if st.Cluster.PoolSize(cluster.PoolOnLoan) == 0 {
 		t.Fatalf("no servers loaned despite demand")
@@ -181,7 +181,7 @@ func TestReclaimScalesInFlexibleFirst(t *testing.T) {
 	// Elastic job: base on one on-loan server, flexible on the other.
 	j := job.New(1, 0, job.ResNet, 2, 2, 8, 10000)
 	j.Elastic = true
-	sim.EnqueueForTest(st, j, lessByID)
+	st.Enqueue(j, lessByID)
 	o.Epoch(st) // loan for the elastic job's base demand
 	if st.Cluster.PoolSize(cluster.PoolOnLoan) < 2 {
 		t.Fatalf("on-loan = %d, want >= 2", st.Cluster.PoolSize(cluster.PoolOnLoan))
@@ -222,7 +222,7 @@ func TestCollateralAccounting(t *testing.T) {
 	// server (memory doubling), so the job spans both loaned servers.
 	j := job.New(1, 0, job.Generic, 4, 2, 2, 10000)
 	j.Fungible = true
-	sim.EnqueueForTest(st, j, lessByID)
+	st.Enqueue(j, lessByID)
 	o.Epoch(st) // loan for the job's demand
 	ws, ok := place.Gang(st.Cluster, j, 2, place.PreferOnLoan(false))
 	if !ok {

@@ -176,11 +176,11 @@ func poolGPU(c *cluster.Cluster, p cluster.Pool) *cluster.GPUType {
 // determinism. The per-worker GPU requirement is evaluated per server GPU
 // type (see WorkerGPUs).
 //
-// The pool-internal order (fitBetter: non-empty, then least free, then
-// lowest ID) is resolved by the cluster's free-count bucket index in
-// O(buckets + log S) rather than a full pool scan; cluster.BestFit
-// documents the exact-equivalence argument, and the cluster property test
-// checks it against a naive fitBetter scan on random states.
+// The pool-internal order (non-empty, then least free, then lowest ID) is
+// the placement tie-break contract. cluster.BestFit resolves it on the
+// free-count bucket index rather than by a full pool scan and documents the
+// exact-equivalence argument; the cluster property test checks it against a
+// naive scan in that order on random states.
 func bestFit(c *cluster.Cluster, j *job.Job, opt Options) *cluster.Server {
 	need := func(g cluster.GPUType) int { return WorkerGPUs(j, g) }
 	for _, pool := range poolOrder(opt) {
@@ -190,26 +190,6 @@ func bestFit(c *cluster.Cluster, j *job.Job, opt Options) *cluster.Server {
 	}
 	return nil
 }
-
-// fitBetter reports whether a is a better best-fit target than b: prefer
-// non-empty servers, then smaller free space, then lower ID. This is the
-// placement tie-break contract; cluster.BestFit implements it on the bucket
-// index, and the property test in internal/cluster uses FitBetter as the
-// reference order.
-func fitBetter(a, b *cluster.Server) bool {
-	aEmpty, bEmpty := a.Used() == 0, b.Used() == 0
-	if aEmpty != bEmpty {
-		return bEmpty
-	}
-	if a.Free() != b.Free() {
-		return a.Free() < b.Free()
-	}
-	return a.ID < b.ID
-}
-
-// FitBetter exposes the placement preference order for reference-model
-// tests (see internal/cluster's property test).
-func FitBetter(a, b *cluster.Server) bool { return fitBetter(a, b) }
 
 // FitsOnLoan reports whether one worker of j can be hosted by an
 // inference-class server at all: with the memory-driven GPU doubling, a

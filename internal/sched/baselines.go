@@ -102,25 +102,30 @@ func (a *AFS) Schedule(st *sim.State) {
 	}
 	flexGPUs := st.FlexNominalGPUs()
 	freeT, freeL := st.FreeSchedulableGPUs()
-	if a.cache == nil && !st.Rescan {
+	if a.cache == nil {
 		a.cache = alloc.NewThroughputCache(st.Scaling)
 	}
 	sp := st.Prof.Start("afs.alloc")
 	targets := alloc.AFS(cands, freeT+freeL+flexGPUs, st.Scaling, a.cache)
 	sp.End()
 	sp = st.Prof.Start("afs.apply")
-	applyExtraTargets(st, cands, targets, false, "afs")
+	applyExtraTargets(st, cands, targets, false, "afs", nil)
 	sp.End()
 }
 
 // applyExtraTargets resizes elastic jobs to the given extra-worker targets:
 // scale-ins first (freeing GPUs), then scale-outs, placing what fits. cause
-// names the deciding scheduler on the emitted scale events.
-func applyExtraTargets(st *sim.State, cands []*job.Job, targets []alloc.Extra, naive bool, cause string) {
+// names the deciding scheduler on the emitted scale events; target is the
+// caller's reusable scratch map (nil allocates one).
+func applyExtraTargets(st *sim.State, cands []*job.Job, targets []alloc.Extra, naive bool, cause string, target map[int]int) {
 	saved := st.Cause
 	st.Cause = cause
 	defer func() { st.Cause = saved }()
-	target := make(map[int]int, len(targets))
+	if target == nil {
+		target = make(map[int]int, len(targets))
+	} else {
+		clear(target)
+	}
 	for _, e := range targets {
 		target[e.ID] = e.Extra
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lyra/internal/alloc"
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
 	"lyra/internal/inference"
@@ -17,15 +18,34 @@ import (
 	"lyra/internal/sim"
 )
 
+// reference is the scheduler the dirty-set layer is compared against, for
+// the two things the auditor's recounts cannot express. Embedding the
+// interface hides Memoryless, so the engine never skips an epoch; and
+// Schedule drops the wrapped scheduler's reused scratch first, so every
+// epoch solves from a fresh workspace and throughput cache.
+type reference struct{ sim.Scheduler }
+
+func (r reference) Schedule(st *sim.State) {
+	switch s := r.Scheduler.(type) {
+	case *Lyra:
+		s.ws = alloc.Workspace{}
+	case *AFS:
+		s.cache = nil
+	}
+	r.Scheduler.Schedule(st)
+}
+
 // FuzzIncrementalVsRescan is the differential gate of the dirty-set layer
 // (DESIGN.md §10): every random workload — arrivals, finishes, elastic
 // resizes, preemptions, injected crashes/recoveries and orchestrator moves —
-// runs twice, once through the maintained-index scheduler path and once
-// through the retained full-rescan reference path (sim.Config.Rescan), with
-// the invariant auditor and the incremental recount oracle on. The two runs
-// must produce byte-identical decision-trace streams and identical per-job
-// outcomes. A third pair runs without event recording, where the
-// quiescent-epoch skip is live, and must reproduce the same outcomes again.
+// runs with the invariant auditor on, which rescans: every read of a
+// maintained view is recounted from the Running map first, and every
+// epoch's first-try misses by the full pending-queue scan. On top of that
+// each workload runs twice, under the plain scheduler and under reference,
+// and the two must produce byte-identical decision-trace streams and
+// identical per-job outcomes. A second pair runs without event recording,
+// where the quiescent-epoch skip is live on the plain side, and must
+// reproduce the same outcomes again.
 func FuzzIncrementalVsRescan(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(0), false)
 	f.Add(int64(7), uint8(33), uint8(1), true)
@@ -75,10 +95,9 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 			}
 		}
 
-		run := func(rescan bool, rec *obs.Recorder) *sim.Result {
+		run := func(s sim.Scheduler, rec *obs.Recorder) *sim.Result {
 			jobs := genJobs()
 			c := cluster.New(cluster.Config{TrainingServers: 4, InferenceServers: 4})
-			s := newSched()
 			util := inference.GenerateUtilization(
 				inference.DefaultUtilizationConfig(seed+13), horizon, 300)
 			infSched := inference.NewScheduler(util, 4, 0.1)
@@ -97,7 +116,6 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 			}
 			cfg := sim.Config{
 				Audit:  true,
-				Rescan: rescan,
 				Obs:    rec,
 				Faults: plan,
 				InferenceUtil: func(ts int64) float64 {
@@ -107,7 +125,7 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 			if faults && seed%3 == 0 {
 				// Every third seed turns the degraded-mode policies on, so
 				// backoff holds and quarantine hold-downs are also compared
-				// decision-by-decision against the rescan reference.
+				// decision-by-decision against the reference.
 				cfg.BackoffBase = 45
 				cfg.BackoffCap = 600
 				cfg.HystCrashes = 2
@@ -118,12 +136,11 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 		}
 
 		// Pair 1: events on. The skip is disabled (recording runs always
-		// schedule), so this compares the maintained indexes, the flexible-
-		// GPU counter, the throughput cache and the arrivals-delta
-		// bookkeeping against the rescan reference, decision by decision.
+		// schedule), so this compares the reused MCKP workspace and the
+		// throughput cache against fresh ones, decision by decision.
 		var incB, refB bytes.Buffer
-		incRes := run(false, obs.NewRecorder(obs.NewJSONLWriter(&incB)))
-		refRes := run(true, obs.NewRecorder(obs.NewJSONLWriter(&refB)))
+		incRes := run(newSched(), obs.NewRecorder(obs.NewJSONLWriter(&incB)))
+		refRes := run(reference{newSched()}, obs.NewRecorder(obs.NewJSONLWriter(&refB)))
 		if !bytes.Equal(incB.Bytes(), refB.Bytes()) {
 			reportStreamDiff(t, incB.String(), refB.String())
 		}
@@ -132,8 +149,8 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 		// Pair 2: events off — the quiescent-epoch skip is live on the
 		// incremental side (for memoryless schedulers). Outcomes must still
 		// match the reference, and the events-on run.
-		incOff := run(false, nil)
-		refOff := run(true, nil)
+		incOff := run(newSched(), nil)
+		refOff := run(reference{newSched()}, nil)
 		compareResults(t, "events-off", incOff, refOff)
 		compareResults(t, "obs-on-vs-off", incRes, incOff)
 	})

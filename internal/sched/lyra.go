@@ -4,7 +4,6 @@ import (
 	"lyra/internal/alloc"
 	"lyra/internal/job"
 	"lyra/internal/obs"
-	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -112,12 +111,8 @@ func (l *Lyra) phase2(st *sim.State) {
 	flexGPUs := st.FlexNominalGPUs()
 	freeT, freeL := st.FreeSchedulableGPUs()
 	capacity := freeT + freeL + flexGPUs
-	ws := &l.ws
-	if st.Rescan {
-		ws = nil // the reference path solves in a fresh workspace every epoch
-	}
 	sp := st.Prof.Start("phase2.mckp")
-	targets := alloc.Phase2(cands, capacity, st.Scaling, l.Tuning, ws)
+	targets := alloc.Phase2(cands, capacity, st.Scaling, l.Tuning, &l.ws)
 	sp.End()
 	if st.Obs.Enabled() {
 		tf := make([]obs.Fields, 0, len(targets))
@@ -131,30 +126,8 @@ func (l *Lyra) phase2(st *sim.State) {
 	}
 	if l.p2target == nil {
 		l.p2target = make(map[int]int, len(targets))
-	} else {
-		clear(l.p2target)
 	}
-	target := l.p2target
-	for _, e := range targets {
-		target[e.ID] = e.Extra
-	}
-	saved := st.Cause
-	st.Cause = "phase2"
 	sp = st.Prof.Start("phase2.apply")
-	defer func() { sp.End(); st.Cause = saved }()
-	// Scale in first to free GPUs for the scale-outs.
-	for _, j := range cands {
-		if cur := j.FlexibleWorkers(); cur > target[j.ID] {
-			st.RemoveFlexibleWorkers(j, cur-target[j.ID])
-		}
-	}
-	for _, j := range cands {
-		want := target[j.ID] - j.FlexibleWorkers()
-		if want <= 0 {
-			continue
-		}
-		if ws := place.UpTo(st.Cluster, j, want, scaleOutOpts(st, j, l.NaivePlacement)); len(ws) > 0 {
-			st.AddWorkers(j, ws)
-		}
-	}
+	applyExtraTargets(st, cands, targets, l.NaivePlacement, "phase2", l.p2target)
+	sp.End()
 }

@@ -75,7 +75,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 			resized = append(resized, j)
 		}
 	}
-	applyExtraTargets(st, resized, extras, false, "pollux")
+	applyExtraTargets(st, resized, extras, false, "pollux", nil)
 
 	// Start pending jobs the GA selected.
 	saved := st.Cause

@@ -18,12 +18,12 @@ func harness(t *testing.T, training, onLoan int) *sim.State {
 			t.Fatal(err)
 		}
 	}
-	return sim.NewStateForTest(c, job.Linear, 63)
+	return sim.NewState(c, job.Linear, 63)
 }
 
 func enqueue(st *sim.State, s sim.Scheduler, jobs ...*job.Job) {
 	for _, j := range jobs {
-		sim.EnqueueForTest(st, j, s.Less)
+		st.Enqueue(j, s.Less)
 	}
 }
 

@@ -40,7 +40,7 @@ func startVictim(t *testing.T, st *sim.State, id, server int) *job.Job {
 // the job within the same call.
 func TestStartBaseRecountsAfterReclaim(t *testing.T) {
 	c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 0})
-	st := sim.NewStateForTest(c, job.Linear, 0)
+	st := sim.NewState(c, job.Linear, 0)
 	victims := []*job.Job{
 		startVictim(t, st, 1, 0),
 		startVictim(t, st, 2, 0),
@@ -55,7 +55,7 @@ func TestStartBaseRecountsAfterReclaim(t *testing.T) {
 	}
 
 	a := job.New(5, 0, job.Generic, 3, 2, 2, 1000)
-	sim.EnqueueForTest(st, a, lessByArrival)
+	st.Enqueue(a, lessByArrival)
 
 	started := startBase(st, defaultPoolPolicy, false)
 

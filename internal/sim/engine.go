@@ -24,9 +24,6 @@ type Config struct {
 	// OrchInterval is the resource orchestrator epoch (default 300,
 	// §7.1: "Lyra's resource orchestrator runs every five minutes").
 	OrchInterval int64
-	// MetricsInterval is the usage sampling period (default 300, matching
-	// the 5-minute monitoring of Figures 1 and 9).
-	MetricsInterval int64
 	// PreemptOverhead is the fixed preemption overhead in seconds added
 	// whenever a job is preempted (default 63, the testbed-measured value
 	// adopted by the simulation in §7.2; negative means explicitly free —
@@ -54,18 +51,10 @@ type Config struct {
 	Audit bool
 	// Obs is the optional structured event recorder (internal/obs): when
 	// non-nil the engine and state emit the full decision-trace stream
-	// (job lifecycle, scheduler epoch summaries, counter samples on
-	// MetricsInterval). Nil keeps the hot path untouched — every emission
+	// (job lifecycle, scheduler epoch summaries, counter samples every
+	// metricsInterval). Nil keeps the hot path untouched — every emission
 	// site is behind a single nil check, same discipline as Audit.
 	Obs *obs.Recorder
-	// Rescan selects the retained full-rescan reference scheduler path:
-	// ordered running-job views are rebuilt from scratch every read, the
-	// flexible-GPU count is recounted, arrival bookkeeping scans the whole
-	// pending queue, and quiescent scheduler epochs are never skipped —
-	// the exact pre-dirty-set behavior. The differential fuzz target runs
-	// every scenario through both modes and asserts identical decisions;
-	// production runs leave it off.
-	Rescan bool
 	// Faults is the optional deterministic fault-injection plan
 	// (internal/fault): server crash/recovery events enter the event queue
 	// pre-generated from the plan's seeded stream, and straggler jobs get
@@ -105,15 +94,16 @@ type Config struct {
 	HystHold float64
 }
 
+// metricsInterval is the usage sampling period in seconds, matching the
+// 5-minute monitoring of Figures 1 and 9.
+const metricsInterval = 300
+
 func (c Config) withDefaults() Config {
 	if c.SchedInterval == 0 {
 		c.SchedInterval = 60
 	}
 	if c.OrchInterval == 0 {
 		c.OrchInterval = 300
-	}
-	if c.MetricsInterval == 0 {
-		c.MetricsInterval = 300
 	}
 	switch {
 	case c.PreemptOverhead < 0:
@@ -459,7 +449,7 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 	}
 	for n, s := range sc.Scheds {
 		m, ok := s.(MemorylessScheduler)
-		e.epochs[n].skipOK = ok && m.Memoryless() && !cfg.Rescan
+		e.epochs[n].skipOK = ok && m.Memoryless()
 	}
 	if cfg.Audit {
 		e.audit = invariant.New()
@@ -497,9 +487,9 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 			e.forks[n] = cfg.Obs.Fork(e.frag[n])
 		}
 	}
-	e.trainUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
-	e.overallUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
-	e.onLoanUsage = metrics.NewTimeSeries(0, cfg.MetricsInterval)
+	e.trainUsage = metrics.NewTimeSeries(0, metricsInterval)
+	e.overallUsage = metrics.NewTimeSeries(0, metricsInterval)
+	e.onLoanUsage = metrics.NewTimeSeries(0, metricsInterval)
 	hours := int(horizon/3600) + 1
 	e.hourlyArrived = make([]int, hours)
 	e.hourlyQueued = make([]int, hours)
@@ -721,7 +711,7 @@ func (e *Engine) Run() *Result {
 			// means the paper reports over the measurement period.
 			e.sample()
 			e.sh.Rec.EmitCounters(e.now)
-			if next := e.now + float64(e.cfg.MetricsInterval); next < float64(e.horizon) && next < maxTime {
+			if next := e.now + metricsInterval; next < float64(e.horizon) && next < maxTime {
 				e.push(next, evMetrics, 0, 0)
 			}
 		}
@@ -751,10 +741,8 @@ func (e *Engine) arrive(ev event) {
 		}))
 		rec.Add("sim.arrivals", 1)
 	}
-	st.enqueue(j, e.sh.Less)
-	if !e.cfg.Rescan {
-		e.arrived = append(e.arrived, j)
-	}
+	st.Enqueue(j, e.sh.Less)
+	e.arrived = append(e.arrived, j)
 }
 
 func (e *Engine) finishEvent(ev event) {
@@ -770,7 +758,7 @@ func (e *Engine) finishEvent(ev event) {
 		e.drain()
 		return
 	}
-	st.finish(j)
+	st.Finish(j)
 	e.completed++
 	st.drainChanged() // no new finish event needed
 	// The job can never run again: drop its stale-event version counter
@@ -946,41 +934,23 @@ func (e *Engine) scheduleForked(train []*State) {
 // scheduler epochs are SchedInterval apart, so "arrived within the last
 // SchedInterval" and "arrived since the last epoch" select the same jobs —
 // which makes the per-epoch cost proportional to new arrivals, not to the
-// whole pending queue.
+// whole pending queue. With auditing on, auditFirstTry recounts the epoch's
+// misses by that whole-queue scan.
 func (e *Engine) noteFirstTry() {
-	if e.cfg.Rescan {
-		e.noteFirstTryRescan()
-		return
-	}
+	missed := 0
 	for _, j := range e.arrived {
 		if j.State != job.Pending || j.Started || j.Preemptions > 0 {
 			continue
 		}
+		missed++
 		hour := int(j.Arrival / 3600)
 		if hour < len(e.hourlyQueued) {
 			e.hourlyQueued[hour]++
 		}
 	}
 	e.arrived = e.arrived[:0]
-}
-
-// noteFirstTryRescan is the retained full-queue scan, kept as the reference
-// implementation the differential fuzz target compares against.
-func (e *Engine) noteFirstTryRescan() {
-	for _, st := range e.sh.Train() {
-		for _, j := range st.Pending {
-			if j.Preemptions > 0 || j.Started {
-				continue
-			}
-			// First epoch strictly after arrival has passed without a start.
-			if e.now-float64(j.Arrival) >= float64(e.cfg.SchedInterval) {
-				continue // already counted at an earlier epoch
-			}
-			hour := int(j.Arrival / 3600)
-			if hour < len(e.hourlyQueued) {
-				e.hourlyQueued[hour]++
-			}
-		}
+	if e.audit != nil {
+		e.auditFirstTry(missed)
 	}
 }
 

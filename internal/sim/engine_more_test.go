@@ -129,8 +129,8 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	c := smallCluster(2, 0)
 	j := job.New(0, 0, job.Generic, 2, 1, 4, 400)
 	j.Elastic = true
-	st := newState(c, job.Linear, 63)
-	st.enqueue(j, fifoSched{}.Less)
+	st := NewState(c, job.Linear, 63)
+	st.Enqueue(j, fifoSched{}.Less)
 	base, _ := place.Gang(c, j, 1, place.PreferTraining(false))
 	st.Start(j, base)
 	st.CompactPending()

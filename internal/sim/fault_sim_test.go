@@ -15,7 +15,7 @@ import (
 // until recovery, and both transitions are idempotent against replays.
 func TestCrashServerQuarantinesPreemptsAndRecovers(t *testing.T) {
 	c := smallCluster(1, 0)
-	st := NewStateForTest(c, job.Linear, 63)
+	st := NewState(c, job.Linear, 63)
 	less := fifoSched{}.Less
 
 	j := job.New(1, 0, job.Generic, 4, 1, 1, 1000)
@@ -73,7 +73,7 @@ func TestCrashServerQuarantinesPreemptsAndRecovers(t *testing.T) {
 // instead of restarting.
 func TestCrashServerScalesInFlexibleOnlyWorkers(t *testing.T) {
 	c := smallCluster(2, 0)
-	st := NewStateForTest(c, job.Linear, 63)
+	st := NewState(c, job.Linear, 63)
 	less := fifoSched{}.Less
 
 	j := job.New(1, 0, job.Generic, 8, 1, 2, 1000)

@@ -31,6 +31,10 @@ func (testFIFO) Schedule(st *State) {
 	st.CompactPending()
 }
 
+// forgetful is the never-skipping reference: embedding the interface hides
+// the wrapped scheduler's Memoryless method, so the engine runs every epoch.
+type forgetful struct{ Scheduler }
+
 // TestSampleZeroCapacityNoNaN pins the Engine.sample fix: a degenerate
 // cluster with zero schedulable capacity must not poison the overall-usage
 // series with NaN/Inf samples (the InferenceUtil == nil branch used to
@@ -56,8 +60,8 @@ func TestSampleZeroCapacityNoNaN(t *testing.T) {
 
 // TestQuiescentEpochSkip asserts the dirty-set fast path actually engages —
 // epochs between events where nothing changed are skipped — and that a
-// skipping run finishes with exactly the same job outcomes as the full-
-// rescan reference.
+// skipping run finishes with exactly the same job outcomes as the never-
+// skipping reference.
 func TestQuiescentEpochSkip(t *testing.T) {
 	mkJobs := func() []*job.Job {
 		a := job.New(1, 0, job.Generic, 1, 1, 1, 900)
@@ -65,17 +69,16 @@ func TestQuiescentEpochSkip(t *testing.T) {
 		c := job.New(3, 900, job.Generic, 1, 1, 1, 600)
 		return []*job.Job{a, b, c}
 	}
-	run := func(rescan bool) *Result {
+	run := func(s Scheduler) *Result {
 		c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 2})
-		return New(c, mkJobs(), 4000, testFIFO{}, nil,
-			Config{Audit: true, Rescan: rescan}).Run()
+		return New(c, mkJobs(), 4000, s, nil, Config{Audit: true}).Run()
 	}
-	fast, ref := run(false), run(true)
+	fast, ref := run(testFIFO{}), run(forgetful{testFIFO{}})
 	if fast.SkippedSchedEpochs == 0 {
 		t.Fatal("no scheduler epochs skipped: the quiescent fast path never engaged")
 	}
 	if ref.SkippedSchedEpochs != 0 {
-		t.Fatalf("rescan reference skipped %d epochs, want 0", ref.SkippedSchedEpochs)
+		t.Fatalf("never-skipping reference skipped %d epochs, want 0", ref.SkippedSchedEpochs)
 	}
 	if fast.SchedEpochs != ref.SchedEpochs {
 		t.Fatalf("sched epochs %d vs %d", fast.SchedEpochs, ref.SchedEpochs)
@@ -92,28 +95,28 @@ func TestQuiescentEpochSkip(t *testing.T) {
 	}
 }
 
-// TestNoteFirstTryDelta pins the arrivals-delta rewrite of noteFirstTry
-// against the retained full-queue scan: same Figure-2 queuing counts, here
-// on a scenario where exactly one of two same-hour arrivals misses its
-// first scheduling attempt.
+// TestNoteFirstTryDelta pins the arrivals-delta rewrite of noteFirstTry:
+// the auditor recounts every epoch's misses by the full-queue scan
+// (auditFirstTry), and a run whose epochs are never skipped reports the
+// same Figure-2 queuing counts, here on a scenario where exactly one of two
+// same-hour arrivals misses its first scheduling attempt.
 func TestNoteFirstTryDelta(t *testing.T) {
 	mkJobs := func() []*job.Job {
 		fits := job.New(1, 0, job.Generic, 1, 1, 1, 300)
 		never := job.New(2, 10, job.Generic, 4, 100, 100, 300) // 400 GPUs: never placeable
 		return []*job.Job{fits, never}
 	}
-	run := func(rescan bool) *Result {
+	run := func(s Scheduler) *Result {
 		c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 1})
-		return New(c, mkJobs(), 3600, testFIFO{}, nil,
-			Config{Audit: true, Rescan: rescan, MaxTime: 7200}).Run()
+		return New(c, mkJobs(), 3600, s, nil, Config{Audit: true, MaxTime: 7200}).Run()
 	}
-	fast, ref := run(false), run(true)
+	fast, ref := run(testFIFO{}), run(forgetful{testFIFO{}})
 	if len(fast.HourlyQueuedRatio) == 0 || fast.HourlyQueuedRatio[0] != 0.5 {
 		t.Fatalf("delta path hourly queued ratio = %v, want [0] == 0.5", fast.HourlyQueuedRatio)
 	}
 	for h := range ref.HourlyQueuedRatio {
 		if fast.HourlyQueuedRatio[h] != ref.HourlyQueuedRatio[h] {
-			t.Fatalf("hour %d: delta %g vs rescan %g",
+			t.Fatalf("hour %d: skipping %g vs never-skipping %g",
 				h, fast.HourlyQueuedRatio[h], ref.HourlyQueuedRatio[h])
 		}
 	}
@@ -124,7 +127,7 @@ func TestNoteFirstTryDelta(t *testing.T) {
 // the changed set sorted by ID and clearing it.
 func TestDrainChangedScratchReuse(t *testing.T) {
 	c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 0})
-	st := newState(c, job.Linear, 0)
+	st := NewState(c, job.Linear, 0)
 	j1 := job.New(1, 0, job.Generic, 1, 1, 1, 100)
 	j2 := job.New(2, 0, job.Generic, 1, 1, 1, 100)
 	j3 := job.New(3, 0, job.Generic, 1, 1, 1, 100)

@@ -48,12 +48,13 @@ type Result struct {
 
 	// SchedEpochs counts scheduler epochs processed; SkippedSchedEpochs of
 	// those were quiescent epochs the engine proved identical to the
-	// previous pass and skipped (the dirty-set fast path — zero in Rescan
-	// mode, with a stateful scheduler, or when recording events).
+	// previous pass and skipped (the dirty-set fast path — zero with a
+	// scheduler that does not declare itself Memoryless, or when recording
+	// events).
 	SchedEpochs        int64
 	SkippedSchedEpochs int64
 
-	// Usage series sampled every Config.MetricsInterval.
+	// Usage series sampled every metricsInterval (300 s).
 	TrainUsage   *metrics.TimeSeries
 	OverallUsage *metrics.TimeSeries
 	OnLoanUsage  *metrics.TimeSeries

@@ -148,8 +148,8 @@ func NewShards(sc ShardedConfig, cfg Config) *Shards {
 		sh.owner = make(map[int]int)
 	}
 	for i, c := range append(append([]*cluster.Cluster(nil), sc.Train...), sc.Inf...) {
-		st := newState(c, cfg.Scaling, cfg.PreemptOverhead)
-		st.Rescan = cfg.Rescan
+		st := NewState(c, cfg.Scaling, cfg.PreemptOverhead)
+		st.audit = cfg.Audit
 		st.Obs = cfg.Obs
 		st.Prof = cfg.Prof
 		sh.States = append(sh.States, st)

@@ -128,10 +128,10 @@ func TestDeterminism(t *testing.T) {
 func TestPreemptionWithoutCheckpointRestarts(t *testing.T) {
 	c := smallCluster(1, 0)
 	j := job.New(0, 0, job.Generic, 4, 1, 1, 1000)
-	st := newState(c, job.Linear, 63)
+	st := NewState(c, job.Linear, 63)
 	st.Now = 0
 	less := fifoSched{}.Less
-	st.enqueue(j, less)
+	st.Enqueue(j, less)
 	ws, ok := place.Gang(c, j, 1, place.PreferTraining(false))
 	if !ok {
 		t.Fatal("placement failed")
@@ -165,9 +165,9 @@ func TestPreemptionWithCheckpointKeepsProgress(t *testing.T) {
 	c := smallCluster(1, 0)
 	j := job.New(0, 0, job.Generic, 4, 1, 1, 1000)
 	j.Checkpoint = true
-	st := newState(c, job.Linear, 63)
+	st := NewState(c, job.Linear, 63)
 	less := fifoSched{}.Less
-	st.enqueue(j, less)
+	st.Enqueue(j, less)
 	ws, _ := place.Gang(c, j, 1, place.PreferTraining(false))
 	st.Start(j, ws)
 	st.Now = 400
@@ -247,8 +247,8 @@ func TestRemoveFlexibleWorkers(t *testing.T) {
 	c := smallCluster(2, 0)
 	j := job.New(0, 0, job.Generic, 2, 1, 4, 400)
 	j.Elastic = true
-	st := newState(c, job.Linear, 63)
-	st.enqueue(j, fifoSched{}.Less)
+	st := NewState(c, job.Linear, 63)
+	st.Enqueue(j, fifoSched{}.Less)
 	ws, _ := place.Gang(c, j, 1, place.PreferTraining(false))
 	st.Start(j, ws)
 	more := place.UpTo(c, j, 3, place.Options{PreferPool: cluster.PoolTraining, Flexible: true})

@@ -55,12 +55,9 @@ type State struct {
 	changed         map[int]*job.Job
 	preemptOverhead float64
 
-	// Rescan selects the retained full-rescan reference paths: the ordered
-	// running-job views are rebuilt from the Running map on every read and
-	// the flexible-GPU count is recounted, exactly as before the dirty-set
-	// layer (DESIGN.md §10). The differential fuzz target runs every
-	// scenario through both modes and asserts identical decisions.
-	Rescan bool
+	// audit makes every read of a maintained view recount it first
+	// (checkViews); NewShards sets it from Config.Audit.
+	audit bool
 
 	// version counts scheduler-visible mutations (queue, lifecycle,
 	// allocation, progress, pool moves). The engine snapshots it around
@@ -144,7 +141,10 @@ type holdRec struct {
 	until float64
 }
 
-func newState(c *cluster.Cluster, scaling job.ScalingModel, preemptOverhead float64) *State {
+// NewState builds a bare State over c: what NewShards wraps in a topology,
+// what the prototype's tick loop (internal/testbed) drives directly, and
+// what unit tests hand a Schedule or Epoch call without an engine.
+func NewState(c *cluster.Cluster, scaling job.ScalingModel, preemptOverhead float64) *State {
 	return &State{
 		Cluster:         c,
 		Scaling:         scaling,
@@ -288,15 +288,8 @@ func (st *State) compactRunning() {
 // owned by the state and valid until the next lifecycle mutation; callers
 // must not append to or retain it.
 func (st *State) RunningOrdered() []*job.Job {
-	if st.Rescan {
-		out := make([]*job.Job, 0, len(st.Running))
-		for _, j := range st.Running {
-			out = append(out, j)
-		}
-		sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-		return out
-	}
 	st.compactRunning()
+	st.checkViews()
 	return st.runningIdx
 }
 
@@ -304,16 +297,8 @@ func (st *State) RunningOrdered() []*job.Job {
 // FlexRange > 0) in ascending ID order, under the same ownership rules as
 // RunningOrdered.
 func (st *State) ElasticOrdered() []*job.Job {
-	if st.Rescan {
-		var out []*job.Job
-		for _, j := range st.RunningOrdered() {
-			if elasticCandidate(j) {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
 	st.compactRunning()
+	st.checkViews()
 	return st.elasticIdx
 }
 
@@ -322,26 +307,33 @@ func (st *State) ElasticOrdered() []*job.Job {
 // idle ones (§5.2 counts "GPUs being used by flexible workers" as
 // available).
 func (st *State) FlexNominalGPUs() int {
-	if st.Rescan {
-		sum := 0
-		for _, j := range st.Running {
-			if elasticCandidate(j) {
-				sum += j.FlexibleWorkers() * j.GPUsPerWorker
-			}
-		}
-		return sum
-	}
+	st.checkViews()
 	return st.flexNominal
 }
 
-// AuditIncremental recounts every maintained dirty-set structure from the
-// Running map — the recount oracle for the incremental layer, run by the
-// engine after every event when auditing is on. Rescan mode has nothing
-// maintained to check.
-func (st *State) AuditIncremental() error {
-	if st.Rescan {
-		return nil
+// checkViews is the dirty-set layer's oracle at the point of use: with
+// auditing on, a maintained view is recounted before a scheduler reads it,
+// so the first wrong read fails instead of the decisions made from it.
+func (st *State) checkViews() {
+	if !st.audit {
+		return
 	}
+	if err := st.AuditIncremental(); err != nil {
+		invariant.Fail(fmt.Sprintf("sim:view-read t=%g", st.Now), invariant.Violation{
+			Rule:     invariant.RuleIndexConsistency,
+			Subject:  "maintained running-job views",
+			Expected: "equal to a recount from the Running map",
+			Actual:   err.Error(),
+		})
+	}
+}
+
+// AuditIncremental recounts every maintained dirty-set structure from the
+// Running map, the way the views were built before they were maintained
+// (DESIGN.md §10): the flexible-GPU sum, the ID-sorted running list and its
+// elastic-candidate subset. The engine runs it after every event when
+// auditing is on, and checkViews before every read.
+func (st *State) AuditIncremental() error {
 	wantFlex := 0
 	for _, j := range st.Running {
 		if elasticCandidate(j) {
@@ -351,31 +343,41 @@ func (st *State) AuditIncremental() error {
 	if wantFlex != st.flexNominal {
 		return fmt.Errorf("flexNominal=%d, recount=%d", st.flexNominal, wantFlex)
 	}
-	got := st.RunningOrdered()
-	if len(got) != len(st.Running) {
-		return fmt.Errorf("runningIdx has %d jobs, Running map has %d", len(got), len(st.Running))
+	want := make([]*job.Job, 0, len(st.Running))
+	for _, j := range st.Running {
+		want = append(want, j)
 	}
-	elastic := 0
-	for i, j := range got {
-		if st.Running[j.ID] != j {
-			return fmt.Errorf("runningIdx[%d] job %d not live in Running", i, j.ID)
-		}
-		if i > 0 && got[i-1].ID >= j.ID {
-			return fmt.Errorf("runningIdx unsorted at %d: %d >= %d", i, got[i-1].ID, j.ID)
-		}
+	sort.Slice(want, func(i, k int) bool { return want[i].ID < want[k].ID })
+	st.compactRunning()
+	if err := sameJobs("runningIdx", st.runningIdx, want); err != nil {
+		return err
+	}
+	elastic := want[:0]
+	for _, j := range want {
 		if elasticCandidate(j) {
-			elastic++
+			elastic = append(elastic, j)
 		}
 	}
-	el := st.ElasticOrdered()
-	if len(el) != elastic {
-		return fmt.Errorf("elasticIdx has %d jobs, recount %d", len(el), elastic)
+	return sameJobs("elasticIdx", st.elasticIdx, elastic)
+}
+
+// sameJobs compares a maintained view with its recount, element by element.
+func sameJobs(name string, got, want []*job.Job) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s has %d jobs, recount %d", name, len(got), len(want))
+	}
+	for i, j := range got {
+		if j != want[i] {
+			return fmt.Errorf("%s[%d] is job %d, recount has job %d", name, i, j.ID, want[i].ID)
+		}
 	}
 	return nil
 }
 
-// enqueue inserts j into Pending at its priority position.
-func (st *State) enqueue(j *job.Job, less func(a, b *job.Job) bool) {
+// Enqueue inserts j into Pending at its priority position. The engine calls
+// it on arrival and State on every re-queue; the prototype's tick loop
+// calls it when a submission arrives, and unit tests to build a queue.
+func (st *State) Enqueue(j *job.Job, less func(a, b *job.Job) bool) {
 	st.bump()
 	i := sort.Search(len(st.Pending), func(k int) bool { return less(j, st.Pending[k]) })
 	st.Pending = append(st.Pending, nil)
@@ -610,7 +612,7 @@ func (st *State) Preempt(j *job.Job, less func(a, b *job.Job) bool) {
 		if st.Cause == "" {
 			st.Cause = "preempt"
 		}
-		st.enqueue(j, less)
+		st.Enqueue(j, less)
 		st.Cause = saved
 	}
 	st.markChanged(j)
@@ -678,7 +680,7 @@ func (st *State) releaseHeld(id int, less func(a, b *job.Job) bool) {
 	}
 	saved := st.Cause
 	st.Cause = "backoff"
-	st.enqueue(j, less)
+	st.Enqueue(j, less)
 	st.Cause = saved
 }
 
@@ -704,10 +706,12 @@ func (st *State) HeldJobs() []*job.Job {
 	return out
 }
 
-// finish completes a running job. Per-job bookkeeping that exists only to
-// advance progress (lastUpdate) is dropped here so multi-week traces do
-// not accumulate dead map entries for completed jobs.
-func (st *State) finish(j *job.Job) {
+// Finish completes a running job, releasing its GPUs. The engine calls it
+// on a completion event; the prototype's tick loop calls it when its own
+// progress accounting declares a job done. Per-job bookkeeping that exists
+// only to advance progress (lastUpdate) is dropped here so multi-week
+// traces do not accumulate dead map entries for completed jobs.
+func (st *State) Finish(j *job.Job) {
 	st.advance(j)
 	st.noteFlexRemoved(j, j.FlexibleWorkers())
 	for _, w := range j.Workers {

@@ -26,14 +26,14 @@ func startPlaced(t *testing.T, st *State, j *job.Job, baseSrv int, flexSrvs ...i
 	for _, srv := range flexSrvs {
 		alloc(srv, true)
 	}
-	EnqueueForTest(st, j, fifoSched{}.Less)
+	st.Enqueue(j, fifoSched{}.Less)
 	st.Start(j, ws)
 	st.CompactPending()
 }
 
 func TestRemoveFlexibleWorkersFreesLeastLoadedServerFirst(t *testing.T) {
 	c := smallCluster(3, 0)
-	st := newState(c, job.Linear, 0)
+	st := NewState(c, job.Linear, 0)
 
 	// A filler job loads server 1 so the two flexible workers' hosts
 	// differ: server 1 ends up with 5 GPUs used, server 2 with 1.
@@ -71,7 +71,7 @@ func TestRemoveFlexibleWorkersFreesLeastLoadedServerFirst(t *testing.T) {
 
 func TestRemoveFlexibleWorkersTieBreaksByServerID(t *testing.T) {
 	c := smallCluster(3, 0)
-	st := newState(c, job.Linear, 0)
+	st := NewState(c, job.Linear, 0)
 	j := job.New(1, 0, job.Generic, 1, 1, 3, 1000)
 	j.Elastic = true
 	// Flexible workers listed out of server order on equally loaded
@@ -91,7 +91,7 @@ func TestRemoveFlexibleWorkersTieBreaksByServerID(t *testing.T) {
 
 func TestRemoveFlexibleWorkersNoOps(t *testing.T) {
 	c := smallCluster(1, 0)
-	st := newState(c, job.Linear, 0)
+	st := NewState(c, job.Linear, 0)
 	j := job.New(1, 0, job.Generic, 1, 1, 2, 1000)
 	j.Elastic = true
 	if got := st.RemoveFlexibleWorkers(j, 1); got != 0 {

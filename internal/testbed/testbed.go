@@ -28,8 +28,6 @@ type Config struct {
 	// orchestrator epoch; both must be positive.
 	SchedInterval float64
 	OrchInterval  float64
-	// LaunchDelay is the container start latency (default 5 s).
-	LaunchDelay float64
 	// PreemptOverhead is the restart cost for preempted jobs (the paper
 	// measures 63 s on this testbed and feeds it back into the simulator).
 	PreemptOverhead float64
@@ -58,12 +56,12 @@ type Config struct {
 	Faults *fault.Plan
 }
 
+// launchDelay is the container start latency in simulated seconds.
+const launchDelay = 5
+
 func (c Config) withDefaults() Config {
 	if c.Speedup == 0 {
 		c.Speedup = 2000
-	}
-	if c.LaunchDelay == 0 {
-		c.LaunchDelay = 5
 	}
 	return c
 }
@@ -160,8 +158,8 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 	tb := &Testbed{
 		cfg:         cfg,
 		clock:       clock,
-		rm:          NewResourceManager(clock, cfg.LaunchDelay),
-		st:          sim.NewStateForTest(c, cfg.Scaling, cfg.PreemptOverhead),
+		rm:          NewResourceManager(clock, launchDelay),
+		st:          sim.NewState(c, cfg.Scaling, cfg.PreemptOverhead),
 		sched:       sched,
 		orch:        orch,
 		controllers: make(map[int]*Controller),
@@ -295,7 +293,7 @@ func (tb *Testbed) admitArrivals(now float64) {
 	for len(tb.pendingSrc) > 0 && float64(tb.pendingSrc[0].Arrival) <= now {
 		j := tb.pendingSrc[0]
 		tb.pendingSrc = tb.pendingSrc[1:]
-		sim.EnqueueForTest(tb.st, j, tb.sched.Less)
+		tb.st.Enqueue(j, tb.sched.Less)
 	}
 }
 
@@ -319,7 +317,7 @@ func (tb *Testbed) tickProgress(now float64) {
 			}
 		}
 		tb.retireController(j.ID)
-		sim.FinishForTest(tb.st, j)
+		tb.st.Finish(j)
 		tb.completed++
 	}
 }

@@ -15,13 +15,17 @@ import (
 
 func TestClockAcceleration(t *testing.T) {
 	c := NewClock(10000)
+	before := c.Now()
 	start := time.Now()
 	c.Sleep(100) // 100 simulated seconds = 10 ms wall
-	if wall := time.Since(start); wall > 500*time.Millisecond {
-		t.Errorf("accelerated sleep took %v wall time", wall)
+	// Acceleration, not a wall-clock budget: the sleep returns at least 10x
+	// sooner than the 100 s it stands for (1,000x of slack for a descheduled
+	// goroutine on a busy host), and the clock moved by what was slept.
+	if wall := time.Since(start); wall > 10*time.Second {
+		t.Errorf("sleeping 100 sim seconds at 10,000x took %v wall time", wall)
 	}
-	if now := c.Now(); now < 100 {
-		t.Errorf("clock reads %v after sleeping 100 sim seconds", now)
+	if adv := c.Now() - before; adv < 100 {
+		t.Errorf("clock advanced %v after sleeping 100 sim seconds", adv)
 	}
 }
 

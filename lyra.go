@@ -88,10 +88,6 @@ const (
 	A100 GPUType = cluster.A100
 )
 
-// ParseGPUType decodes a GPU model name ("V100", "T4", "A100",
-// case-insensitive) as written in scenario specs and CLI flags.
-func ParseGPUType(s string) (GPUType, error) { return cluster.ParseGPUType(s) }
-
 // ParseFaultPlan decodes the CLI fault spec syntax, e.g.
 // "mtbf=21600,mttr=600,straggler=0.1" (see internal/fault.ParsePlan).
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
@@ -259,6 +255,7 @@ type Config struct {
 	OrchInterval  int64
 	// MaxTime hard-caps simulated seconds; the run stops there even with
 	// jobs outstanding. 0 means the simulator default (4x the trace
+	// horizon plus seven days of drain; the prototype caps at 4x the
 	// horizon). The scale benchmarks use it to time a fixed number of
 	// scheduling epochs on clusters too large to drain.
 	MaxTime float64

@@ -24,22 +24,7 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== bench-smoke (runner memoization end to end)"
-./scripts/bench_smoke.sh
-
-echo "== events-smoke (event-stream determinism end to end)"
-./scripts/events_smoke.sh
-
-echo "== fault-smoke (fault injection + recovery end to end)"
-./scripts/fault_smoke.sh
-
-echo "== matrix-smoke (declarative scenario specs + SLO gating end to end)"
-./scripts/matrix_smoke.sh
-
-echo "== prof-smoke (span profiler + Chrome trace end to end)"
-./scripts/prof_smoke.sh
-
-echo "== shard-smoke (sharded engine: determinism + loan-conflict path end to end)"
-./scripts/shard_smoke.sh
+echo "== smoke (the real binaries end to end: scripts/smoke.sh lists the cases)"
+./scripts/smoke.sh
 
 echo "OK"

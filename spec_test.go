@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the spec golden files")
@@ -322,4 +323,53 @@ func TestSLOEvaluate(t *testing.T) {
 	if len(tight.Evaluate(rep, 0)) <= len(vs) {
 		t.Error("tightened SLO must fail at least as hard")
 	}
+}
+
+// FuzzParseSpec drives the spec parser (both syntaxes, through yamlite) and
+// the compiler with arbitrary documents: neither may panic, and a spec that
+// parses must survive its own JSON encoding — re-parsed from json.Marshal
+// it compiles to deeply equal cells.
+func FuzzParseSpec(f *testing.F) {
+	paths, err := filepath.Glob("testdata/scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no pack specs found: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version": 1, "name": "j", "cluster": {"training_servers": 8, "inference_servers": 4},
+		"trace": {"days": 1, "frac_elastic": 0}, "faults": "mtbf=21600,mttr=600",
+		"schemes": [{"scheduler": "lyra", "elastic": true, "loaning": true, "reclaims": ["lyra", "scf"]}],
+		"slo": {"lost_jobs": 0}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		cells, err := CompileSpec(s)
+		if err != nil {
+			return
+		}
+		doc, err := json.Marshal(s)
+		if err != nil || !utf8.Valid(data) {
+			// NaN/Inf have no JSON form, and Marshal rewrites invalid
+			// UTF-8 in strings: neither document can round-trip.
+			return
+		}
+		s2, err := ParseSpec(doc)
+		if err != nil {
+			t.Fatalf("spec does not re-parse from its JSON: %v\n%s", err, doc)
+		}
+		cells2, err := CompileSpec(s2)
+		if err != nil {
+			t.Fatalf("spec compiles from YAML but not from its JSON: %v\n%s", err, doc)
+		}
+		if !reflect.DeepEqual(cells, cells2) {
+			t.Fatalf("cells diverge after a JSON round trip:\n%+v\nvs\n%+v\n%s", cells, cells2, doc)
+		}
+	})
 }

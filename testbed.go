@@ -11,9 +11,6 @@ import (
 type TestbedOptions struct {
 	// Speedup is simulated seconds per wall second (default 2000).
 	Speedup float64
-	// LaunchDelay is the container start latency in simulated seconds
-	// (default 5).
-	LaunchDelay float64
 	// UtilCompress squeezes the diurnal inference-utilization curve in time
 	// so that a half-day testbed run still exercises several loan/reclaim
 	// cycles (default 4: one "day" of traffic passes every six hours; 1 is
@@ -86,7 +83,6 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (res TestbedResult, e
 	tbCfg := testbed.Config{
 		Cluster:         cfg.Cluster,
 		Speedup:         opt.Speedup,
-		LaunchDelay:     opt.LaunchDelay,
 		SchedInterval:   float64(cfg.SchedInterval),
 		OrchInterval:    float64(cfg.OrchInterval),
 		PreemptOverhead: cfg.PreemptOverhead,
