@@ -20,7 +20,6 @@ package arbiter
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -30,33 +29,27 @@ import (
 	"lyra/internal/sim"
 )
 
-// DefaultMaxRetries bounds the conflict-retry rounds of one loan commit.
-const DefaultMaxRetries = 3
+// maxRetries bounds the conflict-retry rounds of one loan commit.
+const maxRetries = 3
 
 // Arbiter is the global capacity arbitrator. It embeds the orchestrator's
 // loan protocol (policy, flags, and the per-borrower decide/reclaim/return
 // verbs), so every borrowing shard decides exactly as the unsharded
 // orchestrator does; what it adds is genuinely multi-shard: routing,
-// headroom netting across inference shards, the stale snapshot and the
-// conflict-retry loan. Targets holds one inference-capacity targeter per
-// inference shard (nil when loaning is disabled — Route still works).
+// headroom netting across inference shards and borrowers, the stale
+// snapshot and the conflict-retry loan. Targets holds one
+// inference-capacity targeter per inference shard (nil when loaning is
+// disabled — Route still works).
 type Arbiter struct {
 	// Targets[m] is inference shard m's loan-target source (usually the
 	// reactive inference.Scheduler, optionally wrapped in a Forecaster).
 	Targets []orchestrator.LoanTargeter
 	orchestrator.Loans
-	// MaxRetries bounds the conflict-retry rounds when a loan proposal
-	// loses the optimistic commit race (0 means DefaultMaxRetries).
-	MaxRetries int
 }
 
-// New returns an arbiter with the default retry bound.
+// New returns an arbiter over the given per-inference-shard targeters.
 func New(targets []orchestrator.LoanTargeter, policy reclaim.Policy, less func(a, b *job.Job) bool) *Arbiter {
-	return &Arbiter{
-		Targets:    targets,
-		Loans:      orchestrator.Loans{Policy: policy, Less: less},
-		MaxRetries: DefaultMaxRetries,
-	}
+	return &Arbiter{Targets: targets, Loans: orchestrator.Loans{Policy: policy, Less: less}}
 }
 
 // Route implements sim.ShardArbiter: the arriving job goes to the
@@ -96,24 +89,26 @@ func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
 // Epoch implements sim.ShardArbiter: one arbitration epoch over the
 // sharded topology.
 //
-// The epoch has three parts. First the serial target pass reads each
-// inference shard's loan target and nets it against the servers that shard
-// already has out on loan, yielding the signed global headroom; it also
-// snapshots the global free inference pool — the possibly-stale view every
-// borrower will propose against. Then the concurrent assessment runs each
-// training shard's read-only demand estimate (Loans.Assess) on its own
-// goroutine over purely local state. Finally the serial commit walks
-// borrowing shards in ID order: each computes its capacity cap (its current
-// loan plus the global headroom — for one borrower exactly the inference
-// scheduler's target) and runs the shared per-borrower decision
-// (Loans.Decide), with loans going through the optimistic proposal against
-// the stale snapshot and reclaimed or idle servers transferred to their
-// home shards.
+// The epoch has three parts. First the target pass reads each inference
+// shard's loan target and nets it against the servers that shard already
+// has out on loan, yielding the signed global headroom; it also snapshots
+// the global free inference pool — the possibly-stale view every borrower
+// will propose against. Then the assessment runs each training shard's
+// read-only demand estimate (Loans.Assess) over purely local state. Finally
+// the commit walks borrowing shards in ID order: each computes its capacity
+// cap (its current loan plus what is left of the global headroom — for one
+// borrower exactly the inference scheduler's target) and runs the shared
+// per-borrower decision (Loans.Decide), with loans going through the
+// optimistic proposal against the stale snapshot and reclaimed or idle
+// servers transferred to their home shards. The servers a borrower took or
+// gave back are netted off the headroom before the next one is served, so
+// lower IDs are served first on both the loan and the reclaim side and the
+// sum on loan never exceeds the sum of the targets (the cap of §4).
 func (a *Arbiter) Epoch(sh *sim.Shards) {
 	train := sh.Train()
 	now := sh.States[0].Now
 
-	// Serial target pass: signed headroom and the stale free-pool snapshot.
+	// Target pass: signed headroom and the stale free-pool snapshot.
 	headroom := 0
 	loanedFrom := make([]int, len(sh.Inference()))
 	for _, st := range train {
@@ -127,22 +122,17 @@ func (a *Arbiter) Epoch(sh *sim.Shards) {
 	}
 	stale := a.freeInference(sh)
 
-	// Concurrent assessment: per-shard busy and demand, read-only, no obs.
+	// Assessment: per-shard busy and demand, read-only, no obs.
 	busy := make([]int, len(train))
 	demand := make([]int, len(train))
-	var wg sync.WaitGroup
-	for n := range train {
-		wg.Add(1)
-		go func(n int, st *sim.State) {
-			defer wg.Done()
-			busy[n], demand[n] = a.Assess(st)
-		}(n, train[n])
-	}
-	wg.Wait()
-
-	// Serial commit in shard ID order.
 	for n, st := range train {
-		capSrv := st.Cluster.PoolSize(cluster.PoolOnLoan) + headroom
+		busy[n], demand[n] = a.Assess(st)
+	}
+
+	// Commit in shard ID order, netting the headroom as it goes.
+	for n, st := range train {
+		cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
+		capSrv := cur + headroom
 		if capSrv < 0 {
 			capSrv = 0
 		}
@@ -153,6 +143,7 @@ func (a *Arbiter) Epoch(sh *sim.Shards) {
 		a.Decide(b, capSrv, busy[n], demand[n],
 			func(k int) { a.loan(sh, n, k, stale) },
 			func(sid int) { sh.Transfer(sid, sh.Home(sid), cluster.PoolInference) })
+		headroom -= st.Cluster.PoolSize(cluster.PoolOnLoan) - cur
 	}
 }
 
@@ -178,7 +169,7 @@ func (a *Arbiter) freeInference(sh *sim.Shards) []int {
 // commit time against the live topology. A server that was granted to a
 // lower-ID shard earlier this epoch fails validation, emits an
 // arb.conflict event (cause loan-conflict-retry), and is replaced by
-// re-proposing from the live view — bounded by MaxRetries rounds, so a
+// re-proposing from the live view — bounded by maxRetries rounds, so a
 // storm of shards proposing the same servers converges instead of
 // livelocking.
 func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
@@ -186,10 +177,6 @@ func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
 		return
 	}
 	st := sh.States[to]
-	maxRetries := a.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = DefaultMaxRetries
-	}
 	granted := make([]int, 0, n)
 	proposal := stale
 	for round := 0; ; round++ {

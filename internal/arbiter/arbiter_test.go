@@ -22,8 +22,8 @@ func lessByID(a, b *job.Job) bool { return a.ID < b.ID }
 // storm builds a 2-training + 2-inference sharded topology (2 servers per
 // training shard, 3 per inference shard, contiguous global IDs 0..9), gives
 // BOTH training shards the same heavy fungible backlog so they bid in the
-// same arbitration epoch, and returns the shards plus the event buffer.
-func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Buffer) {
+// same arbitration epoch, and returns the shards plus the event ring.
+func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Ring) {
 	t.Helper()
 	newC := func(train, inf, firstID, shard int) *cluster.Cluster {
 		return cluster.New(cluster.Config{
@@ -32,8 +32,8 @@ func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Buffer) {
 			FirstID: firstID, Shard: shard,
 		})
 	}
-	buf := &obs.Buffer{}
-	rec := obs.NewRecorder(buf)
+	ring := obs.NewRing(256)
+	rec := obs.NewRecorder(ring)
 	sh := sim.NewShards(sim.ShardedConfig{
 		Train:  []*cluster.Cluster{newC(2, 0, 0, 0), newC(2, 0, 2, 1)},
 		Inf:    []*cluster.Cluster{newC(0, 3, 4, 2), newC(0, 3, 7, 3)},
@@ -53,7 +53,7 @@ func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Buffer) {
 		[]orchestrator.LoanTargeter{fixedTarget(target), fixedTarget(target)},
 		reclaim.Lyra{}, lessByID,
 	)
-	return sh, a, buf
+	return sh, a, ring
 }
 
 // audit verifies cross-shard GPU conservation and ownership consistency
@@ -96,60 +96,121 @@ func countKind(evs []obs.Event, kind obs.Kind) int {
 	return n
 }
 
-// TestConflictStormTotalOverlap: both shards' caps cover the ENTIRE global
-// free pool, so shard 0's commit consumes every server shard 1 proposed.
-// Shard 1 must conflict on all six, retry against the live view, find it
-// empty, and converge empty-handed — with conservation intact.
+// onLoan returns how many servers each training shard holds on loan.
+func onLoan(sh *sim.Shards) []int {
+	var out []int
+	for _, st := range sh.Train() {
+		out = append(out, st.Cluster.PoolSize(cluster.PoolOnLoan))
+	}
+	return out
+}
+
+// TestEpochHonoursGlobalLoanCap: the inference targets cap the sum on loan
+// over all borrowers (the cap of §4), on the loan side and on the reclaim
+// side. Offering every borrower the whole epoch-start headroom lends 6
+// against targets 2+2, and reclaims 2 from each shard when the targets drop
+// by 2 in total.
+func TestEpochHonoursGlobalLoanCap(t *testing.T) {
+	t.Run("loan", func(t *testing.T) {
+		sh, a, _ := storm(t, 2) // two hungry borrowers, targets 2+2
+		a.Epoch(sh)
+		auditShards(t, sh)
+		if got := onLoan(sh); got[0]+got[1] != 4 {
+			t.Errorf("on loan = %v, want 4 in total (the sum of the targets)", got)
+		}
+	})
+	t.Run("reclaim", func(t *testing.T) {
+		sh, a, _ := storm(t, 3)
+		// A 7-job backlog is 12 GPUs beyond shard 0's own 16: three loaned
+		// servers at the T4 rate, leaving three for shard 1.
+		sh.Train()[0].Pending = sh.Train()[0].Pending[:7]
+		a.Epoch(sh)
+		if got := onLoan(sh); got[0] != 3 || got[1] != 3 {
+			t.Fatalf("on loan = %v, want a 3+3 split", got)
+		}
+		// Put the backlog to work, so every loaned server is busy and only a
+		// lowered target can take one away.
+		for n, st := range sh.Train() {
+			sh.Scheds[n].Schedule(st)
+		}
+		a.Targets = []orchestrator.LoanTargeter{fixedTarget(2), fixedTarget(2)}
+		a.Epoch(sh)
+		auditShards(t, sh)
+		if got := onLoan(sh); got[0] != 1 || got[1] != 3 {
+			t.Errorf("on loan = %v, want [1 3]: the two servers owed come from the lowest-ID borrower", got)
+		}
+		if got := sh.Train()[0].ReclaimedSrv + sh.Train()[1].ReclaimedSrv; got != 2 {
+			t.Errorf("reclaimed %d servers, want exactly the 2 the targets dropped by", got)
+		}
+	})
+}
+
+// TestConflictStormTotalOverlap: the stale snapshot promises both shards the
+// same lowest-ID servers. Shard 0's three-server loan consumes exactly the
+// entries shard 1 proposes first, so shard 1 conflicts on every one of them
+// and is granted the next three in the same pass — with conservation intact
+// and the sum on loan equal to the sum of the targets.
 func TestConflictStormTotalOverlap(t *testing.T) {
-	sh, a, buf := storm(t, 3) // headroom 6 = the whole free pool
+	sh, a, ring := storm(t, 3) // headroom 6 = the whole free pool
+	// Seven jobs are three loaned servers' worth of backlog.
+	sh.Train()[0].Pending = sh.Train()[0].Pending[:7]
 	a.Epoch(sh)
 	auditShards(t, sh)
 
-	if got := sh.Train()[0].Cluster.PoolSize(cluster.PoolOnLoan); got != 6 {
-		t.Errorf("shard 0 on-loan = %d, want all 6", got)
+	if got := onLoan(sh); got[0] != 3 || got[1] != 3 {
+		t.Errorf("on loan = %v, want [3 3]", got)
 	}
-	if got := sh.Train()[1].Cluster.PoolSize(cluster.PoolOnLoan); got != 0 {
-		t.Errorf("shard 1 on-loan = %d, want 0 after losing every conflict", got)
+	for sid := 4; sid <= 9; sid++ {
+		if want := (sid - 4) / 3; sh.Owner(sid) != want {
+			t.Errorf("server %d owner = %d, want shard %d", sid, sh.Owner(sid), want)
+		}
 	}
-	evs := buf.Drain()
-	if got := countKind(evs, obs.KindArbConflict); got != 6 {
-		t.Errorf("arb.conflict events = %d, want 6 (one per stale proposal entry)", got)
+	evs := ring.Tail(0)
+	if got := countKind(evs, obs.KindArbConflict); got != 3 {
+		t.Errorf("arb.conflict events = %d, want 3 (servers 4, 5, 6)", got)
 	}
 	for _, ev := range evs {
 		if ev.Kind == obs.KindArbConflict && ev.Cause != "loan-conflict-retry" {
 			t.Errorf("arb.conflict cause = %q, want loan-conflict-retry", ev.Cause)
 		}
 	}
-	if got := countKind(evs, obs.KindOrchLoan); got != 1 {
-		t.Errorf("orch.loan events = %d, want 1 (only shard 0 granted)", got)
+	if got := countKind(evs, obs.KindOrchLoan); got != 2 {
+		t.Errorf("orch.loan events = %d, want one grant per shard", got)
 	}
 }
 
-// TestConflictStormRetryGrants: partial overlap — each shard's cap is 4, so
-// shard 0 takes servers 4-7, shard 1 conflicts on those four stale entries,
-// and its live-view retry must still pick up the remaining servers 8-9.
+// TestConflictStormRetryGrants: the live-view retry. Shard 0 borrows the
+// whole free pool, then loses its demand; in the next epoch its idle return
+// raises the headroom ahead of shard 1, whose stale snapshot of the free pool
+// is empty — round 0 proposes nothing, and the retry must grant all six
+// servers from the live view without a conflict.
 func TestConflictStormRetryGrants(t *testing.T) {
-	sh, a, buf := storm(t, 2) // headroom 4 of 6 free servers
+	sh, a, ring := storm(t, 3)
+	a.Epoch(sh)
+	if got := onLoan(sh); got[0] != 6 || got[1] != 0 {
+		t.Fatalf("on loan = %v, want shard 0 holding all 6", got)
+	}
+	sh.Train()[0].Pending = nil
 	a.Epoch(sh)
 	auditShards(t, sh)
 
-	if got := sh.Train()[0].Cluster.PoolSize(cluster.PoolOnLoan); got != 4 {
-		t.Errorf("shard 0 on-loan = %d, want 4", got)
+	if got := onLoan(sh); got[0] != 0 || got[1] != 6 {
+		t.Errorf("on loan = %v, want [0 6] after the return and the retry", got)
 	}
-	if got := sh.Train()[1].Cluster.PoolSize(cluster.PoolOnLoan); got != 2 {
-		t.Errorf("shard 1 on-loan = %d, want 2 recovered by the retry", got)
-	}
-	for _, sid := range []int{8, 9} {
+	for sid := 4; sid <= 9; sid++ {
 		if sh.Owner(sid) != 1 {
 			t.Errorf("server %d owner = %d, want shard 1", sid, sh.Owner(sid))
 		}
 	}
-	evs := buf.Drain()
-	if got := countKind(evs, obs.KindArbConflict); got != 4 {
-		t.Errorf("arb.conflict events = %d, want 4", got)
+	evs := ring.Tail(0)
+	if got := countKind(evs, obs.KindArbConflict); got != 0 {
+		t.Errorf("arb.conflict events = %d, want 0 (nothing stale was proposed)", got)
+	}
+	if got := countKind(evs, obs.KindOrchReturn); got != 1 {
+		t.Errorf("orch.return events = %d, want 1", got)
 	}
 	if got := countKind(evs, obs.KindOrchLoan); got != 2 {
-		t.Errorf("orch.loan events = %d, want one grant per shard", got)
+		t.Errorf("orch.loan events = %d, want one grant per epoch", got)
 	}
 }
 

@@ -25,20 +25,6 @@ func NewRecorder(sinks ...Sink) *Recorder {
 	return &Recorder{sinks: sinks, reg: NewRegistry()}
 }
 
-// Fork returns a recorder writing to its own sinks but sharing this
-// recorder's counter registry. Forks let concurrent phases (the sharded
-// engine's per-shard scheduling goroutines) each capture an ordered event
-// fragment into a private Buffer while counter increments — commutative
-// integer adds — land directly in the shared, mutex-protected registry.
-// The fragments are re-emitted into the parent in a deterministic merge
-// order once the concurrent phase joins. Nil-safe: a nil parent forks nil.
-func (r *Recorder) Fork(sinks ...Sink) *Recorder {
-	if r == nil {
-		return nil
-	}
-	return &Recorder{sinks: sinks, reg: r.reg}
-}
-
 // Enabled reports whether the recorder is live. The nil receiver is the
 // disabled fast path.
 func (r *Recorder) Enabled() bool { return r != nil }

@@ -70,24 +70,6 @@ func (r *Ring) Tail(n int) []Event {
 	return out
 }
 
-// Buffer is an unbounded in-order event sink. It backs the fragment
-// recorders of concurrent phases: each goroutine records into its own
-// Buffer, and the join point drains the buffers in a deterministic order
-// into the parent recorder.
-type Buffer struct {
-	events []Event
-}
-
-// Record implements Sink.
-func (b *Buffer) Record(ev Event) { b.events = append(b.events, ev) }
-
-// Drain returns the buffered events in record order and resets the buffer.
-func (b *Buffer) Drain() []Event {
-	out := b.events
-	b.events = nil
-	return out
-}
-
 // JSONLWriter streams events as JSON Lines: one deterministic JSON object
 // per event, newline-terminated. The first write error is latched and
 // subsequent events are dropped; check Err after the run.

@@ -112,8 +112,7 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 // Assess is the read-only half of a loan decision: the on-loan servers st
 // cannot give up (those hosting any workers — never trimmed voluntarily;
 // O(1) off the cluster's maintained empty-server counter) and the
-// additional inference servers it could fill right now. It touches only st,
-// so borrowers may be assessed concurrently.
+// additional inference servers it could fill right now. It touches only st.
 func (l *Loans) Assess(st *sim.State) (busy, demand int) {
 	return st.Cluster.BusyServers(cluster.PoolOnLoan), l.demandServers(st)
 }

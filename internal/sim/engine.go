@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
@@ -276,15 +275,13 @@ type MemorylessScheduler interface {
 	Memoryless() bool
 }
 
-// Engine drives one simulation over a topology of shard states (Shards):
-// one global serial event heap, per-shard states mutated only by their own
-// events, and a scheduler phase that calls the one scheduler inline when
-// there is one training shard and otherwise fans out to one goroutine per
-// training shard before an ID-ordered deterministic merge re-emits each
-// shard's event fragment. The unsharded run is the one-state topology New
-// builds; every shard count runs this loop, which is what the
-// topology-invariance tests (TestShardedGoldenIdentity, FuzzShardedVsSingle)
-// pin byte for byte.
+// Engine drives one simulation over a topology of shard states (Shards) on
+// one goroutine: one global event heap, per-shard states mutated only
+// by their own events, and a scheduler phase that calls each training shard's
+// scheduler in shard-ID order with the state's real recorder and profiler.
+// The unsharded run is the one-state topology New builds; every shard count
+// runs this loop, which is what the topology-invariance tests
+// (TestShardedGoldenIdentity, FuzzShardedVsSingle) pin byte for byte.
 type Engine struct {
 	cfg     Config
 	sh      *Shards
@@ -354,14 +351,6 @@ type Engine struct {
 	// epochs holds each training shard's scheduler-epoch state.
 	epochs        []shardEpoch
 	skippedEpochs int64
-
-	// Per-training-shard obs fragment machinery for the concurrent
-	// scheduler phase (more than one training shard, obs on): each shard's
-	// goroutine records into its own Buffer through a fork sharing the
-	// global counter registry; the serial merge re-emits the fragments in
-	// shard ID order.
-	frag  []*obs.Buffer
-	forks []*obs.Recorder
 
 	// loanFrom is sample's per-state scratch: GPUs each state currently has
 	// out on loan.
@@ -479,14 +468,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 			st.heldUntil = make(map[int]float64)
 		}
 	}
-	if cfg.Obs.Enabled() && nT > 1 {
-		e.frag = make([]*obs.Buffer, nT)
-		e.forks = make([]*obs.Recorder, nT)
-		for n := range e.frag {
-			e.frag[n] = &obs.Buffer{}
-			e.forks[n] = cfg.Obs.Fork(e.frag[n])
-		}
-	}
 	e.trainUsage = metrics.NewTimeSeries(0, metricsInterval)
 	e.overallUsage = metrics.NewTimeSeries(0, metricsInterval)
 	e.onLoanUsage = metrics.NewTimeSeries(0, metricsInterval)
@@ -501,8 +482,8 @@ func (e *Engine) push(t float64, kind eventKind, jobID, version int) {
 	e.events.push(event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
 }
 
-// setNow stamps the event time onto every shard state: serial mutators and
-// the concurrent scheduler phase all read their own state's clock.
+// setNow stamps the event time onto every shard state: mutators and
+// schedulers read their own state's clock.
 func (e *Engine) setNow(t float64) {
 	e.now = t
 	for _, st := range e.sh.States {
@@ -608,7 +589,7 @@ func (e *Engine) holdRecovery(ev event) bool {
 // cap, and returns the collected results. The default cap leaves room for
 // the drain phase: a job arriving at the end of the horizon may run for
 // days (the trace generator's runtime clamp) on top of its queuing delay.
-// Each serial event is routed to the shard state owning its subject.
+// Each event is routed to the shard state owning its subject.
 func (e *Engine) Run() *Result {
 	maxTime := e.cfg.MaxTime
 	if maxTime == 0 {
@@ -858,15 +839,10 @@ func (e *Engine) schedEvent() {
 			e.skippedEpochs++
 		}
 	}
-	if len(train) == 1 {
-		// One training shard has nothing to run beside: Schedule runs on the
-		// engine goroutine with the real recorder and profiler, so its phase
-		// spans nest under epoch.sched.
-		if e.epochs[0].run {
-			e.sh.Scheds[0].Schedule(train[0])
+	for n, st := range train {
+		if e.epochs[n].run {
+			e.sh.Scheds[n].Schedule(st)
 		}
-	} else {
-		e.scheduleForked(train)
 	}
 	e.noteFirstTry()
 	e.drain()
@@ -890,41 +866,6 @@ func (e *Engine) schedEvent() {
 	}
 	if e.completed < len(e.jobs) {
 		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
-	}
-}
-
-// scheduleForked runs this epoch's shard schedulers concurrently, one
-// goroutine each, recording obs into a private fragment buffer through a
-// fork of the global recorder (counter adds are commutative and land
-// directly in the shared registry) and with span profiling off (a profiler
-// has one span stack). The join re-emits the fragments in shard ID order,
-// so the stream is byte-identical across runs and goroutine schedules.
-func (e *Engine) scheduleForked(train []*State) {
-	rec := e.sh.Rec
-	var wg sync.WaitGroup
-	for n, st := range train {
-		if !e.epochs[n].run {
-			continue
-		}
-		if rec.Enabled() {
-			st.Obs = e.forks[n]
-		}
-		st.Prof = nil
-		wg.Add(1)
-		go func(n int, st *State) {
-			defer wg.Done()
-			e.sh.Scheds[n].Schedule(st)
-		}(n, st)
-	}
-	wg.Wait()
-	for n, st := range train {
-		st.Obs = rec
-		st.Prof = e.cfg.Prof
-		if rec.Enabled() && e.epochs[n].run {
-			for _, fe := range e.frag[n].Drain() {
-				rec.Emit(fe)
-			}
-		}
 	}
 }
 

@@ -35,8 +35,8 @@ type Shards struct {
 	// with one training shard and at most one inference shard are untagged,
 	// so their event streams are byte-identical to one another.
 	Tagged bool
-	// Rec is the global event recorder shared by all shards during serial
-	// phases (nil when obs is off).
+	// Rec is the global event recorder shared by all shards (nil when obs
+	// is off).
 	Rec *obs.Recorder
 
 	// Both indexes stay empty for the one-state topology: a missing entry

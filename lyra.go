@@ -341,7 +341,7 @@ type Config struct {
 	// runner cache keys) runs the classic single-cluster engine; a
 	// 1-training+1-inference topology reproduces its event stream
 	// byte-for-byte through the sharded machinery. Shard scheduler epochs
-	// execute concurrently, merged deterministically in shard ID order.
+	// run inline on the engine goroutine, in shard ID order.
 	TrainingShards  int `json:",omitempty"`
 	InferenceShards int `json:",omitempty"`
 

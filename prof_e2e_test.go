@@ -14,13 +14,14 @@ import (
 // measure wall time. Running the same audited scenario with profiling off
 // and on must therefore produce byte-identical event streams — a single
 // decision shifted by the instrumentation would diverge at least one line.
-// The 1+1 case pins that a topology with one training shard schedules on
-// the engine goroutine, where the scheduler's phase spans are recorded. The
+// The 1+1 and 2+2 cases pin that every topology schedules on the engine
+// goroutine, where the shard schedulers' phase spans are recorded. The
 // faulted case pins that the engine's set-up — generating the fault schedule
 // and loading the initial timeline — is named, not left as "sim" self time.
 func TestProfilingDoesNotPerturbEvents(t *testing.T) {
 	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{}) })
 	t.Run("1+1", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 1, lyra.FaultPlan{}) })
+	t.Run("2+2", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 2, lyra.FaultPlan{}) })
 	t.Run("faulted", func(t *testing.T) {
 		profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{Seed: 5, ServerMTBF: 21600, RackOutMTBF: 43200})
 	})

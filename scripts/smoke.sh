@@ -168,17 +168,20 @@ smoke_prof() {
 }
 
 smoke_shard() {
-	# Concurrent shard-scheduler goroutines may interleave arbitrarily; the
-	# ID-ordered commit merge must erase the interleaving. Audit on: the
-	# cross-shard GPU conservation rules run after every event.
+	# Shard schedulers and the arbiter run in shard-ID order on one goroutine;
+	# two processes (two map-hash seeds) must record the same stream. Audit on:
+	# the cross-shard GPU conservation rules run after every event.
 	twice shards "$sim" -scheme lyra -days 1 -training-servers 12 -inference-servers 8 \
 		-training-shards 2 -inference-shards 2 -seed 11 -audit
 	kinds shards arb.route
 
-	# A saturated topology (load factor 8) forces the arbitrator's optimistic
-	# loan protocol through its conflict path, and must still audit clean.
-	"$sim" -scheme lyra -days 1 -training-servers 4 -inference-servers 8 \
-		-training-shards 2 -inference-shards 2 -seed 3 -load 8.0 \
+	# A loaded 4+4 topology (load factor 4) has several shards borrowing in one
+	# epoch: the later ones find the lowest-ID servers of the stale snapshot
+	# taken, which forces the arbitrator's optimistic loan protocol through its
+	# conflict path, and must still audit clean. (A saturated one does not: the
+	# first borrower exhausts the netted headroom and nobody else proposes.)
+	"$sim" -scheme lyra -days 1 -training-servers 16 -inference-servers 32 \
+		-training-shards 4 -inference-shards 4 -seed 11 -load 4 \
 		-audit -events "$dir/storm.jsonl" > /dev/null
 	kinds storm arb.conflict
 	grep -q '"cause":"loan-conflict-retry"' "$dir/storm.jsonl" ||

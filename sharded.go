@@ -69,8 +69,8 @@ func shardedEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 		infCls = append(infCls, shard(0, cnt, cfg.TrainingShards+m))
 	}
 
-	// One scheduler instance per training shard: each runs over purely
-	// local shard state, which is what makes the concurrent epoch safe.
+	// One scheduler instance per training shard, each over purely local
+	// shard state.
 	scheds := make([]sim.Scheduler, cfg.TrainingShards)
 	for n := range scheds {
 		scheds[n] = schedulerRegistry[cfg.Scheduler](cfg)
