@@ -264,29 +264,42 @@ func summary(events []obs.Event) {
 	}
 	w.Flush()
 
-	// Sharded runs (DESIGN.md §14): the arbitrator's per-shard routing
-	// split and the optimistic loan protocol's conflict/retry volume.
-	routes := map[int]int{}
-	conflicts := 0
+	// Sharded runs (DESIGN.md §14): per training shard, the jobs the
+	// arbitrator routed there and the loan traffic it brokered.
+	type shardRow struct{ routed, grants, lent, reclaims, returns int }
+	rows := map[int]shardRow{}
 	for _, ev := range events {
+		v, tagged := ev.F["shard"]
+		if !tagged {
+			continue
+		}
+		id := int(fnum(v))
+		r := rows[id]
 		switch ev.Kind {
 		case obs.KindArbRoute:
-			routes[int(fnum(ev.F["shard"]))]++
-		case obs.KindArbConflict:
-			conflicts++
+			r.routed++
+		case obs.KindOrchLoan:
+			r.grants++
+			r.lent += int(fnum(ev.F["count"]))
+		case obs.KindOrchReclaim:
+			r.reclaims++
+		case obs.KindOrchReturn:
+			r.returns++
 		}
+		rows[id] = r
 	}
-	if len(routes) > 0 {
-		ids := make([]int, 0, len(routes))
-		for id := range routes {
+	if len(rows) > 0 {
+		ids := make([]int, 0, len(rows))
+		for id := range rows {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		fmt.Printf("\narbitrated shards: %d loan conflicts\n", conflicts)
+		fmt.Printf("\narbitrated shards:\n")
 		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "shard\tjobs routed")
+		fmt.Fprintln(w, "shard\tjobs routed\tloan grants\tservers lent\treclaims\treturns")
 		for _, id := range ids {
-			fmt.Fprintf(w, "%d\t%d\n", id, routes[id])
+			r := rows[id]
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\n", id, r.routed, r.grants, r.lent, r.reclaims, r.returns)
 		}
 		w.Flush()
 	}

@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"reflect"
 	"testing"
 
 	"lyra/internal/cluster"
@@ -8,7 +9,6 @@ import (
 	"lyra/internal/obs"
 	"lyra/internal/orchestrator"
 	"lyra/internal/reclaim"
-	"lyra/internal/sched"
 	"lyra/internal/sim"
 )
 
@@ -25,20 +25,8 @@ func lessByID(a, b *job.Job) bool { return a.ID < b.ID }
 // same arbitration epoch, and returns the shards plus the event ring.
 func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Ring) {
 	t.Helper()
-	newC := func(train, inf, firstID, shard int) *cluster.Cluster {
-		return cluster.New(cluster.Config{
-			TrainingServers: train, InferenceServers: inf,
-			TrainingGPU: cluster.V100, InferenceGPU: cluster.T4,
-			FirstID: firstID, Shard: shard,
-		})
-	}
 	ring := obs.NewRing(256)
-	rec := obs.NewRecorder(ring)
-	sh := sim.NewShards(sim.ShardedConfig{
-		Train:  []*cluster.Cluster{newC(2, 0, 0, 0), newC(2, 0, 2, 1)},
-		Inf:    []*cluster.Cluster{newC(0, 3, 4, 2), newC(0, 3, 7, 3)},
-		Scheds: []sim.Scheduler{&sched.FIFO{}, &sched.FIFO{}},
-	}, sim.Config{Obs: rec})
+	sh := topology(2, 2, sim.Config{Obs: obs.NewRecorder(ring)})
 	// 10 pending fungible 4-GPU jobs per training shard: 40 GPUs of demand
 	// against 16 free, a shortfall far beyond any target, so every shard
 	// wants its full per-shard cap.
@@ -56,11 +44,13 @@ func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Ring) {
 	return sh, a, ring
 }
 
-// audit verifies cross-shard GPU conservation and ownership consistency
-// after an arbitration epoch: 10 servers and 80 GPUs exist globally, every
-// server is attached to exactly the shard the ownership index names, and no
-// server appears in two shards.
-func auditShards(t *testing.T, sh *sim.Shards) {
+// auditShards verifies cross-shard GPU conservation and ownership
+// consistency after an arbitration epoch: the given number of 8-GPU servers
+// exists globally, every server is attached to exactly the shard the
+// ownership index names, no server appears in two shards, and the pool a
+// server sits in agrees with its home — at home unless on loan, and on loan
+// only from an inference shard to a training shard.
+func auditShards(t *testing.T, sh *sim.Shards, want int) {
 	t.Helper()
 	gpus, servers := 0, 0
 	seen := make(map[int]int)
@@ -75,15 +65,43 @@ func auditShards(t *testing.T, sh *sim.Shards) {
 			if sh.Owner(s.ID) != i {
 				t.Fatalf("server %d attached to shard %d but owner index says %d", s.ID, i, sh.Owner(s.ID))
 			}
+			home := sh.Home(s.ID)
+			if lent := s.Pool == cluster.PoolOnLoan; lent != (home != i) || lent && (i >= sh.NumTrain || home < sh.NumTrain) {
+				t.Fatalf("server %d (home shard %d) sits in shard %d's %v pool", s.ID, home, i, s.Pool)
+			}
 			return true
 		})
 		if err := st.Cluster.CheckInvariants(); err != nil {
 			t.Fatalf("shard %d cluster invariants: %v", i, err)
 		}
 	}
-	if servers != 10 || gpus != 80 {
-		t.Fatalf("conservation violated: %d servers / %d GPUs, want 10 / 80", servers, gpus)
+	if servers != want || gpus != 8*want {
+		t.Fatalf("conservation violated: %d servers / %d GPUs, want %d / %d", servers, gpus, want, 8*want)
 	}
+}
+
+// grant is one orch.loan event of a tagged stream: who was served, and with
+// which servers.
+type grant struct {
+	shard   int
+	servers []int
+}
+
+// grants returns the stream's loan grants in emission order, checking that
+// each carries the sharded stream's loan-grant cause.
+func grants(t *testing.T, evs []obs.Event) []grant {
+	t.Helper()
+	var out []grant
+	for _, ev := range evs {
+		if ev.Kind != obs.KindOrchLoan {
+			continue
+		}
+		if ev.Cause != "loan-grant" {
+			t.Errorf("orch.loan cause = %q, want loan-grant", ev.Cause)
+		}
+		out = append(out, grant{ev.F["shard"].(int), ev.F["servers"].([]int)})
+	}
+	return out
 }
 
 func countKind(evs []obs.Event, kind obs.Kind) int {
@@ -114,7 +132,7 @@ func TestEpochHonoursGlobalLoanCap(t *testing.T) {
 	t.Run("loan", func(t *testing.T) {
 		sh, a, _ := storm(t, 2) // two hungry borrowers, targets 2+2
 		a.Epoch(sh)
-		auditShards(t, sh)
+		auditShards(t, sh, 10)
 		if got := onLoan(sh); got[0]+got[1] != 4 {
 			t.Errorf("on loan = %v, want 4 in total (the sum of the targets)", got)
 		}
@@ -135,7 +153,7 @@ func TestEpochHonoursGlobalLoanCap(t *testing.T) {
 		}
 		a.Targets = []orchestrator.LoanTargeter{fixedTarget(2), fixedTarget(2)}
 		a.Epoch(sh)
-		auditShards(t, sh)
+		auditShards(t, sh, 10)
 		if got := onLoan(sh); got[0] != 1 || got[1] != 3 {
 			t.Errorf("on loan = %v, want [1 3]: the two servers owed come from the lowest-ID borrower", got)
 		}
@@ -145,17 +163,18 @@ func TestEpochHonoursGlobalLoanCap(t *testing.T) {
 	})
 }
 
-// TestConflictStormTotalOverlap: the stale snapshot promises both shards the
-// same lowest-ID servers. Shard 0's three-server loan consumes exactly the
-// entries shard 1 proposes first, so shard 1 conflicts on every one of them
-// and is granted the next three in the same pass — with conservation intact
-// and the sum on loan equal to the sum of the targets.
+// TestConflictStormTotalOverlap: two contended borrowers served in one epoch
+// get pairwise-disjoint, ascending grants, each the lowest IDs free when its
+// shard was served. Shard 0's three-server loan takes 4, 5, 6 — exactly the
+// servers shard 1 would have been lent had it gone first — so shard 1 takes
+// 7, 8, 9, with conservation intact and the sum on loan equal to the sum of
+// the targets.
 func TestConflictStormTotalOverlap(t *testing.T) {
 	sh, a, ring := storm(t, 3) // headroom 6 = the whole free pool
 	// Seven jobs are three loaned servers' worth of backlog.
 	sh.Train()[0].Pending = sh.Train()[0].Pending[:7]
 	a.Epoch(sh)
-	auditShards(t, sh)
+	auditShards(t, sh, 10)
 
 	if got := onLoan(sh); got[0] != 3 || got[1] != 3 {
 		t.Errorf("on loan = %v, want [3 3]", got)
@@ -165,25 +184,17 @@ func TestConflictStormTotalOverlap(t *testing.T) {
 			t.Errorf("server %d owner = %d, want shard %d", sid, sh.Owner(sid), want)
 		}
 	}
-	evs := ring.Tail(0)
-	if got := countKind(evs, obs.KindArbConflict); got != 3 {
-		t.Errorf("arb.conflict events = %d, want 3 (servers 4, 5, 6)", got)
-	}
-	for _, ev := range evs {
-		if ev.Kind == obs.KindArbConflict && ev.Cause != "loan-conflict-retry" {
-			t.Errorf("arb.conflict cause = %q, want loan-conflict-retry", ev.Cause)
-		}
-	}
-	if got := countKind(evs, obs.KindOrchLoan); got != 2 {
-		t.Errorf("orch.loan events = %d, want one grant per shard", got)
+	want := []grant{{0, []int{4, 5, 6}}, {1, []int{7, 8, 9}}}
+	if got := grants(t, ring.Tail(0)); !reflect.DeepEqual(got, want) {
+		t.Errorf("grants = %v, want %v", got, want)
 	}
 }
 
-// TestConflictStormRetryGrants: the live-view retry. Shard 0 borrows the
+// TestConflictStormRetryGrants: the pools are read live. Shard 0 borrows the
 // whole free pool, then loses its demand; in the next epoch its idle return
-// raises the headroom ahead of shard 1, whose stale snapshot of the free pool
-// is empty — round 0 proposes nothing, and the retry must grant all six
-// servers from the live view without a conflict.
+// raises the headroom ahead of shard 1, and the six servers it handed back —
+// none of which was free when the epoch began — are lent to shard 1 in the
+// same epoch.
 func TestConflictStormRetryGrants(t *testing.T) {
 	sh, a, ring := storm(t, 3)
 	a.Epoch(sh)
@@ -192,10 +203,10 @@ func TestConflictStormRetryGrants(t *testing.T) {
 	}
 	sh.Train()[0].Pending = nil
 	a.Epoch(sh)
-	auditShards(t, sh)
+	auditShards(t, sh, 10)
 
 	if got := onLoan(sh); got[0] != 0 || got[1] != 6 {
-		t.Errorf("on loan = %v, want [0 6] after the return and the retry", got)
+		t.Errorf("on loan = %v, want [0 6] after the return and the loan", got)
 	}
 	for sid := 4; sid <= 9; sid++ {
 		if sh.Owner(sid) != 1 {
@@ -203,14 +214,13 @@ func TestConflictStormRetryGrants(t *testing.T) {
 		}
 	}
 	evs := ring.Tail(0)
-	if got := countKind(evs, obs.KindArbConflict); got != 0 {
-		t.Errorf("arb.conflict events = %d, want 0 (nothing stale was proposed)", got)
-	}
 	if got := countKind(evs, obs.KindOrchReturn); got != 1 {
 		t.Errorf("orch.return events = %d, want 1", got)
 	}
-	if got := countKind(evs, obs.KindOrchLoan); got != 2 {
-		t.Errorf("orch.loan events = %d, want one grant per epoch", got)
+	all := []int{4, 5, 6, 7, 8, 9}
+	want := []grant{{0, all}, {1, all}}
+	if got := grants(t, evs); !reflect.DeepEqual(got, want) {
+		t.Errorf("grants = %v, want one per epoch: %v", got, want)
 	}
 }
 
@@ -241,7 +251,7 @@ func TestReturnRoutesHome(t *testing.T) {
 	sh.Train()[0].Pending = nil
 	sh.Train()[1].Pending = nil
 	a.Epoch(sh)
-	auditShards(t, sh)
+	auditShards(t, sh, 10)
 	for sid := 4; sid <= 6; sid++ {
 		if sh.Owner(sid) != 2 {
 			t.Errorf("server %d owner = %d, want home inference shard 2", sid, sh.Owner(sid))

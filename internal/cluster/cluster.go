@@ -283,6 +283,9 @@ type Cluster struct {
 	// shard labels which shard this cluster is in a sharded topology
 	// (-1 when unsharded).
 	shard int
+	// gpusPerServer is the configured server size, shared by every server
+	// the cluster was built with or can adopt.
+	gpusPerServer int
 	// n counts attached (non-nil) servers.
 	n int
 	// pools[p] is the set of pool p's server slots (ID - firstID), written
@@ -377,7 +380,7 @@ func New(cfg Config) *Cluster {
 	if cfg.TrainingGPU == V100 && cfg.InferenceGPU == V100 {
 		cfg.InferenceGPU = T4
 	}
-	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard}
+	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard, gpusPerServer: cfg.GPUsPerServer}
 	id := cfg.FirstID
 	for i := 0; i < cfg.TrainingServers; i++ {
 		c.addServer(NewServer(id, cfg.TrainingGPU, cfg.GPUsPerServer, PoolTraining))
@@ -394,6 +397,9 @@ func New(cfg Config) *Cluster {
 // Shard returns the shard label assigned at construction (zero when
 // unsharded).
 func (c *Cluster) Shard() int { return c.shard }
+
+// GPUsPerServer returns the configured number of GPUs in one server.
+func (c *Cluster) GPUsPerServer() int { return c.gpusPerServer }
 
 // assignDomains computes the deterministic server -> rack -> zone mapping
 // from the cluster shape: consecutive server IDs fill racks of RackSize

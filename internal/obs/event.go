@@ -82,15 +82,11 @@ const (
 	KindOrchEmergencyReclaim Kind = "orch.emergency-reclaim"
 
 	// Sharded-topology arbitration (internal/arbiter): a job routed to its
-	// training shard (cause: route), and a loan proposal that lost the
-	// optimistic commit race — the server it picked against the stale
-	// global view was granted to a lower-ID shard this epoch — and was
-	// retried against the live view (cause: loan-conflict-retry). Loan
-	// grants themselves reuse KindOrchLoan with cause loan-grant. Emitted
-	// only in genuinely multi-shard runs; a 1+1 topology reproduces the
-	// unsharded stream byte-for-byte.
-	KindArbRoute    Kind = "arb.route"
-	KindArbConflict Kind = "arb.conflict"
+	// training shard (cause: route). Loan grants reuse KindOrchLoan with
+	// cause loan-grant and, like every per-borrower orchestrator event, a
+	// shard field. Emitted only in genuinely multi-shard runs; a 1+1
+	// topology reproduces the unsharded stream byte-for-byte.
+	KindArbRoute Kind = "arb.route"
 
 	// Counter/histogram registry snapshot, sampled on MetricsInterval.
 	KindCounters Kind = "counters"

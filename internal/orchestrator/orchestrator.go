@@ -65,6 +65,14 @@ func (b Borrower) tag(f obs.Fields) obs.Fields {
 	return f
 }
 
+// loanServers converts a GPU shortfall on st's training side to whole
+// inference servers at the T4 memory-doubling rate (§2.1: local batches
+// split, twice the GPUs per worker), rounding up.
+func loanServers(st *sim.State, gpus int) int {
+	perServer := st.Cluster.GPUsPerServer()
+	return (2*gpus + perServer - 1) / perServer
+}
+
 // Orchestrator wires the inference scheduler's instructions to a reclaim
 // policy and executes both directions of capacity movement.
 type Orchestrator struct {
@@ -92,15 +100,14 @@ const loanBuffer = 0
 // capped by the inference scheduler's target, with servers crossing the
 // management boundary as pool moves inside the state's cluster.
 func (o *Orchestrator) Epoch(st *sim.State) {
-	capSrv := o.Inf.TargetOnLoan(int64(st.Now))
-	busy, demand := o.Assess(st)
-	o.Decide(Borrower{St: st, Shard: -1}, capSrv, busy, demand,
-		func(n int) { loan(st, n) },
-		func(sid int) {
-			if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
-				failMove(st, sid, cluster.PoolInference, err)
-			}
-		})
+	move := func(sid int, to cluster.Pool) {
+		if err := st.Cluster.Move(sid, to); err != nil {
+			failMove(st, sid, to, err)
+		}
+	}
+	o.Decide(Borrower{St: st, Shard: -1}, o.Inf.TargetOnLoan(int64(st.Now)), []*sim.State{st},
+		func(sid int) { move(sid, cluster.PoolOnLoan) },
+		func(sid int) { move(sid, cluster.PoolInference) })
 	if o.Audit != nil {
 		ctx := fmt.Sprintf("orchestrator:epoch t=%g", st.Now)
 		if err := o.Audit.Audit(st.AuditView(ctx, o.Less)); err != nil {
@@ -109,28 +116,24 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 	}
 }
 
-// Assess is the read-only half of a loan decision: the on-loan servers st
-// cannot give up (those hosting any workers — never trimmed voluntarily;
-// O(1) off the cluster's maintained empty-server counter) and the
-// additional inference servers it could fill right now. It touches only st.
-func (l *Loans) Assess(st *sim.State) (busy, demand int) {
-	return st.Cluster.BusyServers(cluster.PoolOnLoan), l.demandServers(st)
-}
-
 // Decide is the per-borrower loan decision. capSrv is a *cap* on loaning,
 // not a mandate: Lyra borrows only as many servers as the training side can
 // actually use (pending base demand plus unmet elastic flexible demand,
 // plus a small buffer), which is what keeps the paper's on-loan servers
 // above 92% utilization (Figure 9). Idle on-loan servers beyond demand are
 // returned voluntarily — no preemption — while a cap decrease forces
-// reclaiming through the policy. At most one verb runs: loan brings up to n
-// more inference servers into the borrower's on-loan pool, and giveBack is
-// how an emptied on-loan server leaves the borrower for the inference side
-// (a pool move within one cluster, a transfer home across shards). Neither
-// is retained, so callers' closures stay on the stack.
-func (l *Loans) Decide(b Borrower, capSrv, busy, demand int, loan func(n int), giveBack func(sid int)) {
+// reclaiming through the policy. The decision reads only the borrower's own
+// state: the on-loan servers it cannot give up (those hosting any workers —
+// never trimmed voluntarily) and the additional inference servers it could
+// fill right now. At most one verb runs. from lists the states whose
+// inference pools lend; take and giveBack are how one server enters and
+// leaves the borrower's on-loan pool (a pool move within one cluster, a
+// transfer across shards). Neither is retained, so callers' closures stay
+// on the stack.
+func (l *Loans) Decide(b Borrower, capSrv int, from []*sim.State, take, giveBack func(sid int)) {
 	st := b.St
 	cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
+	busy, demand := st.Cluster.BusyServers(cluster.PoolOnLoan), l.demandServers(st)
 	want := busy + demand + loanBuffer
 	if want > capSrv {
 		want = capSrv
@@ -147,7 +150,7 @@ func (l *Loans) Decide(b Borrower, capSrv, busy, demand int, loan func(n int), g
 	switch {
 	case want > cur:
 		sp := st.Prof.Start("loan")
-		loan(want - cur)
+		lend(b, want-cur, from, take)
 		sp.End()
 	case capSrv < cur:
 		sp := st.Prof.Start("reclaim")
@@ -177,8 +180,7 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 		return want
 	}
 	deficit := floor - trainCap
-	perServer := cluster.DefaultGPUsPerServer / 2 // memory doubling on T4
-	extra := (deficit + perServer - 1) / perServer
+	extra := loanServers(st, deficit)
 	raised := busy + extra
 	if raised > capSrv {
 		raised = capSrv
@@ -199,8 +201,7 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 // demandServers estimates how many additional inference servers the
 // training side could fill right now: the pending base demand plus the
 // running elastic jobs' unmet flexible demand, beyond the free schedulable
-// GPUs, converted at the T4 memory-doubling rate (§2.1: local batches
-// split, twice the GPUs per worker).
+// GPUs, converted at the T4 memory-doubling rate.
 func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
 	demand := 0
@@ -208,7 +209,7 @@ func (l *Loans) demandServers(st *sim.State) int {
 		// Only GPU-type-agnostic work whose workers actually fit an
 		// inference server can land on loaned capacity (§2.1); loaning
 		// for the rest of the backlog would idle the servers.
-		if (j.Fungible || j.Elastic || j.Hetero) && place.FitsOnLoan(j) {
+		if (j.Fungible || j.Elastic || j.Hetero) && place.FitsOnLoan(st.Cluster, j) {
 			demand += j.BaseGPUs()
 			if l.IncludeElasticDemand {
 				demand += j.FlexRange() * j.GPUsPerWorker
@@ -237,8 +238,7 @@ func (l *Loans) demandServers(st *sim.State) int {
 	if shortfall <= 0 {
 		return 0
 	}
-	perServer := cluster.DefaultGPUsPerServer / 2 // memory doubling on T4
-	return (shortfall + perServer - 1) / perServer
+	return loanServers(st, shortfall)
 }
 
 // returnIdle hands back up to n of the borrower's empty on-loan servers — a
@@ -271,27 +271,34 @@ func returnIdle(b Borrower, n int, giveBack func(sid int)) {
 	}
 }
 
-// loan moves n inference servers onto the training scheduler's whitelist.
-func loan(st *sim.State, n int) {
-	// Same collect-then-move discipline as returnIdle: lowest-ID inference
-	// servers are loaned first, as before.
-	if n <= 0 {
-		return
-	}
+// lend brings up to n inference servers onto the borrower's whitelist: the
+// live inference pools of from are walked in the order given, each in
+// ascending server ID, so with shards carving ascending ID ranges the
+// lowest-ID free servers are lent first. Same collect-then-move discipline
+// as returnIdle.
+func lend(b Borrower, n int, from []*sim.State, take func(sid int)) {
+	st := b.St
 	picked := make([]int, 0, n)
-	st.Cluster.EachPoolServer(cluster.PoolInference, func(s *cluster.Server) bool {
-		picked = append(picked, s.ID)
-		return len(picked) < n
-	})
-	for _, sid := range picked {
-		if err := st.Cluster.Move(sid, cluster.PoolOnLoan); err != nil {
-			failMove(st, sid, cluster.PoolOnLoan, err)
+	for _, src := range from {
+		if len(picked) == n {
+			break
 		}
+		src.Cluster.EachPoolServer(cluster.PoolInference, func(s *cluster.Server) bool {
+			picked = append(picked, s.ID)
+			return len(picked) < n
+		})
+	}
+	for _, sid := range picked {
+		take(sid)
 	}
 	if st.Obs.Enabled() && len(picked) > 0 {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchLoan).WithF(obs.Fields{
+		ev := obs.Ev(st.Now, obs.KindOrchLoan).WithF(b.tag(obs.Fields{
 			"servers": picked, "count": len(picked),
 		}))
+		if b.Shard >= 0 {
+			ev = ev.WithCause("loan-grant")
+		}
+		st.Obs.Emit(ev)
 		st.Obs.Add("orch.loans", 1)
 	}
 }

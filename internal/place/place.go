@@ -191,12 +191,12 @@ func bestFit(c *cluster.Cluster, j *job.Job, opt Options) *cluster.Server {
 	return nil
 }
 
-// FitsOnLoan reports whether one worker of j can be hosted by an
-// inference-class server at all: with the memory-driven GPU doubling, a
+// FitsOnLoan reports whether one worker of j can be hosted by one of c's
+// inference-class servers at all: with the memory-driven GPU doubling, a
 // worker needing more GPUs than a whole T4 server has can never be placed
 // on loaned capacity.
-func FitsOnLoan(j *job.Job) bool {
-	return WorkerGPUs(j, cluster.T4) <= cluster.DefaultGPUsPerServer
+func FitsOnLoan(c *cluster.Cluster, j *job.Job) bool {
+	return WorkerGPUs(j, cluster.T4) <= c.GPUsPerServer()
 }
 
 // ServerSetOf returns the set of servers hosting j's workers of the given

@@ -267,12 +267,20 @@ func TestGangZeroWorkers(t *testing.T) {
 }
 
 func TestFitsOnLoan(t *testing.T) {
-	small := job.New(1, 0, job.Generic, 4, 1, 1, 100) // 8 GPUs on T4: fits
-	if !FitsOnLoan(small) {
-		t.Error("4-GPU worker should fit a T4 server (8 GPUs after doubling)")
-	}
-	big := job.New(2, 0, job.Generic, 8, 1, 1, 100) // 16 GPUs on T4: cannot
-	if FitsOnLoan(big) {
-		t.Error("8-GPU worker cannot fit any T4 server")
+	// A worker occupies twice its GPUs on T4; it fits when that is at most
+	// one server of the cluster's configured size.
+	for _, tc := range []struct {
+		perServer, workerGPUs int
+		want                  bool
+	}{
+		{8, 4, true}, {8, 8, false},
+		{4, 2, true}, {4, 4, false},
+		{16, 8, true}, {16, 16, false},
+	} {
+		c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 1, GPUsPerServer: tc.perServer})
+		j := job.New(1, 0, job.Generic, tc.workerGPUs, 1, 1, 100)
+		if got := FitsOnLoan(c, j); got != tc.want {
+			t.Errorf("%d-GPU worker on %d-GPU T4 servers: FitsOnLoan = %v, want %v", tc.workerGPUs, tc.perServer, got, tc.want)
+		}
 	}
 }

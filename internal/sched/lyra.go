@@ -2,6 +2,7 @@ package sched
 
 import (
 	"lyra/internal/alloc"
+	"lyra/internal/cluster"
 	"lyra/internal/job"
 	"lyra/internal/obs"
 	"lyra/internal/sim"
@@ -66,11 +67,11 @@ func (l *Lyra) Less(a, b *job.Job) bool {
 	return lessByEstimate(a, b)
 }
 
-func (l *Lyra) policy(j *job.Job) poolPolicy {
+func (l *Lyra) policy(c *cluster.Cluster, j *job.Job) poolPolicy {
 	if l.Opportunistic {
-		return opportunisticPoolPolicy(j)
+		return opportunisticPoolPolicy(c, j)
 	}
-	return defaultPoolPolicy(j)
+	return defaultPoolPolicy(c, j)
 }
 
 // Schedule implements sim.Scheduler.

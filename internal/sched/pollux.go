@@ -89,7 +89,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 		if j.State != job.Pending {
 			continue
 		}
-		pp := defaultPoolPolicy(j)
+		pp := defaultPoolPolicy(st.Cluster, j)
 		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, pp.options(j, false))
 		if !ok {
 			continue

@@ -26,8 +26,8 @@ type poolPolicy struct {
 // elastic jobs prefer on-loan servers; fungible jobs may use either pool;
 // heterogeneous jobs may mix, base preferring training; everything else is
 // pinned to the training pool.
-func defaultPoolPolicy(j *job.Job) poolPolicy {
-	loanable := place.FitsOnLoan(j)
+func defaultPoolPolicy(c *cluster.Cluster, j *job.Job) poolPolicy {
+	loanable := place.FitsOnLoan(c, j)
 	switch {
 	case j.Hetero:
 		return poolPolicy{allowTraining: true, allowOnLoan: loanable, prefer: cluster.PoolTraining}
@@ -50,8 +50,8 @@ const opportunisticMaxRuntime = 4 * 3600
 // opportunisticPoolPolicy encodes the Opportunistic scheme (§7.1): short
 // fungible jobs are queued to the inference cluster only; everything else
 // stays on the training cluster.
-func opportunisticPoolPolicy(j *job.Job) poolPolicy {
-	if j.Fungible && place.FitsOnLoan(j) && j.EstimatedRuntime <= opportunisticMaxRuntime {
+func opportunisticPoolPolicy(c *cluster.Cluster, j *job.Job) poolPolicy {
+	if j.Fungible && place.FitsOnLoan(c, j) && j.EstimatedRuntime <= opportunisticMaxRuntime {
 		return poolPolicy{allowOnLoan: true, prefer: cluster.PoolOnLoan}
 	}
 	return poolPolicy{allowTraining: true, prefer: cluster.PoolTraining}
@@ -87,7 +87,7 @@ func (pp poolPolicy) options(j *job.Job, flexible bool) place.Options {
 // When heteroPass is false only non-heterogeneous jobs are considered; the
 // caller runs a second pass for heterogeneous jobs after everything else
 // (§6: they get the lowest priority).
-func startBase(st *sim.State, policy func(*job.Job) poolPolicy, heteroPass bool) []*job.Job {
+func startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) []*job.Job {
 	var started []*job.Job
 	var chosen []*job.Job
 	for {
@@ -104,7 +104,7 @@ func startBase(st *sim.State, policy func(*job.Job) poolPolicy, heteroPass bool)
 			if availT <= 0 && availL <= 0 {
 				break
 			}
-			pp := policy(j)
+			pp := policy(st.Cluster, j)
 			d := j.BaseGPUs()
 			switch {
 			case j.Hetero && pp.allowTraining && pp.allowOnLoan && d <= availT+availL:
@@ -128,7 +128,7 @@ func startBase(st *sim.State, policy func(*job.Job) poolPolicy, heteroPass bool)
 		place.SortByDemand(chosen)
 		freed, failures := 0, 0
 		for _, j := range chosen {
-			pp := policy(j)
+			pp := policy(st.Cluster, j)
 			ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, pp.options(j, false))
 			if !ok {
 				// Make room by scaling elastic jobs in, then retry.

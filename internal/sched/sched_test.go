@@ -256,11 +256,12 @@ func TestInfoAgnosticLessIsLAS(t *testing.T) {
 }
 
 func TestOpportunisticPolicyRestrictsFungible(t *testing.T) {
-	pp := opportunisticPoolPolicy(&job.Job{Fungible: true})
+	c := cluster.New(cluster.Config{})
+	pp := opportunisticPoolPolicy(c, &job.Job{Fungible: true})
 	if pp.allowTraining || !pp.allowOnLoan {
 		t.Error("opportunistic fungible jobs go to the inference cluster only")
 	}
-	pp = opportunisticPoolPolicy(&job.Job{})
+	pp = opportunisticPoolPolicy(c, &job.Job{})
 	if !pp.allowTraining || pp.allowOnLoan {
 		t.Error("opportunistic non-fungible jobs stay on training")
 	}
@@ -356,11 +357,12 @@ func TestUnloanableWorkerStaysOnTraining(t *testing.T) {
 	// after memory doubling): it must be pinned to the training pool.
 	j := job.New(1, 0, job.Generic, 8, 1, 1, 100)
 	j.Fungible = true
-	pp := defaultPoolPolicy(j)
+	c := cluster.New(cluster.Config{})
+	pp := defaultPoolPolicy(c, j)
 	if pp.allowOnLoan {
 		t.Error("unloanable fungible job must not be allowed on loaned servers")
 	}
-	pp = opportunisticPoolPolicy(j)
+	pp = opportunisticPoolPolicy(c, j)
 	if pp.allowOnLoan || !pp.allowTraining {
 		t.Error("opportunistic mode must keep unloanable jobs on training")
 	}
@@ -373,10 +375,11 @@ func TestOpportunisticRuntimeBound(t *testing.T) {
 	long := job.New(2, 0, job.Generic, 2, 1, 1, 100000)
 	long.Fungible = true
 	long.EstimatedRuntime = 100000
-	if pp := opportunisticPoolPolicy(short); !pp.allowOnLoan || pp.allowTraining {
+	c := cluster.New(cluster.Config{})
+	if pp := opportunisticPoolPolicy(c, short); !pp.allowOnLoan || pp.allowTraining {
 		t.Error("short fungible jobs go to the inference cluster only")
 	}
-	if pp := opportunisticPoolPolicy(long); pp.allowOnLoan || !pp.allowTraining {
+	if pp := opportunisticPoolPolicy(c, long); pp.allowOnLoan || !pp.allowTraining {
 		t.Error("long fungible jobs stay on training (they could never finish on transient loans)")
 	}
 }

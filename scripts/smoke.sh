@@ -10,7 +10,8 @@
 #   matrix  the spec pack compiles, the smoke spec meets its SLOs, and the
 #           gate can fail (a gate that cannot fail is not a gate)
 #   prof    the span profiler attributes >= 90% and perturbs no event
-#   shard   4-shard determinism across processes + the loan-conflict path
+#   shard   4-shard determinism across processes, the per-shard summary table,
+#           and several borrowers served in one arbitration epoch
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -175,17 +176,27 @@ smoke_shard() {
 		-training-shards 2 -inference-shards 2 -seed 11 -audit
 	kinds shards arb.route
 
+	# The summary's per-shard table: its header, and one row per training
+	# shard whose routed jobs add up to the stream's arb.route events.
+	"$events" "$dir/shards.jsonl" | sed -n '/^arbitrated shards:$/,$p' > "$dir/shards.sum"
+	cat "$dir/shards.sum"
+	grep -q '^shard  *jobs routed  *loan grants  *servers lent  *reclaims  *returns$' "$dir/shards.sum" ||
+		fail "lyra-events summary has no per-shard table header"
+	rows=$(awk '$1 ~ /^[0-9]+$/ { n++; routed += $2 } END { print n, routed }' "$dir/shards.sum")
+	[ "$rows" = "2 $(grep -c '"kind":"arb.route"' "$dir/shards.jsonl")" ] ||
+		fail "per-shard table has (rows, jobs routed) = ($rows), want 2 rows covering every arb.route"
+
 	# A loaded 4+4 topology (load factor 4) has several shards borrowing in one
-	# epoch: the later ones find the lowest-ID servers of the stale snapshot
-	# taken, which forces the arbitrator's optimistic loan protocol through its
-	# conflict path, and must still audit clean. (A saturated one does not: the
-	# first borrower exhausts the netted headroom and nobody else proposes.)
+	# epoch, served in shard-ID order from the live inference pools, and must
+	# still audit clean. (A saturated one does not: the first borrower exhausts
+	# the netted headroom and nobody else is lent anything.)
 	"$sim" -scheme lyra -days 1 -training-servers 16 -inference-servers 32 \
 		-training-shards 4 -inference-shards 4 -seed 11 -load 4 \
 		-audit -events "$dir/storm.jsonl" > /dev/null
-	kinds storm arb.conflict
-	grep -q '"cause":"loan-conflict-retry"' "$dir/storm.jsonl" ||
-		fail "arb.conflict events missing the loan-conflict-retry cause"
+	kinds storm orch.loan
+	sed -n 's/^{"t":\([^,]*\),"kind":"orch.loan","cause":"loan-grant",.*"shard":\([0-9]*\)}}$/\1 \2/p' "$dir/storm.jsonl" |
+		awk '$1 == t && $2 != shard { both++ } { t = $1; shard = $2 } END { exit !both }' ||
+		fail "no arbitration epoch recorded loan-grant orch.loan events from two shards"
 }
 
 [ $# -gt 0 ] || set -- bench events fault matrix prof shard
