@@ -1,14 +1,14 @@
 // Command lyra-testbed runs the prototype runtime end-to-end: the 64-GPU
-// testbed cluster of §7.5, goroutine-backed worker containers with launch
-// latency, per-job elastic controllers, the whitelist handover between the
-// two schedulers, and the production scheduling code driving it all at an
-// accelerated clock. The testbed is inherently single-cluster (one training
+// testbed cluster of §7.5, worker containers with launch latency, per-job
+// elastic controllers, the whitelist handover between the two schedulers,
+// and the production scheduling code driving it all tick by tick on
+// simulated time. The testbed is inherently single-cluster (one training
 // + one inference pool, as deployed in §7.5); sharded multi-cluster
 // topologies (DESIGN.md §14) run in the simulator via lyra-sim
 // -training-shards or a spec shards: block.
 //
 //	lyra-testbed -scheme lyra
-//	lyra-testbed -scheme fifo -speedup 8000
+//	lyra-testbed -scheme fifo -jobs 60 -audit
 package main
 
 import (
@@ -31,10 +31,7 @@ func main() {
 	g.EventsFlag("job lifecycle, tick epochs, container transitions")
 	g.FaultFlags("mtbf=3600,mttr=300,launchfail=0.05")
 	g.ProfFlags()
-	var (
-		speedup = flag.Float64("speedup", 4000, "simulated seconds per wall second")
-		jobs    = flag.Int("jobs", 180, "number of jobs in the scaled trace")
-	)
+	jobs := flag.Int("jobs", 180, "number of jobs in the scaled trace")
 	flag.Parse()
 	if err := g.StartPprof(); err != nil {
 		g.Fatal(err)
@@ -59,7 +56,7 @@ func main() {
 
 	pr := g.Collector().NewProfiler("testbed/" + g.Scheme)
 	rsp := pr.Start("run")
-	res, err := lyra.RunTestbed(cfg, tr, lyra.TestbedOptions{Speedup: *speedup})
+	res, err := lyra.RunTestbed(cfg, tr, lyra.TestbedOptions{})
 	rsp.End()
 	if err != nil {
 		g.Fatal(err)

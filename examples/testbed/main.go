@@ -15,14 +15,14 @@ import (
 
 func main() {
 	workload := trace.GenerateTestbed(11, 40)
-	fmt.Printf("testbed workload: %d jobs over an 8-hour window (accelerated)\n", len(workload.Jobs))
+	fmt.Printf("testbed workload: %d jobs over an 8-hour window\n", len(workload.Jobs))
 
 	// The same Config a simulation takes: full Lyra (SJF+MCKP, elastic
 	// scaling, loaning with the knapsack reclaim) on the §7.5 cluster.
 	cfg := lyra.DefaultConfig()
 	cfg.Cluster = cluster.TestbedConfig() // 4x V100 + 4x T4 servers, 64 GPUs
 	cfg.Seed = 11
-	res, err := lyra.RunTestbed(cfg, workload, lyra.TestbedOptions{Speedup: 6000})
+	res, err := lyra.RunTestbed(cfg, workload, lyra.TestbedOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

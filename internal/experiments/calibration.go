@@ -37,7 +37,6 @@ func Calibration(p Params) []*Table {
 		Name:         "calibration/testbed",
 		Config:       cfg,
 		Jobs:         60,
-		Speedup:      8000,
 		UtilCompress: 1,
 	}})[0]
 

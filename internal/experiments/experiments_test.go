@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"lyra/internal/runner"
 )
 
 // tiny returns parameters small enough for every experiment to run inside
@@ -189,11 +187,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	p := tiny()
-	// The prototype-backed experiments (table10, fig17, calibration) sleep on
-	// an accelerated clock: behind the default pool's GOMAXPROCS workers they
-	// queue two at a time and table10 alone takes 55 s. They overlap behind a
-	// wider pool (EXPERIMENTS.md, "PR 20").
-	p.Pool = runner.New(16)
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {

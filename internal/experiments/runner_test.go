@@ -7,14 +7,11 @@ import (
 	"lyra/internal/runner"
 )
 
-// wallClockExperiments measure real time (testbed goroutines, reclaim
-// timing) and are therefore excluded from the byte-identity guarantee; see
-// DESIGN.md.
+// wallClockExperiments print measured wall time (reclaimopt: the reclaim
+// solvers' run times) and are therefore excluded from the byte-identity
+// guarantee; see DESIGN.md §6.
 var wallClockExperiments = map[string]bool{
-	"calibration": true,
-	"table10":     true,
-	"fig17":       true,
-	"reclaimopt":  true,
+	"reclaimopt": true,
 }
 
 // renderDeterministic prints every deterministic registry experiment.

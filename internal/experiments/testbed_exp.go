@@ -10,14 +10,14 @@ import (
 
 // testbedSpec declares one scheme on the §7.5 64-GPU prototype: 180 jobs
 // (~10 of them elastic, like Basic), submissions spanning 8 hours, training
-// times from 2 minutes to 2 hours, demand capped at half the cluster,
-// replayed at 4000x real time. cfg is the scheme alone; the cluster, seed
-// and audit switch are filled in here.
+// times from 2 minutes to 2 hours, demand capped at half the cluster. cfg
+// is the scheme alone; the cluster, seed and audit switch are filled in
+// here.
 func testbedSpec(p Params, name string, cfg lyra.Config) runner.TestbedSpec {
 	cfg.Cluster = cluster.TestbedConfig()
 	cfg.Seed = p.Seed
 	cfg.Audit = p.Audit
-	return runner.TestbedSpec{Name: name, Config: cfg, Jobs: 180, Speedup: 4000}
+	return runner.TestbedSpec{Name: name, Config: cfg, Jobs: 180}
 }
 
 func testbedRow(name string, r lyra.TestbedResult, loaning bool) []string {
@@ -35,7 +35,7 @@ func testbedRow(name string, r lyra.TestbedResult, loaning bool) []string {
 
 // Table10 regenerates the testbed comparison: overall Baseline vs Lyra,
 // the reclaiming schemes, and the elastic schedulers, all on the prototype
-// runtime (goroutine containers, accelerated clock).
+// runtime (containers with launch latency, tick-granular progress).
 func Table10(p Params) []*Table {
 	t := &Table{
 		ID:     "table10",
@@ -65,8 +65,7 @@ func Table10(p Params) []*Table {
 		t.Rows = append(t.Rows, testbedRow(r.name, results[i], r.cfg.Loaning))
 	}
 	t.Notes = append(t.Notes,
-		"paper shape: Lyra improves queuing ~1.38x and JCT ~1.22x over Baseline; reclaiming order Lyra < SCF < Random preemptions",
-		"wall-clock: the prototype replays the trace at 4000x real time with goroutine containers")
+		"paper shape: Lyra improves queuing ~1.38x and JCT ~1.22x over Baseline; reclaiming order Lyra < SCF < Random preemptions")
 	return []*Table{t}
 }
 

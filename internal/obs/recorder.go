@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // Recorder fans events out to its sinks and owns the counter registry. The
 // disabled state is a nil *Recorder: every method is nil-safe, so call
 // sites pay one nil check and nothing else when observability is off —
@@ -9,12 +7,10 @@ import "sync"
 // that must build a non-trivial payload should gate the construction on
 // Enabled() so the disabled path allocates nothing.
 //
-// Emit is serialized under an internal lock, so sinks see a totally
-// ordered stream even when emitters run on several goroutines (the
-// testbed's container goroutines emit readiness transitions concurrently
-// with the scheduling loop).
+// A Recorder belongs to one run, and a run — simulator or prototype — is
+// one goroutine, so Emit takes no lock; the registry keeps its own because
+// the experiment runner's workers share one.
 type Recorder struct {
-	mu    sync.Mutex
 	sinks []Sink
 	reg   *Registry
 }
@@ -34,11 +30,9 @@ func (r *Recorder) Emit(ev Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	for _, s := range r.sinks {
 		s.Record(ev)
 	}
-	r.mu.Unlock()
 }
 
 // Registry returns the attached counter registry (nil when disabled; the

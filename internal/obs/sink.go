@@ -5,7 +5,7 @@ import (
 )
 
 // Sink consumes recorded events. Sinks need not be safe for concurrent use:
-// the Recorder serializes Record calls under its own lock.
+// a Recorder is driven by the one goroutine of its run.
 type Sink interface {
 	Record(Event)
 }

@@ -341,5 +341,5 @@ func runTestbed(spec TestbedSpec) (lyra.TestbedResult, error) {
 		return lyra.TestbedResult{}, fmt.Errorf("testbed spec needs Jobs > 0")
 	}
 	tr := trace.GenerateTestbed(spec.Config.Seed, spec.Jobs)
-	return lyra.RunTestbed(spec.Config, tr, lyra.TestbedOptions{Speedup: spec.Speedup, UtilCompress: spec.UtilCompress})
+	return lyra.RunTestbed(spec.Config, tr, lyra.TestbedOptions{UtilCompress: spec.UtilCompress})
 }

@@ -136,11 +136,8 @@ func (s Spec) label() string {
 
 // TestbedSpec declares one prototype-runtime run (§7.5): the same
 // lyra.Config a Spec carries, run by lyra.RunTestbed over a generated
-// testbed workload. Unlike simulations, testbed runs execute real
-// goroutines against an accelerated wall clock, so their results are
-// measurements rather than pure functions — the pool still memoizes them
-// (one invocation's tables reuse a single run) but they are excluded from
-// the byte-identity guarantee.
+// testbed workload. Like a simulation it is a pure function of its spec,
+// memoized under the same byte-identity guarantee.
 type TestbedSpec struct {
 	// Name labels the run in error messages; it does not affect identity.
 	Name string `json:"-"`
@@ -151,9 +148,7 @@ type TestbedSpec struct {
 	// Jobs sizes the testbed workload (trace.GenerateTestbed).
 	Jobs int
 
-	// Speedup and UtilCompress are lyra.TestbedOptions' knobs (zero selects
-	// their defaults).
-	Speedup      float64
+	// UtilCompress is lyra.TestbedOptions' knob (zero selects its default).
 	UtilCompress int
 }
 

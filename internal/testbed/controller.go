@@ -1,22 +1,16 @@
 package testbed
 
-import (
-	"sync"
-
-	"lyra/internal/job"
-)
+import "lyra/internal/job"
 
 // Controller is the per-job process §6 embeds into elastic jobs: it
 // coordinates worker join and departure, gates training on gang readiness
 // (the base demand must be fully up before any step runs), and accounts
 // training progress against the throughput of whatever workers are live.
 type Controller struct {
-	mu         sync.Mutex
 	job        *job.Job
 	containers map[int]*Container // container ID -> container
 	scaling    job.ScalingModel
 
-	training   bool
 	lastTick   float64
 	joinEvents int
 	exitEvents int
@@ -29,69 +23,56 @@ func NewController(j *job.Job, scaling job.ScalingModel) *Controller {
 
 // Join registers a newly launched container with the controller.
 func (ct *Controller) Join(c *Container) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
 	ct.containers[c.ID] = c
 	ct.joinEvents++
 }
 
 // Depart removes a container (scale-in, preemption, completion).
 func (ct *Controller) Depart(id int) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
 	if _, ok := ct.containers[id]; ok {
 		delete(ct.containers, id)
 		ct.exitEvents++
 	}
 }
 
-// readyWorkersLocked returns the Running containers as job workers.
-func (ct *Controller) readyWorkersLocked() []job.Worker {
-	ws := make([]job.Worker, 0, len(ct.containers))
-	for _, c := range ct.containers {
-		if c.State() != ContainerRunning {
-			continue
-		}
-		ws = append(ws, job.Worker{Server: c.Server, GPUs: c.GPUs, Flexible: c.Flexible})
-	}
-	return ws
-}
-
 // Tick advances training to time now: if the gang (base demand) is ready,
 // progress accrues at the live workers' throughput; restart overhead is
 // consumed first. It returns true when the job's work is complete.
+//
+// The ready set trains from the instant its last member came up, not from
+// the previous tick: a start or a scale-out pays the container launch
+// latency even when the tick is longer than the latency.
 //
 // The worker GPU types are taken from the job's scheduler-recorded Workers
 // (the controller only knows container readiness); throughput uses the
 // scheduler's view filtered to ready containers.
 func (ct *Controller) Tick(now float64) bool {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	dt := now - ct.lastTick
+	since := ct.lastTick
 	ct.lastTick = now
-	if dt <= 0 {
-		return ct.job.Remaining <= 0
-	}
 
 	ready := 0
-	readyGPUWeight := 0.0
 	for _, c := range ct.containers {
-		if c.State() == ContainerRunning {
-			ready++
+		if c.State() != ContainerRunning {
+			continue
 		}
+		ready++
+		since = max(since, c.readyAt)
+	}
+	dt := now - since
+	if dt <= 0 {
+		return ct.job.Remaining <= 0
 	}
 	// Gang gate: training runs only once the base demand is up.
 	if ready < ct.job.MinWorkers {
 		return false
 	}
-	ct.training = true
 
 	// Throughput of the ready subset: scale the job's full-placement
 	// throughput by the ready fraction (workers are homogeneous within a
 	// job unless heterogeneous, where the approximation remains fair).
-	full := ct.job.Throughput(ct.scaling)
+	readyGPUWeight := 0.0
 	if n := ct.job.NumWorkers(); n > 0 {
-		readyGPUWeight = full * float64(ready) / float64(n)
+		readyGPUWeight = ct.job.Throughput(ct.scaling) * float64(ready) / float64(n)
 	}
 	if ct.job.OverheadLeft > 0 {
 		if dt <= ct.job.OverheadLeft {
@@ -109,16 +90,9 @@ func (ct *Controller) Tick(now float64) bool {
 }
 
 // ResetTick rebases the progress clock, used when a job (re)starts.
-func (ct *Controller) ResetTick(now float64) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	ct.lastTick = now
-	ct.training = false
-}
+func (ct *Controller) ResetTick(now float64) { ct.lastTick = now }
 
 // Events returns the cumulative worker join/departure counts.
 func (ct *Controller) Events() (joins, exits int) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
 	return ct.joinEvents, ct.exitEvents
 }

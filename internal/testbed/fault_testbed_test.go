@@ -28,7 +28,7 @@ func TestEndToEndWithFaults(t *testing.T) {
 		LaunchFailProb: 0.15,
 		StragglerFrac:  0.2,
 	}
-	cfg := testConfig(20000)
+	cfg := testConfig()
 	cfg.Faults = plan
 	s := sched.NewLyra()
 	tb := New(cfg, tr, s, lyraOrchestrator(7, tr, s.Less))
@@ -82,13 +82,10 @@ func TestEndToEndWithFaults(t *testing.T) {
 
 // TestTestbedFaultsDisabledInjectsNothing: a disabled (seed-only) plan must
 // behave exactly like a nil one — no fault machinery engages, every job
-// completes. (The testbed is a wall-clock measurement substrate, excluded
-// from the byte-identity guarantee — DESIGN.md §6 — so the strict
-// disabled-plan identity test lives on the simulator path instead, in
-// fault_e2e_test.go.)
+// completes.
 func TestTestbedFaultsDisabledInjectsNothing(t *testing.T) {
 	tr := trace.GenerateTestbed(3, 20)
-	cfg := testConfig(40000)
+	cfg := testConfig()
 	cfg.Faults = &fault.Plan{Seed: 99}
 	tb := New(cfg, tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)

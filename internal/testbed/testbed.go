@@ -3,7 +3,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sort"
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
@@ -22,8 +22,6 @@ import (
 // lyra.Config, the one place a scheme is described.
 type Config struct {
 	Cluster cluster.Config
-	// Speedup is simulated seconds per wall second (default 2000).
-	Speedup float64
 	// SchedInterval and OrchInterval are the scheduler tick and the
 	// orchestrator epoch; both must be positive.
 	SchedInterval float64
@@ -44,27 +42,19 @@ type Config struct {
 	// Obs is the optional structured event recorder (internal/obs): the
 	// shared state emits the job lifecycle stream, the tick loop emits
 	// scheduler epoch summaries, and the resource manager emits container
-	// transitions (launch/ready/kill/release). Container readiness events
-	// are emitted from the launch goroutines; the recorder serializes
-	// them. Nil disables recording at the cost of one nil check per site.
+	// transitions (launch/ready/kill/release). Nil disables recording at
+	// the cost of one nil check per site.
 	Obs *obs.Recorder
 	// Faults is the optional deterministic fault-injection plan
 	// (internal/fault). The crash/recovery timeline is pre-generated from
-	// the plan's seed; launch failures draw from the injector in real
-	// execution order (the testbed is a live, concurrent substrate — see
-	// DESIGN.md §8). Nil injects nothing.
+	// the plan's seed; launch failures draw from the injector in launch
+	// order, which is job-ID order within a tick (DESIGN.md §8). Nil
+	// injects nothing.
 	Faults *fault.Plan
 }
 
 // launchDelay is the container start latency in simulated seconds.
 const launchDelay = 5
-
-func (c Config) withDefaults() Config {
-	if c.Speedup == 0 {
-		c.Speedup = 2000
-	}
-	return c
-}
 
 // Result is what a testbed run reports (Table 10 / Figure 17 inputs).
 type Result struct {
@@ -104,21 +94,19 @@ type Result struct {
 
 // Testbed wires the prototype together. The scheduler and orchestrator are
 // the exact production code paths (internal/sched, internal/orchestrator);
-// the testbed supplies a live substrate instead of the event-driven one.
+// the testbed supplies a tick-stepped substrate instead of the event-driven
+// one.
 type Testbed struct {
-	cfg   Config
-	clock *Clock
-	rm    *ResourceManager
+	cfg Config
+	rm  *ResourceManager
 
-	mu          sync.Mutex
 	st          *sim.State
 	sched       sim.Scheduler
 	orch        *orchestrator.Orchestrator
 	controllers map[int]*Controller
-	byID        map[int]*job.Job
-	pendingSrc  []*job.Job
+	jobs        []*job.Job // the trace, in arrival order
+	arrived     int        // jobs[:arrived] have been admitted
 	completed   int
-	total       int
 	joins       int
 	exits       int
 
@@ -149,23 +137,18 @@ type launchRetry struct {
 // scheduler and, for capacity loaning, the orchestrator over the inference
 // side the caller built (nil for no loaning).
 func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Orchestrator) *Testbed {
-	cfg = cfg.withDefaults()
 	if cfg.SchedInterval <= 0 || cfg.OrchInterval <= 0 {
 		panic(fmt.Sprintf("testbed: intervals must be positive (sched %g, orch %g)", cfg.SchedInterval, cfg.OrchInterval))
 	}
 	c := cluster.New(cfg.Cluster)
-	clock := NewClock(cfg.Speedup)
 	tb := &Testbed{
 		cfg:         cfg,
-		clock:       clock,
-		rm:          NewResourceManager(clock, launchDelay),
+		rm:          NewResourceManager(launchDelay),
 		st:          sim.NewState(c, cfg.Scaling, cfg.PreemptOverhead),
 		sched:       sched,
 		orch:        orch,
 		controllers: make(map[int]*Controller),
-		byID:        make(map[int]*job.Job),
-		pendingSrc:  append([]*job.Job(nil), tr.Jobs...),
-		total:       len(tr.Jobs),
+		jobs:        tr.Jobs,
 		lyraWL:      NewWhitelist("lyra"),
 		infWL:       NewWhitelist("inference"),
 	}
@@ -185,9 +168,6 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 	tb.st.Obs = cfg.Obs
 	tb.rm.Obs = cfg.Obs
 	tb.rm.Injector = tb.injector
-	for _, j := range tr.Jobs {
-		tb.byID[j.ID] = j
-	}
 	c.EachPoolServer(cluster.PoolTraining, func(s *cluster.Server) bool {
 		tb.lyraWL.Add(s.ID)
 		return true
@@ -209,12 +189,11 @@ func (tb *Testbed) Run(horizon int64) Result {
 	if tb.cfg.Faults.Enabled() {
 		tb.faultEvents = fault.Schedule(*tb.cfg.Faults, tb.st.Cluster.NumServers(), horizon)
 	}
-	nextOrch := 0.0
+	now, nextOrch := 0.0, 0.0
 	for {
-		tb.clock.Sleep(tb.cfg.SchedInterval)
-		now := tb.clock.Now()
-		tb.mu.Lock()
+		now += tb.cfg.SchedInterval
 		tb.st.Now = now
+		tb.rm.Advance(now)
 		tb.applyFaults(now)
 		tb.admitArrivals(now)
 		tb.tickProgress(now)
@@ -245,9 +224,7 @@ func (tb *Testbed) Run(horizon int64) Result {
 				panic(err)
 			}
 		}
-		done := tb.completed >= tb.total
-		tb.mu.Unlock()
-		if done || now > maxSim {
+		if tb.completed >= len(tb.jobs) || now > maxSim {
 			break
 		}
 	}
@@ -290,23 +267,19 @@ func (tb *Testbed) applyFaults(now float64) {
 
 // admitArrivals moves trace jobs whose arrival has passed into the queue.
 func (tb *Testbed) admitArrivals(now float64) {
-	for len(tb.pendingSrc) > 0 && float64(tb.pendingSrc[0].Arrival) <= now {
-		j := tb.pendingSrc[0]
-		tb.pendingSrc = tb.pendingSrc[1:]
-		tb.st.Enqueue(j, tb.sched.Less)
+	for tb.arrived < len(tb.jobs) && float64(tb.jobs[tb.arrived].Arrival) <= now {
+		tb.st.Enqueue(tb.jobs[tb.arrived], tb.sched.Less)
+		tb.arrived++
 	}
 }
 
 // tickProgress advances every running job's controller and completes
-// finished jobs.
+// finished jobs, in job-ID order. (Every running job has a controller: jobs
+// start only in Schedule, and reconcileContainers follows it in each tick.)
 func (tb *Testbed) tickProgress(now float64) {
 	var finished []*job.Job
-	for id, ct := range tb.controllers {
-		j := tb.byID[id]
-		if j.State != job.Running {
-			continue
-		}
-		if ct.Tick(now) {
+	for _, j := range tb.st.RunningOrdered() {
+		if tb.controllers[j.ID].Tick(now) {
 			finished = append(finished, j)
 		}
 	}
@@ -324,29 +297,41 @@ func (tb *Testbed) tickProgress(now float64) {
 
 // reconcileContainers aligns the resource manager's containers with each
 // running job's scheduler-assigned workers: launch what is missing, kill
-// what was removed, and keep the controller membership current. Injected
-// launch failures are retried with capped exponential backoff (in simulated
-// time, tick-aligned); a job whose launches keep failing past the retry
-// bound is requeued through the checkpoint-restart path rather than left
-// wedged — the terminal path is a structured obs event, not a panic.
+// what was removed, and keep the controller membership current — jobs in
+// job-ID order, containers in container-ID order, so container IDs, the
+// kill order and which launch an injected failure hits are functions of the
+// schedule alone. Injected launch failures are retried with capped
+// exponential backoff (in simulated time, tick-aligned); a job whose
+// launches keep failing past the retry bound is requeued through the
+// checkpoint-restart path rather than left wedged — the terminal path is a
+// structured obs event, not a panic.
 func (tb *Testbed) reconcileContainers(now float64) {
 	var terminal []*job.Job
-	for _, j := range tb.st.Running {
+	for _, j := range tb.st.RunningOrdered() {
 		ct := tb.controllers[j.ID]
 		if ct == nil {
 			ct = NewController(j, tb.cfg.Scaling)
 			ct.ResetTick(now)
 			tb.controllers[j.ID] = ct
 		}
-		// Index live containers by (server, flexible) multiset.
-		type key struct {
+		// Match live containers to assigned workers by (server, flexible)
+		// slot: need counts the workers of each slot no container serves
+		// yet, surplus collects the containers no worker claims.
+		type slot struct {
 			server   int
 			flexible bool
 		}
-		live := make(map[key][]*Container)
+		need := make(map[slot]int)
+		for _, w := range j.Workers {
+			need[slot{w.Server, w.Flexible}]++
+		}
+		var surplus []*Container
 		for _, c := range tb.rm.JobContainers(j.ID) {
-			k := key{c.Server, c.Flexible}
-			live[k] = append(live[k], c)
+			if k := (slot{c.Server, c.Flexible}); need[k] > 0 {
+				need[k]--
+			} else {
+				surplus = append(surplus, c)
+			}
 		}
 		// Launch missing workers (unless the job is in launch backoff —
 		// matching still runs so surviving containers are not reaped).
@@ -354,14 +339,11 @@ func (tb *Testbed) reconcileContainers(now float64) {
 		skipLaunch := lr != nil && now < lr.nextTry
 		failedThisTick := false
 		for _, w := range j.Workers {
-			k := key{w.Server, w.Flexible}
-			if n := len(live[k]); n > 0 {
-				live[k] = live[k][:n-1]
+			k := slot{w.Server, w.Flexible}
+			if need[k] == 0 || skipLaunch || failedThisTick {
 				continue
 			}
-			if skipLaunch || failedThisTick {
-				continue
-			}
+			need[k]--
 			c, err := tb.rm.Launch(j.ID, w.Server, w.GPUs, w.Flexible)
 			if err != nil {
 				if !errors.Is(err, fault.ErrInjectedLaunch) {
@@ -393,12 +375,10 @@ func (tb *Testbed) reconcileContainers(now float64) {
 			delete(tb.launchRetry, j.ID) // a clean tick resets the count
 		}
 		// Kill leftovers (scale-ins and migrations).
-		for _, rest := range live {
-			for _, c := range rest {
-				ct.Depart(c.ID)
-				if err := tb.rm.Kill(c.ID); err != nil {
-					tb.failContainer("kill", j.ID, c.ID, err)
-				}
+		for _, c := range surplus {
+			ct.Depart(c.ID)
+			if err := tb.rm.Kill(c.ID); err != nil {
+				tb.failContainer("kill", j.ID, c.ID, err)
 			}
 		}
 	}
@@ -417,11 +397,15 @@ func (tb *Testbed) reconcileContainers(now float64) {
 		}
 	}
 	// Jobs no longer running (preempted) lose all containers.
+	var stopped []int
 	for id, ct := range tb.controllers {
-		j := tb.byID[id]
-		if j.State == job.Running {
-			continue
+		if ct.job.State != job.Running {
+			stopped = append(stopped, id)
 		}
+	}
+	sort.Ints(stopped)
+	for _, id := range stopped {
+		ct := tb.controllers[id]
 		for _, c := range tb.rm.JobContainers(id) {
 			ct.Depart(c.ID)
 			if err := tb.rm.Kill(c.ID); err != nil {
@@ -515,10 +499,8 @@ func (tb *Testbed) failHandover(op string, serverID int, actual string) {
 }
 
 func (tb *Testbed) result() Result {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
 	var queues, jcts []float64
-	for _, j := range tb.byID {
+	for _, j := range tb.jobs {
 		if j.State == job.Completed {
 			queues = append(queues, float64(j.QueueTime))
 			jcts = append(jcts, float64(j.JCT()))
@@ -535,7 +517,7 @@ func (tb *Testbed) result() Result {
 		Queue:              metrics.Summarize(queues),
 		JCT:                metrics.Summarize(jcts),
 		Completed:          tb.completed,
-		Total:              tb.total,
+		Total:              len(tb.jobs),
 		Preemptions:        tb.st.Preemptions,
 		ScalingOps:         tb.st.ScalingOps,
 		ReclaimOps:         tb.st.ReclaimOps,
@@ -549,8 +531,8 @@ func (tb *Testbed) result() Result {
 		LyraServers:        tb.lyraWL.Len(),
 		InferenceServers:   tb.infWL.Len(),
 	}
-	if tb.total > 0 {
-		res.PreemptionRatio = float64(tb.st.Preemptions) / float64(tb.total)
+	if len(tb.jobs) > 0 {
+		res.PreemptionRatio = float64(tb.st.Preemptions) / float64(len(tb.jobs))
 	}
 	if tb.st.DemandGPUs > 0 {
 		res.CollateralDamage = float64(tb.st.VacatedGPUs-tb.st.DemandGPUs) / float64(tb.st.DemandGPUs)

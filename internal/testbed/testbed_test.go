@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"testing"
-	"time"
 
 	"lyra/internal/cluster"
 	"lyra/internal/inference"
@@ -13,32 +12,8 @@ import (
 	"lyra/internal/trace"
 )
 
-func TestClockAcceleration(t *testing.T) {
-	c := NewClock(10000)
-	before := c.Now()
-	start := time.Now()
-	c.Sleep(100) // 100 simulated seconds = 10 ms wall
-	// Acceleration, not a wall-clock budget: the sleep returns at least 10x
-	// sooner than the 100 s it stands for (1,000x of slack for a descheduled
-	// goroutine on a busy host), and the clock moved by what was slept.
-	if wall := time.Since(start); wall > 10*time.Second {
-		t.Errorf("sleeping 100 sim seconds at 10,000x took %v wall time", wall)
-	}
-	if adv := c.Now() - before; adv < 100 {
-		t.Errorf("clock advanced %v after sleeping 100 sim seconds", adv)
-	}
-}
-
-func TestClockDefaultSpeedup(t *testing.T) {
-	c := NewClock(0)
-	if c.speedup != 1000 {
-		t.Errorf("default speedup = %v", c.speedup)
-	}
-}
-
 func TestContainerLifecycle(t *testing.T) {
-	clock := NewClock(10000)
-	rm := NewResourceManager(clock, 5)
+	rm := NewResourceManager(5)
 	c, err := rm.Launch(1, 0, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +21,15 @@ func TestContainerLifecycle(t *testing.T) {
 	if c.State() != ContainerLaunching {
 		t.Errorf("fresh container state = %v", c.State())
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.State() != ContainerRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("container never became running")
-		}
-		time.Sleep(time.Millisecond)
+	// Readiness is a function of simulated time alone: still launching
+	// short of the latency, running from the first Advance at or past it.
+	rm.Advance(4)
+	if c.State() != ContainerLaunching {
+		t.Errorf("state at t=4 with a 5 s launch latency = %v", c.State())
+	}
+	rm.Advance(5)
+	if c.State() != ContainerRunning {
+		t.Fatalf("state at t=5 with a 5 s launch latency = %v", c.State())
 	}
 	if rm.Live() != 1 {
 		t.Errorf("live containers = %d", rm.Live())
@@ -69,10 +47,61 @@ func TestContainerLifecycle(t *testing.T) {
 	if launched != 1 || killed != 1 {
 		t.Errorf("stats = %d launched, %d killed", launched, killed)
 	}
+	// A container killed while launching never comes up.
+	d, err := rm.Launch(1, 0, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.Kill(d.ID); err != nil {
+		t.Fatal(err)
+	}
+	rm.Advance(100)
+	if d.State() != ContainerKilled {
+		t.Errorf("container killed while launching is %v after its latency", d.State())
+	}
+}
+
+// TestLaunchLatencyIsCharged: a gang launched at t=0 trains from the instant
+// its last container came up, not from the previous tick — a tick longer
+// than the latency must not hide it.
+func TestLaunchLatencyIsCharged(t *testing.T) {
+	// workDone launches a 2x2-GPU gang at t=0 under the given launch
+	// latency, ticks at the given times and returns the GPU-seconds credited.
+	workDone := func(delay float64, ticks ...float64) float64 {
+		j := job.New(1, 0, job.Generic, 2, 2, 2, 100)
+		j.State = job.Running
+		j.Workers = []job.Worker{
+			{Server: 0, GPU: cluster.V100, GPUs: 2},
+			{Server: 1, GPU: cluster.V100, GPUs: 2},
+		}
+		rm := NewResourceManager(delay)
+		ct := NewController(j, job.Linear)
+		ct.ResetTick(0)
+		for _, w := range j.Workers {
+			c, err := rm.Launch(j.ID, w.Server, w.GPUs, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct.Join(c)
+		}
+		for _, now := range ticks {
+			rm.Advance(now)
+			ct.Tick(now)
+		}
+		return j.Work - j.Remaining
+	}
+	if got := workDone(5, 10); got != 4*5 {
+		t.Errorf("delay 5: Tick(10) credited %v GPU-seconds, want %v (4 GPUs x 5 s, not x 10 s)", got, 4*5)
+	}
+	for delay, want := range map[float64]float64{0: 4 * 30, 5: 4 * 25, 25: 4 * 5} {
+		if got := workDone(delay, 10, 20, 30); got != want {
+			t.Errorf("launch delay %v: %v GPU-seconds credited by t=30, want %v", delay, got, want)
+		}
+	}
 }
 
 func TestResourceManagerJobIndex(t *testing.T) {
-	rm := NewResourceManager(NewClock(10000), 1)
+	rm := NewResourceManager(1)
 	a, err := rm.Launch(1, 0, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +155,7 @@ func TestControllerGangGate(t *testing.T) {
 	ct := NewController(j, job.Linear)
 	// One container running, one still launching: below the base demand,
 	// no progress.
-	c1 := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2}
-	c1.state = int32(ContainerRunning)
+	c1 := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2, state: ContainerRunning}
 	c2 := &Container{ID: 2, JobID: 1, Server: 1, GPUs: 2}
 	ct.Join(c1)
 	ct.Join(c2)
@@ -137,7 +165,7 @@ func TestControllerGangGate(t *testing.T) {
 		t.Errorf("progress before the gang was ready: remaining %v of %v", j.Remaining, j.Work)
 	}
 	// Second container comes up: progress accrues at full throughput.
-	c2.state = int32(ContainerRunning)
+	c2.state, c2.readyAt = ContainerRunning, 50
 	ct.Tick(100)
 	want := j.Work - 4*50 // 4 GPUs x 50 s
 	if j.Remaining != want {
@@ -151,8 +179,7 @@ func TestControllerOverheadConsumedFirst(t *testing.T) {
 	j.OverheadLeft = 30
 	j.Workers = []job.Worker{{Server: 0, GPU: cluster.V100, GPUs: 2}}
 	ct := NewController(j, job.Linear)
-	c := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2}
-	c.state = int32(ContainerRunning)
+	c := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2, state: ContainerRunning}
 	ct.Join(c)
 	ct.ResetTick(0)
 	ct.Tick(20)
@@ -180,9 +207,9 @@ func TestControllerEvents(t *testing.T) {
 
 // testConfig is the prototype at the scale lyra.RunTestbed runs it (10 s /
 // 60 s epochs, the measured 63 s restart cost), auditing every tick.
-func testConfig(speedup float64) Config {
+func testConfig() Config {
 	return Config{
-		Cluster: cluster.TestbedConfig(), Speedup: speedup,
+		Cluster:       cluster.TestbedConfig(),
 		SchedInterval: 10, OrchInterval: 60, PreemptOverhead: 63, Scaling: job.Linear,
 		Audit: true,
 	}
@@ -202,7 +229,7 @@ func lyraOrchestrator(seed int64, tr *trace.Trace, less func(a, b *job.Job) bool
 // workload: every job must complete, and the cluster must be clean.
 func TestEndToEndFIFO(t *testing.T) {
 	tr := trace.GenerateTestbed(3, 25)
-	tb := New(testConfig(20000), tr, &sched.FIFO{}, nil)
+	tb := New(testConfig(), tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)
 	if res.Completed != 25 {
 		t.Fatalf("completed %d/25", res.Completed)
@@ -226,7 +253,7 @@ func TestEndToEndFIFO(t *testing.T) {
 func TestEndToEndLyraWithLoaning(t *testing.T) {
 	tr := trace.GenerateTestbed(5, 30)
 	s := sched.NewLyra()
-	tb := New(testConfig(20000), tr, s, lyraOrchestrator(5, tr, s.Less))
+	tb := New(testConfig(), tr, s, lyraOrchestrator(5, tr, s.Less))
 	res := tb.Run(tr.Horizon)
 	if res.Completed != 30 {
 		t.Fatalf("completed %d/30", res.Completed)

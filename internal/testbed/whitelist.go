@@ -3,7 +3,6 @@ package testbed
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Whitelist is the capacity-loaning interface of §6: each scheduler (Lyra's
@@ -12,7 +11,6 @@ import (
 // when loaning, and removes them after the scheduler confirms they no
 // longer host running workers when reclaiming.
 type Whitelist struct {
-	mu      sync.Mutex
 	name    string
 	servers map[int]bool
 }
@@ -24,15 +22,11 @@ func NewWhitelist(name string) *Whitelist {
 
 // Add puts a server under this scheduler's control.
 func (w *Whitelist) Add(id int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.servers[id] = true
 }
 
 // Remove withdraws a server. It fails if the server is not listed.
 func (w *Whitelist) Remove(id int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.servers[id] {
 		return fmt.Errorf("testbed: server %d not on %s whitelist", id, w.name)
 	}
@@ -42,15 +36,11 @@ func (w *Whitelist) Remove(id int) error {
 
 // Has reports whether the server is under this scheduler's control.
 func (w *Whitelist) Has(id int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.servers[id]
 }
 
 // List returns the whitelisted server IDs in ascending order.
 func (w *Whitelist) List() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]int, 0, len(w.servers))
 	for id := range w.servers {
 		out = append(out, id)
@@ -61,8 +51,6 @@ func (w *Whitelist) List() []int {
 
 // Len returns the number of whitelisted servers.
 func (w *Whitelist) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.servers)
 }
 

@@ -7,6 +7,7 @@
 #   bench   runner memoization: a repeated experiment is served from the cache
 #   events  event-stream determinism, and one job's lifecycle rebuilt from it
 #   fault   crash-heavy simulator, rack-outage and testbed runs lose no job
+#           and repeat byte for byte
 #   matrix  the spec pack compiles, the smoke spec meets its SLOs, and the
 #           gate can fail (a gate that cannot fail is not a gate)
 #   prof    the span profiler attributes >= 90% and perturbs no event
@@ -31,18 +32,19 @@ positive() {
 }
 
 # twice NAME CMD...: runs CMD -events in two separate processes (stdout of
-# the first kept as NAME.out). The streams NAME.jsonl and NAME.2.jsonl must be
-# byte-identical, and lyra-events -diff must agree.
+# the first kept as NAME.out). The streams NAME.jsonl and NAME.2.jsonl and the
+# two stdouts must be byte-identical, and lyra-events -diff must agree.
 twice() {
 	name=$1
 	shift
 	"$@" -events "$dir/$name.jsonl" > "$dir/$name.out"
-	"$@" -events "$dir/$name.2.jsonl" > /dev/null
+	"$@" -events "$dir/$name.2.jsonl" > "$dir/$name.2.out"
 	if ! cmp -s "$dir/$name.jsonl" "$dir/$name.2.jsonl"; then
 		"$events" -diff "$dir/$name.jsonl" "$dir/$name.2.jsonl" >&2 || true
 		fail "two identical $name runs recorded different streams"
 	fi
 	"$events" -diff "$dir/$name.jsonl" "$dir/$name.2.jsonl" > /dev/null
+	cmp -s "$dir/$name.out" "$dir/$name.2.out" || fail "two identical $name runs printed different reports"
 	echo "$name: streams identical across two processes ($(wc -l < "$dir/$name.jsonl") events)"
 }
 
@@ -98,9 +100,10 @@ smoke_fault() {
 	kinds racks fault.domain
 	"$events" -faults "$dir/racks.jsonl"
 
-	"$dir/lyra-testbed" -scheme lyra -jobs 30 -speedup 20000 -seed 7 -audit \
-		-faults "mtbf=7200,mttr=300,launchfail=0.1" -events "$dir/tb.jsonl" > "$dir/testbed.out"
+	twice testbed "$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -audit \
+		-faults "mtbf=7200,mttr=300,launchfail=0.1"
 	recovered testbed
+	kinds testbed container.ready fault.launch
 
 	# A fault key the testbed cannot honour is an error, not a no-op.
 	if "$dir/lyra-testbed" -jobs 4 -faults rpcerr=0.02 > /dev/null 2> "$dir/bad.err" ||

@@ -10,15 +10,17 @@ import (
 )
 
 // TestSimulatorCoreIsOneGoroutine is the executable form of the rule in
-// DESIGN.md §14: the simulator core runs on one goroutine. Concurrency lives
-// in runner (across runs), testbed (the live substrate) and the locks in obs
-// and prof that serve them; none of the packages below may start a goroutine
-// or import sync, so nothing in a simulated run depends on a goroutine
-// schedule.
+// DESIGN.md §14: a run — simulated or on the prototype — is one goroutine.
+// Concurrency lives in runner (across runs) and the locks in obs.Registry
+// and prof that serve it; none of the packages below may start a goroutine
+// or import sync, so nothing in a run depends on a goroutine schedule, nor
+// import time, so nothing in it reads the wall clock (wall-clock profiling
+// goes through prof).
 func TestSimulatorCoreIsOneGoroutine(t *testing.T) {
 	core := []string{
 		"sim", "sched", "alloc", "place", "knapsack", "reclaim", "orchestrator", "arbiter",
 		"cluster", "job", "inference", "fault", "predict", "trace", "metrics", "invariant",
+		"testbed",
 	}
 	fset := token.NewFileSet()
 	for _, pkg := range core {
@@ -35,13 +37,17 @@ func TestSimulatorCoreIsOneGoroutine(t *testing.T) {
 				t.Fatalf("parse %s: %v", name, err)
 			}
 			for _, imp := range f.Imports {
-				if p := strings.Trim(imp.Path.Value, `"`); p == "sync" || strings.HasPrefix(p, "sync/") {
-					t.Errorf("%s: imports %q; the simulator core is one goroutine (DESIGN.md §14)", fset.Position(imp.Pos()), p)
+				p := strings.Trim(imp.Path.Value, `"`)
+				if p == "sync" || strings.HasPrefix(p, "sync/") {
+					t.Errorf("%s: imports %q; a run is one goroutine (DESIGN.md §14)", fset.Position(imp.Pos()), p)
+				}
+				if p == "time" {
+					t.Errorf("%s: imports %q; a run is on simulated time (DESIGN.md §14)", fset.Position(imp.Pos()), p)
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					t.Errorf("%s: go statement; the simulator core is one goroutine (DESIGN.md §14)", fset.Position(g.Pos()))
+					t.Errorf("%s: go statement; a run is one goroutine (DESIGN.md §14)", fset.Position(g.Pos()))
 				}
 				return true
 			})

@@ -9,8 +9,6 @@ import (
 // TestbedOptions are the knobs only the prototype runtime has; everything
 // about the scheme itself is the Config.
 type TestbedOptions struct {
-	// Speedup is simulated seconds per wall second (default 2000).
-	Speedup float64
 	// UtilCompress squeezes the diurnal inference-utilization curve in time
 	// so that a half-day testbed run still exercises several loan/reclaim
 	// cycles (default 4: one "day" of traffic passes every six hours; 1 is
@@ -25,9 +23,9 @@ type TestbedResult = testbed.Result
 
 // NormalizeTestbed is Normalize at the prototype's scale: a zero
 // SchedInterval / OrchInterval defaults to 10 s / 60 s — the same ratio as
-// production (the scheduler runs much more often, §3) at a scale where a
-// few-hour trace finishes in seconds of wall time. RunTestbed applies it;
-// the runner keys testbed runs through it.
+// production (the scheduler runs much more often, §3) at the scale of a
+// few-hour trace. RunTestbed applies it; the runner keys testbed runs
+// through it.
 func (c Config) NormalizeTestbed() Config {
 	if !c.DefaultsApplied {
 		if c.SchedInterval == 0 {
@@ -41,13 +39,14 @@ func (c Config) NormalizeTestbed() Config {
 }
 
 // RunTestbed runs tr under cfg on the prototype runtime (internal/testbed,
-// §7.5): goroutine-backed worker containers with launch latency, per-job
-// elastic controllers and the whitelist handover, driven at an accelerated
-// wall clock. The scheme is assembled exactly as Run assembles it — same
-// registries, loan protocol and inference side — so one Config describes
-// the same scheduler and orchestrator on either substrate; only the
-// substrate differs. Invariant violations come back as *obs.ViolationError,
-// as from Run.
+// §7.5): worker containers with launch latency, per-job elastic controllers
+// and the whitelist handover, stepped tick by tick on simulated time. The
+// scheme is assembled exactly as Run assembles it — same registries, loan
+// protocol and inference side — so one Config describes the same scheduler
+// and orchestrator on either substrate; only the substrate differs. Like
+// Run it is a pure function of its arguments: same Config and trace, same
+// result and same event bytes. Invariant violations come back as
+// *obs.ViolationError, as from Run.
 //
 // The prototype is one training plus one inference pool without topology,
 // and its tick loop implements no engine-side degraded-mode policy: a
@@ -82,7 +81,6 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (res TestbedResult, e
 	s, orch, _ := oneStateScheme(cfg, r.tr.Horizon, opt.UtilCompress)
 	tbCfg := testbed.Config{
 		Cluster:         cfg.Cluster,
-		Speedup:         opt.Speedup,
 		SchedInterval:   float64(cfg.SchedInterval),
 		OrchInterval:    float64(cfg.OrchInterval),
 		PreemptOverhead: cfg.PreemptOverhead,

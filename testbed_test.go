@@ -1,8 +1,10 @@
 package lyra
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,9 +67,6 @@ func TestTestbedSchemeMatchesSimulator(t *testing.T) {
 // reclaiming policy, drives the prototype to completion with the auditor on
 // every tick.
 func TestRunTestbedEveryScheme(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the prototype at wall-clock pace")
-	}
 	tr := trace.GenerateTestbed(3, 12)
 	for _, s := range Schedulers() {
 		for _, rc := range append([]ReclaimKind{""}, Reclaims()...) {
@@ -75,7 +74,7 @@ func TestRunTestbedEveryScheme(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/reclaim=%s", s, rc), func(t *testing.T) {
 				t.Parallel()
 				cfg := testbedCfg(Config{Scheduler: s, Elastic: true, Loaning: rc != "", Reclaim: rc, Seed: 3})
-				res, err := RunTestbed(cfg, tr, TestbedOptions{Speedup: 40000})
+				res, err := RunTestbed(cfg, tr, TestbedOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,6 +86,36 @@ func TestRunTestbedEveryScheme(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The prototype is a pure function of its Config and trace: two runs with
+// the recorder, the auditor and a fault plan that crashes servers and fails
+// launches report equal results and byte-identical event streams. (Separate
+// processes — separate map-hash seeds — are scripts/smoke.sh's fault case.)
+func TestTestbedDeterministic(t *testing.T) {
+	cfg := testbedCfg(DefaultConfig())
+	cfg.Seed = 7
+	cfg.Events = true
+	cfg.Faults = FaultPlan{Seed: 7, ServerMTBF: 7200, ServerMTTR: 300, LaunchFailProb: 0.1}
+	run := func() TestbedResult {
+		res, err := RunTestbed(cfg, trace.GenerateTestbed(7, 30), TestbedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.Completed != 30 || a.Crashes == 0 || a.LaunchFailures == 0 || len(a.Events) == 0 {
+		t.Fatalf("run exercised too little: %d/30 completed, %d crashes, %d launch failures, %d event bytes",
+			a.Completed, a.Crashes, a.LaunchFailures, len(a.Events))
+	}
+	if !bytes.Equal(a.Events, b.Events) {
+		t.Error("two identical prototype runs recorded different event streams")
+	}
+	a.Events, b.Events = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two identical prototype runs differ:\n%+v\n%+v", a, b)
 	}
 }
 
