@@ -72,13 +72,14 @@ func main() {
 	fmt.Printf("JCT      mean=%.0fs median=%.0fs p95=%.0fs\n", res.JCT.Mean, res.JCT.P50, res.JCT.P95)
 	fmt.Printf("dynamics preemptions=%d (%.1f%%) scaling-ops=%d collateral=%.1f%%\n",
 		res.Preemptions, 100*res.PreemptionRatio, res.ScalingOps, 100*res.CollateralDamage)
+	proto := res.Raw.Prototype
 	fmt.Printf("runtime  containers launched=%d killed=%d; reclaim ops=%d\n",
-		res.ContainersLaunched, res.ContainersKilled, res.ReclaimOps)
+		proto.ContainersLaunched, proto.ContainersKilled, res.Raw.ReclaimOps)
 	if faultPlan.Enabled() {
 		fmt.Printf("faults   crashes=%d recoveries=%d launch-failures=%d\n",
-			res.Crashes, res.Recoveries, res.LaunchFailures)
+			res.Crashes, res.Recoveries, proto.LaunchFailures)
 	}
-	fmt.Printf("whitelists at exit: lyra=%d servers, inference=%d servers\n", res.LyraServers, res.InferenceServers)
+	fmt.Printf("whitelists at exit: lyra=%d servers, inference=%d servers\n", proto.LyraServers, proto.InferenceServers)
 	if err := g.FinishProf(os.Stdout); err != nil {
 		g.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Testbed example: drive the prototype runtime with a handful of jobs and
 // watch the moving parts — containers launching with latency, an elastic
-// job's controller coordinating worker joins and departures, the
+// job's controller gating training on its ready workers, the
 // orchestrator loaning and reclaiming servers through the whitelist API.
 package main
 
@@ -30,10 +30,11 @@ func main() {
 	fmt.Printf("\ncompleted %d/%d jobs\n", res.Completed, res.Total)
 	fmt.Printf("queuing: mean=%.0fs p95=%.0fs   JCT: mean=%.0fs p95=%.0fs\n",
 		res.Queue.Mean, res.Queue.P95, res.JCT.Mean, res.JCT.P95)
+	proto := res.Raw.Prototype
 	fmt.Printf("containers: %d launched, %d killed (scale-ins and reclaims)\n",
-		res.ContainersLaunched, res.ContainersKilled)
-	fmt.Printf("elastic scaling operations: %d; worker joins: %d\n", res.ScalingOps, res.WorkerJoins)
+		proto.ContainersLaunched, proto.ContainersKilled)
+	fmt.Printf("elastic scaling operations: %d\n", res.ScalingOps)
 	fmt.Printf("orchestrator: %d reclaim operations, %d preemptions (%.1f%%)\n",
-		res.ReclaimOps, res.Preemptions, 100*res.PreemptionRatio)
-	fmt.Printf("final whitelists: lyra controls %d servers, inference %d\n", res.LyraServers, res.InferenceServers)
+		res.Raw.ReclaimOps, res.Preemptions, 100*res.PreemptionRatio)
+	fmt.Printf("final whitelists: lyra controls %d servers, inference %d\n", proto.LyraServers, proto.InferenceServers)
 }

@@ -583,6 +583,20 @@ func (c *Cluster) Server(id int) *Server {
 // NumServers returns the total number of servers in all pools.
 func (c *Cluster) NumServers() int { return c.n }
 
+// FastestGPU returns the fastest GPU type any attached server carries (V100
+// for an empty cluster).
+func (c *Cluster) FastestGPU() GPUType {
+	best, speed := V100, 0.0
+	for p := range c.srvByType {
+		for g, n := range c.srvByType[p] {
+			if s := GPUType(g).Speed(); n > 0 && s > speed {
+				best, speed = GPUType(g), s
+			}
+		}
+	}
+	return best
+}
+
 // Servers returns a copy of all attached servers, in ID order. Use
 // EachServer on hot paths that only iterate.
 func (c *Cluster) Servers() []*Server {

@@ -9,6 +9,28 @@ import (
 	"lyra/internal/runner"
 )
 
+// calibrationSpecs declares the §7.2 pair: one Spec — the same Config, the
+// same memoized 60-job trace — handed to the simulator and, with the Testbed
+// field set, to the prototype.
+func calibrationSpecs(p Params) []runner.Spec {
+	spec := runner.Spec{
+		Name: "calibration/sim",
+		Config: lyra.Config{
+			Cluster:       cluster.TestbedConfig(),
+			Elastic:       true,
+			Loaning:       true,
+			SchedInterval: 30,
+			OrchInterval:  300,
+			Seed:          p.Seed,
+			Audit:         p.Audit,
+		},
+		Trace: runner.TraceSpec{TestbedJobs: 60, TestbedSeed: p.Seed},
+	}
+	proto := spec.Named("calibration/testbed")
+	proto.Testbed = &lyra.TestbedOptions{UtilCompress: 1}
+	return []runner.Spec{spec, proto}
+}
+
 // Calibration reproduces the simulator-fidelity methodology of §7.2: the
 // same small trace is executed by the discrete-event simulator and by the
 // prototype runtime under one lyra.Config — the same assembled scheduler
@@ -16,29 +38,11 @@ import (
 // aggregate queuing/JCT statistics are compared. The paper reports 6.2% and
 // 3.4% differences in average and 95%ile JCT and 3.5% / 4.4% in queuing,
 // attributing them to worker placement/removal overheads the simulator
-// does not capture — exactly the launch latency the prototype's containers
-// pay here.
+// does not capture; here the prototype pays a container launch latency on
+// every start and scale-out and completes jobs on tick boundaries.
 func Calibration(p Params) []*Table {
-	cfg := lyra.Config{
-		Cluster:       cluster.TestbedConfig(),
-		Elastic:       true,
-		Loaning:       true,
-		SchedInterval: 30,
-		OrchInterval:  300,
-		Seed:          p.Seed,
-		Audit:         p.Audit,
-	}
-	simRes := mustSim(p, runner.Spec{
-		Name:   "calibration/sim",
-		Config: cfg,
-		Trace:  runner.TraceSpec{TestbedJobs: 60, TestbedSeed: p.Seed},
-	})
-	tbRes := mustTestbedAll(p, []runner.TestbedSpec{{
-		Name:         "calibration/testbed",
-		Config:       cfg,
-		Jobs:         60,
-		UtilCompress: 1,
-	}})[0]
+	reps := mustSimAll(p, calibrationSpecs(p))
+	simRes, tbRes := reps[0], reps[1]
 
 	t := &Table{
 		ID:     "calibration",
@@ -59,6 +63,6 @@ func Calibration(p Params) []*Table {
 	t.Rows = append(t.Rows, []string{"jobs completed",
 		fmt.Sprintf("%d", simRes.Completed), fmt.Sprintf("%d", tbRes.Completed), "-", "-"})
 	t.Notes = append(t.Notes,
-		"paper: simulator within 6.2%/3.4% of testbed JCT and 3.5%/4.4% of queuing; residual gap here is the container launch latency the simulator does not model")
+		"paper: simulator within 6.2%/3.4% of testbed JCT and 3.5%/4.4% of queuing; the prototype is the slower side here too: it completes jobs on tick boundaries (about half a tick of the JCT gap) and pays the container launch latency (the rest)")
 	return []*Table{t}
 }

@@ -197,15 +197,6 @@ func mustSimAll(p Params, specs []runner.Spec) []*lyra.Report {
 	return reps
 }
 
-// mustTestbedAll is mustSimAll for prototype-runtime runs.
-func mustTestbedAll(p Params, specs []runner.TestbedSpec) []lyra.TestbedResult {
-	results, err := p.pool().TestbedAll(specs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return results
-}
-
 // Scheme configuration builders shared across experiments. Each takes the
 // cluster sizing from p; scenario adaptation and trace mutations are
 // declared on the runner.Spec.

@@ -13,14 +13,19 @@ import (
 // times from 2 minutes to 2 hours, demand capped at half the cluster. cfg
 // is the scheme alone; the cluster, seed and audit switch are filled in
 // here.
-func testbedSpec(p Params, name string, cfg lyra.Config) runner.TestbedSpec {
+func testbedSpec(p Params, name string, cfg lyra.Config) runner.Spec {
 	cfg.Cluster = cluster.TestbedConfig()
 	cfg.Seed = p.Seed
 	cfg.Audit = p.Audit
-	return runner.TestbedSpec{Name: name, Config: cfg, Jobs: 180}
+	return runner.Spec{
+		Name:    name,
+		Config:  cfg,
+		Trace:   runner.TraceSpec{TestbedJobs: 180, TestbedSeed: p.Seed},
+		Testbed: &lyra.TestbedOptions{},
+	}
 }
 
-func testbedRow(name string, r lyra.TestbedResult, loaning bool) []string {
+func testbedRow(name string, r *lyra.Report, loaning bool) []string {
 	preempt := fmtPct(r.PreemptionRatio)
 	if !loaning {
 		preempt = "NA"
@@ -56,11 +61,11 @@ func Table10(p Params) []*Table {
 		{"Elastic/Pollux", lyra.Config{Scheduler: lyra.SchedPollux}},
 		{"Elastic/Lyra", lyra.Config{Elastic: true}},
 	}
-	specs := make([]runner.TestbedSpec, len(rows))
+	specs := make([]runner.Spec, len(rows))
 	for i, r := range rows {
 		specs[i] = testbedSpec(p, "table10/"+r.name, r.cfg)
 	}
-	results := mustTestbedAll(p, specs)
+	results := mustSimAll(p, specs)
 	for i, r := range rows {
 		t.Rows = append(t.Rows, testbedRow(r.name, results[i], r.cfg.Loaning))
 	}
@@ -83,14 +88,14 @@ func Fig17(p Params) []*Table {
 		name string
 		kind lyra.ReclaimKind
 	}{{"Random", lyra.ReclaimRandom}, {"SCF", lyra.ReclaimSCF}, {"Lyra", lyra.ReclaimLyra}}
-	var specs []runner.TestbedSpec
+	var specs []runner.Spec
 	for _, elastic := range []bool{false, true} {
 		for _, rc := range kinds {
 			specs = append(specs, testbedSpec(p, fmt.Sprintf("fig17/%s/elastic=%v", rc.name, elastic),
 				lyra.Config{Elastic: elastic, Loaning: true, Reclaim: rc.kind}))
 		}
 	}
-	results := mustTestbedAll(p, specs)
+	results := mustSimAll(p, specs)
 	i := 0
 	for _, elastic := range []bool{false, true} {
 		label := "disabled"

@@ -24,7 +24,9 @@
 //  3. Queue order — Pending is sorted under the scheduler's Less, with no
 //     duplicates and no non-pending jobs.
 //  4. Progress bounds — Remaining, OverheadLeft and queue-time deltas are
-//     non-negative, Remaining never exceeds the job's total work, and the
+//     non-negative, Remaining never exceeds the job's total work, credit
+//     never outruns the clock (the work a job has retired since its first
+//     start is at most its peak throughput times the time since), and the
 //     observed clock never regresses.
 //  5. Pool membership — the cluster's pool index agrees with each server's
 //     Pool field, workers sit only on schedulable (training/on-loan)
@@ -124,16 +126,24 @@ type View struct {
 	// Less is the scheduler's queue priority; nil skips the sortedness
 	// check (duplicate/state checks still run).
 	Less func(a, b *job.Job) bool
+	// Scaling is the throughput model progress is credited under; rule 4
+	// derives each job's peak throughput from it.
+	Scaling job.ScalingModel
 }
 
 // Auditor checks the full invariant suite over successive views. It is
 // stateful only for the monotonicity rules (clock and per-job queue-time
-// high-water marks); a fresh Auditor accepts any first view.
+// high-water marks) and the fastest GPU type seen, which bounds any job's
+// throughput; a fresh Auditor accepts any first view.
 type Auditor struct {
 	started   bool
 	lastNow   float64
 	lastQueue map[int]int64 // job ID -> last observed QueueTime
 	seen      map[int]bool  // scratch: jobs observed in the current audit
+	// fastest is the fastest GPU type in any cluster audited so far: shards
+	// share one auditor and servers move between them, so a job may have
+	// trained on a type its cluster no longer holds.
+	fastest cluster.GPUType
 }
 
 // New returns an auditor with no history.
@@ -150,6 +160,9 @@ func (a *Auditor) Audit(v View) error {
 	add := func(vi Violation) { out = append(out, vi) }
 
 	a.checkClock(v, add)
+	if g := v.Cluster.FastestGPU(); g.Speed() > a.fastest.Speed() {
+		a.fastest = g
+	}
 	checkCluster(v, add)
 	checkConservation(v, add)
 	a.checkJobs(v, add)
@@ -447,13 +460,35 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 			Actual:   fmt.Sprintf("Remaining = %g", j.Remaining),
 		})
 	}
-	if eps := 1e-6 * (1 + j.Work); j.Remaining > j.Work+eps {
+	eps := 1e-6 * (1 + j.Work)
+	if j.Remaining > j.Work+eps {
 		add(Violation{
 			Rule:     RuleProgressBounds,
 			Subject:  subject,
 			Expected: fmt.Sprintf("Remaining <= Work (%g)", j.Work),
 			Actual:   fmt.Sprintf("Remaining = %g", j.Remaining),
 		})
+	}
+	// Credit cannot outrun the clock: whatever the allocation history, the
+	// work retired since the first start is bounded by the job's peak
+	// throughput — its maximum demand on the fastest GPU type — times the
+	// time since. Progress owned twice (credited once by a substrate's own
+	// accounting and again by State) breaks it at the tick it happens.
+	if j.Started {
+		peak := j.NominalThroughput(j.MaxWorkers, a.fastest, v.Scaling)
+		if j.Tuned {
+			peak *= 1 + v.Scaling.TunedGain
+		}
+		elapsed := v.Now - float64(j.StartTime)
+		if retired := j.Work - j.Remaining; retired > peak*elapsed+eps {
+			add(Violation{
+				Rule:     RuleProgressBounds,
+				Subject:  subject,
+				Expected: fmt.Sprintf("at most %g GPU-seconds retired (peak throughput %g x %g s since the first start)", peak*elapsed, peak, elapsed),
+				Actual:   fmt.Sprintf("%g GPU-seconds retired", retired),
+				Detail:   "credit cannot outrun the clock: is progress credited by more than one owner?",
+			})
+		}
 	}
 	if j.OverheadLeft < 0 {
 		add(Violation{

@@ -199,6 +199,32 @@ func TestRemainingAboveWork(t *testing.T) {
 	mustViolate(t, f.audit(), RuleProgressBounds)
 }
 
+// Credit cannot outrun the clock: the fixture's running job peaks at 3
+// workers x 2 V100 GPUs and started at t=0, so by t=100 it can have retired
+// at most 600 GPU-seconds — more means progress was credited twice. The
+// bound follows the fastest GPU type the auditor has seen in any cluster.
+func TestCreditOutrunsClock(t *testing.T) {
+	f := newFixture(t)
+	f.running.Remaining = f.running.Work - 600
+	if err := f.audit(); err != nil {
+		t.Fatalf("a job exactly at its peak-throughput bound failed the audit: %v", err)
+	}
+	f.running.Remaining = f.running.Work - 601
+	ae := mustViolate(t, f.audit(), RuleProgressBounds)
+	if !strings.Contains(ae.Error(), "601 GPU-seconds retired") || !strings.Contains(ae.Error(), "job 1") {
+		t.Errorf("violation does not name the job and the credit: %v", ae)
+	}
+
+	a := New()
+	fast := View{Cluster: cluster.New(cluster.Config{TrainingServers: 1, GPUsPerServer: 8, TrainingGPU: cluster.A100})}
+	if err := a.Audit(fast); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Audit(f.view); err != nil {
+		t.Errorf("601 GPU-seconds in 100 s failed an auditor that has seen A100 servers (bound 960): %v", err)
+	}
+}
+
 func TestQueueTimeShrank(t *testing.T) {
 	f := newFixture(t)
 	a := New()

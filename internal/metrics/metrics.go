@@ -105,8 +105,13 @@ func NewTimeSeries(start, interval int64) *TimeSeries {
 // Append adds the next sample.
 func (ts *TimeSeries) Append(v float64) { ts.Values = append(ts.Values, v) }
 
-// Mean returns the mean of all samples.
-func (ts *TimeSeries) Mean() float64 { return Mean(ts.Values) }
+// Mean returns the mean of all samples (0 for a series never sampled).
+func (ts *TimeSeries) Mean() float64 {
+	if ts == nil {
+		return 0
+	}
+	return Mean(ts.Values)
+}
 
 // Min and Max return the extrema of the series (0 when empty).
 func (ts *TimeSeries) Min() float64 {

@@ -13,8 +13,8 @@ import (
 
 // Stats counts the pool's memoization traffic.
 type Stats struct {
-	// Requests is the number of memoized lookups (simulations and testbed
-	// runs; base-trace synthesis is counted separately).
+	// Requests is the number of memoized lookups (runs on either
+	// substrate; base-trace synthesis is counted separately).
 	Requests int64
 	// Hits is how many requests were served from the cache or joined an
 	// in-flight execution of the same key (singleflight).
@@ -163,8 +163,8 @@ func (p *Pool) do(key string, fn func() (any, error), bounded, traceGen bool) (a
 	return c.val, c.err
 }
 
-// Sim executes (or recalls) one simulation. Blocks until the result is
-// available.
+// Sim executes (or recalls) one declared run, on the substrate the spec
+// names. Blocks until the result is available.
 func (p *Pool) Sim(spec Spec) (*lyra.Report, error) {
 	key, err := spec.Key()
 	if err != nil {
@@ -202,7 +202,7 @@ func (p *Pool) SimAll(specs []Spec) ([]*lyra.Report, error) {
 }
 
 // runSim materializes the trace, applies the scenario to config and trace
-// together, applies the mutation knobs, and runs the simulation.
+// together, applies the mutation knobs, and runs the spec's substrate.
 func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 	cfg := spec.Config
 	if err := cfg.Validate(); err != nil {
@@ -235,7 +235,12 @@ func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 	if f := spec.Trace.CheckpointFrac; f != nil {
 		lyra.SetCheckpointFraction(tr, f.Frac, f.Seed)
 	}
-	rep, err := lyra.RunProfiled(cfg, tr, pr)
+	var rep *lyra.Report
+	if spec.Testbed != nil {
+		rep, err = lyra.RunTestbed(cfg, tr, *spec.Testbed)
+	} else {
+		rep, err = lyra.RunProfiled(cfg, tr, pr)
+	}
 	run.End()
 	if err == nil {
 		if pr.Enabled() {
@@ -300,46 +305,4 @@ func (p *Pool) materializeTrace(ts TraceSpec) (*lyra.Trace, error) {
 		return boots[b.Index].Clone(), nil
 	}
 	return base.Clone(), nil
-}
-
-// Testbed executes (or recalls) one prototype-runtime run.
-func (p *Pool) Testbed(spec TestbedSpec) (lyra.TestbedResult, error) {
-	key, err := spec.Key()
-	if err != nil {
-		return lyra.TestbedResult{}, err
-	}
-	v, err := p.do(key, func() (any, error) { return runTestbed(spec) }, true, false)
-	if err != nil {
-		return lyra.TestbedResult{}, fmt.Errorf("runner: %s: %w", spec.label(), err)
-	}
-	return v.(lyra.TestbedResult), nil
-}
-
-// TestbedAll is SimAll for testbed runs.
-func (p *Pool) TestbedAll(specs []TestbedSpec) ([]lyra.TestbedResult, error) {
-	results := make([]lyra.TestbedResult, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = p.Testbed(specs[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
-func runTestbed(spec TestbedSpec) (lyra.TestbedResult, error) {
-	if spec.Jobs <= 0 {
-		return lyra.TestbedResult{}, fmt.Errorf("testbed spec needs Jobs > 0")
-	}
-	tr := trace.GenerateTestbed(spec.Config.Seed, spec.Jobs)
-	return lyra.RunTestbed(spec.Config, tr, lyra.TestbedOptions{UtilCompress: spec.UtilCompress})
 }

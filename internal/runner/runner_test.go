@@ -2,11 +2,13 @@ package runner
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lyra"
+	"lyra/internal/cluster"
 )
 
 func tinyGen() lyra.TraceConfig {
@@ -26,6 +28,14 @@ func tinyCfg() lyra.Config {
 		Seed:      1,
 		Audit:     true,
 	}
+}
+
+// protoSpec is tinyCfg on the testbed cluster, run by the prototype over a
+// jobs-job testbed workload.
+func protoSpec(jobs int) Spec {
+	cfg := tinyCfg()
+	cfg.Cluster = cluster.TestbedConfig()
+	return Spec{Config: cfg, Trace: TraceSpec{TestbedJobs: jobs, TestbedSeed: 1}, Testbed: &lyra.TestbedOptions{}}
 }
 
 func mustKey(t *testing.T, s Spec) string {
@@ -69,16 +79,12 @@ func TestKeyEqualForSemanticallyEqualSpecs(t *testing.T) {
 		t.Errorf("inert Reclaim changed the key of a non-loaning spec")
 	}
 
-	// Testbed specs key through the same Normalize (at the prototype's
+	// Prototype specs key through the same Normalize (at the prototype's
 	// interval defaults), so the same rules hold for them.
 	tbKey := func(mut func(*lyra.Config)) string {
-		s := TestbedSpec{Config: tinyCfg(), Jobs: 60}
+		s := protoSpec(60)
 		mut(&s.Config)
-		k, err := s.Key()
-		if err != nil {
-			t.Fatalf("testbed Key: %v", err)
-		}
-		return k
+		return mustKey(t, s)
 	}
 	tbRef := tbKey(func(*lyra.Config) {})
 	for name, mut := range map[string]func(*lyra.Config){
@@ -230,9 +236,55 @@ func TestPoolDefaultsAndValidation(t *testing.T) {
 	if _, err := p.Sim(badBoot); err == nil {
 		t.Errorf("Sim accepted an out-of-range bootstrap index")
 	}
-	badTB := TestbedSpec{Jobs: 10, Config: lyra.Config{Scheduler: "nonsense"}}
-	if _, err := p.Testbed(badTB); err == nil {
-		t.Errorf("Testbed accepted an unknown scheduler")
+	badTB := protoSpec(10)
+	badTB.Config = lyra.Config{Scheduler: "nonsense"}
+	if _, err := p.Sim(badTB); err == nil || !strings.Contains(err.Error(), "runner: testbed/nonsense: ") {
+		t.Errorf("Sim of a prototype spec with an unknown scheduler: err = %v, want one labelled testbed/nonsense", err)
+	}
+	sharded := protoSpec(10).Named("proto/sharded")
+	sharded.Config.TrainingShards, sharded.Config.InferenceShards = 2, 2
+	if _, err := p.Sim(sharded); err == nil || !strings.Contains(err.Error(), "runner: proto/sharded: ") {
+		t.Errorf("Sim of a sharded prototype spec: err = %v, want RunTestbed's rejection under the spec's name", err)
+	}
+}
+
+// One Spec, two substrates: a simulator spec and a prototype spec over the
+// same TraceSpec key differently and share one synthesized trace, and two
+// prototype specs that differ only in a defaulted interval share one
+// execution.
+func TestSpecSelectsSubstrate(t *testing.T) {
+	p := New(2)
+	proto := protoSpec(12)
+	onSim := proto
+	onSim.Testbed = nil
+	if mustKey(t, onSim) == mustKey(t, proto) {
+		t.Fatal("a simulator spec and a prototype spec over the same trace key equal")
+	}
+	simRep, err := p.Sim(onSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protoRep, err := p.Sim(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simRep.Raw.Prototype != nil || protoRep.Raw.Prototype == nil {
+		t.Errorf("prototype blocks: simulator %v, prototype %v", simRep.Raw.Prototype, protoRep.Raw.Prototype)
+	}
+	if simRep.Completed != 12 || protoRep.Completed != 12 {
+		t.Errorf("completed %d (simulator) and %d (prototype) of 12 jobs", simRep.Completed, protoRep.Completed)
+	}
+	spelled := proto
+	spelled.Config.SchedInterval, spelled.Config.OrchInterval = 10, 60 // the prototype's defaults
+	again, err := p.Sim(spelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != protoRep {
+		t.Error("prototype specs differing only in a defaulted interval ran twice")
+	}
+	if st := p.Stats(); st.Requests != 3 || st.Executed != 2 || st.TraceGens != 1 {
+		t.Errorf("stats = %+v, want 3 requests / 2 executed / 1 trace synthesized", st)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package runner is the shared experiment runner behind the benchmark
-// harness: it fans lyra.Run (and testbed) executions out over a bounded
-// worker pool and memoizes every result behind a content-derived key, with
-// singleflight semantics so concurrent requests for the same experiment run
-// one simulation. The experiments package declares its runs as Spec values
+// harness: it fans lyra.Run (and lyra.RunTestbed) executions out over a
+// bounded worker pool and memoizes every result behind a content-derived
+// key, with singleflight semantics so concurrent requests for the same
+// experiment run one simulation. The experiments package declares its runs as Spec values
 // instead of calling lyra.Run imperatively; the pool makes a full registry
 // regeneration bound by the number of DISTINCT simulations and the core
 // count, not by the number of tables.
@@ -17,9 +17,10 @@ import (
 	"lyra"
 )
 
-// Spec declares one simulation: a scheme configuration plus the trace it
-// replays, both in declarative (content-hashable) form. Build one with
-// NewSpec and the With* helpers.
+// Spec declares one run: a scheme configuration plus the trace it replays,
+// both in declarative (content-hashable) form, and the substrate that runs
+// them — the simulator unless Testbed is set. Build one with NewSpec and the
+// With* helpers.
 type Spec struct {
 	// Name labels the run in error messages; it does not affect identity.
 	Name string `json:"-"`
@@ -34,6 +35,13 @@ type Spec struct {
 
 	// Trace declares the workload.
 	Trace TraceSpec
+
+	// Testbed, when set, runs the spec on the prototype runtime
+	// (lyra.RunTestbed, §7.5) with these options instead of the simulator:
+	// the same Config, the same memoized trace — usually the testbed
+	// workload, Trace.TestbedJobs — and the same *lyra.Report back. Omitted
+	// from the key when nil, so simulator keys do not depend on it.
+	Testbed *lyra.TestbedOptions `json:",omitempty"`
 }
 
 // TraceSpec declares a workload as generation parameters plus an optional
@@ -118,51 +126,27 @@ func (s Spec) WithBootstrap(days, count, index int, seed int64) Spec {
 }
 
 // Key returns the spec's content key: the canonical hash of the NORMALIZED
-// config plus every trace and scenario knob. Two semantically equal specs
-// (e.g. Headroom 0 vs 0.02, Reclaim set vs unset without loaning) key
-// equal; any meaningful field flip keys different.
+// config plus every trace, scenario and substrate knob. Two semantically
+// equal specs (e.g. Headroom 0 vs 0.02, Reclaim set vs unset without
+// loaning) key equal; any meaningful field flip keys different. A prototype
+// spec normalizes the way lyra.RunTestbed does, at the prototype's interval
+// defaults.
 func (s Spec) Key() (string, error) {
 	s.Name = ""
-	s.Config = s.Config.Normalize()
+	if s.Testbed != nil {
+		s.Config = s.Config.NormalizeTestbed()
+	} else {
+		s.Config = s.Config.Normalize()
+	}
 	return KeyOf("sim", s)
 }
 
 func (s Spec) label() string {
-	if s.Name != "" {
+	switch {
+	case s.Name != "":
 		return s.Name
+	case s.Testbed != nil:
+		return "testbed/" + string(s.Config.Scheduler)
 	}
 	return string(s.Config.Scheduler)
-}
-
-// TestbedSpec declares one prototype-runtime run (§7.5): the same
-// lyra.Config a Spec carries, run by lyra.RunTestbed over a generated
-// testbed workload. Like a simulation it is a pure function of its spec,
-// memoized under the same byte-identity guarantee.
-type TestbedSpec struct {
-	// Name labels the run in error messages; it does not affect identity.
-	Name string `json:"-"`
-
-	// Config is the scheme under test; Config.Seed also seeds the workload.
-	Config lyra.Config
-
-	// Jobs sizes the testbed workload (trace.GenerateTestbed).
-	Jobs int
-
-	// UtilCompress is lyra.TestbedOptions' knob (zero selects its default).
-	UtilCompress int
-}
-
-// Key returns the testbed spec's content key, canonical through the same
-// normalization lyra.RunTestbed applies.
-func (s TestbedSpec) Key() (string, error) {
-	s.Name = ""
-	s.Config = s.Config.NormalizeTestbed()
-	return KeyOf("testbed", s)
-}
-
-func (s TestbedSpec) label() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return "testbed/" + string(s.Config.Scheduler)
 }

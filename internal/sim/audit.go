@@ -20,6 +20,7 @@ func (st *State) AuditView(ctx string, less func(a, b *job.Job) bool) invariant.
 		Running: st.Running,
 		Held:    st.HeldJobs(),
 		Less:    less,
+		Scaling: st.Scaling,
 	}
 }
 

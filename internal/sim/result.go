@@ -62,22 +62,47 @@ type Result struct {
 	// HourlyQueuedRatio is Figure 2: per hour, the fraction of
 	// newly-submitted jobs that failed to get resources on the first try.
 	HourlyQueuedRatio []float64
+
+	// Prototype holds what only a prototype run (internal/testbed) counts;
+	// nil on an engine run.
+	Prototype *PrototypeStats
 }
 
-// result assembles the run's Result with counters summed across shards.
-func (e *Engine) result() *Result {
-	r := &Result{
-		Jobs:               e.jobs,
-		Completed:          e.completed,
-		RanOnLoan:          e.ranOnLoan,
-		SkippedSchedEpochs: e.skippedEpochs,
-		LostCapacityGPUSec: e.lostGPUSec,
-		TrainUsage:         e.trainUsage,
-		OverallUsage:       e.overallUsage,
-		OnLoanUsage:        e.onLoanUsage,
+// PrototypeStats are the counters of the prototype runtime's own moving
+// parts. Everything else a prototype run reports is the Result both
+// substrates build with Summarize.
+type PrototypeStats struct {
+	// ContainersLaunched / ContainersKilled are the resource manager's
+	// cumulative counts: every worker join is a launch, every scale-in,
+	// preemption and crash casualty a kill (completions are releases).
+	ContainersLaunched int64
+	ContainersKilled   int64
+	// LaunchFailures counts the ticks in which a job's injected container-
+	// launch failure was absorbed by the retry path.
+	LaunchFailures int
+	// LyraServers and InferenceServers are the two whitelists' sizes at
+	// exit (§6: every server is under exactly one scheduler's control, or
+	// quarantined).
+	LyraServers      int
+	InferenceServers int
+}
+
+// Summarize is the one place a run's job list and state counters become the
+// dynamics a Result reports, for both substrates: the engine passes every
+// shard's state, the prototype's tick loop (internal/testbed) its one.
+// Everything else in a Result — the on-loan job set, the usage series,
+// lost capacity, the hourly queued ratio, skipped epochs — only the engine
+// samples, and the Prototype block only the prototype; Summarize leaves
+// them zero.
+func Summarize(jobs []*job.Job, states ...*State) *Result {
+	r := &Result{Jobs: jobs}
+	for _, j := range jobs {
+		if j.State == job.Completed {
+			r.Completed++
+		}
 	}
 	var demand, vacated, flexSat int
-	for _, st := range e.sh.States {
+	for _, st := range states {
 		r.Preemptions += st.Preemptions
 		r.ScalingOps += st.ScalingOps
 		r.ReclaimOps += st.ReclaimOps
@@ -91,7 +116,7 @@ func (e *Engine) result() *Result {
 			r.SchedEpochs = st.Epoch // only training shards count epochs
 		}
 	}
-	if n := len(e.jobs); n > 0 {
+	if n := len(jobs); n > 0 {
 		r.PreemptionRatio = float64(r.Preemptions) / float64(n)
 	}
 	if demand > 0 {
@@ -103,6 +128,19 @@ func (e *Engine) result() *Result {
 	if r.ReclaimedServers > 0 {
 		r.FlexSatisfiedShare = float64(flexSat) / float64(r.ReclaimedServers)
 	}
+	return r
+}
+
+// result assembles the run's Result: the shared summary plus what only the
+// engine samples.
+func (e *Engine) result() *Result {
+	r := Summarize(e.jobs, e.sh.States...)
+	r.RanOnLoan = e.ranOnLoan
+	r.SkippedSchedEpochs = e.skippedEpochs
+	r.LostCapacityGPUSec = e.lostGPUSec
+	r.TrainUsage = e.trainUsage
+	r.OverallUsage = e.overallUsage
+	r.OnLoanUsage = e.onLoanUsage
 	// Residual for servers still quarantined at the end of the run,
 	// accumulated in server-ID order so the float sum is deterministic.
 	down := make([]int, 0, len(e.recoverTo))
@@ -184,6 +222,9 @@ func (r *Result) MeanOverallUsage() float64 { return r.OverallUsage.Mean() }
 // MeanOnLoanUsage averages the on-loan server usage over samples where any
 // server was on loan (Figure 9).
 func (r *Result) MeanOnLoanUsage() float64 {
+	if r.OnLoanUsage == nil {
+		return 0
+	}
 	sum, n := 0.0, 0
 	for _, v := range r.OnLoanUsage.Values {
 		if !math.IsNaN(v) {

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -155,15 +156,18 @@ func NewState(c *cluster.Cluster, scaling job.ScalingModel, preemptOverhead floa
 	}
 }
 
-// advance retires work on j up to Now. Restart overhead is consumed before
-// training progresses.
-func (st *State) advance(j *job.Job) {
-	last, ok := st.lastUpdate[j.ID]
-	if !ok {
-		st.lastUpdate[j.ID] = st.Now
-		return
-	}
-	dt := st.Now - last
+// Retire is the one place training progress moves, on either substrate: it
+// grants j dt seconds of running time as of Now, of which pending restart
+// overhead is consumed first and the rest is credited at share of the
+// allocation's throughput, and stamps j current as of Now so no later call
+// credits the same interval again. The engine reaches it through advance
+// (the whole interval since the last stamp, at share 1); the prototype's
+// per-job controller calls it once per running job at the top of every tick
+// with the seconds its ready containers trained and their fraction of the
+// allocation — so every advance a scheduler, orchestrator or crash call
+// then makes in that tick sees dt = 0. Nothing else may write Remaining or
+// OverheadLeft of a running job.
+func (st *State) Retire(j *job.Job, dt, share float64) {
 	st.lastUpdate[j.ID] = st.Now
 	if dt <= 0 || j.State != job.Running {
 		return
@@ -180,8 +184,22 @@ func (st *State) advance(j *job.Job) {
 		dt -= j.OverheadLeft
 		j.OverheadLeft = 0
 	}
-	j.Advance(dt, st.Scaling)
+	j.Advance(dt*share, st.Scaling)
 }
+
+// advance retires work on j up to Now at its full allocation's throughput:
+// Retire over the interval since j was last stamped.
+func (st *State) advance(j *job.Job) {
+	last, ok := st.lastUpdate[j.ID]
+	if !ok {
+		st.lastUpdate[j.ID] = st.Now
+		return
+	}
+	st.Retire(j, st.Now-last, 1)
+}
+
+// byID orders jobs by ascending ID, the order of every maintained view.
+func byID(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
 
 func (st *State) markChanged(j *job.Job) { st.changed[j.ID] = j }
 
@@ -232,15 +250,7 @@ func (st *State) compactRunning() {
 	}
 	st.idxDirty = false
 	nw := st.runningNew
-	slices.SortFunc(nw, func(a, b *job.Job) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(nw, byID)
 	old := st.runningIdx
 	out := st.mergeScratch[:0]
 	i, k := 0, 0
@@ -652,15 +662,7 @@ func (st *State) takeNewHolds() []holdRec {
 	}
 	out := st.newHolds
 	st.newHolds = nil
-	slices.SortFunc(out, func(a, b holdRec) int {
-		switch {
-		case a.jobID < b.jobID:
-			return -1
-		case a.jobID > b.jobID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, func(a, b holdRec) int { return cmp.Compare(a.jobID, b.jobID) })
 	return out
 }
 
@@ -694,23 +696,15 @@ func (st *State) HeldJobs() []*job.Job {
 	for _, j := range st.held {
 		out = append(out, j)
 	}
-	slices.SortFunc(out, func(a, b *job.Job) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, byID)
 	return out
 }
 
 // Finish completes a running job, releasing its GPUs. The engine calls it
-// on a completion event; the prototype's tick loop calls it when its own
-// progress accounting declares a job done. Per-job bookkeeping that exists
-// only to advance progress (lastUpdate) is dropped here so multi-week
-// traces do not accumulate dead map entries for completed jobs.
+// on a completion event; the prototype's tick loop calls it when a
+// controller's tick (Retire) left nothing to do. Per-job bookkeeping that
+// exists only to advance progress (lastUpdate) is dropped here so
+// multi-week traces do not accumulate dead map entries for completed jobs.
 func (st *State) Finish(j *job.Job) {
 	st.advance(j)
 	st.noteFlexRemoved(j, j.FlexibleWorkers())
@@ -868,15 +862,7 @@ func (st *State) drainChanged() []*job.Job {
 		out = append(out, j)
 	}
 	clear(st.changed)
-	slices.SortFunc(out, func(a, b *job.Job) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, byID)
 	st.changedScratch = out
 	return out
 }

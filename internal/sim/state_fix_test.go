@@ -148,3 +148,53 @@ func TestBookkeepingMapsDroppedOnFinish(t *testing.T) {
 		}
 	}
 }
+
+// Summarize sums counters across states and clamps collateral damage at
+// zero for both substrates: vacating fewer GPUs than demanded (a reclaim cut
+// short) is no collateral, not a negative one.
+func TestSummarizeSumsStatesAndClampsCollateral(t *testing.T) {
+	a, b := NewState(smallCluster(1, 0), job.Linear, 0), NewState(smallCluster(1, 0), job.Linear, 0)
+	a.Preemptions, a.DemandGPUs, a.VacatedGPUs, a.ReclaimedSrv, a.FlexSatisfied = 1, 16, 8, 2, 1
+	b.Preemptions, b.DemandGPUs, b.VacatedGPUs, b.Epoch = 2, 8, 8, 7
+	done := job.New(0, 0, job.Generic, 1, 1, 1, 10)
+	done.State = job.Completed
+	res := Summarize([]*job.Job{done, job.New(1, 0, job.Generic, 1, 1, 1, 10)}, a, b)
+	if res.Completed != 1 || res.Preemptions != 3 || res.PreemptionRatio != 1.5 || res.SchedEpochs != 7 {
+		t.Errorf("summary = %d completed, %d preemptions (ratio %v), %d epochs; want 1, 3 (1.5), 7",
+			res.Completed, res.Preemptions, res.PreemptionRatio, res.SchedEpochs)
+	}
+	if res.CollateralDamage != 0 {
+		t.Errorf("collateral = %v for 16 GPUs vacated of 24 demanded, want 0", res.CollateralDamage)
+	}
+	if res.FlexSatisfiedShare != 0.5 {
+		t.Errorf("flex-satisfied share = %v, want 0.5 (1 of 2 servers)", res.FlexSatisfiedShare)
+	}
+}
+
+// Retire consumes restart overhead first, credits the rest at the given
+// share of the allocation's throughput, and stamps the job current: the
+// advance inside a later mutation at the same Now credits nothing more.
+func TestRetireStampsTheJobCurrent(t *testing.T) {
+	st := NewState(smallCluster(2, 0), job.Linear, 0)
+	j := job.New(0, 0, job.Generic, 2, 1, 2, 1000) // 4 GPUs at most, 4000 GPU-s
+	j.Elastic = true
+	startPlaced(t, st, j, 0, 1)
+	j.OverheadLeft = 10
+	st.Now = 100
+	v := st.Version()
+	st.Retire(j, 60, 0.5) // 10 s of overhead, then 50 s at half of 4 GPUs
+	if j.OverheadLeft != 0 || j.Remaining != j.Work-100 {
+		t.Errorf("after Retire: remaining=%v overhead=%v, want %v and 0", j.Remaining, j.OverheadLeft, j.Work-100)
+	}
+	if st.Version() == v {
+		t.Error("retiring work did not bump the version")
+	}
+	if n := st.RemoveFlexibleWorkers(j, 1); n != 1 || j.Remaining != j.Work-100 {
+		t.Errorf("scale-in at the same Now: removed %d, remaining=%v, want 1 and %v", n, j.Remaining, j.Work-100)
+	}
+	st.Now = 110
+	st.Finish(j) // advance: the 10 s since the stamp on the 2 base GPUs
+	if j.Remaining != j.Work-120 {
+		t.Errorf("Finish 10 s later left remaining=%v, want %v", j.Remaining, j.Work-120)
+	}
+}

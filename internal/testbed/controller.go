@@ -1,98 +1,61 @@
 package testbed
 
-import "lyra/internal/job"
+import (
+	"lyra/internal/job"
+	"lyra/internal/sim"
+)
 
-// Controller is the per-job process §6 embeds into elastic jobs: it
-// coordinates worker join and departure, gates training on gang readiness
-// (the base demand must be fully up before any step runs), and accounts
-// training progress against the throughput of whatever workers are live.
+// Controller is the per-job process §6 embeds into elastic jobs. It decides
+// how long, and at what fraction of its allocation, the job trained over a
+// tick: training waits on gang readiness (the base demand must be fully up
+// before any step runs), runs from the instant the last ready container
+// came up, and proceeds at the ready containers' share of the throughput.
+// It holds no progress arithmetic of its own — the seconds are granted
+// through sim.State.Retire, the one owner of Remaining and OverheadLeft —
+// and no container index: the resource manager's per-job list is the
+// membership.
 type Controller struct {
-	job        *job.Job
-	containers map[int]*Container // container ID -> container
-	scaling    job.ScalingModel
+	job *job.Job
+	st  *sim.State
+	rm  *ResourceManager
 
-	lastTick   float64
-	joinEvents int
-	exitEvents int
+	lastTick float64
 }
 
-// NewController attaches a controller to a job.
-func NewController(j *job.Job, scaling job.ScalingModel) *Controller {
-	return &Controller{job: j, containers: make(map[int]*Container), scaling: scaling}
+// NewController attaches a controller to a job that (re)started at now.
+func NewController(j *job.Job, st *sim.State, rm *ResourceManager, now float64) *Controller {
+	return &Controller{job: j, st: st, rm: rm, lastTick: now}
 }
 
-// Join registers a newly launched container with the controller.
-func (ct *Controller) Join(c *Container) {
-	ct.containers[c.ID] = c
-	ct.joinEvents++
-}
-
-// Depart removes a container (scale-in, preemption, completion).
-func (ct *Controller) Depart(id int) {
-	if _, ok := ct.containers[id]; ok {
-		delete(ct.containers, id)
-		ct.exitEvents++
-	}
-}
-
-// Tick advances training to time now: if the gang (base demand) is ready,
-// progress accrues at the live workers' throughput; restart overhead is
-// consumed first. It returns true when the job's work is complete.
+// Tick advances training to time now and reports whether the job's work is
+// complete. The tick loop calls it for every running job before anything
+// else in the tick touches the state, so the job is stamped current as of
+// now whether or not it trained.
 //
 // The ready set trains from the instant its last member came up, not from
 // the previous tick: a start or a scale-out pays the container launch
-// latency even when the tick is longer than the latency.
-//
-// The worker GPU types are taken from the job's scheduler-recorded Workers
-// (the controller only knows container readiness); throughput uses the
-// scheduler's view filtered to ready containers.
+// latency even when the tick is longer than the latency. The throughput is
+// the scheduler-recorded allocation's (the controller only knows container
+// readiness), scaled by the ready fraction — workers are homogeneous within
+// a job unless heterogeneous, where the approximation remains fair.
 func (ct *Controller) Tick(now float64) bool {
 	since := ct.lastTick
 	ct.lastTick = now
 
 	ready := 0
-	for _, c := range ct.containers {
-		if c.State() != ContainerRunning {
-			continue
+	for _, c := range ct.rm.byJob[ct.job.ID] {
+		if c.state == ContainerRunning {
+			ready++
+			since = max(since, c.readyAt)
 		}
-		ready++
-		since = max(since, c.readyAt)
 	}
-	dt := now - since
-	if dt <= 0 {
-		return ct.job.Remaining <= 0
+	// Gang gate: training runs only once the base demand is up; until then
+	// the tick grants nothing and only stamps the job.
+	up := ready >= ct.job.MinWorkers
+	dt, share := 0.0, 0.0
+	if n := ct.job.NumWorkers(); up && n > 0 {
+		dt, share = now-since, float64(ready)/float64(n)
 	}
-	// Gang gate: training runs only once the base demand is up.
-	if ready < ct.job.MinWorkers {
-		return false
-	}
-
-	// Throughput of the ready subset: scale the job's full-placement
-	// throughput by the ready fraction (workers are homogeneous within a
-	// job unless heterogeneous, where the approximation remains fair).
-	readyGPUWeight := 0.0
-	if n := ct.job.NumWorkers(); n > 0 {
-		readyGPUWeight = ct.job.Throughput(ct.scaling) * float64(ready) / float64(n)
-	}
-	if ct.job.OverheadLeft > 0 {
-		if dt <= ct.job.OverheadLeft {
-			ct.job.OverheadLeft -= dt
-			return false
-		}
-		dt -= ct.job.OverheadLeft
-		ct.job.OverheadLeft = 0
-	}
-	ct.job.Remaining -= readyGPUWeight * dt
-	if ct.job.Remaining < 0 {
-		ct.job.Remaining = 0
-	}
-	return ct.job.Remaining <= 0
-}
-
-// ResetTick rebases the progress clock, used when a job (re)starts.
-func (ct *Controller) ResetTick(now float64) { ct.lastTick = now }
-
-// Events returns the cumulative worker join/departure counts.
-func (ct *Controller) Events() (joins, exits int) {
-	return ct.joinEvents, ct.exitEvents
+	ct.st.Retire(ct.job, dt, share)
+	return up && ct.job.Remaining <= 0
 }

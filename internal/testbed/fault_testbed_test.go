@@ -33,6 +33,7 @@ func TestEndToEndWithFaults(t *testing.T) {
 	s := sched.NewLyra()
 	tb := New(cfg, tr, s, lyraOrchestrator(7, tr, s.Less))
 	res := tb.Run(tr.Horizon)
+	stats := res.Prototype
 
 	if res.Completed != 40 {
 		t.Fatalf("completed %d/40 jobs: faults lost jobs", res.Completed)
@@ -41,7 +42,7 @@ func TestEndToEndWithFaults(t *testing.T) {
 		t.Errorf("crashes=%d recoveries=%d, want both > 0 (MTBF %g over 8 servers)",
 			res.Crashes, res.Recoveries, plan.ServerMTBF)
 	}
-	if res.LaunchFailures == 0 {
+	if stats.LaunchFailures == 0 {
 		t.Errorf("no launch failures injected at prob %g", plan.LaunchFailProb)
 	}
 
@@ -89,11 +90,12 @@ func TestTestbedFaultsDisabledInjectsNothing(t *testing.T) {
 	cfg.Faults = &fault.Plan{Seed: 99}
 	tb := New(cfg, tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)
+	stats := res.Prototype
 	if res.Completed != 20 {
 		t.Fatalf("completed %d/20", res.Completed)
 	}
-	if res.Crashes != 0 || res.Recoveries != 0 || res.LaunchFailures != 0 {
-		t.Errorf("disabled plan injected faults: %+v", res)
+	if res.Crashes != 0 || res.Recoveries != 0 || stats.LaunchFailures != 0 {
+		t.Errorf("disabled plan injected faults: %d crashes, %d recoveries, %+v", res.Crashes, res.Recoveries, stats)
 	}
 	if tb.injector != nil || tb.faultEvents != nil {
 		t.Error("disabled plan built live fault machinery")

@@ -3,12 +3,15 @@
 // and event by event, the testbed steps the system the way the deployment
 // runs it, scaled down: a tick loop on simulated time, a YARN-lite resource
 // manager whose containers pay a launch latency before they report ready, a
-// controller per elastic job coordinating worker join and departure (§6),
-// and the whitelist API the orchestrator uses to move servers between the
-// two schedulers' control.
+// controller per job gating training on its ready workers (§6), and the
+// whitelist API the orchestrator uses to move servers between the two
+// schedulers' control.
 //
 // The same scheduling code (internal/sched, internal/orchestrator) drives
-// the testbed and the simulator; only the execution substrate differs. Like
+// the testbed and the simulator over the same sim.State; only the execution
+// substrate differs, and the package holds only what the simulator lacks.
+// Training progress is granted through sim.State.Retire and the run is
+// summarized by sim.Summarize — neither is restated here. Like
 // the simulator core it runs on one goroutine and never reads the wall
 // clock, so a run is a pure function of its Config and trace. The paper
 // uses four 8-GPU V100 servers plus four 8-GPU T4 servers and a scaled-down
@@ -36,7 +39,7 @@ const (
 
 // Container is one worker container: it pays a launch latency (image pull,
 // process start) before reporting ready, then idles until killed or
-// released. Training progress is accounted by the job controller, not the
+// released. How long a job trained is decided by its controller, not the
 // container, mirroring how the prototype's controller process owns worker
 // coordination (§6).
 type Container struct {

@@ -9,7 +9,6 @@ import (
 	"lyra/internal/fault"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
-	"lyra/internal/metrics"
 	"lyra/internal/obs"
 	"lyra/internal/orchestrator"
 	"lyra/internal/sim"
@@ -56,42 +55,6 @@ type Config struct {
 // launchDelay is the container start latency in simulated seconds.
 const launchDelay = 5
 
-// Result is what a testbed run reports (Table 10 / Figure 17 inputs).
-type Result struct {
-	Queue metrics.Summary
-	JCT   metrics.Summary
-
-	Completed        int
-	Total            int
-	Preemptions      int
-	PreemptionRatio  float64
-	ScalingOps       int
-	CollateralDamage float64
-	ReclaimOps       int
-
-	ContainersLaunched int64
-	ContainersKilled   int64
-	WorkerJoins        int
-	WorkerExits        int
-
-	// Crashes / Recoveries count injected server failures applied and
-	// quarantined servers returned to service; LaunchFailures counts
-	// injected container-launch failures the retry path absorbed.
-	Crashes        int
-	Recoveries     int
-	LaunchFailures int
-
-	// LyraServers and InferenceServers are the two whitelists' sizes at
-	// exit (§6: every server is under exactly one scheduler's control, or
-	// quarantined).
-	LyraServers      int
-	InferenceServers int
-
-	// Events is the recorded JSONL stream when the caller that owns the
-	// recorder's sink attached one (lyra.RunTestbed with Config.Events).
-	Events []byte
-}
-
 // Testbed wires the prototype together. The scheduler and orchestrator are
 // the exact production code paths (internal/sched, internal/orchestrator);
 // the testbed supplies a tick-stepped substrate instead of the event-driven
@@ -107,8 +70,6 @@ type Testbed struct {
 	jobs        []*job.Job // the trace, in arrival order
 	arrived     int        // jobs[:arrived] have been admitted
 	completed   int
-	joins       int
-	exits       int
 
 	lyraWL *Whitelist
 	infWL  *Whitelist
@@ -180,8 +141,16 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 }
 
 // Run drives the testbed to completion (all jobs finished) or the time cap
-// and returns the result.
-func (tb *Testbed) Run(horizon int64) Result {
+// and returns the run's summary — sim.Summarize over the shared state, as
+// for an engine run — with the prototype's own counters attached.
+//
+// The first tick is t = 0, like the engine's first epochs, and within a tick
+// the order is the engine's order for events sharing a timestamp: progress
+// and completions, faults, arrivals, the orchestrator, the scheduler. Progress
+// comes first for a second reason — every running job is stamped current
+// before anything else can mutate it, so State never credits an interval the
+// controller already granted (see sim.State.Retire).
+func (tb *Testbed) Run(horizon int64) *sim.Result {
 	maxSim := tb.cfg.MaxSimTime
 	if maxSim == 0 {
 		maxSim = 4 * float64(horizon)
@@ -191,12 +160,11 @@ func (tb *Testbed) Run(horizon int64) Result {
 	}
 	now, nextOrch := 0.0, 0.0
 	for {
-		now += tb.cfg.SchedInterval
 		tb.st.Now = now
 		tb.rm.Advance(now)
+		tb.tickProgress(now)
 		tb.applyFaults(now)
 		tb.admitArrivals(now)
-		tb.tickProgress(now)
 		if tb.orch != nil && now >= nextOrch {
 			tb.orch.Epoch(tb.st)
 			nextOrch = now + tb.cfg.OrchInterval
@@ -227,8 +195,18 @@ func (tb *Testbed) Run(horizon int64) Result {
 		if tb.completed >= len(tb.jobs) || now > maxSim {
 			break
 		}
+		now += tb.cfg.SchedInterval
 	}
-	return tb.result()
+	res := sim.Summarize(tb.jobs, tb.st)
+	launched, killed := tb.rm.Stats()
+	res.Prototype = &sim.PrototypeStats{
+		ContainersLaunched: launched,
+		ContainersKilled:   killed,
+		LaunchFailures:     tb.launchFailures,
+		LyraServers:        tb.lyraWL.Len(),
+		InferenceServers:   tb.infWL.Len(),
+	}
+	return res
 }
 
 // applyFaults processes every scheduled crash/recovery whose time has
@@ -276,6 +254,7 @@ func (tb *Testbed) admitArrivals(now float64) {
 // tickProgress advances every running job's controller and completes
 // finished jobs, in job-ID order. (Every running job has a controller: jobs
 // start only in Schedule, and reconcileContainers follows it in each tick.)
+// It runs before anything else in the tick mutates the state.
 func (tb *Testbed) tickProgress(now float64) {
 	var finished []*job.Job
 	for _, j := range tb.st.RunningOrdered() {
@@ -289,18 +268,17 @@ func (tb *Testbed) tickProgress(now float64) {
 				tb.failContainer("release", j.ID, c.ID, err)
 			}
 		}
-		tb.retireController(j.ID)
+		tb.dropController(j.ID)
 		tb.st.Finish(j)
 		tb.completed++
 	}
 }
 
 // reconcileContainers aligns the resource manager's containers with each
-// running job's scheduler-assigned workers: launch what is missing, kill
-// what was removed, and keep the controller membership current — jobs in
-// job-ID order, containers in container-ID order, so container IDs, the
-// kill order and which launch an injected failure hits are functions of the
-// schedule alone. Injected launch failures are retried with capped
+// running job's scheduler-assigned workers: launch what is missing and kill
+// what was removed — jobs in job-ID order, containers in container-ID
+// order, so container IDs, the kill order and which launch an injected
+// failure hits are functions of the schedule alone. Injected launch failures are retried with capped
 // exponential backoff (in simulated time, tick-aligned); a job whose
 // launches keep failing past the retry bound is requeued through the
 // checkpoint-restart path rather than left wedged — the terminal path is a
@@ -308,11 +286,8 @@ func (tb *Testbed) tickProgress(now float64) {
 func (tb *Testbed) reconcileContainers(now float64) {
 	var terminal []*job.Job
 	for _, j := range tb.st.RunningOrdered() {
-		ct := tb.controllers[j.ID]
-		if ct == nil {
-			ct = NewController(j, tb.cfg.Scaling)
-			ct.ResetTick(now)
-			tb.controllers[j.ID] = ct
+		if tb.controllers[j.ID] == nil {
+			tb.controllers[j.ID] = NewController(j, tb.st, tb.rm, now)
 		}
 		// Match live containers to assigned workers by (server, flexible)
 		// slot: need counts the workers of each slot no container serves
@@ -344,15 +319,12 @@ func (tb *Testbed) reconcileContainers(now float64) {
 				continue
 			}
 			need[k]--
-			c, err := tb.rm.Launch(j.ID, w.Server, w.GPUs, w.Flexible)
-			if err != nil {
+			if _, err := tb.rm.Launch(j.ID, w.Server, w.GPUs, w.Flexible); err != nil {
 				if !errors.Is(err, fault.ErrInjectedLaunch) {
 					tb.failContainer("launch", j.ID, 0, err)
 				}
 				failedThisTick = true
-				continue
 			}
-			ct.Join(c)
 		}
 		switch {
 		case failedThisTick:
@@ -376,7 +348,6 @@ func (tb *Testbed) reconcileContainers(now float64) {
 		}
 		// Kill leftovers (scale-ins and migrations).
 		for _, c := range surplus {
-			ct.Depart(c.ID)
 			if err := tb.rm.Kill(c.ID); err != nil {
 				tb.failContainer("kill", j.ID, c.ID, err)
 			}
@@ -405,14 +376,12 @@ func (tb *Testbed) reconcileContainers(now float64) {
 	}
 	sort.Ints(stopped)
 	for _, id := range stopped {
-		ct := tb.controllers[id]
 		for _, c := range tb.rm.JobContainers(id) {
-			ct.Depart(c.ID)
 			if err := tb.rm.Kill(c.ID); err != nil {
 				tb.failContainer("kill", id, c.ID, err)
 			}
 		}
-		tb.retireController(id)
+		tb.dropController(id)
 	}
 }
 
@@ -427,14 +396,8 @@ func (tb *Testbed) failContainer(op string, jobID, containerID int, err error) {
 	})
 }
 
-// retireController folds a finished controller's join/exit counts into the
-// run totals before dropping it.
-func (tb *Testbed) retireController(id int) {
-	if ct := tb.controllers[id]; ct != nil {
-		a, b := ct.Events()
-		tb.joins += a
-		tb.exits += b
-	}
+// dropController forgets a job that finished or stopped running.
+func (tb *Testbed) dropController(id int) {
 	delete(tb.controllers, id)
 	delete(tb.launchRetry, id)
 }
@@ -496,46 +459,4 @@ func (tb *Testbed) failHandover(op string, serverID int, actual string) {
 		Expected: "an empty server transferable between whitelists",
 		Actual:   actual,
 	})
-}
-
-func (tb *Testbed) result() Result {
-	var queues, jcts []float64
-	for _, j := range tb.jobs {
-		if j.State == job.Completed {
-			queues = append(queues, float64(j.QueueTime))
-			jcts = append(jcts, float64(j.JCT()))
-		}
-	}
-	joins, exits := tb.joins, tb.exits
-	for _, ct := range tb.controllers {
-		a, b := ct.Events()
-		joins += a
-		exits += b
-	}
-	launched, killed := tb.rm.Stats()
-	res := Result{
-		Queue:              metrics.Summarize(queues),
-		JCT:                metrics.Summarize(jcts),
-		Completed:          tb.completed,
-		Total:              len(tb.jobs),
-		Preemptions:        tb.st.Preemptions,
-		ScalingOps:         tb.st.ScalingOps,
-		ReclaimOps:         tb.st.ReclaimOps,
-		ContainersLaunched: launched,
-		ContainersKilled:   killed,
-		WorkerJoins:        joins,
-		WorkerExits:        exits,
-		Crashes:            tb.st.Crashes,
-		Recoveries:         tb.st.Recoveries,
-		LaunchFailures:     tb.launchFailures,
-		LyraServers:        tb.lyraWL.Len(),
-		InferenceServers:   tb.infWL.Len(),
-	}
-	if len(tb.jobs) > 0 {
-		res.PreemptionRatio = float64(tb.st.Preemptions) / float64(len(tb.jobs))
-	}
-	if tb.st.DemandGPUs > 0 {
-		res.CollateralDamage = float64(tb.st.VacatedGPUs-tb.st.DemandGPUs) / float64(tb.st.DemandGPUs)
-	}
-	return res
 }

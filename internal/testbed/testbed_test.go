@@ -9,6 +9,7 @@ import (
 	"lyra/internal/orchestrator"
 	"lyra/internal/reclaim"
 	"lyra/internal/sched"
+	"lyra/internal/sim"
 	"lyra/internal/trace"
 )
 
@@ -75,18 +76,15 @@ func TestLaunchLatencyIsCharged(t *testing.T) {
 			{Server: 1, GPU: cluster.V100, GPUs: 2},
 		}
 		rm := NewResourceManager(delay)
-		ct := NewController(j, job.Linear)
-		ct.ResetTick(0)
+		st := bareState()
+		ct := NewController(j, st, rm, 0)
 		for _, w := range j.Workers {
-			c, err := rm.Launch(j.ID, w.Server, w.GPUs, false)
-			if err != nil {
+			if _, err := rm.Launch(j.ID, w.Server, w.GPUs, false); err != nil {
 				t.Fatal(err)
 			}
-			ct.Join(c)
 		}
 		for _, now := range ticks {
-			rm.Advance(now)
-			ct.Tick(now)
+			tick(st, rm, ct, now)
 		}
 		return j.Work - j.Remaining
 	}
@@ -144,6 +142,30 @@ func TestWhitelistTransfer(t *testing.T) {
 	}
 }
 
+// bareState is a State over the testbed cluster with nothing placed: enough
+// for a controller to grant progress through.
+func bareState() *sim.State {
+	return sim.NewState(cluster.New(cluster.TestbedConfig()), job.Linear, 63)
+}
+
+// tick is the top of one tick of the prototype's loop for one job: the clock
+// moves, due containers come up, the controller grants progress.
+func tick(st *sim.State, rm *ResourceManager, ct *Controller, now float64) bool {
+	st.Now = now
+	rm.Advance(now)
+	return ct.Tick(now)
+}
+
+// launchAt launches one container for j's worker w that reports ready at
+// readyAt.
+func launchAt(t *testing.T, rm *ResourceManager, j *job.Job, w job.Worker, readyAt float64) {
+	t.Helper()
+	rm.launchDelay = readyAt - rm.now
+	if _, err := rm.Launch(j.ID, w.Server, w.GPUs, w.Flexible); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestControllerGangGate(t *testing.T) {
 	j := job.New(1, 0, job.Generic, 2, 2, 4, 100)
 	j.Elastic = true
@@ -152,21 +174,19 @@ func TestControllerGangGate(t *testing.T) {
 		{Server: 0, GPU: cluster.V100, GPUs: 2},
 		{Server: 1, GPU: cluster.V100, GPUs: 2},
 	}
-	ct := NewController(j, job.Linear)
+	rm, st := NewResourceManager(0), bareState()
+	ct := NewController(j, st, rm, 0)
 	// One container running, one still launching: below the base demand,
 	// no progress.
-	c1 := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2, state: ContainerRunning}
-	c2 := &Container{ID: 2, JobID: 1, Server: 1, GPUs: 2}
-	ct.Join(c1)
-	ct.Join(c2)
-	ct.ResetTick(0)
-	ct.Tick(50)
+	launchAt(t, rm, j, j.Workers[0], 0)
+	launchAt(t, rm, j, j.Workers[1], 50)
+	tick(st, rm, ct, 40)
 	if j.Remaining != j.Work {
 		t.Errorf("progress before the gang was ready: remaining %v of %v", j.Remaining, j.Work)
 	}
-	// Second container comes up: progress accrues at full throughput.
-	c2.state, c2.readyAt = ContainerRunning, 50
-	ct.Tick(100)
+	// Second container comes up at t=50: progress accrues at full
+	// throughput from then on.
+	tick(st, rm, ct, 100)
 	want := j.Work - 4*50 // 4 GPUs x 50 s
 	if j.Remaining != want {
 		t.Errorf("remaining = %v, want %v", j.Remaining, want)
@@ -178,30 +198,75 @@ func TestControllerOverheadConsumedFirst(t *testing.T) {
 	j.State = job.Running
 	j.OverheadLeft = 30
 	j.Workers = []job.Worker{{Server: 0, GPU: cluster.V100, GPUs: 2}}
-	ct := NewController(j, job.Linear)
-	c := &Container{ID: 1, JobID: 1, Server: 0, GPUs: 2, state: ContainerRunning}
-	ct.Join(c)
-	ct.ResetTick(0)
-	ct.Tick(20)
+	rm, st := NewResourceManager(0), bareState()
+	ct := NewController(j, st, rm, 0)
+	launchAt(t, rm, j, j.Workers[0], 0)
+	tick(st, rm, ct, 20)
 	if j.Remaining != j.Work || j.OverheadLeft != 10 {
 		t.Errorf("overhead accounting: remaining=%v overhead=%v", j.Remaining, j.OverheadLeft)
 	}
-	ct.Tick(50) // 10 s of remaining overhead, then 20 s of work at 2 GPUs
+	tick(st, rm, ct, 50) // 10 s of remaining overhead, then 20 s of work at 2 GPUs
 	if j.OverheadLeft != 0 || j.Remaining != j.Work-40 {
 		t.Errorf("after overhead: remaining=%v overhead=%v", j.Remaining, j.OverheadLeft)
 	}
 }
 
-func TestControllerEvents(t *testing.T) {
-	j := job.New(1, 0, job.Generic, 1, 1, 2, 10)
-	ct := NewController(j, job.Linear)
-	c := &Container{ID: 1}
-	ct.Join(c)
-	ct.Depart(1)
-	ct.Depart(1) // double departure is a no-op
-	joins, exits := ct.Events()
-	if joins != 1 || exits != 1 {
-		t.Errorf("events = %d joins, %d exits", joins, exits)
+// TestStateCreditsNothingAfterTick is the double-credit regression: once the
+// controller has ticked a job to now, every State mutation at the same now —
+// scale-out, scale-in, preemption, completion — leaves Remaining and
+// OverheadLeft exactly where the tick put them. (Before State.Retire each of
+// the four re-credited the whole interval since the job's last mutation.)
+func TestStateCreditsNothingAfterTick(t *testing.T) {
+	less := (&sched.FIFO{}).Less
+	for name, mutate := range map[string]func(st *sim.State, j *job.Job){
+		"AddWorkers": func(st *sim.State, j *job.Job) {
+			if err := st.Cluster.Server(2).Allocate(j.ID, 2, true); err != nil {
+				t.Fatal(err)
+			}
+			st.AddWorkers(j, []job.Worker{{Server: 2, GPU: cluster.V100, GPUs: 2, Flexible: true}})
+		},
+		"RemoveFlexibleWorkers": func(st *sim.State, j *job.Job) {
+			if n := st.RemoveFlexibleWorkers(j, 1); n != 1 {
+				t.Fatalf("removed %d flexible workers, want 1", n)
+			}
+		},
+		"Preempt": func(st *sim.State, j *job.Job) { st.Preempt(j, less) },
+		"Finish":  func(st *sim.State, j *job.Job) { st.Finish(j) },
+	} {
+		j := job.New(1, 0, job.Generic, 2, 2, 4, 1000)
+		j.Elastic, j.Checkpoint = true, true
+		st, rm := bareState(), NewResourceManager(0)
+		workers := []job.Worker{
+			{Server: 0, GPU: cluster.V100, GPUs: 2},
+			{Server: 0, GPU: cluster.V100, GPUs: 2},
+			{Server: 1, GPU: cluster.V100, GPUs: 2, Flexible: true},
+		}
+		for _, w := range workers {
+			if err := st.Cluster.Server(w.Server).Allocate(j.ID, w.GPUs, w.Flexible); err != nil {
+				t.Fatal(err)
+			}
+			launchAt(t, rm, j, w, 0)
+		}
+		st.Enqueue(j, less)
+		st.Start(j, workers)
+		st.CompactPending()
+		j.OverheadLeft = 200 // outlasts the first tick, so both fields are live
+		ct := NewController(j, st, rm, 0)
+		tick(st, rm, ct, 100)
+		tick(st, rm, ct, 300)
+		// 200 s of overhead, then 100 s on 6 GPUs.
+		if j.OverheadLeft != 0 || j.Remaining != j.Work-600 {
+			t.Fatalf("%s: after the ticks remaining=%v overhead=%v, want %v and 0", name, j.Remaining, j.OverheadLeft, j.Work-600)
+		}
+		mutate(st, j)
+		wantOverhead := 0.0
+		if name == "Preempt" {
+			wantOverhead = 63 // the restart cost Preempt itself charges
+		}
+		if j.Remaining != j.Work-600 || j.OverheadLeft != wantOverhead {
+			t.Errorf("%s at the tick's own now moved progress: remaining=%v overhead=%v, want %v and %v",
+				name, j.Remaining, j.OverheadLeft, j.Work-600, wantOverhead)
+		}
 	}
 }
 
@@ -231,13 +296,14 @@ func TestEndToEndFIFO(t *testing.T) {
 	tr := trace.GenerateTestbed(3, 25)
 	tb := New(testConfig(), tr, &sched.FIFO{}, nil)
 	res := tb.Run(tr.Horizon)
+	stats := res.Prototype
 	if res.Completed != 25 {
 		t.Fatalf("completed %d/25", res.Completed)
 	}
-	if res.JCT.N != 25 || res.JCT.Mean <= 0 {
-		t.Errorf("JCT summary = %+v", res.JCT)
+	if jct := res.JCTSummary(); jct.N != 25 || jct.Mean <= 0 {
+		t.Errorf("JCT summary = %+v", jct)
 	}
-	if res.ContainersLaunched == 0 {
+	if stats.ContainersLaunched == 0 {
 		t.Error("no containers launched")
 	}
 	if err := tb.st.Cluster.CheckInvariants(); err != nil {
@@ -255,6 +321,7 @@ func TestEndToEndLyraWithLoaning(t *testing.T) {
 	s := sched.NewLyra()
 	tb := New(testConfig(), tr, s, lyraOrchestrator(5, tr, s.Less))
 	res := tb.Run(tr.Horizon)
+	stats := res.Prototype
 	if res.Completed != 30 {
 		t.Fatalf("completed %d/30", res.Completed)
 	}
@@ -274,8 +341,12 @@ func TestEndToEndLyraWithLoaning(t *testing.T) {
 			t.Errorf("server %d pool %v vs whitelist mismatch", s.ID, s.Pool)
 		}
 	}
-	if res.WorkerJoins == 0 {
-		t.Error("no worker joins recorded by controllers")
+	if stats.ContainersLaunched == 0 {
+		t.Error("no worker containers launched")
+	}
+	if stats.LyraServers != lyraWL.Len() || stats.InferenceServers != infWL.Len() {
+		t.Errorf("stats report whitelists %d/%d, the whitelists hold %d/%d",
+			stats.LyraServers, stats.InferenceServers, lyraWL.Len(), infWL.Len())
 	}
 	if err := tb.st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -558,7 +558,13 @@ func BaselineConfig() Config {
 	}
 }
 
-// Report is the per-run result bundle in the units the paper reports.
+// Report is the per-run result bundle in the units the paper reports, from
+// either substrate: Run and RunTestbed build it with the same code. What
+// only the simulator samples — TrainUsage, OverallUsage, OnLoanUsage, the
+// OnLoanQueue / OnLoanJCT subsets and LostCapacityGPUSec — stays zero on a
+// prototype run; what only the prototype counts (containers, absorbed launch
+// failures, whitelist sizes) is the Raw.Prototype block, nil on a simulator
+// run.
 type Report struct {
 	Queue Summary // queuing time, seconds
 	JCT   Summary // job completion time, seconds
@@ -602,8 +608,9 @@ type Report struct {
 	// profiled run's Events are byte-identical to an unprofiled one.
 	Prof *prof.Report
 
-	// Raw exposes the underlying simulator result for the experiments
-	// harness (usage time series, hourly queued ratios...).
+	// Raw exposes the underlying result for the experiments harness (usage
+	// time series, hourly queued ratios, reclaim operations, the
+	// prototype's own counters...).
 	Raw *sim.Result
 }
 
@@ -680,7 +687,17 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 	res := eng.Run()
 	psp.End()
 	psp = p.Start("report")
-	rep = &Report{
+	rep = newReport(res)
+	rep.Events = r.buf.Bytes() // nil when recording was off
+	psp.End()
+	rep.Prof = p.Report()
+	return rep, nil
+}
+
+// newReport renders a run's result in the units the paper reports — the one
+// place either substrate's sim.Result becomes a Report.
+func newReport(res *sim.Result) *Report {
+	return &Report{
 		Queue:              res.QueuingSummary(),
 		JCT:                res.JCTSummary(),
 		OnLoanQueue:        res.OnLoanQueuingSummary(),
@@ -694,16 +711,12 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		CollateralDamage:   res.CollateralDamage,
 		FlexSatisfiedShare: res.FlexSatisfiedShare,
 		Completed:          res.Completed,
-		Total:              len(tr.Jobs),
+		Total:              len(res.Jobs),
 		Crashes:            res.Crashes,
 		Recoveries:         res.Recoveries,
 		LostCapacityGPUSec: res.LostCapacityGPUSec,
 		Raw:                res,
 	}
-	rep.Events = r.buf.Bytes() // nil when recording was off
-	psp.End()
-	rep.Prof = p.Report()
-	return rep, nil
 }
 
 // run is the prelude Run and RunTestbed share, built from a normalized and

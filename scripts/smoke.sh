@@ -100,10 +100,17 @@ smoke_fault() {
 	kinds racks fault.domain
 	"$events" -faults "$dir/racks.jsonl"
 
-	twice testbed "$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -audit \
-		-faults "mtbf=7200,mttr=300,launchfail=0.1"
+	tbfaults="mtbf=7200,mttr=300,launchfail=0.1"
+	twice testbed "$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -audit -faults "$tbfaults"
 	recovered testbed
 	kinds testbed container.ready fault.launch
+	# That leg audits every tick, rule 4's credit-cannot-outrun-the-clock
+	# bound included, on a run that crashes servers and fails launches.
+	# Auditing only reads state: the same run without it repeats it.
+	"$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -faults "$tbfaults" \
+		-events "$dir/testbed.off.jsonl" > "$dir/testbed.off.out"
+	cmp -s "$dir/testbed.out" "$dir/testbed.off.out" && cmp -s "$dir/testbed.jsonl" "$dir/testbed.off.jsonl" ||
+		fail "the testbed run differs with -audit on and off"
 
 	# A fault key the testbed cannot honour is an error, not a no-op.
 	if "$dir/lyra-testbed" -jobs 4 -faults rpcerr=0.02 > /dev/null 2> "$dir/bad.err" ||

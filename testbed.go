@@ -17,10 +17,6 @@ type TestbedOptions struct {
 	UtilCompress int
 }
 
-// TestbedResult is what a prototype run reports (Table 10 / Figure 17
-// inputs).
-type TestbedResult = testbed.Result
-
 // NormalizeTestbed is Normalize at the prototype's scale: a zero
 // SchedInterval / OrchInterval defaults to 10 s / 60 s — the same ratio as
 // production (the scheduler runs much more often, §3) at the scale of a
@@ -45,32 +41,34 @@ func (c Config) NormalizeTestbed() Config {
 // protocol and inference side — so one Config describes the same scheduler
 // and orchestrator on either substrate; only the substrate differs. Like
 // Run it is a pure function of its arguments: same Config and trace, same
-// result and same event bytes. Invariant violations come back as
-// *obs.ViolationError, as from Run.
+// result and same event bytes. The Report is Run's, built by the same code
+// over the same state counters, with Raw.Prototype set and the fields only
+// the simulator samples left zero (see Report). Invariant violations
+// come back as *obs.ViolationError, as from Run.
 //
 // The prototype is one training plus one inference pool without topology,
 // and its tick loop implements no engine-side degraded-mode policy: a
 // Config asking for shards, RestartBackoff, QuarantineHysteresis or
 // rack/zone outages is rejected with the field named rather than run
 // without them.
-func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (res TestbedResult, err error) {
+func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err error) {
 	cfg = cfg.NormalizeTestbed()
 	if err := cfg.Validate(); err != nil {
-		return res, err
+		return nil, err
 	}
 	switch {
 	case cfg.TrainingShards > 0:
-		return res, fmt.Errorf("lyra: TrainingShards/InferenceShards %d/%d: the testbed is one training and one inference pool (sharded topologies run in the simulator)", cfg.TrainingShards, cfg.InferenceShards)
+		return nil, fmt.Errorf("lyra: TrainingShards/InferenceShards %d/%d: the testbed is one training and one inference pool (sharded topologies run in the simulator)", cfg.TrainingShards, cfg.InferenceShards)
 	case cfg.RestartBackoff:
-		return res, fmt.Errorf("lyra: RestartBackoff: the testbed's tick loop does not implement restart backoff")
+		return nil, fmt.Errorf("lyra: RestartBackoff: the testbed's tick loop does not implement restart backoff")
 	case cfg.QuarantineHysteresis:
-		return res, fmt.Errorf("lyra: QuarantineHysteresis: the testbed's tick loop does not implement quarantine hysteresis")
+		return nil, fmt.Errorf("lyra: QuarantineHysteresis: the testbed's tick loop does not implement quarantine hysteresis")
 	case cfg.Faults.RackOutMTBF > 0:
-		return res, fmt.Errorf("lyra: Faults.RackOutMTBF (rackout) %v: the testbed has no rack topology", cfg.Faults.RackOutMTBF)
+		return nil, fmt.Errorf("lyra: Faults.RackOutMTBF (rackout) %v: the testbed has no rack topology", cfg.Faults.RackOutMTBF)
 	case cfg.Faults.ZoneOutMTBF > 0:
-		return res, fmt.Errorf("lyra: Faults.ZoneOutMTBF (zoneout) %v: the testbed has no zone topology", cfg.Faults.ZoneOutMTBF)
+		return nil, fmt.Errorf("lyra: Faults.ZoneOutMTBF (zoneout) %v: the testbed has no zone topology", cfg.Faults.ZoneOutMTBF)
 	case opt.UtilCompress < 0:
-		return res, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
+		return nil, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
 	}
 	if opt.UtilCompress == 0 {
 		opt.UtilCompress = 4
@@ -93,7 +91,7 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (res TestbedResult, e
 		fp := cfg.Faults
 		tbCfg.Faults = &fp
 	}
-	res = testbed.New(tbCfg, r.tr, s, orch).Run(r.tr.Horizon)
-	res.Events = r.buf.Bytes() // nil when recording was off
-	return res, nil
+	rep = newReport(testbed.New(tbCfg, r.tr, s, orch).Run(r.tr.Horizon))
+	rep.Events = r.buf.Bytes() // nil when recording was off
+	return rep, nil
 }

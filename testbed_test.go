@@ -81,8 +81,8 @@ func TestRunTestbedEveryScheme(t *testing.T) {
 				if res.Completed != 12 || res.Total != 12 {
 					t.Errorf("completed %d of %d jobs, want 12", res.Completed, res.Total)
 				}
-				if res.LyraServers+res.InferenceServers != 8 {
-					t.Errorf("whitelists cover %d servers, want 8", res.LyraServers+res.InferenceServers)
+				if p := res.Raw.Prototype; p.LyraServers+p.InferenceServers != 8 {
+					t.Errorf("whitelists cover %d servers, want 8", p.LyraServers+p.InferenceServers)
 				}
 			})
 		}
@@ -98,7 +98,7 @@ func TestTestbedDeterministic(t *testing.T) {
 	cfg.Seed = 7
 	cfg.Events = true
 	cfg.Faults = FaultPlan{Seed: 7, ServerMTBF: 7200, ServerMTTR: 300, LaunchFailProb: 0.1}
-	run := func() TestbedResult {
+	run := func() *Report {
 		res, err := RunTestbed(cfg, trace.GenerateTestbed(7, 30), TestbedOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -106,9 +106,9 @@ func TestTestbedDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Completed != 30 || a.Crashes == 0 || a.LaunchFailures == 0 || len(a.Events) == 0 {
+	if a.Completed != 30 || a.Crashes == 0 || a.Raw.Prototype.LaunchFailures == 0 || len(a.Events) == 0 {
 		t.Fatalf("run exercised too little: %d/30 completed, %d crashes, %d launch failures, %d event bytes",
-			a.Completed, a.Crashes, a.LaunchFailures, len(a.Events))
+			a.Completed, a.Crashes, a.Raw.Prototype.LaunchFailures, len(a.Events))
 	}
 	if !bytes.Equal(a.Events, b.Events) {
 		t.Error("two identical prototype runs recorded different event streams")
@@ -166,4 +166,77 @@ func TestRecoverViolation(t *testing.T) {
 		}
 	}()
 	_ = entry(func(*run) { panic("boom") })
+}
+
+// calibrationCfg is the §7.2 calibration setup (experiments.Calibration):
+// the testbed cluster, full Lyra, 30 s / 300 s epochs.
+func calibrationCfg(seed int64) Config {
+	return testbedCfg(Config{Elastic: true, Loaning: true, SchedInterval: 30, OrchInterval: 300, Seed: seed})
+}
+
+// Credit cannot outrun the clock: on the prototype no completed job ran for
+// less than its work at its peak throughput takes. Before progress had one
+// owner (sim.State.Retire) every scaling operation re-credited an elastic job
+// the interval since its last one, and seed 1's job 13 — 16,456 GPU-seconds,
+// at most five 2-GPU workers — finished 870 s after it started.
+func TestPrototypeProgressHasOneOwner(t *testing.T) {
+	cfg := calibrationCfg(1)
+	cfg.Events = true
+	rep, err := RunTestbed(cfg, trace.GenerateTestbed(1, 60), TestbedOptions{UtilCompress: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 60 {
+		t.Fatalf("completed %d of 60 jobs", rep.Completed)
+	}
+	for _, j := range rep.Raw.Jobs {
+		if ran, floor := float64(j.FinishTime-j.StartTime), j.MinRuntime(cfg.Normalize().Scaling); ran < floor {
+			t.Errorf("job %d ran %v s, less than the %v s its %v GPU-seconds take on %d GPUs",
+				j.ID, ran, floor, j.Work, j.MaxGPUs())
+		}
+	}
+	events, err := obs.ReadJSONL(bytes.NewReader(rep.Events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, finish := -1.0, -1.0
+	for _, ev := range obs.JobTimeline(events, 13) {
+		switch {
+		case ev.Kind == obs.KindJobStart && start < 0:
+			start = ev.T
+		case ev.Kind == obs.KindJobFinish:
+			finish = ev.T
+		}
+	}
+	if start < 0 || finish-start < 1645 {
+		t.Errorf("job 13 ran %v s from job.start (t=%v) to job.finish (t=%v), want at least 1645", finish-start, start, finish)
+	}
+}
+
+// One Report, two substrates: a prototype run fills Raw.Prototype and leaves
+// what only the simulator samples at zero; a simulator run of the same Config
+// and trace has no Prototype block.
+func TestReportAcrossSubstrates(t *testing.T) {
+	cfg, tr := calibrationCfg(2), trace.GenerateTestbed(2, 20)
+	proto, err := RunTestbed(cfg, tr, TestbedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := proto.Raw.Prototype; p == nil || p.ContainersLaunched == 0 || p.LyraServers+p.InferenceServers != 8 {
+		t.Errorf("prototype block = %+v, want launches and 8 whitelisted servers", p)
+	}
+	if proto.TrainUsage != 0 || proto.OverallUsage != 0 || proto.OnLoanUsage != 0 ||
+		proto.OnLoanQueue != (Summary{}) || proto.OnLoanJCT != (Summary{}) || proto.LostCapacityGPUSec != 0 {
+		t.Errorf("the prototype reported a metric it does not sample: %+v", proto)
+	}
+	if proto.Completed != 20 || proto.Total != 20 || proto.JCT.N != 20 || proto.Raw.SchedEpochs == 0 {
+		t.Errorf("prototype report: %d/%d completed, JCT over %d jobs, %d ticks", proto.Completed, proto.Total, proto.JCT.N, proto.Raw.SchedEpochs)
+	}
+	simRep, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simRep.Raw.Prototype != nil {
+		t.Errorf("simulator report carries a prototype block: %+v", simRep.Raw.Prototype)
+	}
 }
