@@ -42,11 +42,14 @@ smoke:
 # instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
 # and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
-# 100x the paper's cluster, which must read flat across the three.
+# 100x the paper's cluster, which must read flat across the three; and of the
+# scale tier's set-up: the fault timeline of its 108,338 streams and the clone
+# of its 223,777-job trace (allocs/op is the number to watch on both).
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
+	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

@@ -138,8 +138,11 @@ type Server struct {
 	free    int
 	// flexTotal caches the sum of the flexible map so TotalFlexible is O(1).
 	flexTotal int
-	alloc     map[int]int // job ID -> GPUs allocated on this server
-	flexible  map[int]int // job ID -> GPUs belonging to flexible (elastic surplus) workers
+	// alloc and flexible stay nil until the first Allocate writes them: a
+	// nil map reads as empty, and most servers of a large cluster never
+	// host a job within a run.
+	alloc    map[int]int // job ID -> GPUs allocated on this server
+	flexible map[int]int // job ID -> GPUs belonging to flexible (elastic surplus) workers
 	// owner is the cluster maintaining pool/bucket indexes over this
 	// server; every allocation change is mirrored into its counters. Nil
 	// for standalone servers (reclaim fixtures, unit tests).
@@ -148,15 +151,7 @@ type Server struct {
 
 // NewServer returns an empty server with all GPUs free.
 func NewServer(id int, gpu GPUType, numGPUs int, pool Pool) *Server {
-	return &Server{
-		ID:       id,
-		GPU:      gpu,
-		NumGPUs:  numGPUs,
-		Pool:     pool,
-		free:     numGPUs,
-		alloc:    make(map[int]int),
-		flexible: make(map[int]int),
-	}
+	return &Server{ID: id, GPU: gpu, NumGPUs: numGPUs, Pool: pool, free: numGPUs}
 }
 
 // Free returns the number of unallocated GPUs.
@@ -205,9 +200,15 @@ func (s *Server) Allocate(id, gpus int, flexible bool) error {
 	}
 	oldFree := s.free
 	s.free -= gpus
+	if s.alloc == nil {
+		s.alloc = make(map[int]int)
+	}
 	s.alloc[id] += gpus
 	flexDelta := 0
 	if flexible {
+		if s.flexible == nil {
+			s.flexible = make(map[int]int)
+		}
 		s.flexible[id] += gpus
 		s.flexTotal += gpus
 		flexDelta = gpus

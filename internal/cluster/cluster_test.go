@@ -53,6 +53,22 @@ func TestNewDefaultConfigScale(t *testing.T) {
 	}
 }
 
+// A cluster costs one object per server — its two maps wait for the first
+// Allocate — plus the rack and zone member lists (each grown by
+// doubling) and a few dozen index words, at the paper's scale and at ten
+// times it.
+func TestNewAllocatesOnePerServer(t *testing.T) {
+	for _, scale := range []int{1, 10} {
+		cfg := Config{TrainingServers: 443 * scale, InferenceServers: 520 * scale}
+		c := New(cfg)
+		bound := float64(c.NumServers() + 4*c.NumRacks() + 6*c.NumZones() + 100)
+		if a := testing.AllocsPerRun(3, func() { New(cfg) }); a > bound {
+			t.Errorf("New(%d+%d servers): %.0f allocations, want at most %.0f (%d servers, %d racks, %d zones)",
+				cfg.TrainingServers, cfg.InferenceServers, a, bound, c.NumServers(), c.NumRacks(), c.NumZones())
+		}
+	}
+}
+
 func TestTestbedConfigScale(t *testing.T) {
 	c := New(TestbedConfig())
 	if got := c.TotalGPUs(PoolTraining) + c.TotalGPUs(PoolInference); got != 64 {

@@ -9,8 +9,9 @@
 // Everything is described by a Plan, a pure-data value with its own random
 // seed. Two properties follow and are load-bearing for the rest of the repo:
 //
-//   - Determinism: the crash/recovery schedule is pre-generated from the
-//     plan's dedicated rand stream (Schedule), and straggler assignment is a
+//   - Determinism: the crash/recovery schedule is pre-generated, each
+//     server's, rack's and zone's stream drawn from a generator keyed on
+//     (plan seed, stream ID) alone (Schedule), and straggler assignment is a
 //     pure hash of (seed, job ID) — neither depends on execution order, so
 //     a faulted simulation stays byte-identical across runs, processes and
 //     runner pool widths, exactly like an un-faulted one.
@@ -24,10 +25,13 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -285,8 +289,8 @@ type Event struct {
 // [0, numServers) over the horizon. Each server draws an independent
 // alternating renewal process (exponential up-times with mean ServerMTBF,
 // exponential down-times with mean ServerMTTR, floored at one second so a
-// crash and its recovery never coincide) from a sub-seed derived from the
-// plan seed and the server ID. Generating the whole timeline up front —
+// crash and its recovery never coincide) from a stream keyed on the plan
+// seed and the server ID. Generating the whole timeline up front —
 // rather than drawing lazily during execution — is what makes the schedule
 // independent of event-processing order: the same plan yields the same
 // timeline regardless of substrate, pool width or interleaving.
@@ -302,9 +306,9 @@ func Schedule(p Plan, numServers int, horizon int64) []Event {
 		return nil
 	}
 	var out []Event
-	rng := rand.New(rand.NewSource(0))
+	var pcg randv2.PCG
 	for sid := 0; sid < numServers; sid++ {
-		for _, iv := range renewal(rng, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
+		for _, iv := range renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
 			out = append(out, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
 		}
 	}
@@ -312,20 +316,25 @@ func Schedule(p Plan, numServers int, horizon int64) []Event {
 	return out
 }
 
+// streamKeyLo is the fixed low word of every stream's PCG key; the high word,
+// subSeed(salted plan seed, stream ID), carries the entropy, mixed by
+// splitmix64 so adjacent IDs start far apart.
+const streamKeyLo = 0x6c7972616661756c // "lyrafaul"
+
 // renewal draws one alternating renewal process — exponential up-times with
 // mean mtbf, exponential down-times with mean mttr floored at one second —
 // and returns its downtime intervals [start, end) with start < horizon. The
 // draw order (one up-time, then alternating down-time/up-time) is the
 // schedule contract: Schedule's per-server streams are defined by it, and a
-// shorter horizon yields a prefix of the same stream. rng is the one
-// generator of the caller's whole schedule, reseeded here for this stream:
-// seeding rewrites the source's entire state, so the draws are those of a
-// fresh rand.NewSource(seed) without its 4.9 KB allocation per stream.
-func renewal(rng *rand.Rand, seed int64, mtbf, mttr float64, horizon int64) [][2]float64 {
+// shorter horizon yields a prefix of the same stream. pcg is the one
+// generator of the caller's whole schedule, re-keyed here for this stream:
+// two words are its whole state, so the draws are a fresh generator's.
+func renewal(pcg *randv2.PCG, key int64, mtbf, mttr float64, horizon int64) [][2]float64 {
 	if mtbf <= 0 {
 		return nil
 	}
-	rng.Seed(seed)
+	pcg.Seed(uint64(key), streamKeyLo)
+	rng := randv2.New(pcg)
 	var out [][2]float64
 	t := rng.ExpFloat64() * mtbf
 	for t < float64(horizon) {
@@ -340,14 +349,18 @@ func renewal(rng *rand.Rand, seed int64, mtbf, mttr float64, horizon int64) [][2
 }
 
 func sortEvents(out []Event) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
+	slices.SortFunc(out, func(a, b Event) int {
+		switch {
+		case a.T != b.T:
+			return cmp.Compare(a.T, b.T)
+		case a.Server != b.Server:
+			return cmp.Compare(a.Server, b.Server)
+		case a.Recover == b.Recover:
+			return 0
+		case b.Recover:
+			return -1
 		}
-		if out[i].Server != out[j].Server {
-			return out[i].Server < out[j].Server
-		}
-		return !out[i].Recover && out[j].Recover
+		return 1
 	})
 }
 
@@ -404,10 +417,10 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 	if numServers <= 0 || horizon <= 0 {
 		return nil, nil
 	}
-	rng := rand.New(rand.NewSource(0))
+	var pcg randv2.PCG
 	down := make([][][2]float64, numServers)
 	for sid := 0; sid < numServers; sid++ {
-		down[sid] = renewal(rng, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
+		down[sid] = renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
 	}
 	var domains []DomainEvent
 	addDomain := func(zone bool, d int, members []int, ivs [][2]float64) {
@@ -422,11 +435,11 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 	}
 	for r := 0; r < topo.NumRacks(); r++ {
 		addDomain(false, r, topo.RackServers(r),
-			renewal(rng, subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR, horizon))
+			renewal(&pcg, subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR, horizon))
 	}
 	for z := 0; z < topo.NumZones(); z++ {
 		addDomain(true, z, topo.ZoneServers(z),
-			renewal(rng, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
+			renewal(&pcg, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
 	}
 	var out []Event
 	for sid := 0; sid < numServers; sid++ {
@@ -511,14 +524,10 @@ func (p *Plan) SlowFactorFor(id int) float64 {
 // returns from ResourceManager.Launch.
 var ErrInjectedLaunch = errors.New("fault: injected launch failure")
 
-// Injector draws launch-failure decisions from the plan's seeded stream. It
-// is used by the testbed's live substrate, where calls arrive from
-// concurrent goroutines: the mutex serializes the stream, and the draw
-// order follows real execution order (the testbed is a measurement
-// substrate, excluded from the byte-identity guarantee — see DESIGN.md §6).
+// Injector draws launch-failure decisions from the plan's seeded stream, one
+// per launch the prototype's resource manager attempts, in tick-loop order.
 // A nil Injector injects nothing.
 type Injector struct {
-	mu   chan struct{} // 1-buffered semaphore; avoids importing sync here
 	rng  *rand.Rand
 	plan Plan
 }
@@ -533,13 +542,7 @@ func NewInjector(p *Plan) *Injector {
 	if n.LaunchFailProb <= 0 {
 		return nil
 	}
-	inj := &Injector{
-		mu:   make(chan struct{}, 1),
-		rng:  rand.New(rand.NewSource(subSeed(n.Seed, 0x1a47))),
-		plan: n,
-	}
-	inj.mu <- struct{}{}
-	return inj
+	return &Injector{rng: rand.New(rand.NewSource(subSeed(n.Seed, 0x1a47))), plan: n}
 }
 
 // LaunchFails draws one container-launch failure decision. Nil-safe.
@@ -547,10 +550,7 @@ func (in *Injector) LaunchFails() bool {
 	if in == nil || in.plan.LaunchFailProb <= 0 {
 		return false
 	}
-	<-in.mu
-	fail := in.rng.Float64() < in.plan.LaunchFailProb
-	in.mu <- struct{}{}
-	return fail
+	return in.rng.Float64() < in.plan.LaunchFailProb
 }
 
 // MaxRetries exposes the normalized launch-retry bound. Nil-safe (returns

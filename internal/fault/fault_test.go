@@ -2,7 +2,7 @@ package fault
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -261,17 +261,35 @@ func TestNonFiniteFieldsRejectedByName(t *testing.T) {
 }
 
 // The engine bounds the schedule by its MaxTime, and draws every stream from
-// one reseeded generator. Both must be invisible: a stream through the shared
-// generator is the stream of a fresh source, whatever was drawn before it.
+// one re-keyed generator. Both must be invisible: a re-keyed generator draws
+// what a fresh one does, whatever was drawn before.
 func TestRenewalReseededEqualsFreshSource(t *testing.T) {
-	shared := rand.New(rand.NewSource(0))
+	var shared rand.PCG
 	for i := 0; i < 200; i++ {
-		seed := subSeed(99, i)
+		key := subSeed(99, i)
 		mtbf, mttr := 500+float64(i)*37, 20+float64(i%7)*90
-		got := renewal(shared, seed, mtbf, mttr, 50000)
-		want := renewal(rand.New(rand.NewSource(seed)), seed, mtbf, mttr, 50000)
+		got := renewal(&shared, key, mtbf, mttr, 50000)
+		want := renewal(new(rand.PCG), key, mtbf, mttr, 50000)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stream %d: reseeded generator drew %v, fresh source %v", i, got, want)
+			t.Fatalf("stream %d: re-keyed generator drew %v, fresh one %v", i, got, want)
+		}
+	}
+}
+
+// The order contract of every schedule: time, then server, then a crash
+// before a recovery — ties on each key included (a rack outage crashes its
+// members at one instant).
+func TestSortEventsOrderContract(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	evs := make([]Event, 2000)
+	for i := range evs {
+		evs[i] = Event{T: float64(rng.IntN(40)), Server: rng.IntN(6), Recover: rng.IntN(2) == 1}
+	}
+	sortEvents(evs)
+	for i := 1; i < len(evs); i++ {
+		a, b := evs[i-1], evs[i]
+		if a.T > b.T || (a.T == b.T && (a.Server > b.Server || (a.Server == b.Server && a.Recover && !b.Recover))) {
+			t.Fatalf("events %d, %d out of order: %+v before %+v", i-1, i, a, b)
 		}
 	}
 }

@@ -308,7 +308,13 @@ func (j *Job) JCT() int64 { return j.FinishTime - j.Arrival }
 // Clone returns a deep copy, used when replaying one trace under several
 // schemes.
 func (j *Job) Clone() *Job {
-	c := *j
-	c.Workers = append([]Worker(nil), j.Workers...)
-	return &c
+	c := new(Job)
+	j.CloneInto(c)
+	return c
+}
+
+// CloneInto deep-copies j over dst, for a caller that owns the storage.
+func (j *Job) CloneInto(dst *Job) {
+	*dst = *j
+	dst.Workers = append([]Worker(nil), j.Workers...)
 }

@@ -34,8 +34,12 @@ func (st *State) AuditView(ctx string, less func(a, b *job.Job) bool) invariant.
 // must be attached to exactly the shard the ownership index says.
 func (e *Engine) auditAfter(ev event) {
 	gpus, servers := 0, 0
+	id := ev.jobID
+	if ev.kind == evArrival {
+		id = e.jobs[id].ID // an arrival carries the job's index in e.jobs
+	}
 	for i, st := range e.sh.States {
-		ctx := fmt.Sprintf("sim:%v t=%g job=%d", ev.kind, e.now, ev.jobID)
+		ctx := fmt.Sprintf("sim:%v t=%g job=%d", ev.kind, e.now, id)
 		if e.sh.Tagged {
 			ctx += fmt.Sprintf(" shard=%d", i)
 		}

@@ -424,7 +424,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		refTopo:   sc.RefTopo,
 		infUtil:   make([]func(int64) float64, len(sh.States)),
 		jobs:      jobs,
-		byID:      make(map[int]*job.Job, len(jobs)),
 		jobShard:  make(map[int]int),
 		horizon:   horizon,
 		version:   make(map[int]int),
@@ -433,9 +432,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		loanFrom:  make([]int, len(sh.States)),
 	}
 	copy(e.infUtil[nT:], sc.InfUtil)
-	for _, j := range jobs {
-		e.byID[j.ID] = j
-	}
 	for n, s := range sc.Scheds {
 		m, ok := s.(MemorylessScheduler)
 		e.epochs[n].skipOK = ok && m.Memoryless()
@@ -621,9 +617,9 @@ func (e *Engine) Run() *Result {
 
 	// The initial timeline is appended to and heapified once. Every event
 	// takes its sequence number; one past maxTime is not stored, because the
-	// loop below stops before it could be processed. A fault event's jobID
-	// field carries the server ID (crash/recover) or the index into
-	// domainSched (domain markers).
+	// loop below stops before it could be processed. An arrival's jobID
+	// field carries the job's index in e.jobs; a fault event's the server ID
+	// (crash/recover) or the index into domainSched (domain markers).
 	sp := e.cfg.Prof.Start("timeline.load")
 	load := func(t float64, kind eventKind, id int) {
 		e.seq++
@@ -631,9 +627,12 @@ func (e *Engine) Run() *Result {
 			e.events = append(e.events, event{t: t, kind: kind, jobID: id, seq: e.seq})
 		}
 	}
-	for _, j := range e.jobs {
-		load(float64(j.Arrival), evArrival, j.ID)
+	for i, j := range e.jobs {
+		load(float64(j.Arrival), evArrival, i)
 	}
+	// arrive enters a job in byID, so the index holds the arrivals the
+	// window can reach — the events stored so far — not the whole trace.
+	e.byID = make(map[int]*job.Job, len(e.events))
 	load(0, evSched, 0)
 	if e.orch {
 		load(0, evOrch, 0)
@@ -707,7 +706,8 @@ func (e *Engine) Run() *Result {
 }
 
 func (e *Engine) arrive(ev event) {
-	j := e.byID[ev.jobID]
+	j := e.jobs[ev.jobID]
+	e.byID[j.ID] = j
 	target := e.arb.Route(e.sh, j)
 	e.jobShard[j.ID] = target
 	st := e.sh.States[target]

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lyra/internal/cluster"
@@ -109,6 +111,28 @@ func TestEngineMaxTimeCutsRunawayJobs(t *testing.T) {
 	if res.JCTSummary().N != 0 {
 		t.Error("incomplete jobs must not enter the JCT summary")
 	}
+}
+
+// An arrival event carries the job's position in the trace, not its ID; the
+// auditor's report must still name the job. The cluster is corrupted before
+// the run (GPUs held by no job), so the first event audited, the arrival of
+// a job whose ID is not its position, panics.
+func TestAuditContextNamesTheArrivingJobByID(t *testing.T) {
+	c := smallCluster(1, 0)
+	if err := c.Servers()[0].Allocate(999, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	j := job.New(41, 0, job.Generic, 1, 1, 1, 600)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("the audit passed a cluster holding GPUs for no job")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "sim:arrival t=0 job=41") {
+			t.Errorf("audit context does not name job 41:\n%s", msg)
+		}
+	}()
+	New(c, []*job.Job{j}, 3600, fifoSched{}, nil, Config{Audit: true}).Run()
 }
 
 func TestOnLoanUsageNaNWhenNothingLoaned(t *testing.T) {

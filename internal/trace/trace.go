@@ -356,12 +356,16 @@ func sampleCategorical(rng *rand.Rand, vals []int, probs []float64) int {
 }
 
 // Clone deep-copies the trace so that one synthesized workload can be
-// replayed under several schemes without interference.
+// replayed under several schemes without interference. The copies live in
+// one slab, so a clone of an unrun trace is three allocations at any length
+// (every run starts with one).
 func (tr *Trace) Clone() *Trace {
 	cp := &Trace{Horizon: tr.Horizon, Config: tr.Config}
 	cp.Jobs = make([]*job.Job, len(tr.Jobs))
+	slab := make([]job.Job, len(tr.Jobs))
 	for i, j := range tr.Jobs {
-		cp.Jobs[i] = j.Clone()
+		j.CloneInto(&slab[i])
+		cp.Jobs[i] = &slab[i]
 	}
 	return cp
 }

@@ -143,6 +143,40 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// A run's first act is to clone its trace, so a clone costs the trace, the
+// pointer slice and one slab of jobs, whatever the length — and a job that
+// holds workers (a trace cloned after a run) still gets its own copy of them.
+func TestCloneAllocationsDoNotGrowWithTheTrace(t *testing.T) {
+	tr := Generate(smallConfig(2))
+	for _, n := range []int{1, 100, len(tr.Jobs)} {
+		short := &Trace{Horizon: tr.Horizon, Config: tr.Config, Jobs: tr.Jobs[:n]}
+		if a := testing.AllocsPerRun(5, func() { short.Clone() }); a > 3 {
+			t.Errorf("Clone of %d unrun jobs: %.0f allocations, want at most 3", n, a)
+		}
+	}
+	tr.Jobs[1].Workers = []job.Worker{{Server: 7, GPUs: 2}}
+	cp := tr.Clone()
+	cp.Jobs[1].Workers[0].Server = 8
+	if tr.Jobs[1].Workers[0].Server != 7 {
+		t.Error("Clone shares placed workers with its source")
+	}
+}
+
+// BenchmarkClone clones the scale tier's trace (223,777 jobs, one day at
+// 354,400 training GPUs), the first thing every run of it does.
+func BenchmarkClone(b *testing.B) {
+	cfg := Default(1)
+	cfg.Days, cfg.TrainingGPUs = 1, 354400
+	tr := Generate(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTrace = tr.Clone()
+	}
+}
+
+var benchTrace *Trace
+
 func TestBootstrap(t *testing.T) {
 	tr := Generate(smallConfig(4))
 	boots := tr.Bootstrap(2, 5, 99)

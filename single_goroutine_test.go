@@ -12,10 +12,11 @@ import (
 // TestSimulatorCoreIsOneGoroutine is the executable form of the rule in
 // DESIGN.md §14: a run — simulated or on the prototype — is one goroutine.
 // Concurrency lives in runner (across runs) and the locks in obs.Registry
-// and prof that serve it; none of the packages below may start a goroutine
-// or import sync, so nothing in a run depends on a goroutine schedule, nor
-// import time, so nothing in it reads the wall clock (wall-clock profiling
-// goes through prof).
+// and prof that serve it; none of the packages below may start a goroutine,
+// import sync, or name a channel type, send or receive (a buffered channel is
+// a lock spelled differently), so nothing in a run depends on a goroutine
+// schedule, nor import time, so nothing in it reads the wall clock
+// (wall-clock profiling goes through prof).
 func TestSimulatorCoreIsOneGoroutine(t *testing.T) {
 	core := []string{
 		"sim", "sched", "alloc", "place", "knapsack", "reclaim", "orchestrator", "arbiter",
@@ -46,8 +47,21 @@ func TestSimulatorCoreIsOneGoroutine(t *testing.T) {
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					t.Errorf("%s: go statement; a run is one goroutine (DESIGN.md §14)", fset.Position(g.Pos()))
+				what := ""
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					what = "go statement"
+				case *ast.ChanType:
+					what = "channel type"
+				case *ast.SendStmt:
+					what = "channel send"
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						what = "channel receive"
+					}
+				}
+				if what != "" {
+					t.Errorf("%s: %s; a run is one goroutine (DESIGN.md §14)", fset.Position(n.Pos()), what)
 				}
 				return true
 			})
