@@ -76,8 +76,8 @@ func main() {
 	fmt.Printf("runtime  containers launched=%d killed=%d; reclaim ops=%d\n",
 		proto.ContainersLaunched, proto.ContainersKilled, res.Raw.ReclaimOps)
 	if faultPlan.Enabled() {
-		fmt.Printf("faults   crashes=%d recoveries=%d launch-failures=%d\n",
-			res.Crashes, res.Recoveries, proto.LaunchFailures)
+		fmt.Printf("faults   crashes=%d recoveries=%d lost-capacity=%.0fgpu-s launch-failures=%d\n",
+			res.Crashes, res.Recoveries, res.LostCapacityGPUSec, proto.LaunchFailures)
 	}
 	fmt.Printf("whitelists at exit: lyra=%d servers, inference=%d servers\n", proto.LyraServers, proto.InferenceServers)
 	if err := g.FinishProf(os.Stdout); err != nil {

@@ -69,11 +69,11 @@ func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
 			}
 		}
 	}
-	if sh.Tagged && sh.Rec.Enabled() {
-		sh.Rec.Emit(obs.JobEv(sh.States[best].Now, obs.KindArbRoute, j.ID).WithCause("route").WithF(obs.Fields{
+	if rec := sh.States[best].Obs; sh.Tagged && rec.Enabled() {
+		rec.Emit(obs.JobEv(sh.States[best].Now, obs.KindArbRoute, j.ID).WithCause("route").WithF(obs.Fields{
 			"shard": best,
 		}))
-		sh.Rec.Add("arb.routes", 1)
+		rec.Add("arb.routes", 1)
 	}
 	return best
 }

@@ -114,7 +114,7 @@ func (g *Group) EventsFlag(what string) {
 // FaultFlags registers -faults and -fault-seed with the shared syntax docs.
 func (g *Group) FaultFlags(example string) {
 	g.fs.StringVar(&g.Faults, "faults", "",
-		fmt.Sprintf("fault-injection plan, e.g. %q (keys: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, seed; the testbed rejects rackout/zoneout)", example))
+		fmt.Sprintf("fault-injection plan, e.g. %q (keys: mtbf, mttr, rackout, rackmttr, zoneout, zonemttr, straggler, slow, launchfail, retries, seed)", example))
 	g.fs.Int64Var(&g.FaultSeed, "fault-seed", 0, "seed for the fault-injection streams (0 = use -seed)")
 }
 
@@ -235,27 +235,11 @@ func SplitList(csv string) []string {
 }
 
 // Plan resolves -faults / -fault-seed into a normalized, validated fault
-// plan with the standard seed fallback chain: the plan's own seed, then
-// -fault-seed, then -seed. The zero value means no -faults flag was given.
+// plan under lyra.ResolveFaultPlan's seed fallback chain: the plan's own
+// seed, then -fault-seed, then -seed. The zero value means no -faults flag
+// was given.
 func (g *Group) Plan() (lyra.FaultPlan, error) {
-	if g.Faults == "" {
-		return lyra.FaultPlan{}, nil
-	}
-	p, err := lyra.ParseFaultPlan(g.Faults)
-	if err != nil {
-		return lyra.FaultPlan{}, err
-	}
-	if p.Seed == 0 {
-		p.Seed = g.FaultSeed
-	}
-	if p.Seed == 0 {
-		p.Seed = g.Seed
-	}
-	p = p.Normalize()
-	if err := p.Validate(); err != nil {
-		return lyra.FaultPlan{}, err
-	}
-	return p, nil
+	return lyra.ResolveFaultPlan(g.Faults, g.FaultSeed, g.Seed)
 }
 
 // Fatal renders err the standard way — invariant violations as the

@@ -132,10 +132,17 @@ const (
 // whole server (§3), so a server is always wholly in one pool.
 type Server struct {
 	ID      int
-	GPU     GPUType
 	NumGPUs int
+	GPU     GPUType
 	Pool    Pool
-	free    int
+	// ReturnTo and DownSince are the quarantine record, written by the crash
+	// that moved the server into PoolQuarantine (sim.State.CrashServer): the
+	// pool recovery returns it to, and when it went down. The record lives
+	// on the server, so it travels with it through Detach/Adopt; the three
+	// one-byte fields share a word, so it leaves a Server at 72 bytes.
+	ReturnTo  Pool
+	DownSince float64
+	free      int
 	// flexTotal caches the sum of the flexible map so TotalFlexible is O(1).
 	flexTotal int
 	// alloc and flexible stay nil until the first Allocate writes them: a

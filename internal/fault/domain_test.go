@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,10 +123,11 @@ func TestStringRendersServerMTTRDefault(t *testing.T) {
 	}
 }
 
-// TestFullScheduleLegacyIdentity: without domain keys, FullSchedule must
-// return byte-for-byte the legacy per-server Schedule — pre-existing fault
-// plans keep their exact timelines (and stream determinism) across the
-// topology change.
+// TestFullScheduleLegacyIdentity: without domain keys, FullSchedule is the
+// per-server timeline alone — each server's own renewal stream, one
+// crash/recovery pair per downtime, nothing merged, no markers — so plans
+// without outages keep their exact timelines whatever racks and zones the
+// topology has.
 func TestFullScheduleLegacyIdentity(t *testing.T) {
 	topo := fakeTopo{servers: 16,
 		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}},
@@ -136,8 +138,16 @@ func TestFullScheduleLegacyIdentity(t *testing.T) {
 	if devs != nil {
 		t.Fatalf("no-domain plan produced %d domain events", len(devs))
 	}
-	if legacy := Schedule(p, topo.NumServers(), horizon); !reflect.DeepEqual(evs, legacy) {
-		t.Fatal("FullSchedule without domain keys diverges from legacy Schedule")
+	var legacy []Event
+	var pcg randv2.PCG
+	for sid := 0; sid < topo.servers; sid++ {
+		for _, iv := range renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
+			legacy = append(legacy, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
+		}
+	}
+	sortEvents(legacy)
+	if len(legacy) == 0 || !reflect.DeepEqual(evs, legacy) {
+		t.Fatal("FullSchedule without domain keys diverges from the per-server renewal streams")
 	}
 }
 

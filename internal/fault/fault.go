@@ -11,8 +11,8 @@
 //
 //   - Determinism: the crash/recovery schedule is pre-generated, each
 //     server's, rack's and zone's stream drawn from a generator keyed on
-//     (plan seed, stream ID) alone (Schedule), and straggler assignment is a
-//     pure hash of (seed, job ID) — neither depends on execution order, so
+//     (plan seed, stream ID) alone (FullSchedule), and straggler assignment
+//     is a pure hash of (seed, job ID) — neither depends on execution order, so
 //     a faulted simulation stays byte-identical across runs, processes and
 //     runner pool widths, exactly like an un-faulted one.
 //   - Memoizability: the Plan is part of lyra.Config, so internal/runner's
@@ -285,37 +285,6 @@ type Event struct {
 	Recover bool
 }
 
-// Schedule pre-generates the full crash/recovery timeline for servers
-// [0, numServers) over the horizon. Each server draws an independent
-// alternating renewal process (exponential up-times with mean ServerMTBF,
-// exponential down-times with mean ServerMTTR, floored at one second so a
-// crash and its recovery never coincide) from a stream keyed on the plan
-// seed and the server ID. Generating the whole timeline up front —
-// rather than drawing lazily during execution — is what makes the schedule
-// independent of event-processing order: the same plan yields the same
-// timeline regardless of substrate, pool width or interleaving.
-//
-// Crash/recovery pairs never overlap per server by construction, and every
-// crash scheduled before the horizon carries its recovery even when that
-// recovery lands past the horizon (a crashed server must always come back,
-// or drain-phase jobs could starve). Events are returned sorted by time,
-// then server, with a crash ordered before a recovery at equal times.
-func Schedule(p Plan, numServers int, horizon int64) []Event {
-	p = p.Normalize()
-	if p.ServerMTBF <= 0 || numServers <= 0 || horizon <= 0 {
-		return nil
-	}
-	var out []Event
-	var pcg randv2.PCG
-	for sid := 0; sid < numServers; sid++ {
-		for _, iv := range renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
-			out = append(out, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
-		}
-	}
-	sortEvents(out)
-	return out
-}
-
 // streamKeyLo is the fixed low word of every stream's PCG key; the high word,
 // subSeed(salted plan seed, stream ID), carries the entropy, mixed by
 // splitmix64 so adjacent IDs start far apart.
@@ -325,7 +294,7 @@ const streamKeyLo = 0x6c7972616661756c // "lyrafaul"
 // mean mtbf, exponential down-times with mean mttr floored at one second —
 // and returns its downtime intervals [start, end) with start < horizon. The
 // draw order (one up-time, then alternating down-time/up-time) is the
-// schedule contract: Schedule's per-server streams are defined by it, and a
+// schedule contract: FullSchedule's streams are defined by it, and a
 // shorter horizon yields a prefix of the same stream. pcg is the one
 // generator of the caller's whole schedule, re-keyed here for this stream:
 // two words are its whole state, so the draws are a fresh generator's.
@@ -395,24 +364,30 @@ const (
 
 // FullSchedule pre-generates the complete fault timeline for a plan over a
 // topology: independent per-server crashes plus correlated rack and zone
-// outages. Every domain outage crashes its member servers atomically (one
-// crash event per server at the outage instant) and holds them down until
-// the outage ends; overlapping downtime from any source — an individual
-// crash inside a rack outage, a rack outage inside a zone outage — is
-// merged per server into a single crash/recovery pair, so a server never
-// crashes while already down and always recovers exactly once per downtime.
+// outages. Each server, rack and zone draws an alternating renewal process
+// (exponential up-times with mean MTBF, exponential down-times with mean
+// MTTR floored at one second, so a crash and its recovery never coincide)
+// from a stream keyed on the plan seed and the stream's ID. Generating the
+// whole timeline up front — rather than drawing lazily during execution —
+// makes it independent of event-processing order: the same plan yields the
+// same timeline on either substrate, at any pool width or interleaving.
 //
-// The returned server events follow Schedule's contract (sorted by time,
-// then server, crash before recovery); the domain events are sorted by
-// time, racks before zones, crash before recovery, and exist purely so the
-// engine can emit fault.domain markers. When the plan has no domain
-// outages the result is exactly Schedule's — byte-identical timelines for
-// every pre-existing plan.
+// Every domain outage crashes its member servers atomically (one crash
+// event per server at the outage instant) and holds them down until the
+// outage ends; overlapping downtime from any source — an individual crash
+// inside a rack outage, a rack outage inside a zone outage — is merged per
+// server into a single crash/recovery pair, so a server never crashes while
+// already down and always recovers exactly once per downtime. Every crash
+// before the horizon carries its recovery even when that lands past the
+// horizon (a crashed server must always come back, or drain-phase jobs
+// could starve).
+//
+// The server events are sorted by time, then server, crash before recovery
+// at equal times; the domain events are sorted by time, racks before zones,
+// crash before recovery, and exist purely so the substrates can emit
+// fault.domain markers.
 func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent) {
 	p = p.Normalize()
-	if p.RackOutMTBF <= 0 && p.ZoneOutMTBF <= 0 {
-		return Schedule(p, topo.NumServers(), horizon), nil
-	}
 	numServers := topo.NumServers()
 	if numServers <= 0 || horizon <= 0 {
 		return nil, nil

@@ -108,8 +108,9 @@ func TestParsePlanRoundTrip(t *testing.T) {
 func TestScheduleDeterministicAndWellFormed(t *testing.T) {
 	p := Plan{Seed: 3, ServerMTBF: 7200, ServerMTTR: 600}
 	const servers, horizon = 16, 6 * 86400
-	a := Schedule(p, servers, horizon)
-	b := Schedule(p, servers, horizon)
+	topo := fakeTopo{servers: servers}
+	a, _ := FullSchedule(p, topo, horizon)
+	b, _ := FullSchedule(p, topo, horizon)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same plan produced different schedules")
 	}
@@ -146,14 +147,14 @@ func TestScheduleDeterministicAndWellFormed(t *testing.T) {
 		}
 	}
 	// Different seeds must diverge.
-	if c := Schedule(Plan{Seed: 4, ServerMTBF: 7200, ServerMTTR: 600}, servers, horizon); reflect.DeepEqual(a, c) {
+	if c, _ := FullSchedule(Plan{Seed: 4, ServerMTBF: 7200, ServerMTTR: 600}, topo, horizon); reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical schedules")
 	}
 	// Disabled / degenerate inputs.
-	if s := Schedule(Plan{}, servers, horizon); s != nil {
+	if s, _ := FullSchedule(Plan{}, topo, horizon); s != nil {
 		t.Errorf("no-crash plan produced %d events", len(s))
 	}
-	if s := Schedule(p, 0, horizon); s != nil {
+	if s, _ := FullSchedule(p, fakeTopo{}, horizon); s != nil {
 		t.Errorf("zero servers produced %d events", len(s))
 	}
 }

@@ -187,7 +187,10 @@ func TestCrashCountAtScaleDimensions(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
 		p := scalePlan
 		p.Seed = seed
-		check("servers", len(Schedule(p, topo.servers, scaleHorizon))/2, topo.servers, p.ServerMTBF, p.ServerMTTR)
+		serverOnly := p
+		serverOnly.RackOutMTBF = 0
+		crashes, _ := FullSchedule(serverOnly, topo, scaleHorizon)
+		check("servers", len(crashes)/2, topo.servers, p.ServerMTBF, p.ServerMTTR)
 		_, domains := FullSchedule(p, topo, scaleHorizon)
 		check("racks", len(domains)/2, len(topo.racks), p.RackOutMTBF, p.RackMTTR)
 	}

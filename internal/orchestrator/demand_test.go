@@ -102,7 +102,7 @@ func TestLoanDemandHonoursServerSize(t *testing.T) {
 		o.EmergencyReclaim = true
 		j := job.New(1, 0, job.Generic, perServer/2, 4, 4, 1000)
 		st.Running[j.ID] = j
-		if _, ok := st.CrashServer(0, lessByID); !ok {
+		if !st.CrashServer(0, lessByID) {
 			t.Fatal("crash of server 0 did not apply")
 		}
 		o.Epoch(st)

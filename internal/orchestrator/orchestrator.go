@@ -78,11 +78,6 @@ func loanServers(st *sim.State, gpus int) int {
 type Orchestrator struct {
 	Inf LoanTargeter
 	Loans
-	// Audit, when set, re-runs the invariant suite (internal/invariant)
-	// after every epoch, panicking on a violation — the same net the
-	// simulator's engine casts, available to substrates (unit tests, the
-	// testbed) that drive Epoch directly.
-	Audit *invariant.Auditor
 }
 
 // New returns an orchestrator. The targeter is usually the reactive
@@ -108,12 +103,6 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 	o.Decide(Borrower{St: st, Shard: -1}, o.Inf.TargetOnLoan(int64(st.Now)), []*sim.State{st},
 		func(sid int) { move(sid, cluster.PoolOnLoan) },
 		func(sid int) { move(sid, cluster.PoolInference) })
-	if o.Audit != nil {
-		ctx := fmt.Sprintf("orchestrator:epoch t=%g", st.Now)
-		if err := o.Audit.Audit(st.AuditView(ctx, o.Less)); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // Decide is the per-borrower loan decision. capSrv is a *cap* on loaning,

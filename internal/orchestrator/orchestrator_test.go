@@ -306,7 +306,7 @@ func TestEmergencyReclaimRaisesLoanTarget(t *testing.T) {
 		j.Fungible = true
 		st.Running[j.ID] = j
 		// One training server crashes: healthy capacity 8 < gang floor 16.
-		if _, ok := st.CrashServer(0, lessByID); !ok {
+		if !st.CrashServer(0, lessByID) {
 			t.Fatal("crash of server 0 did not apply")
 		}
 		return st, o

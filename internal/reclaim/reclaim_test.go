@@ -174,54 +174,60 @@ func TestOptimalRefusesLargeInput(t *testing.T) {
 	}
 }
 
-// TestPropertyLyraNearOptimal checks on random instances that Lyra's
-// preemption count stays within 1 of the exhaustive optimum per instance,
-// and that in aggregate Lyra preempts no more than SCF and Random — the
-// statistical dominance Figure 10 reports.
+// randomInstance is one random reclaiming instance: 4-9 on-loan servers
+// hosting 2-9 jobs of 2-GPU workers spread over up to three servers each,
+// and a demand of 1 to all of the servers.
+func randomInstance(t *testing.T, seed int64) ([]*cluster.Server, func(int) *job.Job, int) {
+	rng := rand.New(rand.NewSource(seed))
+	nServers := rng.Intn(6) + 4
+	servers := make([]*cluster.Server, nServers)
+	for i := range servers {
+		servers[i] = cluster.NewServer(i, cluster.T4, 8, cluster.PoolOnLoan)
+	}
+	jobs := make(map[int]*job.Job)
+	nJobs := rng.Intn(8) + 2
+	for id := 0; id < nJobs; id++ {
+		j := job.New(id, 0, job.Generic, 1, 1, 1, 100)
+		j.State = job.Running
+		spread := rng.Intn(3) + 1
+		for s := 0; s < spread; s++ {
+			sid := rng.Intn(nServers)
+			if servers[sid].Free() < 2 {
+				continue
+			}
+			if err := servers[sid].Allocate(id, 2, false); err != nil {
+				t.Fatal(err)
+			}
+			j.Workers = append(j.Workers, job.Worker{Server: sid, GPU: cluster.T4, GPUs: 2})
+		}
+		if len(j.Workers) > 0 {
+			jobs[id] = j
+		}
+	}
+	return servers, lookupOf(jobs), rng.Intn(nServers) + 1
+}
+
+// TestPropertyLyraNearOptimal checks on random instances what holds of every
+// instance — both plans free exactly the servers asked for, and the
+// exhaustive optimum, which minimizes preemptions, never preempts more than
+// Lyra — and that in aggregate Lyra preempts no more than SCF and Random:
+// the statistical dominance Figure 10 reports. How far Lyra may trail the
+// optimum on one instance is an observation, not a bound (see
+// TestLyraTrailsOptimalOnKnownInstance).
 func TestPropertyLyraNearOptimal(t *testing.T) {
 	totalLyra, totalSCF, totalRandom, totalOpt := 0, 0, 0, 0
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nServers := rng.Intn(6) + 4
-		servers := make([]*cluster.Server, nServers)
-		for i := range servers {
-			servers[i] = cluster.NewServer(i, cluster.T4, 8, cluster.PoolOnLoan)
-		}
-		jobs := make(map[int]*job.Job)
-		nJobs := rng.Intn(8) + 2
-		for id := 0; id < nJobs; id++ {
-			j := job.New(id, 0, job.Generic, 1, 1, 1, 100)
-			j.State = job.Running
-			spread := rng.Intn(3) + 1
-			for s := 0; s < spread; s++ {
-				sid := rng.Intn(nServers)
-				if servers[sid].Free() < 2 {
-					continue
-				}
-				if err := servers[sid].Allocate(id, 2, false); err != nil {
-					return false
-				}
-				j.Workers = append(j.Workers, job.Worker{Server: sid, GPU: cluster.T4, GPUs: 2})
-			}
-			if len(j.Workers) > 0 {
-				jobs[id] = j
-			} else {
-				for _, s := range servers {
-					s.ReleaseJob(id)
-				}
-			}
-		}
-		n := rng.Intn(nServers) + 1
-		lookup := lookupOf(jobs)
+		servers, lookup, n := randomInstance(t, seed)
 		lp := Lyra{}.Plan(servers, lookup, n)
 		op := Optimal{}.Plan(servers, lookup, n)
 		sp := SCF{}.Plan(servers, lookup, n)
 		rp := Random{Rng: rand.New(rand.NewSource(seed + 1))}.Plan(servers, lookup, n)
 		if len(lp.Servers) != n || len(op.Servers) != n {
+			t.Logf("seed %d: %d servers wanted, lyra freed %d, optimal %d", seed, n, len(lp.Servers), len(op.Servers))
 			return false
 		}
-		if len(lp.PreemptJobs) > len(op.PreemptJobs)+1 {
-			t.Logf("seed %d: lyra %d preemptions, optimal %d", seed, len(lp.PreemptJobs), len(op.PreemptJobs))
+		if len(op.PreemptJobs) > len(lp.PreemptJobs) {
+			t.Logf("seed %d: optimal %d preemptions, lyra %d", seed, len(op.PreemptJobs), len(lp.PreemptJobs))
 			return false
 		}
 		totalLyra += len(lp.PreemptJobs)
@@ -239,8 +245,20 @@ func TestPropertyLyraNearOptimal(t *testing.T) {
 	if totalLyra > totalRandom {
 		t.Errorf("aggregate preemptions: lyra %d > random %d", totalLyra, totalRandom)
 	}
-	if totalLyra < totalOpt {
-		t.Errorf("aggregate preemptions: lyra %d beat the optimum %d — optimal solver is broken", totalLyra, totalOpt)
-	}
 	t.Logf("aggregate preemptions: optimal=%d lyra=%d scf=%d random=%d", totalOpt, totalLyra, totalSCF, totalRandom)
+}
+
+// TestLyraTrailsOptimalOnKnownInstance pins an instance on which Lyra's
+// heuristic preempts two jobs more than the exhaustive optimum: the gap the
+// property test used to bound at one is not a guarantee the heuristic makes.
+func TestLyraTrailsOptimalOnKnownInstance(t *testing.T) {
+	servers, lookup, n := randomInstance(t, 5485640263294657516)
+	lp := Lyra{}.Plan(servers, lookup, n)
+	op := Optimal{}.Plan(servers, lookup, n)
+	if len(lp.Servers) != n || len(op.Servers) != n {
+		t.Fatalf("%d servers wanted, lyra freed %d, optimal %d", n, len(lp.Servers), len(op.Servers))
+	}
+	if got, opt := len(lp.PreemptJobs), len(op.PreemptJobs); got != 6 || opt != 4 {
+		t.Errorf("lyra preempts %d jobs and the optimum %d, want the measured 6 and 4", got, opt)
+	}
 }

@@ -305,12 +305,6 @@ type Engine struct {
 	completed int
 	ranOnLoan map[int]bool
 	audit     *invariant.Auditor
-	// recoverTo holds one record per quarantined server: the shard holding
-	// it, the pool it returns to on recovery, and when it went down.
-	// Crashed training servers return to training; a server that died on
-	// loan goes back to its home shard's inference pool (the crash ended
-	// the loan, and the quarantined husk was transferred home).
-	recoverTo map[int]recoverDest
 	// lostGPUSec accumulates GPU-seconds of quarantined capacity: each
 	// recovery adds downtime × the server's GPUs, in event order, so the
 	// float sum does not depend on how the cluster is cut (result adds the
@@ -355,14 +349,6 @@ type Engine struct {
 	// loanFrom is sample's per-state scratch: GPUs each state currently has
 	// out on loan.
 	loanFrom []int
-}
-
-// recoverDest is where a quarantined server goes when it recovers, and
-// since when it has been down.
-type recoverDest struct {
-	shard int
-	pool  cluster.Pool
-	since float64
 }
 
 // shardEpoch is one training shard's scheduler-epoch state.
@@ -444,7 +430,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		}
 	}
 	if cfg.Faults.Enabled() {
-		e.recoverTo = make(map[int]recoverDest)
 		if cfg.Faults.StragglerFrac > 0 {
 			for _, j := range jobs {
 				j.SlowFactor = cfg.Faults.SlowFactorFor(j.ID)
@@ -461,7 +446,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 			st.backoffCap = cfg.BackoffCap
 			st.crashCount = make(map[int]int)
 			st.held = make(map[int]*job.Job)
-			st.heldUntil = make(map[int]float64)
 		}
 	}
 	e.trainUsage = metrics.NewTimeSeries(0, metricsInterval)
@@ -572,7 +556,7 @@ func (e *Engine) holdRecovery(ev event) bool {
 	hold := e.cfg.HystHold * float64(uint64(1)<<extra)
 	e.recoverSeq[sid]++
 	e.push(e.now+hold, evRecover, sid, e.recoverSeq[sid])
-	if rec := e.sh.Rec; rec.Enabled() {
+	if rec := e.cfg.Obs; rec.Enabled() {
 		rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
 			"server": sid, "recent": recent, "hold": hold, "until": e.now + hold,
 		}))
@@ -664,7 +648,7 @@ func (e *Engine) Run() *Result {
 		case evFinish:
 			e.finishEvent(ev)
 		case evDomain:
-			e.domainEvent(ev)
+			AnnounceDomain(e.cfg.Obs, e.now, e.refTopo, e.domainSched[ev.jobID])
 		case evCrash:
 			e.crashEvent(ev)
 		case evRecover:
@@ -690,7 +674,7 @@ func (e *Engine) Run() *Result {
 			// phase after the last arrival would otherwise dilute the
 			// means the paper reports over the measurement period.
 			e.sample()
-			e.sh.Rec.EmitCounters(e.now)
+			e.cfg.Obs.EmitCounters(e.now)
 			if next := e.now + metricsInterval; next < float64(e.horizon) && next < maxTime {
 				e.push(next, evMetrics, 0, 0)
 			}
@@ -715,7 +699,7 @@ func (e *Engine) arrive(ev event) {
 	if hour < len(e.hourlyArrived) {
 		e.hourlyArrived[hour]++
 	}
-	if rec := e.sh.Rec; rec.Enabled() {
+	if rec := e.cfg.Obs; rec.Enabled() {
 		rec.Emit(obs.JobEv(e.now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
 			"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
 			"gpus_per_worker": j.GPUsPerWorker, "work": j.Work,
@@ -748,42 +732,39 @@ func (e *Engine) finishEvent(ev event) {
 	delete(e.jobShard, j.ID)
 }
 
-// domainEvent is a pure announcement: the member-server crashes/recoveries
-// of a correlated outage are already in the schedule as ordinary
-// crash/recover events (merged per server), so the marker only records
-// that they share one cause.
-func (e *Engine) domainEvent(ev event) {
-	if rec := e.sh.Rec; rec.Enabled() {
-		d := e.domainSched[ev.jobID]
-		name, servers := "rack", e.refTopo.RackServers(d.Domain)
-		if d.Zone {
-			name, servers = "zone", e.refTopo.ZoneServers(d.Domain)
-		}
-		cause := name + "-down"
-		if d.Recover {
-			cause = name + "-up"
-		}
-		rec.Emit(obs.Ev(e.now, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
-			"domain": d.Domain, "servers": len(servers),
-		}))
-		rec.Add("fault.domain_events", 1)
+// AnnounceDomain records the fault.domain marker of a correlated outage at
+// t, on either substrate. It is a pure announcement: the member servers'
+// crashes and recoveries are ordinary timeline events (fault.FullSchedule
+// merges them per server), so the marker only records that they share one
+// cause. topo is the unsharded cluster the timeline was drawn over.
+func AnnounceDomain(rec *obs.Recorder, t float64, topo fault.Topology, d fault.DomainEvent) {
+	if !rec.Enabled() {
+		return
 	}
+	name, servers := "rack", topo.RackServers(d.Domain)
+	if d.Zone {
+		name, servers = "zone", topo.ZoneServers(d.Domain)
+	}
+	cause := name + "-down"
+	if d.Recover {
+		cause = name + "-up"
+	}
+	rec.Emit(obs.Ev(t, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
+		"domain": d.Domain, "servers": len(servers),
+	}))
+	rec.Add("fault.domain_events", 1)
 }
 
 func (e *Engine) crashEvent(ev event) {
 	sid := ev.jobID
 	owner := e.sh.Owner(sid)
 	st := e.sh.States[owner]
-	if origin, ok := st.CrashServer(sid, e.sh.Less); ok {
-		to := recoverDest{shard: owner, pool: origin, since: e.now}
-		if origin == cluster.PoolOnLoan {
-			// The crash ended the loan: the server will recover into its
-			// home shard's inference pool, and a quarantined husk that
-			// crossed shards to be loaned transfers home now.
-			to.shard, to.pool = e.sh.Home(sid), cluster.PoolInference
-			e.sh.Transfer(sid, to.shard, cluster.PoolQuarantine)
+	if st.CrashServer(sid, e.sh.Less) {
+		// A server away from home is on loan, and the crash ended the loan:
+		// its quarantined husk transfers home, where it will recover.
+		if home := e.sh.Home(sid); home != owner {
+			e.sh.Transfer(sid, home, cluster.PoolQuarantine)
 		}
-		e.recoverTo[sid] = to
 		if e.cfg.HystCrashes > 0 {
 			e.noteCrash(sid)
 		}
@@ -799,18 +780,18 @@ func (e *Engine) crashEvent(ev event) {
 	e.drain()
 }
 
+// recoverEvent recovers a quarantined server on the state that holds it,
+// which is its home: the crash already sent an on-loan casualty there.
 func (e *Engine) recoverEvent(ev event) {
 	sid := ev.jobID
-	if to, ok := e.recoverTo[sid]; ok {
-		if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
-			return
-		}
-		st := e.sh.States[to.shard]
-		if st.RecoverServer(sid, to.pool) {
-			e.lostGPUSec += (e.now - to.since) * float64(st.Cluster.Server(sid).NumGPUs)
-		}
-		delete(e.recoverTo, sid)
+	st := e.sh.States[e.sh.Owner(sid)]
+	if st.Cluster.Server(sid).Pool != cluster.PoolQuarantine {
+		return // already back in service: a superseded hold-down retry
 	}
+	if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
+		return
+	}
+	e.lostGPUSec += st.RecoverServer(sid)
 }
 
 // schedEvent is the shard-scheduling phase: every training shard whose
@@ -820,7 +801,7 @@ func (e *Engine) recoverEvent(ev event) {
 // order.
 func (e *Engine) schedEvent() {
 	train := e.sh.Train()
-	rec := e.sh.Rec
+	rec := e.cfg.Obs
 	for n, st := range train {
 		ep := &e.epochs[n]
 		if rec.Enabled() {

@@ -27,9 +27,12 @@ func TestCrashServerQuarantinesPreemptsAndRecovers(t *testing.T) {
 	st.Start(j, ws)
 	sid := j.Workers[0].Server
 
-	origin, crashed := st.CrashServer(sid, less)
-	if !crashed || origin != cluster.PoolTraining {
-		t.Fatalf("CrashServer = (%v, %v), want (training, true)", origin, crashed)
+	st.Now = 100
+	if !st.CrashServer(sid, less) {
+		t.Fatal("CrashServer of a running server was a no-op")
+	}
+	if s := c.Server(sid); s.ReturnTo != cluster.PoolTraining || s.DownSince != 100 {
+		t.Errorf("quarantine record: return to %v, down since %v; want training, 100", s.ReturnTo, s.DownSince)
 	}
 	if j.State != job.Pending || j.OverheadLeft != 63 {
 		t.Errorf("crashed job: state=%v overhead=%v, want pending with restart overhead", j.State, j.OverheadLeft)
@@ -47,17 +50,18 @@ func TestCrashServerQuarantinesPreemptsAndRecovers(t *testing.T) {
 	}
 	// A second crash of a down server is a no-op (the schedule may carry
 	// crash events for servers that are already quarantined).
-	if _, again := st.CrashServer(sid, less); again {
+	if st.CrashServer(sid, less) {
 		t.Error("crashing a quarantined server should be a no-op")
 	}
 
-	if !st.RecoverServer(sid, cluster.PoolTraining) {
-		t.Fatal("RecoverServer refused a quarantined server")
+	st.Now = 400
+	if lost := st.RecoverServer(sid); lost != 300*8 {
+		t.Fatalf("RecoverServer returned %v GPU-seconds, want 300 s x 8 GPUs", lost)
 	}
 	if got := c.Server(sid).Pool; got != cluster.PoolTraining {
 		t.Errorf("recovered server in pool %v, want training", got)
 	}
-	if st.RecoverServer(sid, cluster.PoolTraining) {
+	if lost := st.RecoverServer(sid); lost != 0 || st.Recoveries != 1 {
 		t.Error("recovering a healthy server should be a no-op")
 	}
 	if _, ok := place.Gang(c, j, j.MinWorkers, place.PreferTraining(true)); !ok {
@@ -94,7 +98,7 @@ func TestCrashServerScalesInFlexibleOnlyWorkers(t *testing.T) {
 		t.Fatalf("flexible worker landed on the base server %d; the test needs them apart", base)
 	}
 
-	if _, ok := st.CrashServer(flexSrv, less); !ok {
+	if !st.CrashServer(flexSrv, less) {
 		t.Fatal("crash was a no-op")
 	}
 	if j.State != job.Running {
@@ -105,6 +109,54 @@ func TestCrashServerScalesInFlexibleOnlyWorkers(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOnLoanCrashRecoversHome: in a 1+1 topology a server that crashes on
+// loan to the training shard transfers home still quarantined, its record —
+// back to inference, down since the crash — crossing the shards with it
+// through Shards.Transfer, and recovers into its home inference pool with
+// its downtime counted once.
+func TestOnLoanCrashRecoversHome(t *testing.T) {
+	shard := func(training, inf, firstID, id int) *cluster.Cluster {
+		return cluster.New(cluster.Config{TrainingServers: training, InferenceServers: inf, FirstID: firstID, Shard: id})
+	}
+	e := NewSharded(ShardedConfig{
+		Train:   []*cluster.Cluster{shard(1, 0, 0, 0)},
+		Inf:     []*cluster.Cluster{shard(0, 1, 1, 1)},
+		Scheds:  []Scheduler{fifoSched{}},
+		Arbiter: modRoute{},
+		RefTopo: smallCluster(1, 1),
+	}, nil, 3600, Config{Audit: true})
+	const sid, down = 1, 600.0
+	train, inf := e.sh.States[0], e.sh.States[1]
+	e.sh.Transfer(sid, 0, cluster.PoolOnLoan)
+
+	crash := event{t: 100, kind: evCrash, jobID: sid}
+	e.setNow(crash.t)
+	e.crashEvent(crash)
+	e.auditAfter(crash)
+	s := inf.Cluster.Server(sid)
+	if e.sh.Owner(sid) != 1 || train.Cluster.Server(sid) != nil || s == nil {
+		t.Fatalf("crashed on-loan server owned by shard %d, want its home inference shard 1", e.sh.Owner(sid))
+	}
+	if s.Pool != cluster.PoolQuarantine || s.ReturnTo != cluster.PoolInference || s.DownSince != crash.t {
+		t.Errorf("at home: pool %v, return to %v, down since %v; want quarantine, inference, %v",
+			s.Pool, s.ReturnTo, s.DownSince, crash.t)
+	}
+
+	up := event{t: crash.t + down, kind: evRecover, jobID: sid}
+	e.setNow(up.t)
+	if lost := LostCapacity(0, e.sh.States...); lost != down*8 {
+		t.Errorf("residual before recovery = %v GPU-seconds, want %v", lost, down*8)
+	}
+	e.recoverEvent(up)
+	e.auditAfter(up)
+	if s.Pool != cluster.PoolInference || inf.Cluster.PoolSize(cluster.PoolInference) != 1 {
+		t.Errorf("recovered server in pool %v of shard %d, want its home inference pool", s.Pool, e.sh.Owner(sid))
+	}
+	if lost := LostCapacity(e.lostGPUSec, e.sh.States...); e.lostGPUSec != down*8 || lost != down*8 {
+		t.Errorf("lost capacity: %v recovered, %v in total; want %v once", e.lostGPUSec, lost, down*8)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 
 	"lyra/internal/job"
 	"lyra/internal/metrics"
@@ -90,10 +89,10 @@ type PrototypeStats struct {
 // Summarize is the one place a run's job list and state counters become the
 // dynamics a Result reports, for both substrates: the engine passes every
 // shard's state, the prototype's tick loop (internal/testbed) its one.
-// Everything else in a Result — the on-loan job set, the usage series,
-// lost capacity, the hourly queued ratio, skipped epochs — only the engine
-// samples, and the Prototype block only the prototype; Summarize leaves
-// them zero.
+// Lost capacity is LostCapacity, which both also call. Everything else in a
+// Result — the on-loan job set, the usage series, the hourly queued ratio,
+// skipped epochs — only the engine samples, and the Prototype block only
+// the prototype; Summarize leaves them zero.
 func Summarize(jobs []*job.Job, states ...*State) *Result {
 	r := &Result{Jobs: jobs}
 	for _, j := range jobs {
@@ -137,22 +136,10 @@ func (e *Engine) result() *Result {
 	r := Summarize(e.jobs, e.sh.States...)
 	r.RanOnLoan = e.ranOnLoan
 	r.SkippedSchedEpochs = e.skippedEpochs
-	r.LostCapacityGPUSec = e.lostGPUSec
+	r.LostCapacityGPUSec = LostCapacity(e.lostGPUSec, e.sh.States...)
 	r.TrainUsage = e.trainUsage
 	r.OverallUsage = e.overallUsage
 	r.OnLoanUsage = e.onLoanUsage
-	// Residual for servers still quarantined at the end of the run,
-	// accumulated in server-ID order so the float sum is deterministic.
-	down := make([]int, 0, len(e.recoverTo))
-	for sid := range e.recoverTo {
-		down = append(down, sid)
-	}
-	sort.Ints(down)
-	for _, sid := range down {
-		q := e.recoverTo[sid]
-		gpus := e.sh.States[q.shard].Cluster.Server(sid).NumGPUs
-		r.LostCapacityGPUSec += (e.now - q.since) * float64(gpus)
-	}
 	r.HourlyQueuedRatio = make([]float64, len(e.hourlyArrived))
 	for h, n := range e.hourlyArrived {
 		if n > 0 {

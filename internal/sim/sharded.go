@@ -6,7 +6,6 @@ import (
 	"lyra/internal/cluster"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
-	"lyra/internal/obs"
 )
 
 // Shards is the topology an Engine runs over: every shard is a full *State
@@ -35,9 +34,6 @@ type Shards struct {
 	// with one training shard and at most one inference shard are untagged,
 	// so their event streams are byte-identical to one another.
 	Tagged bool
-	// Rec is the global event recorder shared by all shards (nil when obs
-	// is off).
-	Rec *obs.Recorder
 
 	// Both indexes stay empty for the one-state topology: a missing entry
 	// reads as shard 0, which is every server's home and owner there.
@@ -138,7 +134,6 @@ func NewShards(sc ShardedConfig, cfg Config) *Shards {
 		Scheds:   sc.Scheds,
 		NumTrain: nT,
 		Tagged:   nT > 1 || nI > 1,
-		Rec:      cfg.Obs,
 	}
 	if nT > 0 {
 		sh.Less = sc.Scheds[0].Less

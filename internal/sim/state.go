@@ -121,7 +121,6 @@ type State struct {
 	backoffCap  float64
 	crashCount  map[int]int      // job ID -> crash-preemptions applied so far
 	held        map[int]*job.Job // jobs waiting out a backoff hold
-	heldUntil   map[int]float64  // job ID -> hold expiry time
 	newHolds    []holdRec        // holds placed since the engine last drained them
 
 	// Counters surfaced in results.
@@ -644,7 +643,6 @@ func (st *State) holdForBackoff(j *job.Job) {
 	}
 	until := st.Now + delay
 	st.held[j.ID] = j
-	st.heldUntil[j.ID] = until
 	st.newHolds = append(st.newHolds, holdRec{jobID: j.ID, until: until})
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobBackoff, j.ID).WithCause("hold").WithF(obs.Fields{
@@ -674,7 +672,6 @@ func (st *State) releaseHeld(id int, less func(a, b *job.Job) bool) {
 		return
 	}
 	delete(st.held, id)
-	delete(st.heldUntil, id)
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobBackoff, id).WithCause("release").WithF(obs.Fields{
 			"waited": st.Now - float64(j.LastEnqueue),
@@ -730,17 +727,20 @@ func (st *State) Finish(j *job.Job) {
 	}
 }
 
-// CrashServer applies an injected crash to server sid: every job with a
-// worker there is evicted — scaled in when only flexible workers were hit,
-// preempted through the checkpoint-restart path otherwise — and the empty
-// server is quarantined out of every scheduler's reach. It returns the pool
-// the server was in when it crashed (so recovery can route it home) and
-// false when the crash is a no-op (unknown or already-quarantined server).
-// less is the scheduler's queue priority for the re-queues.
-func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) (cluster.Pool, bool) {
+// CrashServer applies an injected crash to server sid, on either substrate:
+// every job with a worker there is evicted — scaled in when only flexible
+// workers were hit, preempted through the checkpoint-restart path otherwise
+// — and the empty server is quarantined out of every scheduler's reach. The
+// crash writes the server's quarantine record: it returns to the pool it was
+// in, except that a server that dies on loan returns to the inference pool
+// (the crash ended the loan; the orchestrator re-loans it on demand), and it
+// is down as of Now. It reports false when the crash is a no-op (unknown or
+// already-quarantined server). less is the scheduler's queue priority for
+// the re-queues.
+func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) bool {
 	s := st.Cluster.Server(sid)
 	if s == nil || s.Pool == cluster.PoolQuarantine {
-		return cluster.PoolQuarantine, false
+		return false
 	}
 	origin := s.Pool
 	preempted, scaledIn := 0, 0
@@ -780,6 +780,10 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) (cluster.Po
 			Actual:   err.Error(),
 		})
 	}
+	s.ReturnTo, s.DownSince = origin, st.Now
+	if origin == cluster.PoolOnLoan {
+		s.ReturnTo = cluster.PoolInference
+	}
 	st.Crashes++
 	st.bump() // quarantine removes schedulable capacity even with no evictions
 	if st.Obs.Enabled() {
@@ -789,20 +793,19 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) (cluster.Po
 		}))
 		st.Obs.Add("fault.crashes", 1)
 	}
-	return origin, true
+	return true
 }
 
-// RecoverServer returns a quarantined server to pool `to`. Crashed training
-// servers go home; a server that crashed while on loan returns to the
-// inference pool instead — the failure ended the loan, and the orchestrator
-// will re-loan it on demand. No-op (false) if the server is not quarantined:
-// its scheduled recovery may race a crash that never happened because the
-// server was already down.
-func (st *State) RecoverServer(sid int, to cluster.Pool) bool {
+// RecoverServer returns a quarantined server to the pool its crash recorded
+// and returns the GPU-seconds it was down. No-op (zero) if the server is not
+// quarantined here: its scheduled recovery may race a crash that never
+// happened because the server was already down.
+func (st *State) RecoverServer(sid int) float64 {
 	s := st.Cluster.Server(sid)
 	if s == nil || s.Pool != cluster.PoolQuarantine {
-		return false
+		return 0
 	}
+	to := s.ReturnTo
 	if err := st.Cluster.Move(sid, to); err != nil {
 		invariant.Fail(fmt.Sprintf("sim:recover t=%g server=%d", st.Now, sid), invariant.Violation{
 			Rule:     invariant.RulePoolMembership,
@@ -819,7 +822,29 @@ func (st *State) RecoverServer(sid int, to cluster.Pool) bool {
 		}))
 		st.Obs.Add("fault.recoveries", 1)
 	}
-	return true
+	return st.downGPUSec(s)
+}
+
+// downGPUSec is the capacity quarantined server s has cost as of Now.
+func (st *State) downGPUSec(s *cluster.Server) float64 {
+	return (st.Now - s.DownSince) * float64(s.NumGPUs)
+}
+
+// LostCapacity is a run's lost capacity in GPU-seconds, computed the same
+// way on both substrates: recovered, the downtime the run's recoveries
+// returned (summed in event order by the caller), plus that of every server
+// still quarantined at the end, as of each state's Now. The residual is added
+// in server-ID order: states hold ascending ID ranges, training first, and a
+// quarantined server sits in its home state (an on-loan casualty transfers
+// home as it crashes), so each quarantine pool in turn is global ID order.
+func LostCapacity(recovered float64, states ...*State) float64 {
+	for _, st := range states {
+		st.Cluster.EachPoolServer(cluster.PoolQuarantine, func(s *cluster.Server) bool {
+			recovered += st.downGPUSec(s)
+			return true
+		})
+	}
+	return recovered
 }
 
 // CompactPending removes jobs that are no longer pending from the queue,

@@ -10,8 +10,10 @@
 // The same scheduling code (internal/sched, internal/orchestrator) drives
 // the testbed and the simulator over the same sim.State; only the execution
 // substrate differs, and the package holds only what the simulator lacks.
-// Training progress is granted through sim.State.Retire and the run is
-// summarized by sim.Summarize — neither is restated here. Like
+// Training progress is granted through sim.State.Retire, faults replay
+// fault.FullSchedule through sim.State.CrashServer and RecoverServer (rack
+// and zone outages included), and the run is summarized by sim.Summarize
+// and sim.LostCapacity — none of it is restated here. Like
 // the simulator core it runs on one goroutine and never reads the wall
 // clock, so a run is a pure function of its Config and trace. The paper
 // uses four 8-GPU V100 servers plus four 8-GPU T4 servers and a scaled-down

@@ -45,10 +45,10 @@ type Config struct {
 	// the cost of one nil check per site.
 	Obs *obs.Recorder
 	// Faults is the optional deterministic fault-injection plan
-	// (internal/fault). The crash/recovery timeline is pre-generated from
-	// the plan's seed; launch failures draw from the injector in launch
-	// order, which is job-ID order within a tick (DESIGN.md §8). Nil
-	// injects nothing.
+	// (internal/fault). The crash/recovery timeline, rack and zone outages
+	// included, is the simulator's: fault.FullSchedule over this cluster.
+	// Launch failures draw from the injector in launch order, which is
+	// job-ID order within a tick (DESIGN.md §8). Nil injects nothing.
 	Faults *fault.Plan
 }
 
@@ -77,11 +77,14 @@ type Testbed struct {
 	audit *invariant.Auditor
 
 	// Fault machinery (nil / empty without a plan): the pre-generated
-	// crash/recovery timeline with a cursor, the recovery routing map, the
-	// per-job launch-retry state, and the launch-failure injector.
+	// crash/recovery timeline and outage markers with their cursors, the
+	// GPU-seconds recoveries returned, the per-job launch-retry state, and
+	// the launch-failure injector.
 	faultEvents    []fault.Event
 	faultIdx       int
-	recoverTo      map[int]cluster.Pool
+	domains        []fault.DomainEvent
+	domainIdx      int
+	lostGPUSec     float64
 	launchRetry    map[int]*launchRetry
 	injector       *fault.Injector
 	launchFailures int
@@ -117,7 +120,6 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 		tb.audit = invariant.New()
 	}
 	if cfg.Faults.Enabled() {
-		tb.recoverTo = make(map[int]cluster.Pool)
 		tb.launchRetry = make(map[int]*launchRetry)
 		tb.injector = fault.NewInjector(cfg.Faults)
 		if cfg.Faults.StragglerFrac > 0 {
@@ -156,7 +158,7 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 		maxSim = 4 * float64(horizon)
 	}
 	if tb.cfg.Faults.Enabled() {
-		tb.faultEvents = fault.Schedule(*tb.cfg.Faults, tb.st.Cluster.NumServers(), horizon)
+		tb.faultEvents, tb.domains = fault.FullSchedule(*tb.cfg.Faults, tb.st.Cluster, horizon)
 	}
 	now, nextOrch := 0.0, 0.0
 	for {
@@ -198,6 +200,7 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 		now += tb.cfg.SchedInterval
 	}
 	res := sim.Summarize(tb.jobs, tb.st)
+	res.LostCapacityGPUSec = sim.LostCapacity(tb.lostGPUSec, tb.st)
 	launched, killed := tb.rm.Stats()
 	res.Prototype = &sim.PrototypeStats{
 		ContainersLaunched: launched,
@@ -209,36 +212,28 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 	return res
 }
 
-// applyFaults processes every scheduled crash/recovery whose time has
-// passed. Crashed servers are emptied through the checkpoint-restart /
-// scale-in paths and quarantined; their containers die with them (the
+// applyFaults replays every scheduled outage marker, crash and recovery
+// whose time has passed, markers first as in the engine. Crashes and
+// recoveries are the simulator's State transitions: a crashed server is
+// emptied through the checkpoint-restart / scale-in paths and quarantined
+// with its return pool recorded, and its containers die with it (the
 // reconcile loop kills the containers of preempted jobs this same tick).
-// Recovered servers rejoin their home pool — except on-loan casualties,
-// which return to the inference pool since the crash ended the loan — and
-// the whitelists are re-mirrored so both schedulers see the change at once.
+// The whitelists are then re-mirrored so both schedulers see the change at
+// once.
 func (tb *Testbed) applyFaults(now float64) {
-	applied := false
-	for tb.faultIdx < len(tb.faultEvents) && tb.faultEvents[tb.faultIdx].T <= now {
+	for ; tb.domainIdx < len(tb.domains) && tb.domains[tb.domainIdx].T <= now; tb.domainIdx++ {
+		sim.AnnounceDomain(tb.st.Obs, now, tb.st.Cluster, tb.domains[tb.domainIdx])
+	}
+	start := tb.faultIdx
+	for ; tb.faultIdx < len(tb.faultEvents) && tb.faultEvents[tb.faultIdx].T <= now; tb.faultIdx++ {
 		fe := tb.faultEvents[tb.faultIdx]
-		tb.faultIdx++
 		if fe.Recover {
-			if to, ok := tb.recoverTo[fe.Server]; ok {
-				tb.st.RecoverServer(fe.Server, to)
-				delete(tb.recoverTo, fe.Server)
-				applied = true
-			}
-			continue
-		}
-		if origin, ok := tb.st.CrashServer(fe.Server, tb.sched.Less); ok {
-			to := origin
-			if origin == cluster.PoolOnLoan {
-				to = cluster.PoolInference
-			}
-			tb.recoverTo[fe.Server] = to
-			applied = true
+			tb.lostGPUSec += tb.st.RecoverServer(fe.Server)
+		} else {
+			tb.st.CrashServer(fe.Server, tb.sched.Less)
 		}
 	}
-	if applied {
+	if tb.faultIdx > start {
 		tb.reconcileWhitelists()
 	}
 }
@@ -406,7 +401,7 @@ func (tb *Testbed) dropController(id int) {
 // whitelists after an orchestrator epoch or a fault event, performing the
 // §6 handover for every server that moved. Quarantined (crashed) servers
 // belong to neither scheduler; on recovery they re-enter the whitelist of
-// the pool fault routing put them in — such servers come from quarantine
+// the pool their crash recorded — such servers come from quarantine
 // rather than the peer whitelist, so the handover is an Add, not a
 // transfer.
 func (tb *Testbed) reconcileWhitelists() {

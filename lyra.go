@@ -92,6 +92,27 @@ const (
 // "mtbf=21600,mttr=600,straggler=0.1" (see internal/fault.ParsePlan).
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.ParsePlan(spec) }
 
+// ResolveFaultPlan parses a fault spec (ParseFaultPlan) under the one seed
+// fallback chain the CLIs' -faults/-fault-seed and a scenario spec's
+// faults/fault_seed share: the plan's own seed, then faultSeed, then seed.
+// The result is normalized; an empty spec is the zero plan.
+func ResolveFaultPlan(spec string, faultSeed, seed int64) (FaultPlan, error) {
+	if spec == "" {
+		return FaultPlan{}, nil
+	}
+	p, err := fault.ParsePlan(spec)
+	if err != nil {
+		return FaultPlan{}, err
+	}
+	if p.Seed == 0 {
+		p.Seed = faultSeed
+	}
+	if p.Seed == 0 {
+		p.Seed = seed
+	}
+	return p.Normalize(), nil
+}
+
 // GenerateTrace synthesizes a production-like trace (see internal/trace).
 func GenerateTrace(cfg TraceConfig) *Trace { return trace.Generate(cfg) }
 
@@ -560,11 +581,10 @@ func BaselineConfig() Config {
 
 // Report is the per-run result bundle in the units the paper reports, from
 // either substrate: Run and RunTestbed build it with the same code. What
-// only the simulator samples — TrainUsage, OverallUsage, OnLoanUsage, the
-// OnLoanQueue / OnLoanJCT subsets and LostCapacityGPUSec — stays zero on a
-// prototype run; what only the prototype counts (containers, absorbed launch
-// failures, whitelist sizes) is the Raw.Prototype block, nil on a simulator
-// run.
+// only the simulator samples — TrainUsage, OverallUsage, OnLoanUsage and the
+// OnLoanQueue / OnLoanJCT subsets — stays zero on a prototype run; what only
+// the prototype counts (containers, absorbed launch failures, whitelist
+// sizes) is the Raw.Prototype block, nil on a simulator run.
 type Report struct {
 	Queue Summary // queuing time, seconds
 	JCT   Summary // job completion time, seconds
@@ -593,7 +613,8 @@ type Report struct {
 	Recoveries int
 	// LostCapacityGPUSec is the GPU-seconds of capacity spent quarantined
 	// over the run (including servers still down at the end) — the
-	// lost-capacity-time metric reported by the domainsweep experiment.
+	// lost-capacity-time metric reported by the domainsweep experiment,
+	// counted the same way on both substrates (sim.LostCapacity).
 	LostCapacityGPUSec float64
 
 	// Events is the recorded JSONL event stream when Config.Events was

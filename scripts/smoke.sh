@@ -112,6 +112,12 @@ smoke_fault() {
 	cmp -s "$dir/testbed.out" "$dir/testbed.off.out" && cmp -s "$dir/testbed.jsonl" "$dir/testbed.off.jsonl" ||
 		fail "the testbed run differs with -audit on and off"
 
+	# The prototype replays the simulator's fault timeline, rack outages
+	# included: a testbed rack is all four training servers at once.
+	twice tbracks "$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -audit -faults "$tbfaults,rackout=7200"
+	recovered tbracks
+	kinds tbracks fault.domain fault.recover
+
 	# A fault key the testbed cannot honour is an error, not a no-op.
 	if "$dir/lyra-testbed" -jobs 4 -faults rpcerr=0.02 > /dev/null 2> "$dir/bad.err" ||
 		! grep -q 'valid: mtbf, .*launchfail, retries, seed' "$dir/bad.err"; then

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lyra/internal/cluster"
-	"lyra/internal/fault"
 	"lyra/internal/trace"
 	"lyra/internal/yamlite"
 )
@@ -397,7 +396,7 @@ func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
 		return nil, fmt.Errorf("lyra: spec %q: %w", s.Name, err)
 	}
 
-	basePlan, err := compileFaults(s.Faults, s.FaultSeed, s.Seed)
+	basePlan, err := ResolveFaultPlan(s.Faults, s.FaultSeed, s.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("lyra: spec %q: faults: %w", s.Name, err)
 	}
@@ -429,7 +428,7 @@ func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
 		for _, rk := range reclaims {
 			plan := basePlan
 			if sch.Faults != "" {
-				plan, err = compileFaults(sch.Faults, s.FaultSeed, s.Seed)
+				plan, err = ResolveFaultPlan(sch.Faults, s.FaultSeed, s.Seed)
 				if err != nil {
 					return nil, fmt.Errorf("lyra: spec %q: schemes[%d].faults: %w", s.Name, i, err)
 				}
@@ -576,24 +575,4 @@ func (s *ScenarioSpec) compileTrace() TraceConfig {
 		gen.MaxJobGPUs = s.Trace.MaxJobGPUs
 	}
 	return gen
-}
-
-// compileFaults parses a CLI-syntax fault plan and applies the spec's seed
-// fallback chain (plan seed, then fault_seed, then the spec seed) — the
-// same rule the CLIs use.
-func compileFaults(spec string, faultSeed, seed int64) (FaultPlan, error) {
-	if spec == "" {
-		return FaultPlan{}, nil
-	}
-	p, err := fault.ParsePlan(spec)
-	if err != nil {
-		return FaultPlan{}, err
-	}
-	if p.Seed == 0 {
-		p.Seed = faultSeed
-	}
-	if p.Seed == 0 {
-		p.Seed = seed
-	}
-	return p, nil
 }

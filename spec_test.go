@@ -239,6 +239,29 @@ schemes:
 	}
 }
 
+// ResolveFaultPlan is the one seed fallback chain behind the CLIs'
+// -faults/-fault-seed/-seed and a spec's faults/fault_seed/seed.
+func TestResolveFaultPlanSeedChain(t *testing.T) {
+	for _, c := range []struct {
+		spec            string
+		faultSeed, seed int64
+		want            FaultPlan
+	}{
+		{"mtbf=900,seed=3", 5, 7, FaultPlan{Seed: 3, ServerMTBF: 900, ServerMTTR: 600}},
+		{"mtbf=900", 5, 7, FaultPlan{Seed: 5, ServerMTBF: 900, ServerMTTR: 600}},
+		{"mtbf=900", 0, 7, FaultPlan{Seed: 7, ServerMTBF: 900, ServerMTTR: 600}},
+		{"", 5, 7, FaultPlan{}},
+		{"seed=3", 5, 7, FaultPlan{}}, // injects nothing: the zero plan
+	} {
+		if got, err := ResolveFaultPlan(c.spec, c.faultSeed, c.seed); err != nil || got != c.want {
+			t.Errorf("ResolveFaultPlan(%q, %d, %d) = %+v, %v; want %+v", c.spec, c.faultSeed, c.seed, got, err, c.want)
+		}
+	}
+	if _, err := ResolveFaultPlan("mtbf=-1", 0, 1); err == nil {
+		t.Error("a negative MTBF resolved without error")
+	}
+}
+
 // TestSpecShardsAndGPUs covers the sharded-topology and mixed-generation
 // spec surface: the shards block lowers onto Config.TrainingShards /
 // InferenceShards, GPU names lower onto cluster GPU types with the T4

@@ -46,11 +46,13 @@ func (c Config) NormalizeTestbed() Config {
 // the simulator samples left zero (see Report). Invariant violations
 // come back as *obs.ViolationError, as from Run.
 //
-// The prototype is one training plus one inference pool without topology,
+// Faults are the simulator's too: the prototype replays the engine's fault
+// timeline (rack and zone outages included) over its cluster through the
+// same crash and recovery transitions, and reports lost capacity by the
+// same accounting. The prototype is one training plus one inference pool,
 // and its tick loop implements no engine-side degraded-mode policy: a
-// Config asking for shards, RestartBackoff, QuarantineHysteresis or
-// rack/zone outages is rejected with the field named rather than run
-// without them.
+// Config asking for shards, RestartBackoff or QuarantineHysteresis is
+// rejected with the field named rather than run without them.
 func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err error) {
 	cfg = cfg.NormalizeTestbed()
 	if err := cfg.Validate(); err != nil {
@@ -63,10 +65,6 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err err
 		return nil, fmt.Errorf("lyra: RestartBackoff: the testbed's tick loop does not implement restart backoff")
 	case cfg.QuarantineHysteresis:
 		return nil, fmt.Errorf("lyra: QuarantineHysteresis: the testbed's tick loop does not implement quarantine hysteresis")
-	case cfg.Faults.RackOutMTBF > 0:
-		return nil, fmt.Errorf("lyra: Faults.RackOutMTBF (rackout) %v: the testbed has no rack topology", cfg.Faults.RackOutMTBF)
-	case cfg.Faults.ZoneOutMTBF > 0:
-		return nil, fmt.Errorf("lyra: Faults.ZoneOutMTBF (zoneout) %v: the testbed has no zone topology", cfg.Faults.ZoneOutMTBF)
 	case opt.UtilCompress < 0:
 		return nil, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
 	}

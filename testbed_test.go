@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,6 +120,75 @@ func TestTestbedDeterministic(t *testing.T) {
 	}
 }
 
+// The prototype replays the simulator's whole fault timeline, rack outages
+// included, through the simulator's crash and recovery transitions, and
+// counts lost capacity the simulator's way: the report's figure is what the
+// run's own fault.crash/fault.recover pairs add up to, with servers still
+// down when the last tick ran counted to that tick. (The second run ends
+// with a server down.)
+func TestTestbedRackOutagesLoseCapacity(t *testing.T) {
+	endedDown := false
+	for _, tc := range []struct {
+		seed   int64
+		jobs   int
+		faults string
+	}{
+		{1, 180, "mtbf=3600,mttr=300,launchfail=0.05,rackout=7200"},
+		{7, 30, "mtbf=7200,mttr=300,launchfail=0.1,rackout=7200"},
+	} {
+		cfg := testbedCfg(DefaultConfig())
+		cfg.Seed = tc.seed
+		cfg.Events = true
+		plan, err := ResolveFaultPlan(tc.faults, 0, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = plan
+		rep, err := RunTestbed(cfg, trace.GenerateTestbed(tc.seed, tc.jobs), TestbedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != rep.Total || rep.Crashes == 0 || rep.LostCapacityGPUSec <= 0 {
+			t.Fatalf("seed %d: %d/%d completed, %d crashes, %v GPU-seconds lost: want every job, crashes and lost capacity",
+				tc.seed, rep.Completed, rep.Total, rep.Crashes, rep.LostCapacityGPUSec)
+		}
+		events, err := obs.ReadJSONL(bytes.NewReader(rep.Events))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type outage struct{ since, gpus float64 }
+		down := map[int]outage{}
+		lost, end, domains := 0.0, 0.0, 0
+		for _, ev := range events {
+			end = ev.T
+			switch ev.Kind {
+			case obs.KindFaultDomain:
+				domains++
+			case obs.KindFaultCrash:
+				down[int(ev.F["server"].(float64))] = outage{ev.T, ev.F["gpus"].(float64)}
+			case obs.KindFaultRecover:
+				sid := int(ev.F["server"].(float64))
+				lost += (ev.T - down[sid].since) * down[sid].gpus
+				delete(down, sid)
+			}
+		}
+		for _, o := range down {
+			lost += (end - o.since) * o.gpus
+		}
+		endedDown = endedDown || len(down) > 0
+		if domains == 0 {
+			t.Errorf("seed %d: a rack-outage run recorded no fault.domain markers", tc.seed)
+		}
+		if math.Abs(lost-rep.LostCapacityGPUSec) > 1e-9*lost {
+			t.Errorf("seed %d: report says %v GPU-seconds lost, the stream's crash/recover pairs add up to %v",
+				tc.seed, rep.LostCapacityGPUSec, lost)
+		}
+	}
+	if !endedDown {
+		t.Error("no run ended with a server down: the residual is not checked")
+	}
+}
+
 // Settings the prototype cannot honour are errors naming the field, not
 // silent no-ops.
 func TestRunTestbedRejectsWhatItCannotHonour(t *testing.T) {
@@ -127,8 +197,6 @@ func TestRunTestbedRejectsWhatItCannotHonour(t *testing.T) {
 		"TrainingShards":       func(c *Config) { c.TrainingShards, c.InferenceShards = 2, 2 },
 		"RestartBackoff":       func(c *Config) { c.RestartBackoff = true },
 		"QuarantineHysteresis": func(c *Config) { c.QuarantineHysteresis = true },
-		"rackout":              func(c *Config) { c.Faults = FaultPlan{RackOutMTBF: 3600} },
-		"zoneout":              func(c *Config) { c.Faults = FaultPlan{ZoneOutMTBF: 3600} },
 		"Scheduler":            func(c *Config) { c.Scheduler = "nonsense" },
 	} {
 		cfg := testbedCfg(DefaultConfig())
@@ -226,7 +294,7 @@ func TestReportAcrossSubstrates(t *testing.T) {
 		t.Errorf("prototype block = %+v, want launches and 8 whitelisted servers", p)
 	}
 	if proto.TrainUsage != 0 || proto.OverallUsage != 0 || proto.OnLoanUsage != 0 ||
-		proto.OnLoanQueue != (Summary{}) || proto.OnLoanJCT != (Summary{}) || proto.LostCapacityGPUSec != 0 {
+		proto.OnLoanQueue != (Summary{}) || proto.OnLoanJCT != (Summary{}) {
 		t.Errorf("the prototype reported a metric it does not sample: %+v", proto)
 	}
 	if proto.Completed != 20 || proto.Total != 20 || proto.JCT.N != 20 || proto.Raw.SchedEpochs == 0 {
