@@ -44,12 +44,16 @@ smoke:
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
 # 100x the paper's cluster, which must read flat across the three; and of the
 # scale tier's set-up: the fault timeline of its 108,338 streams and the clone
-# of its 223,777-job trace (allocs/op is the number to watch on both).
+# of its 223,777-job trace (allocs/op is the number to watch on both); and
+# of the two comparison kernels a registry pass pays for: the §6 LSTM fit
+# behind the proactive forecaster (allocs/op should read a few hundred, all
+# in NewLSTM) and one Pollux search at its 300-candidate cap.
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
+	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchmem ./internal/orchestrator/ ./internal/alloc/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

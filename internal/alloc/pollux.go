@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lyra/internal/cluster"
@@ -97,20 +99,36 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		gpus    int
 		fitness float64
 	}
+	// floor[i] is the fewest workers jobs[i] may hold: running jobs keep
+	// their base demand, pending ones may go unscheduled. gp memoizes
+	// goodput(jobs[i], w) at gp[off[i]+w], NaN until first asked for.
+	floor := make([]int, len(jobs))
+	off := make([]int, len(jobs)+1)
+	for i, j := range jobs {
+		if running[j.ID] {
+			floor[i] = j.MinWorkers
+		}
+		off[i+1] = off[i] + j.MaxWorkers + 1
+	}
+	gp := make([]float64, off[len(jobs)])
+	for k := range gp {
+		gp[k] = math.NaN()
+	}
+	goodputOf := func(i, w int) float64 {
+		k := off[i] + w
+		if math.IsNaN(gp[k]) {
+			gp[k] = goodput(jobs[i], w, cfg.EfficiencyDecay, sm)
+		}
+		return gp[k]
+	}
 	eval := func(g *genome) {
 		g.gpus, g.fitness = 0, 0
 		for i, w := range g.workers {
 			g.gpus += w * jobs[i].GPUsPerWorker
-			g.fitness += goodput(jobs[i], w, cfg.EfficiencyDecay, sm)
+			g.fitness += goodputOf(i, w)
 		}
 	}
 	feasible := func(g *genome) bool { return g.gpus <= capacityGPUs }
-	minOf := func(i int) int {
-		if running[jobs[i].ID] {
-			return jobs[i].MinWorkers
-		}
-		return 0
-	}
 	var shrinkable []int
 	shrink := func(g *genome, i int) {
 		// Shrink within range, or drop a pending job entirely.
@@ -118,30 +136,34 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		if g.workers[i] > jobs[i].MinWorkers {
 			next = g.workers[i] - 1
 		} else {
-			next = minOf(i)
+			next = floor[i]
 		}
 		g.gpus -= (g.workers[i] - next) * jobs[i].GPUsPerWorker
-		g.fitness += goodput(jobs[i], next, cfg.EfficiencyDecay, sm) -
-			goodput(jobs[i], g.workers[i], cfg.EfficiencyDecay, sm)
+		g.fitness += goodputOf(i, next) - goodputOf(i, g.workers[i])
 		g.workers[i] = next
 	}
 	repair := func(g *genome, rng *rand.Rand) {
-		for g.gpus > capacityGPUs {
-			shrinkable = shrinkable[:0]
-			for i := range jobs {
-				if g.workers[i] > minOf(i) {
-					shrinkable = append(shrinkable, i)
-				}
+		if g.gpus <= capacityGPUs {
+			return
+		}
+		shrinkable = shrinkable[:0]
+		for i, w := range g.workers {
+			if w > floor[i] {
+				shrinkable = append(shrinkable, i)
 			}
-			if len(shrinkable) == 0 {
-				return
-			}
-			// Shrink a random victim repeatedly until feasible or it
-			// bottoms out, then re-scan.
-			i := shrinkable[rng.Intn(len(shrinkable))]
-			for g.gpus > capacityGPUs && g.workers[i] > minOf(i) {
+		}
+		// Shrink a random victim repeatedly until feasible or it bottoms
+		// out; then only the victim has left the shrinkable set.
+		for len(shrinkable) > 0 {
+			k := rng.Intn(len(shrinkable))
+			i := shrinkable[k]
+			for g.gpus > capacityGPUs && g.workers[i] > floor[i] {
 				shrink(g, i)
 			}
+			if g.gpus <= capacityGPUs {
+				return
+			}
+			shrinkable = slices.Delete(shrinkable, k, k+1)
 		}
 	}
 
@@ -156,14 +178,14 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		for i, j := range jobs {
 			switch {
 			case p == 0:
-				w := minOf(i)
+				w := floor[i]
 				if w == 0 && j.BaseGPUs() <= budget {
 					w = j.MinWorkers
 				}
 				budget -= w * j.GPUsPerWorker
 				g.workers[i] = w
 			case p == 1 || rng.Float64() < 0.5:
-				g.workers[i] = minOf(i)
+				g.workers[i] = floor[i]
 			default:
 				g.workers[i] = j.MinWorkers + rng.Intn(j.FlexRange()+1)
 			}
@@ -179,20 +201,23 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 			best = g
 		}
 	}
+	spare := &genome{workers: make([]int, len(jobs))}
 	for it := 0; it < cfg.Iterations; it++ {
-		// Tournament: mutate a copy of a good genome, replace a bad one.
+		// Tournament: mutate a copy of a good genome, replace a bad one. The
+		// copy is made in spare, which trades places with the victim.
 		a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
 		parent, victim := a, b
 		if b.fitness > a.fitness {
 			parent, victim = b, a
 		}
-		child := &genome{workers: append([]int(nil), parent.workers...), gpus: parent.gpus, fitness: parent.fitness}
+		child := spare
+		copy(child.workers, parent.workers)
+		child.gpus, child.fitness = parent.gpus, parent.fitness
 		for m := 0; m < 1+rng.Intn(3); m++ {
 			i := rng.Intn(len(jobs))
 			j := jobs[i]
-			lo := minOf(i)
 			var next int
-			if rng.Float64() < 0.3 && lo == 0 {
+			if rng.Float64() < 0.3 && floor[i] == 0 {
 				// Toggle scheduling of a pending job.
 				if child.workers[i] == 0 {
 					next = j.MinWorkers
@@ -203,27 +228,22 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 				next = j.MinWorkers + rng.Intn(j.FlexRange()+1)
 			}
 			child.gpus += (next - child.workers[i]) * j.GPUsPerWorker
-			child.fitness += goodput(j, next, cfg.EfficiencyDecay, sm) -
-				goodput(j, child.workers[i], cfg.EfficiencyDecay, sm)
+			child.fitness += goodputOf(i, next) - goodputOf(i, child.workers[i])
 			child.workers[i] = next
 		}
 		repair(child, rng)
 		if !feasible(child) {
 			continue
 		}
-		*victim = *child
-		if child.fitness > best.fitness {
+		*victim, *spare = *child, *victim
+		if victim.fitness > best.fitness {
 			best = victim
 		}
 	}
 
 	out := make([]PolluxDecision, 0, len(jobs))
 	for i, w := range best.workers {
-		lo := minOf(i)
-		if w < lo {
-			w = lo
-		}
-		out = append(out, PolluxDecision{ID: jobs[i].ID, Workers: w})
+		out = append(out, PolluxDecision{ID: jobs[i].ID, Workers: max(w, floor[i])})
 	}
 	return out
 }

@@ -16,7 +16,8 @@ type LoanTargeter interface {
 // (window 10, two hidden layers, Adam, MSE) forecasts the next five minutes
 // of inference resource usage, and the loan target honors whichever is
 // higher — current or predicted utilization — so reclaiming starts *before*
-// the traffic rise lands and fewer trailing-edge preemptions occur.
+// the traffic rise lands and fewer trailing-edge preemptions occur. Like
+// the predictor it owns, it is not safe for concurrent use.
 type Forecaster struct {
 	sched *inference.Scheduler
 	lstm  *predict.LSTM

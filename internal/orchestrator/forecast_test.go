@@ -60,3 +60,17 @@ func TestForecasterTargetIsConservative(t *testing.T) {
 		}
 	}
 }
+
+var benchForecaster *Forecaster
+
+// BenchmarkForecasterFit trains the proactive targeter the way a Small-scale
+// run does: four days of five-minute samples from the seed-1 inference side.
+func BenchmarkForecasterFit(b *testing.B) {
+	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(14), 4*86400, 300)
+	sched := inference.NewScheduler(util, 64, 0.02)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchForecaster = NewForecaster(sched, 20)
+	}
+}

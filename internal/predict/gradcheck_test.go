@@ -17,43 +17,16 @@ func TestGradientCheck(t *testing.T) {
 	const target = 0.4
 
 	loss := func() float64 {
-		y, _ := n.forward(window)
-		d := y - target
+		d := n.Predict(window) - target
 		return d * d
 	}
 
-	// Accumulate analytic gradients exactly as TrainStep does, but without
-	// the Adam update so the weights stay fixed for finite differencing.
-	y, states := n.forward(window)
-	diff := y - target
-	H := cfg.Hidden
-	dLast := make([]float64, H)
-	lastH := states[len(window)-1][len(n.layers)-1].h
-	for k := 0; k < H; k++ {
-		n.wOut.g[k] += 2 * diff * lastH[k]
-		dLast[k] = 2 * diff * n.wOut.w[k]
-	}
-	n.bOut.g[0] += 2 * diff
-	dh := make([][]float64, len(n.layers))
-	dc := make([][]float64, len(n.layers))
-	for i := range dh {
-		dh[i] = make([]float64, H)
-		dc[i] = make([]float64, H)
-	}
-	copy(dh[len(n.layers)-1], dLast)
-	for ts := len(window) - 1; ts >= 0; ts-- {
-		for li := len(n.layers) - 1; li >= 0; li-- {
-			dx, dhPrev, dcPrev := n.layers[li].backward(states[ts][li], dh[li], dc[li])
-			dh[li], dc[li] = dhPrev, dcPrev
-			if li > 0 {
-				for k := range dx {
-					dh[li-1][k] += dx[k]
-				}
-			}
-		}
-	}
+	// Accumulate the analytic gradients with the code TrainStep runs,
+	// without the Adam update, so the weights stay fixed for finite
+	// differencing.
+	n.backprop(window, target)
 
-	for pi, p := range n.params() {
+	for pi, p := range n.params {
 		for i := range p.w {
 			const eps = 1e-6
 			old := p.w[i]

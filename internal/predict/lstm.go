@@ -74,7 +74,10 @@ func newLSTMLayer(inSize, hidden int, rng *rand.Rand, std float64) *lstmLayer {
 	return l
 }
 
-// layerState caches one timestep's activations for backprop.
+// layerState is one layer's activations at one timestep, kept for
+// backprop. x, hPrev and cPrev are wired once, by NewLSTM, to the slices
+// they read: the window sample or the layer below's h, and the previous
+// timestep's h and c (the model's zero state at the first).
 type layerState struct {
 	x, hPrev, cPrev        []float64
 	i, f, g, o, c, h, tanc []float64
@@ -82,25 +85,19 @@ type layerState struct {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// forward computes one LSTM step.
-func (l *lstmLayer) forward(x, hPrev, cPrev []float64) *layerState {
+// forward computes one LSTM step into st, using pre (4*hidden) as scratch.
+func (l *lstmLayer) forward(st *layerState, pre []float64) {
 	H := l.hidden
-	st := &layerState{
-		x: x, hPrev: hPrev, cPrev: cPrev,
-		i: make([]float64, H), f: make([]float64, H), g: make([]float64, H),
-		o: make([]float64, H), c: make([]float64, H), h: make([]float64, H),
-		tanc: make([]float64, H),
-	}
-	pre := make([]float64, 4*H)
-	for r := 0; r < 4*H; r++ {
+	x, hPrev, cPrev := st.x, st.hPrev, st.cPrev
+	for r := range pre {
 		s := l.b.w[r]
-		rowX := r * l.inSize
+		wx := l.wx.w[r*l.inSize:][:len(x)]
 		for k, xv := range x {
-			s += l.wx.w[rowX+k] * xv
+			s += wx[k] * xv
 		}
-		rowH := r * H
+		wh := l.wh.w[r*H:][:len(hPrev)]
 		for k, hv := range hPrev {
-			s += l.wh.w[rowH+k] * hv
+			s += wh[k] * hv
 		}
 		pre[r] = s
 	}
@@ -113,57 +110,65 @@ func (l *lstmLayer) forward(x, hPrev, cPrev []float64) *layerState {
 		st.tanc[j] = math.Tanh(st.c[j])
 		st.h[j] = st.o[j] * st.tanc[j]
 	}
-	return st
 }
 
 // backward accumulates gradients for one step given dh and dc flowing in
-// from later timesteps/layers; returns dx, dhPrev, dcPrev.
-func (l *lstmLayer) backward(st *layerState, dh, dc []float64) (dx, dhPrev, dcPrev []float64) {
+// from later timesteps/layers. It overwrites dh and dc with the gradients
+// flowing on to the previous timestep and writes the input's into dx
+// (inSize); dPre (4*hidden) is scratch.
+func (l *lstmLayer) backward(st *layerState, dh, dc, dx, dPre []float64) {
 	H := l.hidden
-	dx = make([]float64, l.inSize)
-	dhPrev = make([]float64, H)
-	dcPrev = make([]float64, H)
-	dPre := make([]float64, 4*H)
 	for j := 0; j < H; j++ {
 		do := dh[j] * st.tanc[j]
 		dcj := dc[j] + dh[j]*st.o[j]*(1-st.tanc[j]*st.tanc[j])
 		di := dcj * st.g[j]
 		df := dcj * st.cPrev[j]
 		dg := dcj * st.i[j]
-		dcPrev[j] = dcj * st.f[j]
+		dc[j] = dcj * st.f[j]
 		dPre[j] = di * st.i[j] * (1 - st.i[j])
 		dPre[H+j] = df * st.f[j] * (1 - st.f[j])
 		dPre[2*H+j] = dg * (1 - st.g[j]*st.g[j])
 		dPre[3*H+j] = do * st.o[j] * (1 - st.o[j])
 	}
-	for r := 0; r < 4*H; r++ {
-		d := dPre[r]
+	clear(dh)
+	clear(dx)
+	x, hPrev, dx, dh := st.x, st.hPrev, dx[:len(st.x)], dh[:len(st.hPrev)]
+	for r, d := range dPre {
 		if d == 0 {
 			continue
 		}
-		rowX := r * l.inSize
-		for k := range st.x {
-			l.wx.g[rowX+k] += d * st.x[k]
-			dx[k] += l.wx.w[rowX+k] * d
+		wx, gx := l.wx.w[r*l.inSize:][:len(x)], l.wx.g[r*l.inSize:][:len(x)]
+		for k, xv := range x {
+			gx[k] += d * xv
+			dx[k] += wx[k] * d
 		}
-		rowH := r * H
-		for k := range st.hPrev {
-			l.wh.g[rowH+k] += d * st.hPrev[k]
-			dhPrev[k] += l.wh.w[rowH+k] * d
+		wh, gh := l.wh.w[r*H:][:len(hPrev)], l.wh.g[r*H:][:len(hPrev)]
+		for k, hv := range hPrev {
+			gh[k] += d * hv
+			dh[k] += wh[k] * d
 		}
 		l.b.g[r] += d
 	}
-	return dx, dhPrev, dcPrev
 }
 
 // LSTM is a stacked-LSTM regressor mapping a window of recent usage samples
-// to the next sample.
+// to the next sample. A model owns the workspace its forward and backward
+// passes write into, so it is not safe for concurrent use, Predict
+// included.
 type LSTM struct {
 	cfg    LSTMConfig
 	layers []*lstmLayer
 	wOut   *param // hidden -> 1
 	bOut   *param
 	step   int
+
+	// The BPTT workspace, allocated once by NewLSTM.
+	params    []*param
+	xs        []float64      // the window; states[t][0].x is xs[t:t+1]
+	states    [][]layerState // [timestep][layer]
+	pre, dPre []float64      // 4*hidden gate pre-activations and their gradients
+	dh, dc    [][]float64    // per layer, the gradients reaching its h and c
+	dx        []float64      // the gradient reaching a layer's input
 }
 
 // NewLSTM builds an untrained predictor.
@@ -172,92 +177,109 @@ func NewLSTM(cfg LSTMConfig) *LSTM {
 		panic(fmt.Sprintf("predict: invalid LSTM config %+v", cfg))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	H, L, W := cfg.Hidden, cfg.Layers, cfg.Window
 	n := &LSTM{cfg: cfg}
 	in := 1
-	for i := 0; i < cfg.Layers; i++ {
-		n.layers = append(n.layers, newLSTMLayer(in, cfg.Hidden, rng, cfg.InitStdDev))
-		in = cfg.Hidden
+	for i := 0; i < L; i++ {
+		n.layers = append(n.layers, newLSTMLayer(in, H, rng, cfg.InitStdDev))
+		in = H
 	}
-	n.wOut = newParam(cfg.Hidden, rng, cfg.InitStdDev)
+	n.wOut = newParam(H, rng, cfg.InitStdDev)
 	n.bOut = newParam(1, rng, 0)
+	n.params = []*param{n.wOut, n.bOut}
+	for _, l := range n.layers {
+		n.params = append(n.params, l.wx, l.wh, l.b)
+	}
+
+	zero := make([]float64, H) // the initial h and c, never written
+	n.xs = make([]float64, W)
+	n.pre, n.dPre, n.dx = make([]float64, 4*H), make([]float64, 4*H), make([]float64, H)
+	for li := 0; li < L; li++ {
+		n.dh = append(n.dh, make([]float64, H))
+		n.dc = append(n.dc, make([]float64, H))
+	}
+	n.states = make([][]layerState, W)
+	for t := range n.states {
+		n.states[t] = make([]layerState, L)
+		for li := range n.states[t] {
+			st := &n.states[t][li]
+			for _, a := range []*[]float64{&st.i, &st.f, &st.g, &st.o, &st.c, &st.h, &st.tanc} {
+				*a = make([]float64, H)
+			}
+			st.x, st.hPrev, st.cPrev = n.xs[t:t+1], zero, zero
+			if li > 0 {
+				st.x = n.states[t][li-1].h
+			}
+			if t > 0 {
+				st.hPrev, st.cPrev = n.states[t-1][li].h, n.states[t-1][li].c
+			}
+		}
+	}
 	return n
 }
 
 // Predict runs the network over window (length cfg.Window) and returns the
 // next-step estimate.
 func (n *LSTM) Predict(window []float64) float64 {
-	y, _ := n.forward(window)
-	return y
-}
-
-func (n *LSTM) forward(window []float64) (float64, [][]*layerState) {
-	H := n.cfg.Hidden
-	hs := make([][]float64, len(n.layers))
-	cs := make([][]float64, len(n.layers))
-	for i := range hs {
-		hs[i] = make([]float64, H)
-		cs[i] = make([]float64, H)
+	if len(window) != n.cfg.Window {
+		panic(fmt.Sprintf("predict: window length %d, want %d", len(window), n.cfg.Window))
 	}
-	states := make([][]*layerState, len(window))
-	for t, x := range window {
-		in := []float64{x}
-		states[t] = make([]*layerState, len(n.layers))
+	copy(n.xs, window)
+	for t := range n.states {
 		for li, l := range n.layers {
-			st := l.forward(in, hs[li], cs[li])
-			states[t][li] = st
-			hs[li], cs[li] = st.h, st.c
-			in = st.h
+			l.forward(&n.states[t][li], n.pre)
 		}
 	}
 	y := n.bOut.w[0]
-	last := hs[len(n.layers)-1]
+	last := n.states[len(n.states)-1][len(n.layers)-1].h
 	for k, h := range last {
 		y += n.wOut.w[k] * h
 	}
-	return y, states
+	return y
 }
 
 // TrainStep performs one BPTT + Adam update on a single (window, target)
 // pair and returns the squared error before the update.
 func (n *LSTM) TrainStep(window []float64, target float64) float64 {
-	if len(window) != n.cfg.Window {
-		panic(fmt.Sprintf("predict: window length %d, want %d", len(window), n.cfg.Window))
-	}
-	y, states := n.forward(window)
-	diff := y - target
-	loss := diff * diff
+	loss := n.backprop(window, target)
+	n.applyAdam()
+	return loss
+}
+
+// backprop runs the network over window and accumulates the squared error's
+// gradient with respect to every weight, through time and layers, into the
+// params' g; it returns the squared error.
+func (n *LSTM) backprop(window []float64, target float64) float64 {
+	diff := n.Predict(window) - target
 
 	// Output layer gradients.
-	H := n.cfg.Hidden
-	dLast := make([]float64, H)
-	lastH := states[len(window)-1][len(n.layers)-1].h
-	for k := 0; k < H; k++ {
+	L := len(n.layers)
+	for li := range n.dh {
+		clear(n.dh[li])
+		clear(n.dc[li])
+	}
+	lastH := n.states[len(window)-1][L-1].h
+	for k := range lastH {
 		n.wOut.g[k] += 2 * diff * lastH[k]
-		dLast[k] = 2 * diff * n.wOut.w[k]
+		n.dh[L-1][k] = 2 * diff * n.wOut.w[k]
 	}
 	n.bOut.g[0] += 2 * diff
 
 	// BPTT through time and layers.
-	dh := make([][]float64, len(n.layers))
-	dc := make([][]float64, len(n.layers))
-	for i := range dh {
-		dh[i] = make([]float64, H)
-		dc[i] = make([]float64, H)
-	}
-	copy(dh[len(n.layers)-1], dLast)
 	for t := len(window) - 1; t >= 0; t-- {
-		for li := len(n.layers) - 1; li >= 0; li-- {
-			dx, dhPrev, dcPrev := n.layers[li].backward(states[t][li], dh[li], dc[li])
-			dh[li], dc[li] = dhPrev, dcPrev
+		for li := L - 1; li >= 0; li-- {
+			l := n.layers[li]
+			dx := n.dx[:l.inSize]
+			l.backward(&n.states[t][li], n.dh[li], n.dc[li], dx, n.dPre)
 			if li > 0 {
+				below := n.dh[li-1]
 				for k := range dx {
-					dh[li-1][k] += dx[k]
+					below[k] += dx[k]
 				}
 			}
 		}
 	}
-	n.applyAdam()
-	return loss
+	return diff * diff
 }
 
 // Fit trains on the series with sliding windows for the given epochs and
@@ -303,33 +325,26 @@ func (n *LSTM) Evaluate(series []float64) float64 {
 	return sum / float64(cnt)
 }
 
-func (n *LSTM) params() []*param {
-	ps := []*param{n.wOut, n.bOut}
-	for _, l := range n.layers {
-		ps = append(ps, l.wx, l.wh, l.b)
-	}
-	return ps
-}
-
 func (n *LSTM) applyAdam() {
 	n.step++
 	c := n.cfg
 	b1t := 1 - math.Pow(c.Beta1, float64(n.step))
 	b2t := 1 - math.Pow(c.Beta2, float64(n.step))
-	for _, p := range n.params() {
-		for i := range p.w {
-			g := p.g[i]
+	for _, p := range n.params {
+		w, gs, m, v := p.w, p.g[:len(p.w)], p.m[:len(p.w)], p.v[:len(p.w)]
+		for i := range w {
+			g := gs[i]
 			if g > c.ClipGrad {
 				g = c.ClipGrad
 			} else if g < -c.ClipGrad {
 				g = -c.ClipGrad
 			}
-			p.m[i] = c.Beta1*p.m[i] + (1-c.Beta1)*g
-			p.v[i] = c.Beta2*p.v[i] + (1-c.Beta2)*g*g
-			mHat := p.m[i] / b1t
-			vHat := p.v[i] / b2t
-			p.w[i] -= c.LR * mHat / (math.Sqrt(vHat) + c.AdamEps)
-			p.g[i] = 0
+			m[i] = c.Beta1*m[i] + (1-c.Beta1)*g
+			v[i] = c.Beta2*v[i] + (1-c.Beta2)*g*g
+			mHat := m[i] / b1t
+			vHat := v[i] / b2t
+			w[i] -= c.LR * mHat / (math.Sqrt(vHat) + c.AdamEps)
+			gs[i] = 0
 		}
 	}
 }

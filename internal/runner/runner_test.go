@@ -288,6 +288,34 @@ func TestSpecSelectsSubstrate(t *testing.T) {
 	}
 }
 
+// A prototype spec's options key through the normalization lyra.RunTestbed
+// applies: UtilCompress 0 runs the default of 4, so the two key equal and a
+// pool asked for both runs the prototype once, while 1 is another run.
+func TestTestbedOptionsKeyNormalized(t *testing.T) {
+	compress := func(n int) Spec {
+		s := protoSpec(12)
+		s.Testbed = &lyra.TestbedOptions{UtilCompress: n}
+		return s
+	}
+	if mustKey(t, compress(0)) != mustKey(t, compress(4)) {
+		t.Error("UtilCompress 0 and its default 4 key apart")
+	}
+	if mustKey(t, compress(1)) == mustKey(t, compress(4)) {
+		t.Error("UtilCompress 1 and 4 key equal")
+	}
+	p := New(2)
+	reps, err := p.SimAll([]Spec{compress(0), compress(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0] != reps[1] {
+		t.Error("UtilCompress 0 and 4 returned different reports")
+	}
+	if st := p.Stats(); st.Requests != 2 || st.Executed != 1 {
+		t.Errorf("stats = %+v, want 2 requests / 1 executed", st)
+	}
+}
+
 // End to end: one real tiny simulation is shared across equivalent specs and
 // both invocations return the same pointer; an inequivalent spec runs fresh.
 func TestSimMemoizesEndToEnd(t *testing.T) {

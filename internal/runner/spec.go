@@ -129,12 +129,14 @@ func (s Spec) WithBootstrap(days, count, index int, seed int64) Spec {
 // config plus every trace, scenario and substrate knob. Two semantically
 // equal specs (e.g. Headroom 0 vs 0.02, Reclaim set vs unset without
 // loaning) key equal; any meaningful field flip keys different. A prototype
-// spec normalizes the way lyra.RunTestbed does, at the prototype's interval
-// defaults.
+// spec normalizes the way lyra.RunTestbed does, config and options both, at
+// the prototype's interval defaults.
 func (s Spec) Key() (string, error) {
 	s.Name = ""
 	if s.Testbed != nil {
 		s.Config = s.Config.NormalizeTestbed()
+		tb := s.Testbed.Normalize()
+		s.Testbed = &tb
 	} else {
 		s.Config = s.Config.Normalize()
 	}

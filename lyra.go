@@ -778,7 +778,7 @@ func (r *run) recoverViolation(err *error) {
 
 // oneStateEngine puts the whole configured cluster in one state.
 func oneStateEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
-	s, orch, infSched := oneStateScheme(cfg, tr.Horizon, 1)
+	s, orch, infSched := oneStateScheme(cfg, tr.Horizon, 1, simCfg.Prof)
 	var seat sim.Orchestrator
 	if orch != nil {
 		seat = orch
@@ -791,10 +791,11 @@ func oneStateEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 // cluster: the scheduler, the inference pool, and the orchestrator over both
 // when loaning is on (nil otherwise). It is the one assembly both substrates
 // run — the simulator's one-state engine at compress 1, the prototype's
-// tick loop at TestbedOptions.UtilCompress.
-func oneStateScheme(cfg Config, horizon int64, compress int) (sim.Scheduler, *orchestrator.Orchestrator, *inference.Scheduler) {
+// tick loop at TestbedOptions.UtilCompress. p is the run's profiler (nil on
+// the prototype).
+func oneStateScheme(cfg Config, horizon int64, compress int, p *prof.Profiler) (sim.Scheduler, *orchestrator.Orchestrator, *inference.Scheduler) {
 	s := schedulerRegistry[cfg.Scheduler](cfg)
-	infSched, targeter := inferenceSide(cfg, horizon, cfg.Cluster.InferenceServers, 0, compress)
+	infSched, targeter := inferenceSide(cfg, horizon, cfg.Cluster.InferenceServers, 0, compress, p)
 	if !cfg.Loaning {
 		return s, nil, infSched
 	}
@@ -807,8 +808,9 @@ func oneStateScheme(cfg Config, horizon int64, compress int) (sim.Scheduler, *or
 // series; higher shards get salted, decorrelated streams. compress > 1
 // squeezes the diurnal curve in time — every compress-th sample of a series
 // generated compress times as long — so a run of a few simulated hours
-// still sees whole loan/reclaim cycles.
-func inferenceSide(cfg Config, horizon int64, servers, shard, compress int) (*inference.Scheduler, orchestrator.LoanTargeter) {
+// still sees whole loan/reclaim cycles. Training the forecaster is the
+// forecast.fit span of p.
+func inferenceSide(cfg Config, horizon int64, servers, shard, compress int, p *prof.Profiler) (*inference.Scheduler, orchestrator.LoanTargeter) {
 	salt := int64(101 * shard)
 	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13+salt), horizon*int64(compress), 300)
 	if compress > 1 {
@@ -820,6 +822,8 @@ func inferenceSide(cfg Config, horizon int64, servers, shard, compress int) (*in
 	}
 	is := inference.NewScheduler(util, servers, cfg.Headroom)
 	if cfg.ProactiveReclaim {
+		sp := p.Start("forecast.fit")
+		defer sp.End()
 		return is, orchestrator.NewForecaster(is, cfg.Seed+19+salt)
 	}
 	return is, is

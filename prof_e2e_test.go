@@ -17,30 +17,41 @@ import (
 // The 1+1 and 2+2 cases pin that every topology schedules on the engine
 // goroutine, where the shard schedulers' phase spans are recorded. The
 // faulted case pins that the engine's set-up — generating the fault schedule
-// and loading the initial timeline — is named, not left as "sim" self time.
+// and loading the initial timeline — is named, not left as "sim" self time,
+// and the proactive case that training the usage forecaster is named
+// inside "prepare".
 func TestProfilingDoesNotPerturbEvents(t *testing.T) {
-	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{}) })
-	t.Run("1+1", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 1, lyra.FaultPlan{}) })
-	t.Run("2+2", func(t *testing.T) { profilingDoesNotPerturbEvents(t, 2, lyra.FaultPlan{}) })
+	t.Run("one-state", func(t *testing.T) { profilingDoesNotPerturbEvents(t, func(*lyra.Config) {}) })
+	t.Run("1+1", func(t *testing.T) {
+		profilingDoesNotPerturbEvents(t, func(c *lyra.Config) { c.TrainingShards, c.InferenceShards = 1, 1 })
+	})
+	t.Run("2+2", func(t *testing.T) {
+		profilingDoesNotPerturbEvents(t, func(c *lyra.Config) { c.TrainingShards, c.InferenceShards = 2, 2 })
+	})
 	t.Run("faulted", func(t *testing.T) {
-		profilingDoesNotPerturbEvents(t, 0, lyra.FaultPlan{Seed: 5, ServerMTBF: 21600, RackOutMTBF: 43200})
+		profilingDoesNotPerturbEvents(t, func(c *lyra.Config) {
+			c.Faults = lyra.FaultPlan{Seed: 5, ServerMTBF: 21600, RackOutMTBF: 43200}
+		})
+	})
+	t.Run("proactive", func(t *testing.T) {
+		profilingDoesNotPerturbEvents(t, func(c *lyra.Config) { c.ProactiveReclaim = true })
 	})
 }
 
-func profilingDoesNotPerturbEvents(t *testing.T, shards int, faults lyra.FaultPlan) {
+func profilingDoesNotPerturbEvents(t *testing.T, tweak func(*lyra.Config)) {
+	var cfg lyra.Config
 	run := func(p *prof.Profiler) *lyra.Report {
 		tcfg := lyra.DefaultTraceConfig(7)
 		tcfg.Days = 1
 		tcfg.TrainingGPUs = 64
 		tr := lyra.GenerateTrace(tcfg)
 
-		cfg := lyra.DefaultConfig()
+		cfg = lyra.DefaultConfig()
 		cfg.Cluster = lyra.ClusterConfig{TrainingServers: 8, InferenceServers: 8}
 		cfg.Events = true
 		cfg.SchedInterval = 300
 		cfg.Audit = true
-		cfg.TrainingShards, cfg.InferenceShards = shards, shards
-		cfg.Faults = faults
+		tweak(&cfg)
 
 		rep, err := lyra.RunProfiled(cfg, tr, p)
 		if err != nil {
@@ -84,8 +95,11 @@ func profilingDoesNotPerturbEvents(t *testing.T, shards int, faults lyra.FaultPl
 		{"sim", "epoch.sched", "phase2", "phase2.apply"},
 		{"sim", "epoch.sched", "audit"},
 	}
-	if faults.Enabled() {
+	if cfg.Faults.Enabled() {
 		paths = append(paths, []string{"sim", "faults.schedule"}, []string{"sim", "crash"}, []string{"sim", "recover"})
+	}
+	if cfg.ProactiveReclaim {
+		paths = append(paths, []string{"prepare", "forecast.fit"})
 	}
 	for _, path := range paths {
 		n := r.Find(path...)

@@ -24,8 +24,9 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== scale-tier set-up benchmarks, once (they compile and run)"
+echo "== scale-tier set-up and comparison-kernel benchmarks, once (they compile and run)"
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchtime 1x ./internal/fault/ ./internal/trace/
+go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchtime 1x ./internal/orchestrator/ ./internal/alloc/
 
 echo "== smoke (the real binaries end to end: scripts/smoke.sh lists the cases)"
 ./scripts/smoke.sh

@@ -80,7 +80,7 @@ func shardedEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 	infUtil := make([]func(int64) float64, cfg.InferenceShards)
 	for m := range targets {
 		var is *inference.Scheduler
-		is, targets[m] = inferenceSide(cfg, tr.Horizon, infCounts[m], m, 1)
+		is, targets[m] = inferenceSide(cfg, tr.Horizon, infCounts[m], m, 1, simCfg.Prof)
 		infUtil[m] = is.UtilizationAt
 	}
 

@@ -17,6 +17,16 @@ type TestbedOptions struct {
 	UtilCompress int
 }
 
+// Normalize resolves the zero value to the default. RunTestbed applies it,
+// and the runner keys testbed runs through it, so options that run the same
+// prototype key the same.
+func (o TestbedOptions) Normalize() TestbedOptions {
+	if o.UtilCompress == 0 {
+		o.UtilCompress = 4
+	}
+	return o
+}
+
 // NormalizeTestbed is Normalize at the prototype's scale: a zero
 // SchedInterval / OrchInterval defaults to 10 s / 60 s — the same ratio as
 // production (the scheduler runs much more often, §3) at the scale of a
@@ -68,13 +78,11 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err err
 	case opt.UtilCompress < 0:
 		return nil, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
 	}
-	if opt.UtilCompress == 0 {
-		opt.UtilCompress = 4
-	}
+	opt = opt.Normalize()
 	r := newRun(cfg, tr)
 	defer r.recoverViolation(&err)
 
-	s, orch, _ := oneStateScheme(cfg, r.tr.Horizon, opt.UtilCompress)
+	s, orch, _ := oneStateScheme(cfg, r.tr.Horizon, opt.UtilCompress, nil)
 	tbCfg := testbed.Config{
 		Cluster:         cfg.Cluster,
 		SchedInterval:   float64(cfg.SchedInterval),

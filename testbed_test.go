@@ -53,8 +53,8 @@ func TestTestbedSchemeMatchesSimulator(t *testing.T) {
 	} {
 		cfg := testbedCfg(tc.cfg)
 		// What oneStateEngine seats, and what RunTestbed hands testbed.New.
-		_, simOrch, _ := oneStateScheme(cfg.Normalize(), horizon, 1)
-		_, tbOrch, _ := oneStateScheme(cfg.NormalizeTestbed(), horizon, 4)
+		_, simOrch, _ := oneStateScheme(cfg.Normalize(), horizon, 1, nil)
+		_, tbOrch, _ := oneStateScheme(cfg.NormalizeTestbed(), horizon, 4, nil)
 		if got := loanView(simOrch); got != tc.want {
 			t.Errorf("%s: simulator orchestrator is %s, want %s", tc.name, got, tc.want)
 		}
