@@ -47,13 +47,16 @@ smoke:
 # of its 223,777-job trace (allocs/op is the number to watch on both); and
 # of the two comparison kernels a registry pass pays for: the §6 LSTM fit
 # behind the proactive forecaster (allocs/op should read a few hundred, all
-# in NewLSTM) and one Pollux search at its 300-candidate cap.
+# in NewLSTM) and one Pollux search at its 300-candidate cap; and one
+# make-room round trip at the paper's scale (a scale-in for a waiting 8-GPU
+# gang over the flexible-server index, then phase 2's apply restoring it).
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
 	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchmem ./internal/orchestrator/ ./internal/alloc/
+	$(GO) test -run NONE -bench BenchmarkMakeRoom -benchmem ./internal/sched/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

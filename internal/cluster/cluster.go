@@ -7,7 +7,8 @@
 //
 // The cluster is maintain-on-write: every pool keeps an ordered member set,
 // a free-count bucket index (servers grouped by free GPUs, hosting work and
-// idle kept apart: the best-fit index), each an idset over server slots,
+// idle kept apart: the best-fit index) and the set of servers hosting
+// flexible GPUs (the make-room index), each an idset over server slots,
 // and O(1) capacity counters (free/used/total/flexible
 // GPUs, empty/partial server counts, per-GPU-type splits), all updated
 // inside Allocate/Release/ReleaseJob/Move. Reads — placement lookups,
@@ -19,7 +20,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -139,21 +140,27 @@ type Server struct {
 	// that moved the server into PoolQuarantine (sim.State.CrashServer): the
 	// pool recovery returns it to, and when it went down. The record lives
 	// on the server, so it travels with it through Detach/Adopt; the three
-	// one-byte fields share a word, so it leaves a Server at 72 bytes.
+	// one-byte fields share a word.
 	ReturnTo  Pool
 	DownSince float64
 	free      int
-	// flexTotal caches the sum of the flexible map so TotalFlexible is O(1).
+	// flexTotal caches the sum of held[].flex so TotalFlexible is O(1).
 	flexTotal int
-	// alloc and flexible stay nil until the first Allocate writes them: a
-	// nil map reads as empty, and most servers of a large cluster never
+	// held lists the jobs with GPUs here, ascending by job ID, one entry
+	// per job. A server hosts a handful of jobs, so reads scan it. It stays
+	// nil until the first Allocate: most servers of a large cluster never
 	// host a job within a run.
-	alloc    map[int]int // job ID -> GPUs allocated on this server
-	flexible map[int]int // job ID -> GPUs belonging to flexible (elastic surplus) workers
+	held []holding
 	// owner is the cluster maintaining pool/bucket indexes over this
 	// server; every allocation change is mirrored into its counters. Nil
 	// for standalone servers (reclaim fixtures, unit tests).
 	owner *Cluster
+}
+
+// holding is one job's allocation on a server: gpus > 0 GPUs, of which flex
+// belong to flexible (elastic surplus) workers.
+type holding struct {
+	job, gpus, flex int
 }
 
 // NewServer returns an empty server with all GPUs free.
@@ -168,22 +175,44 @@ func (s *Server) Free() int { return s.free }
 func (s *Server) Used() int { return s.NumGPUs - s.free }
 
 // Jobs returns the IDs of jobs with at least one GPU on this server, in
-// ascending order.
-func (s *Server) Jobs() []int {
-	ids := make([]int, 0, len(s.alloc))
-	for id := range s.alloc {
-		ids = append(ids, id)
+// ascending order, in a fresh slice.
+func (s *Server) Jobs() []int { return s.AppendJobs(make([]int, 0, len(s.held))) }
+
+// AppendJobs appends the IDs Jobs returns to dst and returns the result. A
+// caller that changes this server's allocations while walking its jobs
+// snapshots them here into a buffer it owns, without allocating.
+func (s *Server) AppendJobs(dst []int) []int {
+	for _, h := range s.held {
+		dst = append(dst, h.job)
 	}
-	sort.Ints(ids)
-	return ids
+	return dst
+}
+
+// find returns the index of job id's entry in held, or where it would be
+// inserted, and whether it is there.
+func (s *Server) find(id int) (int, bool) {
+	for i, h := range s.held {
+		if h.job >= id {
+			return i, h.job == id
+		}
+	}
+	return len(s.held), false
+}
+
+// lookup returns job id's entry (the zero holding when it holds nothing).
+func (s *Server) lookup(id int) holding {
+	if i, ok := s.find(id); ok {
+		return s.held[i]
+	}
+	return holding{}
 }
 
 // JobGPUs returns the number of GPUs job id holds on this server.
-func (s *Server) JobGPUs(id int) int { return s.alloc[id] }
+func (s *Server) JobGPUs(id int) int { return s.lookup(id).gpus }
 
 // FlexibleGPUs returns the number of GPUs held by flexible (elastic surplus)
 // workers of job id on this server.
-func (s *Server) FlexibleGPUs(id int) int { return s.flexible[id] }
+func (s *Server) FlexibleGPUs(id int) int { return s.lookup(id).flex }
 
 // TotalFlexible returns the GPUs held by flexible workers of any job.
 func (s *Server) TotalFlexible() int { return s.flexTotal }
@@ -207,16 +236,14 @@ func (s *Server) Allocate(id, gpus int, flexible bool) error {
 	}
 	oldFree := s.free
 	s.free -= gpus
-	if s.alloc == nil {
-		s.alloc = make(map[int]int)
+	i, ok := s.find(id)
+	if !ok {
+		s.held = slices.Insert(s.held, i, holding{job: id})
 	}
-	s.alloc[id] += gpus
+	s.held[i].gpus += gpus
 	flexDelta := 0
 	if flexible {
-		if s.flexible == nil {
-			s.flexible = make(map[int]int)
-		}
-		s.flexible[id] += gpus
+		s.held[i].flex += gpus
 		s.flexTotal += gpus
 		flexDelta = gpus
 	}
@@ -227,30 +254,25 @@ func (s *Server) Allocate(id, gpus int, flexible bool) error {
 // Release frees gpus GPUs held by job id. Flexible GPUs are released first,
 // mirroring Lyra's preference to scale in before preempting.
 func (s *Server) Release(id, gpus int) error {
-	held := s.alloc[id]
+	i, ok := s.find(id)
+	held := 0
+	if ok {
+		held = s.held[i].gpus
+	}
 	if gpus > held {
 		return fmt.Errorf("cluster: job %d holds %d GPUs on server %d, released %d", id, held, s.ID, gpus)
 	}
+	if !ok {
+		return nil
+	}
+	h := &s.held[i]
 	oldFree := s.free
 	s.free += gpus
-	flexDelta := 0
-	if held == gpus {
-		delete(s.alloc, id)
-		if f := s.flexible[id]; f > 0 {
-			flexDelta = -f
-			delete(s.flexible, id)
-		}
-	} else {
-		s.alloc[id] = held - gpus
-		if f := s.flexible[id]; f > 0 {
-			if nf := f - gpus; nf <= 0 {
-				flexDelta = -f
-				delete(s.flexible, id)
-			} else {
-				flexDelta = -gpus
-				s.flexible[id] = nf
-			}
-		}
+	flexDelta := -min(h.flex, gpus)
+	h.gpus -= gpus
+	h.flex += flexDelta
+	if h.gpus == 0 {
+		s.held = slices.Delete(s.held, i, i+1)
 	}
 	s.flexTotal += flexDelta
 	s.notify(oldFree, flexDelta)
@@ -259,21 +281,17 @@ func (s *Server) Release(id, gpus int) error {
 
 // ReleaseJob frees every GPU held by job id and reports how many were held.
 func (s *Server) ReleaseJob(id int) int {
-	held := s.alloc[id]
-	if held == 0 {
+	i, ok := s.find(id)
+	if !ok {
 		return 0
 	}
+	h := s.held[i]
+	s.held = slices.Delete(s.held, i, i+1)
 	oldFree := s.free
-	s.free += held
-	delete(s.alloc, id)
-	flexDelta := 0
-	if f := s.flexible[id]; f > 0 {
-		flexDelta = -f
-		delete(s.flexible, id)
-	}
-	s.flexTotal += flexDelta
-	s.notify(oldFree, flexDelta)
-	return held
+	s.free += h.gpus
+	s.flexTotal -= h.flex
+	s.notify(oldFree, -h.flex)
+	return h.gpus
 }
 
 // Cluster is the combined training + inference infrastructure. All mutation
@@ -305,6 +323,9 @@ type Cluster struct {
 	// allocation change moves it between sets (see serverChanged).
 	buckets [numPools][]idset
 	idle    [numPools][]idset
+	// flexHosts[p] holds pool p's servers with TotalFlexible > 0: the
+	// servers a make-room scale-in can take GPUs from.
+	flexHosts [numPools]idset
 	// O(1) capacity counters per pool.
 	freeCnt  [numPools]int
 	usedCnt  [numPools]int
@@ -426,26 +447,23 @@ func (c *Cluster) assignDomains(cfg Config) {
 	n := len(c.servers)
 	c.rackOf = make([]int, n)
 	c.zoneOf = make([]int, n)
+	// A rack or a zone is a run of consecutive IDs, so every member list is
+	// a capacity-limited window of one shared ID slab.
+	ids := make([]int, n)
+	for off := range ids {
+		ids[off] = off + c.firstID
+	}
 	for _, seg := range [][2]int{{0, cfg.TrainingServers}, {cfg.TrainingServers, n}} {
-		segRack0 := len(c.racks)
-		for off := seg[0]; off < seg[1]; off++ {
-			r := segRack0 + (off-seg[0])/rackSize
-			for len(c.racks) <= r {
-				c.racks = append(c.racks, nil)
+		for a := seg[0]; a < seg[1]; a += rackSize {
+			if (a-seg[0])/rackSize%zoneRacks == 0 {
+				end := min(a+rackSize*zoneRacks, seg[1])
+				c.zones = append(c.zones, ids[a:end:end])
 			}
-			c.rackOf[off] = r
-			c.racks[r] = append(c.racks[r], off+c.firstID)
-		}
-		for r := segRack0; r < len(c.racks); r++ {
-			z := len(c.zones) - 1
-			if r == segRack0 || (r-segRack0)%zoneRacks == 0 {
-				c.zones = append(c.zones, nil)
-				z++
+			end := min(a+rackSize, seg[1])
+			for off := a; off < end; off++ {
+				c.rackOf[off], c.zoneOf[off] = len(c.racks), len(c.zones)-1
 			}
-			for _, id := range c.racks[r] {
-				c.zoneOf[id-c.firstID] = z
-				c.zones[z] = append(c.zones[z], id)
-			}
+			c.racks = append(c.racks, ids[a:end:end])
 		}
 	}
 }
@@ -527,6 +545,9 @@ func (c *Cluster) enterPool(p Pool, s *Server) {
 	if s.Used() == 0 {
 		c.emptyCnt[p]++
 	}
+	if s.flexTotal > 0 {
+		c.flexHosts[p].add(s.ID - c.firstID)
+	}
 }
 
 // leavePool removes s from pool p's indexes and counters.
@@ -541,6 +562,9 @@ func (c *Cluster) leavePool(p Pool, s *Server) {
 	if s.Used() == 0 {
 		c.emptyCnt[p]--
 	}
+	if s.flexTotal > 0 {
+		c.mustDel(&c.flexHosts[p], s)
+	}
 }
 
 // serverChanged is the single write-path hook: a server whose free count
@@ -549,6 +573,12 @@ func (c *Cluster) leavePool(p Pool, s *Server) {
 func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 	p := s.Pool
 	c.flexCnt[p] += flexDelta
+	switch {
+	case flexDelta > 0 && s.flexTotal == flexDelta: // 0 -> >0
+		c.flexHosts[p].add(s.ID - c.firstID)
+	case flexDelta < 0 && s.flexTotal == 0: // >0 -> 0
+		c.mustDel(&c.flexHosts[p], s)
+	}
 	if oldFree == s.free {
 		return
 	}
@@ -694,6 +724,20 @@ func (c *Cluster) EachPoolServer(p Pool, fn func(*Server) bool) {
 	}
 }
 
+// EachFlexibleServer calls fn for every server of pool p hosting flexible
+// GPUs, in ascending ID order, stopping early when fn returns false: the
+// servers EachPoolServer visits with TotalFlexible() > 0, without passing
+// over the rest. The callback may release GPUs on the server it was handed,
+// under EachPoolServer's rules.
+func (c *Cluster) EachFlexibleServer(p Pool, fn func(*Server) bool) {
+	set := &c.flexHosts[p]
+	for i := set.next(0); i >= 0; i = set.next(i + 1) {
+		if !fn(c.servers[i]) {
+			return
+		}
+	}
+}
+
 // PoolSize returns the number of servers in pool p.
 func (c *Cluster) PoolSize(p Pool) int { return c.pools[p].n }
 
@@ -749,7 +793,7 @@ func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] 
 // the exact winner of that order, whatever mix of server sizes the pool holds.
 // With B = GPUs per server distinct free counts this is O(B + ineligible
 // servers passed over); nothing is scanned past the answer.
-func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude map[int]struct{}) *Server {
+func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude []int) *Server {
 	minNeed := -1
 	if fixed != nil {
 		if c.srvByType[p][*fixed] == 0 {
@@ -782,7 +826,7 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclud
 				if s.free < need(s.GPU) {
 					continue
 				}
-				if _, excluded := exclude[s.ID]; !excluded {
+				if !slices.Contains(exclude, s.ID) {
 					return s
 				}
 			}
@@ -822,20 +866,15 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("server %d missing from pool index", s.ID)
 		}
 		sum, flexSum := 0, 0
-		for id, g := range s.alloc {
-			if g <= 0 {
-				return fmt.Errorf("server %d: job %d holds %d GPUs", s.ID, id, g)
+		for i, h := range s.held {
+			if i > 0 && h.job <= s.held[i-1].job {
+				return fmt.Errorf("server %d: job %d listed after job %d", s.ID, h.job, s.held[i-1].job)
 			}
-			if f := s.flexible[id]; f > g {
-				return fmt.Errorf("server %d: job %d flexible %d > alloc %d", s.ID, id, f, g)
+			if h.gpus <= 0 || h.flex < 0 || h.flex > h.gpus {
+				return fmt.Errorf("server %d: job %d holds %d GPUs, %d flexible", s.ID, h.job, h.gpus, h.flex)
 			}
-			sum += g
-		}
-		for id, f := range s.flexible {
-			if f <= 0 {
-				return fmt.Errorf("server %d: job %d flexible entry %d", s.ID, id, f)
-			}
-			flexSum += f
+			sum += h.gpus
+			flexSum += h.flex
 		}
 		if sum+s.free != s.NumGPUs {
 			return fmt.Errorf("server %d: alloc %d + free %d != %d GPUs", s.ID, sum, s.free, s.NumGPUs)
@@ -855,8 +894,9 @@ func (c *Cluster) CheckInvariants() error {
 
 // AuditIndexes recounts every incrementally-maintained counter and index
 // from scratch — per-pool free/used/total/flexible GPUs, empty-server
-// counts, per-type membership, and the membership, side (hosting or
-// idle) and member count of every free-count set — and returns the first
+// counts, per-type membership, the membership, side (hosting or idle) and
+// member count of every free-count set, and the membership of every
+// flexible-server set — and returns the first
 // disagreement with the maintained values. It is the
 // equivalence oracle keeping the maintain-on-write fast paths honest: the
 // invariant audit layer calls it after every audited transition, so any
@@ -864,7 +904,7 @@ func (c *Cluster) CheckInvariants() error {
 // the transition that introduced the drift.
 func (c *Cluster) AuditIndexes() error {
 	for p := Pool(0); p < numPools; p++ {
-		var members, free, used, total, flex, empty int
+		var members, free, used, total, flex, empty, flexHosts int
 		var byType [numGPUTypes]int
 		for i := c.pools[p].next(0); i >= 0; i = c.pools[p].next(i + 1) {
 			s := c.servers[i]
@@ -877,6 +917,21 @@ func (c *Cluster) AuditIndexes() error {
 			if s.Used() == 0 {
 				empty++
 			}
+			if s.flexTotal > 0 {
+				flexHosts++
+			}
+		}
+		// Every flexible-index member is a pool member hosting flexible
+		// GPUs, and there are as many as the recount: the sets are equal.
+		indexed := 0
+		for i := c.flexHosts[p].next(0); i >= 0; i = c.flexHosts[p].next(i + 1) {
+			if s := c.Server(i + c.firstID); s == nil || s.Pool != p || s.flexTotal == 0 {
+				return fmt.Errorf("pool %v: flexible index holds slot %d, not a server of the pool hosting flexible GPUs", p, i)
+			}
+			indexed++
+		}
+		if indexed != flexHosts || indexed != c.flexHosts[p].n {
+			return fmt.Errorf("pool %v: flexible index holds %d servers (counts %d), recount %d", p, indexed, c.flexHosts[p].n, flexHosts)
 		}
 		if free != c.freeCnt[p] || used != c.usedCnt[p] || total != c.totalCnt[p] || flex != c.flexCnt[p] {
 			return fmt.Errorf("pool %v: counters free/used/total/flex = %d/%d/%d/%d, recount = %d/%d/%d/%d",

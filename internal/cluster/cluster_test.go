@@ -53,15 +53,15 @@ func TestNewDefaultConfigScale(t *testing.T) {
 	}
 }
 
-// A cluster costs one object per server — its two maps wait for the first
-// Allocate — plus the rack and zone member lists (each grown by
-// doubling) and a few dozen index words, at the paper's scale and at ten
-// times it.
+// A cluster costs one object per server — its holdings list waits for the
+// first Allocate — plus a few dozen slices: the domain tables (every rack
+// and zone member list is a window of one ID slab) and the index words, at
+// the paper's scale and at ten times it.
 func TestNewAllocatesOnePerServer(t *testing.T) {
 	for _, scale := range []int{1, 10} {
 		cfg := Config{TrainingServers: 443 * scale, InferenceServers: 520 * scale}
 		c := New(cfg)
-		bound := float64(c.NumServers() + 4*c.NumRacks() + 6*c.NumZones() + 100)
+		bound := float64(c.NumServers() + 150)
 		if a := testing.AllocsPerRun(3, func() { New(cfg) }); a > bound {
 			t.Errorf("New(%d+%d servers): %.0f allocations, want at most %.0f (%d servers, %d racks, %d zones)",
 				cfg.TrainingServers, cfg.InferenceServers, a, bound, c.NumServers(), c.NumRacks(), c.NumZones())
@@ -136,6 +136,71 @@ func TestServerJobsSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Jobs() = %v, want %v", got, want)
 		}
+	}
+}
+
+// Releasing nothing of a job the server does not host is a no-op; releasing
+// GPUs it does not hold is an error that leaves the server as it was.
+func TestReleaseOfAbsentJob(t *testing.T) {
+	c := New(Config{TrainingServers: 1, InferenceServers: 0})
+	s := c.Server(0)
+	if err := s.Allocate(2, 3, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 3} { // before and after the one hosted job
+		if err := s.Release(id, 0); err != nil {
+			t.Errorf("Release(%d, 0) of an absent job: %v, want a no-op", id, err)
+		}
+		if err := s.Release(id, 1); err == nil {
+			t.Errorf("Release(%d, 1) of an absent job succeeded, want an error", id)
+		}
+	}
+	if got := s.Jobs(); len(got) != 1 || got[0] != 2 || s.Free() != 5 || s.TotalFlexible() != 3 {
+		t.Errorf("server changed: jobs %v, free %d, flexible %d; want [2], 5, 3", got, s.Free(), s.TotalFlexible())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AuditIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// AuditIndexes must catch a flexible-server index out of step with the
+// servers: a member left behind after its flexible GPUs are gone, and a
+// server hosting flexible GPUs that the index lost.
+func TestAuditIndexesCatchesStaleFlexibleEntry(t *testing.T) {
+	c := New(Config{TrainingServers: 2, InferenceServers: 0})
+	a, b := c.Server(0), c.Server(1)
+	if err := a.Allocate(1, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Allocate(1, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AuditIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	// Stale: server 1 hosts no flexible GPUs but is filed as if it did.
+	c.flexHosts[PoolTraining].add(b.ID)
+	if err := c.AuditIndexes(); err == nil {
+		t.Error("AuditIndexes missed a stale flexible-index entry")
+	}
+	c.flexHosts[PoolTraining].del(b.ID)
+	// Stale after release: the write path's removal skipped.
+	a.ReleaseJob(1)
+	c.flexHosts[PoolTraining].add(a.ID)
+	if err := c.AuditIndexes(); err == nil {
+		t.Error("AuditIndexes missed an entry left after its flexible GPUs were released")
+	}
+	c.flexHosts[PoolTraining].del(a.ID)
+	// Lost: a server hosting flexible GPUs missing from the index.
+	if err := b.Allocate(2, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	c.flexHosts[PoolTraining].del(b.ID)
+	if err := c.AuditIndexes(); err == nil {
+		t.Error("AuditIndexes missed a server hosting flexible GPUs absent from the index")
 	}
 }
 

@@ -4,8 +4,10 @@ package cluster_test
 // naive reference model (recount + sort on every read) is driven with the
 // same random Allocate/Release/ReleaseJob/Move/crash sequence as the
 // indexed implementation, and every read — pool membership, all capacity
-// counters, fragmentation, busy-server counts, normalized capacity, and
-// the best-fit choice under random constraints — must agree at every step.
+// counters, fragmentation, busy-server counts, normalized capacity, the
+// servers hosting flexible GPUs, every server's ID-ordered job list and
+// per-job GPUs, and the best-fit choice under random constraints — must
+// agree at every step.
 // The cluster mixes 8-GPU and 4-GPU servers, so an empty small server and a
 // half-used large one hold the same free count: best-fit must still prefer
 // the one hosting work, which is what the hosting/idle split of the index
@@ -17,6 +19,7 @@ package cluster_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -52,8 +55,21 @@ func (r *refServer) flexTotal() int {
 }
 
 // refModel recomputes every read from scratch over a plain server list.
+// nextJob is the lowest job ID not yet issued.
 type refModel struct {
 	servers []*refServer
+	nextJob int
+}
+
+// flexIDs lists pool p's servers hosting flexible GPUs, ascending.
+func (m *refModel) flexIDs(p Pool) []int {
+	var ids []int
+	for _, id := range m.poolIDs(p) {
+		if m.servers[id].flexTotal() > 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 func (m *refModel) poolIDs(p Pool) []int {
@@ -87,7 +103,7 @@ func (m *refModel) counts(p Pool) (free, used, total, flex, empty int) {
 // bestFit is the reference placement: a full scan in ID order applying the
 // placement preference (non-empty first, then least free, then lowest ID),
 // exactly as place.bestFit did before the bucket index existed.
-func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude map[int]struct{}) int {
+func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude []int) int {
 	best := -1
 	var bestFree, bestUsed int
 	for _, s := range m.servers {
@@ -104,7 +120,7 @@ func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclu
 		if s.free() < n {
 			continue
 		}
-		if _, ex := exclude[s.id]; ex {
+		if slices.Contains(exclude, s.id) {
 			continue
 		}
 		better := false
@@ -194,6 +210,30 @@ func compare(t *testing.T, step int, c *Cluster, m *refModel) {
 		if c.BusyServers(p) != len(wantIDs)-empty {
 			t.Fatalf("step %d pool %v: busy = %d, want %d", step, p, c.BusyServers(p), len(wantIDs)-empty)
 		}
+		var flexIDs []int
+		c.EachFlexibleServer(p, func(s *Server) bool { flexIDs = append(flexIDs, s.ID); return true })
+		if want := m.flexIDs(p); !slices.Equal(flexIDs, want) {
+			t.Fatalf("step %d pool %v: EachFlexibleServer visits %v, want %v", step, p, flexIDs, want)
+		}
+	}
+	// Every server's holdings, for every job ever issued and one never
+	// issued: the ID-ordered job list, and GPUs and flexible GPUs per job.
+	for _, r := range m.servers {
+		s := c.Server(r.id)
+		want := make([]int, 0, len(r.alloc))
+		for id := range r.alloc {
+			want = append(want, id)
+		}
+		sort.Ints(want)
+		if got := s.Jobs(); !slices.Equal(got, want) {
+			t.Fatalf("step %d server %d: Jobs() = %v, want %v", step, r.id, got, want)
+		}
+		for id := 0; id <= m.nextJob; id++ {
+			if s.JobGPUs(id) != r.alloc[id] || s.FlexibleGPUs(id) != r.flex[id] {
+				t.Fatalf("step %d server %d job %d: GPUs/flexible = %d/%d, want %d/%d",
+					step, r.id, id, s.JobGPUs(id), s.FlexibleGPUs(id), r.alloc[id], r.flex[id])
+			}
+		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
@@ -220,9 +260,9 @@ func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refMo
 			g := GPUType(rng.Intn(2)) // V100 or T4
 			fixed = &g
 		}
-		exclude := map[int]struct{}{}
+		var exclude []int
 		for i := rng.Intn(4); i > 0; i-- {
-			exclude[rng.Intn(len(m.servers))] = struct{}{}
+			exclude = append(exclude, rng.Intn(len(m.servers)))
 		}
 		if trial >= 2 {
 			// Aim the filters at the idle side: shut out the pool's first
@@ -230,7 +270,7 @@ func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refMo
 			k := 1 + rng.Intn(3)
 			for _, s := range m.servers {
 				if k > 0 && s.pool == p && s.used() == 0 {
-					exclude[s.id] = struct{}{}
+					exclude = append(exclude, s.id)
 					k--
 				}
 			}
@@ -255,17 +295,17 @@ func TestIndexedClusterMatchesReferenceModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := Config{TrainingServers: 6, InferenceServers: 6, GPUsPerServer: 8}
 			c, m := buildPair(t, cfg)
-			nextJob := 1
+			m.nextJob = 1
 			for step := 0; step < 600; step++ {
 				id := rng.Intn(len(m.servers))
 				s, r := c.Server(id), m.servers[id]
 				switch op := rng.Intn(10); {
 				case op < 4: // allocate
-					jid := nextJob
+					jid := m.nextJob
 					if rng.Intn(3) == 0 && len(r.alloc) > 0 {
 						jid = anyKey(rng, r.alloc) // grow an existing allocation
 					} else {
-						nextJob++
+						m.nextJob++
 					}
 					gpus := 1 + rng.Intn(5)
 					flexible := rng.Intn(3) == 0

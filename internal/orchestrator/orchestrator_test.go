@@ -193,7 +193,9 @@ func TestReclaimScalesInFlexibleFirst(t *testing.T) {
 	st.Start(j, base)
 	st.CompactPending()
 	flexOpts := place.PreferOnLoan(true)
-	flexOpts.Exclude = place.ServerSetOf(j, false)
+	for _, w := range base {
+		flexOpts.Exclude = append(flexOpts.Exclude, w.Server)
+	}
 	flex := place.UpTo(st.Cluster, j, 2, flexOpts)
 	if len(flex) == 0 {
 		t.Fatal("flex placement failed")

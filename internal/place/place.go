@@ -28,9 +28,9 @@ type Options struct {
 	// nil leaves the type to be locked by the first placed worker when
 	// SingleGPUType is set.
 	FixedGPU *cluster.GPUType
-	// Exclude lists servers that must not be used — the base/flexible
-	// separation of §5.3.
-	Exclude map[int]struct{}
+	// Exclude lists the IDs of servers that must not be used — the
+	// base/flexible separation of §5.3. It is a handful of IDs, scanned.
+	Exclude []int
 	// Flexible marks the placed workers as elastic surplus.
 	Flexible bool
 }
@@ -197,18 +197,6 @@ func bestFit(c *cluster.Cluster, j *job.Job, opt Options) *cluster.Server {
 // on loaned capacity.
 func FitsOnLoan(c *cluster.Cluster, j *job.Job) bool {
 	return WorkerGPUs(j, cluster.T4) <= c.GPUsPerServer()
-}
-
-// ServerSetOf returns the set of servers hosting j's workers of the given
-// kind (flexible or base), for building Exclude sets.
-func ServerSetOf(j *job.Job, flexible bool) map[int]struct{} {
-	set := make(map[int]struct{})
-	for _, w := range j.Workers {
-		if w.Flexible == flexible {
-			set[w.Server] = struct{}{}
-		}
-	}
-	return set
 }
 
 // SortByDemand orders jobs by decreasing per-worker GPU demand — the

@@ -196,7 +196,7 @@ func TestUpToLocksGPUType(t *testing.T) {
 func TestExcludeServers(t *testing.T) {
 	c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 0})
 	j := job.New(1, 0, job.Generic, 2, 1, 4, 100)
-	opt := Options{PreferPool: cluster.PoolTraining, Exclude: map[int]struct{}{0: {}}}
+	opt := Options{PreferPool: cluster.PoolTraining, Exclude: []int{0}}
 	ws := UpTo(c, j, 2, opt)
 	for _, w := range ws {
 		if w.Server == 0 {
@@ -217,26 +217,6 @@ func TestFixedGPUConstraint(t *testing.T) {
 		if w.GPU != cluster.T4 {
 			t.Errorf("worker on %v despite FixedGPU=T4", w.GPU)
 		}
-	}
-}
-
-func TestServerSetOf(t *testing.T) {
-	j := job.New(1, 0, job.Generic, 1, 2, 4, 100)
-	j.Workers = []job.Worker{
-		{Server: 1, Flexible: false},
-		{Server: 2, Flexible: true},
-		{Server: 3, Flexible: false},
-	}
-	base := ServerSetOf(j, false)
-	if len(base) != 2 {
-		t.Errorf("base set = %v", base)
-	}
-	if _, ok := base[2]; ok {
-		t.Error("flexible server in base set")
-	}
-	flex := ServerSetOf(j, true)
-	if _, ok := flex[2]; !ok || len(flex) != 1 {
-		t.Errorf("flex set = %v", flex)
 	}
 }
 

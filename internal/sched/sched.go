@@ -173,16 +173,18 @@ func reclaimFlexible(st *sim.State, j *job.Job, pp poolPolicy) int {
 		if pool == cluster.PoolOnLoan && !pp.allowOnLoan {
 			continue
 		}
-		// Scale-ins only release GPUs — they never move servers between
-		// pools — so iterating the live pool index is safe here.
-		st.Cluster.EachPoolServer(pool, func(s *cluster.Server) bool {
+		// Scale-ins only release GPUs on the server being visited — they
+		// never move servers between pools or touch the servers still
+		// ahead — so iterating the live index is safe here, and the
+		// flexible-server index visits what a whole-pool walk skipping
+		// servers without flexible GPUs would. The server's job list
+		// changes as victims leave it, so it is walked from a snapshot.
+		st.Cluster.EachFlexibleServer(pool, func(s *cluster.Server) bool {
 			if freed >= want {
 				return false
 			}
-			if s.TotalFlexible() == 0 {
-				return true
-			}
-			for _, id := range s.Jobs() {
+			var buf [16]int
+			for _, id := range s.AppendJobs(buf[:0]) {
 				if freed >= want {
 					return false
 				}
@@ -263,14 +265,10 @@ func scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Options {
 		return opt
 	}
 	opt.PreferPool = cluster.PoolOnLoan
-	exclude := make(map[int]struct{})
-	for sid := range place.ServerSetOf(j, false) {
-		if st.Cluster.Server(sid).Pool == cluster.PoolOnLoan {
-			exclude[sid] = struct{}{}
+	for _, w := range j.Workers {
+		if !w.Flexible && st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
+			opt.Exclude = append(opt.Exclude, w.Server) // a repeat is harmless
 		}
-	}
-	if len(exclude) > 0 {
-		opt.Exclude = exclude
 	}
 	return opt
 }

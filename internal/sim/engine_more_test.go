@@ -162,7 +162,7 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	gpu := cluster.V100
 	flex := place.UpTo(c, j, 2, place.Options{
 		PreferPool: cluster.PoolTraining, Flexible: true, SingleGPUType: true,
-		FixedGPU: &gpu, Exclude: map[int]struct{}{base[0].Server: {}},
+		FixedGPU: &gpu, Exclude: []int{base[0].Server},
 	})
 	if len(flex) != 2 {
 		t.Fatalf("flex placement: %v", flex)

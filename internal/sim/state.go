@@ -79,6 +79,7 @@ type State struct {
 	mergeScratch   []*job.Job
 	idxDirty       bool
 	changedScratch []*job.Job
+	flexCands      []flexCand // RemoveFlexibleWorkers' reused candidate list
 
 	// flexNominal is Σ FlexibleWorkers × GPUsPerWorker over running elastic
 	// candidates (Elastic && FlexRange > 0) — the flexible capacity term of
@@ -493,36 +494,36 @@ func (st *State) RemoveFlexibleWorkers(j *job.Job, n int) int {
 	}
 	// Rank candidate flexible workers by ascending hosting-server load
 	// (measured before any removal). Tie-break keys, in order: server load,
-	// server ID, worker index in j.Workers. The explicit idx key makes the
-	// comparator total, so plain sort.Slice reproduces exactly what the
-	// previous SliceStable sort produced by stability — and the decision
-	// order is now spelled out instead of implied.
-	type cand struct {
-		idx, load, srv int
-	}
-	cands := make([]cand, 0, len(j.Workers))
+	// server ID, worker index in j.Workers. The idx key makes the comparator
+	// total, so the order does not depend on the sort algorithm.
+	cands := st.flexCands[:0]
 	for i, w := range j.Workers {
 		if w.Flexible {
-			cands = append(cands, cand{idx: i, load: st.Cluster.Server(w.Server).Used(), srv: w.Server})
+			cands = append(cands, flexCand{idx: i, load: st.Cluster.Server(w.Server).Used(), srv: w.Server})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		if cands[a].srv != cands[b].srv {
-			return cands[a].srv < cands[b].srv
-		}
-		return cands[a].idx < cands[b].idx
+	st.flexCands = cands
+	slices.SortFunc(cands, func(a, b flexCand) int {
+		return cmp.Or(cmp.Compare(a.load, b.load), cmp.Compare(a.srv, b.srv), cmp.Compare(a.idx, b.idx))
 	})
-	if n > len(cands) {
-		n = len(cands)
-	}
-	chosen := make(map[int]bool, n)
-	for _, c := range cands[:n] {
-		chosen[c.idx] = true
-	}
-	return st.removeFlexible(j, func(i int, w job.Worker) bool { return chosen[i] })
+	// removeFlexible offers the flexible workers in ascending index order,
+	// so the chosen ones, re-sorted by index, are matched by one cursor.
+	chosen := cands[:min(n, len(cands))]
+	slices.SortFunc(chosen, func(a, b flexCand) int { return cmp.Compare(a.idx, b.idx) })
+	k := 0
+	return st.removeFlexible(j, func(i int, w job.Worker) bool {
+		if k < len(chosen) && chosen[k].idx == i {
+			k++
+			return true
+		}
+		return false
+	})
+}
+
+// flexCand is one flexible worker RemoveFlexibleWorkers may remove: its
+// index in j.Workers, and its hosting server's ID and load.
+type flexCand struct {
+	idx, load, srv int
 }
 
 // removeFlexible removes j's flexible workers selected by sel (which sees
@@ -746,7 +747,8 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) bool {
 	preempted, scaledIn := 0, 0
 	saved := st.Cause
 	st.Cause = "crash"
-	for _, id := range s.Jobs() {
+	var buf [16]int // the evictions below change the server's job list
+	for _, id := range s.AppendJobs(buf[:0]) {
 		j := st.Running[id]
 		if j == nil {
 			invariant.Fail(fmt.Sprintf("sim:crash t=%g server=%d", st.Now, sid), invariant.Violation{
