@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"lyra"
 	"lyra/internal/cliflags"
 	"lyra/internal/prof"
 	"lyra/internal/runner"
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		g.Fatal(err)
 	}
-	cells, err := cliflags.LoadMatrix(paths, g.Audit, *tighten)
+	cells, err := loadMatrix(paths, g.Audit, *tighten)
 	if err != nil {
 		g.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
 				slo = "SLO gated"
 			}
 			fmt.Printf("%-40s scheduler=%-8s scenario=%-6s %s\n",
-				c.Label(), c.Config.Normalize().Scheduler, orDash(string(c.Scenario)), slo)
+				c.Label(), c.Config.Normalize().Scheduler, orDash(string(c.Mix.Scenario)), slo)
 		}
 		return
 	}
@@ -123,6 +124,34 @@ func specPaths(path string) ([]string, error) {
 		return nil, fmt.Errorf("no *.yaml/*.yml/*.json spec files in %s", path)
 	}
 	return out, nil
+}
+
+// loadMatrix loads the spec files, compiles them, and applies the given
+// per-cell adjustments: audit turns the invariant auditor on in every
+// cell's config, tighten != 1 scales every SLO upper bound (the CI failure
+// -path proof).
+func loadMatrix(paths []string, audit bool, tighten float64) ([]lyra.CompiledCell, error) {
+	var cells []lyra.CompiledCell
+	for _, path := range paths {
+		spec, err := lyra.LoadSpec(path)
+		if err != nil {
+			return nil, err
+		}
+		cs, err := spec.Compile()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		cells = append(cells, cs...)
+	}
+	for i := range cells {
+		if audit {
+			cells[i].Config.Audit = true
+		}
+		if tighten != 1 {
+			cells[i].SLO = cells[i].SLO.Tighten(tighten)
+		}
+	}
+	return cells, nil
 }
 
 // matrixJSON is the -json document: one entry per cell with the headline

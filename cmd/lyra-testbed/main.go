@@ -1,6 +1,7 @@
 // Command lyra-testbed runs the prototype runtime end-to-end: the 64-GPU
 // testbed cluster of §7.5, worker containers with launch latency, per-job
-// elastic controllers, the whitelist handover between the two schedulers,
+// elastic controllers, the orchestrator loaning and reclaiming servers by
+// moving them between the two schedulers' pools (§6's whitelist update),
 // and the production scheduling code driving it all tick by tick on
 // simulated time. The testbed is inherently single-cluster (one training
 // + one inference pool, as deployed in §7.5); sharded multi-cluster

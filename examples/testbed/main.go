@@ -1,7 +1,8 @@
 // Testbed example: drive the prototype runtime with a handful of jobs and
 // watch the moving parts — containers launching with latency, an elastic
 // job's controller gating training on its ready workers, the
-// orchestrator loaning and reclaiming servers through the whitelist API.
+// orchestrator loaning and reclaiming servers by moving them between the
+// two schedulers' pools (§6's whitelist update).
 package main
 
 import (

@@ -268,31 +268,3 @@ func kindCSV(ks []lyra.SchedulerKind) string {
 	}
 	return strings.Join(parts, ", ")
 }
-
-// LoadMatrix loads the spec files, compiles them, and applies the given
-// per-cell adjustments: audit turns the invariant auditor on in every
-// cell's config, tighten != 1 scales every SLO upper bound (the CI failure
-// -path proof).
-func LoadMatrix(paths []string, audit bool, tighten float64) ([]lyra.CompiledCell, error) {
-	var cells []lyra.CompiledCell
-	for _, path := range paths {
-		spec, err := lyra.LoadSpec(path)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := spec.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		cells = append(cells, cs...)
-	}
-	for i := range cells {
-		if audit {
-			cells[i].Config.Audit = true
-		}
-		if tighten != 1 {
-			cells[i].SLO = cells[i].SLO.Tighten(tighten)
-		}
-	}
-	return cells, nil
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"lyra/internal/runner"
@@ -14,19 +15,42 @@ var wallClockExperiments = map[string]bool{
 	"reclaimopt": true,
 }
 
-// renderDeterministic prints every deterministic registry experiment.
-func renderDeterministic(p Params) []byte {
+// renderDeterministic prints every deterministic registry experiment and
+// returns the bytes with each experiment's tables.
+func renderDeterministic(p Params) ([]byte, map[string][]*Table) {
 	var buf bytes.Buffer
+	tables := make(map[string][]*Table)
 	for _, e := range Registry() {
 		if wallClockExperiments[e.Name] {
 			continue
 		}
-		for _, tab := range e.Run(p) {
+		tables[e.Name] = e.Run(p)
+		for _, tab := range tables[e.Name] {
 			tab.Fprint(&buf)
 		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), tables
 }
+
+// registryPass is one rendering of the deterministic registry at tiny
+// scale: the bytes, each experiment's tables, and the pool that ran it with
+// its stats right after the pass.
+type registryPass struct {
+	out    []byte
+	tables map[string][]*Table
+	params Params
+	stats  runner.Stats
+}
+
+// serialPass renders the registry once on a one-worker pool, the serial
+// side of TestRegistrySerialVsParallelIdentity; the tests that need a
+// rendered registry read this one pass instead of rendering their own.
+var serialPass = sync.OnceValue(func() *registryPass {
+	p := tiny()
+	p.Pool = runner.New(1)
+	out, tables := renderDeterministic(p)
+	return &registryPass{out: out, tables: tables, params: p, stats: p.Pool.Stats()}
+})
 
 // TestRegistrySerialVsParallelIdentity is the acceptance guard for the
 // parallel memoizing runner: a serial pool (one worker) and a parallel pool
@@ -36,13 +60,11 @@ func TestRegistrySerialVsParallelIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	serial := tiny()
-	serial.Pool = runner.New(1)
 	parallel := tiny()
 	parallel.Pool = runner.New(8)
 
-	a := renderDeterministic(serial)
-	b := renderDeterministic(parallel)
+	a := serialPass().out
+	b, _ := renderDeterministic(parallel)
 	if !bytes.Equal(a, b) {
 		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i] != b[i] {
@@ -65,11 +87,8 @@ func TestRegistryMemoization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	p := tiny()
-	p.Pool = runner.New(2)
-
-	renderDeterministic(p)
-	first := p.Pool.Stats()
+	pass := serialPass()
+	first := pass.stats
 	if first.Hits == 0 {
 		t.Errorf("one registry pass produced no cache hits; experiments share baselines and should collide")
 	}
@@ -77,8 +96,8 @@ func TestRegistryMemoization(t *testing.T) {
 		t.Errorf("executed %d of %d requests; memoization saved nothing", first.Executed, first.Requests)
 	}
 
-	renderDeterministic(p)
-	second := p.Pool.Stats()
+	renderDeterministic(pass.params)
+	second := pass.params.Pool.Stats()
 	if second.Executed != first.Executed {
 		t.Errorf("second pass executed %d new simulations, want 0", second.Executed-first.Executed)
 	}

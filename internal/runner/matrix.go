@@ -10,28 +10,6 @@ import (
 	"lyra"
 )
 
-// CellSpec lowers one compiled scenario-spec cell into the pool's
-// declarative Spec. The conversion is mechanical on purpose: a
-// spec-compiled cell must produce exactly the Spec a hand-built experiment
-// would, so the two memoize under the same content key
-// (TestSpecCompiledKeyMatchesHandBuilt guards this).
-func CellSpec(c lyra.CompiledCell) Spec {
-	s := NewSpec(c.Config, c.Trace).Named(c.Label())
-	if c.Scenario != "" {
-		s = s.WithScenario(c.Scenario, c.ScenarioSeed)
-	}
-	if k := c.HeteroFrac; k != nil {
-		s = s.WithHeteroFrac(k.Frac, k.Seed)
-	}
-	if k := c.ElasticFrac; k != nil {
-		s = s.WithElasticFrac(k.Frac, k.Seed)
-	}
-	if k := c.CheckpointFrac; k != nil {
-		s = s.WithCheckpointFrac(k.Frac, k.Seed)
-	}
-	return s
-}
-
 // CellResult is one executed matrix cell: the report, the wall time the
 // harness waited for it (memo hits are ~0), and the SLO verdict.
 type CellResult struct {
@@ -115,7 +93,9 @@ func (p *Pool) Matrix(cells []lyra.CompiledCell) *MatrixReport {
 			defer wg.Done()
 			cell := cells[i]
 			res := CellResult{Spec: cell.Spec, Cell: cell.Cell}
-			spec := CellSpec(cell)
+			// The cell's Mix is the Spec's: a compiled cell keys exactly
+			// like the hand-built Spec of the same run.
+			spec := Spec{Name: cell.Label(), Config: cell.Config, Mix: cell.Mix, Trace: TraceSpec{Gen: cell.Trace}}
 			if key, err := spec.Key(); err == nil {
 				res.Key = key
 			}

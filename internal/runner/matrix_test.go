@@ -43,6 +43,11 @@ func compileMatrixSpec(t *testing.T) []lyra.CompiledCell {
 	return cells
 }
 
+// cellSpec is the Spec Pool.Matrix runs a compiled cell as.
+func cellSpec(c lyra.CompiledCell) Spec {
+	return Spec{Name: c.Label(), Config: c.Config, Mix: c.Mix, Trace: TraceSpec{Gen: c.Trace}}
+}
+
 // TestSpecCompiledKeyMatchesHandBuilt is the API-redesign acceptance test:
 // a YAML-compiled cell must memoize under exactly the content key of the
 // equivalent hand-built Spec, so declarative runs and imperative
@@ -64,7 +69,7 @@ func TestSpecCompiledKeyMatchesHandBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specKey, err := CellSpec(cells[0]).Key()
+	specKey, err := cellSpec(cells[0]).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestSpecCompiledKeyMatchesHandBuilt(t *testing.T) {
 	}
 
 	// And the two cells of the matrix must NOT collide with each other.
-	otherKey, err := CellSpec(cells[1]).Key()
+	otherKey, err := cellSpec(cells[1]).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +179,28 @@ func TestMatrixRecordsCellErrors(t *testing.T) {
 	m.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "ERROR") {
 		t.Errorf("table hides the execution error:\n%s", sb.String())
+	}
+}
+
+// TestSpecCompiledKeyWithoutScenario: a spec with no scenario compiles to a
+// cell keyed like the hand-built Spec that never called WithScenario — the
+// spec's default scenario seed does not ride along into the key.
+func TestSpecCompiledKeyWithoutScenario(t *testing.T) {
+	s, err := lyra.ParseSpec([]byte(strings.Replace(matrixSpecDoc, "scenario: basic\n", "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lyra.DefaultConfig()
+	cfg.Cluster = lyra.ClusterConfig{TrainingServers: 16, InferenceServers: 16}
+	cfg.Seed = 1
+	gen := lyra.DefaultTraceConfig(1)
+	gen.Days = 1
+	gen.TrainingGPUs = 128
+	if got, want := mustKey(t, cellSpec(cells[0])), mustKey(t, NewSpec(cfg, gen)); got != want {
+		t.Errorf("scenario-less cell keys %s, hand-built keys %s", got, want)
 	}
 }

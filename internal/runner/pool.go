@@ -201,15 +201,12 @@ func (p *Pool) SimAll(specs []Spec) ([]*lyra.Report, error) {
 	return reps, nil
 }
 
-// runSim materializes the trace, applies the scenario to config and trace
-// together, applies the mutation knobs, and runs the spec's substrate.
+// runSim materializes the trace, adapts config and trace through the spec's
+// Mix, and runs the spec's substrate.
 func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 	cfg := spec.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.Scenario != "" && !spec.Scenario.Valid() {
-		return nil, fmt.Errorf("Scenario: unknown scenario %q (valid: %v)", spec.Scenario, lyra.Scenarios())
 	}
 	p.mu.Lock()
 	profC := p.profC
@@ -223,17 +220,9 @@ func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 		run.End()
 		return nil, err
 	}
-	if spec.Scenario != "" {
-		spec.Scenario.Apply(&cfg, tr, spec.ScenarioSeed)
-	}
-	if f := spec.Trace.HeteroFrac; f != nil {
-		lyra.SetHeteroFraction(tr, f.Frac, f.Seed)
-	}
-	if f := spec.Trace.ElasticFrac; f != nil {
-		lyra.SetElasticFraction(tr, f.Frac, f.Seed)
-	}
-	if f := spec.Trace.CheckpointFrac; f != nil {
-		lyra.SetCheckpointFraction(tr, f.Frac, f.Seed)
+	if err := spec.Mix.Apply(&cfg, tr); err != nil {
+		run.End()
+		return nil, err
 	}
 	var rep *lyra.Report
 	if spec.Testbed != nil {

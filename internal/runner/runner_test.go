@@ -128,7 +128,7 @@ func TestKeyDiffersPerField(t *testing.T) {
 		"scenario":        base.WithScenario(lyra.Advanced, 7),
 		"scenario seed": func() Spec {
 			s := base.WithScenario(lyra.Advanced, 7)
-			s.ScenarioSeed = 8
+			s.Mix.ScenarioSeed = 8
 			return s
 		}(),
 		"trace seed":      func() Spec { s := base; s.Trace.Gen.Seed = 2; return s }(),
@@ -228,7 +228,7 @@ func TestPoolDefaultsAndValidation(t *testing.T) {
 		t.Errorf("Sim accepted an unknown scheduler")
 	}
 	badScen := NewSpec(tinyCfg(), tinyGen())
-	badScen.Scenario = "nonsense"
+	badScen.Mix.Scenario = "nonsense"
 	if _, err := p.Sim(badScen); err == nil {
 		t.Errorf("Sim accepted an unknown scenario")
 	}
@@ -390,5 +390,29 @@ func TestSimAllCollapsesDuplicates(t *testing.T) {
 	}
 	if st := p.Stats(); st.Executed != 2 {
 		t.Errorf("Executed = %d, want 2", st.Executed)
+	}
+}
+
+// TestMixAppliesScenarioBeforeKnobs pins the order a run adapts its workload
+// in: the scenario, then the mix knobs. Ideal makes every job elastic and an
+// elastic fraction of 0 applied after it leaves none elastic; the reverse
+// order would leave every job elastic.
+func TestMixAppliesScenarioBeforeKnobs(t *testing.T) {
+	spec := NewSpec(tinyCfg(), tinyGen()).WithScenario(lyra.Ideal, 7).WithElasticFrac(0, 9)
+	tr, err := New(1).materializeTrace(spec.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Config
+	if err := spec.Mix.Apply(&cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Scaling.HeteroPenalty != 1 {
+		t.Errorf("HeteroPenalty = %v, want Ideal's 1", cfg.Scaling.HeteroPenalty)
+	}
+	for _, j := range tr.Jobs {
+		if j.Elastic || !j.Hetero {
+			t.Fatalf("job %d: elastic %v, hetero %v; want Ideal's hetero with no job elastic", j.ID, j.Elastic, j.Hetero)
+		}
 	}
 }

@@ -28,10 +28,9 @@ type Spec struct {
 	// Config is the scheme under test, before scenario adaptation.
 	Config lyra.Config
 
-	// Scenario, when set, adapts BOTH the config and the trace via
-	// lyra.ScenarioKind.Apply — the two cannot diverge by mistake.
-	Scenario     lyra.ScenarioKind
-	ScenarioSeed int64
+	// Mix adapts config and trace after the trace is materialized: the
+	// scenario on both at once, then the mix knobs (lyra.Mix.Apply).
+	Mix lyra.Mix
 
 	// Trace declares the workload.
 	Trace TraceSpec
@@ -45,9 +44,8 @@ type Spec struct {
 }
 
 // TraceSpec declares a workload as generation parameters plus an optional
-// pipeline of deterministic mutations, applied in the order the fields are
-// declared. The base trace for a given generation key is synthesized once
-// per pool and cloned per run.
+// bootstrap resample. The base trace for a given generation key is
+// synthesized once per pool and cloned per run.
 type TraceSpec struct {
 	// Gen synthesizes the production-like base trace. Ignored when
 	// TestbedJobs is set.
@@ -58,15 +56,9 @@ type TraceSpec struct {
 	TestbedJobs int
 	TestbedSeed int64
 
-	// Bootstrap resamples the base trace (Figure 12) before any other
-	// mutation.
+	// Bootstrap resamples the base trace (Figure 12) before the spec's Mix
+	// adapts it.
 	Bootstrap *BootstrapSpec
-
-	// HeteroFrac, ElasticFrac and CheckpointFrac apply the Figures 11-16
-	// trace-mutation knobs after scenario adaptation.
-	HeteroFrac     *FracSpec
-	ElasticFrac    *FracSpec
-	CheckpointFrac *FracSpec
 }
 
 // BootstrapSpec selects one of Count day-resampled traces derived from the
@@ -76,13 +68,6 @@ type BootstrapSpec struct {
 	Count int
 	Index int
 	Seed  int64
-}
-
-// FracSpec is a deterministic fraction knob: mark Frac of the jobs, chosen
-// by Seed.
-type FracSpec struct {
-	Frac float64
-	Seed int64
 }
 
 // NewSpec starts a Spec from a scheme config and trace generation
@@ -97,25 +82,25 @@ func (s Spec) Named(name string) Spec { s.Name = name; return s }
 // WithScenario adapts config and trace to the named scenario (one step, via
 // lyra.ScenarioKind.Apply at execution time).
 func (s Spec) WithScenario(kind lyra.ScenarioKind, seed int64) Spec {
-	s.Scenario, s.ScenarioSeed = kind, seed
+	s.Mix.Scenario, s.Mix.ScenarioSeed = kind, seed
 	return s
 }
 
 // WithHeteroFrac marks frac of the jobs heterogeneous-capable (Figure 11).
 func (s Spec) WithHeteroFrac(frac float64, seed int64) Spec {
-	s.Trace.HeteroFrac = &FracSpec{Frac: frac, Seed: seed}
+	s.Mix.HeteroFrac = &lyra.FracKnob{Frac: frac, Seed: seed}
 	return s
 }
 
 // WithElasticFrac makes frac of the jobs elastic (Figures 14-16).
 func (s Spec) WithElasticFrac(frac float64, seed int64) Spec {
-	s.Trace.ElasticFrac = &FracSpec{Frac: frac, Seed: seed}
+	s.Mix.ElasticFrac = &lyra.FracKnob{Frac: frac, Seed: seed}
 	return s
 }
 
 // WithCheckpointFrac enables checkpointing for frac of the jobs (Figure 13).
 func (s Spec) WithCheckpointFrac(frac float64, seed int64) Spec {
-	s.Trace.CheckpointFrac = &FracSpec{Frac: frac, Seed: seed}
+	s.Mix.CheckpointFrac = &lyra.FracKnob{Frac: frac, Seed: seed}
 	return s
 }
 

@@ -430,11 +430,7 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		}
 	}
 	if cfg.Faults.Enabled() {
-		if cfg.Faults.StragglerFrac > 0 {
-			for _, j := range jobs {
-				j.SlowFactor = cfg.Faults.SlowFactorFor(j.ID)
-			}
-		}
+		StampStragglers(cfg.Faults, jobs)
 		if cfg.HystCrashes > 0 {
 			e.crashTimes = make(map[int][]float64)
 			e.recoverSeq = make(map[int]int)
@@ -455,6 +451,18 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 	e.hourlyArrived = make([]int, hours)
 	e.hourlyQueued = make([]int, hours)
 	return e
+}
+
+// StampStragglers sets every job's SlowFactor from the plan's straggler
+// draw, a pure hash of (plan seed, job ID). A plan without stragglers leaves
+// the jobs untouched. Both substrates call it once, at construction.
+func StampStragglers(p *fault.Plan, jobs []*job.Job) {
+	if p == nil || p.StragglerFrac <= 0 {
+		return
+	}
+	for _, j := range jobs {
+		j.SlowFactor = p.SlowFactorFor(j.ID)
+	}
 }
 
 func (e *Engine) push(t float64, kind eventKind, jobID, version int) {

@@ -79,9 +79,10 @@ type PrototypeStats struct {
 	// LaunchFailures counts the ticks in which a job's injected container-
 	// launch failure was absorbed by the retry path.
 	LaunchFailures int
-	// LyraServers and InferenceServers are the two whitelists' sizes at
-	// exit (§6: every server is under exactly one scheduler's control, or
-	// quarantined).
+	// LyraServers and InferenceServers are the servers each scheduler
+	// controls at exit: the training plus on-loan pools, and the inference
+	// pool (§6: every server is under exactly one scheduler's control, or
+	// quarantined and counted in neither).
 	LyraServers      int
 	InferenceServers int
 }

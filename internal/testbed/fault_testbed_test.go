@@ -6,11 +6,12 @@ import (
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
 	"lyra/internal/sched"
+	"lyra/internal/sim"
 	"lyra/internal/trace"
 )
 
 // TestEndToEndWithFaults runs the full prototype stack — Lyra scheduler,
-// orchestrator, whitelist handovers, container reconciliation — under a
+// orchestrator, pool moves, container reconciliation — under a
 // crash-heavy fault plan with injected container-launch failures and the
 // invariant auditor on every tick. The robustness contract: no job is ever
 // lost (crashed servers quarantine, their jobs requeue through the
@@ -46,26 +47,6 @@ func TestEndToEndWithFaults(t *testing.T) {
 		t.Errorf("no launch failures injected at prob %g", plan.LaunchFailProb)
 	}
 
-	// Whitelists must mirror the pools, with quarantined servers under
-	// neither scheduler's control.
-	lyraWL, infWL := tb.lyraWL, tb.infWL
-	for _, s := range tb.st.Cluster.Servers() {
-		switch s.Pool {
-		case cluster.PoolQuarantine:
-			if lyraWL.Has(s.ID) || infWL.Has(s.ID) {
-				t.Errorf("quarantined server %d still whitelisted", s.ID)
-			}
-		case cluster.PoolTraining, cluster.PoolOnLoan:
-			if !lyraWL.Has(s.ID) || infWL.Has(s.ID) {
-				t.Errorf("server %d pool %v vs whitelist mismatch", s.ID, s.Pool)
-			}
-		case cluster.PoolInference:
-			if lyraWL.Has(s.ID) || !infWL.Has(s.ID) {
-				t.Errorf("server %d pool %v vs whitelist mismatch", s.ID, s.Pool)
-			}
-		}
-	}
-
 	if err := tb.st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
@@ -99,5 +80,62 @@ func TestTestbedFaultsDisabledInjectsNothing(t *testing.T) {
 	}
 	if tb.injector != nil || tb.faultEvents != nil {
 		t.Error("disabled plan built live fault machinery")
+	}
+}
+
+// TestServerCountsArePoolSizes: the prototype's two server counts at exit
+// are the pools' sizes, counted here server by server, on a rack-outage run
+// that ends with a server still quarantined — a quarantined server counts
+// under neither scheduler.
+func TestServerCountsArePoolSizes(t *testing.T) {
+	tr := trace.GenerateTestbed(7, 30)
+	cfg := testConfig()
+	cfg.Faults = &fault.Plan{Seed: 7, ServerMTBF: 7200, ServerMTTR: 300, LaunchFailProb: 0.1, RackOutMTBF: 7200}
+	s := sched.NewLyra()
+	tb := New(cfg, tr, s, lyraOrchestrator(7, tr, s.Less))
+	stats := tb.Run(tr.Horizon).Prototype
+
+	lyraServers, infServers, down := 0, 0, 0
+	for _, srv := range tb.st.Cluster.Servers() {
+		switch srv.Pool {
+		case cluster.PoolTraining, cluster.PoolOnLoan:
+			lyraServers++
+		case cluster.PoolInference:
+			infServers++
+		case cluster.PoolQuarantine:
+			down++
+		}
+	}
+	if down == 0 {
+		t.Fatal("no server ended quarantined: the run does not exercise the case")
+	}
+	if stats.LyraServers != lyraServers || stats.InferenceServers != infServers {
+		t.Errorf("prototype reports %d/%d servers, the pools hold %d/%d (%d quarantined)",
+			stats.LyraServers, stats.InferenceServers, lyraServers, infServers, down)
+	}
+}
+
+// TestStragglersStampedAlikeOnBothSubstrates: one straggler plan gives every
+// job of one trace the same SlowFactor whether the engine or the prototype
+// replays it.
+func TestStragglersStampedAlikeOnBothSubstrates(t *testing.T) {
+	plan := &fault.Plan{Seed: 3, StragglerFrac: 0.3}
+	onSim, onTB := trace.GenerateTestbed(3, 60), trace.GenerateTestbed(3, 60)
+	sim.New(cluster.New(cluster.TestbedConfig()), onSim.Jobs, onSim.Horizon, &sched.FIFO{}, nil, sim.Config{Faults: plan})
+	cfg := testConfig()
+	cfg.Faults = plan
+	New(cfg, onTB, &sched.FIFO{}, nil)
+
+	slow := 0
+	for i, j := range onTB.Jobs {
+		if want := onSim.Jobs[i].SlowFactor; j.SlowFactor != want {
+			t.Errorf("job %d: prototype SlowFactor %v, engine %v", j.ID, j.SlowFactor, want)
+		}
+		if j.SlowFactor < 1 {
+			slow++
+		}
+	}
+	if slow == 0 || slow == len(onTB.Jobs) {
+		t.Errorf("%d of %d jobs slowed at StragglerFrac 0.3", slow, len(onTB.Jobs))
 	}
 }

@@ -2,10 +2,10 @@
 // experiments (§7.5). Where the simulator models everything analytically
 // and event by event, the testbed steps the system the way the deployment
 // runs it, scaled down: a tick loop on simulated time, a YARN-lite resource
-// manager whose containers pay a launch latency before they report ready, a
-// controller per job gating training on its ready workers (§6), and the
-// whitelist API the orchestrator uses to move servers between the two
-// schedulers' control.
+// manager whose containers pay a launch latency before they report ready,
+// and a controller per job gating training on its ready workers (§6). Which
+// scheduler controls a server is its cluster pool: the orchestrator's pool
+// moves are §6's whitelist update, on the prototype as in the simulator.
 //
 // The same scheduling code (internal/sched, internal/orchestrator) drives
 // the testbed and the simulator over the same sim.State; only the execution

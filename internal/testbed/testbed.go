@@ -71,9 +71,6 @@ type Testbed struct {
 	arrived     int        // jobs[:arrived] have been admitted
 	completed   int
 
-	lyraWL *Whitelist
-	infWL  *Whitelist
-
 	audit *invariant.Auditor
 
 	// Fault machinery (nil / empty without a plan): the pre-generated
@@ -113,8 +110,6 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 		orch:        orch,
 		controllers: make(map[int]*Controller),
 		jobs:        tr.Jobs,
-		lyraWL:      NewWhitelist("lyra"),
-		infWL:       NewWhitelist("inference"),
 	}
 	if cfg.Audit {
 		tb.audit = invariant.New()
@@ -122,23 +117,11 @@ func New(cfg Config, tr *trace.Trace, sched sim.Scheduler, orch *orchestrator.Or
 	if cfg.Faults.Enabled() {
 		tb.launchRetry = make(map[int]*launchRetry)
 		tb.injector = fault.NewInjector(cfg.Faults)
-		if cfg.Faults.StragglerFrac > 0 {
-			for _, j := range tr.Jobs {
-				j.SlowFactor = cfg.Faults.SlowFactorFor(j.ID)
-			}
-		}
+		sim.StampStragglers(cfg.Faults, tr.Jobs)
 	}
 	tb.st.Obs = cfg.Obs
 	tb.rm.Obs = cfg.Obs
 	tb.rm.Injector = tb.injector
-	c.EachPoolServer(cluster.PoolTraining, func(s *cluster.Server) bool {
-		tb.lyraWL.Add(s.ID)
-		return true
-	})
-	c.EachPoolServer(cluster.PoolInference, func(s *cluster.Server) bool {
-		tb.infWL.Add(s.ID)
-		return true
-	})
 	return tb
 }
 
@@ -170,7 +153,6 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 		if tb.orch != nil && now >= nextOrch {
 			tb.orch.Epoch(tb.st)
 			nextOrch = now + tb.cfg.OrchInterval
-			tb.reconcileWhitelists()
 		}
 		rec := tb.st.Obs
 		var qBefore, startsBefore, preemptBefore int
@@ -202,12 +184,13 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 	res := sim.Summarize(tb.jobs, tb.st)
 	res.LostCapacityGPUSec = sim.LostCapacity(tb.lostGPUSec, tb.st)
 	launched, killed := tb.rm.Stats()
+	c := tb.st.Cluster
 	res.Prototype = &sim.PrototypeStats{
 		ContainersLaunched: launched,
 		ContainersKilled:   killed,
 		LaunchFailures:     tb.launchFailures,
-		LyraServers:        tb.lyraWL.Len(),
-		InferenceServers:   tb.infWL.Len(),
+		LyraServers:        c.PoolSize(cluster.PoolTraining) + c.PoolSize(cluster.PoolOnLoan),
+		InferenceServers:   c.PoolSize(cluster.PoolInference),
 	}
 	return res
 }
@@ -218,13 +201,11 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 // emptied through the checkpoint-restart / scale-in paths and quarantined
 // with its return pool recorded, and its containers die with it (the
 // reconcile loop kills the containers of preempted jobs this same tick).
-// The whitelists are then re-mirrored so both schedulers see the change at
-// once.
+// The pool move is the whole handover: both schedulers read the pools.
 func (tb *Testbed) applyFaults(now float64) {
 	for ; tb.domainIdx < len(tb.domains) && tb.domains[tb.domainIdx].T <= now; tb.domainIdx++ {
 		sim.AnnounceDomain(tb.st.Obs, now, tb.st.Cluster, tb.domains[tb.domainIdx])
 	}
-	start := tb.faultIdx
 	for ; tb.faultIdx < len(tb.faultEvents) && tb.faultEvents[tb.faultIdx].T <= now; tb.faultIdx++ {
 		fe := tb.faultEvents[tb.faultIdx]
 		if fe.Recover {
@@ -232,9 +213,6 @@ func (tb *Testbed) applyFaults(now float64) {
 		} else {
 			tb.st.CrashServer(fe.Server, tb.sched.Less)
 		}
-	}
-	if tb.faultIdx > start {
-		tb.reconcileWhitelists()
 	}
 }
 
@@ -395,63 +373,4 @@ func (tb *Testbed) failContainer(op string, jobID, containerID int, err error) {
 func (tb *Testbed) dropController(id int) {
 	delete(tb.controllers, id)
 	delete(tb.launchRetry, id)
-}
-
-// reconcileWhitelists mirrors the cluster pools onto the two schedulers'
-// whitelists after an orchestrator epoch or a fault event, performing the
-// §6 handover for every server that moved. Quarantined (crashed) servers
-// belong to neither scheduler; on recovery they re-enter the whitelist of
-// the pool their crash recorded — such servers come from quarantine
-// rather than the peer whitelist, so the handover is an Add, not a
-// transfer.
-func (tb *Testbed) reconcileWhitelists() {
-	// Reconciliation only mutates whitelists, never pool membership, so it
-	// iterates the cluster's live server index (no per-call copy — this
-	// runs after every orchestrator epoch and fault event).
-	tb.st.Cluster.EachServer(func(s *cluster.Server) bool {
-		if s.Pool == cluster.PoolQuarantine {
-			if tb.lyraWL.Has(s.ID) {
-				if err := tb.lyraWL.Remove(s.ID); err != nil {
-					tb.failHandover("quarantine", s.ID, err.Error())
-				}
-			}
-			if tb.infWL.Has(s.ID) {
-				if err := tb.infWL.Remove(s.ID); err != nil {
-					tb.failHandover("quarantine", s.ID, err.Error())
-				}
-			}
-			return true
-		}
-		underLyra := s.Pool == cluster.PoolTraining || s.Pool == cluster.PoolOnLoan
-		switch {
-		case underLyra && !tb.lyraWL.Has(s.ID):
-			if !tb.infWL.Has(s.ID) {
-				tb.lyraWL.Add(s.ID) // recovered from quarantine
-			} else if err := TransferServer(s.ID, tb.infWL, tb.lyraWL); err != nil {
-				tb.failHandover("loan handover", s.ID, err.Error())
-			}
-		case !underLyra && !tb.infWL.Has(s.ID):
-			if s.Used() > 0 {
-				tb.failHandover("reclaim handover", s.ID,
-					fmt.Sprintf("server still hosts %d used GPUs", s.Used()))
-			}
-			if !tb.lyraWL.Has(s.ID) {
-				tb.infWL.Add(s.ID) // recovered from quarantine
-			} else if err := TransferServer(s.ID, tb.lyraWL, tb.infWL); err != nil {
-				tb.failHandover("reclaim handover", s.ID, err.Error())
-			}
-		}
-		return true
-	})
-}
-
-// failHandover raises a structured pool-membership violation for a §6
-// whitelist handover that cannot be completed legally.
-func (tb *Testbed) failHandover(op string, serverID int, actual string) {
-	invariant.Fail(fmt.Sprintf("testbed:%s t=%g", op, tb.st.Now), invariant.Violation{
-		Rule:     invariant.RulePoolMembership,
-		Subject:  fmt.Sprintf("server %d", serverID),
-		Expected: "an empty server transferable between whitelists",
-		Actual:   actual,
-	})
 }

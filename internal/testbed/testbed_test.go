@@ -121,27 +121,6 @@ func TestResourceManagerJobIndex(t *testing.T) {
 	}
 }
 
-func TestWhitelistTransfer(t *testing.T) {
-	a, b := NewWhitelist("a"), NewWhitelist("b")
-	a.Add(1)
-	a.Add(2)
-	if err := TransferServer(1, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Has(1) || !b.Has(1) {
-		t.Error("transfer did not move server")
-	}
-	if err := TransferServer(1, a, b); err == nil {
-		t.Error("transferring an absent server should fail")
-	}
-	if got := a.List(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("a.List() = %v", got)
-	}
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("lengths = %d, %d", a.Len(), b.Len())
-	}
-}
-
 // bareState is a State over the testbed cluster with nothing placed: enough
 // for a controller to grant progress through.
 func bareState() *sim.State {
@@ -315,7 +294,7 @@ func TestEndToEndFIFO(t *testing.T) {
 }
 
 // TestEndToEndLyraWithLoaning runs the full stack — Lyra scheduler,
-// orchestrator, whitelist handovers — and checks the books stay balanced.
+// orchestrator, pool moves — and checks the books stay balanced.
 func TestEndToEndLyraWithLoaning(t *testing.T) {
 	tr := trace.GenerateTestbed(5, 30)
 	s := sched.NewLyra()
@@ -325,28 +304,8 @@ func TestEndToEndLyraWithLoaning(t *testing.T) {
 	if res.Completed != 30 {
 		t.Fatalf("completed %d/30", res.Completed)
 	}
-	lyraWL, infWL := tb.lyraWL, tb.infWL
-	if lyraWL.Len()+infWL.Len() != 8 {
-		t.Errorf("whitelists cover %d servers, want 8", lyraWL.Len()+infWL.Len())
-	}
-	for _, id := range lyraWL.List() {
-		if infWL.Has(id) {
-			t.Errorf("server %d on both whitelists", id)
-		}
-	}
-	// Whitelists mirror the pools.
-	for _, s := range tb.st.Cluster.Servers() {
-		underLyra := s.Pool == cluster.PoolTraining || s.Pool == cluster.PoolOnLoan
-		if underLyra != lyraWL.Has(s.ID) {
-			t.Errorf("server %d pool %v vs whitelist mismatch", s.ID, s.Pool)
-		}
-	}
 	if stats.ContainersLaunched == 0 {
 		t.Error("no worker containers launched")
-	}
-	if stats.LyraServers != lyraWL.Len() || stats.InferenceServers != infWL.Len() {
-		t.Errorf("stats report whitelists %d/%d, the whitelists hold %d/%d",
-			stats.LyraServers, stats.InferenceServers, lyraWL.Len(), infWL.Len())
 	}
 	if err := tb.st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)

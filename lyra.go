@@ -27,8 +27,8 @@
 //
 // Whole evaluation scenarios — cluster shape, trace synthesis, workload
 // mix, fault plan, a scheme matrix and SLO assertions — are declared as
-// versioned YAML/JSON ScenarioSpec files (LoadSpec, CompileSpec) and run as
-// a matrix by cmd/lyra-matrix; see testdata/scenarios/.
+// versioned YAML/JSON ScenarioSpec files (LoadSpec, ScenarioSpec.Compile)
+// and run as a matrix by cmd/lyra-matrix; see testdata/scenarios/.
 package lyra
 
 import (
@@ -464,8 +464,8 @@ func (c Config) Normalize() Config {
 // the registered alternatives listed), out-of-range fractions, and
 // non-positive intervals. It validates the normalized form, so zero-valued
 // fields are fine. Every error names the offending field and the rejected
-// value, so spec-file compilation (CompileSpec) can point at the exact
-// field of the exact scheme entry that produced it.
+// value, so spec-file compilation (ScenarioSpec.Compile) can point at the
+// exact field of the exact scheme entry that produced it.
 func (c Config) Validate() error {
 	n := c.Normalize()
 	if !n.Scheduler.Valid() {
@@ -583,8 +583,9 @@ func BaselineConfig() Config {
 // either substrate: Run and RunTestbed build it with the same code. What
 // only the simulator samples — TrainUsage, OverallUsage, OnLoanUsage and the
 // OnLoanQueue / OnLoanJCT subsets — stays zero on a prototype run; what only
-// the prototype counts (containers, absorbed launch failures, whitelist
-// sizes) is the Raw.Prototype block, nil on a simulator run.
+// the prototype counts (containers, absorbed launch failures, the servers
+// each scheduler controls at exit) is the Raw.Prototype block, nil on a
+// simulator run.
 type Report struct {
 	Queue Summary // queuing time, seconds
 	JCT   Summary // job completion time, seconds

@@ -1,6 +1,7 @@
 package lyra
 
 import (
+	"fmt"
 	"math/rand"
 )
 
@@ -46,11 +47,10 @@ func (k ScenarioKind) Valid() bool {
 // Apply adapts a config and/or a trace to the scenario in one step:
 // scheduler flags and the scaling model on the config, the per-job
 // capability flags on the trace (deterministically in seed). It is the
-// single scenario-application path — the spec layer (ScenarioSpec,
-// runner.Spec.WithScenario) routes through it, so config and trace cannot
-// be adapted to different scenarios by mistake. Either pointer may be nil
-// when only the other side is wanted. Unknown kinds apply nothing;
-// validate with ScenarioKind.Valid.
+// single scenario-application path — a declared run's Mix routes through
+// it, so config and trace cannot be adapted to different scenarios by
+// mistake. Either pointer may be nil when only the other side is wanted.
+// Unknown kinds apply nothing; validate with ScenarioKind.Valid.
 func (k ScenarioKind) Apply(cfg *Config, tr *Trace, seed int64) {
 	if tr != nil {
 		applyScenarioTrace(tr, k, seed)
@@ -70,6 +70,48 @@ func (k ScenarioKind) Apply(cfg *Config, tr *Trace, seed int64) {
 	case Ideal:
 		cfg.Scaling.HeteroPenalty = 1.0
 	}
+}
+
+// Mix is a declared run's workload adaptation: a §7.1 scenario applied to
+// config and trace together, then the Figures 11-16 mix knobs on the trace.
+// A compiled spec cell and a runner.Spec carry the same value, so the two
+// cannot adapt one workload differently. The zero Mix adapts nothing.
+type Mix struct {
+	Scenario     ScenarioKind
+	ScenarioSeed int64
+
+	HeteroFrac     *FracKnob
+	ElasticFrac    *FracKnob
+	CheckpointFrac *FracKnob
+}
+
+// FracKnob is one workload-mix knob: mark Frac of the jobs, chosen by Seed.
+type FracKnob struct {
+	Frac float64
+	Seed int64
+}
+
+// Apply adapts cfg and tr in the one order a run uses: the scenario first
+// (an unknown one is an error and changes nothing), then the hetero,
+// elastic and checkpoint fractions. The order matters — Ideal makes every
+// job elastic, and an elastic fraction applied after it re-draws them.
+func (m Mix) Apply(cfg *Config, tr *Trace) error {
+	if m.Scenario != "" {
+		if !m.Scenario.Valid() {
+			return fmt.Errorf("Scenario: unknown scenario %q (valid: %v)", m.Scenario, Scenarios())
+		}
+		m.Scenario.Apply(cfg, tr, m.ScenarioSeed)
+	}
+	if k := m.HeteroFrac; k != nil {
+		SetHeteroFraction(tr, k.Frac, k.Seed)
+	}
+	if k := m.ElasticFrac; k != nil {
+		SetElasticFraction(tr, k.Frac, k.Seed)
+	}
+	if k := m.CheckpointFrac; k != nil {
+		SetCheckpointFraction(tr, k.Frac, k.Seed)
+	}
+	return nil
 }
 
 func applyScenarioTrace(tr *Trace, kind ScenarioKind, seed int64) {

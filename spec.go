@@ -22,7 +22,7 @@ const SpecVersion = 1
 // optional fault plan, the scheme matrix to run over it, and the SLO
 // assertions every cell must meet. Specs are written as YAML (the subset
 // internal/yamlite decodes) or JSON, loaded with LoadSpec/ParseSpec, and
-// compiled with CompileSpec into one CompiledCell per scheme×reclaim
+// compiled with Compile into one CompiledCell per scheme×reclaim
 // combination; internal/runner executes compiled cells as a memoized
 // parallel matrix and evaluates the SLOs (cmd/lyra-matrix is the CLI).
 //
@@ -252,29 +252,16 @@ func (s SLOSpec) Evaluate(rep *Report, wall time.Duration) []SLOViolation {
 	return out
 }
 
-// FracKnob is a compiled workload-mix knob (fraction plus the seed choosing
-// the jobs).
-type FracKnob struct {
-	Frac float64
-	Seed int64
-}
-
 // CompiledCell is one scenario×scheme cell of a compiled spec: a validated,
-// hand-built-equivalent Config plus the declarative trace, scenario and mix
-// parameters internal/runner turns into a content-addressed runner.Spec.
+// hand-built-equivalent Config plus the declarative trace and the workload
+// adaptation internal/runner runs it with.
 type CompiledCell struct {
 	Spec string // scenario name
 	Cell string // scheme label within the spec
 
 	Config Config
 	Trace  TraceConfig
-
-	Scenario     ScenarioKind
-	ScenarioSeed int64
-
-	HeteroFrac     *FracKnob
-	ElasticFrac    *FracKnob
-	CheckpointFrac *FracKnob
+	Mix    Mix
 
 	SLO SLOSpec
 }
@@ -300,7 +287,7 @@ func LoadSpec(path string) (*ScenarioSpec, error) {
 // ParseSpec parses a scenario spec document: JSON when the first
 // non-space byte is '{', the YAML subset otherwise. Unknown fields are
 // rejected (a typo must not silently configure nothing), and the spec is
-// structurally validated; CompileSpec performs the full per-cell Config
+// structurally validated; Compile performs the full per-cell Config
 // validation.
 func ParseSpec(data []byte) (*ScenarioSpec, error) {
 	var s ScenarioSpec
@@ -320,7 +307,7 @@ func ParseSpec(data []byte) (*ScenarioSpec, error) {
 	return &s, nil
 }
 
-// validateStructure checks the spec skeleton — the parts CompileSpec's
+// validateStructure checks the spec skeleton — the parts Compile's
 // per-cell Config.Validate cannot attribute to a spec field.
 func (s *ScenarioSpec) validateStructure() error {
 	if s.Version != SpecVersion {
@@ -382,16 +369,13 @@ func (s *ScenarioSpec) validateStructure() error {
 	return nil
 }
 
-// Compile is CompileSpec as a method.
-func (s *ScenarioSpec) Compile() ([]CompiledCell, error) { return CompileSpec(s) }
-
-// CompileSpec lowers a spec into one CompiledCell per scheme×reclaim
+// Compile lowers the spec into one CompiledCell per scheme×reclaim
 // combination. Every cell's Config passes Config.Validate (errors name the
 // spec field path that produced the bad value), and compilation is a pure
 // function of the spec — the same document always compiles to the same
 // cells, which is what makes spec-driven runs memoize identically to
 // hand-built ones.
-func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
+func (s *ScenarioSpec) Compile() ([]CompiledCell, error) {
 	if err := s.validateStructure(); err != nil {
 		return nil, fmt.Errorf("lyra: spec %q: %w", s.Name, err)
 	}
@@ -403,9 +387,12 @@ func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
 
 	gen := s.compileTrace()
 
-	scenarioSeed := s.ScenarioSeed
-	if scenarioSeed == 0 {
-		scenarioSeed = s.Seed + 100
+	mix := Mix{Scenario: ScenarioKind(s.Scenario)}
+	if mix.Scenario != "" {
+		mix.ScenarioSeed = s.ScenarioSeed
+		if mix.ScenarioSeed == 0 {
+			mix.ScenarioSeed = s.Seed + 100
+		}
 	}
 	mixSeed := s.Workload.Seed
 	if mixSeed == 0 {
@@ -417,6 +404,9 @@ func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
 		}
 		return &FracKnob{Frac: *f, Seed: mixSeed}
 	}
+	mix.HeteroFrac = knob(s.Workload.HeteroFrac)
+	mix.ElasticFrac = knob(s.Workload.ElasticFrac)
+	mix.CheckpointFrac = knob(s.Workload.CheckpointFrac)
 
 	var cells []CompiledCell
 	for i, sch := range s.Schemes {
@@ -483,16 +473,12 @@ func CompileSpec(s *ScenarioSpec) ([]CompiledCell, error) {
 				slo = *sch.SLO
 			}
 			cells = append(cells, CompiledCell{
-				Spec:           s.Name,
-				Cell:           cellName(sch, rk, expand),
-				Config:         cfg,
-				Trace:          gen,
-				Scenario:       ScenarioKind(s.Scenario),
-				ScenarioSeed:   scenarioSeed,
-				HeteroFrac:     knob(s.Workload.HeteroFrac),
-				ElasticFrac:    knob(s.Workload.ElasticFrac),
-				CheckpointFrac: knob(s.Workload.CheckpointFrac),
-				SLO:            slo,
+				Spec:   s.Name,
+				Cell:   cellName(sch, rk, expand),
+				Config: cfg,
+				Trace:  gen,
+				Mix:    mix,
+				SLO:    slo,
 			})
 		}
 	}

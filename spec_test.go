@@ -225,11 +225,11 @@ schemes:
 	if c.Trace.Seed != 5 {
 		t.Errorf("trace seed = %d, want spec seed 5", c.Trace.Seed)
 	}
-	if c.ScenarioSeed != 105 {
-		t.Errorf("scenario seed = %d, want seed+100", c.ScenarioSeed)
+	if c.Mix.ScenarioSeed != 105 {
+		t.Errorf("scenario seed = %d, want seed+100", c.Mix.ScenarioSeed)
 	}
-	if c.ElasticFrac == nil || c.ElasticFrac.Seed != 205 {
-		t.Errorf("mix knob = %+v, want seed+200", c.ElasticFrac)
+	if c.Mix.ElasticFrac == nil || c.Mix.ElasticFrac.Seed != 205 {
+		t.Errorf("mix knob = %+v, want seed+200", c.Mix.ElasticFrac)
 	}
 	if !c.Config.Faults.Enabled() || c.Config.Faults.Seed != 5 {
 		t.Errorf("fault plan = %+v, want enabled with spec seed", c.Config.Faults)
@@ -373,7 +373,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cells, err := CompileSpec(s)
+		cells, err := s.Compile()
 		if err != nil {
 			return
 		}
@@ -387,7 +387,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec does not re-parse from its JSON: %v\n%s", err, doc)
 		}
-		cells2, err := CompileSpec(s2)
+		cells2, err := s2.Compile()
 		if err != nil {
 			t.Fatalf("spec compiles from YAML but not from its JSON: %v\n%s", err, doc)
 		}

@@ -46,15 +46,16 @@ func (c Config) NormalizeTestbed() Config {
 
 // RunTestbed runs tr under cfg on the prototype runtime (internal/testbed,
 // §7.5): worker containers with launch latency, per-job elastic controllers
-// and the whitelist handover, stepped tick by tick on simulated time. The
-// scheme is assembled exactly as Run assembles it — same registries, loan
-// protocol and inference side — so one Config describes the same scheduler
-// and orchestrator on either substrate; only the substrate differs. Like
-// Run it is a pure function of its arguments: same Config and trace, same
-// result and same event bytes. The Report is Run's, built by the same code
-// over the same state counters, with Raw.Prototype set and the fields only
-// the simulator samples left zero (see Report). Invariant violations
-// come back as *obs.ViolationError, as from Run.
+// and the orchestrator's pool moves (§6's whitelist update), stepped tick
+// by tick on simulated time. The scheme is assembled exactly as Run
+// assembles it — same registries, loan protocol and inference side — so one
+// Config describes the same scheduler and orchestrator on either substrate;
+// only the substrate differs. Like Run it is a pure function of its
+// arguments: same Config and trace, same result and same event bytes. The
+// Report is Run's, built by the same code over the same state counters, with
+// Raw.Prototype set and the fields only the simulator samples left zero (see
+// Report). Invariant violations come back as *obs.ViolationError, as from
+// Run.
 //
 // Faults are the simulator's too: the prototype replays the engine's fault
 // timeline (rack and zone outages included) over its cluster through the
