@@ -349,12 +349,15 @@ func TestPhase2ReusedWorkspaceMatchesFresh(t *testing.T) {
 	// jobs' flexible ranges, capacities from one GPU to everything-fits
 	// and progress advancing between calls: every call must return what a
 	// nil workspace returns, and what Phase2 returned before it had one.
+	// Solves wide enough for the kernel's Lagrangian bound (knapsack's
+	// pruneWidth, 64 cells per group) carry the reused Solver's multiplier
+	// from one call into the next, where the fresh one starts cold.
 	rng := rand.New(rand.NewSource(5))
 	jobs := contendedJobs(rng, 60)
 	sorted := slices.Clone(jobs)
 	slices.SortFunc(sorted, byID)
 	var ws Workspace
-	solves := 0
+	solves, bounded := 0, 0
 	for call := 0; call < 300; call++ {
 		in := jobs
 		if call%2 == 1 {
@@ -383,11 +386,40 @@ func TestPhase2ReusedWorkspaceMatchesFresh(t *testing.T) {
 		}
 		if demand > capacity {
 			solves++
+			g := 0
+			for _, j := range in {
+				g = gcd(g, j.GPUsPerWorker)
+			}
+			if meanBandWidth(ws.groups, capacity/g) >= 64 {
+				bounded++
+			}
 		}
 	}
-	if solves < 100 {
-		t.Fatalf("only %d of 300 calls reached the MCKP: the sequence tests too little", solves)
+	if solves < 100 || bounded < 50 {
+		t.Fatalf("%d of 300 calls reached the MCKP, %d of them wide enough for its bound: the sequence tests too little", solves, bounded)
 	}
+}
+
+// meanBandWidth is what the MCKP kernel's bound cutoff reads: the budgets
+// of every group's exact band [lo, hi] per group (knapsack.Solver).
+func meanBandWidth(groups [][]knapsack.Item, capacity int) int {
+	top, hi := make([]int, len(groups)), make([]int, len(groups))
+	reach := 0
+	for g, items := range groups {
+		for _, it := range items {
+			if it.Weight <= capacity {
+				top[g] = max(top[g], it.Weight)
+			}
+		}
+		reach = min(capacity, reach+top[g])
+		hi[g] = reach
+	}
+	cells, need := 0, capacity
+	for g := len(groups) - 1; g >= 0; g-- {
+		cells += hi[g] - min(need, hi[g]) + 1
+		need = max(0, need-top[g])
+	}
+	return cells / len(groups)
 }
 
 // BenchmarkPhase2 is phase 2's one-second loop (make bench): 354 contended

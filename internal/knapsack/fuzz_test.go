@@ -44,11 +44,15 @@ func FuzzMultiChoiceAgainstBrute(f *testing.F) {
 // FuzzMultiChoiceAgainstReference drives one reused Solver through a
 // fuzzer-chosen sequence of instances, large then small then large again,
 // and requires every solve to be bit-equal in value and choice to the
-// reference DP (refMultiChoice).
+// reference DP (refMultiChoice). From 100 groups up, randomInstance also
+// draws production-shaped instances, where the Lagrangian bound engages.
 func FuzzMultiChoiceAgainstReference(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3))
 	f.Add(int64(-7), uint8(2), uint8(60))
 	f.Add(int64(1<<40), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(200), uint8(5))
+	f.Add(int64(4), uint8(255), uint8(255))
+	f.Add(int64(3), uint8(150), uint8(120))
 	f.Fuzz(func(t *testing.T, seed int64, first, second uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Solver

@@ -19,15 +19,23 @@ const eps = 1e-9
 // stores the chosen item's index plus one (0 = none) as an int16.
 const MaxGroupItems = math.MaxInt16
 
+// pruneWidth is the mean band width per group (banded cells / groups) from
+// which MultiChoice bounds its rows (DESIGN.md §10, "MCKP kernel"): below
+// it the multiplier search costs more than the cells the bound skips.
+const pruneWidth = 64
+
 // Solver is the reusable workspace of MultiChoice: two value rows, one flat
-// pick arena holding each group's band of budgets, and the bands. Buffers
-// grow on demand and are never shrunk, so a warm Solver allocates only the
-// returned choice slice. The zero value is ready; a Solver is not safe for
-// concurrent use. A group of more than MaxGroupItems items panics.
+// pick arena holding each group's band of budgets, the bands, and the
+// Lagrangian bound's suffix sums and last multiplier. Buffers grow on demand
+// and are never shrunk, so a warm Solver allocates only the returned choice
+// slice. The zero value is ready; a Solver is not safe for concurrent use.
+// A group of more than MaxGroupItems items panics.
 type Solver struct {
-	dp, next    []float64
-	pick        []int16 // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
-	lo, hi, off []int
+	dp, next         []float64
+	pick             []int16   // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
+	lo, hi, off, top []int     // top[g] is group g's heaviest usable item
+	slack            []float64 // slack[g] = Σ_{h≥g} max(0, max_i v_i − λ·w_i) of group h; slack[n] = 0
+	lambda           float64   // the last bounded solve's λ, where the next one starts its search
 }
 
 // MultiChoice solves one instance in a fresh Solver.
@@ -50,7 +58,10 @@ func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // repeats the row's cell at hi, and the recovery walk down from capacity
 // never reads group g below lo = capacity - Σ maxw of groups g+1.. . Per
 // budget the items are tried in index order against the same running best,
-// so ties break as in the one-cell-at-a-time textbook DP.
+// so ties break as in the one-cell-at-a-time textbook DP. When the bands
+// average pruneWidth budgets or more, a Lagrangian upper bound against a
+// feasible lower bound also skips every budget no optimal selection passes
+// through, leaving value and choice bit for bit the same.
 func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	n := len(groups)
 	choice := make([]int, n)
@@ -60,12 +71,13 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	if capacity < 0 || n == 0 {
 		return 0, choice
 	}
-	s.lo, s.hi, s.off = grow(s.lo, n), grow(s.hi, n), grow(s.off, n)
-	reach := 0 // forward: hi[g]; lo[g] holds maxw until the backward pass
+	s.lo, s.hi, s.off, s.top = grow(s.lo, n), grow(s.hi, n), grow(s.off, n), grow(s.top, n)
+	reach, big := 0, 0 // forward: hi[g]
 	for g, items := range groups {
 		if len(items) > MaxGroupItems {
 			panic("knapsack: group exceeds MaxGroupItems")
 		}
+		big = max(big, len(items))
 		maxw := 0
 		for _, it := range items {
 			if it.Weight <= capacity {
@@ -73,30 +85,42 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 			}
 		}
 		reach = min(capacity, reach+maxw)
-		s.lo[g], s.hi[g] = maxw, reach
+		s.top[g], s.hi[g] = maxw, reach
 	}
 	cells, need := 0, capacity // backward: lo[g] (no higher than hi[g]) and the row offsets
 	for g := n - 1; g >= 0; g-- {
-		maxw := s.lo[g]
 		s.lo[g], s.off[g] = min(need, s.hi[g]), cells
 		cells += s.hi[g] - s.lo[g] + 1
-		need = max(0, need-maxw)
+		need = max(0, need-s.top[g])
 	}
 	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
+	// Row g keeps budget w only while dp[w] − lam·w ≥ floor − slack[g+1].
+	lam, floor, bounded := 0.0, 0.0, false
+	if cells >= pruneWidth*n {
+		lam, floor, bounded = s.bound(groups, capacity, big)
+	}
 
 	dp, next := s.dp, s.next
 	clear(dp[:s.hi[0]+1])
+	a, b := 0, s.hi[0] // the previous row's kept budgets; all others read as -Inf
 	for g, items := range groups {
-		lo, hi := s.lo[g], s.hi[g]
-		row := s.pick[s.off[g]:][:hi-lo+1]
+		lo, hi := max(s.lo[g], a), min(s.hi[g], b+s.top[g])
+		row := s.pick[s.off[g]+lo-s.lo[g]:][:hi-lo+1] // row[i] is budget lo+i
 		clear(row)
-		copy(next[lo:hi+1], dp[lo:hi+1])
+		keep := max(lo-1, min(hi, b))
+		copy(next[lo:keep+1], dp[lo:keep+1])
+		for w := keep + 1; w <= hi; w++ {
+			next[w] = math.Inf(-1)
+		}
 		for idx, it := range items {
 			if it.Weight < 0 || it.Weight > hi {
 				continue
 			}
-			from := max(lo, it.Weight)
-			dst := next[from : hi+1]
+			from, to := max(lo, a+it.Weight), min(hi, b+it.Weight)
+			if from > to {
+				continue
+			}
+			dst := next[from : to+1]
 			src, pk := dp[from-it.Weight:][:len(dst)], row[from-lo:][:len(dst)]
 			for i, best := range dst {
 				if v := src[i] + it.Value; v > best+eps {
@@ -104,10 +128,21 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 				}
 			}
 		}
-		if g+1 < n { // the next row reads this one's flat tail up to its own hi
-			for w := hi + 1; w <= s.hi[g+1]; w++ {
-				next[w] = next[hi]
+		a, b = lo, hi
+		if bounded {
+			thr := floor - s.slack[g+1]
+			for a < b && next[a]-lam*float64(a) < thr {
+				a++
 			}
+			for b > a && next[b]-lam*float64(b) < thr {
+				b--
+			}
+		}
+		if g+1 < n && b == s.hi[g] { // the next row reads this one's flat tail up to its own hi
+			for w := b + 1; w <= s.hi[g+1]; w++ {
+				next[w] = next[b]
+			}
+			b = s.hi[g+1]
 		}
 		dp, next = next, dp
 	}
@@ -119,6 +154,84 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 		}
 	}
 	return dp[s.hi[n-1]], choice
+}
+
+// bound picks the Lagrange multiplier λ ≥ 0 of the row pruning (DESIGN.md
+// §10): the smallest λ, to within 1/256, at which every group's argmax of
+// v − λ·w fits the capacity, searched from the previous bounded solve's λ.
+// It leaves in s.slack the suffix sums of P_g = max(0, max_i v_i − λ·w_i)
+// and returns λ and floor = LB − margin − λ·capacity, LB the value of that
+// argmax selection traded up into the capacity it leaves; false if 64
+// doublings find no λ that fits.
+func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bool) {
+	n := len(groups)
+	s.slack = grow(s.slack, n+1)
+	fits := func(lam float64) bool {
+		w, _ := s.relax(groups, capacity, lam, 0)
+		return w <= capacity
+	}
+	lam := 0.0
+	if !fits(0) {
+		lo, hi := 0.0, s.lambda
+		if hi <= 0 {
+			hi = 1
+		}
+		// Bracket [lo, hi] with hi fitting: double an unfitting start, or
+		// halve a fitting one while its half still fits.
+		for i := 0; !fits(hi); i++ {
+			if i == 64 {
+				return 0, 0, false
+			}
+			lo, hi = hi, 2*hi
+		}
+		for i := 0; lo == 0 && i < 64 && fits(hi/2); i++ {
+			hi /= 2
+		}
+		lo = max(lo, hi/2)
+		for hi-lo > hi/256 {
+			if mid := (lo + hi) / 2; fits(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		lam, s.lambda = hi, hi
+	}
+	w, _ := s.relax(groups, capacity, lam, 0)
+	_, lb := s.relax(groups, capacity, lam, capacity-w)
+	s.slack[n] = 0
+	for g := n - 1; g >= 0; g-- {
+		s.slack[g] += s.slack[g+1]
+	}
+	c := lam * float64(capacity)
+	margin := 1e-9*(s.slack[0]+c) + float64((n+1)*(n+big+3))*eps
+	return lam, lb - margin - c, true
+}
+
+// relax evaluates the Lagrangian relaxation at lam: per group the first
+// usable item with the largest v − lam·w, if that is above "none" at 0,
+// whose excess P_g it writes to s.slack[g]. With room > 0 spare capacity it
+// then lets each group in turn trade up, in item order, to any item of more
+// value that the room left still fits. It returns the selection's total
+// weight and value.
+func (s *Solver) relax(groups [][]Item, capacity int, lam float64, room int) (int, float64) {
+	weight, value := 0, 0.0
+	for g, items := range groups {
+		best, w, v := 0.0, 0, 0.0
+		for _, it := range items {
+			if r := it.Value - lam*float64(it.Weight); it.Weight >= 0 && it.Weight <= capacity && r > best {
+				best, w, v = r, it.Weight, it.Value
+			}
+		}
+		s.slack[g] = best
+		for _, it := range items {
+			if room > 0 && it.Weight >= 0 && it.Weight-w <= room && it.Value > v {
+				room, w, v = room-(it.Weight-w), it.Weight, it.Value
+			}
+		}
+		weight, value = weight+w, value+v
+	}
+	return weight, value
 }
 
 // grow returns s with length n, reallocating only when its capacity is short.

@@ -258,7 +258,12 @@ func refMultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // signed values. Weights run from -1 (skipped by the DP) and 0 (free) up;
 // some groups are empty; the capacity runs from -2 past the sum of the
 // heaviest items, so both band edges and the everything-fits case occur.
+// From 100 allowed groups, half the instances are production-shaped
+// instead (prodInstance), large enough for the bound to engage.
 func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
+	if maxGroups >= 100 && rng.Intn(2) == 0 {
+		return prodInstance(rng, 100+rng.Intn(min(maxGroups, 300)-99), rng.Intn(4) == 0)
+	}
 	mode, maxWeight := rng.Intn(4), rng.Intn(12)+1
 	groups := make([][]Item, rng.Intn(maxGroups+1))
 	reach := 0
@@ -286,6 +291,36 @@ func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
 	return groups, rng.Intn(reach+6) - 2
 }
 
+// prodInstance draws a phase-2-shaped instance of n groups: per job a
+// worker size and one to six items of ascending weight with concave,
+// increasing values between 1e2 and 1e5 (JCT reductions), one of them
+// raised by the stability bonus 1.08, and a capacity around a third of the
+// heaviest items' sum. A quarter of the groups repeat an earlier group, so
+// exact ties occur across groups; epsScale shrinks every value to around
+// eps, where the DP's tie hysteresis decides.
+func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
+	groups := make([][]Item, n)
+	reach := 0
+	for g := range groups {
+		if g > 0 && rng.Intn(4) == 0 {
+			groups[g] = groups[rng.Intn(g)]
+		} else {
+			items := make([]Item, rng.Intn(6)+1)
+			step, scale := rng.Intn(8)+1, math.Pow(10, 2+3*rng.Float64())
+			if epsScale {
+				scale *= 1e-13
+			}
+			for i := range items {
+				items[i] = Item{Weight: step * (i + 1), Value: scale * math.Sqrt(float64(i+1)/float64(len(items)))}
+			}
+			items[rng.Intn(len(items))].Value *= 1.08
+			groups[g] = items
+		}
+		reach += groups[g][len(groups[g])-1].Weight
+	}
+	return groups, reach/3 + rng.Intn(reach/10+1) - reach/20
+}
+
 // checkAgainstReference solves one instance through s and through the
 // reference DP and requires bit-equal value and identical choice.
 func checkAgainstReference(t *testing.T, s *Solver, groups [][]Item, capacity int) {
@@ -309,12 +344,47 @@ func TestPropertyMultiChoiceMatchesReference(t *testing.T) {
 		groups, capacity := randomInstance(rng, maxGroups)
 		checkAgainstReference(t, &s, groups, capacity)
 	}
+	// Production-shaped instances, where the Lagrangian bound prunes rows,
+	// between small ones that do not engage it.
+	for trial := 0; trial < 60; trial++ {
+		groups, capacity := prodInstance(rng, 100+rng.Intn(201), trial%3 == 2)
+		checkAgainstReference(t, &s, groups, capacity)
+		groups, capacity = randomInstance(rng, 12)
+		checkAgainstReference(t, &s, groups, capacity)
+	}
 	// Band edges by hand: nothing fits, everything fits, all groups empty.
 	tight := [][]Item{{{Weight: 3, Value: 1}}, {}, {{Weight: 0, Value: 2}, {Weight: 2, Value: 2}}}
 	for _, capacity := range []int{0, 1, 5, 6, 1000} {
 		checkAgainstReference(t, &s, tight, capacity)
 	}
 	checkAgainstReference(t, &s, [][]Item{{}, {}}, 4)
+}
+
+func TestMultiChoiceBoundPrunesProductionShape(t *testing.T) {
+	// The pick arena is cleared only where a row is computed: marking it
+	// before a solve counts the cells the bound skipped.
+	rng := rand.New(rand.NewSource(3))
+	var s Solver
+	for trial := 0; trial < 10; trial++ {
+		groups, capacity := prodInstance(rng, 100+rng.Intn(201), false)
+		checkAgainstReference(t, &s, groups, capacity)
+		for i := range s.pick {
+			s.pick[i] = -1
+		}
+		checkAgainstReference(t, &s, groups, capacity)
+		skipped := 0
+		for _, p := range s.pick {
+			if p == -1 {
+				skipped++
+			}
+		}
+		if skipped*2 < len(s.pick) {
+			t.Errorf("trial %d: the bound skipped %d of %d banded cells, want at least half", trial, skipped, len(s.pick))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { s.MultiChoice(groups, capacity) }); allocs > 1 {
+			t.Errorf("a warm bounded solve allocates %v times, want <= 1", allocs)
+		}
+	}
 }
 
 // medianProdIdealGroups has the shape of the median phase-2 instance of the
@@ -338,6 +408,26 @@ func medianProdIdealGroups() [][]Item {
 	return groups
 }
 
+// medianGroups draws n groups holding the given number of items between
+// them, evenly spread, with weights in steps of 1 or 2 GPUs and the values
+// of medianProdIdealGroups: the median phase-2 instances of the benchmark's
+// registry-sim (22 groups, 124 items, capacity 42: a band width below the
+// kernel's bound cutoff) and prod-basic (76 groups, 543 items, capacity
+// 281: above it).
+func medianGroups(n, items int) [][]Item {
+	rng := rand.New(rand.NewSource(1))
+	groups := make([][]Item, n)
+	for g := range groups {
+		group := make([]Item, items/n+min(1, max(0, items%n-g)))
+		step := rng.Intn(2) + 1
+		for i := range group {
+			group[i] = Item{Weight: step * (i + 1), Value: rng.Float64() * 1000 * float64(i+1) / float64(i+2)}
+		}
+		groups[g] = group
+	}
+	return groups
+}
+
 // BenchmarkMultiChoice is the kernel's one-second loop (make bench): a warm
 // Solver as the scheduler holds one, the zero-workspace package function,
 // and the reference DP for the ratio.
@@ -348,6 +438,8 @@ func BenchmarkMultiChoice(b *testing.B) {
 		capacity int
 	}{
 		{"paper-59x6-cap245", paperScaleGroups(42), 245},
+		{"registry-median-22g-124i-cap42", medianGroups(22, 124), 42},
+		{"prod-basic-median-76g-543i-cap281", medianGroups(76, 543), 281},
 		{"prod-ideal-median-277g-854i-cap1042", medianProdIdealGroups(), 1042},
 	} {
 		var s Solver

@@ -27,6 +27,7 @@ go test -race ./internal/...
 echo "== scale-tier set-up and comparison-kernel benchmarks, once (they compile and run)"
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchtime 1x ./internal/fault/ ./internal/trace/
 go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchtime 1x ./internal/orchestrator/ ./internal/alloc/
+go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x ./internal/knapsack/ ./internal/alloc/
 
 echo "== smoke (the real binaries end to end: scripts/smoke.sh lists the cases)"
 ./scripts/smoke.sh
