@@ -1,8 +1,8 @@
 // Command lyra-matrix runs declarative scenario specs as scenario×scheme
-// matrices with SLO gating: each spec file (YAML or JSON, see
-// testdata/scenarios/) declares a cluster shape (optionally sharded into
-// arbitrated multi-cluster topologies with mixed GPU generations — see the
-// shards:/training_gpu: blocks and DESIGN.md §14), a synthesized workload,
+// matrices with SLO gating: each JSON spec file (see testdata/scenarios/)
+// declares a cluster shape (optionally sharded into arbitrated
+// multi-cluster topologies with mixed GPU generations — see the "shards"
+// and "training_gpu" keys and DESIGN.md §14), a synthesized workload,
 // an optional fault plan, a scheme matrix and SLO assertions; lyra-matrix
 // compiles every spec through the same Config path hand-built experiments
 // use, fans the cells out over the parallel memoizing runner, and exits
@@ -11,11 +11,11 @@
 //
 // Usage:
 //
-//	lyra-matrix -spec testdata/scenarios/smoke.yaml
-//	lyra-matrix -spec testdata/scenarios -parallel 8        # every *.yaml in the directory
-//	lyra-matrix -spec smoke.yaml -dry                       # list compiled cells, run nothing
-//	lyra-matrix -spec smoke.yaml -tighten 0.01              # prove the failure path
-//	lyra-matrix -spec smoke.yaml -json report.json
+//	lyra-matrix -spec testdata/scenarios/smoke.json
+//	lyra-matrix -spec testdata/scenarios -parallel 8        # every *.json in the directory
+//	lyra-matrix -spec smoke.json -dry                       # list compiled cells, run nothing
+//	lyra-matrix -spec smoke.json -tighten 0.01              # prove the failure path
+//	lyra-matrix -spec smoke.json -json report.json
 package main
 
 import (
@@ -39,7 +39,7 @@ func main() {
 	g.AuditFlag("simulator event")
 	g.ProfFlags()
 	var (
-		spec     = flag.String("spec", "", "run the scenario spec (YAML/JSON) at this path (or every *.yaml/*.json in the directory)")
+		spec     = flag.String("spec", "", "run the JSON scenario spec at this path (or every *.json in the directory)")
 		dry      = flag.Bool("dry", false, "compile and list the matrix cells without running them")
 		tighten  = flag.Float64("tighten", 1, "scale every SLO upper bound by this factor (CI uses <1 to prove the harness fails on regressions)")
 		jsonPath = flag.String("json", "", "also write the structured matrix report as JSON to this file")
@@ -111,17 +111,13 @@ func specPaths(path string) ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(e.Name())) {
-		case ".yaml", ".yml", ".json":
+		if !e.IsDir() && strings.ToLower(filepath.Ext(e.Name())) == ".json" {
 			out = append(out, filepath.Join(path, e.Name()))
 		}
 	}
 	sort.Strings(out)
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no *.yaml/*.yml/*.json spec files in %s", path)
+		return nil, fmt.Errorf("no *.json spec files in %s", path)
 	}
 	return out, nil
 }

@@ -7,28 +7,19 @@ import (
 	"lyra"
 )
 
-const matrixSpecDoc = `
-version: 1
-name: mtest
-seed: 1
-cluster:
-  training_servers: 16
-  inference_servers: 16
-trace:
-  days: 1
-  training_gpus: 128
-scenario: basic
-schemes:
-  - name: lyra
-    scheduler: lyra
-    elastic: true
-    loaning: true
-    reclaim: lyra
-  - name: baseline
-    scheduler: fifo
-slo:
-  lost_jobs: 0
-`
+const matrixSpecDoc = `{
+  "version": 1,
+  "name": "mtest",
+  "seed": 1,
+  "cluster": {"training_servers": 16, "inference_servers": 16},
+  "trace": {"days": 1, "training_gpus": 128},
+  "scenario": "basic",
+  "schemes": [
+    {"name": "lyra", "scheduler": "lyra", "elastic": true, "loaning": true, "reclaim": "lyra"},
+    {"name": "baseline", "scheduler": "fifo"}
+  ],
+  "slo": {"lost_jobs": 0}
+}`
 
 func compileMatrixSpec(t *testing.T) []lyra.CompiledCell {
 	t.Helper()
@@ -49,7 +40,7 @@ func cellSpec(c lyra.CompiledCell) Spec {
 }
 
 // TestSpecCompiledKeyMatchesHandBuilt is the API-redesign acceptance test:
-// a YAML-compiled cell must memoize under exactly the content key of the
+// a spec-compiled cell must memoize under exactly the content key of the
 // equivalent hand-built Spec, so declarative runs and imperative
 // experiments share one cache and one byte-identity guarantee.
 func TestSpecCompiledKeyMatchesHandBuilt(t *testing.T) {
@@ -186,7 +177,7 @@ func TestMatrixRecordsCellErrors(t *testing.T) {
 // cell keyed like the hand-built Spec that never called WithScenario — the
 // spec's default scenario seed does not ride along into the key.
 func TestSpecCompiledKeyWithoutScenario(t *testing.T) {
-	s, err := lyra.ParseSpec([]byte(strings.Replace(matrixSpecDoc, "scenario: basic\n", "", 1)))
+	s, err := lyra.ParseSpec([]byte(strings.Replace(matrixSpecDoc, `"scenario": "basic",`, "", 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # smoke.sh drives the real binaries end to end: `smoke.sh` runs every case,
-# `smoke.sh fault prof` (or `make smoke CASE=fault`) the named ones. The five
+# `smoke.sh fault prof` (or `make smoke CASE=fault`) the named ones. The six
 # binaries are built once; each case below is one shell function holding the
 # assertions of one contract:
 #
@@ -13,6 +13,7 @@
 #   prof    the span profiler attributes >= 90% and perturbs no event
 #   shard   4-shard determinism across processes, the per-shard summary table,
 #           and several borrowers served in one arbitration epoch
+#   trace   a tracegen CSV replays through lyra-sim -trace-csv, every job done
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -133,11 +134,11 @@ smoke_matrix() {
 	[ "$cells" -ge 10 ] || fail "pack compiled to only $cells cells"
 	echo "pack compiles to $cells cells"
 
-	"$matrix" -spec testdata/scenarios/smoke.yaml -audit > "$dir/pass.out"
+	"$matrix" -spec testdata/scenarios/smoke.json -audit > "$dir/pass.out"
 	cat "$dir/pass.out"
 	! grep -q "FAIL" "$dir/pass.out" || fail "smoke matrix reported SLO failures"
 
-	if "$matrix" -spec testdata/scenarios/smoke.yaml -tighten 0.01 > "$dir/fail.out" 2>&1; then
+	if "$matrix" -spec testdata/scenarios/smoke.json -tighten 0.01 > "$dir/fail.out" 2>&1; then
 		fail "tightened SLOs still passed: the gate cannot fail"
 	fi
 	grep -q "exceeds bound" "$dir/fail.out" || {
@@ -146,7 +147,7 @@ smoke_matrix() {
 	}
 	echo "tightened run failed as required"
 
-	"$matrix" -spec testdata/scenarios/smoke.yaml -json "$dir/report.json" > /dev/null
+	"$matrix" -spec testdata/scenarios/smoke.json -json "$dir/report.json" > /dev/null
 	for needle in '"cells"' '"pass": true' '"key"'; do
 		grep -q "$needle" "$dir/report.json" || {
 			cat "$dir/report.json" >&2
@@ -215,16 +216,27 @@ smoke_shard() {
 		fail "no arbitration epoch recorded loan-grant orch.loan events from two shards"
 }
 
-[ $# -gt 0 ] || set -- bench events fault matrix prof shard
+smoke_trace() {
+	"$dir/tracegen" -days 1 -training-gpus 128 -o "$dir/trace.csv"
+	"$sim" -trace-csv "$dir/trace.csv" -training-servers 16 -inference-servers 16 -audit > "$dir/csv.out"
+	cat "$dir/csv.out"
+	rows=$(($(wc -l < "$dir/trace.csv") - 1))
+	positive "$rows" "tracegen wrote no jobs"
+	jobs=$(sed -n 's/^jobs: \([0-9]*\) submitted, \([0-9]*\) completed$/\1 \2/p' "$dir/csv.out")
+	[ "$jobs" = "$rows $rows" ] ||
+		fail "(submitted, completed) = ($jobs), want all $rows jobs of the CSV"
+}
+
+[ $# -gt 0 ] || set -- bench events fault matrix prof shard trace
 for cur; do
 	case $cur in
-	bench | events | fault | matrix | prof | shard) ;;
-	*) fail "unknown case (valid: bench events fault matrix prof shard)" ;;
+	bench | events | fault | matrix | prof | shard | trace) ;;
+	*) fail "unknown case (valid: bench events fault matrix prof shard trace)" ;;
 	esac
 done
 cur=setup
 echo "== smoke: building the binaries"
-for b in lyra-sim lyra-events lyra-testbed lyra-matrix lyra-bench; do
+for b in lyra-sim lyra-events lyra-testbed lyra-matrix lyra-bench tracegen; do
 	go build -o "$dir/$b" "./cmd/$b"
 done
 for cur; do
