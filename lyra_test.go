@@ -116,7 +116,7 @@ func TestValidatePhase2MaxItemsRange(t *testing.T) {
 }
 
 func TestValidateSurfacesNonFiniteFaultPlan(t *testing.T) {
-	// A hand-built plan never passes through ParseFaultPlan. A NaN rate
+	// A hand-built plan never passes through fault.ParsePlan. A NaN rate
 	// reads as "disabled" and would normalize away unseen; an infinite
 	// repair time schedules recoveries that never come.
 	for field, plan := range map[string]FaultPlan{
@@ -236,7 +236,7 @@ func TestApplyScenarioHeterogeneousDisablesFungible(t *testing.T) {
 
 func TestSetElasticFraction(t *testing.T) {
 	tr := smallTrace(10)
-	SetElasticFraction(tr, 1.0, 11)
+	setElasticFraction(tr, 1.0, 11)
 	for _, j := range tr.Jobs {
 		if !j.Elastic {
 			t.Fatal("all jobs should be elastic at fraction 1.0")
@@ -245,7 +245,7 @@ func TestSetElasticFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	SetElasticFraction(tr, 0, 11)
+	setElasticFraction(tr, 0, 11)
 	for _, j := range tr.Jobs {
 		if j.Elastic {
 			t.Fatal("no jobs should be elastic at fraction 0")
@@ -258,7 +258,7 @@ func TestSetElasticFraction(t *testing.T) {
 
 func TestSetCheckpointFraction(t *testing.T) {
 	tr := smallTrace(11)
-	SetCheckpointFraction(tr, 0.8, 12)
+	setCheckpointFraction(tr, 0.8, 12)
 	n := 0
 	for _, j := range tr.Jobs {
 		if j.Checkpoint {
@@ -362,7 +362,7 @@ func TestCheckpointingReducesJCTUnderPreemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2 := tr.Clone()
-	SetCheckpointFraction(tr2, 1.0, 14)
+	setCheckpointFraction(tr2, 1.0, 14)
 	ckpt, err := Run(cfg, tr2)
 	if err != nil {
 		t.Fatal(err)

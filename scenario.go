@@ -103,13 +103,13 @@ func (m Mix) Apply(cfg *Config, tr *Trace) error {
 		m.Scenario.Apply(cfg, tr, m.ScenarioSeed)
 	}
 	if k := m.HeteroFrac; k != nil {
-		SetHeteroFraction(tr, k.Frac, k.Seed)
+		setHeteroFraction(tr, k.Frac, k.Seed)
 	}
 	if k := m.ElasticFrac; k != nil {
-		SetElasticFraction(tr, k.Frac, k.Seed)
+		setElasticFraction(tr, k.Frac, k.Seed)
 	}
 	if k := m.CheckpointFrac; k != nil {
-		SetCheckpointFraction(tr, k.Frac, k.Seed)
+		setCheckpointFraction(tr, k.Frac, k.Seed)
 	}
 	return nil
 }
@@ -149,19 +149,19 @@ func applyScenarioTrace(tr *Trace, kind ScenarioKind, seed int64) {
 	}
 }
 
-// SetHeteroFraction marks the given fraction of jobs heterogeneous-capable
+// setHeteroFraction marks the given fraction of jobs heterogeneous-capable
 // (Figure 11's sweep), deterministically in seed.
-func SetHeteroFraction(tr *Trace, frac float64, seed int64) {
+func setHeteroFraction(tr *Trace, frac float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, j := range tr.Jobs {
 		j.Hetero = rng.Float64() < frac
 	}
 }
 
-// SetElasticFraction makes the given fraction of jobs elastic (Figures
+// setElasticFraction makes the given fraction of jobs elastic (Figures
 // 14-16): chosen inelastic jobs get a scaling range of twice their
 // requested demand, mirroring the Ideal scenario's rule.
-func SetElasticFraction(tr *Trace, frac float64, seed int64) {
+func setElasticFraction(tr *Trace, frac float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, j := range tr.Jobs {
 		switch {
@@ -177,9 +177,9 @@ func SetElasticFraction(tr *Trace, frac float64, seed int64) {
 	}
 }
 
-// SetCheckpointFraction enables checkpointing for the given fraction of
+// setCheckpointFraction enables checkpointing for the given fraction of
 // jobs (Figure 13).
-func SetCheckpointFraction(tr *Trace, frac float64, seed int64) {
+func setCheckpointFraction(tr *Trace, frac float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, j := range tr.Jobs {
 		j.Checkpoint = rng.Float64() < frac

@@ -198,11 +198,10 @@ func FuzzShardedVsSingle(f *testing.F) {
 		cfg.SchedInterval = 300
 		cfg.Seed = seed
 		if faults {
-			fp, err := lyra.ParseFaultPlan("mtbf=21600,mttr=900")
+			fp, err := lyra.ResolveFaultPlan("mtbf=21600,mttr=900", seed, seed)
 			if err != nil {
 				t.Fatalf("fault plan: %v", err)
 			}
-			fp.Seed = seed
 			cfg.Faults = fp
 		}
 
@@ -247,11 +246,10 @@ func TestTopologyInvariants(t *testing.T) {
 	tcfg.MaxJobGPUs = 32 // 12 training servers over 3 shards: 4 servers of 8 GPUs each
 	tr := lyra.GenerateTrace(tcfg)
 
-	fp, err := lyra.ParseFaultPlan("mtbf=21600,mttr=900,rackout=43200")
+	fp, err := lyra.ResolveFaultPlan("mtbf=21600,mttr=900,rackout=43200", 5, 5)
 	if err != nil {
 		t.Fatalf("fault plan: %v", err)
 	}
-	fp.Seed = 5
 
 	reports := make(map[string]*lyra.Report)
 	for _, topo := range []struct {
