@@ -31,8 +31,8 @@ race:
 	$(GO) test -race ./internal/...
 
 # smoke drives the real binaries end to end (scripts/smoke.sh lists the
-# cases: bench, events, fault, matrix, prof, shard). `make smoke` runs all
-# of them, `make smoke CASE=fault` one.
+# cases: bench, events, fault, matrix, prof, shard, trace). `make smoke`
+# runs all of them, `make smoke CASE=fault` one.
 smoke:
 	@./scripts/smoke.sh $(CASE)
 
