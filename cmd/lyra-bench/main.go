@@ -25,7 +25,6 @@ import (
 
 	"lyra/internal/cliflags"
 	"lyra/internal/experiments"
-	"lyra/internal/obs"
 	"lyra/internal/runner"
 )
 
@@ -82,10 +81,6 @@ func main() {
 	pool := runner.New(g.Parallel)
 	pool.Profile(g.Collector())
 	params.Pool = pool
-	// The obs registry mirrors the pool's memoization counters and folds
-	// per-run simulator totals, so -stats prints one merged table.
-	reg := obs.NewRegistry()
-	pool.Observe(reg)
 
 	tables := 0
 	run := func(e experiments.Experiment) {
@@ -118,7 +113,6 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "[pool: %s; %d workers; %d tables in %s]\n",
 			st, pool.Parallelism(), tables, wall.Round(time.Millisecond))
-		reg.WriteTable(os.Stderr)
 	}
 	if err := g.FinishProf(os.Stderr); err != nil {
 		g.Fatal(err)

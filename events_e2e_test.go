@@ -3,10 +3,12 @@ package lyra
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"lyra/internal/obs"
+	"lyra/internal/trace"
 )
 
 // TestEventStreamDeterministicAndComplete is the tentpole acceptance test
@@ -93,10 +95,101 @@ func TestEventStreamDeterministicAndComplete(t *testing.T) {
 		obs.KindJobPreempt, obs.KindJobScaleUp, obs.KindJobScaleDown,
 		obs.KindSchedEpoch, obs.KindSchedPhase2,
 		obs.KindOrchLoan, obs.KindOrchReclaim, obs.KindReclaimPlan,
-		obs.KindCounters,
 	} {
 		if counts[kind] == 0 {
 			t.Errorf("stream has no %s events", kind)
+		}
+	}
+}
+
+// The event stream is the counter: every count a run reports is the number
+// of events of one kind in its recorded stream, or a sum over their payloads
+// — on the simulator, with the cluster cut into shards, and on the
+// prototype. That is why the stream carries no separate counter samples and
+// the recorder keeps no counter store.
+func TestEventStreamIsTheCounter(t *testing.T) {
+	faulted := DefaultConfig()
+	faulted.Cluster = smallCluster()
+	faulted.Events = true
+	faulted.Faults = FaultPlan{Seed: 11, ServerMTBF: 43200, ServerMTTR: 600, RackOutMTBF: 43200, RackMTTR: 900}
+	sharded := faulted
+	sharded.TrainingShards, sharded.InferenceShards = 2, 2
+	proto := testbedCfg(DefaultConfig())
+	proto.Seed, proto.Events = 7, true
+	proto.Faults = FaultPlan{Seed: 7, ServerMTBF: 7200, ServerMTTR: 300, LaunchFailProb: 0.1}
+	tcfg := DefaultTraceConfig(3)
+	tcfg.Days, tcfg.TrainingGPUs = 3, 128
+	tr := GenerateTrace(tcfg)
+
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"simulator", func() (*Report, error) { return Run(faulted, tr) }},
+		{"sharded", func() (*Report, error) { return Run(sharded, tr) }},
+		{"prototype", func() (*Report, error) {
+			return RunTestbed(proto, trace.GenerateTestbed(7, 30), TestbedOptions{})
+		}},
+	} {
+		rep, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		events, err := obs.ReadJSONL(bytes.NewReader(rep.Events))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, n := obs.CountByKind(events)
+		var reclaimed, demand, collateral int
+		var jctSum float64
+		for _, ev := range events {
+			switch ev.Kind {
+			case obs.KindOrchReclaim:
+				reclaimed += len(ev.F["servers"].([]any))
+				demand += int(ev.F["demand_gpus"].(float64))
+				collateral += int(ev.F["collateral_gpus"].(float64))
+			case obs.KindJobFinish:
+				jctSum += ev.F["jct"].(float64)
+			}
+		}
+		type tally struct {
+			what           string
+			report, stream int
+		}
+		counts := []tally{
+			{"completed jobs / job.finish", rep.Completed, n[obs.KindJobFinish]},
+			{"JCT samples / job.finish", rep.JCT.N, n[obs.KindJobFinish]},
+			{"preemptions / job.preempt", rep.Preemptions, n[obs.KindJobPreempt]},
+			{"scaling ops / job.scale_up + job.scale_down", rep.ScalingOps, n[obs.KindJobScaleUp] + n[obs.KindJobScaleDown]},
+			{"reclaim ops / orch.reclaim", rep.Raw.ReclaimOps, n[obs.KindOrchReclaim]},
+			{"reclaimed servers / orch.reclaim servers", rep.Raw.ReclaimedServers, reclaimed},
+			{"crashes / fault.crash", rep.Crashes, n[obs.KindFaultCrash]},
+			{"recoveries / fault.recover", rep.Recoveries, n[obs.KindFaultRecover]},
+		}
+		if p := rep.Raw.Prototype; p != nil {
+			counts = append(counts,
+				tally{"containers launched / container.launch", int(p.ContainersLaunched), n[obs.KindContainerLaunch]},
+				tally{"containers killed / container.kill", int(p.ContainersKilled), n[obs.KindContainerKill]},
+				tally{"launch failures / fault.launch", p.LaunchFailures, n[obs.KindFaultLaunch]})
+		}
+		for _, c := range counts {
+			if c.report != c.stream {
+				t.Errorf("%s: %s: report says %d, the stream counts %d", tc.name, c.what, c.report, c.stream)
+			}
+		}
+		if demand > 0 && rep.CollateralDamage != float64(collateral)/float64(demand) {
+			t.Errorf("%s: collateral damage %v, the stream's orch.reclaim payloads give %d/%d",
+				tc.name, rep.CollateralDamage, collateral, demand)
+		}
+		if mean := jctSum / float64(rep.JCT.N); math.Abs(mean-rep.JCT.Mean) > 1e-9*mean {
+			t.Errorf("%s: mean JCT %v, the stream's job.finish payloads give %v", tc.name, rep.JCT.Mean, mean)
+		}
+		// The prototype's 30 jobs never make the orchestrator reclaim; the
+		// simulator runs must.
+		if rep.Preemptions == 0 || rep.ScalingOps == 0 || rep.Crashes == 0 || rep.Recoveries == 0 ||
+			(rep.Raw.Prototype == nil && demand == 0) {
+			t.Errorf("%s: run exercised too little: %d preemptions, %d scaling ops, %d crashes, %d recoveries, %d reclaims",
+				tc.name, rep.Preemptions, rep.ScalingOps, rep.Crashes, rep.Recoveries, rep.Raw.ReclaimOps)
 		}
 	}
 }

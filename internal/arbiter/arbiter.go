@@ -73,7 +73,6 @@ func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
 		rec.Emit(obs.JobEv(sh.States[best].Now, obs.KindArbRoute, j.ID).WithCause("route").WithF(obs.Fields{
 			"shard": best,
 		}))
-		rec.Add("arb.routes", 1)
 	}
 	return best
 }

@@ -28,8 +28,8 @@ func TestDigestQuantileAccuracy(t *testing.T) {
 
 func TestDigestDeterminism(t *testing.T) {
 	// Same multiset, different insertion order → identical quantiles. This
-	// is the property reservoir sampling lacks and why the digest backs both
-	// the registry columns and the profiler's per-phase p50/p99.
+	// is the property reservoir sampling lacks and why the digest backs the
+	// profiler's per-phase p50/p99.
 	var a, b Digest
 	for i := 0; i < 1000; i++ {
 		a.Observe(float64(i%97) + 1)
@@ -64,26 +64,5 @@ func TestDigestEdgeCases(t *testing.T) {
 	}
 	if q := d.Quantile(0.5); q != 0 {
 		t.Fatalf("q50 = %g, want 0 (3 of 4 observations are zero)", q)
-	}
-}
-
-func TestRegistryQuantiles(t *testing.T) {
-	g := NewRegistry()
-	if _, _, _, ok := g.Quantiles("missing"); ok {
-		t.Fatal("Quantiles on absent histogram reported ok")
-	}
-	for i := 1; i <= 100; i++ {
-		g.Observe("lat", float64(i))
-	}
-	p50, p90, p99, ok := g.Quantiles("lat")
-	if !ok {
-		t.Fatal("Quantiles not ok after Observe")
-	}
-	if p50 <= 0 || p90 < p50 || p99 < p90 {
-		t.Fatalf("non-monotone quantiles: p50=%g p90=%g p99=%g", p50, p90, p99)
-	}
-	var nilReg *Registry
-	if _, _, _, ok := nilReg.Quantiles("lat"); ok {
-		t.Fatal("nil registry Quantiles reported ok")
 	}
 }

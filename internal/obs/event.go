@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the reproduction: a structured
 // event recorder with a zero-overhead-when-disabled fast path (the same
 // nil-check discipline as the invariant auditor's Audit flag), typed events
-// for every decision the system takes, a small counter/histogram registry,
-// and pluggable sinks (bounded ring, JSONL writer, human formatter).
+// for every decision the system takes, pluggable sinks (bounded ring, JSONL
+// writer, human formatter) and the queries that fold a recorded stream back
+// into timelines and counts.
 //
 // PR 1's invariant auditor proves THAT the state stayed legal; this package
 // records HOW it got there: why a job was preempted at t=86700, which
@@ -87,9 +88,6 @@ const (
 	// shard field. Emitted only in genuinely multi-shard runs; a 1+1
 	// topology reproduces the unsharded stream byte-for-byte.
 	KindArbRoute Kind = "arb.route"
-
-	// Counter/histogram registry snapshot, sampled on MetricsInterval.
-	KindCounters Kind = "counters"
 )
 
 // Fields carries an event's kind-specific payload. Keys are emitted in
@@ -99,7 +97,7 @@ type Fields map[string]any
 // Event is one recorded occurrence. T is simulated seconds — wall-clock
 // time never enters an event, which is what keeps streams byte-identical
 // across runs. Job is the subject job ID, or -1 for events not about a
-// single job (epoch summaries, orchestrator moves, counter samples).
+// single job (epoch summaries, orchestrator moves, fault markers).
 type Event struct {
 	T     float64
 	Kind  Kind

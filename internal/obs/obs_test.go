@@ -47,7 +47,7 @@ func TestEventRoundTrip(t *testing.T) {
 		JobEv(86700, KindJobPreempt, 4217).WithCause("reclaim").WithF(Fields{"workers": 4}),
 		JobEv(0, KindJobSubmit, 0),
 		Ev(3600, KindOrchLoan).WithF(Fields{"count": 2}),
-		Ev(0, KindCounters),
+		Ev(0, KindSchedEpoch),
 	}
 	for _, in := range cases {
 		b, err := in.MarshalJSON()
@@ -118,22 +118,6 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Errorf("nil recorder reports enabled")
 	}
 	r.Emit(Ev(0, KindSchedEpoch))
-	r.Add("x", 1)
-	r.Observe("y", 2)
-	r.EmitCounters(0)
-	if r.Registry() != nil {
-		t.Errorf("nil recorder has a registry")
-	}
-	var g *Registry
-	g.Add("x", 1)
-	g.Observe("y", 2)
-	if g.Counter("x") != 0 {
-		t.Errorf("nil registry counter non-zero")
-	}
-	if g.SnapshotFields() != nil {
-		t.Errorf("nil registry snapshot non-nil")
-	}
-	g.WriteTable(&bytes.Buffer{})
 }
 
 func TestRecorderFanOutAndJSONL(t *testing.T) {
@@ -155,45 +139,5 @@ func TestRecorderFanOutAndJSONL(t *testing.T) {
 	}
 	if len(events) != 2 || events[0].Kind != KindJobQueue || events[1].Kind != KindJobStart {
 		t.Errorf("JSONL round trip: %+v", events)
-	}
-}
-
-// Registry snapshots and tables are deterministic: sorted keys, stable
-// histogram summaries.
-func TestRegistryDeterministicSnapshot(t *testing.T) {
-	mk := func() *Registry {
-		g := NewRegistry()
-		g.Add("b.count", 2)
-		g.Add("a.count", 1)
-		g.Observe("lat", 5)
-		g.Observe("lat", 1)
-		g.Observe("lat", 3)
-		return g
-	}
-	g := mk()
-	if g.Counter("b.count") != 2 {
-		t.Errorf("Counter(b.count) = %d", g.Counter("b.count"))
-	}
-	f := g.SnapshotFields()
-	if f["lat.count"] != int64(3) || f["lat.sum"] != 9.0 || f["lat.min"] != 1.0 || f["lat.max"] != 5.0 {
-		t.Errorf("histogram snapshot: %v", f)
-	}
-	var ta, tb bytes.Buffer
-	g.WriteTable(&ta)
-	mk().WriteTable(&tb)
-	if ta.String() != tb.String() {
-		t.Errorf("two identical registries rendered differently:\n%s\nvs\n%s", ta.String(), tb.String())
-	}
-	// The counters event built from a snapshot serializes identically too.
-	e1, err := Ev(60, KindCounters).WithF(g.SnapshotFields()).MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Ev(60, KindCounters).WithF(mk().SnapshotFields()).MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(e1, e2) {
-		t.Errorf("counter events differ:\n%s\n%s", e1, e2)
 	}
 }

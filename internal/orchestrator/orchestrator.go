@@ -182,7 +182,6 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 			"train_gpus": trainCap, "gang_floor": floor, "deficit": deficit,
 			"extra_srv": extra, "want": raised,
 		}))
-		st.Obs.Add("orch.emergency_reclaims", 1)
 	}
 	return raised
 }
@@ -256,7 +255,6 @@ func returnIdle(b Borrower, n int, giveBack func(sid int)) {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(b.tag(obs.Fields{
 			"servers": picked, "count": len(picked),
 		})))
-		st.Obs.Add("orch.returns", 1)
 	}
 }
 
@@ -288,7 +286,6 @@ func lend(b Borrower, n int, from []*sim.State, take func(sid int)) {
 			ev = ev.WithCause("loan-grant")
 		}
 		st.Obs.Emit(ev)
-		st.Obs.Add("orch.loans", 1)
 	}
 }
 
@@ -402,8 +399,6 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 			"demand_gpus": demand, "collateral_gpus": collateral,
 			"flex_only": plan.FlexOnly,
 		})))
-		st.Obs.Add("orch.reclaims", 1)
-		st.Obs.Observe("orch.collateral_gpus", float64(collateral))
 	}
 }
 

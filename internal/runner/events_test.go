@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lyra"
-	"lyra/internal/obs"
 )
 
 // The event stream is part of each report, so the determinism guarantee the
@@ -45,44 +44,5 @@ func TestEventStreamSerialVsParallel(t *testing.T) {
 			t.Errorf("spec %d: serial and parallel pools recorded different event streams (%d vs %d bytes)",
 				i, len(serial[i].Events), len(parallel[i].Events))
 		}
-	}
-}
-
-// The runner mirrors its memoization counters into an attached obs registry
-// and folds per-run simulator totals, so lyra-bench -stats can print one
-// merged table.
-func TestPoolObserveMirrorsStats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real simulation")
-	}
-	p := New(2)
-	reg := obs.NewRegistry()
-	p.Observe(reg)
-	spec := NewSpec(tinyCfg(), tinyGen())
-	r1, err := p.Sim(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Sim(spec); err != nil { // cache hit
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if got := reg.Counter("runner.requests"); got != st.Requests {
-		t.Errorf("runner.requests = %d, pool stats say %d", got, st.Requests)
-	}
-	if got := reg.Counter("runner.hits"); got != st.Hits {
-		t.Errorf("runner.hits = %d, pool stats say %d", got, st.Hits)
-	}
-	if got := reg.Counter("runner.executed"); got != st.Executed {
-		t.Errorf("runner.executed = %d, pool stats say %d", got, st.Executed)
-	}
-	if got := reg.Counter("runner.trace_gens"); got != st.TraceGens {
-		t.Errorf("runner.trace_gens = %d, pool stats say %d", got, st.TraceGens)
-	}
-	if got := reg.Counter("runner.sim.completed"); got != int64(r1.Completed) {
-		t.Errorf("runner.sim.completed = %d, report says %d", got, r1.Completed)
-	}
-	if got := reg.Counter("runner.sim.jobs"); got != int64(r1.Total) {
-		t.Errorf("runner.sim.jobs = %d, report says %d", got, r1.Total)
 	}
 }

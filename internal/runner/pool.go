@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"lyra"
-	"lyra/internal/obs"
 	"lyra/internal/prof"
 	"lyra/internal/trace"
 )
@@ -51,12 +50,6 @@ type Pool struct {
 	calls map[string]*call
 	stats Stats
 
-	// obsReg, when set via Observe, mirrors the memoization counters into
-	// an obs.Registry and folds headline per-run counters out of completed
-	// simulations, so cache economics and scheduler activity land in one
-	// merged table (lyra-bench -stats).
-	obsReg *obs.Registry
-
 	// profC, when set via Profile, hands each *executed* simulation its own
 	// wall-clock profiler (one Chrome-trace track per cell, named by the
 	// spec label). Cache hits do not re-profile: the memoized result carries
@@ -97,18 +90,6 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// Observe attaches an obs.Registry: from now on the pool mirrors its
-// memoization counters (runner.requests / runner.hits / runner.executed /
-// runner.trace_gens) into reg and folds per-run simulator counters
-// (runner.sim.completed, runner.sim.preemptions, ...) out of each executed
-// simulation. The registry's own methods are nil-safe, so Observe(nil)
-// detaches.
-func (p *Pool) Observe(reg *obs.Registry) {
-	p.mu.Lock()
-	p.obsReg = reg
-	p.mu.Unlock()
-}
-
 // Profile attaches a prof.Collector: every simulation executed from now on
 // runs under its own profiler, registered as a trace track named by the
 // spec label. Profile(nil) detaches (the nil collector hands out nil —
@@ -130,8 +111,6 @@ func (p *Pool) do(key string, fn func() (any, error), bounded, traceGen bool) (a
 		if !traceGen {
 			p.stats.Requests++
 			p.stats.Hits++
-			p.obsReg.Add("runner.requests", 1)
-			p.obsReg.Add("runner.hits", 1)
 		}
 		p.mu.Unlock()
 		<-c.done
@@ -141,12 +120,9 @@ func (p *Pool) do(key string, fn func() (any, error), bounded, traceGen bool) (a
 	p.calls[key] = c
 	if traceGen {
 		p.stats.TraceGens++
-		p.obsReg.Add("runner.trace_gens", 1)
 	} else {
 		p.stats.Requests++
 		p.stats.Executed++
-		p.obsReg.Add("runner.requests", 1)
-		p.obsReg.Add("runner.executed", 1)
 	}
 	p.mu.Unlock()
 
@@ -231,19 +207,10 @@ func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 		rep, err = lyra.RunProfiled(cfg, tr, pr)
 	}
 	run.End()
-	if err == nil {
-		if pr.Enabled() {
-			// Re-snapshot so the report includes the closed "run" root
-			// span and trace materialization.
-			rep.Prof = pr.Report()
-		}
-		p.mu.Lock()
-		reg := p.obsReg
-		p.mu.Unlock()
-		reg.Add("runner.sim.jobs", int64(rep.Total))
-		reg.Add("runner.sim.completed", int64(rep.Completed))
-		reg.Add("runner.sim.preemptions", int64(rep.Preemptions))
-		reg.Add("runner.sim.scaling_ops", int64(rep.ScalingOps))
+	if err == nil && pr.Enabled() {
+		// Re-snapshot so the report includes the closed "run" root span and
+		// trace materialization.
+		rep.Prof = pr.Report()
 	}
 	return rep, err
 }

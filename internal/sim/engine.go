@@ -50,9 +50,9 @@ type Config struct {
 	Audit bool
 	// Obs is the optional structured event recorder (internal/obs): when
 	// non-nil the engine and state emit the full decision-trace stream
-	// (job lifecycle, scheduler epoch summaries, counter samples every
-	// metricsInterval). Nil keeps the hot path untouched — every emission
-	// site is behind a single nil check, same discipline as Audit.
+	// (job lifecycle, scheduler epoch summaries, orchestrator and fault
+	// decisions). Nil keeps the hot path untouched — every emission site is
+	// behind a single nil check, same discipline as Audit.
 	Obs *obs.Recorder
 	// Faults is the optional deterministic fault-injection plan
 	// (internal/fault): server crash/recovery events enter the event queue
@@ -568,7 +568,6 @@ func (e *Engine) holdRecovery(ev event) bool {
 		rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
 			"server": sid, "recent": recent, "hold": hold, "until": e.now + hold,
 		}))
-		rec.Add("fault.holddowns", 1)
 	}
 	return true
 }
@@ -682,7 +681,6 @@ func (e *Engine) Run() *Result {
 			// phase after the last arrival would otherwise dilute the
 			// means the paper reports over the measurement period.
 			e.sample()
-			e.cfg.Obs.EmitCounters(e.now)
 			if next := e.now + metricsInterval; next < float64(e.horizon) && next < maxTime {
 				e.push(next, evMetrics, 0, 0)
 			}
@@ -712,7 +710,6 @@ func (e *Engine) arrive(ev event) {
 			"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
 			"gpus_per_worker": j.GPUsPerWorker, "work": j.Work,
 		}))
-		rec.Add("sim.arrivals", 1)
 	}
 	st.Enqueue(j, e.sh.Less)
 	e.arrived = append(e.arrived, j)
@@ -760,7 +757,6 @@ func AnnounceDomain(rec *obs.Recorder, t float64, topo fault.Topology, d fault.D
 	rec.Emit(obs.Ev(t, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
 		"domain": d.Domain, "servers": len(servers),
 	}))
-	rec.Add("fault.domain_events", 1)
 }
 
 func (e *Engine) crashEvent(ev event) {

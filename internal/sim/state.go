@@ -443,7 +443,6 @@ func (st *State) Start(j *job.Job, workers []job.Worker) {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobStart, j.ID).WithCause(cause).WithF(obs.Fields{
 			"workers": len(workers), "gpus": gpus, "epoch": st.Epoch, "queue_time": j.QueueTime,
 		}))
-		st.Obs.Add("sim.starts", 1)
 	}
 }
 
@@ -472,7 +471,6 @@ func (st *State) AddWorkers(j *job.Job, workers []job.Worker) {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobScaleUp, j.ID).WithCause(st.Cause).WithF(obs.Fields{
 			"added": len(workers), "gpus": gpus, "workers": j.NumWorkers(),
 		}))
-		st.Obs.Add("sim.scale_ups", 1)
 	}
 }
 
@@ -561,7 +559,6 @@ func (st *State) removeFlexible(j *job.Job, sel func(int, job.Worker) bool) int 
 			st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobScaleDown, j.ID).WithCause(st.Cause).WithF(obs.Fields{
 				"removed": removed, "workers": j.NumWorkers(),
 			}))
-			st.Obs.Add("sim.scale_downs", 1)
 		}
 	}
 	return removed
@@ -592,7 +589,6 @@ func (st *State) Preempt(j *job.Job, less func(a, b *job.Job) bool) {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobPreempt, j.ID).WithCause(cause).WithF(obs.Fields{
 			"held_gpus": held, "workers": len(j.Workers), "checkpoint": j.Checkpoint,
 		}))
-		st.Obs.Add("sim.preemptions", 1)
 	}
 	st.noteFlexRemoved(j, j.FlexibleWorkers())
 	for _, w := range j.Workers {
@@ -649,7 +645,6 @@ func (st *State) holdForBackoff(j *job.Job) {
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobBackoff, j.ID).WithCause("hold").WithF(obs.Fields{
 			"attempt": n + 1, "delay": delay, "until": until,
 		}))
-		st.Obs.Add("sim.backoff_holds", 1)
 	}
 }
 
@@ -718,13 +713,9 @@ func (st *State) Finish(j *job.Job) {
 	delete(st.lastUpdate, j.ID)
 	st.markChanged(j)
 	if st.Obs.Enabled() {
-		jct := float64(j.FinishTime - j.Arrival)
 		st.Obs.Emit(obs.JobEv(st.Now, obs.KindJobFinish, j.ID).WithF(obs.Fields{
-			"jct": jct, "queue_time": j.QueueTime, "preemptions": j.Preemptions,
+			"jct": float64(j.FinishTime - j.Arrival), "queue_time": j.QueueTime, "preemptions": j.Preemptions,
 		}))
-		st.Obs.Add("sim.finished", 1)
-		st.Obs.Observe("sim.jct", jct)
-		st.Obs.Observe("sim.queue_time", float64(j.QueueTime))
 	}
 }
 
@@ -793,7 +784,6 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) bool {
 			"server": sid, "pool": origin.String(), "gpus": s.NumGPUs,
 			"preempted": preempted, "scaled_in": scaledIn,
 		}))
-		st.Obs.Add("fault.crashes", 1)
 	}
 	return true
 }
@@ -822,7 +812,6 @@ func (st *State) RecoverServer(sid int) float64 {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindFaultRecover).WithF(obs.Fields{
 			"server": sid, "to": to.String(),
 		}))
-		st.Obs.Add("fault.recoveries", 1)
 	}
 	return st.downGPUSec(s)
 }

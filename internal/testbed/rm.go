@@ -125,7 +125,6 @@ func (rm *ResourceManager) Launch(jobID, server, gpus int, flexible bool) (*Cont
 			rm.Obs.Emit(obs.JobEv(rm.now, obs.KindFaultLaunch, jobID).WithF(obs.Fields{
 				"server": server, "gpus": gpus,
 			}))
-			rm.Obs.Add("fault.launch_failures", 1)
 		}
 		return nil, fmt.Errorf("testbed: launch container for job %d on server %d: %w", jobID, server, fault.ErrInjectedLaunch)
 	}
@@ -142,7 +141,6 @@ func (rm *ResourceManager) Launch(jobID, server, gpus int, flexible bool) (*Cont
 		rm.Obs.Emit(obs.JobEv(rm.now, obs.KindContainerLaunch, jobID).WithF(obs.Fields{
 			"container": c.ID, "server": server, "gpus": gpus, "flexible": flexible,
 		}))
-		rm.Obs.Add("testbed.containers_launched", 1)
 	}
 	return c, nil
 }
@@ -159,7 +157,6 @@ func (rm *ResourceManager) Kill(id int) error {
 		rm.Obs.Emit(obs.JobEv(rm.now, obs.KindContainerKill, c.JobID).WithF(obs.Fields{
 			"container": c.ID, "server": c.Server,
 		}))
-		rm.Obs.Add("testbed.containers_killed", 1)
 	}
 	return nil
 }

@@ -289,7 +289,7 @@ type Config struct {
 	// Events enables the structured event recorder (internal/obs): the
 	// run emits the full decision trace — job lifecycle with causes,
 	// orchestrator loan/reclaim instructions, scheduler epoch summaries,
-	// reclaim knapsack picks, counter samples — as deterministic JSONL in
+	// reclaim knapsack picks, faults — as deterministic JSONL in
 	// Report.Events. Events carry simulated time only, so two runs of the
 	// same config and trace produce byte-identical streams. Off by
 	// default; the disabled cost is a nil check per emission site, the

@@ -5,7 +5,8 @@
 # assertions of one contract:
 #
 #   bench   runner memoization: a repeated experiment is served from the cache
-#   events  event-stream determinism, and one job's lifecycle rebuilt from it
+#   events  event-stream determinism, the report's counts recounted from the
+#           stream, and one job's lifecycle rebuilt from it
 #   fault   crash-heavy simulator, rack-outage and testbed runs lose no job
 #           and repeat byte for byte
 #   matrix  the spec pack compiles, the smoke spec meets its SLOs, and the
@@ -66,6 +67,28 @@ recovered() {
 	positive "$(sed -n 's/^faults .*recoveries=\([0-9][0-9]*\).*/\1/p' "$dir/$1.out")" "$1 run reported no recoveries"
 }
 
+# counted NAME: every count NAME.out reports is the number of events of one
+# kind in NAME.jsonl — the stream is the counter (DESIGN.md §7).
+counted() {
+	name=$1
+	ev() { grep -c "\"kind\":\"$1\"" "$dir/$name.jsonl" || true; }
+	got() { sed -n "s/.* $1=\([0-9][0-9]*\).*/\1/p" "$dir/$name.out"; }
+	same() { [ "$2" = "$3" ] || fail "$name: the report says $1=$2, the stream counts $3"; }
+	same completed "$(sed -n 's/^jobs: .* \([0-9][0-9]*\) completed.*/\1/p' "$dir/$name.out")" "$(ev job.finish)"
+	same preemptions "$(got preemptions)" "$(ev job.preempt)"
+	same scaling-ops "$(got scaling-ops)" "$(($(ev job.scale_up) + $(ev job.scale_down)))"
+	if grep -q '^faults ' "$dir/$name.out"; then
+		same crashes "$(got crashes)" "$(ev fault.crash)"
+		same recoveries "$(got recoveries)" "$(ev fault.recover)"
+	fi
+	if grep -q '^runtime ' "$dir/$name.out"; then
+		same launched "$(got launched)" "$(ev container.launch)"
+		same killed "$(got killed)" "$(ev container.kill)"
+		same launch-failures "$(got launch-failures)" "$(ev fault.launch)"
+	fi
+	echo "$name: every count in the report is the stream's"
+}
+
 smoke_bench() {
 	"$dir/lyra-bench" -exp fig9 -repeat 2 -stats -stats-json "$dir/stats.json" > /dev/null
 	stat() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "$dir/stats.json"; }
@@ -77,6 +100,7 @@ smoke_bench() {
 
 smoke_events() {
 	twice plain "$sim" -scheme lyra -days 1 -training-servers 8 -inference-servers 8 -seed 7
+	counted plain
 	job=$(sed -n 's/.*"kind":"job.finish","job":\([0-9][0-9]*\).*/\1/p' "$dir/plain.jsonl" | head -1)
 	[ -n "$job" ] || fail "no job.finish event in the stream"
 	"$events" -job "$job" "$dir/plain.jsonl" | tail -1
@@ -88,6 +112,7 @@ smoke_fault() {
 	# crashes across 16 servers, plus stragglers.
 	twice crashes "$sim" $small -faults "mtbf=14400,mttr=600,straggler=0.1"
 	recovered crashes
+	counted crashes
 	kinds crashes fault.crash fault.recover job.restart
 
 	# One rack is 8 servers, so with 8 training servers a rack outage takes
@@ -104,6 +129,7 @@ smoke_fault() {
 	tbfaults="mtbf=7200,mttr=300,launchfail=0.1"
 	twice testbed "$dir/lyra-testbed" -scheme lyra -jobs 30 -seed 7 -audit -faults "$tbfaults"
 	recovered testbed
+	counted testbed
 	kinds testbed container.ready fault.launch
 	# That leg audits every tick, rule 4's credit-cannot-outrun-the-clock
 	# bound included, on a run that crashes servers and fails launches.
@@ -191,6 +217,7 @@ smoke_shard() {
 	# the cross-shard GPU conservation rules run after every event.
 	twice shards "$sim" -scheme lyra -days 1 -training-servers 12 -inference-servers 8 \
 		-training-shards 2 -inference-shards 2 -seed 11 -audit
+	counted shards
 	kinds shards arb.route
 
 	# The summary's per-shard table: its header, and one row per training
