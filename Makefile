@@ -49,14 +49,17 @@ smoke:
 # behind the proactive forecaster (allocs/op should read a few hundred, all
 # in NewLSTM) and one Pollux search at its 300-candidate cap; and one
 # make-room round trip at the paper's scale (a scale-in for a waiting 8-GPU
-# gang over the flexible-server index, then phase 2's apply restoring it).
+# gang over the flexible-server index, then phase 2's apply restoring it);
+# and one whole warm Lyra epoch at that scale with make-room and scale-outs
+# firing (its fixture is rebuilt with the timer stopped, so the loop takes
+# ~10 s; allocs/op is the number TestEpochAllocationBudget pins).
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
 	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchmem ./internal/orchestrator/ ./internal/alloc/
-	$(GO) test -run NONE -bench BenchmarkMakeRoom -benchmem ./internal/sched/
+	$(GO) test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchmem ./internal/sched/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.

@@ -441,3 +441,45 @@ func BenchmarkPhase2(b *testing.B) {
 		})
 	}
 }
+
+// TestTargetsAscendByCandidateID pins the input contract of the scheduler's
+// phase-2 apply, which merge-walks the ID-ordered candidates against the
+// targets: over random candidate sets — shuffled and sorted, contended and
+// everything-fits — Phase2 and AFS return targets strictly ascending by job
+// ID, naming only candidates.
+func TestTargetsAscendByCandidateID(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	check := func(name string, cands []*job.Job, targets []Extra) {
+		t.Helper()
+		isCand := make(map[int]bool, len(cands))
+		for _, j := range cands {
+			isCand[j.ID] = true
+		}
+		for i, e := range targets {
+			if !isCand[e.ID] {
+				t.Fatalf("%s: target %+v names no candidate", name, e)
+			}
+			if i > 0 && e.ID <= targets[i-1].ID {
+				t.Fatalf("%s: target %d (job %d) follows job %d; want strictly ascending IDs",
+					name, i, e.ID, targets[i-1].ID)
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		// A random subset of the drawn jobs, so IDs have gaps.
+		var cands []*job.Job
+		for _, j := range contendedJobs(rng, 1+rng.Intn(120)) {
+			if rng.Intn(4) > 0 {
+				cands = append(cands, j)
+			}
+		}
+		capacity := rng.Intn(40 * (len(cands) + 1))
+		sorted := slices.Clone(cands)
+		slices.SortFunc(sorted, byID)
+		// A Workspace memoizes by job ID, and every trial redraws IDs from
+		// 1, so each trial gets a fresh one.
+		check("Phase2 shuffled", cands, Phase2(cands, capacity, job.Linear, Tuning{}, new(Workspace)))
+		check("Phase2 sorted", cands, Phase2(sorted, capacity, job.Linear, Tuning{}, nil))
+		check("AFS", cands, AFS(cands, capacity, job.Linear, NewThroughputCache(job.Linear)))
+	}
+}

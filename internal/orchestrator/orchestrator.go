@@ -205,10 +205,9 @@ func (l *Loans) demandServers(st *sim.State) int {
 		}
 	}
 	if l.IncludeElasticDemand {
-		for _, j := range st.Running {
-			if !j.Elastic {
-				continue
-			}
+		// The ordered view skips elastic jobs with no flexible range,
+		// which have no unmet demand to add.
+		for _, j := range st.ElasticOrdered() {
 			// Clamp each job's unmet flexible demand at zero: a job
 			// holding more flexible workers than its range (over-
 			// provisioned by an earlier epoch or a permissive scheduler)

@@ -196,7 +196,7 @@ func TestReclaimScalesInFlexibleFirst(t *testing.T) {
 	for _, w := range base {
 		flexOpts.Exclude = append(flexOpts.Exclude, w.Server)
 	}
-	flex := place.UpTo(st.Cluster, j, 2, flexOpts)
+	flex := place.AppendUpTo(nil, st.Cluster, j, 2, flexOpts)
 	if len(flex) == 0 {
 		t.Fatal("flex placement failed")
 	}

@@ -8,7 +8,8 @@
 package place
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -53,8 +54,14 @@ func PreferTraining(allowOther bool) Options {
 // preferred pool's GPU type, then (if AllowOther) entirely on the other
 // pool's type.
 func Gang(c *cluster.Cluster, j *job.Job, n int, opt Options) ([]job.Worker, bool) {
+	return AppendGang(nil, c, j, n, opt)
+}
+
+// AppendGang is Gang appending the placed workers to dst, which a caller
+// placing every epoch reuses; on failure it returns dst unchanged.
+func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) ([]job.Worker, bool) {
 	if n <= 0 {
-		return nil, true
+		return dst, true
 	}
 	if opt.SingleGPUType && opt.FixedGPU == nil {
 		// Try each candidate type in preference order.
@@ -67,34 +74,34 @@ func Gang(c *cluster.Cluster, j *job.Job, n int, opt Options) ([]job.Worker, boo
 			o.FixedGPU = gpu
 			o.PreferPool = pool
 			o.AllowOther = false
-			if ws, ok := Gang(c, j, n, o); ok {
+			if ws, ok := AppendGang(dst, c, j, n, o); ok {
 				return ws, true
 			}
 		}
-		return nil, false
+		return dst, false
 	}
-	var placed []job.Worker
+	placed := dst
 	for i := 0; i < n; i++ {
 		s := bestFit(c, j, opt)
 		if s == nil {
-			rollback(c, j, placed)
-			return nil, false
+			rollback(c, j, placed[len(dst):])
+			return dst, false
 		}
 		w, ok := placeOne(c, j, s, opt.Flexible)
 		if !ok {
-			rollback(c, j, placed)
-			return nil, false
+			rollback(c, j, placed[len(dst):])
+			return dst, false
 		}
 		placed = append(placed, w)
 	}
 	return placed, true
 }
 
-// UpTo places up to n workers of j, returning however many fit (possibly
-// zero). Used for elastic scale-out, where partial fulfilment is fine
-// (§5.2: the flexible demand "can be unfulfilled without serious impact").
-func UpTo(c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
-	var placed []job.Worker
+// AppendUpTo places up to n workers of j, appending however many fit
+// (possibly zero) to dst. Used for elastic scale-out, where partial
+// fulfilment is fine (§5.2: the flexible demand "can be unfulfilled without
+// serious impact").
+func AppendUpTo(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
 	for i := 0; i < n; i++ {
 		s := bestFit(c, j, opt)
 		if s == nil {
@@ -104,13 +111,13 @@ func UpTo(c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
 		if !ok {
 			break
 		}
-		placed = append(placed, w)
+		dst = append(dst, w)
 		if opt.SingleGPUType && opt.FixedGPU == nil {
 			gpu := w.GPU
 			opt.FixedGPU = &gpu
 		}
 	}
-	return placed
+	return dst
 }
 
 // WorkerGPUs returns how many GPUs one worker of j occupies on GPU type g.
@@ -202,10 +209,7 @@ func FitsOnLoan(c *cluster.Cluster, j *job.Job) bool {
 // SortByDemand orders jobs by decreasing per-worker GPU demand — the
 // best-fit-decreasing order of §5.3 — breaking ties by ID.
 func SortByDemand(jobs []*job.Job) {
-	sort.Slice(jobs, func(i, k int) bool {
-		if jobs[i].GPUsPerWorker != jobs[k].GPUsPerWorker {
-			return jobs[i].GPUsPerWorker > jobs[k].GPUsPerWorker
-		}
-		return jobs[i].ID < jobs[k].ID
+	slices.SortFunc(jobs, func(a, b *job.Job) int {
+		return cmp.Or(cmp.Compare(b.GPUsPerWorker, a.GPUsPerWorker), cmp.Compare(a.ID, b.ID))
 	})
 }

@@ -160,7 +160,7 @@ func TestUpToPartial(t *testing.T) {
 	c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 0})
 	j := job.New(1, 0, job.Generic, 2, 1, 8, 100)
 	j.Elastic = true
-	ws := UpTo(c, j, 8, Options{PreferPool: cluster.PoolTraining, SingleGPUType: true, Flexible: true})
+	ws := AppendUpTo(nil, c, j, 8, Options{PreferPool: cluster.PoolTraining, SingleGPUType: true, Flexible: true})
 	if len(ws) != 4 { // 8 GPUs / 2 per worker
 		t.Fatalf("placed %d workers, want 4", len(ws))
 	}
@@ -169,7 +169,7 @@ func TestUpToPartial(t *testing.T) {
 			t.Error("UpTo should mark workers flexible when asked")
 		}
 	}
-	if more := UpTo(c, j, 1, Options{PreferPool: cluster.PoolTraining}); len(more) != 0 {
+	if more := AppendUpTo(nil, c, j, 1, Options{PreferPool: cluster.PoolTraining}); len(more) != 0 {
 		t.Errorf("full cluster placed %d more workers", len(more))
 	}
 }
@@ -184,7 +184,7 @@ func TestUpToLocksGPUType(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := job.New(1, 0, job.Generic, 2, 1, 8, 100)
-	ws := UpTo(c, j, 4, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true})
+	ws := AppendUpTo(nil, c, j, 4, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true})
 	if len(ws) != 1 {
 		t.Fatalf("placed %d workers, want 1 (type locked to V100 by first worker)", len(ws))
 	}
@@ -197,7 +197,7 @@ func TestExcludeServers(t *testing.T) {
 	c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 0})
 	j := job.New(1, 0, job.Generic, 2, 1, 4, 100)
 	opt := Options{PreferPool: cluster.PoolTraining, Exclude: []int{0}}
-	ws := UpTo(c, j, 2, opt)
+	ws := AppendUpTo(nil, c, j, 2, opt)
 	for _, w := range ws {
 		if w.Server == 0 {
 			t.Fatalf("placed on excluded server: %v", ws)
@@ -209,7 +209,7 @@ func TestFixedGPUConstraint(t *testing.T) {
 	c := testCluster(t)
 	gpu := cluster.T4
 	j := job.New(1, 0, job.Generic, 2, 1, 4, 100)
-	ws := UpTo(c, j, 2, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true, FixedGPU: &gpu})
+	ws := AppendUpTo(nil, c, j, 2, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true, FixedGPU: &gpu})
 	if len(ws) == 0 {
 		t.Fatal("nothing placed")
 	}

@@ -54,7 +54,7 @@ func BenchmarkBestFit(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ws := UpTo(c, j, 1, opt)
+					ws := AppendUpTo(nil, c, j, 1, opt)
 					if len(ws) != 1 {
 						b.Fatalf("placed %d workers, want 1", len(ws))
 					}

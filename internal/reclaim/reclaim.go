@@ -15,6 +15,7 @@ package reclaim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lyra/internal/cluster"
@@ -102,10 +103,18 @@ func buildInfos(onLoan []*cluster.Server, lookup func(id int) *job.Job) ([]*serv
 }
 
 // cost returns the server preemption cost: the sum over base jobs of this
-// server's fraction of the job's base servers (Table 1, last column).
+// server's fraction of the job's base servers (Table 1, last column). The
+// shares are added in ascending job-ID order: float addition depends on
+// order, and the cost is written into the reclaim.plan event stream.
 func cost(info *serverInfo, baseServers map[int]map[int]bool) float64 {
-	c := 0.0
+	var buf [16]int
+	ids := buf[:0]
 	for id := range info.baseJobs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	c := 0.0
+	for _, id := range ids {
 		if n := len(baseServers[id]); n > 0 {
 			c += 1 / float64(n)
 		}

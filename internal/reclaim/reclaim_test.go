@@ -262,3 +262,43 @@ func TestLyraTrailsOptimalOnKnownInstance(t *testing.T) {
 		t.Errorf("lyra preempts %d jobs and the optimum %d, want the measured 6 and 4", got, opt)
 	}
 }
+
+// TestCostSumsSharesInJobIDOrder pins the order of the cost sum: one on-loan
+// server hosts base workers of three jobs that span 2, 3 and 7 servers, and
+// the shares 1/2, 1/3 and 1/7 sum to different floats in different orders.
+// The cost is written verbatim into reclaim.plan events, so every plan must
+// carry the ID-ordered sum, bit for bit, whatever order the job set iterates
+// in.
+func TestCostSumsSharesInJobIDOrder(t *testing.T) {
+	servers := make([]*cluster.Server, 8)
+	for i := range servers {
+		servers[i] = cluster.NewServer(i, cluster.T4, 8, cluster.PoolOnLoan)
+	}
+	jobs := make(map[int]*job.Job)
+	for id, span := range map[int]int{1: 2, 2: 3, 3: 7} {
+		j := job.New(id, 0, job.Generic, 1, span, span, 100)
+		j.State = job.Running
+		for sid := 0; sid < span; sid++ {
+			if err := servers[sid].Allocate(id, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			j.Workers = append(j.Workers, job.Worker{Server: sid, GPU: cluster.T4, GPUs: 1})
+		}
+		jobs[id] = j
+	}
+	// Float64 variables, not constants: constant arithmetic is exact.
+	half, third, seventh := 1/float64(2), 1/float64(3), 1/float64(7)
+	want := (half + third) + seventh
+	if alt := (third + seventh) + half; alt == want {
+		t.Fatal("the shares sum alike in every order; the fixture cannot tell orders apart")
+	}
+	for call := 0; call < 200; call++ {
+		plan := Lyra{}.Plan(servers[:1], lookupOf(jobs), 1)
+		if len(plan.Picks) != 1 || plan.Picks[0].Phase != 2 {
+			t.Fatalf("picks %+v, want one phase-2 pick of server 0", plan.Picks)
+		}
+		if got := plan.Picks[0].Cost; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: cost %b, want the job-ID-ordered sum %b", call, got, want)
+		}
+	}
+}

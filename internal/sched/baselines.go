@@ -3,7 +3,6 @@ package sched
 import (
 	"lyra/internal/alloc"
 	"lyra/internal/job"
-	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -14,6 +13,7 @@ type FIFO struct {
 	// Opportunistic switches to the Opportunistic comparison scheme,
 	// where fungible jobs queue to the inference cluster (§7.1).
 	Opportunistic bool
+	sc            scratch
 }
 
 // Less implements sim.Scheduler.
@@ -28,8 +28,8 @@ func (f *FIFO) Schedule(st *sim.State) {
 	if f.Opportunistic {
 		policy = opportunisticPoolPolicy
 	}
-	startBase(st, policy, false)
-	startBase(st, policy, true)
+	f.sc.startBase(st, policy, false)
+	f.sc.startBase(st, policy, true)
 }
 
 // Gandiva models Gandiva's opportunistic elasticity as described in §7.1:
@@ -37,7 +37,7 @@ func (f *FIFO) Schedule(st *sim.State) {
 // the cluster is under-utilized — resources available but no pending jobs —
 // elastic jobs grow to soak up the slack, and the growth is revoked as soon
 // as new jobs are waiting.
-type Gandiva struct{}
+type Gandiva struct{ sc scratch }
 
 // Less implements sim.Scheduler.
 func (g *Gandiva) Less(a, b *job.Job) bool { return lessByArrival(a, b) }
@@ -49,8 +49,8 @@ func (g *Gandiva) Memoryless() bool { return true }
 func (g *Gandiva) Schedule(st *sim.State) {
 	// Opportunistic growth is revoked on demand inside startBase: waiting
 	// base demands reclaim flexible workers directly.
-	startBase(st, defaultPoolPolicy, false)
-	startBase(st, defaultPoolPolicy, true)
+	g.sc.startBase(st, defaultPoolPolicy, false)
+	g.sc.startBase(st, defaultPoolPolicy, true)
 	if len(st.Pending) > 0 {
 		return // not under-utilized: no opportunistic scaling
 	}
@@ -66,8 +66,7 @@ func (g *Gandiva) Schedule(st *sim.State) {
 			if !j.Elastic || j.FlexibleWorkers() >= j.FlexRange() {
 				continue
 			}
-			if ws := place.UpTo(st.Cluster, j, 1, scaleOutOpts(st, j, false)); len(ws) > 0 {
-				st.AddWorkers(j, ws)
+			if g.sc.scaleOut(st, j, 1, false) {
 				grew = true
 			}
 		}
@@ -81,6 +80,7 @@ type AFS struct {
 	// cache memoizes per-job marginal-gain inputs (alloc.ThroughputCache:
 	// pure memoization, bit-identical decisions, per-instance).
 	cache *alloc.ThroughputCache
+	sc    scratch
 }
 
 // Less implements sim.Scheduler.
@@ -91,8 +91,8 @@ func (a *AFS) Memoryless() bool { return true }
 
 // Schedule implements sim.Scheduler.
 func (a *AFS) Schedule(st *sim.State) {
-	startBase(st, defaultPoolPolicy, false)
-	startBase(st, defaultPoolPolicy, true)
+	a.sc.startBase(st, defaultPoolPolicy, false)
+	a.sc.startBase(st, defaultPoolPolicy, true)
 	// ID order, not map order: candidate order decides who wins marginal-
 	// gain ties, which must not vary run to run. Both the candidate set
 	// and the flexible-GPU count are maintained views.
@@ -109,38 +109,42 @@ func (a *AFS) Schedule(st *sim.State) {
 	targets := alloc.AFS(cands, freeT+freeL+flexGPUs, st.Scaling, a.cache)
 	sp.End()
 	sp = st.Prof.Start("afs.apply")
-	applyExtraTargets(st, cands, targets, false, "afs", nil)
+	a.sc.applyExtraTargets(st, cands, targets, false, "afs")
 	sp.End()
 }
 
 // applyExtraTargets resizes elastic jobs to the given extra-worker targets:
 // scale-ins first (freeing GPUs), then scale-outs, placing what fits. cause
-// names the deciding scheduler on the emitted scale events; target is the
-// caller's reusable scratch map (nil allocates one).
-func applyExtraTargets(st *sim.State, cands []*job.Job, targets []alloc.Extra, naive bool, cause string, target map[int]int) {
+// names the deciding scheduler on the emitted scale events. cands and
+// targets are both ascending by ID (State.ElasticOrdered is, and
+// alloc.Phase2, alloc.AFS and alloc.Pollux emit in job-ID order), so each
+// pass is a merge walk; a candidate without a target gets zero.
+func (sc *scratch) applyExtraTargets(st *sim.State, cands []*job.Job, targets []alloc.Extra, naive bool, cause string) {
 	saved := st.Cause
 	st.Cause = cause
 	defer func() { st.Cause = saved }()
-	if target == nil {
-		target = make(map[int]int, len(targets))
-	} else {
-		clear(target)
-	}
-	for _, e := range targets {
-		target[e.ID] = e.Extra
-	}
+	k := 0
 	for _, j := range cands {
-		if cur := j.FlexibleWorkers(); cur > target[j.ID] {
-			st.RemoveFlexibleWorkers(j, cur-target[j.ID])
+		if cur, want := j.FlexibleWorkers(), extraFor(targets, &k, j.ID); cur > want {
+			st.RemoveFlexibleWorkers(j, cur-want)
 		}
 	}
+	k = 0
 	for _, j := range cands {
-		want := target[j.ID] - j.FlexibleWorkers()
-		if want <= 0 {
-			continue
-		}
-		if ws := place.UpTo(st.Cluster, j, want, scaleOutOpts(st, j, naive)); len(ws) > 0 {
-			st.AddWorkers(j, ws)
+		if want := extraFor(targets, &k, j.ID) - j.FlexibleWorkers(); want > 0 {
+			sc.scaleOut(st, j, want, naive)
 		}
 	}
+}
+
+// extraFor advances the merge cursor k over the ID-ascending targets to job
+// id and returns that job's target, zero when it has none.
+func extraFor(targets []alloc.Extra, k *int, id int) int {
+	for *k < len(targets) && targets[*k].ID < id {
+		*k++
+	}
+	if *k < len(targets) && targets[*k].ID == id {
+		return targets[*k].Extra
+	}
+	return 0
 }

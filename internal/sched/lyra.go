@@ -43,12 +43,11 @@ type Lyra struct {
 
 	// ws is the phase-2 MCKP's reused scratch (see alloc.Workspace:
 	// memoized throughput tables, solver rows, group buffers; decisions
-	// are bit-identical to a fresh one). p2target is the per-epoch target
-	// map, reused across epochs. Both are per-instance — scheduler
-	// factories build a fresh instance per run and per shard, so
-	// concurrent simulations stay independent.
-	ws       alloc.Workspace
-	p2target map[int]int
+	// are bit-identical to a fresh one), and sc the placement buffers.
+	// Both are per-instance — scheduler factories build a fresh instance
+	// per run and per shard, so concurrent simulations stay independent.
+	ws alloc.Workspace
+	sc scratch
 }
 
 // NewLyra returns the full Lyra scheduler (elastic scaling on).
@@ -77,10 +76,10 @@ func (l *Lyra) policy(c *cluster.Cluster, j *job.Job) poolPolicy {
 // Schedule implements sim.Scheduler.
 func (l *Lyra) Schedule(st *sim.State) {
 	sp := st.Prof.Start("phase1")
-	started := startBase(st, l.policy, false)
+	started := l.sc.startBase(st, l.policy, false)
 	sp.End()
 	sp = st.Prof.Start("phase1.hetero")
-	started = append(started, startBase(st, l.policy, true)...)
+	started = append(started, l.sc.startBase(st, l.policy, true)...)
 	sp.End()
 	if l.Tuned {
 		for _, j := range started {
@@ -125,10 +124,7 @@ func (l *Lyra) phase2(st *sim.State) {
 			"flex_gpus": flexGPUs, "candidates": len(cands), "targets": tf,
 		}))
 	}
-	if l.p2target == nil {
-		l.p2target = make(map[int]int, len(targets))
-	}
 	sp = st.Prof.Start("phase2.apply")
-	applyExtraTargets(st, cands, targets, l.NaivePlacement, "phase2", l.p2target)
+	l.sc.applyExtraTargets(st, cands, targets, l.NaivePlacement, "phase2")
 	sp.End()
 }

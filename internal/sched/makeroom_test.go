@@ -138,12 +138,13 @@ func TestScaleOutOptsExcludesOnLoanBaseServers(t *testing.T) {
 	j.Workers = []job.Worker{
 		{Server: 0}, {Server: 2}, {Server: 3, Flexible: true}, {Server: 4},
 	}
-	got := scaleOutOpts(st, j, false).Exclude
+	var sc scratch
+	got := sc.scaleOutOpts(st, j, false).Exclude
 	slices.Sort(got)
 	if want := []int{2, 4}; !slices.Equal(got, want) {
 		t.Errorf("Exclude = %v, want the on-loan base servers %v", got, want)
 	}
-	if ex := scaleOutOpts(st, j, true).Exclude; ex != nil {
+	if ex := new(scratch).scaleOutOpts(st, j, true).Exclude; ex != nil {
 		t.Errorf("naive placement excludes %v, want nothing", ex)
 	}
 }
@@ -163,13 +164,13 @@ func BenchmarkMakeRoom(b *testing.B) {
 	}
 	gang := job.New(1_000_000, 0, job.Generic, 8, 1, 1, 100)
 	pp := defaultPoolPolicy(st.Cluster, gang)
-	scratch := map[int]int{}
+	var sc scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if reclaimFlexible(st, gang, pp) < gang.BaseGPUs() {
 			b.Fatal("make-room freed less than the gang needs")
 		}
-		applyExtraTargets(st, cands, targets, false, "phase2", scratch)
+		sc.applyExtraTargets(st, cands, targets, false, "phase2")
 	}
 }

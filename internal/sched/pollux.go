@@ -3,7 +3,6 @@ package sched
 import (
 	"lyra/internal/alloc"
 	"lyra/internal/job"
-	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -18,6 +17,7 @@ import (
 type Pollux struct {
 	Config alloc.PolluxConfig
 	epoch  int64
+	sc     scratch
 }
 
 // NewPollux returns the scheduler with the evaluation configuration.
@@ -75,7 +75,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 			resized = append(resized, j)
 		}
 	}
-	applyExtraTargets(st, resized, extras, false, "pollux", nil)
+	p.sc.applyExtraTargets(st, resized, extras, false, "pollux")
 
 	// Start pending jobs the GA selected.
 	saved := st.Cause
@@ -90,16 +90,13 @@ func (p *Pollux) Schedule(st *sim.State) {
 			continue
 		}
 		pp := defaultPoolPolicy(st.Cluster, j)
-		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, pp.options(j, false))
-		if !ok {
+		if !p.sc.gang(st, j, pp.options(j, false)) {
 			continue
 		}
-		st.Start(j, ws)
+		st.Start(j, p.sc.placed)
 		j.Tuned = true
 		if extra := d.Workers - j.MinWorkers; extra > 0 && j.Elastic {
-			if more := place.UpTo(st.Cluster, j, extra, scaleOutOpts(st, j, false)); len(more) > 0 {
-				st.AddWorkers(j, more)
-			}
+			p.sc.scaleOut(st, j, extra, false)
 		}
 	}
 	st.CompactPending()

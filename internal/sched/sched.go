@@ -87,14 +87,13 @@ func (pp poolPolicy) options(j *job.Job, flexible bool) place.Options {
 // When heteroPass is false only non-heterogeneous jobs are considered; the
 // caller runs a second pass for heterogeneous jobs after everything else
 // (§6: they get the lowest priority).
-func startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) []*job.Job {
+func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) []*job.Job {
 	var started []*job.Job
-	var chosen []*job.Job
 	for {
 		availT, availL := st.FreeSchedulableGPUs()
 		availT += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
 		availL += st.Cluster.FlexibleGPUs(cluster.PoolOnLoan)
-		chosen = chosen[:0]
+		chosen := sc.chosen[:0]
 		for _, j := range st.Pending {
 			// Jobs started by an earlier pass stay in the queue slice
 			// until the final compaction; skip them by state.
@@ -125,11 +124,12 @@ func startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy
 			}
 			chosen = append(chosen, j)
 		}
+		sc.chosen = chosen
 		place.SortByDemand(chosen)
 		freed, failures := 0, 0
 		for _, j := range chosen {
 			pp := policy(st.Cluster, j)
-			ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, pp.options(j, false))
+			ok := sc.gang(st, j, pp.options(j, false))
 			if !ok {
 				// Make room by scaling elastic jobs in, then retry.
 				sp := st.Prof.Start("make-room")
@@ -137,14 +137,14 @@ func startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy
 				sp.End()
 				if f > 0 {
 					freed += f
-					ws, ok = place.Gang(st.Cluster, j, j.MinWorkers, pp.options(j, false))
+					ok = sc.gang(st, j, pp.options(j, false))
 				}
 			}
 			if !ok {
 				failures++
 				continue // fragmentation or type constraints
 			}
-			st.Start(j, ws)
+			st.Start(j, sc.placed)
 			started = append(started, j)
 		}
 		if failures == 0 || freed == 0 {
@@ -251,7 +251,7 @@ func lessByAttained(a, b *job.Job) bool {
 // release the flexible group without preemption during reclaiming, which
 // never touches training servers — so base servers in the training pool
 // are not excluded.
-func scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Options {
+func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Options {
 	opt := place.Options{Flexible: true, AllowOther: true}
 	if !j.Hetero {
 		opt.SingleGPUType = true
@@ -265,10 +265,41 @@ func scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Options {
 		return opt
 	}
 	opt.PreferPool = cluster.PoolOnLoan
+	ex := sc.exclude[:0]
 	for _, w := range j.Workers {
 		if !w.Flexible && st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
-			opt.Exclude = append(opt.Exclude, w.Server) // a repeat is harmless
+			ex = append(ex, w.Server) // a repeat is harmless
 		}
 	}
+	sc.exclude, opt.Exclude = ex, ex
 	return opt
+}
+
+// scratch is one scheduler instance's placement buffers, reused every
+// epoch. Each buffer is dead once the call that filled it returns (Start
+// and AddWorkers copy the workers they are given), and it lives on the
+// instance, never in a package variable: the runner executes simulations
+// concurrently, one scheduler instance per run and per shard.
+type scratch struct {
+	chosen  []*job.Job   // startBase's selection of one pass
+	exclude []int        // scaleOutOpts' on-loan base servers
+	placed  []job.Worker // the workers the last gang or scaleOut placed
+}
+
+// gang places j's base gang under opt into sc.placed, reporting success.
+func (sc *scratch) gang(st *sim.State, j *job.Job, opt place.Options) bool {
+	var ok bool
+	sc.placed, ok = place.AppendGang(sc.placed[:0], st.Cluster, j, j.MinWorkers, opt)
+	return ok
+}
+
+// scaleOut adds up to n flexible workers to running job j under
+// scaleOutOpts, reporting whether any fit.
+func (sc *scratch) scaleOut(st *sim.State, j *job.Job, n int, naive bool) bool {
+	sc.placed = place.AppendUpTo(sc.placed[:0], st.Cluster, j, n, sc.scaleOutOpts(st, j, naive))
+	if len(sc.placed) == 0 {
+		return false
+	}
+	st.AddWorkers(j, sc.placed)
+	return true
 }

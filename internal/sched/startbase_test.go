@@ -57,7 +57,7 @@ func TestStartBaseRecountsAfterReclaim(t *testing.T) {
 	a := job.New(5, 0, job.Generic, 3, 2, 2, 1000)
 	st.Enqueue(a, lessByArrival)
 
-	started := startBase(st, defaultPoolPolicy, false)
+	started := new(scratch).startBase(st, defaultPoolPolicy, false)
 
 	if a.State != job.Running {
 		t.Fatalf("job state = %v after startBase, want Running: the recount "+

@@ -160,7 +160,7 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	st.CompactPending()
 	// Two flexible workers on server 1 specifically.
 	gpu := cluster.V100
-	flex := place.UpTo(c, j, 2, place.Options{
+	flex := place.AppendUpTo(nil, c, j, 2, place.Options{
 		PreferPool: cluster.PoolTraining, Flexible: true, SingleGPUType: true,
 		FixedGPU: &gpu, Exclude: []int{base[0].Server},
 	})

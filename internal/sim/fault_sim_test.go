@@ -88,7 +88,7 @@ func TestCrashServerScalesInFlexibleOnlyWorkers(t *testing.T) {
 	}
 	st.Start(j, ws)
 	base := j.Workers[0].Server
-	flex := place.UpTo(c, j, 1, place.Options{Flexible: true, AllowOther: true})
+	flex := place.AppendUpTo(nil, c, j, 1, place.Options{Flexible: true, AllowOther: true})
 	if len(flex) != 1 {
 		t.Fatalf("flexible scale-out placed %d workers, want 1", len(flex))
 	}

@@ -39,7 +39,7 @@ func (c *chaosSched) Schedule(st *State) {
 			st.RemoveFlexibleWorkers(j, 1+c.rng.Intn(3))
 		case 2:
 			if room := j.FlexRange() - j.FlexibleWorkers(); j.Elastic && room > 0 {
-				if ws := place.UpTo(st.Cluster, j, 1+c.rng.Intn(room), chaosScaleOutOpts(j)); len(ws) > 0 {
+				if ws := place.AppendUpTo(nil, st.Cluster, j, 1+c.rng.Intn(room), chaosScaleOutOpts(j)); len(ws) > 0 {
 					st.AddWorkers(j, ws)
 				}
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lyra/internal/cluster"
@@ -151,6 +152,26 @@ func TestDrainChangedScratchReuse(t *testing.T) {
 	}
 	if &first[0] != &second[0] {
 		t.Fatal("drainChanged allocated a fresh buffer; want the scratch buffer reused")
+	}
+}
+
+// TestDrainChangedDeduplicates pins the changed list's drain: a job marked
+// three times drains once, in ID order among the others, and the drain
+// leaves the list empty.
+func TestDrainChangedDeduplicates(t *testing.T) {
+	c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 0})
+	st := NewState(c, job.Linear, 0)
+	j1 := job.New(1, 0, job.Generic, 1, 1, 1, 100)
+	j2 := job.New(2, 0, job.Generic, 1, 1, 1, 100)
+	j3 := job.New(3, 0, job.Generic, 1, 1, 1, 100)
+	for _, j := range []*job.Job{j2, j3, j2, j1, j2} {
+		st.markChanged(j)
+	}
+	if got := st.drainChanged(); !slices.Equal(got, []*job.Job{j1, j2, j3}) {
+		t.Fatalf("drain = %v, want [1 2 3]: each job once, by ID", ids(got))
+	}
+	if got := st.drainChanged(); got != nil {
+		t.Fatalf("second drain = %v, want nil", ids(got))
 	}
 }
 

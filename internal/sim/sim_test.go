@@ -235,7 +235,7 @@ func (s *scaleOnceSched) Schedule(st *State) {
 	}
 	for _, j := range st.Running {
 		if want := j.MaxWorkers - j.NumWorkers(); want > 0 {
-			ws := place.UpTo(st.Cluster, j, want, place.Options{PreferPool: cluster.PoolTraining, Flexible: true})
+			ws := place.AppendUpTo(nil, st.Cluster, j, want, place.Options{PreferPool: cluster.PoolTraining, Flexible: true})
 			if len(ws) > 0 {
 				st.AddWorkers(j, ws)
 			}
@@ -251,7 +251,7 @@ func TestRemoveFlexibleWorkers(t *testing.T) {
 	st.Enqueue(j, fifoSched{}.Less)
 	ws, _ := place.Gang(c, j, 1, place.PreferTraining(false))
 	st.Start(j, ws)
-	more := place.UpTo(c, j, 3, place.Options{PreferPool: cluster.PoolTraining, Flexible: true})
+	more := place.AppendUpTo(nil, c, j, 3, place.Options{PreferPool: cluster.PoolTraining, Flexible: true})
 	st.AddWorkers(j, more)
 	if j.NumWorkers() != 4 {
 		t.Fatalf("workers = %d", j.NumWorkers())

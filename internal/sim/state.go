@@ -53,7 +53,7 @@ type State struct {
 	Running map[int]*job.Job
 
 	lastUpdate      map[int]float64
-	changed         map[int]*job.Job
+	changed         []*job.Job // marked since the last drain; repeats allowed
 	preemptOverhead float64
 
 	// audit makes every read of a maintained view recount it first
@@ -70,16 +70,15 @@ type State struct {
 	// Maintained ordered views over Running (DESIGN.md §10). Start appends
 	// to runningNew; Preempt/finish flip idxDirty; the next ordered read
 	// merges runningNew into the ID-sorted runningIdx, dropping entries no
-	// longer in Running, and refilters elasticIdx — so membership churn
+	// longer running, and refilters elasticIdx — so membership churn
 	// costs O(changed · log changed) amortized instead of O(R log R) per
 	// epoch per scheduler.
-	runningNew     []*job.Job
-	runningIdx     []*job.Job
-	elasticIdx     []*job.Job
-	mergeScratch   []*job.Job
-	idxDirty       bool
-	changedScratch []*job.Job
-	flexCands      []flexCand // RemoveFlexibleWorkers' reused candidate list
+	runningNew   []*job.Job
+	runningIdx   []*job.Job
+	elasticIdx   []*job.Job
+	mergeScratch []*job.Job
+	idxDirty     bool
+	flexCands    []flexCand // RemoveFlexibleWorkers' reused candidate list
 
 	// flexNominal is Σ FlexibleWorkers × GPUsPerWorker over running elastic
 	// candidates (Elastic && FlexRange > 0) — the flexible capacity term of
@@ -151,7 +150,6 @@ func NewState(c *cluster.Cluster, scaling job.ScalingModel, preemptOverhead floa
 		Scaling:         scaling,
 		Running:         make(map[int]*job.Job),
 		lastUpdate:      make(map[int]float64),
-		changed:         make(map[int]*job.Job),
 		preemptOverhead: preemptOverhead,
 	}
 }
@@ -201,7 +199,7 @@ func (st *State) advance(j *job.Job) {
 // byID orders jobs by ascending ID, the order of every maintained view.
 func byID(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
 
-func (st *State) markChanged(j *job.Job) { st.changed[j.ID] = j }
+func (st *State) markChanged(j *job.Job) { st.changed = append(st.changed, j) }
 
 // bump records a scheduler-visible state mutation; see the version field.
 func (st *State) bump() { st.version++ }
@@ -241,7 +239,7 @@ func (st *State) noteFlexRemoved(j *job.Job, workers int) {
 }
 
 // compactRunning merges jobs started since the last compaction into the
-// ID-sorted runningIdx, dropping entries that left Running, and rebuilds
+// ID-sorted runningIdx, dropping entries no longer running, and rebuilds
 // the elastic-candidate subset. Scratch buffers ping-pong so steady-state
 // compaction allocates nothing.
 func (st *State) compactRunning() {
@@ -274,7 +272,9 @@ func (st *State) compactRunning() {
 		for k < len(nw) && nw[k].ID == j.ID {
 			k++
 		}
-		if st.Running[j.ID] == j {
+		// A job never leaves the State it was routed to, so its lifecycle
+		// state says whether it is still in Running.
+		if j.State == job.Running {
 			out = append(out, j)
 		}
 	}
@@ -704,7 +704,7 @@ func (st *State) Finish(j *job.Job) {
 	for _, w := range j.Workers {
 		st.Cluster.Server(w.Server).ReleaseJob(j.ID)
 	}
-	j.Workers = j.Workers[:0]
+	j.Workers = nil // the job never runs again: release the array, not just its length
 	j.State = job.Completed
 	j.FinishTime = int64(st.Now)
 	st.bump()
@@ -864,21 +864,23 @@ func (st *State) FreeSchedulableGPUs() (training, onLoan int) {
 }
 
 // drainChanged returns and clears the set of jobs whose throughput or
-// lifecycle changed since the last drain; the engine refreshes their
-// completion events. The returned slice is a scratch buffer owned by the
-// state — it is only valid until the next drain, which is exactly the
-// engine's use (iterate once, immediately). Fault-heavy runs drain several
-// times per event, so reusing the buffer keeps the hot loop allocation-free.
+// lifecycle changed since the last drain, in ID order, each once; the engine
+// refreshes their completion events. The returned slice is the state's one
+// marking buffer — it is only valid until the next mark, and the engine
+// iterates it once, immediately, without marking. Fault-heavy runs drain
+// several times per event, so reusing the buffer keeps the hot loop
+// allocation-free.
 func (st *State) drainChanged() []*job.Job {
 	if len(st.changed) == 0 {
 		return nil
 	}
-	out := st.changedScratch[:0]
-	for _, j := range st.changed {
-		out = append(out, j)
-	}
-	clear(st.changed)
-	slices.SortFunc(out, byID)
-	st.changedScratch = out
+	slices.SortFunc(st.changed, byID)
+	out := slices.Compact(st.changed)
+	st.changed = st.changed[:0]
 	return out
 }
+
+// DiscardChanged clears the changed set unread. The prototype's tick loop
+// (internal/testbed) has no completion events to refresh, so it discards
+// the set every tick to keep it bounded.
+func (st *State) DiscardChanged() { st.changed = st.changed[:0] }

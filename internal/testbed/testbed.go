@@ -162,6 +162,7 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 		tb.st.Epoch++
 		tb.sched.Schedule(tb.st)
 		tb.reconcileContainers(now)
+		tb.st.DiscardChanged()
 		if rec.Enabled() {
 			rec.Emit(obs.Ev(now, obs.KindSchedEpoch).WithF(obs.Fields{
 				"epoch": tb.st.Epoch, "queue_before": qBefore, "queue_after": len(tb.st.Pending),
