@@ -52,7 +52,9 @@ smoke:
 # gang over the flexible-server index, then phase 2's apply restoring it);
 # and one whole warm Lyra epoch at that scale with make-room and scale-outs
 # firing (its fixture is rebuilt with the timer stopped, so the loop takes
-# ~10 s; allocs/op is the number TestEpochAllocationBudget pins).
+# ~10 s; allocs/op is the number TestEpochAllocationBudget pins); and one
+# Lyra reclaim plan at prod-basic's median shape (BenchmarkReclaimPlan: 94
+# on-loan candidates, 7 servers asked for).
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
@@ -60,6 +62,7 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
 	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchmem ./internal/orchestrator/ ./internal/alloc/
 	$(GO) test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchmem ./internal/sched/
+	$(GO) test -run NONE -bench BenchmarkReclaimPlan -benchmem ./internal/reclaim/
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond
 # the seed corpora that already run under `make test`.
