@@ -8,7 +8,7 @@ package orchestrator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lyra/internal/cluster"
 	"lyra/internal/invariant"
@@ -314,10 +314,8 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 	if len(plan.Servers) == 0 {
 		return
 	}
-	planned := make(map[int]bool, len(plan.Servers))
 	demand := 0
 	for _, sid := range plan.Servers {
-		planned[sid] = true
 		demand += st.Cluster.Server(sid).NumGPUs
 	}
 
@@ -335,7 +333,7 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 		}
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(b.tag(obs.Fields{
 			"want": n, "candidates": cands, "servers": plan.Servers,
-			"preempt_jobs": plan.PreemptJobs, "scale_in": scaleInPairs(plan.ScaleIn),
+			"preempt_jobs": plan.PreemptJobs, "scale_in": plan.ScaleIn,
 			"flex_only": plan.FlexOnly, "picks": picks,
 		})))
 	}
@@ -347,21 +345,11 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 	asp := st.Prof.Start("reclaim.apply")
 	defer func() { asp.End(); st.Cause = savedCause }()
 
-	// Release flexible server groups first: pure scale-in, no preemption.
-	// Iterate jobs in sorted order: the map order would otherwise leak into
-	// the event stream and break byte-identity across runs.
-	scaleJobs := make([]int, 0, len(plan.ScaleIn))
-	for id := range plan.ScaleIn {
-		scaleJobs = append(scaleJobs, id)
-	}
-	sort.Ints(scaleJobs)
-	for _, id := range scaleJobs {
-		j := st.Running[id]
-		if j == nil {
-			continue
-		}
-		for _, sid := range plan.ScaleIn[id] {
-			st.RemoveFlexibleOnServer(j, sid)
+	// Release flexible server groups first: pure scale-in, no preemption,
+	// in the plan's job-then-server order.
+	for _, p := range plan.ScaleIn {
+		if j := st.Running[p[0]]; j != nil {
+			st.RemoveFlexibleOnServer(j, p[1])
 		}
 	}
 
@@ -375,7 +363,7 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 			continue
 		}
 		for _, w := range j.Workers {
-			if !planned[w.Server] {
+			if _, planned := slices.BinarySearch(plan.Servers, w.Server); !planned {
 				collateral += w.GPUs
 			}
 		}
@@ -399,23 +387,4 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 			"flex_only": plan.FlexOnly,
 		})))
 	}
-}
-
-// scaleInPairs flattens a scale-in map into deterministic [job, server]
-// pairs sorted by job then server.
-func scaleInPairs(m map[int][]int) [][2]int {
-	out := make([][2]int, 0, len(m))
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		srvs := append([]int(nil), m[id]...)
-		sort.Ints(srvs)
-		for _, sid := range srvs {
-			out = append(out, [2]int{id, sid})
-		}
-	}
-	return out
 }

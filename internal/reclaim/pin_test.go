@@ -7,7 +7,6 @@ import (
 	"hash"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"lyra/internal/cluster"
@@ -91,18 +90,11 @@ func writePlan(h hash.Hash, p Plan) {
 	}
 	ints(p.Servers)
 	ints(p.PreemptJobs)
-	ids := make([]int, 0, len(p.ScaleIn))
-	for id := range p.ScaleIn {
-		ids = append(ids, id)
+	put(uint64(2 * len(p.ScaleIn)))
+	for _, pair := range p.ScaleIn {
+		put(uint64(pair[0]))
+		put(uint64(pair[1]))
 	}
-	slices.Sort(ids)
-	var pairs []int
-	for _, id := range ids {
-		for _, sid := range p.ScaleIn[id] {
-			pairs = append(pairs, id, sid)
-		}
-	}
-	ints(pairs)
 	put(uint64(p.FlexOnly))
 	put(uint64(len(p.Picks)))
 	for _, pk := range p.Picks {

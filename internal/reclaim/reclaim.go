@@ -13,10 +13,10 @@
 package reclaim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -29,9 +29,9 @@ import (
 type Plan struct {
 	Servers     []int // servers to vacate and return, ascending
 	PreemptJobs []int // job IDs preempted, ascending
-	// ScaleIn maps job ID -> servers where its flexible workers are
-	// killed (the job itself keeps running).
-	ScaleIn map[int][]int
+	// ScaleIn lists the (job, server) pairs whose flexible workers are
+	// killed (the job itself keeps running), ascending by job then server.
+	ScaleIn [][2]int
 	// FlexOnly counts planned servers vacated purely by scale-in or
 	// already empty — the "flexible server group" releases of §5.3.
 	FlexOnly int
@@ -60,86 +60,109 @@ type Policy interface {
 	Name() string
 }
 
-// serverInfo is the mutable per-server view the planners work on.
+// serverInfo is the per-server view the planners work on.
 type serverInfo struct {
 	s *cluster.Server
-	// baseJobs are jobs with at least one non-flexible GPU on the server.
-	baseJobs map[int]bool
-	// flexJobs are jobs with only flexible GPUs on the server.
-	flexJobs map[int]bool
-	taken    bool
+	// base lists, ascending, the jobs with at least one non-flexible GPU on
+	// the server; once a Lyra phase-2 pick takes the server, only those its
+	// pick preempts. flex lists, ascending, the jobs with only flexible GPUs
+	// on the server.
+	base, flex []int
+	taken      bool
 }
 
-// buildInfos snapshots the on-loan servers and, per job, the set of servers
-// hosting its base workers.
-func buildInfos(onLoan []*cluster.Server, lookup func(id int) *job.Job) ([]*serverInfo, map[int]map[int]bool) {
-	infos := make([]*serverInfo, 0, len(onLoan))
-	baseServers := make(map[int]map[int]bool) // job -> all servers with base workers (any pool)
-	seen := make(map[int]bool)
+// buildInfos snapshots the on-loan servers' holdings. Every list is a
+// window of one array: a holding has at least one GPU, so the servers'
+// GPU count bounds their job count.
+func buildInfos(onLoan []*cluster.Server) []serverInfo {
+	infos := make([]serverInfo, len(onLoan))
+	gpus := 0
 	for _, s := range onLoan {
-		info := &serverInfo{s: s, baseJobs: make(map[int]bool), flexJobs: make(map[int]bool)}
-		for _, id := range s.Jobs() {
-			if s.FlexibleGPUs(id) == s.JobGPUs(id) {
-				info.flexJobs[id] = true
-			} else {
-				info.baseJobs[id] = true
-			}
-			if !seen[id] {
-				seen[id] = true
-				if j := lookup(id); j != nil {
-					set := make(map[int]bool)
-					for _, w := range j.Workers {
-						if !w.Flexible {
-							set[w.Server] = true
-						}
-					}
-					baseServers[id] = set
-				}
+		gpus += s.NumGPUs
+	}
+	ids := make([]int, 0, gpus)
+	var jobs []int
+	for i, s := range onLoan {
+		jobs = s.AppendJobs(jobs[:0])
+		lo := len(ids)
+		for _, id := range jobs {
+			if s.FlexibleGPUs(id) < s.JobGPUs(id) {
+				ids = append(ids, id)
 			}
 		}
-		infos = append(infos, info)
+		mid := len(ids)
+		for _, id := range jobs {
+			if s.FlexibleGPUs(id) == s.JobGPUs(id) {
+				ids = append(ids, id)
+			}
+		}
+		infos[i] = serverInfo{s: s, base: ids[lo:mid:mid], flex: ids[mid:len(ids):len(ids)]}
 	}
-	return infos, baseServers
+	return infos
 }
 
-// cost returns the server preemption cost: the sum over base jobs of this
-// server's fraction of the job's base servers (Table 1, last column). The
-// shares are added in ascending job-ID order: float addition depends on
-// order, and the cost is written into the reclaim.plan event stream.
-func cost(info *serverInfo, baseServers map[int]map[int]bool) float64 {
-	var buf [16]int
-	ids := buf[:0]
-	for id := range info.baseJobs {
-		ids = append(ids, id)
+// baseServerCounts maps every resolvable job with base workers on a
+// candidate to its number of distinct servers with base workers, in any
+// pool: the denominator of its cost shares.
+func baseServerCounts(infos []serverInfo, lookup func(id int) *job.Job) map[int]int {
+	counts := make(map[int]int)
+	var srvs []int
+	for i := range infos {
+		for _, id := range infos[i].base {
+			if _, ok := counts[id]; ok {
+				continue
+			}
+			j := lookup(id)
+			if j == nil {
+				continue
+			}
+			srvs = srvs[:0]
+			for _, w := range j.Workers {
+				if !w.Flexible {
+					srvs = append(srvs, w.Server)
+				}
+			}
+			slices.Sort(srvs)
+			counts[id] = len(slices.Compact(srvs))
+		}
 	}
-	slices.Sort(ids)
+	return counts
+}
+
+// cost returns the server preemption cost: the sum over base jobs not yet
+// preempted of this server's fraction of the job's base servers (Table 1,
+// last column). The shares are added in ascending job-ID order: float
+// addition depends on order, and the cost is written into the reclaim.plan
+// event stream.
+func cost(info *serverInfo, baseServers map[int]int, preempted map[int]bool) float64 {
 	c := 0.0
-	for _, id := range ids {
-		if n := len(baseServers[id]); n > 0 {
+	for _, id := range info.base {
+		if n := baseServers[id]; n > 0 && !preempted[id] {
 			c += 1 / float64(n)
 		}
 	}
 	return c
 }
 
-// sideEffects returns what preempting this server's base jobs frees on
-// *other* servers, split by whether those servers are themselves reclaim
-// candidates: GPUs freed on other not-yet-taken on-loan candidates are
-// reusable (those servers get cheaper, possibly free, to reclaim next),
+// sideEffects returns what preempting this server's remaining base jobs
+// frees on *other* servers, split by whether those servers are themselves
+// reclaim candidates: GPUs freed on other not-yet-taken on-loan candidates
+// are reusable (those servers get cheaper, possibly free, to reclaim next),
 // while GPUs freed anywhere else are the collateral damage of §4's
 // tie-break.
-func sideEffects(info *serverInfo, candidates map[int]bool, lookup func(id int) *job.Job) (reuse, damage int) {
-	for id := range info.baseJobs {
+func sideEffects(info *serverInfo, index map[int]*serverInfo, preempted map[int]bool, lookup func(id int) *job.Job) (reuse, damage int) {
+	for _, id := range info.base {
 		j := lookup(id)
-		if j == nil {
+		if j == nil || preempted[id] {
 			continue
 		}
 		for _, w := range j.Workers {
-			switch {
-			case w.Server == info.s.ID:
-			case candidates[w.Server]:
+			if w.Server == info.s.ID {
+				continue
+			}
+			if c := index[w.Server]; c != nil && !c.taken {
 				reuse += w.GPUs
-			default:
+			} else {
 				damage += w.GPUs
 			}
 		}
@@ -150,39 +173,33 @@ func sideEffects(info *serverInfo, candidates map[int]bool, lookup func(id int) 
 // finishPlan assembles the Plan from taken servers: jobs with base workers
 // on any taken server are preempted; flexible workers on taken servers of
 // surviving jobs are scaled in.
-func finishPlan(infos []*serverInfo, lookup func(id int) *job.Job) Plan {
-	plan := Plan{ScaleIn: make(map[int][]int)}
-	preempt := make(map[int]bool)
-	for _, info := range infos {
-		if !info.taken {
-			continue
-		}
-		plan.Servers = append(plan.Servers, info.s.ID)
-		for id := range info.baseJobs {
-			preempt[id] = true
-		}
-	}
-	for _, info := range infos {
-		if !info.taken {
-			continue
-		}
-		if len(info.baseJobs) == 0 {
-			plan.FlexOnly++
-		}
-		for id := range info.flexJobs {
-			if !preempt[id] {
-				plan.ScaleIn[id] = append(plan.ScaleIn[id], info.s.ID)
+func finishPlan(infos []serverInfo) Plan {
+	// An empty ScaleIn is non-nil: the reclaim.plan event prints it as [].
+	plan := Plan{ScaleIn: [][2]int{}}
+	for i := range infos {
+		if info := &infos[i]; info.taken {
+			plan.Servers = append(plan.Servers, info.s.ID)
+			plan.PreemptJobs = append(plan.PreemptJobs, info.base...)
+			if len(info.base) == 0 {
+				plan.FlexOnly++
 			}
 		}
 	}
-	for id := range preempt {
-		plan.PreemptJobs = append(plan.PreemptJobs, id)
+	slices.Sort(plan.Servers)
+	slices.Sort(plan.PreemptJobs)
+	plan.PreemptJobs = slices.Compact(plan.PreemptJobs)
+	for i := range infos {
+		if info := &infos[i]; info.taken {
+			for _, id := range info.flex {
+				if _, preempted := slices.BinarySearch(plan.PreemptJobs, id); !preempted {
+					plan.ScaleIn = append(plan.ScaleIn, [2]int{id, info.s.ID})
+				}
+			}
+		}
 	}
-	sort.Ints(plan.Servers)
-	sort.Ints(plan.PreemptJobs)
-	for id := range plan.ScaleIn {
-		sort.Ints(plan.ScaleIn[id])
-	}
+	slices.SortFunc(plan.ScaleIn, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	return plan
 }
 
@@ -197,23 +214,20 @@ func (Lyra) Name() string { return "lyra" }
 // lowest-preemption-cost server, simulates preempting its jobs (updating
 // the coupled costs of every other server), and repeats.
 func (Lyra) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) Plan {
-	infos, baseServers := buildInfos(onLoan, lookup)
+	infos := buildInfos(onLoan)
+	baseServers := baseServerCounts(infos, lookup)
 	var picks []Pick
 	taken := 0
 	// Phase one: zero-preemption servers, emptiest first so scale-ins are
 	// minimized.
 	free := make([]*serverInfo, 0, len(infos))
-	for _, info := range infos {
-		if len(info.baseJobs) == 0 {
-			free = append(free, info)
+	for i := range infos {
+		if len(infos[i].base) == 0 {
+			free = append(free, &infos[i])
 		}
 	}
-	sort.Slice(free, func(i, k int) bool {
-		ui, uk := free[i].s.Used(), free[k].s.Used()
-		if ui != uk {
-			return ui < uk
-		}
-		return free[i].s.ID < free[k].s.ID
+	slices.SortFunc(free, func(a, b *serverInfo) int {
+		return cmp.Or(cmp.Compare(a.s.Used(), b.s.Used()), cmp.Compare(a.s.ID, b.s.ID))
 	})
 	for _, info := range free {
 		if taken >= n {
@@ -223,26 +237,28 @@ func (Lyra) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) 
 		taken++
 		picks = append(picks, Pick{Server: info.s.ID, Phase: 1})
 	}
-	// Phase two: greedy minimum-cost with cost updates.
+	// Phase two: greedy minimum-cost with cost updates. Preempting a pick's
+	// jobs removes them everywhere: the preempted set drops their cost
+	// contributions from every other server.
+	index := make(map[int]*serverInfo, len(infos))
+	for i := range infos {
+		index[infos[i].s.ID] = &infos[i]
+	}
+	preempted := make(map[int]bool)
 	for taken < n {
-		candidates := make(map[int]bool)
-		for _, info := range infos {
-			if !info.taken {
-				candidates[info.s.ID] = true
-			}
-		}
 		var best *serverInfo
 		bestCost := math.Inf(1)
 		bestReuse, bestDamage := -1, 0
-		for _, info := range infos {
+		for i := range infos {
+			info := &infos[i]
 			if info.taken {
 				continue
 			}
-			c := cost(info, baseServers)
+			c := cost(info, baseServers, preempted)
 			if c > bestCost+1e-12 {
 				continue
 			}
-			reuse, damage := sideEffects(info, candidates, lookup)
+			reuse, damage := sideEffects(info, index, preempted, lookup)
 			better := c < bestCost-1e-12 ||
 				reuse > bestReuse ||
 				(reuse == bestReuse && damage < bestDamage) ||
@@ -257,19 +273,18 @@ func (Lyra) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) 
 		best.taken = true
 		taken++
 		picks = append(picks, Pick{Server: best.s.ID, Phase: 2, Cost: bestCost, Reuse: bestReuse, Damage: bestDamage})
-		// Preempting best's jobs removes them everywhere: their cost
-		// contributions vanish from all other servers.
-		for id := range best.baseJobs {
-			delete(baseServers, id)
-			for _, info := range infos {
-				if info != best {
-					delete(info.baseJobs, id)
-					delete(info.flexJobs, id)
-				}
+		// best keeps only the jobs this pick preempts: a pick whose base
+		// jobs all fell to earlier picks is vacated by scale-in alone.
+		live := best.base[:0]
+		for _, id := range best.base {
+			if !preempted[id] {
+				preempted[id] = true
+				live = append(live, id)
 			}
 		}
+		best.base = live
 	}
-	plan := finishPlan(infos, lookup)
+	plan := finishPlan(infos)
 	plan.Picks = picks
 	return plan
 }
@@ -283,12 +298,12 @@ func (Random) Name() string { return "random" }
 
 // Plan implements Policy.
 func (r Random) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) Plan {
-	infos, _ := buildInfos(onLoan, lookup)
+	infos := buildInfos(onLoan)
 	idx := r.Rng.Perm(len(infos))
 	for i := 0; i < n && i < len(idx); i++ {
 		infos[idx[i]].taken = true
 	}
-	return finishPlan(infos, lookup)
+	return finishPlan(infos)
 }
 
 // SCF reclaims the servers hosting the smallest number of jobs — the
@@ -300,65 +315,60 @@ func (SCF) Name() string { return "scf" }
 
 // Plan implements Policy.
 func (SCF) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) Plan {
-	infos, _ := buildInfos(onLoan, lookup)
+	infos := buildInfos(onLoan)
 	order := make([]*serverInfo, len(infos))
-	copy(order, infos)
-	sort.Slice(order, func(i, k int) bool {
-		ci := len(order[i].baseJobs) + len(order[i].flexJobs)
-		ck := len(order[k].baseJobs) + len(order[k].flexJobs)
-		if ci != ck {
-			return ci < ck
-		}
-		return order[i].s.ID < order[k].s.ID
+	for i := range infos {
+		order[i] = &infos[i]
+	}
+	slices.SortFunc(order, func(a, b *serverInfo) int {
+		return cmp.Or(cmp.Compare(len(a.base)+len(a.flex), len(b.base)+len(b.flex)), cmp.Compare(a.s.ID, b.s.ID))
 	})
 	for i := 0; i < n && i < len(order); i++ {
 		order[i].taken = true
 	}
-	return finishPlan(infos, lookup)
+	return finishPlan(infos)
 }
+
+// MaxOptimalServers bounds Optimal's search: it refuses larger candidate
+// sets, so a configuration that can lend more inference servers than this
+// cannot run it (lyra.Config.Validate).
+const MaxOptimalServers = 22
 
 // Optimal exhaustively searches all subsets of n on-loan servers for the
 // one preempting the fewest jobs (ties: fewest vacated GPUs). It is
 // exponential — §7.3 measures its running time at 420,000x Lyra's — and is
-// provided for the optimality-gap comparison. Inputs beyond MaxServers
-// servers return an empty plan.
-type Optimal struct {
-	// MaxServers bounds the search; 0 means 22.
-	MaxServers int
-}
+// provided for the optimality-gap comparison. Inputs beyond
+// MaxOptimalServers servers return an empty plan.
+type Optimal struct{}
 
 // Name implements Policy.
 func (Optimal) Name() string { return "optimal" }
 
 // Plan implements Policy.
-func (o Optimal) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) Plan {
-	max := o.MaxServers
-	if max == 0 {
-		max = 22
+func (Optimal) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n int) Plan {
+	if len(onLoan) > MaxOptimalServers {
+		return Plan{}
 	}
-	if len(onLoan) > max {
-		return Plan{ScaleIn: map[int][]int{}}
-	}
-	infos, _ := buildInfos(onLoan, lookup)
+	infos := buildInfos(onLoan)
 	if n > len(infos) {
 		n = len(infos)
 	}
 	bestMask := -1
 	bestPreempt, bestVacated := math.MaxInt32, math.MaxInt32
+	var preempt []int
 	var walk func(i, picked, mask int)
 	walk = func(i, picked, mask int) {
 		if picked == n {
-			preempt := make(map[int]bool)
-			for b, info := range infos {
-				if mask&(1<<b) == 0 {
-					continue
-				}
-				for id := range info.baseJobs {
-					preempt[id] = true
+			preempt = preempt[:0]
+			for b := range infos {
+				if mask&(1<<b) != 0 {
+					preempt = append(preempt, infos[b].base...)
 				}
 			}
+			slices.Sort(preempt)
+			preempt = slices.Compact(preempt)
 			vacated := 0
-			for id := range preempt {
+			for _, id := range preempt {
 				if j := lookup(id); j != nil {
 					vacated += j.GPUsHeld()
 				}
@@ -376,19 +386,17 @@ func (o Optimal) Plan(onLoan []*cluster.Server, lookup func(id int) *job.Job, n 
 	}
 	walk(0, 0, 0)
 	if bestMask >= 0 {
-		for b, info := range infos {
-			if bestMask&(1<<b) != 0 {
-				info.taken = true
-			}
+		for b := range infos {
+			infos[b].taken = bestMask&(1<<b) != 0
 		}
 	}
-	return finishPlan(infos, lookup)
+	return finishPlan(infos)
 }
 
 // CostOf exposes the server preemption cost for a single server given the
 // full job lookup — used by tests reproducing Table 1 and by the
 // experiments harness.
 func CostOf(s *cluster.Server, lookup func(id int) *job.Job) float64 {
-	infos, baseServers := buildInfos([]*cluster.Server{s}, lookup)
-	return cost(infos[0], baseServers)
+	infos := buildInfos([]*cluster.Server{s})
+	return cost(&infos[0], baseServerCounts(infos, lookup), nil)
 }

@@ -3,6 +3,7 @@ package reclaim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,8 +123,54 @@ func TestLyraPrefersEmptyAndFlexibleServers(t *testing.T) {
 	if plan.FlexOnly != 2 {
 		t.Errorf("FlexOnly = %d, want 2", plan.FlexOnly)
 	}
-	if got := plan.ScaleIn[2]; len(got) != 1 || got[0] != 1 {
+	if !slices.Equal(plan.ScaleIn, [][2]int{{2, 1}}) {
 		t.Errorf("ScaleIn = %v, want job 2 on server 1", plan.ScaleIn)
+	}
+}
+
+// TestFlexOnlyCountsServerFreedByEarlierPick builds the case FlexOnly's
+// definition turns on: phase-2 pick A (server 0) preempts job 10, the only
+// base job on server B (server 1), so B then costs nothing and is vacated by
+// scaling job 20's flexible worker in. B counts as a flexible-only release
+// even though it hosted a base job when planning began.
+func TestFlexOnlyCountsServerFreedByEarlierPick(t *testing.T) {
+	servers := make([]*cluster.Server, 3)
+	for i := range servers {
+		servers[i] = cluster.NewServer(i, cluster.T4, 8, cluster.PoolOnLoan)
+	}
+	jobs := make(map[int]*job.Job)
+	add := func(id int, elastic bool, workers ...job.Worker) {
+		j := job.New(id, 0, job.Generic, 2, 1, 4, 100)
+		j.Elastic = elastic
+		j.State = job.Running
+		for _, w := range workers {
+			if err := servers[w.Server].Allocate(id, w.GPUs, w.Flexible); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Workers = workers
+		jobs[id] = j
+	}
+	add(10, false, job.Worker{Server: 0, GPU: cluster.T4, GPUs: 4}, job.Worker{Server: 1, GPU: cluster.T4, GPUs: 4})
+	add(20, true, job.Worker{Server: 2, GPU: cluster.T4, GPUs: 2}, job.Worker{Server: 1, GPU: cluster.T4, GPUs: 2, Flexible: true})
+	add(30, false, job.Worker{Server: 2, GPU: cluster.T4, GPUs: 4})
+
+	plan := Lyra{}.Plan(servers, lookupOf(jobs), 2)
+	wantPicks := []Pick{
+		{Server: 0, Phase: 2, Cost: 0.5, Reuse: 4},
+		{Server: 1, Phase: 2},
+	}
+	if !slices.Equal(plan.Picks, wantPicks) {
+		t.Errorf("picks %+v, want %+v", plan.Picks, wantPicks)
+	}
+	if !slices.Equal(plan.Servers, []int{0, 1}) || !slices.Equal(plan.PreemptJobs, []int{10}) {
+		t.Errorf("servers %v preempting %v, want [0 1] preempting [10]", plan.Servers, plan.PreemptJobs)
+	}
+	if !slices.Equal(plan.ScaleIn, [][2]int{{20, 1}}) {
+		t.Errorf("ScaleIn = %v, want job 20 on server 1", plan.ScaleIn)
+	}
+	if plan.FlexOnly != 1 {
+		t.Errorf("FlexOnly = %d, want 1 (server 1, freed by the first pick)", plan.FlexOnly)
 	}
 }
 
@@ -170,7 +217,7 @@ func TestOptimalRefusesLargeInput(t *testing.T) {
 	}
 	plan := Optimal{}.Plan(servers, func(int) *job.Job { return nil }, 2)
 	if len(plan.Servers) != 0 {
-		t.Error("optimal should refuse inputs beyond MaxServers")
+		t.Error("optimal should refuse inputs beyond MaxOptimalServers")
 	}
 }
 
