@@ -456,6 +456,11 @@ func (c Config) Validate() error {
 	if n.Loaning && !n.Reclaim.Valid() {
 		return fmt.Errorf("lyra: Reclaim: unknown reclaim policy %q (valid: %s)", n.Reclaim, kindList(Reclaims()))
 	}
+	// Optimal refuses candidate sets beyond its search bound, and a refused
+	// plan reclaims nothing: the loan would outlive the inference cap.
+	if n.Loaning && n.Reclaim == ReclaimOptimal && n.Cluster.InferenceServers > reclaim.MaxOptimalServers {
+		return fmt.Errorf("lyra: Reclaim: %q searches at most %d on-loan servers, but Cluster.InferenceServers is %d", n.Reclaim, reclaim.MaxOptimalServers, n.Cluster.InferenceServers)
+	}
 	if c.Cluster.TrainingServers < 0 || c.Cluster.InferenceServers < 0 {
 		return fmt.Errorf("lyra: Cluster: negative cluster size %+v", c.Cluster)
 	}

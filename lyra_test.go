@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lyra/internal/job"
+	"lyra/internal/reclaim"
 )
 
 func smallTrace(seed int64) *Trace {
@@ -111,6 +112,28 @@ func TestValidatePhase2MaxItemsRange(t *testing.T) {
 		}
 		if !ok && (err == nil || !strings.Contains(err.Error(), "Phase2MaxItems")) {
 			t.Errorf("Phase2MaxItems %d: error %v, want one naming the field", items, err)
+		}
+	}
+}
+
+func TestValidateRejectsOptimalBeyondItsSearchBound(t *testing.T) {
+	// The exhaustive planner refuses more candidates than it can search,
+	// and a refused plan reclaims nothing: a cluster that can lend more
+	// inference servers than the bound must be turned away up front.
+	for servers, ok := range map[int]bool{8: true, reclaim.MaxOptimalServers: true, reclaim.MaxOptimalServers + 1: false, 520: false} {
+		cfg := DefaultConfig()
+		cfg.Cluster = ClusterConfig{TrainingServers: 8, InferenceServers: servers}
+		cfg.Reclaim = ReclaimOptimal
+		err := cfg.Validate()
+		if ok && err != nil {
+			t.Errorf("optimal over %d inference servers rejected: %v", servers, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "Cluster.InferenceServers") || !strings.Contains(err.Error(), fmt.Sprint(reclaim.MaxOptimalServers))) {
+			t.Errorf("optimal over %d inference servers: error %v, want one naming Cluster.InferenceServers and the bound", servers, err)
+		}
+		cfg.Reclaim = ReclaimLyra
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("lyra over %d inference servers rejected: %v", servers, err)
 		}
 	}
 }
