@@ -347,9 +347,9 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 
 	// Release flexible server groups first: pure scale-in, no preemption,
 	// in the plan's job-then-server order.
-	for _, p := range plan.ScaleIn {
-		if j := st.Running[p[0]]; j != nil {
-			st.RemoveFlexibleOnServer(j, p[1])
+	for _, pair := range plan.ScaleIn {
+		if j := st.Running[pair[0]]; j != nil {
+			st.RemoveFlexibleOnServer(j, pair[1])
 		}
 	}
 

@@ -90,6 +90,7 @@ func writePlan(h hash.Hash, p Plan) {
 	}
 	ints(p.Servers)
 	ints(p.PreemptJobs)
+	// The pairs hash as one flat list of job, server, job, server, ...
 	put(uint64(2 * len(p.ScaleIn)))
 	for _, pair := range p.ScaleIn {
 		put(uint64(pair[0]))

@@ -60,7 +60,7 @@ type Policy interface {
 	Name() string
 }
 
-// serverInfo is the per-server view the planners work on.
+// serverInfo is the mutable per-server view the planners work on.
 type serverInfo struct {
 	s *cluster.Server
 	// base lists, ascending, the jobs with at least one non-flexible GPU on
@@ -157,12 +157,11 @@ func sideEffects(info *serverInfo, index map[int]*serverInfo, preempted map[int]
 			continue
 		}
 		for _, w := range j.Workers {
-			if w.Server == info.s.ID {
-				continue
-			}
-			if c := index[w.Server]; c != nil && !c.taken {
+			switch c := index[w.Server]; {
+			case w.Server == info.s.ID:
+			case c != nil && !c.taken:
 				reuse += w.GPUs
-			} else {
+			default:
 				damage += w.GPUs
 			}
 		}
