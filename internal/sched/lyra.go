@@ -44,6 +44,8 @@ type Lyra struct {
 	// ws is the phase-2 MCKP's reused scratch (see alloc.Workspace:
 	// memoized throughput tables, solver rows, group buffers; decisions
 	// are bit-identical to a fresh one), and sc the placement buffers.
+	// The targets alloc.Phase2 returns live in ws, valid until the next
+	// call on this Workspace: phase2 applies them before it returns.
 	// Both are per-instance — scheduler factories build a fresh instance
 	// per run and per shard, so concurrent simulations stay independent.
 	ws alloc.Workspace

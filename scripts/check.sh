@@ -24,10 +24,10 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== scale-tier set-up, comparison-kernel, scheduling-epoch and reclaim-plan benchmarks, once (they compile and run; the epoch prints its allocs/op)"
+echo "== scale-tier set-up, comparison-kernel, scheduling-epoch and reclaim-plan benchmarks, once (they compile and run; the MCKP kernels, the epoch and the plan print their allocs/op)"
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchtime 1x ./internal/fault/ ./internal/trace/
 go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchtime 1x ./internal/orchestrator/ ./internal/alloc/
-go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x ./internal/knapsack/ ./internal/alloc/
+go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x -benchmem ./internal/knapsack/ ./internal/alloc/
 go test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchtime 1x -benchmem ./internal/sched/
 go test -run NONE -bench BenchmarkReclaimPlan -benchtime 1x -benchmem ./internal/reclaim/
 
