@@ -19,6 +19,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("garbage")
 	f.Add("id,arrival\n1,2\n")
 	f.Add("id,arrival,model,gpus_per_worker,min_workers,max_workers,duration_at_max,fungible,elastic,hetero,checkpoint\n0,0,0,1,1,1,10,false,false,false,false\n")
+	f.Add("id,arrival,model,gpus_per_worker,min_workers,max_workers,duration_at_max,fungible,elastic,hetero,checkpoint\n0,0,0,1,1,1,10,false,false,false,false\n0,5,0,1,1,1,10,false,false,false,false\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadCSV(strings.NewReader(data))

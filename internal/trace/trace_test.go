@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"lyra/internal/job"
@@ -265,5 +266,9 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString(hdr + "0,0,0,0,1,1,10,false,false,false,false\n")); err == nil {
 		t.Error("invalid job (0 GPUs/worker) should fail")
+	}
+	row := "7,0,0,1,1,1,10,false,false,false,false\n"
+	if _, err := ReadCSV(bytes.NewBufferString(hdr + row + row)); err == nil || !strings.Contains(err.Error(), "job ID 7 repeats") {
+		t.Errorf("repeated job ID: got %v, want an error naming ID 7", err)
 	}
 }
