@@ -697,10 +697,9 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 	psp.End()
 	psp = p.Start("report")
 	rep = newReport(res)
-	rep.Events = r.buf.Bytes() // nil when recording was off
 	psp.End()
 	rep.Prof = p.Report()
-	return rep, nil
+	return r.finish(rep)
 }
 
 // newReport renders a run's result in the units the paper reports — the one
@@ -731,22 +730,32 @@ func newReport(res *sim.Result) *Report {
 // run is the prelude Run and RunTestbed share, built from a normalized and
 // validated config: a private copy of the trace with the running-time
 // estimates annotated, and — when Config.Events is set — the recorder
-// writing JSONL into buf beside the ring that keeps a violation's lead-up.
+// writing JSONL (jw → buf) beside the ring that keeps a violation's lead-up.
 type run struct {
 	tr   *Trace
 	rec  *obs.Recorder
 	ring *obs.Ring
+	jw   *obs.JSONLWriter
 	buf  bytes.Buffer
 }
 
 func newRun(cfg Config, tr *Trace) *run {
 	r := &run{tr: tr.Clone()}
 	if cfg.Events {
-		r.ring = obs.NewRing(128)
-		r.rec = obs.NewRecorder(obs.NewJSONLWriter(&r.buf), r.ring)
+		r.ring, r.jw = obs.NewRing(128), obs.NewJSONLWriter(&r.buf)
+		r.rec = obs.NewRecorder(r.jw, r.ring)
 	}
 	predict.WithError(cfg.FracWrongEstimate, cfg.MaxEstimateError, cfg.Seed+77).Annotate(r.tr.Jobs)
 	return r
+}
+
+// finish hands rep the event stream, or fails on the writer's latched error.
+func (r *run) finish(rep *Report) (*Report, error) {
+	if r.jw != nil && r.jw.Err() != nil {
+		return nil, fmt.Errorf("lyra: Events: %w", r.jw.Err())
+	}
+	rep.Events = r.buf.Bytes() // nil when recording was off
+	return rep, nil
 }
 
 // recoverViolation, deferred by an entry point, returns an invariant panic

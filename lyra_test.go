@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lyra/internal/job"
+	"lyra/internal/obs"
 	"lyra/internal/reclaim"
 )
 
@@ -393,5 +394,24 @@ func TestCheckpointingReducesJCTUnderPreemption(t *testing.T) {
 	if noCkpt.Preemptions > 0 && ckpt.JCT.Mean > noCkpt.JCT.Mean*1.02 {
 		t.Errorf("checkpointing should not hurt JCT: %v vs %v (with %d preemptions)",
 			ckpt.JCT.Mean, noCkpt.JCT.Mean, noCkpt.Preemptions)
+	}
+}
+
+// A JSONL writer latches its first encode error and drops every later
+// event, so a run whose stream hit one must fail rather than return the
+// truncated stream with a nil error.
+func TestEventWriterErrorSurfaces(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Events = true
+	r := newRun(cfg, smallTrace(1))
+	r.rec.Emit(obs.Event{T: 1, Kind: obs.KindSchedEpoch, Job: -1, F: obs.Fields{"x": math.NaN()}})
+	r.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
+	if _, err := r.finish(&Report{}); err == nil || !strings.Contains(err.Error(), "lyra: Events:") {
+		t.Fatalf("finish after a NaN field: got %v, want a lyra: Events: error", err)
+	}
+	clean := newRun(cfg, smallTrace(1))
+	clean.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
+	if rep, err := clean.finish(&Report{}); err != nil || len(rep.Events) == 0 {
+		t.Fatalf("clean stream: got %v, want the recorded event", err)
 	}
 }

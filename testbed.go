@@ -98,7 +98,5 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err err
 		fp := cfg.Faults
 		tbCfg.Faults = &fp
 	}
-	rep = newReport(testbed.New(tbCfg, r.tr, s, orch).Run(r.tr.Horizon))
-	rep.Events = r.buf.Bytes() // nil when recording was off
-	return rep, nil
+	return r.finish(newReport(testbed.New(tbCfg, r.tr, s, orch).Run(r.tr.Horizon)))
 }
