@@ -270,9 +270,12 @@ func gcd(a, b int) int {
 // more worker to the job with the largest marginal throughput gain per GPU
 // until the capacity is exhausted. Ties favor the job with the most
 // remaining work — the greedy bias toward big throughput consumers that
-// costs AFS average JCT (§7.4). cache follows the Phase2 contract: non-nil
-// serves throughput lookups from memoized tables, nil evaluates the model.
+// costs AFS average JCT (§7.4). cache memoizes the throughput tables across
+// calls; nil gives this call a fresh one, as Phase2 does for its workspace.
 func AFS(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, cache *ThroughputCache) []Extra {
+	if cache == nil {
+		cache = NewThroughputCache(sm)
+	}
 	type state struct {
 		j     *job.Job
 		extra int
@@ -293,13 +296,7 @@ func AFS(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, cache *Throughp
 				continue
 			}
 			w := s.j.MinWorkers + s.extra
-			var gain float64
-			if cache != nil {
-				gain = (cache.nominal(s.j, w+1) - cache.nominal(s.j, w)) / float64(s.j.GPUsPerWorker)
-			} else {
-				gain = (s.j.NominalThroughput(w+1, cluster.V100, sm) - s.j.NominalThroughput(w, cluster.V100, sm)) /
-					float64(s.j.GPUsPerWorker)
-			}
+			gain := (cache.nominal(s.j, w+1) - cache.nominal(s.j, w)) / float64(s.j.GPUsPerWorker)
 			switch {
 			case best == nil || gain > bestGain+1e-12:
 				best, bestGain = s, gain
