@@ -12,6 +12,33 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 
+echo "== doc paths (every backticked repository path and relative link in the docs exists)"
+# A path with a slash is looked up from the repository root (a link from its
+# document's directory); a bare file name must exist somewhere in the tree.
+# Absolute paths, globs and brace lists are not one repository file.
+# CHANGES.md and results/ are history and may name deleted files.
+missing=$(for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+	grep -oE '`[^` ]+\.(go|md|json|jsonl|sh|txt|csv)(:[0-9]+)?`' "$doc" |
+		tr -d '`' | sed 's/:[0-9]*$//' | sort -u | while read -r p; do
+		case $p in
+		/* | *'*'* | *'{'*) ;;
+		*/*) [ -e "$p" ] || echo "$doc: \`$p\`" ;;
+		*) [ -n "$(find . -name .git -prune -o -name "$p" -print)" ] || echo "$doc: \`$p\`" ;;
+		esac
+	done
+	grep -oE '\]\([^)]+\)' "$doc" | sed 's/^](//; s/)$//; s/#.*//; s/ .*//' | sort -u | while read -r l; do
+		case $l in
+		'' | http://* | https://* | mailto:*) ;;
+		*) [ -e "$(dirname "$doc")/$l" ] || echo "$doc: link $l" ;;
+		esac
+	done
+done)
+if [ -n "$missing" ]; then
+	echo "doc paths that do not exist:"
+	echo "$missing"
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
