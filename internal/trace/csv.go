@@ -44,8 +44,8 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV decodes a trace written by WriteCSV. The horizon is set to the
-// end of the last arrival's day.
+// ReadCSV decodes a trace written by WriteCSV and rejects a repeated job ID.
+// The horizon is set to the end of the last arrival's day.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -59,11 +59,16 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: unexpected CSV header %v", rows[0])
 	}
 	tr := &Trace{}
+	seen := make(map[int]bool, len(rows)-1)
 	for n, rec := range rows[1:] {
 		j, err := parseCSVRecord(rec)
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: %w", n+2, err)
 		}
+		if seen[j.ID] {
+			return nil, fmt.Errorf("trace: row %d: job ID %d repeats", n+2, j.ID)
+		}
+		seen[j.ID] = true
 		tr.Jobs = append(tr.Jobs, j)
 		if end := (j.Arrival/86400 + 1) * 86400; end > tr.Horizon {
 			tr.Horizon = end

@@ -466,18 +466,13 @@ func (tr *Trace) Bootstrap(days, count int, seed int64) []*Trace {
 	return out
 }
 
-// Validate checks every job in the trace, that no ID repeats, and arrival order.
+// Validate checks every job in the trace and arrival ordering.
 func (tr *Trace) Validate() error {
 	prev := int64(-1)
-	seen := make(map[int]bool, len(tr.Jobs))
 	for _, j := range tr.Jobs {
 		if err := j.Validate(); err != nil {
 			return err
 		}
-		if seen[j.ID] {
-			return fmt.Errorf("trace: job ID %d repeats", j.ID)
-		}
-		seen[j.ID] = true
 		if j.Arrival < prev {
 			return fmt.Errorf("trace: job %d arrives at %d before previous job at %d", j.ID, j.Arrival, prev)
 		}
