@@ -13,8 +13,9 @@ if [ -n "$out" ]; then
 fi
 
 echo "== doc paths (every backticked repository path and relative link in the docs exists)"
-# A path with a slash is looked up from the repository root (a link from its
-# document's directory); a bare file name must exist somewhere in the tree.
+# Paths are looked up among tracked files, so untracked output never satisfies
+# one. A path with a slash is looked up from the repository root (a link from
+# its document's directory); a bare file name may be tracked anywhere.
 # Absolute paths, globs and brace lists are not one repository file.
 # CHANGES.md and results/ are history and may name deleted files.
 missing=$(for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
@@ -22,14 +23,14 @@ missing=$(for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SK
 		tr -d '`' | sed 's/:[0-9]*$//' | sort -u | while read -r p; do
 		case $p in
 		/* | *'*'* | *'{'*) ;;
-		*/*) [ -e "$p" ] || echo "$doc: \`$p\`" ;;
-		*) [ -n "$(find . -name .git -prune -o -name "$p" -print)" ] || echo "$doc: \`$p\`" ;;
+		*/*) git ls-files -- "$p" | grep -q . || echo "$doc: \`$p\`" ;;
+		*) git ls-files -- "$p" "*/$p" | grep -q . || echo "$doc: \`$p\`" ;;
 		esac
 	done
 	grep -oE '\]\([^)]+\)' "$doc" | sed 's/^](//; s/)$//; s/#.*//; s/ .*//' | sort -u | while read -r l; do
 		case $l in
 		'' | http://* | https://* | mailto:*) ;;
-		*) [ -e "$(dirname "$doc")/$l" ] || echo "$doc: link $l" ;;
+		*) git ls-files -- "$(dirname "$doc")/$l" | grep -q . || echo "$doc: link $l" ;;
 		esac
 	done
 done)
