@@ -294,7 +294,7 @@ func TestMaxTimeBoundIsInvisible(t *testing.T) {
 	cfg.EmergencyReclaim = true
 
 	crashAt := -1.0
-	sched, _ := fault.FullSchedule(cfg.Faults, cluster.New(cfg.Cluster), tr.Horizon)
+	sched, _ := fault.FullSchedule(cfg.Faults, fault.Hysteresis{}, cluster.New(cfg.Cluster), tr.Horizon)
 	for _, ev := range sched {
 		if !ev.Recover && ev.T > 20000 {
 			crashAt = ev.T

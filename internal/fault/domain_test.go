@@ -134,7 +134,7 @@ func TestFullScheduleLegacyIdentity(t *testing.T) {
 		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14, 15}}}
 	p := Plan{Seed: 3, ServerMTBF: 7200, ServerMTTR: 600}
 	const horizon = 6 * 86400
-	evs, devs := FullSchedule(p, topo, horizon)
+	evs, devs := FullSchedule(p, Hysteresis{}, topo, horizon)
 	if devs != nil {
 		t.Fatalf("no-domain plan produced %d domain events", len(devs))
 	}
@@ -161,11 +161,11 @@ func TestFullScheduleRackAtomicity(t *testing.T) {
 		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}
 	p := Plan{Seed: 11, ServerMTBF: 14400, ServerMTTR: 300, RackOutMTBF: 21600, RackMTTR: 900}
 	const horizon = 4 * 86400
-	evs, devs := FullSchedule(p, topo, horizon)
+	evs, devs := FullSchedule(p, Hysteresis{}, topo, horizon)
 	if len(devs) == 0 {
 		t.Fatal("rack-outage plan produced no domain events")
 	}
-	evs2, devs2 := FullSchedule(p, topo, horizon)
+	evs2, devs2 := FullSchedule(p, Hysteresis{}, topo, horizon)
 	if !reflect.DeepEqual(evs, evs2) || !reflect.DeepEqual(devs, devs2) {
 		t.Fatal("same plan produced different full schedules")
 	}
@@ -225,7 +225,7 @@ func TestFullScheduleZoneCoversAllMembers(t *testing.T) {
 		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
 		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}
 	p := Plan{Seed: 5, ZoneOutMTBF: 43200, ZoneMTTR: 600}
-	evs, devs := FullSchedule(p, topo, 6*86400)
+	evs, devs := FullSchedule(p, Hysteresis{}, topo, 6*86400)
 	if len(devs) == 0 {
 		t.Fatal("zone-outage plan produced no domain events")
 	}
@@ -278,8 +278,8 @@ func TestFullScheduleShorterHorizonIsAPrefix(t *testing.T) {
 		}
 		H := 20000 + rng.Int63n(80000)
 		h := 1 + rng.Int63n(H-1)
-		short, shortDom := FullSchedule(p, topo, h)
-		long, longDom := FullSchedule(p, topo, H)
+		short, shortDom := FullSchedule(p, Hysteresis{}, topo, h)
+		long, longDom := FullSchedule(p, Hysteresis{}, topo, H)
 		var wantEv []Event
 		for _, ev := range long {
 			if ev.T < float64(h) {

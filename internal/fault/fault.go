@@ -278,11 +278,25 @@ func (p Plan) String() string {
 }
 
 // Event is one scheduled server fault: a crash at T, or the matching
-// recovery (Recover true) that returns the server to service.
+// recovery (Recover true) that returns the server to service. A recovery
+// that quarantine hysteresis refuses is Held: the server stays down, and a
+// later entry of the same server carries the next attempt.
 type Event struct {
 	T       float64
 	Server  int
 	Recover bool
+	Held    bool
+}
+
+// Hysteresis is quarantine hysteresis (DESIGN.md §13) as FullSchedule
+// applies it: a recovery at which the server's applied crashes within the
+// trailing Window seconds number Crashes is refused, and the server tries
+// again Hold seconds later. It is on when Crashes is positive and Window and
+// Hold are positive and finite, so every held server comes back; the zero
+// value is off.
+type Hysteresis struct {
+	Crashes      int
+	Window, Hold float64
 }
 
 // streamKeyLo is the fixed low word of every stream's PCG key; the high word,
@@ -380,13 +394,15 @@ const (
 // already down and always recovers exactly once per downtime. Every crash
 // before the horizon carries its recovery even when that lands past the
 // horizon (a crashed server must always come back, or drain-phase jobs
-// could starve).
+// could starve). Quarantine hysteresis h is folded into each server's
+// merged downtimes (fold): which recoveries are held is part of the
+// timeline, and the substrates only replay it.
 //
 // The server events are sorted by time, then server, crash before recovery
 // at equal times; the domain events are sorted by time, racks before zones,
 // crash before recovery, and exist purely so the substrates can emit
 // fault.domain markers.
-func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent) {
+func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, []DomainEvent) {
 	p = p.Normalize()
 	numServers := topo.NumServers()
 	if numServers <= 0 || horizon <= 0 {
@@ -417,10 +433,9 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 			renewal(&pcg, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
 	}
 	var out []Event
+	var applied []float64
 	for sid := 0; sid < numServers; sid++ {
-		for _, iv := range mergeIntervals(down[sid]) {
-			out = append(out, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
-		}
+		out, applied = h.fold(out, applied[:0], sid, mergeIntervals(down[sid]))
 	}
 	sortEvents(out)
 	sort.Slice(domains, func(i, j int) bool {
@@ -437,6 +452,49 @@ func FullSchedule(p Plan, topo Topology, horizon int64) ([]Event, []DomainEvent)
 		return !a.Recover && b.Recover
 	})
 	return out, domains
+}
+
+// fold appends server sid's crash and recovery entries for its merged
+// downtimes to out. With hysteresis on it walks the downtimes in order: each
+// recovery attempt counts the applied crashes inside the trailing window
+// and, at the threshold, is emitted Held and retried Hold seconds later. A
+// crash at or before that retry strikes a server still held in quarantine:
+// it is never applied, so it is dropped, and the end of its downtime becomes
+// the next attempt. Crashes age out of the window while the server is held,
+// so every downtime ends in a recovery. applied is scratch for the applied
+// crash times and is returned for reuse.
+func (h Hysteresis) fold(out []Event, applied []float64, sid int, down [][2]float64) ([]Event, []float64) {
+	limit := h.Crashes
+	if limit <= 0 || !(h.Window > 0 && h.Hold > 0) || math.IsInf(h.Window+h.Hold, 1) {
+		limit = math.MaxInt // off: no recovery is refused
+	}
+	// applied[lo:] are the crashes inside the window; attempts only move
+	// forward, so a crash that ages out stays out.
+	lo := 0
+	for i := 0; i < len(down); {
+		out = append(out, Event{T: down[i][0], Server: sid})
+		applied = append(applied, down[i][0])
+		at := down[i][1]
+		i++
+		for {
+			cut := at - h.Window
+			for lo < len(applied) && !(applied[lo] > cut) {
+				lo++
+			}
+			if len(applied)-lo < limit {
+				out = append(out, Event{T: at, Server: sid, Recover: true})
+				break
+			}
+			out = append(out, Event{T: at, Server: sid, Recover: true, Held: true})
+			if retry := at + h.Hold; i < len(down) && down[i][0] <= retry {
+				at = down[i][1]
+				i++
+			} else {
+				at = retry
+			}
+		}
+	}
+	return out, applied
 }
 
 // mergeIntervals unions possibly-overlapping downtime intervals in place:

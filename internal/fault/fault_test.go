@@ -109,8 +109,8 @@ func TestScheduleDeterministicAndWellFormed(t *testing.T) {
 	p := Plan{Seed: 3, ServerMTBF: 7200, ServerMTTR: 600}
 	const servers, horizon = 16, 6 * 86400
 	topo := fakeTopo{servers: servers}
-	a, _ := FullSchedule(p, topo, horizon)
-	b, _ := FullSchedule(p, topo, horizon)
+	a, _ := FullSchedule(p, Hysteresis{}, topo, horizon)
+	b, _ := FullSchedule(p, Hysteresis{}, topo, horizon)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same plan produced different schedules")
 	}
@@ -147,14 +147,14 @@ func TestScheduleDeterministicAndWellFormed(t *testing.T) {
 		}
 	}
 	// Different seeds must diverge.
-	if c, _ := FullSchedule(Plan{Seed: 4, ServerMTBF: 7200, ServerMTTR: 600}, topo, horizon); reflect.DeepEqual(a, c) {
+	if c, _ := FullSchedule(Plan{Seed: 4, ServerMTBF: 7200, ServerMTTR: 600}, Hysteresis{}, topo, horizon); reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical schedules")
 	}
 	// Disabled / degenerate inputs.
-	if s, _ := FullSchedule(Plan{}, topo, horizon); s != nil {
+	if s, _ := FullSchedule(Plan{}, Hysteresis{}, topo, horizon); s != nil {
 		t.Errorf("no-crash plan produced %d events", len(s))
 	}
-	if s, _ := FullSchedule(p, fakeTopo{}, horizon); s != nil {
+	if s, _ := FullSchedule(p, Hysteresis{}, fakeTopo{}, horizon); s != nil {
 		t.Errorf("zero servers produced %d events", len(s))
 	}
 }

@@ -159,6 +159,9 @@ const (
 
 var scalePlan = Plan{Seed: 3, ServerMTBF: 86400, ServerMTTR: 600, RackOutMTBF: 43200, RackMTTR: 900}
 
+// scaleHyst is the scale tier's quarantine hysteresis, lyra's defaults.
+var scaleHyst = Hysteresis{Crashes: 3, Window: 3600, Hold: 900}
+
 func scaleTopo() fakeTopo {
 	topo := fakeTopo{servers: scaleTraining + scaleInference}
 	for _, seg := range [][2]int{{0, scaleTraining}, {scaleTraining, topo.servers}} {
@@ -189,23 +192,26 @@ func TestCrashCountAtScaleDimensions(t *testing.T) {
 		p.Seed = seed
 		serverOnly := p
 		serverOnly.RackOutMTBF = 0
-		crashes, _ := FullSchedule(serverOnly, topo, scaleHorizon)
+		crashes, _ := FullSchedule(serverOnly, Hysteresis{}, topo, scaleHorizon)
 		check("servers", len(crashes)/2, topo.servers, p.ServerMTBF, p.ServerMTTR)
-		_, domains := FullSchedule(p, topo, scaleHorizon)
+		_, domains := FullSchedule(p, Hysteresis{}, topo, scaleHorizon)
 		check("racks", len(domains)/2, len(topo.racks), p.RackOutMTBF, p.RackMTTR)
 	}
 }
 
 // A stream that never crashes allocates nothing, so the schedule's
 // allocations follow its events (a downtime interval, its copy onto each
-// member of a rack, the merged pair), not its 108,338 streams.
+// member of a rack, the merged pair), not its 108,338 streams. The
+// hysteresis fold reuses one scratch buffer for every server.
 func TestFullScheduleAllocatesPerEventNotPerStream(t *testing.T) {
 	topo := scaleTopo()
-	events, _ := FullSchedule(scalePlan, topo, scaleHorizon)
-	allocs := testing.AllocsPerRun(1, func() { FullSchedule(scalePlan, topo, scaleHorizon) })
-	if perEvent := allocs / float64(len(events)); perEvent > 1 {
-		t.Errorf("%.0f allocations for %d events (%.2f per event, want at most 1) over %d streams",
-			allocs, len(events), perEvent, topo.servers+len(topo.racks))
+	for _, h := range []Hysteresis{{}, scaleHyst} {
+		events, _ := FullSchedule(scalePlan, h, topo, scaleHorizon)
+		allocs := testing.AllocsPerRun(1, func() { FullSchedule(scalePlan, h, topo, scaleHorizon) })
+		if perEvent := allocs / float64(len(events)); perEvent > 1 {
+			t.Errorf("hysteresis %+v: %.0f allocations for %d events (%.2f per event, want at most 1) over %d streams",
+				h, allocs, len(events), perEvent, topo.servers+len(topo.racks))
+		}
 	}
 }
 
@@ -213,9 +219,15 @@ var benchEvents []Event
 
 func BenchmarkFullSchedule(b *testing.B) {
 	topo := scaleTopo()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchEvents, _ = FullSchedule(scalePlan, topo, scaleHorizon)
+	for _, bc := range []struct {
+		name string
+		h    Hysteresis
+	}{{"hysteresis=off", Hysteresis{}}, {"hysteresis=on", scaleHyst}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchEvents, _ = FullSchedule(scalePlan, bc.h, topo, scaleHorizon)
+			}
+		})
 	}
 }

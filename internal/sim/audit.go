@@ -35,8 +35,11 @@ func (st *State) AuditView(ctx string, less func(a, b *job.Job) bool) invariant.
 func (e *Engine) auditAfter(ev event) {
 	gpus, servers := 0, 0
 	id := ev.jobID
-	if ev.kind == evArrival {
+	switch ev.kind {
+	case evArrival:
 		id = e.jobs[id].ID // an arrival carries the job's index in e.jobs
+	case evCrash, evRecover:
+		id = e.faultSched[id].Server // a server fault carries its timeline index
 	}
 	for i, st := range e.sh.States {
 		ctx := fmt.Sprintf("sim:%v t=%g job=%d", ev.kind, e.now, id)

@@ -76,20 +76,18 @@ type Config struct {
 	// outage. Zero disables the policy entirely — crash-preempted jobs
 	// requeue immediately, byte-identical to the pre-backoff engine.
 	BackoffBase float64
-	// BackoffCap caps the backoff delay; zero with BackoffBase set means
-	// 30× the base.
+	// BackoffCap caps the backoff delay.
 	BackoffCap float64
 	// HystCrashes enables quarantine hysteresis: a server whose applied
 	// crash count within the trailing HystWindow seconds reaches
-	// HystCrashes has its scheduled recovery delayed by an escalating
-	// hold-down (HystHold·2^extra, capped at 16× the hold), keeping
-	// repeat-crashers out of the schedulable pools. Zero disables.
+	// HystCrashes at a recovery stays quarantined for another HystHold
+	// seconds, keeping repeat-crashers out of the schedulable pools. The
+	// fault timeline decides every hold (fault.Hysteresis); the engine
+	// replays it. Zero disables.
 	HystCrashes int
-	// HystWindow is the trailing crash-count window in seconds (default
-	// 3600 when HystCrashes is set).
+	// HystWindow is the trailing crash-count window in seconds.
 	HystWindow float64
-	// HystHold is the base hold-down in seconds (default 900 when
-	// HystCrashes is set).
+	// HystHold is the hold-down in seconds.
 	HystHold float64
 }
 
@@ -114,17 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scaling == (job.ScalingModel{}) {
 		c.Scaling = job.Linear
-	}
-	if c.BackoffBase > 0 && c.BackoffCap <= 0 {
-		c.BackoffCap = 30 * c.BackoffBase
-	}
-	if c.HystCrashes > 0 {
-		if c.HystWindow <= 0 {
-			c.HystWindow = 3600
-		}
-		if c.HystHold <= 0 {
-			c.HystHold = 900
-		}
 	}
 	return c
 }
@@ -316,14 +303,10 @@ type Engine struct {
 	// not only when recording — so the event heap is identical between
 	// obs-on and obs-off runs.
 	domainSched []fault.DomainEvent
-	// crashTimes records applied crash times per server for quarantine
-	// hysteresis; entries older than HystWindow are pruned on append.
-	crashTimes map[int][]float64
-	// recoverSeq versions hysteresis hold-down retries per server: a
-	// scheduled (version-0) recovery is always considered, but a held
-	// retry is only honored when its version matches the latest hold —
-	// a newer hold or an intervening crash supersedes it.
-	recoverSeq map[int]int
+	// faultSched is the server crash/recovery timeline, quarantine
+	// hysteresis already folded in; evCrash and evRecover events carry an
+	// index into it in their jobID field.
+	faultSched []fault.Event
 
 	// Cross-shard conservation baseline: global GPU and server totals at
 	// construction, which every audited transition must preserve.
@@ -429,13 +412,7 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 			e.totalServers += st.Cluster.NumServers()
 		}
 	}
-	if cfg.Faults.Enabled() {
-		StampStragglers(cfg.Faults, jobs)
-		if cfg.HystCrashes > 0 {
-			e.crashTimes = make(map[int][]float64)
-			e.recoverSeq = make(map[int]int)
-		}
-	}
+	StampStragglers(cfg.Faults, jobs)
 	if cfg.BackoffBase > 0 {
 		for _, st := range sh.Train() {
 			st.backoffBase = cfg.BackoffBase
@@ -519,59 +496,6 @@ func (e *Engine) drain() {
 	}
 }
 
-// noteCrash records an applied crash for quarantine hysteresis, pruning
-// entries that have aged out of the trailing window.
-func (e *Engine) noteCrash(sid int) {
-	ts := e.crashTimes[sid]
-	cut := e.now - e.cfg.HystWindow
-	kept := ts[:0]
-	for _, t := range ts {
-		if t > cut {
-			kept = append(kept, t)
-		}
-	}
-	e.crashTimes[sid] = append(kept, e.now)
-}
-
-// holdRecovery decides whether a recovery event for a repeat-crashing
-// server is delayed by quarantine hysteresis. A scheduled recovery carries
-// version 0 and is always considered; a held retry is only honored when
-// its version matches the latest hold for the server (older retries were
-// superseded by a newer hold or an intervening crash). When the server's
-// applied crash count within the trailing window still reaches the
-// threshold, the recovery is re-pushed after an escalating hold-down and
-// the server stays quarantined; crashes age out of the window while it is
-// held, so the hold always terminates.
-func (e *Engine) holdRecovery(ev event) bool {
-	sid := ev.jobID
-	if ev.version != 0 && ev.version != e.recoverSeq[sid] {
-		return true // superseded retry: drop it, a later recovery governs
-	}
-	recent := 0
-	cut := e.now - e.cfg.HystWindow
-	for _, t := range e.crashTimes[sid] {
-		if t > cut {
-			recent++
-		}
-	}
-	if recent < e.cfg.HystCrashes {
-		return false
-	}
-	extra := recent - e.cfg.HystCrashes
-	if extra > 4 {
-		extra = 4 // cap the escalation at 16x the base hold
-	}
-	hold := e.cfg.HystHold * float64(uint64(1)<<extra)
-	e.recoverSeq[sid]++
-	e.push(e.now+hold, evRecover, sid, e.recoverSeq[sid])
-	if rec := e.cfg.Obs; rec.Enabled() {
-		rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
-			"server": sid, "recent": recent, "hold": hold, "until": e.now + hold,
-		}))
-	}
-	return true
-}
-
 // Run executes the simulation to completion (all jobs done) or the MaxTime
 // cap, and returns the collected results. The default cap leaves room for
 // the drain phase: a job arriving at the end of the horizon may run for
@@ -582,7 +506,6 @@ func (e *Engine) Run() *Result {
 	if maxTime == 0 {
 		maxTime = 4*float64(e.horizon) + 7*86400
 	}
-	var crashes []fault.Event
 	if e.cfg.Faults.Enabled() {
 		// The whole crash/recovery timeline — independent per-server draws
 		// plus correlated rack/zone outages, merged per server — is
@@ -596,21 +519,23 @@ func (e *Engine) Run() *Result {
 		// Nothing after maxTime is processed, so the schedule stops at the
 		// first whole second past it: each stream is drawn sequentially, so a
 		// shorter horizon yields a prefix of it, and a merged downtime can
-		// then only differ in a recovery that lies past maxTime either way.
+		// then only differ in a recovery or hold-down retry that lies past
+		// maxTime either way.
 		until := e.horizon
 		if maxTime < float64(until) {
 			until = int64(maxTime) + 1
 		}
 		sp := e.cfg.Prof.Start("faults.schedule")
-		crashes, e.domainSched = fault.FullSchedule(*e.cfg.Faults, e.refTopo, until)
+		hyst := fault.Hysteresis{Crashes: e.cfg.HystCrashes, Window: e.cfg.HystWindow, Hold: e.cfg.HystHold}
+		e.faultSched, e.domainSched = fault.FullSchedule(*e.cfg.Faults, hyst, e.refTopo, until)
 		sp.End()
 	}
 
 	// The initial timeline is appended to and heapified once. Every event
 	// takes its sequence number; one past maxTime is not stored, because the
 	// loop below stops before it could be processed. An arrival's jobID
-	// field carries the job's index in e.jobs; a fault event's the server ID
-	// (crash/recover) or the index into domainSched (domain markers).
+	// field carries the job's index in e.jobs; a fault event's its index into
+	// faultSched (crash/recover) or domainSched (domain markers).
 	sp := e.cfg.Prof.Start("timeline.load")
 	load := func(t float64, kind eventKind, id int) {
 		e.seq++
@@ -629,12 +554,12 @@ func (e *Engine) Run() *Result {
 		load(0, evOrch, 0)
 	}
 	load(0, evMetrics, 0)
-	for _, fe := range crashes {
+	for i, fe := range e.faultSched {
 		kind := evCrash
 		if fe.Recover {
 			kind = evRecover
 		}
-		load(fe.T, kind, fe.Server)
+		load(fe.T, kind, i)
 	}
 	for i := range e.domainSched {
 		load(e.domainSched[i].T, evDomain, i)
@@ -760,7 +685,7 @@ func AnnounceDomain(rec *obs.Recorder, t float64, topo fault.Topology, d fault.D
 }
 
 func (e *Engine) crashEvent(ev event) {
-	sid := ev.jobID
+	sid := e.faultSched[ev.jobID].Server
 	owner := e.sh.Owner(sid)
 	st := e.sh.States[owner]
 	if st.CrashServer(sid, e.sh.Less) {
@@ -769,33 +694,29 @@ func (e *Engine) crashEvent(ev event) {
 		if home := e.sh.Home(sid); home != owner {
 			e.sh.Transfer(sid, home, cluster.PoolQuarantine)
 		}
-		if e.cfg.HystCrashes > 0 {
-			e.noteCrash(sid)
-		}
 		for _, h := range st.takeNewHolds() {
 			e.push(h.until, evRelease, h.jobID, 0)
 		}
-	} else if e.cfg.HystCrashes > 0 {
-		// A scheduled crash striking a server still held in quarantine
-		// supersedes its pending hysteresis retry: the new outage's own
-		// scheduled recovery governs from here.
-		e.recoverSeq[sid]++
 	}
 	e.drain()
 }
 
 // recoverEvent recovers a quarantined server on the state that holds it,
-// which is its home: the crash already sent an on-loan casualty there.
+// which is its home: the crash already sent an on-loan casualty there. A
+// recovery the timeline holds leaves the server quarantined until the
+// server's next entry.
 func (e *Engine) recoverEvent(ev event) {
-	sid := ev.jobID
-	st := e.sh.States[e.sh.Owner(sid)]
-	if st.Cluster.Server(sid).Pool != cluster.PoolQuarantine {
-		return // already back in service: a superseded hold-down retry
-	}
-	if e.cfg.HystCrashes > 0 && e.holdRecovery(ev) {
+	fe := e.faultSched[ev.jobID]
+	if fe.Held {
+		if rec := e.cfg.Obs; rec.Enabled() {
+			hold := e.cfg.HystHold
+			rec.Emit(obs.Ev(e.now, obs.KindFaultHolddown).WithCause("hysteresis").WithF(obs.Fields{
+				"server": fe.Server, "recent": e.cfg.HystCrashes, "hold": hold, "until": e.now + hold,
+			}))
+		}
 		return
 	}
-	e.lostGPUSec += st.RecoverServer(sid)
+	e.lostGPUSec += e.sh.States[e.sh.Owner(fe.Server)].RecoverServer(fe.Server)
 }
 
 // schedEvent is the shard-scheduling phase: every training shard whose

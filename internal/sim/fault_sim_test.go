@@ -131,8 +131,9 @@ func TestOnLoanCrashRecoversHome(t *testing.T) {
 	const sid, down = 1, 600.0
 	train, inf := e.sh.States[0], e.sh.States[1]
 	e.sh.Transfer(sid, 0, cluster.PoolOnLoan)
+	e.faultSched = []fault.Event{{T: 100, Server: sid}, {T: 100 + down, Server: sid, Recover: true}}
 
-	crash := event{t: 100, kind: evCrash, jobID: sid}
+	crash := event{t: 100, kind: evCrash, jobID: 0}
 	e.setNow(crash.t)
 	e.crashEvent(crash)
 	e.auditAfter(crash)
@@ -145,7 +146,7 @@ func TestOnLoanCrashRecoversHome(t *testing.T) {
 			s.Pool, s.ReturnTo, s.DownSince, crash.t)
 	}
 
-	up := event{t: crash.t + down, kind: evRecover, jobID: sid}
+	up := event{t: crash.t + down, kind: evRecover, jobID: 1}
 	e.setNow(up.t)
 	if lost := LostCapacity(0, e.sh.States...); lost != down*8 {
 		t.Errorf("residual before recovery = %v GPU-seconds, want %v", lost, down*8)

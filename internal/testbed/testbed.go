@@ -141,7 +141,7 @@ func (tb *Testbed) Run(horizon int64) *sim.Result {
 		maxSim = 4 * float64(horizon)
 	}
 	if tb.cfg.Faults.Enabled() {
-		tb.faultEvents, tb.domains = fault.FullSchedule(*tb.cfg.Faults, tb.st.Cluster, horizon)
+		tb.faultEvents, tb.domains = fault.FullSchedule(*tb.cfg.Faults, fault.Hysteresis{}, tb.st.Cluster, horizon)
 	}
 	now, nextOrch := 0.0, 0.0
 	for {

@@ -31,6 +31,7 @@ package lyra
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -321,8 +322,8 @@ type Config struct {
 	BackoffBase    float64 `json:",omitempty"`
 	BackoffCap     float64 `json:",omitempty"`
 	// QuarantineHysteresis delays the recovery of a server that crashed
-	// HystCrashes times within the trailing HystWindow seconds by an
-	// escalating hold-down starting at HystHold seconds. Zero knobs
+	// HystCrashes times within the trailing HystWindow seconds by a
+	// hold-down of HystHold seconds, again at each refused retry. Zero knobs
 	// default to 3 crashes / 3600 s window / 900 s hold when the policy
 	// is on; Normalize zeroes them when it is off.
 	QuarantineHysteresis bool    `json:",omitempty"`
@@ -449,6 +450,23 @@ func (c Config) Normalize() Config {
 // value, so spec-file compilation (ScenarioSpec.Compile) can point at the
 // exact field of the exact scheme entry that produced it.
 func (c Config) Validate() error {
+	// A non-finite value is rejected first and by name, as written: NaN
+	// passes every range comparison below.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Scaling.PerWorkerLoss", c.Scaling.PerWorkerLoss}, {"Scaling.HeteroPenalty", c.Scaling.HeteroPenalty},
+		{"Scaling.TunedGain", c.Scaling.TunedGain}, {"FracWrongEstimate", c.FracWrongEstimate},
+		{"MaxEstimateError", c.MaxEstimateError}, {"Headroom", c.Headroom}, {"MaxTime", c.MaxTime},
+		{"PreemptOverhead", c.PreemptOverhead}, {"StabilityBonus", c.StabilityBonus},
+		{"BackoffBase", c.BackoffBase}, {"BackoffCap", c.BackoffCap},
+		{"HystWindow", c.HystWindow}, {"HystHold", c.HystHold},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("lyra: %s %v is not finite", f.name, f.v)
+		}
+	}
 	n := c.Normalize()
 	if !n.Scheduler.Valid() {
 		return fmt.Errorf("lyra: Scheduler: unknown scheduler %q (valid: %s)", n.Scheduler, kindList(Schedulers()))
@@ -670,19 +688,16 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		Audit:           cfg.Audit,
 		Obs:             r.rec,
 		Prof:            p,
+		// Normalize zeroes the knobs of a policy that is off.
+		BackoffBase: cfg.BackoffBase,
+		BackoffCap:  cfg.BackoffCap,
+		HystCrashes: cfg.HystCrashes,
+		HystWindow:  cfg.HystWindow,
+		HystHold:    cfg.HystHold,
 	}
 	if cfg.Faults.Enabled() {
 		fp := cfg.Faults
 		simCfg.Faults = &fp
-	}
-	if cfg.RestartBackoff {
-		simCfg.BackoffBase = cfg.BackoffBase
-		simCfg.BackoffCap = cfg.BackoffCap
-	}
-	if cfg.QuarantineHysteresis {
-		simCfg.HystCrashes = cfg.HystCrashes
-		simCfg.HystWindow = cfg.HystWindow
-		simCfg.HystHold = cfg.HystHold
 	}
 	// The two kinds of run differ only in how they cut the cluster.
 	var eng *sim.Engine

@@ -3,6 +3,8 @@ package lyra
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,6 +155,46 @@ func TestValidateSurfacesNonFiniteFaultPlan(t *testing.T) {
 		cfg.Faults = plan
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Faults") || !strings.Contains(err.Error(), field) {
 			t.Errorf("plan %+v: Validate = %v, want an error naming Faults and %s", plan, err, field)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteFields sets every float field of Config,
+// Scaling's included, to NaN and to +Inf in turn, with both degraded-mode
+// policies on so their knobs are live: each must be refused by name. NaN
+// passes every range check, and an unchecked one ran to a mean JCT of 1e18 s
+// or completed no job with a nil error. Faults has its own test above.
+func TestValidateRejectsNonFiniteFields(t *testing.T) {
+	type field struct {
+		name  string
+		index []int
+	}
+	var fields []field
+	var walk func(prefix string, typ reflect.Type, index []int)
+	walk = func(prefix string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f, at := typ.Field(i), append(slices.Clone(index), i)
+			switch {
+			case f.Name == "Faults":
+			case f.Type.Kind() == reflect.Struct:
+				walk(prefix+f.Name+".", f.Type, at)
+			case f.Type.Kind() == reflect.Float64:
+				fields = append(fields, field{prefix + f.Name, at})
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Config{}), nil)
+	if len(fields) == 0 {
+		t.Fatal("Config has no float field")
+	}
+	for _, f := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := DefaultConfig()
+			cfg.RestartBackoff, cfg.QuarantineHysteresis = true, true
+			reflect.ValueOf(&cfg).Elem().FieldByIndex(f.index).SetFloat(bad)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), " "+f.name+" ") {
+				t.Errorf("%s = %v: Validate = %v, want an error naming the field", f.name, bad, err)
+			}
 		}
 	}
 }
