@@ -23,11 +23,16 @@ type PolluxConfig struct {
 	// MaxCandidates caps how many jobs one search considers, keeping the
 	// per-epoch cost bounded at production scale.
 	MaxCandidates int // default 300
+	// Rng is the search's stream, reseeded with Seed at each call: the same
+	// draws as a fresh source, without allocating one. Nil makes one.
+	Rng *rand.Rand
 }
 
-// DefaultPolluxConfig returns the evaluation configuration.
+// DefaultPolluxConfig returns the evaluation configuration, with a stream of
+// its own: the config serves one goroutine.
 func DefaultPolluxConfig(seed int64) PolluxConfig {
-	return PolluxConfig{Iterations: 250, Population: 24, Seed: seed, EfficiencyDecay: 0.06, MaxCandidates: 300}
+	return PolluxConfig{Iterations: 250, Population: 24, Seed: seed, EfficiencyDecay: 0.06, MaxCandidates: 300,
+		Rng: rand.New(rand.NewSource(seed))}
 }
 
 func (c PolluxConfig) withDefaults() PolluxConfig {
@@ -92,7 +97,11 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 	if len(jobs) > cfg.MaxCandidates {
 		jobs = jobs[:cfg.MaxCandidates]
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := cfg.Rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(0))
+	}
+	rng.Seed(cfg.Seed)
 
 	type genome struct {
 		workers []int

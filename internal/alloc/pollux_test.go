@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lyra/internal/job"
@@ -112,5 +114,24 @@ func TestGoodputDiminishingReturns(t *testing.T) {
 	}
 	if g := goodput(j, 2, 0.06, job.Linear); g != 1 {
 		t.Errorf("base-demand goodput = %v, want 1 (normalized)", g)
+	}
+}
+
+// A reused stream is reseeded at every call, so a search that draws from
+// one another search already drew from decides exactly as a fresh source
+// does, over the pinned instances.
+func TestPolluxReusedStreamMatchesFresh(t *testing.T) {
+	reused := rand.New(rand.NewSource(99))
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		jobs, running, capacity := polluxInstance(rng, 1+rng.Intn(60))
+		fresh := DefaultPolluxConfig(seed)
+		fresh.Rng = nil
+		shared := fresh
+		shared.Rng = reused
+		want := Pollux(jobs, running, capacity, fresh, job.Imperfect)
+		if got := Pollux(jobs, running, capacity, shared, job.Imperfect); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reused stream decided %v, a fresh source %v", seed, got, want)
+		}
 	}
 }

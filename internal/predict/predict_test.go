@@ -152,3 +152,26 @@ func TestAnnotate(t *testing.T) {
 		t.Errorf("annotations = %v, %v", jobs[0].EstimatedRuntime, jobs[1].EstimatedRuntime)
 	}
 }
+
+// Annotate draws every job's error from one stream reseeded per job: the
+// estimates are Estimate's, bit for bit, and the stream is the only thing
+// it allocates.
+func TestAnnotateMatchesEstimate(t *testing.T) {
+	e := WithError(0.4, 0.25, 3)
+	jobs := make([]*job.Job, 500)
+	for id := range jobs {
+		jobs[id] = job.New(id, 0, job.Generic, 1, 1, 1, float64(100+7*id))
+	}
+	e.Annotate(jobs)
+	for _, j := range jobs {
+		if want := e.Estimate(j); j.EstimatedRuntime != want {
+			t.Fatalf("job %d: Annotate wrote %v, Estimate says %v", j.ID, j.EstimatedRuntime, want)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { e.Annotate(jobs) }); n > 2 {
+		t.Errorf("Annotate of %d jobs made %v allocations, want at most 2 (one stream)", len(jobs), n)
+	}
+	if n := testing.AllocsPerRun(5, func() { Oracle().Annotate(jobs) }); n != 0 {
+		t.Errorf("oracle Annotate made %v allocations, want none", n)
+	}
+}

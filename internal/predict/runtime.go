@@ -36,13 +36,19 @@ func WithError(fracWrong, maxError float64, seed int64) *RuntimeEstimator {
 // The error for a given (estimator, job ID) pair is deterministic, so
 // repeated scheduling epochs see a consistent estimate for the same job.
 func (e *RuntimeEstimator) Estimate(j *job.Job) float64 {
+	return e.estimate(j, rand.New(rand.NewSource(0)))
+}
+
+// estimate is Estimate drawing from rng, reseeded for j: Seed restarts a
+// stream exactly as a fresh source would.
+func (e *RuntimeEstimator) estimate(j *job.Job, rng *rand.Rand) float64 {
 	truth := j.MinRuntime(job.Linear)
 	if e.FracWrong <= 0 || e.MaxError <= 0 {
 		return truth
 	}
 	// Derive a per-job RNG from the seed and job ID so that the wrong set
 	// and the error magnitudes are stable across the simulation.
-	rng := rand.New(rand.NewSource(e.Seed*1000003 + int64(j.ID)))
+	rng.Seed(e.Seed*1000003 + int64(j.ID))
 	if rng.Float64() >= e.FracWrong {
 		return truth
 	}
@@ -55,9 +61,14 @@ func (e *RuntimeEstimator) Estimate(j *job.Job) float64 {
 	return est
 }
 
-// Annotate writes estimates into each job's EstimatedRuntime field.
+// Annotate writes estimates into each job's EstimatedRuntime field, with
+// one random stream reseeded per job (none without injected error).
 func (e *RuntimeEstimator) Annotate(jobs []*job.Job) {
+	var rng *rand.Rand
+	if e.FracWrong > 0 && e.MaxError > 0 {
+		rng = rand.New(rand.NewSource(0))
+	}
 	for _, j := range jobs {
-		j.EstimatedRuntime = e.Estimate(j)
+		j.EstimatedRuntime = e.estimate(j, rng)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
@@ -89,6 +90,10 @@ type Config struct {
 	HystWindow float64
 	// HystHold is the hold-down in seconds.
 	HystHold float64
+	// TraceJobs is the trace's length when jobs is only its Reachable
+	// prefix (0: len(jobs)). Epochs re-arm until that many jobs complete and
+	// PreemptionRatio divides by it, so the prefix runs as the whole trace.
+	TraceJobs int
 }
 
 // metricsInterval is the usage sampling period in seconds, matching the
@@ -280,6 +285,7 @@ type Engine struct {
 	infUtil []func(int64) float64
 
 	jobs     []*job.Job
+	total    int // jobs in the trace: len(jobs), or Config.TraceJobs
 	byID     map[int]*job.Job
 	jobShard map[int]int
 	horizon  int64
@@ -393,6 +399,7 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		refTopo:   sc.RefTopo,
 		infUtil:   make([]func(int64) float64, len(sh.States)),
 		jobs:      jobs,
+		total:     max(cfg.TraceJobs, len(jobs)),
 		jobShard:  make(map[int]int),
 		horizon:   horizon,
 		version:   make(map[int]int),
@@ -428,6 +435,16 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 	e.hourlyArrived = make([]int, hours)
 	e.hourlyQueued = make([]int, hours)
 	return e
+}
+
+// Reachable returns the prefix of jobs (sorted by arrival) with Arrival ≤
+// maxTime, the run's cap; all of them when maxTime is 0. lyra.Run copies
+// only these, and the engine's timeline holds only their arrivals.
+func Reachable(jobs []*job.Job, maxTime float64) []*job.Job {
+	if maxTime <= 0 {
+		return jobs
+	}
+	return jobs[:sort.Search(len(jobs), func(i int) bool { return float64(jobs[i].Arrival) > maxTime })]
 }
 
 // StampStragglers sets every job's SlowFactor from the plan's straggler
@@ -531,24 +548,27 @@ func (e *Engine) Run() *Result {
 		sp.End()
 	}
 
-	// The initial timeline is appended to and heapified once. Every event
-	// takes its sequence number; one past maxTime is not stored, because the
+	// The initial timeline is allocated at its final size, appended to and
+	// heapified once. Only the Reachable jobs arrive; every other event takes
+	// its sequence number, and one past maxTime is not stored, because the
 	// loop below stops before it could be processed. An arrival's jobID
 	// field carries the job's index in e.jobs; a fault event's its index into
 	// faultSched (crash/recover) or domainSched (domain markers).
 	sp := e.cfg.Prof.Start("timeline.load")
+	reach := Reachable(e.jobs, maxTime)
+	e.events = make(eventHeap, 0, len(reach)+3+len(e.faultSched)+len(e.domainSched))
 	load := func(t float64, kind eventKind, id int) {
 		e.seq++
 		if t <= maxTime {
 			e.events = append(e.events, event{t: t, kind: kind, jobID: id, seq: e.seq})
 		}
 	}
-	for i, j := range e.jobs {
+	for i, j := range reach {
 		load(float64(j.Arrival), evArrival, i)
 	}
 	// arrive enters a job in byID, so the index holds the arrivals the
-	// window can reach — the events stored so far — not the whole trace.
-	e.byID = make(map[int]*job.Job, len(e.events))
+	// window can reach, not the whole trace.
+	e.byID = make(map[int]*job.Job, len(reach))
 	load(0, evSched, 0)
 	if e.orch {
 		load(0, evOrch, 0)
@@ -596,7 +616,7 @@ func (e *Engine) Run() *Result {
 				st.MarkExternalChange()
 			}
 			e.drain()
-			if e.completed < len(e.jobs) {
+			if e.completed < e.total {
 				e.push(e.now+float64(e.cfg.OrchInterval), evOrch, 0, 0)
 			}
 		case evSched:
@@ -770,7 +790,7 @@ func (e *Engine) schedEvent() {
 			rec.Emit(obs.Ev(e.now, obs.KindSchedEpoch).WithF(f))
 		}
 	}
-	if e.completed < len(e.jobs) {
+	if e.completed < e.total {
 		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
 	}
 }

@@ -179,3 +179,20 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 		t.Errorf("workers after scale-in = %d, want base 1", j.NumWorkers())
 	}
 }
+
+// Reachable keeps the jobs arriving at or before the cap, a job arriving
+// exactly at it included, and all of them when there is no cap.
+func TestReachableIsThePrefixUpToTheCap(t *testing.T) {
+	var jobs []*job.Job
+	for i, at := range []int64{0, 0, 60, 60, 120, 3600} {
+		jobs = append(jobs, job.New(i, at, job.Generic, 1, 1, 1, 100))
+	}
+	for _, tc := range []struct {
+		maxTime float64
+		want    int
+	}{{0, 6}, {0.5, 2}, {59.9, 2}, {60, 4}, {119, 4}, {120, 5}, {3599, 5}, {3600, 6}, {1e9, 6}} {
+		if got := Reachable(jobs, tc.maxTime); len(got) != tc.want || (tc.want > 0 && got[0] != jobs[0]) {
+			t.Errorf("Reachable(maxTime %g) = %d jobs, want the first %d", tc.maxTime, len(got), tc.want)
+		}
+	}
+}

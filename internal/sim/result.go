@@ -9,7 +9,9 @@ import (
 
 // Result collects everything the evaluation section reports about one run.
 type Result struct {
-	// Jobs holds every job of the trace in ID order, in its final state.
+	// Jobs holds the jobs the run was given, in their final state: the whole
+	// trace, or in a capped lyra.Run only the Reachable prefix (the jobs past
+	// the cap never arrive, and Config.TraceJobs still counts them).
 	Jobs []*job.Job
 	// Completed is the number of jobs that finished before the time cap.
 	Completed int
@@ -65,6 +67,8 @@ type Result struct {
 	// Prototype holds what only a prototype run (internal/testbed) counts;
 	// nil on an engine run.
 	Prototype *PrototypeStats
+
+	done []*job.Job // the completed jobs of Jobs, in order, for the summaries
 }
 
 // PrototypeStats are the counters of the prototype runtime's own moving
@@ -98,9 +102,10 @@ func Summarize(jobs []*job.Job, states ...*State) *Result {
 	r := &Result{Jobs: jobs}
 	for _, j := range jobs {
 		if j.State == job.Completed {
-			r.Completed++
+			r.done = append(r.done, j)
 		}
 	}
+	r.Completed = len(r.done)
 	var demand, vacated, flexSat int
 	for _, st := range states {
 		r.Preemptions += st.Preemptions
@@ -135,6 +140,9 @@ func Summarize(jobs []*job.Job, states ...*State) *Result {
 // engine samples.
 func (e *Engine) result() *Result {
 	r := Summarize(e.jobs, e.sh.States...)
+	if e.total > len(e.jobs) {
+		r.PreemptionRatio = float64(r.Preemptions) / float64(e.total)
+	}
 	r.RanOnLoan = e.ranOnLoan
 	r.SkippedSchedEpochs = e.skippedEpochs
 	r.LostCapacityGPUSec = LostCapacity(e.lostGPUSec, e.sh.States...)
@@ -148,21 +156,6 @@ func (e *Engine) result() *Result {
 		}
 	}
 	return r
-}
-
-// completedJobs returns completed jobs, optionally filtered.
-func (r *Result) completedJobs(filter func(*job.Job) bool) []*job.Job {
-	var out []*job.Job
-	for _, j := range r.Jobs {
-		if j.State != job.Completed {
-			continue
-		}
-		if filter != nil && !filter(j) {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
 }
 
 // QueuingSummary summarizes queuing times of completed jobs in seconds.
@@ -191,10 +184,11 @@ func (r *Result) onLoanFilter() func(*job.Job) bool {
 }
 
 func (r *Result) summaryOf(filter func(*job.Job) bool, metric func(*job.Job) float64) metrics.Summary {
-	jobs := r.completedJobs(filter)
-	xs := make([]float64, len(jobs))
-	for i, j := range jobs {
-		xs[i] = metric(j)
+	xs := make([]float64, 0, len(r.done))
+	for _, j := range r.done {
+		if filter == nil || filter(j) {
+			xs = append(xs, metric(j))
+		}
 	}
 	return metrics.Summarize(xs)
 }

@@ -641,11 +641,13 @@ type Report struct {
 	Raw *sim.Result
 }
 
-// Run replays tr under cfg and returns the report. The input trace is
-// cloned, so the same trace can be reused across schemes. The config is
-// normalized (Normalize) and validated (Validate) first, so misconfigured
-// runs fail fast with the registered alternatives listed instead of
-// panicking mid-simulation.
+// Run replays tr under cfg and returns the report. The input trace is never
+// modified: Run copies the jobs that can arrive by MaxTime (all of them
+// without a cap), so the same trace can be reused across schemes. Total and
+// PreemptionRatio count the whole trace. The config is normalized
+// (Normalize) and validated (Validate) first, so misconfigured runs fail
+// fast with the registered alternatives listed instead of panicking
+// mid-simulation.
 //
 // Invariant violations (Config.Audit, or the always-on hot-path checks) are
 // returned as a *obs.ViolationError — the structured audit report plus,
@@ -668,9 +670,8 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		return nil, err
 	}
 	psp := p.Start("prepare")
-	r := newRun(cfg, tr)
+	r := newRun(cfg, tr, cfg.MaxTime)
 	defer r.recoverViolation(&err)
-	tr = r.tr
 
 	// Post-normalization the config's zero values are literal; the
 	// simulator still treats zero as "default", so explicit zeros cross
@@ -688,6 +689,7 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 		Audit:           cfg.Audit,
 		Obs:             r.rec,
 		Prof:            p,
+		TraceJobs:       len(tr.Jobs),
 		// Normalize zeroes the knobs of a policy that is off.
 		BackoffBase: cfg.BackoffBase,
 		BackoffCap:  cfg.BackoffCap,
@@ -702,24 +704,25 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 	// The two kinds of run differ only in how they cut the cluster.
 	var eng *sim.Engine
 	if cfg.TrainingShards > 0 {
-		eng = shardedEngine(cfg, tr, simCfg)
+		eng = shardedEngine(cfg, r.tr, simCfg)
 	} else {
-		eng = oneStateEngine(cfg, tr, simCfg)
+		eng = oneStateEngine(cfg, r.tr, simCfg)
 	}
 	psp.End()
 	psp = p.Start("sim")
 	res := eng.Run()
 	psp.End()
 	psp = p.Start("report")
-	rep = newReport(res)
+	rep = newReport(res, len(tr.Jobs))
 	psp.End()
 	rep.Prof = p.Report()
 	return r.finish(rep)
 }
 
 // newReport renders a run's result in the units the paper reports — the one
-// place either substrate's sim.Result becomes a Report.
-func newReport(res *sim.Result) *Report {
+// place either substrate's sim.Result becomes a Report. total is the trace's
+// job count, which res.Jobs falls short of when the run had a cap.
+func newReport(res *sim.Result, total int) *Report {
 	return &Report{
 		Queue:              res.QueuingSummary(),
 		JCT:                res.JCTSummary(),
@@ -734,7 +737,7 @@ func newReport(res *sim.Result) *Report {
 		CollateralDamage:   res.CollateralDamage,
 		FlexSatisfiedShare: res.FlexSatisfiedShare,
 		Completed:          res.Completed,
-		Total:              len(res.Jobs),
+		Total:              total,
 		Crashes:            res.Crashes,
 		Recoveries:         res.Recoveries,
 		LostCapacityGPUSec: res.LostCapacityGPUSec,
@@ -743,7 +746,8 @@ func newReport(res *sim.Result) *Report {
 }
 
 // run is the prelude Run and RunTestbed share, built from a normalized and
-// validated config: a private copy of the trace with the running-time
+// validated config: a private copy of the trace's jobs that can arrive by
+// maxTime (sim.Reachable; 0 copies them all) with the running-time
 // estimates annotated, and — when Config.Events is set — the recorder
 // writing JSONL (jw → buf) beside the ring that keeps a violation's lead-up.
 type run struct {
@@ -754,8 +758,10 @@ type run struct {
 	buf  bytes.Buffer
 }
 
-func newRun(cfg Config, tr *Trace) *run {
-	r := &run{tr: tr.Clone()}
+func newRun(cfg Config, tr *Trace, maxTime float64) *run {
+	reach := *tr
+	reach.Jobs = sim.Reachable(tr.Jobs, maxTime)
+	r := &run{tr: reach.Clone()}
 	if cfg.Events {
 		r.ring, r.jw = obs.NewRing(128), obs.NewJSONLWriter(&r.buf)
 		r.rec = obs.NewRecorder(r.jw, r.ring)

@@ -56,6 +56,38 @@ func TestRunDoesNotMutateInputTrace(t *testing.T) {
 	if tr.Jobs[0].Remaining != before || tr.Jobs[0].State != job.Pending {
 		t.Error("Run mutated the input trace")
 	}
+
+	// A capped run copies only the jobs that can arrive by MaxTime, then
+	// stamps stragglers and estimates on the copies and preempts them on
+	// crashes: every input job, before the cap and past it, must come out as
+	// it went in, and the report still counts the whole trace.
+	capped := cfg
+	capped.MaxTime = float64(tr.Horizon) / 2
+	capped.Faults = FaultPlan{Seed: 5, ServerMTBF: 7200, ServerMTTR: 600, StragglerFrac: 0.5}
+	capped.FracWrongEstimate, capped.MaxEstimateError = 0.5, 0.25
+	sharded := capped
+	sharded.TrainingShards, sharded.InferenceShards = 2, 2
+	for name, c := range map[string]Config{"capped": capped, "capped-sharded-2+2": sharded} {
+		want := tr.Clone()
+		rep, err := Run(c, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(rep.Preemptions) / float64(len(tr.Jobs))
+		if rep.Total != len(tr.Jobs) || rep.Preemptions == 0 || rep.PreemptionRatio != ratio {
+			t.Errorf("%s: Total %d, PreemptionRatio %v over %d preemptions; the trace has %d jobs",
+				name, rep.Total, rep.PreemptionRatio, rep.Preemptions, len(tr.Jobs))
+		}
+		for i, j := range tr.Jobs {
+			got, orig := reflect.ValueOf(*j), reflect.ValueOf(*want.Jobs[i])
+			for f := 0; f < got.NumField(); f++ {
+				if !reflect.DeepEqual(got.Field(f).Interface(), orig.Field(f).Interface()) {
+					t.Errorf("%s: Run changed input job %d's %s from %v to %v", name, j.ID,
+						got.Type().Field(f).Name, orig.Field(f), got.Field(f))
+				}
+			}
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -445,13 +477,13 @@ func TestCheckpointingReducesJCTUnderPreemption(t *testing.T) {
 func TestEventWriterErrorSurfaces(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Events = true
-	r := newRun(cfg, smallTrace(1))
+	r := newRun(cfg, smallTrace(1), 0)
 	r.rec.Emit(obs.Event{T: 1, Kind: obs.KindSchedEpoch, Job: -1, F: obs.Fields{"x": math.NaN()}})
 	r.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
 	if _, err := r.finish(&Report{}); err == nil || !strings.Contains(err.Error(), "lyra: Events:") {
 		t.Fatalf("finish after a NaN field: got %v, want a lyra: Events: error", err)
 	}
-	clean := newRun(cfg, smallTrace(1))
+	clean := newRun(cfg, smallTrace(1), 0)
 	clean.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
 	if rep, err := clean.finish(&Report{}); err != nil || len(rep.Events) == 0 {
 		t.Fatalf("clean stream: got %v, want the recorded event", err)

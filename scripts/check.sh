@@ -52,12 +52,13 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== scale-tier set-up, comparison-kernel, scheduling-epoch and reclaim-plan benchmarks, once (they compile and run; the MCKP kernels, the epoch and the plan print their allocs/op)"
+echo "== scale-tier set-up, comparison-kernel, scheduling-epoch, reclaim-plan and capped scale-run benchmarks, once (they compile and run; the MCKP kernels, the epoch, the plan and the capped lyra.Run print their allocs/op and B/op)"
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchtime 1x ./internal/fault/ ./internal/trace/
 go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchtime 1x ./internal/orchestrator/ ./internal/alloc/
 go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x -benchmem ./internal/knapsack/ ./internal/alloc/
 go test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchtime 1x -benchmem ./internal/sched/
 go test -run NONE -bench BenchmarkReclaimPlan -benchtime 1x -benchmem ./internal/reclaim/
+go test -run NONE -bench '^BenchmarkEpoch$/^100x-faulted$' -short -benchtime 1x -benchmem .
 
 echo "== smoke (the real binaries end to end: scripts/smoke.sh lists the cases)"
 ./scripts/smoke.sh
