@@ -28,8 +28,7 @@ type PolluxConfig struct {
 	Rng *rand.Rand
 }
 
-// DefaultPolluxConfig returns the evaluation configuration, with a stream of
-// its own: the config serves one goroutine.
+// DefaultPolluxConfig returns the evaluation configuration, with its own Rng.
 func DefaultPolluxConfig(seed int64) PolluxConfig {
 	return PolluxConfig{Iterations: 250, Population: 24, Seed: seed, EfficiencyDecay: 0.06, MaxCandidates: 300,
 		Rng: rand.New(rand.NewSource(seed))}

@@ -35,12 +35,10 @@ func WithError(fracWrong, maxError float64, seed int64) *RuntimeEstimator {
 // Estimate returns the estimated running time of j at its maximum demand.
 // The error for a given (estimator, job ID) pair is deterministic, so
 // repeated scheduling epochs see a consistent estimate for the same job.
-func (e *RuntimeEstimator) Estimate(j *job.Job) float64 {
-	return e.estimate(j, rand.New(rand.NewSource(0)))
-}
+func (e *RuntimeEstimator) Estimate(j *job.Job) float64 { return e.estimate(j, nil) }
 
-// estimate is Estimate drawing from rng, reseeded for j: Seed restarts a
-// stream exactly as a fresh source would.
+// estimate is Estimate drawing from rng (a fresh one if nil) reseeded for
+// j: Seed restarts a stream exactly as a fresh source would.
 func (e *RuntimeEstimator) estimate(j *job.Job, rng *rand.Rand) float64 {
 	truth := j.MinRuntime(job.Linear)
 	if e.FracWrong <= 0 || e.MaxError <= 0 {
@@ -48,6 +46,9 @@ func (e *RuntimeEstimator) estimate(j *job.Job, rng *rand.Rand) float64 {
 	}
 	// Derive a per-job RNG from the seed and job ID so that the wrong set
 	// and the error magnitudes are stable across the simulation.
+	if rng == nil {
+		rng = rand.New(rand.NewSource(0))
+	}
 	rng.Seed(e.Seed*1000003 + int64(j.ID))
 	if rng.Float64() >= e.FracWrong {
 		return truth

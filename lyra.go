@@ -641,13 +641,11 @@ type Report struct {
 	Raw *sim.Result
 }
 
-// Run replays tr under cfg and returns the report. The input trace is never
-// modified: Run copies the jobs that can arrive by MaxTime (all of them
-// without a cap), so the same trace can be reused across schemes. Total and
-// PreemptionRatio count the whole trace. The config is normalized
-// (Normalize) and validated (Validate) first, so misconfigured runs fail
-// fast with the registered alternatives listed instead of panicking
-// mid-simulation.
+// Run replays tr under cfg and returns the report. The jobs of the trace
+// that can arrive by MaxTime are cloned, so the same trace can be reused
+// across schemes. The config is normalized (Normalize) and validated
+// (Validate) first, so misconfigured runs fail fast with the registered
+// alternatives listed instead of panicking mid-simulation.
 //
 // Invariant violations (Config.Audit, or the always-on hot-path checks) are
 // returned as a *obs.ViolationError — the structured audit report plus,
