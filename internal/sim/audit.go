@@ -79,33 +79,6 @@ func (e *Engine) auditAfter(ev event) {
 	}
 }
 
-// auditFirstTry recounts this epoch's first-try misses (Figure 2) by the
-// full pending-queue scan the arrivals delta replaced, and fails when the
-// delta counted a different number.
-func (e *Engine) auditFirstTry(missed int) {
-	want := 0
-	for _, st := range e.sh.Train() {
-		for _, j := range st.Pending {
-			if j.Preemptions > 0 || j.Started {
-				continue
-			}
-			// First epoch strictly after arrival has passed without a start.
-			if e.now-float64(j.Arrival) >= float64(e.cfg.SchedInterval) {
-				continue // already counted at an earlier epoch
-			}
-			want++
-		}
-	}
-	if missed != want {
-		invariant.Fail(fmt.Sprintf("sim:sched t=%g", e.now), invariant.Violation{
-			Rule:     invariant.RuleIndexConsistency,
-			Subject:  "first-try misses this epoch",
-			Expected: fmt.Sprintf("%d by the pending-queue scan", want),
-			Actual:   fmt.Sprintf("%d by the arrivals delta", missed),
-		})
-	}
-}
-
 func totalClusterGPUs(c *cluster.Cluster) int {
 	sum := 0
 	for p := cluster.Pool(0); p <= cluster.PoolQuarantine; p++ {

@@ -286,7 +286,6 @@ type Engine struct {
 
 	jobs     []*job.Job
 	total    int // jobs in the trace: len(jobs), or Config.TraceJobs
-	byID     map[int]*job.Job
 	jobShard map[int]int
 	horizon  int64
 
@@ -322,14 +321,6 @@ type Engine struct {
 	trainUsage   *metrics.TimeSeries
 	overallUsage *metrics.TimeSeries
 	onLoanUsage  *metrics.TimeSeries
-
-	hourlyArrived []int
-	hourlyQueued  []int
-
-	// arrived lists jobs enqueued since the last scheduler epoch: only
-	// those can be first-try queuing jobs (Figure 2), so noteFirstTry
-	// walks this delta instead of the whole pending queue.
-	arrived []*job.Job
 
 	// epochs holds each training shard's scheduler-epoch state.
 	epochs        []shardEpoch
@@ -431,9 +422,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 	e.trainUsage = metrics.NewTimeSeries(0, metricsInterval)
 	e.overallUsage = metrics.NewTimeSeries(0, metricsInterval)
 	e.onLoanUsage = metrics.NewTimeSeries(0, metricsInterval)
-	hours := int(horizon/3600) + 1
-	e.hourlyArrived = make([]int, hours)
-	e.hourlyQueued = make([]int, hours)
 	return e
 }
 
@@ -566,9 +554,6 @@ func (e *Engine) Run() *Result {
 	for i, j := range reach {
 		load(float64(j.Arrival), evArrival, i)
 	}
-	// arrive enters a job in byID, so the index holds the arrivals the
-	// window can reach, not the whole trace.
-	e.byID = make(map[int]*job.Job, len(reach))
 	load(0, evSched, 0)
 	if e.orch {
 		load(0, evOrch, 0)
@@ -637,19 +622,14 @@ func (e *Engine) Run() *Result {
 		}
 		sp.End()
 	}
-	return e.result()
+	return e.result(maxTime)
 }
 
 func (e *Engine) arrive(ev event) {
 	j := e.jobs[ev.jobID]
-	e.byID[j.ID] = j
 	target := e.arb.Route(e.sh, j)
 	e.jobShard[j.ID] = target
 	st := e.sh.States[target]
-	hour := int(j.Arrival / 3600)
-	if hour < len(e.hourlyArrived) {
-		e.hourlyArrived[hour]++
-	}
 	if rec := e.cfg.Obs; rec.Enabled() {
 		rec.Emit(obs.JobEv(e.now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
 			"min_workers": j.MinWorkers, "max_workers": j.MaxWorkers,
@@ -657,15 +637,18 @@ func (e *Engine) arrive(ev event) {
 		}))
 	}
 	st.Enqueue(j, e.sh.Less)
-	e.arrived = append(e.arrived, j)
 }
 
+// finishEvent completes a job whose finish event is current. A stale event
+// finds no job: one preempted since is not in its shard's Running, and one
+// completed has no shard entry, so shardOf reads shard 0, where it is not
+// running either. One restarted or resized since carries a newer version.
 func (e *Engine) finishEvent(ev event) {
-	j := e.byID[ev.jobID]
-	if j.State != job.Running || ev.version != e.version[j.ID] {
-		return // stale event from a superseded allocation
+	st := e.shardOf(ev.jobID)
+	j := st.Running[ev.jobID]
+	if j == nil || ev.version != e.version[j.ID] {
+		return
 	}
-	st := e.shardOf(j.ID)
 	st.advance(j)
 	if j.Remaining > 1e-6 || j.OverheadLeft > 1e-9 {
 		// Numerical safety: reschedule at the recomputed time.
@@ -741,9 +724,8 @@ func (e *Engine) recoverEvent(ev event) {
 
 // schedEvent is the shard-scheduling phase: every training shard whose
 // state changed since its scheduler last ran gets a Schedule call over
-// purely local state, then first-try bookkeeping and completion-event
-// refreshes drain and each shard's epoch summary is emitted in shard ID
-// order.
+// purely local state, then completion-event refreshes drain and each
+// shard's epoch summary is emitted in shard ID order.
 func (e *Engine) schedEvent() {
 	train := e.sh.Train()
 	rec := e.cfg.Obs
@@ -770,7 +752,6 @@ func (e *Engine) schedEvent() {
 			e.sh.Scheds[n].Schedule(st)
 		}
 	}
-	e.noteFirstTry()
 	e.drain()
 	if rec.Enabled() {
 		for n, st := range train {
@@ -792,32 +773,6 @@ func (e *Engine) schedEvent() {
 	}
 	if e.completed < e.total {
 		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
-	}
-}
-
-// noteFirstTry counts jobs that failed to get resources on their first
-// scheduling attempt (Figure 2's definition of a queuing job). Only jobs
-// that arrived since the previous scheduler epoch can be first-try misses —
-// scheduler epochs are SchedInterval apart, so "arrived within the last
-// SchedInterval" and "arrived since the last epoch" select the same jobs —
-// which makes the per-epoch cost proportional to new arrivals, not to the
-// whole pending queue. With auditing on, auditFirstTry recounts the epoch's
-// misses by that whole-queue scan.
-func (e *Engine) noteFirstTry() {
-	missed := 0
-	for _, j := range e.arrived {
-		if j.State != job.Pending || j.Started || j.Preemptions > 0 {
-			continue
-		}
-		missed++
-		hour := int(j.Arrival / 3600)
-		if hour < len(e.hourlyQueued) {
-			e.hourlyQueued[hour]++
-		}
-	}
-	e.arrived = e.arrived[:0]
-	if e.audit != nil {
-		e.auditFirstTry(missed)
 	}
 }
 

@@ -96,11 +96,12 @@ func TestQuiescentEpochSkip(t *testing.T) {
 	}
 }
 
-// TestNoteFirstTryDelta pins the arrivals-delta rewrite of noteFirstTry:
-// the auditor recounts every epoch's misses by the full-queue scan
-// (auditFirstTry), and a run whose epochs are never skipped reports the
-// same Figure-2 queuing counts, here on a scenario where exactly one of two
-// same-hour arrivals misses its first scheduling attempt.
+// TestNoteFirstTryDelta pins Figure 2 across quiescent-epoch skipping: a
+// run whose epochs are skipped reports the same hourly queued ratio as one
+// whose epochs never are, here on a scenario where exactly one of two
+// same-hour arrivals misses its first scheduling attempt. The engine reads
+// the ratio off the job records; TestHourlyQueuedRatioMatchesQueueScan holds
+// it to a scan of the queue at every epoch.
 func TestNoteFirstTryDelta(t *testing.T) {
 	mkJobs := func() []*job.Job {
 		fits := job.New(1, 0, job.Generic, 1, 1, 1, 300)

@@ -137,8 +137,8 @@ func Summarize(jobs []*job.Job, states ...*State) *Result {
 }
 
 // result assembles the run's Result: the shared summary plus what only the
-// engine samples.
-func (e *Engine) result() *Result {
+// engine samples or reads off its job records. maxTime is the run's cap.
+func (e *Engine) result(maxTime float64) *Result {
 	r := Summarize(e.jobs, e.sh.States...)
 	if e.total > len(e.jobs) {
 		r.PreemptionRatio = float64(r.Preemptions) / float64(e.total)
@@ -149,13 +149,38 @@ func (e *Engine) result() *Result {
 	r.TrainUsage = e.trainUsage
 	r.OverallUsage = e.overallUsage
 	r.OnLoanUsage = e.onLoanUsage
-	r.HourlyQueuedRatio = make([]float64, len(e.hourlyArrived))
-	for h, n := range e.hourlyArrived {
-		if n > 0 {
-			r.HourlyQueuedRatio[h] = float64(e.hourlyQueued[h]) / float64(n)
+	r.HourlyQueuedRatio = e.hourlyQueuedRatio(maxTime)
+	return r
+}
+
+// hourlyQueuedRatio reads Figure 2 off the job records: per arrival hour,
+// the share of the jobs that arrived by maxTime that missed their first
+// scheduling attempt. Epochs fall on multiples of SchedInterval from 0, and
+// an arrival precedes a same-instant epoch, so a job's first attempt is the
+// epoch at or after its arrival. It missed it if it started later, or never
+// started and the run reached that epoch.
+func (e *Engine) hourlyQueuedRatio(maxTime float64) []float64 {
+	hours := int(e.horizon/3600) + 1
+	arrived := make([]int, hours)
+	ratio := make([]float64, hours)
+	si := e.cfg.SchedInterval
+	for _, j := range Reachable(e.jobs, maxTime) {
+		hour := int(j.Arrival / 3600)
+		if hour >= hours {
+			continue
+		}
+		arrived[hour]++
+		first := (j.Arrival + si - 1) / si * si
+		if j.Started && j.StartTime > first || !j.Started && float64(first) <= maxTime {
+			ratio[hour]++
 		}
 	}
-	return r
+	for h, n := range arrived {
+		if n > 0 {
+			ratio[h] /= float64(n)
+		}
+	}
+	return ratio
 }
 
 // QueuingSummary summarizes queuing times of completed jobs in seconds.

@@ -67,18 +67,13 @@ type State struct {
 	// pass is skipped (engine.go).
 	version uint64
 
-	// Maintained ordered views over Running (DESIGN.md §10). Start appends
-	// to runningNew; Preempt/finish flip idxDirty; the next ordered read
-	// merges runningNew into the ID-sorted runningIdx, dropping entries no
-	// longer running, and refilters elasticIdx — so membership churn
-	// costs O(changed · log changed) amortized instead of O(R log R) per
-	// epoch per scheduler.
-	runningNew   []*job.Job
-	runningIdx   []*job.Job
-	elasticIdx   []*job.Job
-	mergeScratch []*job.Job
-	idxDirty     bool
-	flexCands    []flexCand // RemoveFlexibleWorkers' reused candidate list
+	// Maintained ordered views over Running (DESIGN.md §10): the running
+	// jobs, and the elastic candidates among them, in ascending ID order.
+	// Start inserts a job at its ID position, Preempt and Finish remove it,
+	// so a read costs nothing and no epoch re-sorts the running set.
+	runningIdx []*job.Job
+	elasticIdx []*job.Job
+	flexCands  []flexCand // RemoveFlexibleWorkers' reused candidate list
 
 	// flexNominal is Σ FlexibleWorkers × GPUsPerWorker over running elastic
 	// candidates (Elastic && FlexRange > 0) — the flexible capacity term of
@@ -238,67 +233,42 @@ func (st *State) noteFlexRemoved(j *job.Job, workers int) {
 	st.flexNominal -= workers * j.GPUsPerWorker
 }
 
-// compactRunning merges jobs started since the last compaction into the
-// ID-sorted runningIdx, dropping entries no longer running, and rebuilds
-// the elastic-candidate subset. Scratch buffers ping-pong so steady-state
-// compaction allocates nothing.
-func (st *State) compactRunning() {
-	if !st.idxDirty {
-		return
+// insertByID and removeByID keep an ID-ordered view current across one
+// lifecycle transition.
+func insertByID(view []*job.Job, j *job.Job) []*job.Job {
+	i, _ := slices.BinarySearchFunc(view, j, byID)
+	return slices.Insert(view, i, j)
+}
+
+func removeByID(view []*job.Job, j *job.Job) []*job.Job {
+	if i, ok := slices.BinarySearchFunc(view, j, byID); ok {
+		return slices.Delete(view, i, i+1)
 	}
-	st.idxDirty = false
-	nw := st.runningNew
-	slices.SortFunc(nw, byID)
-	old := st.runningIdx
-	out := st.mergeScratch[:0]
-	i, k := 0, 0
-	for i < len(old) || k < len(nw) {
-		var j *job.Job
-		switch {
-		case i >= len(old):
-			j, k = nw[k], k+1
-		case k >= len(nw):
-			j, i = old[i], i+1
-		case old[i].ID <= nw[k].ID:
-			j, i = old[i], i+1
-		default:
-			j, k = nw[k], k+1
-		}
-		// A job preempted and restarted between compactions appears in both
-		// lists (and can appear in runningNew more than once); emit it once.
-		for i < len(old) && old[i].ID == j.ID {
-			i++
-		}
-		for k < len(nw) && nw[k].ID == j.ID {
-			k++
-		}
-		// A job never leaves the State it was routed to, so its lifecycle
-		// state says whether it is still in Running.
-		if j.State == job.Running {
-			out = append(out, j)
-		}
+	return view
+}
+
+// joinViews enters a job that starts running into the ordered views, and
+// leaveViews takes one that stops running out of them.
+func (st *State) joinViews(j *job.Job) {
+	st.runningIdx = insertByID(st.runningIdx, j)
+	if elasticCandidate(j) {
+		st.elasticIdx = insertByID(st.elasticIdx, j)
 	}
-	st.mergeScratch = st.runningIdx[:0]
-	st.runningIdx = out
-	for i := range st.runningNew {
-		st.runningNew[i] = nil
+}
+
+func (st *State) leaveViews(j *job.Job) {
+	st.runningIdx = removeByID(st.runningIdx, j)
+	if elasticCandidate(j) {
+		st.elasticIdx = removeByID(st.elasticIdx, j)
 	}
-	st.runningNew = st.runningNew[:0]
-	el := st.elasticIdx[:0]
-	for _, j := range out {
-		if elasticCandidate(j) {
-			el = append(el, j)
-		}
-	}
-	st.elasticIdx = el
 }
 
 // RunningOrdered returns the running jobs in ascending ID order — the
 // deterministic iteration order every scheduler uses. The returned slice is
-// owned by the state and valid until the next lifecycle mutation; callers
-// must not append to or retain it.
+// owned by the state and valid until the next lifecycle mutation (Start,
+// Preempt and Finish shift it in place); callers must not append to or
+// retain it.
 func (st *State) RunningOrdered() []*job.Job {
-	st.compactRunning()
 	st.checkViews()
 	return st.runningIdx
 }
@@ -307,7 +277,6 @@ func (st *State) RunningOrdered() []*job.Job {
 // FlexRange > 0) in ascending ID order, under the same ownership rules as
 // RunningOrdered.
 func (st *State) ElasticOrdered() []*job.Job {
-	st.compactRunning()
 	st.checkViews()
 	return st.elasticIdx
 }
@@ -338,11 +307,11 @@ func (st *State) checkViews() {
 	}
 }
 
-// AuditIncremental recounts every maintained dirty-set structure from the
-// Running map, the way the views were built before they were maintained
+// AuditIncremental recounts every maintained view from the Running map
 // (DESIGN.md §10): the flexible-GPU sum, the ID-sorted running list and its
-// elastic-candidate subset. The engine runs it after every event when
-// auditing is on, and checkViews before every read.
+// elastic-candidate subset, which Start, Preempt and Finish update in place.
+// The engine runs it after every event when auditing is on, and checkViews
+// before every read.
 func (st *State) AuditIncremental() error {
 	wantFlex := 0
 	for _, j := range st.Running {
@@ -358,7 +327,6 @@ func (st *State) AuditIncremental() error {
 		want = append(want, j)
 	}
 	sort.Slice(want, func(i, k int) bool { return want[i].ID < want[k].ID })
-	st.compactRunning()
 	if err := sameJobs("runningIdx", st.runningIdx, want); err != nil {
 		return err
 	}
@@ -427,8 +395,7 @@ func (st *State) Start(j *job.Job, workers []job.Worker) {
 	st.lastUpdate[j.ID] = st.Now
 	st.Starts++
 	st.bump()
-	st.runningNew = append(st.runningNew, j)
-	st.idxDirty = true
+	st.joinViews(j)
 	st.noteFlexAdded(j, workers)
 	st.markChanged(j)
 	if st.Obs.Enabled() {
@@ -605,7 +572,7 @@ func (st *State) Preempt(j *job.Job, less func(a, b *job.Job) bool) {
 	st.Preemptions++
 	st.bump()
 	delete(st.Running, j.ID)
-	st.idxDirty = true
+	st.leaveViews(j)
 	if st.backoffBase > 0 && st.Cause == "crash" {
 		// Restart backoff: the job sits out min(base·2^N, cap) seconds
 		// before re-entering the queue, bounding the concurrent-restart
@@ -709,7 +676,7 @@ func (st *State) Finish(j *job.Job) {
 	j.FinishTime = int64(st.Now)
 	st.bump()
 	delete(st.Running, j.ID)
-	st.idxDirty = true
+	st.leaveViews(j)
 	delete(st.lastUpdate, j.ID)
 	st.markChanged(j)
 	if st.Obs.Enabled() {
