@@ -349,8 +349,10 @@ type Cluster struct {
 	zones  [][]int
 }
 
-// Config sizes a cluster. Zero values fall back to the paper's production
-// scale: 443 8-GPU V100 training servers and 520 8-GPU T4 inference servers.
+// Config sizes a cluster. A zero GPUsPerServer means 8 GPUs per server, and
+// zero GPU types mean V100 training and T4 inference servers; a zero server
+// count builds no servers of that kind. DefaultConfig is the paper's
+// production scale.
 type Config struct {
 	TrainingServers  int
 	InferenceServers int

@@ -548,10 +548,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("lyra: sharded topologies need at least one shard on both sides (training %d, inference %d)", n.TrainingShards, n.InferenceShards)
 	}
 	if n.TrainingShards > 0 {
-		if n.Cluster.TrainingServers > 0 && n.TrainingShards > n.Cluster.TrainingServers {
+		if n.TrainingShards > n.Cluster.TrainingServers {
 			return fmt.Errorf("lyra: TrainingShards %d exceeds TrainingServers %d", n.TrainingShards, n.Cluster.TrainingServers)
 		}
-		if n.Cluster.InferenceServers > 0 && n.InferenceShards > n.Cluster.InferenceServers {
+		if n.InferenceShards > n.Cluster.InferenceServers {
 			return fmt.Errorf("lyra: InferenceShards %d exceeds InferenceServers %d", n.InferenceShards, n.Cluster.InferenceServers)
 		}
 	}

@@ -135,6 +135,32 @@ func TestRunRejectsUnknownKinds(t *testing.T) {
 	}
 }
 
+func TestValidateShardCounts(t *testing.T) {
+	// A side cannot be cut into more shards than it has servers, and a
+	// zero server count is an empty side, not the production default: a
+	// shard over no servers can run none of the jobs routed to it.
+	for _, tc := range []struct {
+		training, inference int
+		want                string
+	}{
+		{16, 16, ""},
+		{1, 16, "TrainingShards 2 exceeds TrainingServers 1"},
+		{0, 8, "TrainingShards 2 exceeds TrainingServers 0"},
+		{8, 0, "InferenceShards 2 exceeds InferenceServers 0"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Cluster = ClusterConfig{TrainingServers: tc.training, InferenceServers: tc.inference}
+		cfg.TrainingShards, cfg.InferenceShards = 2, 2
+		err := cfg.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("2+2 over %d+%d servers rejected: %v", tc.training, tc.inference, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("2+2 over %d+%d servers: error %v, want one containing %q", tc.training, tc.inference, err, tc.want)
+		}
+	}
+}
+
 func TestValidatePhase2MaxItemsRange(t *testing.T) {
 	// The MCKP solver indexes a group's items in an int16: a cap that lets
 	// a group outgrow it must be refused by name, not wrap at solve time.
