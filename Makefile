@@ -36,9 +36,11 @@ race:
 smoke:
 	@./scripts/smoke.sh $(CASE)
 
-# bench runs the audit-overhead benchmark (audit off: the numbers quoted in
-# DESIGN.md come from BenchmarkEngineAudit) and the one-second loops of the
-# phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
+# bench runs the engine's 300-job replay once per mode: auditor off and on
+# (BenchmarkEngineAudit; audit off is the hot path DESIGN.md quotes), event
+# recorder off, ring and JSONL, fault plan off and on, and span profiler off
+# and on (B/op and allocs/op of every off case must match); then the
+# one-second loops of the phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
 # instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
 # and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
@@ -58,7 +60,7 @@ smoke:
 # capped, faulted 100x tier (the root BenchmarkEpoch/100x-faulted, -short:
 # B/op counts only the jobs that can arrive before MaxTime).
 bench:
-	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
+	$(GO) test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf' -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/

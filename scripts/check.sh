@@ -52,7 +52,8 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== scale-tier set-up, comparison-kernel, scheduling-epoch, reclaim-plan and capped scale-run benchmarks, once (they compile and run; the MCKP kernels, the epoch, the plan and the capped lyra.Run print their allocs/op and B/op)"
+echo "== engine, scale-tier set-up, comparison-kernel, scheduling-epoch, reclaim-plan and capped scale-run benchmarks, once (they compile and run; the engine replays, the MCKP kernels, the epoch, the plan and the capped lyra.Run print their allocs/op and B/op)"
+go test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf' -benchtime 1x -benchmem ./internal/sim/
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchtime 1x ./internal/fault/ ./internal/trace/
 go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchtime 1x ./internal/orchestrator/ ./internal/alloc/
 go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x -benchmem ./internal/knapsack/ ./internal/alloc/
