@@ -10,7 +10,6 @@ package alloc
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -86,11 +85,14 @@ func reduction(remaining, base, more float64) float64 {
 // model O(items) times per candidate per epoch. Cached values come from the
 // same NominalThroughput calls, so decisions are bit-identical with and
 // without the cache — the differential fuzz target and the golden stream
-// both pin this. One cache belongs to one scheduler instance (one run); it
-// is not safe for concurrent use.
+// both pin this. It also holds AFS's per-call buffers, so that a warm AFS
+// call allocates nothing. One cache belongs to one scheduler instance (one
+// run); it is not safe for concurrent use.
 type ThroughputCache struct {
 	sm  job.ScalingModel
 	tbl map[int][]float64 // job ID → throughput at MinWorkers+k for k in [0, FlexRange]
+	afs []afsCand         // AFS's candidates, ascending by ID
+	out []Extra           // the targets the last AFS call returned
 }
 
 // NewThroughputCache returns an empty cache for one run's scaling model.
@@ -271,27 +273,29 @@ func gcd(a, b int) int {
 // until the capacity is exhausted. Ties favor the job with the most
 // remaining work — the greedy bias toward big throughput consumers that
 // costs AFS average JCT (§7.4). cache memoizes the throughput tables across
-// calls; nil gives this call a fresh one, as Phase2 does for its workspace.
+// calls and holds the returned targets, valid until its next AFS call; nil
+// gives this call a fresh one, as Phase2 does for its workspace.
 func AFS(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, cache *ThroughputCache) []Extra {
 	if cache == nil {
 		cache = NewThroughputCache(sm)
 	}
-	type state struct {
-		j     *job.Job
-		extra int
-	}
-	states := make([]*state, 0, len(jobs))
+	states := cache.afs[:0]
 	for _, j := range jobs {
 		if j.FlexRange() > 0 {
-			states = append(states, &state{j: j})
+			states = append(states, afsCand{j: j})
 		}
 	}
-	sort.Slice(states, func(i, k int) bool { return states[i].j.ID < states[k].j.ID })
+	// State.ElasticOrdered is already ascending: sort only other input.
+	if !slices.IsSortedFunc(states, afsByID) {
+		slices.SortFunc(states, afsByID)
+	}
+	cache.afs = states
 	remaining := capacityGPUs
 	for {
-		var best *state
+		var best *afsCand
 		bestGain := 0.0
-		for _, s := range states {
+		for i := range states {
+			s := &states[i]
 			if s.extra >= s.j.FlexRange() || s.j.GPUsPerWorker > remaining {
 				continue
 			}
@@ -310,11 +314,20 @@ func AFS(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, cache *Throughp
 		best.extra++
 		remaining -= best.j.GPUsPerWorker
 	}
-	var out []Extra
+	out := cache.out[:0]
 	for _, s := range states {
 		if s.extra > 0 {
 			out = append(out, Extra{ID: s.j.ID, Extra: s.extra})
 		}
 	}
+	cache.out = out
 	return out
 }
+
+// afsCand is one AFS candidate and the extra workers it has won so far.
+type afsCand struct {
+	j     *job.Job
+	extra int
+}
+
+func afsByID(a, b afsCand) int { return cmp.Compare(a.j.ID, b.j.ID) }

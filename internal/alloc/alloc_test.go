@@ -501,6 +501,68 @@ func BenchmarkPhase2(b *testing.B) {
 	}
 }
 
+func TestAFSReusedCacheMatchesFresh(t *testing.T) {
+	// One ThroughputCache through a call sequence whose candidate set grows
+	// and shrinks (stale candidates and targets behind both buffers), with
+	// shuffled and ID-sorted input, FlexRange == 0 jobs, capacities from
+	// one GPU to everything-fits and progress advancing between calls:
+	// every call must return what a nil cache returns.
+	rng := rand.New(rand.NewSource(6))
+	jobs := contendedJobs(rng, 60)
+	sorted := slices.Clone(jobs)
+	slices.SortFunc(sorted, byID)
+	cache := NewThroughputCache(job.Imperfect)
+	for call := 0; call < 300; call++ {
+		in := jobs
+		if call%2 == 1 {
+			in = sorted
+		}
+		in = in[:[]int{60, 7, 33, 1, 60, 2}[call%6]]
+		capacity := rng.Intn(400) + 1
+		got := AFS(in, capacity, job.Imperfect, cache)
+		if want := AFS(in, capacity, job.Imperfect, nil); !slices.Equal(got, want) {
+			t.Fatalf("call %d (%d jobs, capacity %d): reused cache %v, fresh %v", call, len(in), capacity, got, want)
+		}
+		for _, j := range in {
+			j.Remaining *= 0.97
+		}
+	}
+}
+
+func TestWarmAFSAllocatesNothing(t *testing.T) {
+	// The scheduler's steady state, ID-sorted candidates, and shuffled ones
+	// sorted in the cache's buffer: contended, narrow and everything-fits.
+	jobs := contendedJobs(rand.New(rand.NewSource(1)), 354)
+	sorted := slices.Clone(jobs)
+	slices.SortFunc(sorted, byID)
+	cache := NewThroughputCache(job.Imperfect)
+	for _, in := range [][]*job.Job{sorted, jobs} {
+		for _, capacity := range []int{245, 8, 1 << 20} {
+			AFS(in, capacity, job.Imperfect, cache)
+			if allocs := testing.AllocsPerRun(10, func() { AFS(in, capacity, job.Imperfect, cache) }); allocs != 0 {
+				t.Errorf("capacity %d: a warm AFS allocates %v times per call, want 0", capacity, allocs)
+			}
+		}
+	}
+}
+
+var benchTargets []Extra
+
+// BenchmarkAFS is AFS's one-second loop (make bench): 354 contended elastic
+// jobs, ID-sorted as State.ElasticOrdered hands them over, for the paper's
+// 245 GPUs, through one warm ThroughputCache as the scheduler holds one.
+func BenchmarkAFS(b *testing.B) {
+	jobs := contendedJobs(rand.New(rand.NewSource(1)), 354)
+	slices.SortFunc(jobs, byID)
+	cache := NewThroughputCache(job.Imperfect)
+	AFS(jobs, 245, job.Imperfect, cache) // warm even at -benchtime 1x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTargets = AFS(jobs, 245, job.Imperfect, cache)
+	}
+}
+
 // TestTargetsAscendByCandidateID pins the input contract of the scheduler's
 // phase-2 apply, which merge-walks the ID-ordered candidates against the
 // targets: over random candidate sets — shuffled and sorted, contended and

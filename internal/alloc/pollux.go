@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -26,13 +25,37 @@ type PolluxConfig struct {
 	// Rng is the search's stream, reseeded with Seed at each call: the same
 	// draws as a fresh source, without allocating one. Nil makes one.
 	Rng *rand.Rand
+	// Work is the search's scratch, reused from call to call; the returned
+	// decisions live in it, valid until its next call. Nil makes one.
+	Work *PolluxWorkspace
 }
 
-// DefaultPolluxConfig returns the evaluation configuration, with its own Rng.
+// DefaultPolluxConfig returns the evaluation configuration, with its own Rng and Work.
 func DefaultPolluxConfig(seed int64) PolluxConfig {
 	return PolluxConfig{Iterations: 250, Population: 24, Seed: seed, EfficiencyDecay: 0.06, MaxCandidates: 300,
-		Rng: rand.New(rand.NewSource(seed))}
+		Rng: rand.New(rand.NewSource(seed)), Work: new(PolluxWorkspace)}
 }
+
+// PolluxWorkspace is one scheduler's GA scratch, reused from search to
+// search so that a warm call allocates nothing; reuse changes no draw and no
+// sum. The zero value is ready; not safe for concurrent use.
+type PolluxWorkspace struct {
+	jobs             []*job.Job
+	floor, off, shrk []int
+	gp               []float64
+	pop              []*genome // the population, then the spare
+	out              []PolluxDecision
+}
+
+// genome is one allocation vector of the search with its GPU and goodput totals.
+type genome struct {
+	workers []int
+	gpus    int
+	fitness float64
+}
+
+// sized returns buf resliced to length n, grown if shorter; contents are stale.
+func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 func (c PolluxConfig) withDefaults() PolluxConfig {
 	if c.Iterations == 0 {
@@ -90,9 +113,12 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 	if len(candidates) == 0 || capacityGPUs <= 0 {
 		return nil
 	}
-	jobs := make([]*job.Job, len(candidates))
-	copy(jobs, candidates)
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
+	ws := cfg.Work
+	if ws == nil {
+		ws = new(PolluxWorkspace)
+	}
+	jobs := append(ws.jobs[:0], candidates...)
+	slices.SortFunc(jobs, byID)
 	if len(jobs) > cfg.MaxCandidates {
 		jobs = jobs[:cfg.MaxCandidates]
 	}
@@ -102,23 +128,18 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 	}
 	rng.Seed(cfg.Seed)
 
-	type genome struct {
-		workers []int
-		gpus    int
-		fitness float64
-	}
 	// floor[i] is the fewest workers jobs[i] may hold: running jobs keep
 	// their base demand, pending ones may go unscheduled. gp memoizes
 	// goodput(jobs[i], w) at gp[off[i]+w], NaN until first asked for.
-	floor := make([]int, len(jobs))
-	off := make([]int, len(jobs)+1)
+	floor, off := sized(ws.floor, len(jobs)), append(ws.off[:0], 0)
 	for i, j := range jobs {
+		floor[i] = 0
 		if running[j.ID] {
 			floor[i] = j.MinWorkers
 		}
-		off[i+1] = off[i] + j.MaxWorkers + 1
+		off = append(off, off[i]+j.MaxWorkers+1)
 	}
-	gp := make([]float64, off[len(jobs)])
+	gp := sized(ws.gp, off[len(jobs)])
 	for k := range gp {
 		gp[k] = math.NaN()
 	}
@@ -137,7 +158,7 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		}
 	}
 	feasible := func(g *genome) bool { return g.gpus <= capacityGPUs }
-	var shrinkable []int
+	shrinkable := ws.shrk[:0]
 	shrink := func(g *genome, i int) {
 		// Shrink within range, or drop a pending job entirely.
 		var next int
@@ -179,9 +200,14 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 	// demand in candidate order (a launch-friendly starting point the
 	// search refines), genome 1 keeps everything at its floor, the rest
 	// are random.
-	pop := make([]*genome, cfg.Population)
+	for len(ws.pop) <= cfg.Population {
+		ws.pop = append(ws.pop, new(genome))
+	}
+	pop, spare := ws.pop[:cfg.Population], ws.pop[cfg.Population]
+	spare.workers = sized(spare.workers, len(jobs))
 	for p := range pop {
-		g := &genome{workers: make([]int, len(jobs))}
+		g := pop[p]
+		g.workers = sized(g.workers, len(jobs))
 		budget := capacityGPUs
 		for i, j := range jobs {
 			switch {
@@ -200,7 +226,6 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		}
 		eval(g)
 		repair(g, rng)
-		pop[p] = g
 	}
 
 	best := pop[0]
@@ -209,7 +234,6 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 			best = g
 		}
 	}
-	spare := &genome{workers: make([]int, len(jobs))}
 	for it := 0; it < cfg.Iterations; it++ {
 		// Tournament: mutate a copy of a good genome, replace a bad one. The
 		// copy is made in spare, which trades places with the victim.
@@ -249,9 +273,10 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 		}
 	}
 
-	out := make([]PolluxDecision, 0, len(jobs))
+	out := ws.out[:0]
 	for i, w := range best.workers {
 		out = append(out, PolluxDecision{ID: jobs[i].ID, Workers: max(w, floor[i])})
 	}
+	ws.jobs, ws.floor, ws.off, ws.gp, ws.shrk, ws.out = jobs, floor, off, gp, shrinkable, out
 	return out
 }

@@ -126,12 +126,49 @@ func TestPolluxReusedStreamMatchesFresh(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		jobs, running, capacity := polluxInstance(rng, 1+rng.Intn(60))
 		fresh := DefaultPolluxConfig(seed)
-		fresh.Rng = nil
+		fresh.Rng, fresh.Work = nil, nil // want must not share got's workspace
 		shared := fresh
 		shared.Rng = reused
 		want := Pollux(jobs, running, capacity, fresh, job.Imperfect)
 		if got := Pollux(jobs, running, capacity, shared, job.Imperfect); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: reused stream decided %v, a fresh source %v", seed, got, want)
+		}
+	}
+}
+
+// One workspace through searches whose candidate count, candidate cap and
+// population grow and shrink (stale buffers behind every one) decides as a
+// fresh one does, over the pinned instances.
+func TestPolluxReusedWorkspaceMatchesFresh(t *testing.T) {
+	reused := new(PolluxWorkspace)
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		jobs, running, capacity := polluxInstance(rng, n)
+		fresh := DefaultPolluxConfig(seed)
+		fresh.Population = []int{0, 3, 40}[seed%3]
+		if seed%4 == 0 {
+			fresh.MaxCandidates = 1 + rng.Intn(n)
+		}
+		fresh.Work = nil
+		shared := fresh
+		shared.Rng, shared.Work = rand.New(rand.NewSource(0)), reused
+		want := Pollux(jobs, running, capacity, fresh, job.Imperfect)
+		if got := Pollux(jobs, running, capacity, shared, job.Imperfect); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reused workspace decided %v, a fresh one %v", seed, got, want)
+		}
+	}
+}
+
+func TestWarmPolluxAllocatesNothing(t *testing.T) {
+	// A search at the candidate cap, then a smaller one in the same
+	// workspace: neither allocates once warm.
+	cfg := DefaultPolluxConfig(1)
+	for _, n := range []int{300, 40} {
+		jobs, running, capacity := polluxInstance(rand.New(rand.NewSource(int64(n))), n)
+		Pollux(jobs, running, capacity, cfg, job.Imperfect)
+		if allocs := testing.AllocsPerRun(10, func() { Pollux(jobs, running, capacity, cfg, job.Imperfect) }); allocs != 0 {
+			t.Errorf("%d candidates: a warm search allocates %v times per call, want 0", n, allocs)
 		}
 	}
 }

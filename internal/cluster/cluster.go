@@ -37,6 +37,15 @@ const (
 	numGPUTypes
 )
 
+// GPUPin restricts a placement to one GPU type; the zero value pins nothing.
+type GPUPin struct {
+	GPU    GPUType
+	Pinned bool
+}
+
+// PinGPU returns the pin to type g.
+func PinGPU(g GPUType) GPUPin { return GPUPin{GPU: g, Pinned: true} }
+
 // Speed returns the relative training throughput of one GPU of this type,
 // normalized so that V100 = 1.0.
 func (g GPUType) Speed() float64 {
@@ -786,7 +795,7 @@ func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] 
 // need(gpu) GPUs on a server of type gpu, or nil. Preference order matches
 // the placement tie-break contract (package place): non-empty servers
 // before empty ones, then least free GPUs, then lowest ID. fixed, when
-// non-nil, restricts candidates to one GPU type; exclude lists servers that
+// pinned, restricts candidates to one GPU type; exclude lists servers that
 // must not be used.
 //
 // The lookup walks the hosting sets upward from the smallest possibly-fitting
@@ -795,13 +804,13 @@ func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] 
 // the exact winner of that order, whatever mix of server sizes the pool holds.
 // With B = GPUs per server distinct free counts this is O(B + ineligible
 // servers passed over); nothing is scanned past the answer.
-func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude []int) *Server {
+func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int) *Server {
 	minNeed := -1
-	if fixed != nil {
-		if c.srvByType[p][*fixed] == 0 {
+	if fixed.Pinned {
+		if c.srvByType[p][fixed.GPU] == 0 {
 			return nil
 		}
-		minNeed = need(*fixed)
+		minNeed = need(fixed.GPU)
 	} else {
 		for g := GPUType(0); g < numGPUTypes; g++ {
 			if c.srvByType[p][g] == 0 {
@@ -822,7 +831,7 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclud
 		for f := minNeed; f < len(side); f++ {
 			for i := side[f].next(0); i >= 0; i = side[f].next(i + 1) {
 				s := c.servers[i]
-				if fixed != nil && s.GPU != *fixed {
+				if fixed.Pinned && s.GPU != fixed.GPU {
 					continue
 				}
 				if s.free < need(s.GPU) {

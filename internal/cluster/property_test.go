@@ -103,14 +103,14 @@ func (m *refModel) counts(p Pool) (free, used, total, flex, empty int) {
 // bestFit is the reference placement: a full scan in ID order applying the
 // placement preference (non-empty first, then least free, then lowest ID),
 // exactly as place.bestFit did before the bucket index existed.
-func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed *GPUType, exclude []int) int {
+func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int) int {
 	best := -1
 	var bestFree, bestUsed int
 	for _, s := range m.servers {
 		if s.pool != p {
 			continue
 		}
-		if fixed != nil && s.gpu != *fixed {
+		if fixed.Pinned && s.gpu != fixed.GPU {
 			continue
 		}
 		n := need(s.gpu)
@@ -255,10 +255,9 @@ func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refMo
 			}
 			return base
 		}
-		var fixed *GPUType
+		var fixed GPUPin
 		if rng.Intn(2) == 0 {
-			g := GPUType(rng.Intn(2)) // V100 or T4
-			fixed = &g
+			fixed = PinGPU(GPUType(rng.Intn(2))) // V100 or T4
 		}
 		var exclude []int
 		for i := rng.Intn(4); i > 0; i-- {

@@ -26,9 +26,9 @@ type Options struct {
 	// jobs may mix GPU types at runtime).
 	SingleGPUType bool
 	// FixedGPU pins the GPU type (used when a job already has workers);
-	// nil leaves the type to be locked by the first placed worker when
-	// SingleGPUType is set.
-	FixedGPU *cluster.GPUType
+	// the zero value leaves the type to be locked by the first placed
+	// worker when SingleGPUType is set.
+	FixedGPU cluster.GPUPin
 	// Exclude lists the IDs of servers that must not be used — the
 	// base/flexible separation of §5.3. It is a handful of IDs, scanned.
 	Exclude []int
@@ -63,15 +63,15 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 	if n <= 0 {
 		return dst, true
 	}
-	if opt.SingleGPUType && opt.FixedGPU == nil {
+	if opt.SingleGPUType && !opt.FixedGPU.Pinned {
 		// Try each candidate type in preference order.
 		for _, pool := range poolOrder(opt) {
-			gpu := poolGPU(c, pool)
-			if gpu == nil {
+			gpu, ok := poolGPU(c, pool)
+			if !ok {
 				continue
 			}
 			o := opt
-			o.FixedGPU = gpu
+			o.FixedGPU = cluster.PinGPU(gpu)
 			o.PreferPool = pool
 			o.AllowOther = false
 			if ws, ok := AppendGang(dst, c, j, n, o); ok {
@@ -112,9 +112,8 @@ func AppendUpTo(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 			break
 		}
 		dst = append(dst, w)
-		if opt.SingleGPUType && opt.FixedGPU == nil {
-			gpu := w.GPU
-			opt.FixedGPU = &gpu
+		if opt.SingleGPUType && !opt.FixedGPU.Pinned {
+			opt.FixedGPU = cluster.PinGPU(w.GPU)
 		}
 	}
 	return dst
@@ -162,18 +161,16 @@ func poolOrder(opt Options) []cluster.Pool {
 	return []cluster.Pool{cluster.PoolTraining, cluster.PoolOnLoan}
 }
 
-// poolGPU returns the GPU type of pool p's servers, nil if the pool is
+// poolGPU returns the GPU type of pool p's servers, false if the pool is
 // empty. Pools are homogeneous by construction (loaning moves whole
 // inference servers); the lowest-ID member is the representative, matching
 // the pre-index behavior of reading the head of the sorted pool slice.
-func poolGPU(c *cluster.Cluster, p cluster.Pool) *cluster.GPUType {
-	var g *cluster.GPUType
+func poolGPU(c *cluster.Cluster, p cluster.Pool) (g cluster.GPUType, ok bool) {
 	c.EachPoolServer(p, func(s *cluster.Server) bool {
-		gpu := s.GPU
-		g = &gpu
+		g, ok = s.GPU, true
 		return false
 	})
-	return g
+	return g, ok
 }
 
 // bestFit returns the server to host one worker of j under opt, or nil.

@@ -207,9 +207,8 @@ func TestExcludeServers(t *testing.T) {
 
 func TestFixedGPUConstraint(t *testing.T) {
 	c := testCluster(t)
-	gpu := cluster.T4
 	j := job.New(1, 0, job.Generic, 2, 1, 4, 100)
-	ws := AppendUpTo(nil, c, j, 2, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true, FixedGPU: &gpu})
+	ws := AppendUpTo(nil, c, j, 2, Options{PreferPool: cluster.PoolTraining, AllowOther: true, SingleGPUType: true, FixedGPU: cluster.PinGPU(cluster.T4)})
 	if len(ws) == 0 {
 		t.Fatal("nothing placed")
 	}

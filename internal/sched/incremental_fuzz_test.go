@@ -21,16 +21,25 @@ import (
 // reference is the scheduler the dirty-set layer is compared against, for
 // the two things the auditor's recounts cannot express. Embedding the
 // interface hides Memoryless, so the engine never skips an epoch; and
-// Schedule drops the wrapped scheduler's reused scratch first, so every
-// epoch solves from a fresh workspace and throughput cache.
+// Schedule drops every buffer the wrapped scheduler reuses first — its
+// placement scratch, Lyra's phase-2 workspace, AFS's throughput cache and
+// candidate buffers, Pollux's GA workspace and per-epoch views — so every
+// epoch decides from cold ones.
 type reference struct{ sim.Scheduler }
 
 func (r reference) Schedule(st *sim.State) {
 	switch s := r.Scheduler.(type) {
 	case *Lyra:
-		s.ws = alloc.Workspace{}
+		s.ws, s.sc = alloc.Workspace{}, scratch{}
 	case *AFS:
-		s.cache = nil
+		s.cache, s.sc = nil, scratch{}
+	case *Pollux:
+		s.Config.Work, s.sc = nil, scratch{}
+		s.running, s.byID, s.cands, s.extras, s.resized = nil, nil, nil, nil, nil
+	case *FIFO:
+		s.sc = scratch{}
+	case *Gandiva:
+		s.sc = scratch{}
 	}
 	r.Scheduler.Schedule(st)
 }

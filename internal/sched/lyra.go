@@ -78,13 +78,13 @@ func (l *Lyra) policy(c *cluster.Cluster, j *job.Job) poolPolicy {
 // Schedule implements sim.Scheduler.
 func (l *Lyra) Schedule(st *sim.State) {
 	sp := st.Prof.Start("phase1")
-	started := l.sc.startBase(st, l.policy, false)
+	l.sc.startBase(st, l.policy, false)
 	sp.End()
 	sp = st.Prof.Start("phase1.hetero")
-	started = append(started, l.sc.startBase(st, l.policy, true)...)
+	l.sc.startBase(st, l.policy, true)
 	sp.End()
 	if l.Tuned {
-		for _, j := range started {
+		for _, j := range l.sc.started {
 			if j.Elastic {
 				j.Tuned = true
 			}

@@ -18,6 +18,12 @@ type Pollux struct {
 	Config alloc.PolluxConfig
 	epoch  int64
 	sc     scratch
+	// Schedule's per-epoch views, reused (the GA's buffers are Config.Work).
+	running map[int]bool
+	byID    map[int]*job.Job
+	cands   []*job.Job
+	extras  []alloc.Extra
+	resized []*job.Job
 }
 
 // NewPollux returns the scheduler with the evaluation configuration.
@@ -33,25 +39,25 @@ func (p *Pollux) Less(a, b *job.Job) bool { return lessByArrival(a, b) }
 func (p *Pollux) Schedule(st *sim.State) {
 	p.epoch++
 	freeT, freeL := st.FreeSchedulableGPUs()
-	running := make(map[int]bool)
+	if p.running == nil {
+		p.running, p.byID = make(map[int]bool), make(map[int]*job.Job)
+	}
+	running, byID := p.running, p.byID
+	clear(running)
+	clear(byID)
 	heldGPUs := 0 // all GPUs held by resizable running jobs: the GA re-decides their whole allocation
 	// ID order, not map order: cands seeds the GA's search population, so
 	// its order must not vary run to run. Copy the maintained view: cands
 	// grows with the pending queue below, and appending to the state-owned
 	// slice is forbidden.
-	elastic := st.ElasticOrdered()
-	cands := make([]*job.Job, 0, len(elastic)+len(st.Pending))
-	for _, j := range elastic {
+	cands := p.cands[:0]
+	for _, j := range st.ElasticOrdered() {
 		running[j.ID] = true
 		cands = append(cands, j)
 		heldGPUs += j.GPUsHeld()
 	}
-	byID := make(map[int]*job.Job, len(cands)+len(st.Pending))
+	cands = append(cands, st.Pending...)
 	for _, j := range cands {
-		byID[j.ID] = j
-	}
-	for _, j := range st.Pending {
-		cands = append(cands, j)
 		byID[j.ID] = j
 	}
 	if len(cands) == 0 {
@@ -66,8 +72,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 	defer sp.End()
 
 	// Apply resizes of running jobs first (their scale-ins free GPUs).
-	var extras []alloc.Extra
-	var resized []*job.Job
+	extras, resized := p.extras[:0], p.resized[:0]
 	for _, d := range decisions {
 		if running[d.ID] {
 			j := byID[d.ID]
@@ -75,6 +80,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 			resized = append(resized, j)
 		}
 	}
+	p.cands, p.extras, p.resized = cands, extras, resized
 	p.sc.applyExtraTargets(st, resized, extras, false, "pollux")
 
 	// Start pending jobs the GA selected.

@@ -86,9 +86,13 @@ func (pp poolPolicy) options(j *job.Job, flexible bool) place.Options {
 //
 // When heteroPass is false only non-heterogeneous jobs are considered; the
 // caller runs a second pass for heterogeneous jobs after everything else
-// (§6: they get the lowest priority).
-func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) []*job.Job {
-	var started []*job.Job
+// (§6: they get the lowest priority). The jobs started are appended to
+// sc.started, which the first, non-heterogeneous pass empties: after both
+// passes it holds the epoch's starts.
+func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) {
+	if !heteroPass {
+		sc.started = sc.started[:0]
+	}
 	for {
 		availT, availL := st.FreeSchedulableGPUs()
 		availT += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
@@ -145,14 +149,13 @@ func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.J
 				continue // fragmentation or type constraints
 			}
 			st.Start(j, sc.placed)
-			started = append(started, j)
+			sc.started = append(sc.started, j)
 		}
 		if failures == 0 || freed == 0 {
 			break
 		}
 	}
 	st.CompactPending()
-	return started
 }
 
 // reclaimFlexible scales elastic jobs in until roughly j's base demand
@@ -256,8 +259,7 @@ func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Opt
 	if !j.Hetero {
 		opt.SingleGPUType = true
 		if len(j.Workers) > 0 {
-			gpu := j.Workers[0].GPU
-			opt.FixedGPU = &gpu
+			opt.FixedGPU = cluster.PinGPU(j.Workers[0].GPU)
 		}
 	}
 	if naive {
@@ -282,6 +284,7 @@ func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Opt
 // concurrently, one scheduler instance per run and per shard.
 type scratch struct {
 	chosen  []*job.Job   // startBase's selection of one pass
+	started []*job.Job   // the jobs startBase started this epoch
 	exclude []int        // scaleOutOpts' on-loan base servers
 	placed  []job.Worker // the workers the last gang or scaleOut placed
 }

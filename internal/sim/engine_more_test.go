@@ -159,10 +159,9 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	st.Start(j, base)
 	st.CompactPending()
 	// Two flexible workers on server 1 specifically.
-	gpu := cluster.V100
 	flex := place.AppendUpTo(nil, c, j, 2, place.Options{
 		PreferPool: cluster.PoolTraining, Flexible: true, SingleGPUType: true,
-		FixedGPU: &gpu, Exclude: []int{base[0].Server},
+		FixedGPU: cluster.PinGPU(cluster.V100), Exclude: []int{base[0].Server},
 	})
 	if len(flex) != 2 {
 		t.Fatalf("flex placement: %v", flex)

@@ -62,8 +62,7 @@ func chaosScaleOutOpts(j *job.Job) place.Options {
 	if !j.Hetero {
 		opt.SingleGPUType = true
 		if len(j.Workers) > 0 {
-			gpu := j.Workers[0].GPU
-			opt.FixedGPU = &gpu
+			opt.FixedGPU = cluster.PinGPU(j.Workers[0].GPU)
 		}
 	}
 	return opt
