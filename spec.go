@@ -91,6 +91,8 @@ type ClusterSpec struct {
 	// ("V100", "T4", "A100", case-insensitive). Absent keeps the paper's
 	// V100/T4 pairing; mixed-generation topologies (e.g. A100 training over
 	// T4 inference) change the speed and memory model job placement sees.
+	// A V100 inference tier needs another training GPU: cluster.Config reads
+	// V100 over V100 as the default pairing, so the spec rejects it.
 	TrainingGPU  string `json:"training_gpu,omitempty"`
 	InferenceGPU string `json:"inference_gpu,omitempty"`
 }
@@ -342,16 +344,8 @@ func (s *ScenarioSpec) validateStructure() error {
 	if s.Cluster.InferenceServers < 0 {
 		return fmt.Errorf("cluster.inference_servers: got %d, must be non-negative", s.Cluster.InferenceServers)
 	}
-	for _, g := range []struct{ field, name string }{
-		{"cluster.training_gpu", s.Cluster.TrainingGPU},
-		{"cluster.inference_gpu", s.Cluster.InferenceGPU},
-	} {
-		if g.name == "" {
-			continue
-		}
-		if _, err := cluster.ParseGPUType(g.name); err != nil {
-			return fmt.Errorf("%s: %w", g.field, err)
-		}
+	if _, _, err := s.compileGPUs(); err != nil {
+		return err
 	}
 	if s.Shards.Training < 0 || s.Shards.Inference < 0 {
 		return fmt.Errorf("shards: got %d/%d, counts must be non-negative", s.Shards.Training, s.Shards.Inference)
@@ -535,6 +529,9 @@ func (s *ScenarioSpec) compileGPUs() (train, inf cluster.GPUType, err error) {
 		}
 	} else if train != cluster.V100 {
 		inf = cluster.T4
+	}
+	if s.Cluster.InferenceGPU != "" && train == cluster.V100 && inf == cluster.V100 {
+		return 0, 0, fmt.Errorf("cluster.inference_gpu: V100 needs a training_gpu other than V100 (cluster.New reads V100/V100 as the V100/T4 default)")
 	}
 	return train, inf, nil
 }

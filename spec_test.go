@@ -270,6 +270,8 @@ func TestSpecShardsAndGPUs(t *testing.T) {
 		{"negative shards", strings.Replace(doc, `"training": 2`, `"training": -1`, 1), "shards"},
 		{"bad gpu", strings.Replace(doc, `"training_gpu": "a100"`, `"training_gpu": "H100"`, 1), "cluster.training_gpu"},
 		{"bad inference gpu", strings.Replace(doc, `"training_gpu": "a100"`, `"inference_gpu": "nope"`, 1), "cluster.inference_gpu"},
+		{"v100 inference over v100", strings.Replace(doc, `"training_gpu": "a100"`, `"training_gpu": "V100", "inference_gpu": "V100"`, 1), "cluster.inference_gpu"},
+		{"v100 inference, training absent", strings.Replace(doc, `"training_gpu": "a100"`, `"inference_gpu": "v100"`, 1), "cluster.inference_gpu"},
 	} {
 		if _, err := ParseSpec([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantSub)
