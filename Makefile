@@ -47,9 +47,10 @@ smoke:
 # 100x the paper's cluster, which must read flat across the three; and of the
 # scale tier's set-up: the fault timeline of its 108,338 streams and the clone
 # of its 223,777-job trace (allocs/op is the number to watch on both); and
-# of the two comparison kernels a registry pass pays for: the §6 LSTM fit
+# of the comparison kernels a registry pass pays for: the §6 LSTM fit
 # behind the proactive forecaster (allocs/op should read a few hundred, all
-# in NewLSTM) and one Pollux search at its 300-candidate cap; and one
+# in NewLSTM), one Pollux search at its 300-candidate cap and one warm AFS
+# call over 354 elastic jobs (both read 0 allocs/op once warm); and one
 # make-room round trip at the paper's scale (a scale-in for a waiting 8-GPU
 # gang over the flexible-server index, then phase 2's apply restoring it);
 # and one whole warm Lyra epoch at that scale with make-room and scale-outs
@@ -64,7 +65,7 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
-	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA' -benchmem ./internal/orchestrator/ ./internal/alloc/
+	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA|BenchmarkAFS' -benchmem ./internal/orchestrator/ ./internal/alloc/
 	$(GO) test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchmem ./internal/sched/
 	$(GO) test -run NONE -bench BenchmarkReclaimPlan -benchmem ./internal/reclaim/
 	$(GO) test -run NONE -bench '^BenchmarkEpoch$$/^100x-faulted$$' -short -benchtime 1x -benchmem .
