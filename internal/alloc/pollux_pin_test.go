@@ -77,10 +77,12 @@ func TestPolluxDecisionsPinned(t *testing.T) {
 var benchDecisions []PolluxDecision
 
 // BenchmarkPolluxGA is one search at the candidate cap: 300 candidates, the
-// evaluation's 250 iterations over a population of 24.
+// evaluation's 250 iterations over a population of 24, in a warm workspace
+// as the scheduler holds one.
 func BenchmarkPolluxGA(b *testing.B) {
 	jobs, running, capacity := polluxInstance(rand.New(rand.NewSource(1)), 300)
 	cfg := DefaultPolluxConfig(1)
+	Pollux(jobs, running, capacity, cfg, job.Imperfect) // warm even at -benchtime 1x
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

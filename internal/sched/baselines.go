@@ -78,7 +78,8 @@ func (g *Gandiva) Schedule(st *sim.State) {
 // to the job with the largest marginal throughput gain per GPU.
 type AFS struct {
 	// cache memoizes per-job marginal-gain inputs (alloc.ThroughputCache:
-	// pure memoization, bit-identical decisions, per-instance).
+	// pure memoization, bit-identical decisions, per-instance) and holds
+	// alloc.AFS's candidates and the targets it returns.
 	cache *alloc.ThroughputCache
 	sc    scratch
 }

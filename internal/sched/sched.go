@@ -278,13 +278,13 @@ func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Opt
 }
 
 // scratch is one scheduler instance's placement buffers, reused every
-// epoch. Each buffer is dead once the call that filled it returns (Start
-// and AddWorkers copy the workers they are given), and it lives on the
-// instance, never in a package variable: the runner executes simulations
-// concurrently, one scheduler instance per run and per shard.
+// epoch. Each buffer but started is dead once the call that filled it
+// returns (Start and AddWorkers copy the workers they are given), and it
+// lives on the instance, never in a package variable: the runner executes
+// simulations concurrently, one scheduler instance per run and per shard.
 type scratch struct {
 	chosen  []*job.Job   // startBase's selection of one pass
-	started []*job.Job   // the jobs startBase started this epoch
+	started []*job.Job   // the jobs both startBase passes of this epoch started
 	exclude []int        // scaleOutOpts' on-loan base servers
 	placed  []job.Worker // the workers the last gang or scaleOut placed
 }
