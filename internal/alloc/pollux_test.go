@@ -152,7 +152,7 @@ func TestPolluxReusedWorkspaceMatchesFresh(t *testing.T) {
 		}
 		fresh.Work = nil
 		shared := fresh
-		shared.Rng, shared.Work = rand.New(rand.NewSource(0)), reused
+		shared.Work = reused
 		want := Pollux(jobs, running, capacity, fresh, job.Imperfect)
 		if got := Pollux(jobs, running, capacity, shared, job.Imperfect); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: reused workspace decided %v, a fresh one %v", seed, got, want)
