@@ -46,7 +46,8 @@ smoke:
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
 # 100x the paper's cluster, which must read flat across the three; and of the
 # scale tier's set-up: the fault timeline of its 108,338 streams and the clone
-# of its 223,777-job trace (allocs/op is the number to watch on both); and
+# of its 223,777-job trace (allocs/op is the number to watch on both), and,
+# once, its 96,300-server cluster (allocs/op counts chunks, not servers); and
 # of the comparison kernels a registry pass pays for: the §6 LSTM fit
 # behind the proactive forecaster (allocs/op should read a few hundred, all
 # in NewLSTM), one Pollux search at its 300-candidate cap and one warm AFS
@@ -65,6 +66,7 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/
+	$(GO) test -run NONE -bench BenchmarkClusterNew -benchtime 1x -benchmem ./internal/cluster/
 	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA|BenchmarkAFS' -benchmem ./internal/orchestrator/ ./internal/alloc/
 	$(GO) test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchmem ./internal/sched/
 	$(GO) test -run NONE -bench BenchmarkReclaimPlan -benchmem ./internal/reclaim/

@@ -157,8 +157,11 @@ type Server struct {
 	flexTotal int
 	// held lists the jobs with GPUs here, ascending by job ID, one entry
 	// per job. A server hosts a handful of jobs, so reads scan it. It stays
-	// nil until the first Allocate: most servers of a large cluster never
-	// host a job within a run.
+	// nil until the first Allocate, since most servers of a large cluster
+	// never host a job within a run; then an owned server takes a window of
+	// its cluster's holdings chunk with room for NumGPUs entries, which
+	// never fills (every holding has a GPU) and travels with the server
+	// through Detach and Adopt.
 	held []holding
 	// owner is the cluster maintaining pool/bucket indexes over this
 	// server; every allocation change is mirrored into its counters. Nil
@@ -247,6 +250,9 @@ func (s *Server) Allocate(id, gpus int, flexible bool) error {
 	s.free -= gpus
 	i, ok := s.find(id)
 	if !ok {
+		if s.held == nil && s.owner != nil {
+			s.held = s.owner.heldWindow(s.NumGPUs)
+		}
 		s.held = slices.Insert(s.held, i, holding{job: id})
 	}
 	s.held[i].gpus += gpus
@@ -356,6 +362,27 @@ type Cluster struct {
 	zoneOf []int
 	racks  [][]int
 	zones  [][]int
+	// heldChunk is the unused tail of the chunk servers' first holdings
+	// lists are carved from (heldWindow).
+	heldChunk []holding
+}
+
+// chunkServers bounds how many servers one allocation of New's servers, or
+// of their first holdings lists, covers. Chunks rather than one slab for the
+// whole cluster: a slab that size raised the 96,300-server tier's peak RSS.
+const chunkServers = 512
+
+// heldWindow carves an empty holdings list with room for n entries from
+// the cluster's chunk, starting a chunk of up to chunkServers servers'
+// lists when the current one is used up. The window's capacity is capped,
+// so an append past it reallocates instead of writing into a neighbour's.
+func (c *Cluster) heldWindow(n int) []holding {
+	if len(c.heldChunk) < n {
+		c.heldChunk = make([]holding, max(n, min(c.n, chunkServers)*c.gpusPerServer))
+	}
+	w := c.heldChunk[:0:n]
+	c.heldChunk = c.heldChunk[n:]
+	return w
 }
 
 // Config sizes a cluster. A zero GPUsPerServer means 8 GPUs per server, and
@@ -420,15 +447,21 @@ func New(cfg Config) *Cluster {
 	if cfg.TrainingGPU == V100 && cfg.InferenceGPU == V100 {
 		cfg.InferenceGPU = T4
 	}
-	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard, gpusPerServer: cfg.GPUsPerServer}
-	id := cfg.FirstID
-	for i := 0; i < cfg.TrainingServers; i++ {
-		c.addServer(NewServer(id, cfg.TrainingGPU, cfg.GPUsPerServer, PoolTraining))
-		id++
-	}
-	for i := 0; i < cfg.InferenceServers; i++ {
-		c.addServer(NewServer(id, cfg.InferenceGPU, cfg.GPUsPerServer, PoolInference))
-		id++
+	total := cfg.TrainingServers + cfg.InferenceServers
+	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard, gpusPerServer: cfg.GPUsPerServer,
+		servers: make([]*Server, 0, total)}
+	var chunk []Server
+	for i := 0; i < total; i++ {
+		if len(chunk) == 0 {
+			chunk = make([]Server, min(chunkServers, total-i))
+		}
+		gpu, pool := cfg.TrainingGPU, PoolTraining
+		if i >= cfg.TrainingServers {
+			gpu, pool = cfg.InferenceGPU, PoolInference
+		}
+		chunk[0] = *NewServer(cfg.FirstID+i, gpu, cfg.GPUsPerServer, pool)
+		c.addServer(&chunk[0])
+		chunk = chunk[1:]
 	}
 	c.assignDomains(cfg)
 	return c

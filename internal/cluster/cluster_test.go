@@ -53,19 +53,34 @@ func TestNewDefaultConfigScale(t *testing.T) {
 	}
 }
 
-// A cluster costs one object per server — its holdings list waits for the
-// first Allocate — plus a few dozen slices: the domain tables (every rack
-// and zone member list is a window of one ID slab) and the index words, at
-// the paper's scale and at ten times it.
-func TestNewAllocatesOnePerServer(t *testing.T) {
-	for _, scale := range []int{1, 10} {
+// A cluster's servers come in chunks of up to chunkServers — their
+// holdings lists wait for the first Allocate — plus a few dozen slices: the
+// domain tables (every rack and zone member list is a window of one ID
+// slab) and the index words, at the paper's scale, ten times it and the
+// scale tier's hundred times.
+func TestNewAllocatesPerChunk(t *testing.T) {
+	for _, scale := range []int{1, 10, 100} {
 		cfg := Config{TrainingServers: 443 * scale, InferenceServers: 520 * scale}
 		c := New(cfg)
-		bound := float64(c.NumServers() + 150)
+		chunks := (c.NumServers() + chunkServers - 1) / chunkServers
+		bound := float64(chunks + 150)
 		if a := testing.AllocsPerRun(3, func() { New(cfg) }); a > bound {
-			t.Errorf("New(%d+%d servers): %.0f allocations, want at most %.0f (%d servers, %d racks, %d zones)",
-				cfg.TrainingServers, cfg.InferenceServers, a, bound, c.NumServers(), c.NumRacks(), c.NumZones())
+			t.Errorf("New(%d+%d servers): %.0f allocations, want at most %.0f (%d chunks, %d racks, %d zones)",
+				cfg.TrainingServers, cfg.InferenceServers, a, bound, chunks, c.NumRacks(), c.NumZones())
 		}
+	}
+}
+
+var benchCluster *Cluster
+
+// BenchmarkClusterNew builds the scale tier's cluster (44,300 training and
+// 52,000 inference servers), as every run of it does; allocs/op counts its
+// server chunks and index tables, not its servers.
+func BenchmarkClusterNew(b *testing.B) {
+	cfg := Config{TrainingServers: 44300, InferenceServers: 52000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchCluster = New(cfg)
 	}
 }
 

@@ -141,7 +141,7 @@ func TestFullScheduleLegacyIdentity(t *testing.T) {
 	var legacy []Event
 	var pcg randv2.PCG
 	for sid := 0; sid < topo.servers; sid++ {
-		for _, iv := range renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
+		for _, iv := range renewal(nil, &pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon) {
 			legacy = append(legacy, Event{T: iv[0], Server: sid}, Event{T: iv[1], Server: sid, Recover: true})
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"math/rand"
 	randv2 "math/rand/v2"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -306,29 +305,29 @@ const streamKeyLo = 0x6c7972616661756c // "lyrafaul"
 
 // renewal draws one alternating renewal process — exponential up-times with
 // mean mtbf, exponential down-times with mean mttr floored at one second —
-// and returns its downtime intervals [start, end) with start < horizon. The
+// and appends its downtime intervals [start, end) with start < horizon to
+// dst. The
 // draw order (one up-time, then alternating down-time/up-time) is the
 // schedule contract: FullSchedule's streams are defined by it, and a
 // shorter horizon yields a prefix of the same stream. pcg is the one
 // generator of the caller's whole schedule, re-keyed here for this stream:
 // two words are its whole state, so the draws are a fresh generator's.
-func renewal(pcg *randv2.PCG, key int64, mtbf, mttr float64, horizon int64) [][2]float64 {
+func renewal(dst [][2]float64, pcg *randv2.PCG, key int64, mtbf, mttr float64, horizon int64) [][2]float64 {
 	if mtbf <= 0 {
-		return nil
+		return dst
 	}
 	pcg.Seed(uint64(key), streamKeyLo)
 	rng := randv2.New(pcg)
-	var out [][2]float64
 	t := rng.ExpFloat64() * mtbf
 	for t < float64(horizon) {
 		down := rng.ExpFloat64() * mttr
 		if down < 1 {
 			down = 1
 		}
-		out = append(out, [2]float64{t, t + down})
+		dst = append(dst, [2]float64{t, t + down})
 		t += down + rng.ExpFloat64()*mtbf
 	}
-	return out
+	return dst
 }
 
 func sortEvents(out []Event) {
@@ -408,48 +407,75 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 	if numServers <= 0 || horizon <= 0 {
 		return nil, nil
 	}
+	// Every stream's downtimes go into one flat timeline of (server, start,
+	// end) entries: a domain outage's interval once per member server.
 	var pcg randv2.PCG
-	down := make([][][2]float64, numServers)
+	var ivs [][2]float64 // one stream's draw, reused
+	var down []downtime
 	for sid := 0; sid < numServers; sid++ {
-		down[sid] = renewal(&pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
+		ivs = renewal(ivs[:0], &pcg, subSeed(p.Seed, sid), p.ServerMTBF, p.ServerMTTR, horizon)
+		for _, iv := range ivs {
+			down = append(down, downtime{sid, iv[0], iv[1]})
+		}
 	}
 	var domains []DomainEvent
-	addDomain := func(zone bool, d int, members []int, ivs [][2]float64) {
+	addDomain := func(zone bool, d int, members []int, key int64, mtbf, mttr float64) {
+		ivs = renewal(ivs[:0], &pcg, key, mtbf, mttr, horizon)
 		for _, iv := range ivs {
 			domains = append(domains,
 				DomainEvent{T: iv[0], Zone: zone, Domain: d},
 				DomainEvent{T: iv[1], Zone: zone, Domain: d, Recover: true})
 			for _, sid := range members {
-				down[sid] = append(down[sid], iv)
+				down = append(down, downtime{sid, iv[0], iv[1]})
 			}
 		}
 	}
 	for r := 0; r < topo.NumRacks(); r++ {
-		addDomain(false, r, topo.RackServers(r),
-			renewal(&pcg, subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR, horizon))
+		addDomain(false, r, topo.RackServers(r), subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR)
 	}
 	for z := 0; z < topo.NumZones(); z++ {
-		addDomain(true, z, topo.ZoneServers(z),
-			renewal(&pcg, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR, horizon))
+		addDomain(true, z, topo.ZoneServers(z), subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR)
 	}
+	// Sorted by server, each server's downtimes are one run of entries,
+	// ascending by start: merge the run, then fold it.
+	slices.SortFunc(down, func(a, b downtime) int {
+		switch {
+		case a.server != b.server:
+			return cmp.Compare(a.server, b.server)
+		case a.start != b.start:
+			return cmp.Compare(a.start, b.start)
+		}
+		return cmp.Compare(a.end, b.end)
+	})
 	var out []Event
 	var applied []float64
-	for sid := 0; sid < numServers; sid++ {
-		out, applied = h.fold(out, applied[:0], sid, mergeIntervals(down[sid]))
+	for lo := 0; lo < len(down); {
+		hi := lo + 1
+		for hi < len(down) && down[hi].server == down[lo].server {
+			hi++
+		}
+		ivs = mergeIntervals(ivs[:0], down[lo:hi])
+		out, applied = h.fold(out, applied[:0], down[lo].server, ivs)
+		lo = hi
 	}
 	sortEvents(out)
-	sort.Slice(domains, func(i, j int) bool {
-		a, b := domains[i], domains[j]
-		if a.T != b.T {
-			return a.T < b.T
+	slices.SortFunc(domains, func(a, b DomainEvent) int {
+		switch {
+		case a.T != b.T:
+			return cmp.Compare(a.T, b.T)
+		case a.Zone != b.Zone:
+			if a.Zone {
+				return 1
+			}
+			return -1
+		case a.Domain != b.Domain:
+			return cmp.Compare(a.Domain, b.Domain)
+		case a.Recover == b.Recover:
+			return 0
+		case b.Recover:
+			return -1
 		}
-		if a.Zone != b.Zone {
-			return !a.Zone
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return !a.Recover && b.Recover
+		return 1
 	})
 	return out, domains
 }
@@ -497,31 +523,27 @@ func (h Hysteresis) fold(out []Event, applied []float64, sid int, down [][2]floa
 	return out, applied
 }
 
-// mergeIntervals unions possibly-overlapping downtime intervals in place:
-// sorted by start, any interval starting at or before the running end
-// extends the current downtime.
-func mergeIntervals(ivs [][2]float64) [][2]float64 {
-	if len(ivs) <= 1 {
-		return ivs
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i][0] != ivs[j][0] {
-			return ivs[i][0] < ivs[j][0]
-		}
-		return ivs[i][1] < ivs[j][1]
-	})
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv[0] <= last[1] {
-			if iv[1] > last[1] {
-				last[1] = iv[1]
+// downtime is one entry of FullSchedule's flat timeline: server's downtime
+// interval [start, end).
+type downtime struct {
+	server     int
+	start, end float64
+}
+
+// mergeIntervals appends to dst the union of one server's possibly
+// overlapping downtimes, given ascending by start: any interval starting at
+// or before the running end extends the current downtime.
+func mergeIntervals(dst [][2]float64, run []downtime) [][2]float64 {
+	for _, d := range run {
+		if n := len(dst); n > 0 && d.start <= dst[n-1][1] {
+			if d.end > dst[n-1][1] {
+				dst[n-1][1] = d.end
 			}
 			continue
 		}
-		out = append(out, iv)
+		dst = append(dst, [2]float64{d.start, d.end})
 	}
-	return out
+	return dst
 }
 
 // subSeed mixes the plan seed with a stream index through splitmix64, so

@@ -269,8 +269,8 @@ func TestRenewalReseededEqualsFreshSource(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := subSeed(99, i)
 		mtbf, mttr := 500+float64(i)*37, 20+float64(i%7)*90
-		got := renewal(&shared, key, mtbf, mttr, 50000)
-		want := renewal(new(rand.PCG), key, mtbf, mttr, 50000)
+		got := renewal(nil, &shared, key, mtbf, mttr, 50000)
+		want := renewal(nil, new(rand.PCG), key, mtbf, mttr, 50000)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("stream %d: re-keyed generator drew %v, fresh one %v", i, got, want)
 		}

@@ -31,17 +31,17 @@ func epochFixture() *sim.State {
 }
 
 // epochAllocBudget is the heap allocations one warm epochFixture epoch may
-// make: 100 when pinned, 122 under the race detector (its build allocates
-// more as a holdings list grows in slices.Insert), with ~10% headroom over
-// the larger. Every one is state the epoch grows, none a scheduling
-// decision's scratch: the started jobs' worker lists (State.Start copies
-// the placed gang, ~40), the servers' holdings lists growing as jobs land
-// on them (Server.Allocate, ~45) and the jobs' worker lists growing at
-// scale-out (AddWorkers, ~15). The placement buffers, the started list, the
-// GPU-type pin (by value) and phase 2's workspace are reused or on the
-// stack; with the pin on the heap the epoch made 252, and with per-epoch
-// placement buffers 556.
-const epochAllocBudget = 135
+// make: 1 in a plain build, 2 or 3 under the race detector, with one to
+// spare over the larger. The one is state the epoch grows, not a
+// scheduling decision's scratch: the running view taking the 40 started
+// jobs (State.Start). The started jobs' worker lists are windows of the
+// state's worker chunk, sized for MaxWorkers so scale-outs fill them in
+// place, and the servers' holdings lists windows of the cluster's chunk;
+// the placement buffers, the started list, the GPU-type pin (by value) and
+// phase 2's workspace are reused or on the stack. With worker lists and
+// holdings allocated one by one the epoch made 100 (122 under race), with
+// the pin on the heap 252, and with per-epoch placement buffers 556.
+const epochAllocBudget = 4
 
 // TestEpochAllocationBudget counts the heap allocations of one warm
 // scheduling epoch, Lyra.Schedule alone: the scheduler instance has already

@@ -75,6 +75,12 @@ type State struct {
 	elasticIdx []*job.Job
 	flexCands  []flexCand // RemoveFlexibleWorkers' reused candidate list
 
+	// workerChunk is the unused tail of the chunk Start carves jobs' worker
+	// lists from (workerWindow); chunkLen is that chunk's length, which
+	// doubles from minWorkerChunk up to maxWorkerChunk.
+	workerChunk []job.Worker
+	chunkLen    int
+
 	// flexNominal is Σ FlexibleWorkers × GPUsPerWorker over running elastic
 	// candidates (Elastic && FlexRange > 0) — the flexible capacity term of
 	// phase 2 / AFS, maintained at every worker add/remove instead of
@@ -390,6 +396,9 @@ func (st *State) Start(j *job.Job, workers []job.Worker) {
 		j.StartTime = now
 	}
 	j.State = job.Running
+	if j.Workers == nil {
+		j.Workers = st.workerWindow(max(j.MaxWorkers, len(workers)))
+	}
 	j.Workers = append(j.Workers[:0], workers...)
 	st.Running[j.ID] = j
 	st.lastUpdate[j.ID] = st.Now
@@ -411,6 +420,28 @@ func (st *State) Start(j *job.Job, workers []job.Worker) {
 			"workers": len(workers), "gpus": gpus, "epoch": st.Epoch, "queue_time": j.QueueTime,
 		}))
 	}
+}
+
+// Worker chunks start small, so a run that starts few jobs pays for few
+// workers, and double up to a cap.
+const (
+	minWorkerChunk = 64
+	maxWorkerChunk = 1024
+)
+
+// workerWindow carves an empty worker list with room for n workers from the
+// state's chunk, starting a chunk twice the last one's length when the
+// current one is used up. The window's capacity is capped, so AddWorkers up
+// to n never reallocates and an append past n reallocates instead of
+// writing into a neighbour's window.
+func (st *State) workerWindow(n int) []job.Worker {
+	if len(st.workerChunk) < n {
+		st.chunkLen = min(max(2*st.chunkLen, minWorkerChunk), maxWorkerChunk)
+		st.workerChunk = make([]job.Worker, max(n, st.chunkLen))
+	}
+	w := st.workerChunk[:0:n]
+	st.workerChunk = st.workerChunk[n:]
+	return w
 }
 
 // AddWorkers scales a running job out by the given placed workers (already
@@ -616,13 +647,14 @@ func (st *State) holdForBackoff(j *job.Job) {
 }
 
 // takeNewHolds returns and clears the backoff holds placed since the last
-// call, sorted by job ID for a deterministic release-event push order.
+// call, sorted by job ID for a deterministic release-event push order. The
+// result is the state's own buffer, valid until the next hold is placed.
 func (st *State) takeNewHolds() []holdRec {
 	if len(st.newHolds) == 0 {
 		return nil
 	}
 	out := st.newHolds
-	st.newHolds = nil
+	st.newHolds = out[:0]
 	slices.SortFunc(out, func(a, b holdRec) int { return cmp.Compare(a.jobID, b.jobID) })
 	return out
 }
