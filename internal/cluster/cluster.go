@@ -157,11 +157,8 @@ type Server struct {
 	flexTotal int
 	// held lists the jobs with GPUs here, ascending by job ID, one entry
 	// per job. A server hosts a handful of jobs, so reads scan it. It stays
-	// nil until the first Allocate, since most servers of a large cluster
-	// never host a job within a run; then an owned server takes a window of
-	// its cluster's holdings chunk with room for NumGPUs entries, which
-	// never fills (every holding has a GPU) and travels with the server
-	// through Detach and Adopt.
+	// nil until the first Allocate, as most servers of a large cluster never
+	// host a job within a run; an owned server then takes a heldWindow.
 	held []holding
 	// owner is the cluster maintaining pool/bucket indexes over this
 	// server; every allocation change is mirrored into its counters. Nil
@@ -362,20 +359,18 @@ type Cluster struct {
 	zoneOf []int
 	racks  [][]int
 	zones  [][]int
-	// heldChunk is the unused tail of the chunk servers' first holdings
-	// lists are carved from (heldWindow).
+	// heldChunk is the unused tail of heldWindow's chunk.
 	heldChunk []holding
 }
 
-// chunkServers bounds how many servers one allocation of New's servers, or
-// of their first holdings lists, covers. Chunks rather than one slab for the
-// whole cluster: a slab that size raised the 96,300-server tier's peak RSS.
+// chunkServers bounds the servers one allocation of New's servers, or of
+// their holdings lists, covers: one slab for the 96,300-server tier raised
+// its peak RSS.
 const chunkServers = 512
 
-// heldWindow carves an empty holdings list with room for n entries from
-// the cluster's chunk, starting a chunk of up to chunkServers servers'
-// lists when the current one is used up. The window's capacity is capped,
-// so an append past it reallocates instead of writing into a neighbour's.
+// heldWindow carves an empty holdings list of capacity n, a server's
+// NumGPUs, from the cluster's chunk: every holding has a GPU, so the list
+// never grows, and it travels with its server through Detach and Adopt.
 func (c *Cluster) heldWindow(n int) []holding {
 	if len(c.heldChunk) < n {
 		c.heldChunk = make([]holding, max(n, min(c.n, chunkServers)*c.gpusPerServer))

@@ -306,9 +306,8 @@ const streamKeyLo = 0x6c7972616661756c // "lyrafaul"
 // renewal draws one alternating renewal process — exponential up-times with
 // mean mtbf, exponential down-times with mean mttr floored at one second —
 // and appends its downtime intervals [start, end) with start < horizon to
-// dst. The
-// draw order (one up-time, then alternating down-time/up-time) is the
-// schedule contract: FullSchedule's streams are defined by it, and a
+// dst. The draw order (one up-time, then alternating down-time/up-time) is
+// the schedule contract: FullSchedule's streams are defined by it, and a
 // shorter horizon yields a prefix of the same stream. pcg is the one
 // generator of the caller's whole schedule, re-keyed here for this stream:
 // two words are its whole state, so the draws are a fresh generator's.
@@ -337,13 +336,20 @@ func sortEvents(out []Event) {
 			return cmp.Compare(a.T, b.T)
 		case a.Server != b.Server:
 			return cmp.Compare(a.Server, b.Server)
-		case a.Recover == b.Recover:
-			return 0
-		case b.Recover:
-			return -1
 		}
-		return 1
+		return falseFirst(a.Recover, b.Recover)
 	})
+}
+
+// falseFirst compares two flags, false before true.
+func falseFirst(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
 }
 
 // DomainEvent is one scheduled correlated outage: a whole rack (or zone,
@@ -407,8 +413,9 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 	if numServers <= 0 || horizon <= 0 {
 		return nil, nil
 	}
-	// Every stream's downtimes go into one flat timeline of (server, start,
-	// end) entries: a domain outage's interval once per member server.
+	// One flat timeline of (server, start, end) entries holds every server's
+	// own downtimes and, sized at once, a copy of each domain outage per
+	// member server.
 	var pcg randv2.PCG
 	var ivs [][2]float64 // one stream's draw, reused
 	var down []downtime
@@ -419,16 +426,15 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 		}
 	}
 	var domains []DomainEvent
+	copies := 0
 	addDomain := func(zone bool, d int, members []int, key int64, mtbf, mttr float64) {
 		ivs = renewal(ivs[:0], &pcg, key, mtbf, mttr, horizon)
 		for _, iv := range ivs {
 			domains = append(domains,
 				DomainEvent{T: iv[0], Zone: zone, Domain: d},
 				DomainEvent{T: iv[1], Zone: zone, Domain: d, Recover: true})
-			for _, sid := range members {
-				down = append(down, downtime{sid, iv[0], iv[1]})
-			}
 		}
+		copies += len(ivs) * len(members)
 	}
 	for r := 0; r < topo.NumRacks(); r++ {
 		addDomain(false, r, topo.RackServers(r), subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR)
@@ -436,8 +442,17 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 	for z := 0; z < topo.NumZones(); z++ {
 		addDomain(true, z, topo.ZoneServers(z), subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR)
 	}
-	// Sorted by server, each server's downtimes are one run of entries,
-	// ascending by start: merge the run, then fold it.
+	down = slices.Grow(down, copies)
+	for i := 0; i < len(domains); i += 2 {
+		members := topo.RackServers(domains[i].Domain)
+		if domains[i].Zone {
+			members = topo.ZoneServers(domains[i].Domain)
+		}
+		for _, sid := range members {
+			down = append(down, downtime{sid, domains[i].T, domains[i+1].T})
+		}
+	}
+	// Sorted by server, then start, each server's downtimes are one run.
 	slices.SortFunc(down, func(a, b downtime) int {
 		switch {
 		case a.server != b.server:
@@ -449,14 +464,10 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 	})
 	var out []Event
 	var applied []float64
-	for lo := 0; lo < len(down); {
-		hi := lo + 1
-		for hi < len(down) && down[hi].server == down[lo].server {
-			hi++
-		}
-		ivs = mergeIntervals(ivs[:0], down[lo:hi])
-		out, applied = h.fold(out, applied[:0], down[lo].server, ivs)
-		lo = hi
+	for len(down) > 0 {
+		sid := down[0].server
+		ivs, down = mergeIntervals(ivs[:0], down)
+		out, applied = h.fold(out, applied[:0], sid, ivs)
 	}
 	sortEvents(out)
 	slices.SortFunc(domains, func(a, b DomainEvent) int {
@@ -464,18 +475,11 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 		case a.T != b.T:
 			return cmp.Compare(a.T, b.T)
 		case a.Zone != b.Zone:
-			if a.Zone {
-				return 1
-			}
-			return -1
+			return falseFirst(a.Zone, b.Zone)
 		case a.Domain != b.Domain:
 			return cmp.Compare(a.Domain, b.Domain)
-		case a.Recover == b.Recover:
-			return 0
-		case b.Recover:
-			return -1
 		}
-		return 1
+		return falseFirst(a.Recover, b.Recover)
 	})
 	return out, domains
 }
@@ -530,20 +534,24 @@ type downtime struct {
 	start, end float64
 }
 
-// mergeIntervals appends to dst the union of one server's possibly
-// overlapping downtimes, given ascending by start: any interval starting at
-// or before the running end extends the current downtime.
-func mergeIntervals(dst [][2]float64, run []downtime) [][2]float64 {
-	for _, d := range run {
-		if n := len(dst); n > 0 && d.start <= dst[n-1][1] {
+// mergeIntervals appends to dst the union of the downtimes in down's
+// leading run of one server, ascending by start, and returns the rest of
+// down: any interval starting at or before the running end extends the
+// current downtime.
+func mergeIntervals(dst [][2]float64, down []downtime) ([][2]float64, []downtime) {
+	for i, d := range down {
+		switch n := len(dst); {
+		case d.server != down[0].server:
+			return dst, down[i:]
+		case n > 0 && d.start <= dst[n-1][1]:
 			if d.end > dst[n-1][1] {
 				dst[n-1][1] = d.end
 			}
-			continue
+		default:
+			dst = append(dst, [2]float64{d.start, d.end})
 		}
-		dst = append(dst, [2]float64{d.start, d.end})
 	}
-	return dst
+	return dst, nil
 }
 
 // subSeed mixes the plan seed with a stream index through splitmix64, so

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -31,17 +32,17 @@ func epochFixture() *sim.State {
 }
 
 // epochAllocBudget is the heap allocations one warm epochFixture epoch may
-// make: 1 in a plain build, 2 or 3 under the race detector, with one to
-// spare over the larger. The one is state the epoch grows, not a
-// scheduling decision's scratch: the running view taking the 40 started
-// jobs (State.Start). The started jobs' worker lists are windows of the
+// make: 1 in a plain build and 2 under the race detector, with one to
+// spare over the larger. The plain build's one is state the epoch grows,
+// not a scheduling decision's scratch: the running view taking the 40
+// started jobs (State.Start). The started jobs' worker lists are windows of the
 // state's worker chunk, sized for MaxWorkers so scale-outs fill them in
 // place, and the servers' holdings lists windows of the cluster's chunk;
 // the placement buffers, the started list, the GPU-type pin (by value) and
 // phase 2's workspace are reused or on the stack. With worker lists and
 // holdings allocated one by one the epoch made 100 (122 under race), with
 // the pin on the heap 252, and with per-epoch placement buffers 556.
-const epochAllocBudget = 4
+const epochAllocBudget = 3
 
 // TestEpochAllocationBudget counts the heap allocations of one warm
 // scheduling epoch, Lyra.Schedule alone: the scheduler instance has already
@@ -61,15 +62,22 @@ func TestEpochAllocationBudget(t *testing.T) {
 		t.Fatalf("%d scale-outs, want at least 20", n)
 	}
 
+	// The fewest of three warm epochs: a GC cycle that starts inside the
+	// counted window allocates for the runtime (a new thread, say), not for
+	// the epoch, whose own allocations repeat exactly.
 	l := NewLyra()
 	l.Schedule(epochFixture())
-	st = epochFixture()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	l.Schedule(st)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > epochAllocBudget {
+	n := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		st = epochFixture()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l.Schedule(st)
+		runtime.ReadMemStats(&after)
+		n = min(n, after.Mallocs-before.Mallocs)
+	}
+	if n > epochAllocBudget {
 		t.Errorf("one warm epoch made %d heap allocations, budget %d", n, epochAllocBudget)
 	} else {
 		t.Logf("one warm epoch made %d heap allocations (budget %d)", n, epochAllocBudget)

@@ -75,11 +75,8 @@ type State struct {
 	elasticIdx []*job.Job
 	flexCands  []flexCand // RemoveFlexibleWorkers' reused candidate list
 
-	// workerChunk is the unused tail of the chunk Start carves jobs' worker
-	// lists from (workerWindow); chunkLen is that chunk's length, which
-	// doubles from minWorkerChunk up to maxWorkerChunk.
-	workerChunk []job.Worker
-	chunkLen    int
+	workerChunk []job.Worker // the unused tail of workerWindow's chunk
+	chunkLen    int          // that chunk's length
 
 	// flexNominal is Σ FlexibleWorkers × GPUsPerWorker over running elastic
 	// candidates (Elastic && FlexRange > 0) — the flexible capacity term of
@@ -422,21 +419,13 @@ func (st *State) Start(j *job.Job, workers []job.Worker) {
 	}
 }
 
-// Worker chunks start small, so a run that starts few jobs pays for few
-// workers, and double up to a cap.
-const (
-	minWorkerChunk = 64
-	maxWorkerChunk = 1024
-)
-
-// workerWindow carves an empty worker list with room for n workers from the
-// state's chunk, starting a chunk twice the last one's length when the
-// current one is used up. The window's capacity is capped, so AddWorkers up
-// to n never reallocates and an append past n reallocates instead of
+// workerWindow carves an empty worker list of capacity n from the state's
+// chunk. Chunks double from 64 to 1,024 workers, so a small run pays for
+// few. The capacity is capped, so an append past n reallocates instead of
 // writing into a neighbour's window.
 func (st *State) workerWindow(n int) []job.Worker {
 	if len(st.workerChunk) < n {
-		st.chunkLen = min(max(2*st.chunkLen, minWorkerChunk), maxWorkerChunk)
+		st.chunkLen = min(max(2*st.chunkLen, 64), 1024)
 		st.workerChunk = make([]job.Worker, max(n, st.chunkLen))
 	}
 	w := st.workerChunk[:0:n]
