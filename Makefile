@@ -39,7 +39,10 @@ smoke:
 # bench runs the engine's 300-job replay once per mode: auditor off and on
 # (BenchmarkEngineAudit; audit off is the hot path DESIGN.md quotes), event
 # recorder off, ring and JSONL, fault plan off and on, and span profiler off
-# and on (B/op and allocs/op of every off case must match); then the
+# and on (B/op and allocs/op of every off case must match), and the same
+# day with every job elastic under a scheduler that rescales each running
+# job every epoch (BenchmarkEngineElastic: each rescale moves a finish
+# event in the timeline); then the
 # one-second loops of the phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
 # instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
 # and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
@@ -62,7 +65,7 @@ smoke:
 # capped, faulted 100x tier (the root BenchmarkEpoch/100x-faulted, -short:
 # B/op counts only the jobs that can arrive before MaxTime).
 bench:
-	$(GO) test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf' -benchtime 1x -benchmem ./internal/sim/
+	$(GO) test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf|BenchmarkEngineElastic' -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
 	$(GO) test -run NONE -bench BenchmarkBestFit -benchmem ./internal/place/
 	$(GO) test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone' -benchmem ./internal/fault/ ./internal/trace/

@@ -31,13 +31,14 @@ func (st *State) AuditView(ctx string, less func(a, b *job.Job) bool) invariant.
 // safe behavior. On top of the per-state rules it checks cross-shard
 // conservation: the global GPU and server totals must match the per-shard
 // sums (no GPU created or lost across a loan in flight), and every server
-// must be attached to exactly the shard the ownership index says.
+// must be attached to exactly the shard the ownership index says, and every
+// running job must hold the one finish event the timeline's index names.
 func (e *Engine) auditAfter(ev event) {
 	gpus, servers := 0, 0
 	id := ev.jobID
 	switch ev.kind {
-	case evArrival:
-		id = e.jobs[id].ID // an arrival carries the job's index in e.jobs
+	case evArrival, evFinish, evRelease:
+		id = e.jobs[id].ID // a job event carries the job's index in e.jobs
 	case evCrash, evRecover:
 		id = e.faultSched[id].Server // a server fault carries its timeline index
 	}
@@ -77,6 +78,30 @@ func (e *Engine) auditAfter(ev event) {
 			Actual:   fmt.Sprintf("%d GPUs on %d servers", gpus, servers),
 		})
 	}
+	if v, bad := e.timelineViolation(); bad {
+		invariant.Fail(fmt.Sprintf("sim:%v t=%g", ev.kind, e.now), v)
+	}
+}
+
+// timelineViolation checks the finish-event index: each running job's entry
+// names that job's finish event and the shard it runs in, and the heap holds
+// one finish event per running job, so no other job has any.
+func (e *Engine) timelineViolation() (v invariant.Violation, bad bool) {
+	h, running := &e.events, 0
+	for n, st := range e.sh.States {
+		running += len(st.runningIdx)
+		for _, j := range st.runningIdx {
+			i, ok := e.index[j.ID]
+			if p := h.pos[i]; !bad && (!ok || p < 0 || h.ev[p].kind != evFinish || h.ev[p].jobID != int(i) || e.shard[i] != int32(n)) {
+				v.Subject, v.Actual, bad = fmt.Sprintf("job %d", j.ID), fmt.Sprintf("index entry %v, position %d, shard %d", ok, p, e.shard[i]), true
+			}
+		}
+	}
+	if !bad && h.finishes != running {
+		v.Subject, v.Actual, bad = "timeline", fmt.Sprintf("%d finish events", h.finishes), true
+	}
+	v.Rule, v.Expected = invariant.RuleIndexConsistency, "one finish event per running job, where its index names, in its shard"
+	return v, bad
 }
 
 func totalClusterGPUs(c *cluster.Cluster) int {
@@ -87,12 +112,12 @@ func totalClusterGPUs(c *cluster.Cluster) int {
 	return sum
 }
 
-// BookkeepingSizes reports the sizes of the engine's and states' internal
-// per-job maps — test hooks for asserting that completed jobs do not
-// accumulate dead entries over long traces.
-func (e *Engine) BookkeepingSizes() (lastUpdate, versions, shards int) {
+// BookkeepingSizes reports the sizes of the states' and the engine's per-job
+// maps and the finish events left — test hooks for asserting that completed
+// jobs do not accumulate dead entries over long traces.
+func (e *Engine) BookkeepingSizes() (lastUpdate, index, finishes int) {
 	for _, st := range e.sh.States {
 		lastUpdate += len(st.lastUpdate)
 	}
-	return lastUpdate, len(e.version), len(e.jobShard)
+	return lastUpdate, len(e.index), e.events.finishes
 }

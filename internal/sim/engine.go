@@ -145,26 +145,11 @@ const (
 	evMetrics
 )
 
+var eventNames = [...]string{"arrival", "finish", "domain", "crash", "recover", "release", "orch", "sched", "metrics"}
+
 func (k eventKind) String() string {
-	switch k {
-	case evArrival:
-		return "arrival"
-	case evFinish:
-		return "finish"
-	case evDomain:
-		return "domain"
-	case evCrash:
-		return "crash"
-	case evRecover:
-		return "recover"
-	case evRelease:
-		return "release"
-	case evOrch:
-		return "orch"
-	case evSched:
-		return "sched"
-	case evMetrics:
-		return "metrics"
+	if int(k) < len(eventNames) {
+		return eventNames[k]
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
@@ -172,24 +157,13 @@ func (k eventKind) String() string {
 // profEventName labels the profiling span wrapping each event kind. The
 // periodic kinds get dotted names so the self-timing report reads as "time
 // in scheduler epochs" vs "time in orchestrator epochs" at the top level.
-var profEventName = [...]string{
-	evArrival: "arrival",
-	evFinish:  "finish",
-	evDomain:  "domain",
-	evCrash:   "crash",
-	evRecover: "recover",
-	evRelease: "release",
-	evOrch:    "epoch.orch",
-	evSched:   "epoch.sched",
-	evMetrics: "metrics",
-}
+var profEventName = [...]string{"arrival", "finish", "domain", "crash", "recover", "release", "epoch.orch", "epoch.sched", "metrics"}
 
 type event struct {
-	t       float64
-	kind    eventKind
-	jobID   int
-	version int
-	seq     int64
+	t     float64
+	kind  eventKind
+	jobID int // index in Engine.jobs (arrival, finish, release) or in a fault timeline
+	seq   int64
 }
 
 // before is the timeline order: time, kind priority, sequence number. The
@@ -205,55 +179,103 @@ func (a *event) before(b *event) bool {
 }
 
 // eventHeap is a binary min-heap of events by value: no per-event boxing,
-// and init heapifies a timeline that was appended to in O(n).
-type eventHeap []event
+// and init heapifies a timeline that was appended to in O(n). A job has at
+// most one finish event: pos[i] is the position of job i's, or -1, rewritten
+// whenever it moves, and finishes counts them.
+type eventHeap struct {
+	ev       []event
+	pos      []int32
+	finishes int
+}
 
-func (h eventHeap) up(j int) {
+// set stores ev at position i, recording where a finish event now sits.
+func (h *eventHeap) set(i int, ev event) {
+	h.ev[i] = ev
+	if ev.kind == evFinish {
+		h.pos[ev.jobID] = int32(i)
+	}
+}
+
+func (h *eventHeap) up(j int) {
+	ev := h.ev[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !h[j].before(&h[i]) {
-			return
+		if !ev.before(&h.ev[i]) {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h.set(j, h.ev[i])
 		j = i
 	}
+	h.set(j, ev)
 }
 
-func (h eventHeap) down(i int) {
+func (h *eventHeap) down(i int) {
+	ev, n := h.ev[i], len(h.ev)
 	for {
 		c := 2*i + 1
-		if c >= len(h) {
-			return
+		if c >= n {
+			break
 		}
-		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+		if r := c + 1; r < n && h.ev[r].before(&h.ev[c]) {
 			c = r
 		}
-		if !h[c].before(&h[i]) {
-			return
+		if !h.ev[c].before(&ev) {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h.set(i, h.ev[c])
 		i = c
 	}
+	h.set(i, ev)
 }
 
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
+func (h *eventHeap) init() {
+	for i := len(h.ev)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
+	if ev.kind == evFinish {
+		h.finishes++
+	}
+	h.ev = append(h.ev, ev)
+	h.up(len(h.ev) - 1)
 }
 
 func (h *eventHeap) pop() event {
-	old := *h
-	ev, n := old[0], len(old)-1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
+	ev := h.ev[0]
+	h.remove(0)
 	return ev
+}
+
+// remove deletes the event at position i.
+func (h *eventHeap) remove(i int) {
+	if h.ev[i].kind == evFinish {
+		h.pos[h.ev[i].jobID], h.finishes = -1, h.finishes-1
+	}
+	n := len(h.ev) - 1
+	if h.ev[i], h.ev = h.ev[n], h.ev[:n]; i < n {
+		h.up(i)
+		h.down(i)
+	}
+}
+
+// finish makes ev its job's one finish event, moved in place if it has one.
+func (h *eventHeap) finish(ev event) {
+	if p := int(h.pos[ev.jobID]); p >= 0 {
+		h.ev[p] = ev
+		h.up(p)
+		h.down(p)
+	} else {
+		h.push(ev)
+	}
+}
+
+// drop removes job i's finish event, if it has one.
+func (h *eventHeap) drop(i int) {
+	if p := h.pos[i]; p >= 0 {
+		h.remove(int(p))
+	}
 }
 
 // MemorylessScheduler marks schedulers whose Schedule is a pure function of
@@ -284,15 +306,15 @@ type Engine struct {
 	// combined-usage accounting; nil for states that carry none.
 	infUtil []func(int64) float64
 
-	jobs     []*job.Job
-	total    int // jobs in the trace: len(jobs), or Config.TraceJobs
-	jobShard map[int]int
-	horizon  int64
+	jobs    []*job.Job
+	total   int           // jobs in the trace: len(jobs), or Config.TraceJobs
+	index   map[int]int32 // an arrived, unfinished job's ID -> its index in jobs
+	shard   []int32       // shard[i]: the training shard job i was routed to
+	horizon int64
 
-	events  eventHeap
-	seq     int64
-	version map[int]int
-	now     float64
+	events eventHeap
+	seq    int64
+	now    float64
 
 	completed int
 	ranOnLoan map[int]bool
@@ -391,9 +413,8 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 		infUtil:   make([]func(int64) float64, len(sh.States)),
 		jobs:      jobs,
 		total:     max(cfg.TraceJobs, len(jobs)),
-		jobShard:  make(map[int]int),
+		index:     make(map[int]int32),
 		horizon:   horizon,
-		version:   make(map[int]int),
 		ranOnLoan: make(map[int]bool),
 		epochs:    make([]shardEpoch, nT),
 		loanFrom:  make([]int, len(sh.States)),
@@ -419,9 +440,6 @@ func NewSharded(sc ShardedConfig, jobs []*job.Job, horizon int64, cfg Config) *E
 			st.held = make(map[int]*job.Job)
 		}
 	}
-	e.trainUsage = metrics.NewTimeSeries(0, metricsInterval)
-	e.overallUsage = metrics.NewTimeSeries(0, metricsInterval)
-	e.onLoanUsage = metrics.NewTimeSeries(0, metricsInterval)
 	return e
 }
 
@@ -447,9 +465,9 @@ func StampStragglers(p *fault.Plan, jobs []*job.Job) {
 	}
 }
 
-func (e *Engine) push(t float64, kind eventKind, jobID, version int) {
+func (e *Engine) push(t float64, kind eventKind, jobID int) {
 	e.seq++
-	e.events.push(event{t: t, kind: kind, jobID: jobID, version: version, seq: e.seq})
+	e.events.push(event{t: t, kind: kind, jobID: jobID, seq: e.seq})
 }
 
 // setNow stamps the event time onto every shard state: mutators and
@@ -461,16 +479,13 @@ func (e *Engine) setNow(t float64) {
 	}
 }
 
-// shardOf returns the state of the training shard job id was routed to.
-func (e *Engine) shardOf(id int) *State {
-	return e.sh.States[e.jobShard[id]]
-}
-
-// refresh recomputes the completion event of a job after any throughput
-// change and records on-loan residency, against the job's shard state.
+// refresh moves a job's one finish event after any throughput change, or
+// drops it when the job no longer runs, and records on-loan residency,
+// against the job's shard state.
 func (e *Engine) refresh(st *State, j *job.Job) {
-	e.version[j.ID]++
+	i := int(e.index[j.ID])
 	if j.State != job.Running {
+		e.events.drop(i)
 		return
 	}
 	for _, w := range j.Workers {
@@ -489,7 +504,8 @@ func (e *Engine) refresh(st *State, j *job.Job) {
 			Detail:   "running job cannot make progress; allocation violates the throughput model's domain",
 		})
 	}
-	e.push(st.Now+rt, evFinish, j.ID, e.version[j.ID])
+	e.seq++
+	e.events.finish(event{t: st.Now + rt, kind: evFinish, jobID: i, seq: e.seq})
 }
 
 // drain flushes every training shard's changed set in shard ID order.
@@ -541,14 +557,27 @@ func (e *Engine) Run() *Result {
 	// its sequence number, and one past maxTime is not stored, because the
 	// loop below stops before it could be processed. An arrival's jobID
 	// field carries the job's index in e.jobs; a fault event's its index into
-	// faultSched (crash/recover) or domainSched (domain markers).
+	// faultSched (crash/recover) or domainSched (domain markers). A job holds
+	// one arrival, finish or release event at a time and a periodic kind
+	// re-arms once popped, so the capacity is never outgrown.
 	sp := e.cfg.Prof.Start("timeline.load")
 	reach := Reachable(e.jobs, maxTime)
-	e.events = make(eventHeap, 0, len(reach)+3+len(e.faultSched)+len(e.domainSched))
+	e.events.ev = make([]event, 0, len(reach)+3+len(e.faultSched)+len(e.domainSched))
+	e.events.pos = make([]int32, len(reach))
+	for i := range e.events.pos {
+		e.events.pos[i] = -1
+	}
+	e.shard = make([]int32, len(reach))
+	// Usage is sampled at 0 and every metricsInterval before horizon and cap.
+	samples := max(1, int(math.Ceil(math.Min(float64(e.horizon), maxTime)/metricsInterval)))
+	series := func() *metrics.TimeSeries {
+		return &metrics.TimeSeries{Interval: metricsInterval, Values: make([]float64, 0, samples)}
+	}
+	e.trainUsage, e.overallUsage, e.onLoanUsage = series(), series(), series()
 	load := func(t float64, kind eventKind, id int) {
 		e.seq++
 		if t <= maxTime {
-			e.events = append(e.events, event{t: t, kind: kind, jobID: id, seq: e.seq})
+			e.events.ev = append(e.events.ev, event{t: t, kind: kind, jobID: id, seq: e.seq})
 		}
 	}
 	for i, j := range reach {
@@ -572,7 +601,7 @@ func (e *Engine) Run() *Result {
 	e.events.init()
 	sp.End()
 
-	for len(e.events) > 0 {
+	for len(e.events.ev) > 0 {
 		ev := e.events.pop()
 		if ev.t > maxTime {
 			break
@@ -591,7 +620,7 @@ func (e *Engine) Run() *Result {
 		case evRecover:
 			e.recoverEvent(ev)
 		case evRelease:
-			e.shardOf(ev.jobID).releaseHeld(ev.jobID, e.sh.Less)
+			e.sh.States[e.shard[ev.jobID]].releaseHeld(e.jobs[ev.jobID].ID, e.sh.Less)
 		case evOrch:
 			e.arb.Epoch(e.sh)
 			// The orchestrator moves servers through Cluster.Move and
@@ -602,7 +631,7 @@ func (e *Engine) Run() *Result {
 			}
 			e.drain()
 			if e.completed < e.total {
-				e.push(e.now+float64(e.cfg.OrchInterval), evOrch, 0, 0)
+				e.push(e.now+float64(e.cfg.OrchInterval), evOrch, 0)
 			}
 		case evSched:
 			e.schedEvent()
@@ -612,7 +641,7 @@ func (e *Engine) Run() *Result {
 			// means the paper reports over the measurement period.
 			e.sample()
 			if next := e.now + metricsInterval; next < float64(e.horizon) && next < maxTime {
-				e.push(next, evMetrics, 0, 0)
+				e.push(next, evMetrics, 0)
 			}
 		}
 		if e.audit != nil {
@@ -628,7 +657,7 @@ func (e *Engine) Run() *Result {
 func (e *Engine) arrive(ev event) {
 	j := e.jobs[ev.jobID]
 	target := e.arb.Route(e.sh, j)
-	e.jobShard[j.ID] = target
+	e.index[j.ID], e.shard[ev.jobID] = int32(ev.jobID), int32(target)
 	st := e.sh.States[target]
 	if rec := e.cfg.Obs; rec.Enabled() {
 		rec.Emit(obs.JobEv(e.now, obs.KindJobSubmit, j.ID).WithF(obs.Fields{
@@ -639,15 +668,14 @@ func (e *Engine) arrive(ev event) {
 	st.Enqueue(j, e.sh.Less)
 }
 
-// finishEvent completes a job whose finish event is current. A stale event
-// finds no job: one preempted since is not in its shard's Running, and one
-// completed has no shard entry, so shardOf reads shard 0, where it is not
-// running either. One restarted or resized since carries a newer version.
+// finishEvent completes the job whose one finish event popped: refresh moves
+// it on every throughput change and drops it when the job stops running.
 func (e *Engine) finishEvent(ev event) {
-	st := e.shardOf(ev.jobID)
-	j := st.Running[ev.jobID]
-	if j == nil || ev.version != e.version[j.ID] {
-		return
+	j := e.jobs[ev.jobID]
+	st := e.sh.States[e.shard[ev.jobID]]
+	if st.Running[j.ID] != j {
+		invariant.Fail(fmt.Sprintf("sim:finish t=%g job=%d", e.now, j.ID), invariant.Violation{Rule: invariant.RuleLifecycle,
+			Subject: fmt.Sprintf("job %d", j.ID), Expected: "running in its shard", Actual: fmt.Sprintf("state %v", j.State)})
 	}
 	st.advance(j)
 	if j.Remaining > 1e-6 || j.OverheadLeft > 1e-9 {
@@ -658,11 +686,8 @@ func (e *Engine) finishEvent(ev event) {
 	}
 	st.Finish(j)
 	e.completed++
-	st.drainChanged() // no new finish event needed
-	// The job can never run again: drop its stale-event version counter
-	// and its shard routing so long traces don't accumulate dead entries.
-	delete(e.version, j.ID)
-	delete(e.jobShard, j.ID)
+	st.drainChanged()     // no new finish event needed
+	delete(e.index, j.ID) // it never runs again: no dead entries on long traces
 }
 
 // AnnounceDomain records the fault.domain marker of a correlated outage at
@@ -698,7 +723,7 @@ func (e *Engine) crashEvent(ev event) {
 			e.sh.Transfer(sid, home, cluster.PoolQuarantine)
 		}
 		for _, h := range st.takeNewHolds() {
-			e.push(h.until, evRelease, h.jobID, 0)
+			e.push(h.until, evRelease, int(e.index[h.jobID]))
 		}
 	}
 	e.drain()
@@ -772,7 +797,7 @@ func (e *Engine) schedEvent() {
 		}
 	}
 	if e.completed < e.total {
-		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0, 0)
+		e.push(e.now+float64(e.cfg.SchedInterval), evSched, 0)
 	}
 }
 

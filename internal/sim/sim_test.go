@@ -310,20 +310,48 @@ func TestUsageSampledOverTraceWindowOnly(t *testing.T) {
 	}
 }
 
-func TestStaleFinishEventIgnored(t *testing.T) {
-	// A job scaled mid-run generates a superseded finish event; the engine
-	// must not complete the job early.
+// TestScaleReplacesTheFinishEvent: a job scaled mid-run keeps one finish
+// event, moved to its new completion time. The job starts at 0 on one
+// worker (finish at 1600), scales to four at 60 (finish at 445), and from
+// then on the timeline holds that one event; the job completes at 445 with
+// no work left.
+func TestScaleReplacesTheFinishEvent(t *testing.T) {
 	c := smallCluster(1, 0)
 	j := job.New(0, 0, job.Generic, 2, 1, 4, 400)
 	j.Elastic = true
-	s := &scaleOnceSched{}
-	res := New(c, []*job.Job{j}, 86400, s, nil, Config{Audit: true}).Run()
-	if res.Completed != 1 {
-		t.Fatal("incomplete")
+	s := &timelineProbe{t: t}
+	e := New(c, []*job.Job{j}, 86400, s, nil, Config{Audit: true})
+	s.e = e
+	res := e.Run()
+	if res.Completed != 1 || j.FinishTime != 445 {
+		t.Fatalf("completed %d, finish %d; want 1 at 445", res.Completed, j.FinishTime)
 	}
 	if j.Remaining > 1e-6 {
-		t.Errorf("job completed with %v work left (stale event used)", j.Remaining)
+		t.Errorf("job completed with %v work left", j.Remaining)
 	}
+	if s.checked == 0 {
+		t.Fatal("no epoch saw the scaled job running")
+	}
+}
+
+// timelineProbe is scaleOnceSched that, once the job has scaled, checks at
+// every epoch that the timeline holds its one finish event, at 445.
+type timelineProbe struct {
+	scaleOnceSched
+	t       *testing.T
+	e       *Engine
+	checked int
+}
+
+func (p *timelineProbe) Schedule(st *State) {
+	if j := st.Running[0]; j != nil && j.NumWorkers() == j.MaxWorkers {
+		h := &p.e.events
+		if at := h.pos[0]; h.finishes != 1 || at < 0 || h.ev[at].t != 445 {
+			p.t.Errorf("t=%g: %d finish events, job 0's at position %d; want one, at t=445", st.Now, h.finishes, at)
+		}
+		p.checked++
+	}
+	p.scaleOnceSched.Schedule(st)
 }
 
 func TestRanOnLoanTracking(t *testing.T) {

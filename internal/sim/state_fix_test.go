@@ -141,10 +141,10 @@ func TestBookkeepingMapsDroppedOnFinish(t *testing.T) {
 		if res.Completed != 30 {
 			t.Fatalf("%s: completed %d/30", name, res.Completed)
 		}
-		lastUpdate, versions, shards := e.BookkeepingSizes()
-		if lastUpdate != 0 || versions != 0 || shards != 0 {
-			t.Errorf("%s: per-job bookkeeping survives completion: lastUpdate=%d versions=%d shards=%d, want 0/0/0",
-				name, lastUpdate, versions, shards)
+		lastUpdate, index, finishes := e.BookkeepingSizes()
+		if lastUpdate != 0 || index != 0 || finishes != 0 {
+			t.Errorf("%s: per-job bookkeeping survives completion: lastUpdate=%d index=%d finish events=%d, want 0/0/0",
+				name, lastUpdate, index, finishes)
 		}
 	}
 }
