@@ -92,8 +92,10 @@ func (e *Engine) timelineViolation() (v invariant.Violation, bad bool) {
 		running += len(st.runningIdx)
 		for _, j := range st.runningIdx {
 			i, ok := e.index[j.ID]
-			if p := h.pos[i]; !bad && (!ok || p < 0 || h.ev[p].kind != evFinish || h.ev[p].jobID != int(i) || e.shard[i] != int32(n)) {
-				v.Subject, v.Actual, bad = fmt.Sprintf("job %d", j.ID), fmt.Sprintf("index entry %v, position %d, shard %d", ok, p, e.shard[i]), true
+			p := h.pos[i]
+			if !bad && (!ok || p < 0 || h.ev[p].kind != evFinish || h.ev[p].jobID != int(i) || e.shard[i] != int32(n)) {
+				v.Subject, bad = fmt.Sprintf("job %d", j.ID), true
+				v.Actual = fmt.Sprintf("index entry %v, position %d, shard %d", ok, p, e.shard[i])
 			}
 		}
 	}

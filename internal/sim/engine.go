@@ -145,7 +145,8 @@ const (
 	evMetrics
 )
 
-var eventNames = [...]string{"arrival", "finish", "domain", "crash", "recover", "release", "orch", "sched", "metrics"}
+var eventNames = [...]string{evArrival: "arrival", evFinish: "finish", evDomain: "domain", evCrash: "crash",
+	evRecover: "recover", evRelease: "release", evOrch: "orch", evSched: "sched", evMetrics: "metrics"}
 
 func (k eventKind) String() string {
 	if int(k) < len(eventNames) {
@@ -157,7 +158,8 @@ func (k eventKind) String() string {
 // profEventName labels the profiling span wrapping each event kind. The
 // periodic kinds get dotted names so the self-timing report reads as "time
 // in scheduler epochs" vs "time in orchestrator epochs" at the top level.
-var profEventName = [...]string{"arrival", "finish", "domain", "crash", "recover", "release", "epoch.orch", "epoch.sched", "metrics"}
+var profEventName = [...]string{evArrival: "arrival", evFinish: "finish", evDomain: "domain", evCrash: "crash",
+	evRecover: "recover", evRelease: "release", evOrch: "epoch.orch", evSched: "epoch.sched", evMetrics: "metrics"}
 
 type event struct {
 	t     float64
@@ -268,13 +270,6 @@ func (h *eventHeap) finish(ev event) {
 		h.down(p)
 	} else {
 		h.push(ev)
-	}
-}
-
-// drop removes job i's finish event, if it has one.
-func (h *eventHeap) drop(i int) {
-	if p := h.pos[i]; p >= 0 {
-		h.remove(int(p))
 	}
 }
 
@@ -485,7 +480,9 @@ func (e *Engine) setNow(t float64) {
 func (e *Engine) refresh(st *State, j *job.Job) {
 	i := int(e.index[j.ID])
 	if j.State != job.Running {
-		e.events.drop(i)
+		if p := e.events.pos[i]; p >= 0 {
+			e.events.remove(int(p))
+		}
 		return
 	}
 	for _, w := range j.Workers {

@@ -76,7 +76,9 @@ func TestEventHeapPopsInTimelineOrder(t *testing.T) {
 			case op < 4: // the job stops running
 				id := rng.Intn(jobs)
 				version[id]++
-				h.drop(id)
+				if p := h.pos[id]; p >= 0 {
+					h.remove(int(p))
+				}
 			case op < 5:
 				ev := draw(other(), rng.Intn(jobs))
 				ev.t += last
