@@ -100,7 +100,7 @@ func (e *Engine) timelineViolation() (v invariant.Violation, bad bool) {
 		}
 	}
 	if !bad && h.finishes != running {
-		v.Subject, v.Actual, bad = "timeline", fmt.Sprintf("%d finish events", h.finishes), true
+		v.Subject, v.Actual, bad = "timeline", fmt.Sprintf("%d finish events for %d running jobs", h.finishes, running), true
 	}
 	v.Rule, v.Expected = invariant.RuleIndexConsistency, "one finish event per running job, where its index names, in its shard"
 	return v, bad
