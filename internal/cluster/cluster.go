@@ -345,7 +345,7 @@ type Cluster struct {
 	flexCnt  [numPools]int
 	// emptyCnt counts servers with Used == 0 (BusyServers). srvByType
 	// splits membership by GPU type (pools are homogeneous in practice;
-	// nothing here assumes it), so BestFit knows in O(1) whether a pool
+	// nothing here assumes it), so EachFit knows in O(1) whether a pool
 	// holds any server of a type.
 	emptyCnt  [numPools]int
 	srvByType [numPools][numGPUTypes]int
@@ -819,24 +819,24 @@ func (c *Cluster) FlexibleGPUs(p Pool) int { return c.flexCnt[p] }
 // allocated GPU. O(1).
 func (c *Cluster) BusyServers(p Pool) int { return c.pools[p].n - c.emptyCnt[p] }
 
-// BestFit returns the best-fit server in pool p for one worker that needs
-// need(gpu) GPUs on a server of type gpu, or nil. Preference order matches
-// the placement tie-break contract (package place): non-empty servers
-// before empty ones, then least free GPUs, then lowest ID. fixed, when
-// pinned, restricts candidates to one GPU type; exclude lists servers that
-// must not be used.
+// EachFit calls fn, in best-fit order, for every server in pool p that can
+// host one worker needing need(gpu) GPUs on a server of type gpu, stopping
+// early when fn returns false. Best-fit order is the placement tie-break
+// contract (package place): servers hosting work before empty ones, then
+// least free GPUs, then lowest ID. fixed, when pinned, restricts the walk
+// to one GPU type; exclude lists servers that must not be used. fn must not
+// change allocations in pool p: the walk reads the live free-count sets.
 //
-// The lookup walks the hosting sets upward from the smallest possibly-fitting
-// free count, then the idle sets the same way, and returns the first
-// eligible server: sets ascend by free count and iterate by ID, so that is
-// the exact winner of that order, whatever mix of server sizes the pool holds.
-// With B = GPUs per server distinct free counts this is O(B + ineligible
-// servers passed over); nothing is scanned past the answer.
-func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int) *Server {
+// The walk goes up the hosting sets from the smallest possibly-fitting free
+// count, then up the idle sets the same way: sets ascend by free count and
+// iterate by ID, so that is the order exactly, whatever mix of server sizes
+// the pool holds. With B = GPUs per server distinct free counts, reaching
+// the k-th eligible server costs O(B + k + ineligible servers passed over).
+func (c *Cluster) EachFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int, fn func(*Server) bool) {
 	minNeed := -1
 	if fixed.Pinned {
 		if c.srvByType[p][fixed.GPU] == 0 {
-			return nil
+			return
 		}
 		minNeed = need(fixed.GPU)
 	} else {
@@ -850,7 +850,7 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude 
 		}
 	}
 	if minNeed < 0 {
-		return nil // empty pool
+		return // empty pool
 	}
 	if minNeed == 0 {
 		minNeed = 1 // a worker occupies at least one GPU
@@ -859,19 +859,15 @@ func (c *Cluster) BestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude 
 		for f := minNeed; f < len(side); f++ {
 			for i := side[f].next(0); i >= 0; i = side[f].next(i + 1) {
 				s := c.servers[i]
-				if fixed.Pinned && s.GPU != fixed.GPU {
+				if fixed.Pinned && s.GPU != fixed.GPU || s.free < need(s.GPU) || slices.Contains(exclude, s.ID) {
 					continue
 				}
-				if s.free < need(s.GPU) {
-					continue
-				}
-				if !slices.Contains(exclude, s.ID) {
-					return s
+				if !fn(s) {
+					return
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // CheckInvariants verifies internal consistency and returns the first

@@ -6,7 +6,7 @@ package cluster_test
 // indexed implementation, and every read — pool membership, all capacity
 // counters, fragmentation, busy-server counts, normalized capacity, the
 // servers hosting flexible GPUs, every server's ID-ordered job list and
-// per-job GPUs, and the best-fit choice under random constraints — must
+// per-job GPUs, and the best-fit walk under random constraints — must
 // agree at every step.
 // The cluster mixes 8-GPU and 4-GPU servers, so an empty small server and a
 // half-used large one hold the same free count: best-fit must still prefer
@@ -100,45 +100,35 @@ func (m *refModel) counts(p Pool) (free, used, total, flex, empty int) {
 	return
 }
 
-// bestFit is the reference placement: a full scan in ID order applying the
-// placement preference (non-empty first, then least free, then lowest ID),
-// exactly as place.bestFit did before the bucket index existed.
-func (m *refModel) bestFit(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int) int {
-	best := -1
-	var bestFree, bestUsed int
+// fitOrder is the reference placement walk: every eligible server of pool
+// p, found by a full scan and sorted by the placement preference (non-empty
+// first, then least free, then lowest ID), as place chose servers before
+// the bucket index existed.
+func (m *refModel) fitOrder(p Pool, need func(GPUType) int, fixed GPUPin, exclude []int) []int {
+	var fit []*refServer
 	for _, s := range m.servers {
-		if s.pool != p {
+		if s.pool != p || fixed.Pinned && s.gpu != fixed.GPU || slices.Contains(exclude, s.id) {
 			continue
 		}
-		if fixed.Pinned && s.gpu != fixed.GPU {
-			continue
-		}
-		n := need(s.gpu)
-		if n < 1 {
-			n = 1
-		}
-		if s.free() < n {
-			continue
-		}
-		if slices.Contains(exclude, s.id) {
-			continue
-		}
-		better := false
-		switch {
-		case best < 0:
-			better = true
-		case (s.used() == 0) != (bestUsed == 0):
-			better = bestUsed == 0
-		case s.free() != bestFree:
-			better = s.free() < bestFree
-		default:
-			better = s.id < best
-		}
-		if better {
-			best, bestFree, bestUsed = s.id, s.free(), s.used()
+		if s.free() >= max(need(s.gpu), 1) {
+			fit = append(fit, s)
 		}
 	}
-	return best
+	sort.Slice(fit, func(a, b int) bool {
+		x, y := fit[a], fit[b]
+		if (x.used() == 0) != (y.used() == 0) {
+			return y.used() == 0
+		}
+		if x.free() != y.free() {
+			return x.free() < y.free()
+		}
+		return x.id < y.id
+	})
+	ids := make([]int, len(fit))
+	for i, s := range fit {
+		ids[i] = s.id
+	}
+	return ids
 }
 
 // apply mirrors one operation onto the model; ok says whether the indexed
@@ -243,7 +233,8 @@ func compare(t *testing.T, step int, c *Cluster, m *refModel) {
 	}
 }
 
-// compareBestFit probes placement decisions under random constraints.
+// compareBestFit probes the placement walk under random constraints: the
+// whole EachFit visit order, and a walk stopped part way.
 func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refModel) {
 	t.Helper()
 	for trial := 0; trial < 4; trial++ {
@@ -274,15 +265,25 @@ func compareBestFit(t *testing.T, step int, rng *rand.Rand, c *Cluster, m *refMo
 				}
 			}
 		}
-		got := c.BestFit(p, need, fixed, exclude)
-		want := m.bestFit(p, need, fixed, exclude)
-		gotID := -1
-		if got != nil {
-			gotID = got.ID
+		var got []int
+		c.EachFit(p, need, fixed, exclude, func(s *Server) bool {
+			got = append(got, s.ID)
+			return true
+		})
+		if want := m.fitOrder(p, need, fixed, exclude); !slices.Equal(got, want) {
+			t.Fatalf("step %d: EachFit(pool=%v base=%d fixed=%v excl=%d) visits %v, want %v",
+				step, p, base, fixed, len(exclude), got, want)
 		}
-		if gotID != want {
-			t.Fatalf("step %d: BestFit(pool=%v base=%d fixed=%v excl=%d) = %d, want %d",
-				step, p, base, fixed, len(exclude), gotID, want)
+		// Stopping early visits exactly the servers before the stop.
+		if stop := rng.Intn(len(got) + 1); stop > 0 {
+			var head []int
+			c.EachFit(p, need, fixed, exclude, func(s *Server) bool {
+				head = append(head, s.ID)
+				return len(head) < stop
+			})
+			if !slices.Equal(head, got[:stop]) {
+				t.Fatalf("step %d: EachFit stopped after %d visits %v, want %v", step, stop, head, got[:stop])
+			}
 		}
 	}
 }

@@ -66,35 +66,22 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 	if opt.SingleGPUType && !opt.FixedGPU.Pinned {
 		// Try each candidate type in preference order.
 		for _, pool := range poolOrder(opt) {
-			gpu, ok := poolGPU(c, pool)
-			if !ok {
-				continue
-			}
-			o := opt
-			o.FixedGPU = cluster.PinGPU(gpu)
-			o.PreferPool = pool
-			o.AllowOther = false
-			if ws, ok := AppendGang(dst, c, j, n, o); ok {
-				return ws, true
+			if gpu, ok := poolGPU(c, pool); ok {
+				o := opt
+				o.FixedGPU, o.PreferPool, o.AllowOther = cluster.PinGPU(gpu), pool, false
+				if ws, ok := AppendGang(dst, c, j, n, o); ok {
+					return ws, true
+				}
 			}
 		}
 		return dst, false
 	}
-	placed := dst
-	for i := 0; i < n; i++ {
-		s := bestFit(c, j, opt)
-		if s == nil {
-			rollback(c, j, placed[len(dst):])
-			return dst, false
-		}
-		w, ok := placeOne(c, j, s, opt.Flexible)
-		if !ok {
-			rollback(c, j, placed[len(dst):])
-			return dst, false
-		}
-		placed = append(placed, w)
+	ws := plan(dst, c, j, n, opt)
+	if len(ws)-len(dst) < n {
+		return dst, false
 	}
-	return placed, true
+	commit(c, j, ws[len(dst):])
+	return ws, true
 }
 
 // AppendUpTo places up to n workers of j, appending however many fit
@@ -102,21 +89,51 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 // fulfilment is fine (§5.2: the flexible demand "can be unfulfilled without
 // serious impact").
 func AppendUpTo(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
-	for i := 0; i < n; i++ {
-		s := bestFit(c, j, opt)
-		if s == nil {
+	ws := plan(dst, c, j, n, opt)
+	commit(c, j, ws[len(dst):])
+	return ws
+}
+
+// plan appends to dst the workers best fit places putting up to n workers
+// of j one at a time under opt, and changes nothing on the cluster. Best
+// fit fills each server it picks before moving on (its free count only
+// falls, and a server fitting at a lower count would have been picked
+// first), so the sequence is one cluster.EachFit walk per pool in
+// poolOrder, taking Free()/need workers from each server it visits. An
+// unpinned single-type job is pinned to its first server's GPU type.
+func plan(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
+	need := func(g cluster.GPUType) int { return WorkerGPUs(j, g) }
+	pin := opt.FixedGPU
+	for _, pool := range poolOrder(opt) {
+		if n <= 0 {
 			break
 		}
-		w, ok := placeOne(c, j, s, opt.Flexible)
-		if !ok {
-			break
-		}
-		dst = append(dst, w)
-		if opt.SingleGPUType && !opt.FixedGPU.Pinned {
-			opt.FixedGPU = cluster.PinGPU(w.GPU)
-		}
+		c.EachFit(pool, need, pin, opt.Exclude, func(s *cluster.Server) bool {
+			if pin.Pinned && s.GPU != pin.GPU {
+				return true
+			}
+			if opt.SingleGPUType {
+				pin = cluster.PinGPU(s.GPU)
+			}
+			w := job.Worker{Server: s.ID, GPU: s.GPU, GPUs: WorkerGPUs(j, s.GPU), Flexible: opt.Flexible}
+			for free := s.Free(); n > 0 && free >= w.GPUs; free -= w.GPUs {
+				dst = append(dst, w)
+				n--
+			}
+			return n > 0
+		})
 	}
 	return dst
+}
+
+// commit allocates plan's workers ws of j. Nothing changes the cluster in
+// between, so an allocation that fails is a bookkeeping bug: it panics.
+func commit(c *cluster.Cluster, j *job.Job, ws []job.Worker) {
+	for _, w := range ws {
+		if err := c.Server(w.Server).Allocate(j.ID, w.GPUs, w.Flexible); err != nil {
+			panic("place: commit failed: " + err.Error())
+		}
+	}
 }
 
 // WorkerGPUs returns how many GPUs one worker of j occupies on GPU type g.
@@ -133,22 +150,6 @@ func WorkerGPUs(j *job.Job, g cluster.GPUType) int {
 		return j.GPUsPerWorker
 	}
 	return j.GPUsPerWorker * ((ref + mem - 1) / mem)
-}
-
-func placeOne(c *cluster.Cluster, j *job.Job, s *cluster.Server, flexible bool) (job.Worker, bool) {
-	gpus := WorkerGPUs(j, s.GPU)
-	if err := s.Allocate(j.ID, gpus, flexible); err != nil {
-		return job.Worker{}, false
-	}
-	return job.Worker{Server: s.ID, GPU: s.GPU, GPUs: gpus, Flexible: flexible}, true
-}
-
-func rollback(c *cluster.Cluster, j *job.Job, placed []job.Worker) {
-	for _, w := range placed {
-		if err := c.Server(w.Server).Release(j.ID, w.GPUs); err != nil {
-			panic("place: rollback failed: " + err.Error())
-		}
-	}
 }
 
 func poolOrder(opt Options) []cluster.Pool {
@@ -171,28 +172,6 @@ func poolGPU(c *cluster.Cluster, p cluster.Pool) (g cluster.GPUType, ok bool) {
 		return false
 	})
 	return g, ok
-}
-
-// bestFit returns the server to host one worker of j under opt, or nil.
-// Preference order: preferred pool before the other; within a pool, the
-// non-empty server with the least free space that still fits (best fit),
-// falling back to an empty server; ties broken by server ID for
-// determinism. The per-worker GPU requirement is evaluated per server GPU
-// type (see WorkerGPUs).
-//
-// The pool-internal order (non-empty, then least free, then lowest ID) is
-// the placement tie-break contract. cluster.BestFit resolves it on the
-// free-count bucket index rather than by a full pool scan and documents the
-// exact-equivalence argument; the cluster property test checks it against a
-// naive scan in that order on random states.
-func bestFit(c *cluster.Cluster, j *job.Job, opt Options) *cluster.Server {
-	need := func(g cluster.GPUType) int { return WorkerGPUs(j, g) }
-	for _, pool := range poolOrder(opt) {
-		if s := c.BestFit(pool, need, opt.FixedGPU, opt.Exclude); s != nil {
-			return s
-		}
-	}
-	return nil
 }
 
 // FitsOnLoan reports whether one worker of j can be hosted by one of c's

@@ -39,6 +39,27 @@ func TestGangAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestFailedGangLeavesHoldingsUntouched places a base gang for a job that
+// already holds flexible GPUs on the tightest server, one worker more than
+// the pool fits. A gang that allocated its workers and released them again
+// would release the job's flexible GPUs first (Server.Release's order) and
+// turn them into base GPUs; a gang that fails must change nothing.
+func TestFailedGangLeavesHoldingsUntouched(t *testing.T) {
+	c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 0})
+	if err := c.Server(0).Allocate(1, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	j := job.New(1, 0, job.Generic, 2, 8, 8, 100) // 8 x 2 GPUs > the 14 free
+	if ws, ok := Gang(c, j, 8, PreferTraining(false)); ok {
+		t.Fatalf("gang of 16 GPUs should not fit 14: placed %v", ws)
+	}
+	s := c.Server(0)
+	if s.JobGPUs(1) != 2 || s.FlexibleGPUs(1) != 2 || c.FreeGPUs(cluster.PoolTraining) != 14 {
+		t.Errorf("after the failed gang job 1 holds %d GPUs (%d flexible), pool has %d free; want 2 (2 flexible), 14 free",
+			s.JobGPUs(1), s.FlexibleGPUs(1), c.FreeGPUs(cluster.PoolTraining))
+	}
+}
+
 func TestGangSingleTypeFallsBackToOtherPool(t *testing.T) {
 	c := testCluster(t)
 	// Fill the training pool.
@@ -263,3 +284,4 @@ func TestFitsOnLoan(t *testing.T) {
 		}
 	}
 }
+
