@@ -324,6 +324,9 @@ type Cluster struct {
 	// gpusPerServer is the configured server size, shared by every server
 	// the cluster was built with or can adopt.
 	gpusPerServer int
+	// inferenceGPU is the inference tier's GPU type as New resolved it: the
+	// type of every server that can come on loan.
+	inferenceGPU GPUType
 	// n counts attached (non-nil) servers.
 	n int
 	// pools[p] is the set of pool p's server slots (ID - firstID), written
@@ -444,7 +447,7 @@ func New(cfg Config) *Cluster {
 	}
 	total := cfg.TrainingServers + cfg.InferenceServers
 	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard, gpusPerServer: cfg.GPUsPerServer,
-		servers: make([]*Server, 0, total)}
+		inferenceGPU: cfg.InferenceGPU, servers: make([]*Server, 0, total)}
 	var chunk []Server
 	for i := 0; i < total; i++ {
 		if len(chunk) == 0 {
@@ -468,6 +471,10 @@ func (c *Cluster) Shard() int { return c.shard }
 
 // GPUsPerServer returns the configured number of GPUs in one server.
 func (c *Cluster) GPUsPerServer() int { return c.gpusPerServer }
+
+// InferenceGPU returns the GPU type of the inference tier, the servers
+// that can come on loan, as New resolved it from the configuration.
+func (c *Cluster) InferenceGPU() GPUType { return c.inferenceGPU }
 
 // assignDomains computes the deterministic server -> rack -> zone mapping
 // from the cluster shape: consecutive server IDs fill racks of RackSize

@@ -268,20 +268,26 @@ func TestGangZeroWorkers(t *testing.T) {
 
 func TestFitsOnLoan(t *testing.T) {
 	// A worker occupies twice its GPUs on T4; it fits when that is at most
-	// one server of the cluster's configured size.
+	// one server of the cluster's configured size. An A100 or V100
+	// inference tier hosts a worker with its plain GPUs per worker.
 	for _, tc := range []struct {
+		training, inference   cluster.GPUType
 		perServer, workerGPUs int
 		want                  bool
 	}{
-		{8, 4, true}, {8, 8, false},
-		{4, 2, true}, {4, 4, false},
-		{16, 8, true}, {16, 16, false},
+		{cluster.V100, cluster.T4, 8, 4, true}, {cluster.V100, cluster.T4, 8, 8, false},
+		{cluster.V100, cluster.T4, 4, 2, true}, {cluster.V100, cluster.T4, 4, 4, false},
+		{cluster.V100, cluster.T4, 16, 8, true}, {cluster.V100, cluster.T4, 16, 16, false},
+		{cluster.A100, cluster.T4, 8, 4, true}, {cluster.A100, cluster.T4, 8, 5, false},
+		{cluster.A100, cluster.V100, 8, 5, true}, {cluster.A100, cluster.V100, 8, 8, true},
+		{cluster.V100, cluster.A100, 8, 8, true}, {cluster.V100, cluster.A100, 4, 5, false},
 	} {
-		c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 1, GPUsPerServer: tc.perServer})
+		c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 1, GPUsPerServer: tc.perServer,
+			TrainingGPU: tc.training, InferenceGPU: tc.inference})
 		j := job.New(1, 0, job.Generic, tc.workerGPUs, 1, 1, 100)
 		if got := FitsOnLoan(c, j); got != tc.want {
-			t.Errorf("%d-GPU worker on %d-GPU T4 servers: FitsOnLoan = %v, want %v", tc.workerGPUs, tc.perServer, got, tc.want)
+			t.Errorf("%d-GPU worker on %d-GPU %v servers: FitsOnLoan = %v, want %v",
+				tc.workerGPUs, tc.perServer, tc.inference, got, tc.want)
 		}
 	}
 }
-
