@@ -341,11 +341,10 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		j := v.Running[id]
-		subject := fmt.Sprintf("job %d", id)
 		if j.ID != id {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  jobSubject(id),
 				Expected: fmt.Sprintf("Running map key %d == job ID", id),
 				Actual:   fmt.Sprintf("job ID %d", j.ID),
 			})
@@ -353,7 +352,7 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 		if j.State != job.Running {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  jobSubject(id),
 				Expected: "state running (indexed in Running)",
 				Actual:   fmt.Sprintf("state %v", j.State),
 			})
@@ -361,7 +360,7 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 		if len(j.Workers) == 0 {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  jobSubject(id),
 				Expected: "at least one placed worker",
 				Actual:   "no workers",
 			})
@@ -369,7 +368,7 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 			if base := j.NumWorkers() - j.FlexibleWorkers(); base != j.MinWorkers {
 				add(Violation{
 					Rule:     RuleLifecycle,
-					Subject:  subject,
+					Subject:  jobSubject(id),
 					Expected: fmt.Sprintf("%d base (non-flexible) workers", j.MinWorkers),
 					Actual:   fmt.Sprintf("%d base workers", base),
 					Detail:   "gang-scheduled base demand must stay intact while running",
@@ -378,7 +377,7 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 			if flex := j.FlexibleWorkers(); flex > j.FlexRange() {
 				add(Violation{
 					Rule:     RuleLifecycle,
-					Subject:  subject,
+					Subject:  jobSubject(id),
 					Expected: fmt.Sprintf("at most %d flexible workers", j.FlexRange()),
 					Actual:   fmt.Sprintf("%d flexible workers", flex),
 				})
@@ -389,16 +388,20 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 	}
 }
 
+// jobSubject names job id in a violation. Subjects are formatted only when
+// a rule fails: one per job and worker on every audit was most of an
+// audited run's allocations.
+func jobSubject(id int) string { return fmt.Sprintf("job %d", id) }
+
 // checkWorkers enforces rule 5 on one running job's placements.
 func checkWorkers(v View, j *job.Job, add func(Violation)) {
 	var gpu cluster.GPUType
 	mixed := false
 	for i, w := range j.Workers {
-		subject := fmt.Sprintf("job %d worker %d", j.ID, i)
 		if w.GPUs <= 0 {
 			add(Violation{
 				Rule:     RulePoolMembership,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("job %d worker %d", j.ID, i),
 				Expected: "a positive GPU count",
 				Actual:   fmt.Sprintf("%d GPUs", w.GPUs),
 			})
@@ -407,7 +410,7 @@ func checkWorkers(v View, j *job.Job, add func(Violation)) {
 		if s == nil {
 			add(Violation{
 				Rule:     RulePoolMembership,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("job %d worker %d", j.ID, i),
 				Expected: "placement on an existing server",
 				Actual:   fmt.Sprintf("unknown server %d", w.Server),
 			})
@@ -416,7 +419,7 @@ func checkWorkers(v View, j *job.Job, add func(Violation)) {
 		if s.Pool != cluster.PoolTraining && s.Pool != cluster.PoolOnLoan {
 			add(Violation{
 				Rule:     RulePoolMembership,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("job %d worker %d", j.ID, i),
 				Expected: "a schedulable (training or on-loan) server",
 				Actual:   fmt.Sprintf("server %d in pool %v", s.ID, s.Pool),
 				Detail:   "training work may not run on servers returned to the inference scheduler",
@@ -425,7 +428,7 @@ func checkWorkers(v View, j *job.Job, add func(Violation)) {
 		if w.GPU != s.GPU {
 			add(Violation{
 				Rule:     RulePoolMembership,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("job %d worker %d", j.ID, i),
 				Expected: fmt.Sprintf("GPU type %v (server %d)", s.GPU, s.ID),
 				Actual:   fmt.Sprintf("GPU type %v", w.GPU),
 			})
@@ -439,7 +442,7 @@ func checkWorkers(v View, j *job.Job, add func(Violation)) {
 	if mixed && !j.Hetero {
 		add(Violation{
 			Rule:     RulePoolMembership,
-			Subject:  fmt.Sprintf("job %d", j.ID),
+			Subject:  jobSubject(j.ID),
 			Expected: "a single GPU type (job is not heterogeneous-capable)",
 			Actual:   "workers on mixed GPU types",
 			Detail:   "non-hetero jobs must not span the training/on-loan type boundary (§2.1)",
@@ -451,11 +454,10 @@ func checkWorkers(v View, j *job.Job, add func(Violation)) {
 // queue-time high-water mark.
 func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 	a.seen[j.ID] = true
-	subject := fmt.Sprintf("job %d", j.ID)
 	if j.Remaining < 0 {
 		add(Violation{
 			Rule:     RuleProgressBounds,
-			Subject:  subject,
+			Subject:  jobSubject(j.ID),
 			Expected: "Remaining >= 0",
 			Actual:   fmt.Sprintf("Remaining = %g", j.Remaining),
 		})
@@ -464,7 +466,7 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 	if j.Remaining > j.Work+eps {
 		add(Violation{
 			Rule:     RuleProgressBounds,
-			Subject:  subject,
+			Subject:  jobSubject(j.ID),
 			Expected: fmt.Sprintf("Remaining <= Work (%g)", j.Work),
 			Actual:   fmt.Sprintf("Remaining = %g", j.Remaining),
 		})
@@ -483,7 +485,7 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 		if retired := j.Work - j.Remaining; retired > peak*elapsed+eps {
 			add(Violation{
 				Rule:     RuleProgressBounds,
-				Subject:  subject,
+				Subject:  jobSubject(j.ID),
 				Expected: fmt.Sprintf("at most %g GPU-seconds retired (peak throughput %g x %g s since the first start)", peak*elapsed, peak, elapsed),
 				Actual:   fmt.Sprintf("%g GPU-seconds retired", retired),
 				Detail:   "credit cannot outrun the clock: is progress credited by more than one owner?",
@@ -493,7 +495,7 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 	if j.OverheadLeft < 0 {
 		add(Violation{
 			Rule:     RuleProgressBounds,
-			Subject:  subject,
+			Subject:  jobSubject(j.ID),
 			Expected: "OverheadLeft >= 0",
 			Actual:   fmt.Sprintf("OverheadLeft = %g", j.OverheadLeft),
 		})
@@ -501,7 +503,7 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 	if j.QueueTime < 0 {
 		add(Violation{
 			Rule:     RuleProgressBounds,
-			Subject:  subject,
+			Subject:  jobSubject(j.ID),
 			Expected: "QueueTime >= 0",
 			Actual:   fmt.Sprintf("QueueTime = %d", j.QueueTime),
 		})
@@ -509,7 +511,7 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 	if last, ok := a.lastQueue[j.ID]; ok && j.QueueTime < last {
 		add(Violation{
 			Rule:     RuleProgressBounds,
-			Subject:  subject,
+			Subject:  jobSubject(j.ID),
 			Expected: fmt.Sprintf("QueueTime >= %d (accumulated queue time never shrinks)", last),
 			Actual:   fmt.Sprintf("QueueTime = %d", j.QueueTime),
 		})
@@ -523,11 +525,10 @@ func (a *Auditor) checkProgress(v View, j *job.Job, add func(Violation)) {
 func (a *Auditor) checkQueue(v View, add func(Violation)) {
 	seen := make(map[int]int, len(v.Pending))
 	for i, j := range v.Pending {
-		subject := fmt.Sprintf("queue[%d] (job %d)", i, j.ID)
 		if prev, dup := seen[j.ID]; dup {
 			add(Violation{
 				Rule:     RuleQueueOrder,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: "each job at most once in Pending",
 				Actual:   fmt.Sprintf("also at queue[%d]", prev),
 			})
@@ -536,7 +537,7 @@ func (a *Auditor) checkQueue(v View, add func(Violation)) {
 		if j.State != job.Pending {
 			add(Violation{
 				Rule:     RuleQueueOrder,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: "state pending (member of the queue)",
 				Actual:   fmt.Sprintf("state %v", j.State),
 				Detail:   "CompactPending must remove started/completed jobs",
@@ -545,7 +546,7 @@ func (a *Auditor) checkQueue(v View, add func(Violation)) {
 		if n := len(j.Workers); n != 0 {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: "no placed workers while pending",
 				Actual:   fmt.Sprintf("%d workers", n),
 			})
@@ -553,7 +554,7 @@ func (a *Auditor) checkQueue(v View, add func(Violation)) {
 		if _, running := v.Running[j.ID]; running {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: "absent from the Running index",
 				Actual:   "present in both Pending and Running",
 			})
@@ -561,7 +562,7 @@ func (a *Auditor) checkQueue(v View, add func(Violation)) {
 		if float64(j.LastEnqueue) > v.Now {
 			add(Violation{
 				Rule:     RuleProgressBounds,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: fmt.Sprintf("LastEnqueue <= Now (%g)", v.Now),
 				Actual:   fmt.Sprintf("LastEnqueue = %d", j.LastEnqueue),
 			})
@@ -570,7 +571,7 @@ func (a *Auditor) checkQueue(v View, add func(Violation)) {
 		if v.Less != nil && i > 0 && v.Less(j, v.Pending[i-1]) {
 			add(Violation{
 				Rule:     RuleQueueOrder,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("queue[%d] (job %d)", i, j.ID),
 				Expected: fmt.Sprintf("not ordered before its predecessor job %d under Less", v.Pending[i-1].ID),
 				Actual:   "queue out of priority order",
 			})
@@ -588,11 +589,10 @@ func (a *Auditor) checkHeld(v View, add func(Violation)) {
 		inPending[j.ID] = true
 	}
 	for i, j := range v.Held {
-		subject := fmt.Sprintf("held[%d] (job %d)", i, j.ID)
 		if j.State != job.Pending {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("held[%d] (job %d)", i, j.ID),
 				Expected: "state pending while held by restart backoff",
 				Actual:   fmt.Sprintf("state %v", j.State),
 			})
@@ -600,7 +600,7 @@ func (a *Auditor) checkHeld(v View, add func(Violation)) {
 		if n := len(j.Workers); n != 0 {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("held[%d] (job %d)", i, j.ID),
 				Expected: "no placed workers while held",
 				Actual:   fmt.Sprintf("%d workers", n),
 			})
@@ -608,7 +608,7 @@ func (a *Auditor) checkHeld(v View, add func(Violation)) {
 		if inPending[j.ID] {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("held[%d] (job %d)", i, j.ID),
 				Expected: "absent from the pending queue while held",
 				Actual:   "present in both Held and Pending",
 				Detail:   "a held job must not be schedulable before its hold expires",
@@ -617,7 +617,7 @@ func (a *Auditor) checkHeld(v View, add func(Violation)) {
 		if _, running := v.Running[j.ID]; running {
 			add(Violation{
 				Rule:     RuleLifecycle,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("held[%d] (job %d)", i, j.ID),
 				Expected: "absent from the Running index while held",
 				Actual:   "present in both Held and Running",
 			})
@@ -625,7 +625,7 @@ func (a *Auditor) checkHeld(v View, add func(Violation)) {
 		if float64(j.LastEnqueue) > v.Now {
 			add(Violation{
 				Rule:     RuleProgressBounds,
-				Subject:  subject,
+				Subject:  fmt.Sprintf("held[%d] (job %d)", i, j.ID),
 				Expected: fmt.Sprintf("LastEnqueue <= Now (%g)", v.Now),
 				Actual:   fmt.Sprintf("LastEnqueue = %d", j.LastEnqueue),
 			})
