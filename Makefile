@@ -47,7 +47,10 @@ smoke:
 # instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
 # and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
-# 100x the paper's cluster, which must read flat across the three; and of the
+# 100x the paper's cluster, which must read flat across the three, and a gang
+# of whole servers one larger than the idle ones (the nofit rows: the walk
+# visits every idle server, grows with the scale and allocates nothing, and
+# no GPU is allocated and released again); and of the
 # scale tier's set-up: the fault timeline of its 108,338 streams and the clone
 # of its 223,777-job trace (allocs/op is the number to watch on both), and,
 # once, its 96,300-server cluster (allocs/op counts chunks, not servers); and

@@ -44,6 +44,10 @@ func benchCluster(scale int) (*cluster.Cluster, cluster.Config) {
 // 1-GPU worker always lands on a server already hosting work; a whole-server
 // worker fits none of those and falls through to the idle servers, the case
 // that cost a scan of every empty server while only the first was measured.
+// The nofit rows ask for a gang of whole-server workers one larger than the
+// training pool's empty servers: it fits nowhere, and the walk that finds
+// out visits every empty server and changes nothing, where placing the
+// workers one by one allocated each of them and released them all again.
 func BenchmarkBestFit(b *testing.B) {
 	for _, gpus := range []int{1, cluster.DefaultGPUsPerServer} {
 		for _, scale := range []int{1, 10, 100} {
@@ -64,5 +68,21 @@ func BenchmarkBestFit(b *testing.B) {
 				}
 			})
 		}
+	}
+	for _, scale := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("nofit/%dx", scale), func(b *testing.B) {
+			c, _ := benchCluster(scale)
+			n := c.PoolSize(cluster.PoolTraining) - c.BusyServers(cluster.PoolTraining) + 1
+			j := job.New(1000000, 0, job.Generic, cluster.DefaultGPUsPerServer, n, n, 3600)
+			dst := make([]job.Worker, 0, n)
+			opt := PreferTraining(false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ws, ok := AppendGang(dst, c, j, n, opt); ok {
+					b.Fatalf("a gang of %d whole servers placed %d workers", n, len(ws))
+				}
+			}
+		})
 	}
 }
