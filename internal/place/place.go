@@ -176,9 +176,7 @@ func poolGPU(c *cluster.Cluster, p cluster.Pool) (g cluster.GPUType, ok bool) {
 
 // FitsOnLoan reports whether one worker of j can be hosted by one of c's
 // inference-tier servers at all: with the memory-driven GPU doubling, a
-// worker needing more GPUs than a whole T4 server has can never be placed
-// on loaned capacity, while an A100 or V100 tier hosts any worker that
-// fits a server.
+// worker needing more GPUs than a whole T4 server has never fits one.
 func FitsOnLoan(c *cluster.Cluster, j *job.Job) bool {
 	return WorkerGPUs(j, c.InferenceGPU()) <= c.GPUsPerServer()
 }

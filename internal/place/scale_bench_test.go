@@ -37,11 +37,11 @@ func benchCluster(scale int) (*cluster.Cluster, cluster.Config) {
 	return c, cfg
 }
 
-// BenchmarkBestFit measures one best-fit placement (plus the matching
-// release, so the cluster state is identical every iteration) at 1x, 10x and
-// 100x the paper's server count (the repository benchmark's place.Gang layer
-// metric times the same kernel on each workload's own cluster shape). A
-// 1-GPU worker always lands on a server already hosting work; a whole-server
+// BenchmarkBestFit measures one best-fit placement, a Cluster.EachFit walk
+// and its commit (plus the matching release, so the cluster state is
+// identical every iteration), at 1x, 10x and 100x the paper's server count
+// (the repository benchmark's place.Gang layer metric times the same kernel
+// on each workload's own cluster shape). A 1-GPU worker always lands on a server already hosting work; a whole-server
 // worker fits none of those and falls through to the idle servers, the case
 // that cost a scan of every empty server while only the first was measured.
 // The nofit rows ask for a gang of whole-server workers one larger than the
