@@ -64,9 +64,12 @@ smoke:
 # firing (its fixture is rebuilt with the timer stopped, so the loop takes
 # ~10 s; allocs/op is the number TestEpochAllocationBudget pins); and one
 # Lyra reclaim plan at prod-basic's median shape (BenchmarkReclaimPlan: 94
-# on-loan candidates, 7 servers asked for); and one whole lyra.Run of the
-# capped, faulted 100x tier (the root BenchmarkEpoch/100x-faulted, -short:
-# B/op counts only the jobs that can arrive before MaxTime).
+# on-loan candidates, 7 servers asked for); and a fresh one-worker runner
+# pool running twelve differently mixed specs over one small trace
+# (BenchmarkPoolSim: B/op counts every copy of the trace a run makes, one
+# per executed spec); and one whole lyra.Run of the capped, faulted 100x
+# tier (the root BenchmarkEpoch/100x-faulted, -short: B/op counts only the
+# jobs that can arrive before MaxTime).
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf|BenchmarkEngineElastic' -benchtime 1x -benchmem ./internal/sim/
 	$(GO) test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchmem ./internal/knapsack/ ./internal/alloc/
@@ -76,6 +79,7 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA|BenchmarkAFS' -benchmem ./internal/orchestrator/ ./internal/alloc/
 	$(GO) test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchmem ./internal/sched/
 	$(GO) test -run NONE -bench BenchmarkReclaimPlan -benchmem ./internal/reclaim/
+	$(GO) test -run NONE -bench BenchmarkPoolSim -benchmem ./internal/runner/
 	$(GO) test -run NONE -bench '^BenchmarkEpoch$$/^100x-faulted$$' -short -benchtime 1x -benchmem .
 
 # fuzz runs every Fuzz* target of every package for a minute each, beyond

@@ -117,10 +117,9 @@ func main() {
 		if err != nil {
 			g.Fatal(err)
 		}
+		mix := lyra.Mix{Scenario: kind, ScenarioSeed: g.Seed + 100}
 		for i, cfg := range cfgs {
-			trc := tr.Clone()
-			kind.Apply(&cfg, trc, g.Seed+100)
-			rep, err := lyra.RunProfiled(cfg, trc, g.Collector().NewProfiler(schemes[i]))
+			rep, err := lyra.RunProfiled(cfg, tr, mix, g.Collector().NewProfiler(schemes[i]))
 			if err != nil {
 				g.Fatal(err)
 			}

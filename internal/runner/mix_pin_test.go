@@ -3,6 +3,8 @@ package runner
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"lyra"
@@ -84,5 +86,93 @@ func TestMixedRunsPinned(t *testing.T) {
 	}
 	if c := reps[len(reps)-2]; len(c.Raw.Jobs) >= c.Total {
 		t.Errorf("capped-elastic: the run was given %d of %d jobs; the cap left none out", len(c.Raw.Jobs), c.Total)
+	}
+}
+
+// sameJobs reports every field of every job in which got differs from want.
+func sameJobs(t *testing.T, name string, got, want *lyra.Trace) {
+	t.Helper()
+	if got.Horizon != want.Horizon || got.Config != want.Config || len(got.Jobs) != len(want.Jobs) {
+		t.Fatalf("%s: horizon %d, %d jobs; want %d, %d jobs (or the configs differ)",
+			name, got.Horizon, len(got.Jobs), want.Horizon, len(want.Jobs))
+	}
+	for i, j := range got.Jobs {
+		g, w := reflect.ValueOf(*j), reflect.ValueOf(*want.Jobs[i])
+		for f := 0; f < g.NumField(); f++ {
+			if !reflect.DeepEqual(g.Field(f).Interface(), w.Field(f).Interface()) {
+				t.Errorf("%s: job %d's %s is %v, freshly generated %v", name, j.ID, g.Type().Field(f).Name, g.Field(f), w.Field(f))
+			}
+		}
+	}
+}
+
+// The pool hands every run its memoized trace read-only: after mixedSpecs,
+// bootstrap resamples among them, have run eight at a time, the base trace
+// and the bootstrap set the pool keeps are field for field the ones a fresh
+// synthesis gives.
+func TestPoolLeavesItsTracesUntouched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	specs := mixedSpecs()
+	for i := 0; i < 3; i++ {
+		specs = append(specs, NewSpec(tinyCfg(), tinyGen()).WithScenario(lyra.Ideal, 3).
+			WithElasticFrac(0.3, int64(i)).WithBootstrap(1, 3, i, 5).Named(fmt.Sprintf("bootstrap-%d", i)))
+	}
+	p := New(8)
+	if _, err := p.SimAll(specs); err != nil {
+		t.Fatal(err)
+	}
+	gens := p.Stats().TraceGens
+	fresh := lyra.GenerateTrace(tinyGen())
+	base, err := p.materializeTrace(specs[0].Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameJobs(t, "base trace", base, fresh)
+	for i, boot := range fresh.Bootstrap(1, 3, 5) {
+		kept, err := p.materializeTrace(specs[len(specs)-3+i].Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameJobs(t, fmt.Sprintf("bootstrap %d", i), kept, boot)
+	}
+	if st := p.Stats(); st.TraceGens != gens || gens != 2 {
+		t.Errorf("%d traces synthesized by the runs, %d after; want the base and the bootstrap set once", gens, st.TraceGens)
+	}
+}
+
+// A testbed spec that sets a Mix is an error naming both fields: the
+// prototype replays its trace unmixed, and dropping the mix without a word
+// would run a workload other than the one declared.
+func TestTestbedSpecWithMixRejected(t *testing.T) {
+	p := New(1)
+	for name, s := range map[string]Spec{
+		"scenario":        protoSpec(10).WithScenario(lyra.Ideal, 1),
+		"checkpoint-frac": protoSpec(10).WithCheckpointFrac(0.5, 1),
+	} {
+		if _, err := p.Sim(s); err == nil || !strings.Contains(err.Error(), "Testbed and Mix") {
+			t.Errorf("%s: err = %v, want one naming Testbed and Mix", name, err)
+		}
+	}
+	if st := p.Stats(); st.TraceGens != 0 {
+		t.Errorf("%d traces synthesized for rejected specs", st.TraceGens)
+	}
+}
+
+// BenchmarkPoolSim is the runner layer end to end: a fresh one-worker pool
+// synthesizes tinyGen's trace once and runs mixedSpecs over it, unaudited,
+// as a registry pass runs its tables. B/op counts every copy of the trace
+// the pool and the runs make.
+func BenchmarkPoolSim(b *testing.B) {
+	specs := mixedSpecs()
+	for i := range specs {
+		specs[i].Config.Audit = false
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(1).SimAll(specs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -177,12 +177,16 @@ func (p *Pool) SimAll(specs []Spec) ([]*lyra.Report, error) {
 	return reps, nil
 }
 
-// runSim materializes the trace, adapts config and trace through the spec's
-// Mix, and runs the spec's substrate.
+// runSim materializes the trace and runs the spec's substrate on it. Only
+// the simulator takes a Mix (lyra.RunProfiled mixes its own copy of the
+// trace), so a testbed spec with one is an error.
 func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 	cfg := spec.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if spec.Testbed != nil && spec.Mix != (lyra.Mix{}) {
+		return nil, fmt.Errorf("Testbed and Mix: the prototype takes no workload mix (lyra.RunTestbed); drop one of them")
 	}
 	p.mu.Lock()
 	profC := p.profC
@@ -196,15 +200,11 @@ func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 		run.End()
 		return nil, err
 	}
-	if err := spec.Mix.Apply(&cfg, tr); err != nil {
-		run.End()
-		return nil, err
-	}
 	var rep *lyra.Report
 	if spec.Testbed != nil {
 		rep, err = lyra.RunTestbed(cfg, tr, *spec.Testbed)
 	} else {
-		rep, err = lyra.RunProfiled(cfg, tr, pr)
+		rep, err = lyra.RunProfiled(cfg, tr, spec.Mix, pr)
 	}
 	run.End()
 	if err == nil && pr.Enabled() {
@@ -215,9 +215,9 @@ func (p *Pool) runSim(spec Spec) (*lyra.Report, error) {
 	return rep, err
 }
 
-// materializeTrace returns a private clone of the declared workload: the
-// base trace (and any bootstrap set) is synthesized once per pool and
-// shared, the clone is the caller's to mutate.
+// materializeTrace returns the declared workload, synthesized once per pool
+// (with any bootstrap set) and shared by every run of it: it is read-only,
+// and lyra.RunProfiled or lyra.RunTestbed makes each run's private copy.
 func (p *Pool) materializeTrace(ts TraceSpec) (*lyra.Trace, error) {
 	genKey, err := KeyOf("trace", struct {
 		Gen         lyra.TraceConfig
@@ -258,7 +258,7 @@ func (p *Pool) materializeTrace(ts TraceSpec) (*lyra.Trace, error) {
 		if b.Index < 0 || b.Index >= len(boots) {
 			return nil, fmt.Errorf("bootstrap index %d outside [0, %d)", b.Index, len(boots))
 		}
-		return boots[b.Index].Clone(), nil
+		return boots[b.Index], nil
 	}
-	return base.Clone(), nil
+	return base, nil
 }

@@ -399,11 +399,11 @@ func TestSimAllCollapsesDuplicates(t *testing.T) {
 // order would leave every job elastic.
 func TestMixAppliesScenarioBeforeKnobs(t *testing.T) {
 	spec := NewSpec(tinyCfg(), tinyGen()).WithScenario(lyra.Ideal, 7).WithElasticFrac(0, 9)
-	tr, err := New(1).materializeTrace(spec.Trace)
+	shared, err := New(1).materializeTrace(spec.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := spec.Config
+	tr, cfg := shared.Clone(), spec.Config // the pool's trace is read-only
 	if err := spec.Mix.Apply(&cfg, tr); err != nil {
 		t.Fatal(err)
 	}

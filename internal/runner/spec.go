@@ -28,8 +28,9 @@ type Spec struct {
 	// Config is the scheme under test, before scenario adaptation.
 	Config lyra.Config
 
-	// Mix adapts config and trace after the trace is materialized: the
-	// scenario on both at once, then the mix knobs (lyra.Mix.Apply).
+	// Mix adapts config and the run's own copy of the trace: the scenario
+	// on both at once, then the mix knobs (lyra.RunProfiled). A Testbed
+	// spec takes none.
 	Mix lyra.Mix
 
 	// Trace declares the workload.
@@ -45,7 +46,7 @@ type Spec struct {
 
 // TraceSpec declares a workload as generation parameters plus an optional
 // bootstrap resample. The base trace for a given generation key is
-// synthesized once per pool and cloned per run.
+// synthesized once per pool and shared read-only by its runs.
 type TraceSpec struct {
 	// Gen synthesizes the production-like base trace. Ignored when
 	// TestbedJobs is set.

@@ -356,9 +356,9 @@ func sampleCategorical(rng *rand.Rand, vals []int, probs []float64) int {
 }
 
 // Clone deep-copies the trace so that one synthesized workload can be
-// replayed under several schemes without interference. The copies live in
-// one slab, so a clone of an unrun trace is three allocations at any length
-// (every run starts with one).
+// replayed under several schemes without interference: each run clones the
+// jobs it can reach once, then mixes and runs its copy. The copies live in
+// one slab, so a clone of an unrun trace is three allocations at any length.
 func (tr *Trace) Clone() *Trace {
 	cp := &Trace{Horizon: tr.Horizon, Config: tr.Config}
 	cp.Jobs = make([]*job.Job, len(tr.Jobs))

@@ -652,23 +652,26 @@ type Report struct {
 // when Config.Events is set, the tail of the event ring for the lead-up
 // context — instead of escaping as a raw panic.
 func Run(cfg Config, tr *Trace) (rep *Report, err error) {
-	return RunProfiled(cfg, tr, nil)
+	return RunProfiled(cfg, tr, Mix{}, nil)
 }
 
-// RunProfiled is Run with an optional wall-clock span profiler (internal
-// prof package, surfaced through the CLIs' -prof/-trace flags). A nil
-// profiler is exactly Run. The profiler is deliberately NOT part of Config:
-// Config is hashed by the runner's content-addressed cache, and wall-clock
-// instrumentation must never change a run's identity. The report's Prof
-// field carries the aggregated self-timing snapshot; the profiler itself
-// retains the raw spans for Chrome-trace export.
-func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err error) {
+// RunProfiled is Run under a workload mix, with an optional wall-clock span
+// profiler (internal prof package, the CLIs' -prof/-trace flags); Mix{} and
+// a nil profiler are exactly Run. The mix adapts cfg and the run's own copy
+// of tr, never tr, so concurrent runs may share one trace. The profiler is
+// not part of Config, which the runner's cache hashes: instrumentation must
+// never change a run's identity. The report's Prof field carries the
+// self-timing snapshot; the profiler keeps the raw spans for Chrome traces.
+func RunProfiled(cfg Config, tr *Trace, m Mix, p *prof.Profiler) (rep *Report, err error) {
+	if err := m.Apply(&cfg, nil); err != nil {
+		return nil, err
+	}
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	psp := p.Start("prepare")
-	r := newRun(cfg, tr, cfg.MaxTime)
+	r := newRun(cfg, tr, cfg.MaxTime, m)
 	defer r.recoverViolation(&err)
 
 	// Post-normalization the config's zero values are literal; the
@@ -745,9 +748,10 @@ func newReport(res *sim.Result, total int) *Report {
 
 // run is the prelude Run and RunTestbed share, built from a normalized and
 // validated config: a private copy of the trace's jobs that can arrive by
-// maxTime (sim.Reachable; 0 copies them all) with the running-time
-// estimates annotated, and — when Config.Events is set — the recorder
-// writing JSONL (jw → buf) beside the ring that keeps a violation's lead-up.
+// maxTime (sim.Reachable; 0 copies them all), mixed by m — each knob draws
+// per job in job order, so the prefix gets what the whole trace would — and
+// annotated with running-time estimates, and, when Config.Events is set,
+// the recorder writing JSONL (jw → buf) beside the ring for a violation.
 type run struct {
 	tr   *Trace
 	rec  *obs.Recorder
@@ -756,10 +760,11 @@ type run struct {
 	buf  bytes.Buffer
 }
 
-func newRun(cfg Config, tr *Trace, maxTime float64) *run {
+func newRun(cfg Config, tr *Trace, maxTime float64, m Mix) *run {
 	reach := *tr
 	reach.Jobs = sim.Reachable(tr.Jobs, maxTime)
 	r := &run{tr: reach.Clone()}
+	_ = m.Apply(nil, r.tr) // the caller has validated m on the config
 	if cfg.Events {
 		r.ring, r.jw = obs.NewRing(128), obs.NewJSONLWriter(&r.buf)
 		r.rec = obs.NewRecorder(r.jw, r.ring)

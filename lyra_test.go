@@ -67,9 +67,16 @@ func TestRunDoesNotMutateInputTrace(t *testing.T) {
 	capped.FracWrongEstimate, capped.MaxEstimateError = 0.5, 0.25
 	sharded := capped
 	sharded.TrainingShards, sharded.InferenceShards = 2, 2
-	for name, c := range map[string]Config{"capped": capped, "capped-sharded-2+2": sharded} {
+	// The mix, too, adapts the run's copy: Ideal rewrites every job's
+	// capabilities and the knobs re-draw three of them.
+	ideal := Mix{Scenario: Ideal, ScenarioSeed: 3, HeteroFrac: &FracKnob{0.2, 5},
+		ElasticFrac: &FracKnob{0.6, 6}, CheckpointFrac: &FracKnob{0.5, 7}}
+	for name, c := range map[string]struct {
+		cfg Config
+		mix Mix
+	}{"capped": {capped, Mix{}}, "capped-sharded-2+2": {sharded, Mix{}}, "capped-ideal+knobs": {capped, ideal}} {
 		want := tr.Clone()
-		rep, err := Run(c, tr)
+		rep, err := RunProfiled(c.cfg, tr, c.mix, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,13 +510,13 @@ func TestCheckpointingReducesJCTUnderPreemption(t *testing.T) {
 func TestEventWriterErrorSurfaces(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Events = true
-	r := newRun(cfg, smallTrace(1), 0)
+	r := newRun(cfg, smallTrace(1), 0, Mix{})
 	r.rec.Emit(obs.Event{T: 1, Kind: obs.KindSchedEpoch, Job: -1, F: obs.Fields{"x": math.NaN()}})
 	r.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
 	if _, err := r.finish(&Report{}); err == nil || !strings.Contains(err.Error(), "lyra: Events:") {
 		t.Fatalf("finish after a NaN field: got %v, want a lyra: Events: error", err)
 	}
-	clean := newRun(cfg, smallTrace(1), 0)
+	clean := newRun(cfg, smallTrace(1), 0, Mix{})
 	clean.rec.Emit(obs.Ev(2, obs.KindSchedEpoch))
 	if rep, err := clean.finish(&Report{}); err != nil || len(rep.Events) == 0 {
 		t.Fatalf("clean stream: got %v, want the recorded event", err)

@@ -53,7 +53,7 @@ func profilingDoesNotPerturbEvents(t *testing.T, tweak func(*lyra.Config)) {
 		cfg.Audit = true
 		tweak(&cfg)
 
-		rep, err := lyra.RunProfiled(cfg, tr, p)
+		rep, err := lyra.RunProfiled(cfg, tr, lyra.Mix{}, p)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -91,16 +91,19 @@ type FracKnob struct {
 	Seed int64
 }
 
-// Apply adapts cfg and tr in the one order a run uses: the scenario first
-// (an unknown one is an error and changes nothing), then the hetero,
-// elastic and checkpoint fractions. The order matters — Ideal makes every
-// job elastic, and an elastic fraction applied after it re-draws them.
+// Apply adapts cfg and tr (either may be nil) in the one order a run uses:
+// the scenario first (an unknown one is an error and changes nothing), then
+// the hetero, elastic and checkpoint fractions. The order matters — Ideal
+// makes every job elastic, and an elastic fraction re-draws them after it.
 func (m Mix) Apply(cfg *Config, tr *Trace) error {
 	if m.Scenario != "" {
 		if !m.Scenario.Valid() {
 			return fmt.Errorf("Scenario: unknown scenario %q (valid: %v)", m.Scenario, Scenarios())
 		}
 		m.Scenario.Apply(cfg, tr, m.ScenarioSeed)
+	}
+	if tr == nil {
+		return nil
 	}
 	if k := m.HeteroFrac; k != nil {
 		setHeteroFraction(tr, k.Frac, k.Seed)

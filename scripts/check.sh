@@ -52,7 +52,7 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== engine, scale-tier set-up (fault timeline, trace clone, cluster), comparison-kernel, best-fit placement, scheduling-epoch, reclaim-plan and capped scale-run benchmarks, once (they compile and run; the engine replays, the elastic one rescaling every epoch, the MCKP kernels, the LSTM fit, the Pollux search, a warm AFS call, the placements and the gang that fits nowhere, the epoch, the plan and the capped lyra.Run print their allocs/op and B/op)"
+echo "== engine, scale-tier set-up (fault timeline, trace clone, cluster), comparison-kernel, best-fit placement, scheduling-epoch, reclaim-plan, runner-pool and capped scale-run benchmarks, once (they compile and run; the engine replays, the elastic one rescaling every epoch, the MCKP kernels, the LSTM fit, the Pollux search, a warm AFS call, the placements and the gang that fits nowhere, the epoch, the plan, a pool's batch of mixed runs and the capped lyra.Run print their allocs/op and B/op)"
 go test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf|BenchmarkEngineElastic' -benchtime 1x -benchmem ./internal/sim/
 go test -run NONE -bench 'BenchmarkFullSchedule|BenchmarkClone|BenchmarkClusterNew' -benchtime 1x -benchmem ./internal/fault/ ./internal/trace/ ./internal/cluster/
 go test -run NONE -bench 'BenchmarkForecasterFit|BenchmarkPolluxGA|BenchmarkAFS' -benchtime 1x -benchmem ./internal/orchestrator/ ./internal/alloc/
@@ -60,6 +60,7 @@ go test -run NONE -bench 'BenchmarkMultiChoice|BenchmarkPhase2' -benchtime 1x -b
 go test -run NONE -bench BenchmarkBestFit -benchtime 1x -benchmem ./internal/place/
 go test -run NONE -bench 'BenchmarkMakeRoom|BenchmarkEpoch' -benchtime 1x -benchmem ./internal/sched/
 go test -run NONE -bench BenchmarkReclaimPlan -benchtime 1x -benchmem ./internal/reclaim/
+go test -run NONE -bench BenchmarkPoolSim -benchtime 1x -benchmem ./internal/runner/
 go test -run NONE -bench '^BenchmarkEpoch$/^100x-faulted$' -short -benchtime 1x -benchmem .
 
 echo "== smoke (the real binaries end to end: scripts/smoke.sh lists the cases)"

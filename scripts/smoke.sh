@@ -14,7 +14,8 @@
 #   prof    the span profiler attributes >= 90% and perturbs no event
 #   shard   4-shard determinism across processes, the per-shard summary table,
 #           and several borrowers served in one arbitration epoch
-#   trace   a tracegen CSV replays through lyra-sim -trace-csv, every job done
+#   trace   a tracegen CSV replays through lyra-sim -trace-csv, under the
+#           default scenario and under ideal, every job done
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -249,9 +250,16 @@ smoke_trace() {
 	cat "$dir/csv.out"
 	rows=$(($(wc -l < "$dir/trace.csv") - 1))
 	positive "$rows" "tracegen wrote no jobs"
-	jobs=$(sed -n 's/^jobs: \([0-9]*\) submitted, \([0-9]*\) completed$/\1 \2/p' "$dir/csv.out")
-	[ "$jobs" = "$rows $rows" ] ||
-		fail "(submitted, completed) = ($jobs), want all $rows jobs of the CSV"
+	# The scenario adapts each run's own copy of the loaded trace: under
+	# Ideal every job is elastic, and still every one finishes.
+	"$sim" -trace-csv "$dir/trace.csv" -training-servers 16 -inference-servers 16 -audit \
+		-scenario ideal > "$dir/csv.ideal.out"
+	cat "$dir/csv.ideal.out"
+	for out in csv csv.ideal; do
+		jobs=$(sed -n 's/^jobs: \([0-9]*\) submitted, \([0-9]*\) completed$/\1 \2/p' "$dir/$out.out")
+		[ "$jobs" = "$rows $rows" ] ||
+			fail "$out: (submitted, completed) = ($jobs), want all $rows jobs of the CSV"
+	done
 }
 
 [ $# -gt 0 ] || set -- bench events fault matrix prof shard trace

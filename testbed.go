@@ -80,7 +80,7 @@ func RunTestbed(cfg Config, tr *Trace, opt TestbedOptions) (rep *Report, err err
 		return nil, fmt.Errorf("lyra: UtilCompress %d negative (0 selects the default of 4)", opt.UtilCompress)
 	}
 	opt = opt.Normalize()
-	r := newRun(cfg, tr, 0) // the tick loop's cap is tick-granular: copy every job
+	r := newRun(cfg, tr, 0, Mix{}) // the tick loop's cap is tick-granular: copy every job
 	defer r.recoverViolation(&err)
 
 	s, orch, _ := oneStateScheme(cfg, r.tr.Horizon, opt.UtilCompress, nil)

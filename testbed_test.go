@@ -215,7 +215,7 @@ func TestRunTestbedRejectsWhatItCannotHonour(t *testing.T) {
 // keeps panicking.
 func TestRecoverViolation(t *testing.T) {
 	entry := func(panicWith func(r *run)) (err error) {
-		r := newRun(Config{Events: true}.Normalize(), &Trace{}, 0)
+		r := newRun(Config{Events: true}.Normalize(), &Trace{}, 0, Mix{})
 		defer r.recoverViolation(&err)
 		panicWith(r)
 		return nil
