@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lyra"
@@ -142,28 +141,10 @@ func TestPoolLeavesItsTracesUntouched(t *testing.T) {
 	}
 }
 
-// A testbed spec that sets a Mix is an error naming both fields: the
-// prototype replays its trace unmixed, and dropping the mix without a word
-// would run a workload other than the one declared.
-func TestTestbedSpecWithMixRejected(t *testing.T) {
-	p := New(1)
-	for name, s := range map[string]Spec{
-		"scenario":        protoSpec(10).WithScenario(lyra.Ideal, 1),
-		"checkpoint-frac": protoSpec(10).WithCheckpointFrac(0.5, 1),
-	} {
-		if _, err := p.Sim(s); err == nil || !strings.Contains(err.Error(), "Testbed and Mix") {
-			t.Errorf("%s: err = %v, want one naming Testbed and Mix", name, err)
-		}
-	}
-	if st := p.Stats(); st.TraceGens != 0 {
-		t.Errorf("%d traces synthesized for rejected specs", st.TraceGens)
-	}
-}
-
 // BenchmarkPoolSim is the runner layer end to end: a fresh one-worker pool
-// synthesizes tinyGen's trace once and runs mixedSpecs over it, unaudited,
-// as a registry pass runs its tables. B/op counts every copy of the trace
-// the pool and the runs make.
+// synthesizes tinyGen's trace and one bootstrap set once and runs
+// mixedSpecs over them, unaudited, as a registry pass runs its tables. B/op
+// counts every copy of the trace the pool and the runs make.
 func BenchmarkPoolSim(b *testing.B) {
 	specs := mixedSpecs()
 	for i := range specs {

@@ -241,6 +241,12 @@ func TestPoolDefaultsAndValidation(t *testing.T) {
 	if _, err := p.Sim(badTB); err == nil || !strings.Contains(err.Error(), "runner: testbed/nonsense: ") {
 		t.Errorf("Sim of a prototype spec with an unknown scheduler: err = %v, want one labelled testbed/nonsense", err)
 	}
+	// The prototype replays its trace unmixed: a Mix on a testbed spec is
+	// an error naming both fields, not a workload silently half adapted.
+	mixedTB := protoSpec(10).WithCheckpointFrac(0.5, 1)
+	if _, err := p.Sim(mixedTB); err == nil || !strings.Contains(err.Error(), "Testbed and Mix") {
+		t.Errorf("Sim of a prototype spec with a Mix: err = %v, want one naming Testbed and Mix", err)
+	}
 	sharded := protoSpec(10).Named("proto/sharded")
 	sharded.Config.TrainingShards, sharded.Config.InferenceShards = 2, 2
 	if _, err := p.Sim(sharded); err == nil || !strings.Contains(err.Error(), "runner: proto/sharded: ") {
