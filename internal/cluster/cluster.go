@@ -338,8 +338,8 @@ type Cluster struct {
 	// allocation change moves it between sets (see serverChanged).
 	buckets [numPools][]idset
 	idle    [numPools][]idset
-	// flexHosts[p] holds pool p's servers with TotalFlexible > 0: the
-	// servers a make-room scale-in can take GPUs from.
+	// flexHosts[p] holds pool p's servers with TotalFlexible > 0: where a
+	// make-room plan may evict.
 	flexHosts [numPools]idset
 	// O(1) capacity counters per pool.
 	freeCnt  [numPools]int
@@ -773,8 +773,7 @@ func (c *Cluster) EachPoolServer(p Pool, fn func(*Server) bool) {
 // EachFlexibleServer calls fn for every server of pool p hosting flexible
 // GPUs, in ascending ID order, stopping early when fn returns false: the
 // servers EachPoolServer visits with TotalFlexible() > 0, without passing
-// over the rest. The callback may release GPUs on the server it was handed,
-// under EachPoolServer's rules.
+// over the rest.
 func (c *Cluster) EachFlexibleServer(p Pool, fn func(*Server) bool) {
 	set := &c.flexHosts[p]
 	for i := set.next(0); i >= 0; i = set.next(i + 1) {

@@ -349,7 +349,7 @@ func (l *Loans) reclaim(b Borrower, n int, giveBack func(sid int)) {
 	// in the plan's job-then-server order.
 	for _, pair := range plan.ScaleIn {
 		if j := st.Running[pair[0]]; j != nil {
-			st.RemoveFlexibleOnServer(j, pair[1])
+			st.RemoveFlexibleOnServer(j, pair[1], len(j.Workers))
 		}
 	}
 

@@ -34,6 +34,13 @@ type Options struct {
 	Exclude []int
 	// Flexible marks the placed workers as elastic surplus.
 	Flexible bool
+	// Evict, when set, has AppendGang count the flexible GPUs on its pools
+	// as free (§5.2: base demands take priority over flexible ones) and
+	// take the plan evicting the fewest (planEvicting). Only a complete
+	// plan evicts: Evict(s, gpus) is called for each planned server short
+	// of free GPUs, with the GPUs the plan puts there, and must scale
+	// flexible workers in on s until that many are free.
+	Evict func(s *cluster.Server, gpus int)
 }
 
 // PreferOnLoan returns the preference Lyra uses for elastic jobs.
@@ -76,11 +83,16 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 		}
 		return dst, false
 	}
-	ws := plan(dst, c, j, n, opt)
+	var ws []job.Worker
+	if opt.Evict == nil {
+		ws = plan(dst, c, j, n, opt)
+	} else {
+		ws = planEvicting(dst, c, j, n, opt)
+	}
 	if len(ws)-len(dst) < n {
 		return dst, false
 	}
-	commit(c, j, ws[len(dst):])
+	commit(c, j, ws[len(dst):], opt.Evict)
 	return ws, true
 }
 
@@ -90,7 +102,7 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 // serious impact").
 func AppendUpTo(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
 	ws := plan(dst, c, j, n, opt)
-	commit(c, j, ws[len(dst):])
+	commit(c, j, ws[len(dst):], nil)
 	return ws
 }
 
@@ -126,11 +138,69 @@ func plan(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) 
 	return dst
 }
 
-// commit allocates plan's workers ws of j. Nothing changes the cluster in
-// between, so an allocation that fails is a bookkeeping bug: it panics.
-func commit(c *cluster.Cluster, j *job.Job, ws []job.Worker) {
-	for _, w := range ws {
-		if err := c.Server(w.Server).Allocate(j.ID, w.GPUs, w.Flexible); err != nil {
+// planEvicting is plan with the flexible GPUs on opt's pools counted as
+// free, for a gang that plan alone cannot complete. A worker needing g GPUs
+// on a server with f free and x flexible takes one of the server's f/g free
+// slots at no cost, or one of the (f+x)/g - f/g slots eviction opens: the
+// first evicts g - f%g GPUs and each later one g. Costs only rise on a
+// server, so taking every free slot, then the cheapest eviction slots,
+// evicts the fewest flexible GPUs (counted in GPUs, not whole victim
+// workers). Equal-cost slots go in pool order, then by server ID.
+func planEvicting(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
+	each := func(fn func(s *cluster.Server, g int)) {
+		for _, pool := range poolOrder(opt) {
+			c.EachFlexibleServer(pool, func(s *cluster.Server) bool {
+				if !(opt.FixedGPU.Pinned && s.GPU != opt.FixedGPU.GPU) && !slices.Contains(opt.Exclude, s.ID) {
+					fn(s, WorkerGPUs(j, s.GPU))
+				}
+				return true
+			})
+		}
+	}
+	open := 0
+	each(func(s *cluster.Server, g int) { open += (s.Free()+s.TotalFlexible())/g - s.Free()/g })
+	start := len(dst)
+	if dst = plan(dst, c, j, n, opt); len(dst)-start+open < n {
+		return dst
+	}
+	for cost := 1; cost <= c.GPUsPerServer() && len(dst)-start < n; cost++ {
+		each(func(s *cluster.Server, g int) {
+			f := s.Free()
+			k, first := (f+s.TotalFlexible())/g-f/g, g-f%g
+			switch {
+			case cost == g && first < g:
+				k-- // the first slot went at its own, lower cost
+			case cost != first:
+				k = 0
+			case cost < g:
+				k = min(k, 1)
+			}
+			w := job.Worker{Server: s.ID, GPU: s.GPU, GPUs: g, Flexible: opt.Flexible}
+			for ; k > 0 && len(dst)-start < n; k-- {
+				dst = append(dst, w)
+			}
+		})
+	}
+	return dst
+}
+
+// commit allocates plan's workers ws of j. Nothing else changes the cluster
+// in between, so an allocation that fails is a bookkeeping bug: it panics.
+// A worker short of free GPUs is one of planEvicting's: evict frees, first,
+// the GPUs the rest of the plan puts on its server.
+func commit(c *cluster.Cluster, j *job.Job, ws []job.Worker, evict func(*cluster.Server, int)) {
+	for i, w := range ws {
+		s := c.Server(w.Server)
+		if s.Free() < w.GPUs {
+			gpus := 0
+			for _, v := range ws[i:] {
+				if v.Server == w.Server {
+					gpus += v.GPUs
+				}
+			}
+			evict(s, gpus)
+		}
+		if err := s.Allocate(j.ID, w.GPUs, w.Flexible); err != nil {
 			panic("place: commit failed: " + err.Error())
 		}
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,53 +11,6 @@ import (
 	"lyra/internal/obs"
 	"lyra/internal/sim"
 )
-
-// reclaimFlexibleRef is make-room's scale-in as written before the
-// flexible-server index: a walk over every server of each eligible pool,
-// skipping those without flexible GPUs, reading each server's jobs through
-// Jobs(). It is the reference reclaimFlexible must match victim for victim.
-func reclaimFlexibleRef(st *sim.State, j *job.Job, pp poolPolicy) int {
-	want := j.BaseGPUs()
-	freed := 0
-	saved := st.Cause
-	st.Cause = "make-room"
-	defer func() { st.Cause = saved }()
-	for _, pool := range []cluster.Pool{pp.prefer, otherPool(pp.prefer)} {
-		if pool == cluster.PoolTraining && !pp.allowTraining {
-			continue
-		}
-		if pool == cluster.PoolOnLoan && !pp.allowOnLoan {
-			continue
-		}
-		st.Cluster.EachPoolServer(pool, func(s *cluster.Server) bool {
-			if freed >= want {
-				return false
-			}
-			if s.TotalFlexible() == 0 {
-				return true
-			}
-			for _, id := range s.Jobs() {
-				if freed >= want {
-					return false
-				}
-				if s.FlexibleGPUs(id) == 0 {
-					continue
-				}
-				victim := st.Running[id]
-				if victim == nil {
-					continue
-				}
-				removed := st.RemoveFlexibleOnServer(victim, s.ID)
-				freed += removed * victim.GPUsPerWorker
-			}
-			return true
-		})
-		if freed >= want {
-			return freed
-		}
-	}
-	return freed
-}
 
 // packedState builds a cluster of training servers and on-loan servers and
 // lets Lyra schedule a random mix of jobs, elastic with probability elastic
@@ -89,41 +41,102 @@ func packedState(seed int64, training, onLoan, jobs, rounds int, elastic float64
 	return st
 }
 
-// TestReclaimFlexibleMatchesFullPoolScan runs make-room's scale-in through
-// the flexible-server index and through the full-pool reference, on twin
-// packed states, for waiting gangs of random width and pool policy: the two
-// must scale in the same workers, in the same order (the scale-down event
-// streams are byte-identical), and report the same GPUs freed.
-func TestReclaimFlexibleMatchesFullPoolScan(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(-seed))
-		gang := job.New(10_000, 0, job.Generic, 1<<rng.Intn(3), 1+rng.Intn(6), 1, 100)
-		gang.Elastic = rng.Intn(3) == 0
-		gang.Fungible = rng.Intn(2) == 0
-		run := func(reclaim func(*sim.State, *job.Job, poolPolicy) int) (int, string, *sim.State) {
-			st := packedState(seed, 16, 16, 30, 5, 0.75)
-			var events bytes.Buffer
-			st.Obs = obs.NewRecorder(obs.NewJSONLWriter(&events))
-			freed := reclaim(st, gang, defaultPoolPolicy(st.Cluster, gang))
-			return freed, events.String(), st
-		}
-		gotFreed, gotEvents, got := run(reclaimFlexible)
-		wantFreed, wantEvents, want := run(reclaimFlexibleRef)
-		if wantFreed == 0 {
-			t.Fatalf("seed %d: the reference freed nothing; the state is not packed", seed)
-		}
-		if gotFreed != wantFreed || gotEvents != wantEvents {
-			t.Fatalf("seed %d, gang of %d GPUs: freed %d, want %d\nevents:\n%s\nwant:\n%s",
-				seed, gang.BaseGPUs(), gotFreed, wantFreed, gotEvents, wantEvents)
-		}
-		for _, j := range want.RunningOrdered() {
-			if !slices.Equal(got.Running[j.ID].Workers, j.Workers) {
-				t.Fatalf("seed %d: job %d workers %v, want %v", seed, j.ID, got.Running[j.ID].Workers, j.Workers)
+// makeRoomWatch is an event sink checking make-room as it happens: the
+// servers a run of make-room scale-ins frees must all host the gang whose
+// start is the very next event. It keeps each job's workers as of its last
+// event, so a scale-down tells which servers it freed.
+type makeRoomWatch struct {
+	t      *testing.T
+	st     *sim.State
+	last   map[int][]job.Worker
+	freed  []int // servers the current run of make-room scale-ins freed
+	served int   // gangs started on servers make-room freed for them
+}
+
+func (w *makeRoomWatch) Record(ev obs.Event) {
+	if ev.Job < 0 {
+		w.check(ev)
+		return
+	}
+	now := w.st.Running[ev.Job]
+	if ev.Kind == obs.KindJobScaleDown && ev.Cause == "make-room" {
+		for _, was := range w.last[ev.Job] {
+			if was.Flexible && countOn(now.Workers, was.Server, true) < countOn(w.last[ev.Job], was.Server, true) {
+				w.freed = append(w.freed, was.Server)
 			}
 		}
-		if err := got.Cluster.AuditIndexes(); err != nil {
+	} else {
+		w.check(ev)
+	}
+	w.last[ev.Job] = nil
+	if now != nil {
+		w.last[ev.Job] = slices.Clone(now.Workers)
+	}
+}
+
+// check fails the test unless ev starts a gang on every server the make-room
+// scale-ins before it freed, if there were any.
+func (w *makeRoomWatch) check(ev obs.Event) {
+	if len(w.freed) == 0 {
+		return
+	}
+	if ev.Kind != obs.KindJobStart {
+		w.t.Errorf("make-room freed servers %v, then came %s of job %d, not a gang start", w.freed, ev.Kind, ev.Job)
+	} else {
+		for _, sid := range w.freed {
+			if countOn(w.st.Running[ev.Job].Workers, sid, false) == 0 {
+				w.t.Errorf("make-room freed server %d, and job %d started without it", sid, ev.Job)
+			}
+		}
+		w.served++
+	}
+	w.freed = w.freed[:0]
+}
+
+// countOn counts the workers in ws on server sid, only flexible ones if
+// flexible is set.
+func countOn(ws []job.Worker, sid int, flexible bool) int {
+	n := 0
+	for _, w := range ws {
+		if w.Server == sid && (w.Flexible || !flexible) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMakeRoomFreesOnlyForItsGang queues waiting gangs of random width and
+// pool policy on packed states and lets Lyra schedule them: every make-room
+// call either scales nothing in, or the gang it serves starts right after
+// its scale-ins, on every server they freed. A scale-in for a gang that then
+// fails, or that lands elsewhere, is churn that serves no one.
+func TestMakeRoomFreesOnlyForItsGang(t *testing.T) {
+	served := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		st := packedState(seed, 16, 16, 30, 5, 0.75)
+		w := &makeRoomWatch{t: t, st: st, last: map[int][]job.Worker{}}
+		for _, j := range st.RunningOrdered() {
+			w.last[j.ID] = slices.Clone(j.Workers)
+		}
+		st.Obs = obs.NewRecorder(w)
+		rng := rand.New(rand.NewSource(-seed))
+		l := NewLyra()
+		for id := 10_000; id < 10_006; id++ {
+			base := 1 + rng.Intn(6)
+			gang := job.New(id, 0, job.Generic, 1<<rng.Intn(3), base, base+rng.Intn(3), 100)
+			gang.Elastic = rng.Intn(3) == 0
+			gang.Fungible = rng.Intn(2) == 0
+			st.Enqueue(gang, l.Less)
+		}
+		l.Schedule(st)
+		w.check(obs.Ev(st.Now, obs.KindSchedPhase2))
+		if err := st.AuditIncremental(); err != nil {
 			t.Fatal(err)
 		}
+		served += w.served
+	}
+	if served < 20 {
+		t.Fatalf("make-room placed %d gangs over 40 seeds, want at least 20: the states are not packed", served)
 	}
 }
 
@@ -153,8 +166,10 @@ func TestScaleOutOptsExcludesOnLoanBaseServers(t *testing.T) {
 // 443 training + 520 inference servers, all of them loaned, packed by 1,000
 // jobs of which a quarter are elastic, so flexible workers sit on ~50
 // training and ~360 on-loan servers among inelastic work. One op is the
-// scale-in for a waiting 8-GPU base gang pinned to the training pool, then
-// phase 2's apply re-growing every elastic job to the targets it held before.
+// make-room placement of a waiting base gang pinned to the training pool,
+// of whole-server workers one more than the pool's idle servers, so that it
+// evicts on one server; the release of its GPUs; then phase 2's apply
+// re-growing every elastic job to the targets it held before.
 func BenchmarkMakeRoom(b *testing.B) {
 	st := packedState(1, 443, 520, 1000, 20, 0.25)
 	cands := st.ElasticOrdered()
@@ -162,14 +177,24 @@ func BenchmarkMakeRoom(b *testing.B) {
 	for i, j := range cands {
 		targets[i] = alloc.Extra{ID: j.ID, Extra: j.FlexibleWorkers()}
 	}
-	gang := job.New(1_000_000, 0, job.Generic, 8, 1, 1, 100)
-	pp := defaultPoolPolicy(st.Cluster, gang)
+	idle := 0
+	st.Cluster.EachPoolServer(cluster.PoolTraining, func(s *cluster.Server) bool {
+		if s.Used() == 0 {
+			idle++
+		}
+		return true
+	})
+	gang := job.New(1_000_000, 0, job.Generic, 8, idle+1, idle+1, 100)
+	opt := defaultPoolPolicy(st.Cluster, gang).options(gang, false)
 	var sc scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reclaimFlexible(st, gang, pp) < gang.BaseGPUs() {
-			b.Fatal("make-room freed less than the gang needs")
+		if sc.gang(st, gang, opt) || !sc.makeRoom(st, gang, opt) {
+			b.Fatal("the gang fits without make-room, or not with it")
+		}
+		for _, w := range sc.placed {
+			st.Cluster.Server(w.Server).ReleaseJob(gang.ID)
 		}
 		sc.applyExtraTargets(st, cands, targets, false, "phase2")
 	}

@@ -70,19 +70,9 @@ func (pp poolPolicy) options(j *job.Job, flexible bool) place.Options {
 // counted capacity, then gang-places them in best-fit-decreasing order
 // (§5.3) and starts them. The counted capacity includes GPUs held by
 // flexible workers — §5.2: available resources are "idle GPUs and GPUs
-// being used by flexible workers for resizing" — and placement scales
-// elastic jobs in on demand to make room for base demands, which always
-// take priority over flexible ones.
-//
-// Selection and placement run in passes. A make-room reclaim frees GPUs
-// that the counts taken before it already promised to other chosen jobs,
-// and the freed capacity can land fragmented across servers the failed
-// gang never saw — so counting once per epoch double-counts that capacity
-// and a placement failure after someone else's reclaim silently loses a
-// whole epoch for the job. After any pass that both reclaimed and failed,
-// the counts are retaken (O(1) reads of the cluster's maintained counters)
-// and the survivors get another pass. Flexible stock strictly shrinks on
-// every continuing pass, so this terminates.
+// being used by flexible workers for resizing" — and a gang that does not
+// fit the free GPUs takes them from flexible workers (makeRoom): base
+// demands always take priority over flexible ones.
 //
 // When heteroPass is false only non-heterogeneous jobs are considered; the
 // caller runs a second pass for heterogeneous jobs after everything else
@@ -93,128 +83,66 @@ func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.J
 	if !heteroPass {
 		sc.started = sc.started[:0]
 	}
-	for {
-		availT, availL := st.FreeSchedulableGPUs()
-		availT += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
-		availL += st.Cluster.FlexibleGPUs(cluster.PoolOnLoan)
-		chosen := sc.chosen[:0]
-		for _, j := range st.Pending {
-			// Jobs started by an earlier pass stay in the queue slice
-			// until the final compaction; skip them by state.
-			if j.Hetero != heteroPass || j.State != job.Pending {
-				continue
-			}
-			if availT <= 0 && availL <= 0 {
-				break
-			}
-			pp := policy(st.Cluster, j)
-			d := j.BaseGPUs()
-			switch {
-			case j.Hetero && pp.allowTraining && pp.allowOnLoan && d <= availT+availL:
-				take := d
-				if take > availT {
-					availL -= take - availT
-					take = availT
-				}
-				availT -= take
-			case pp.allowOnLoan && pp.prefer == cluster.PoolOnLoan && d <= availL:
-				availL -= d
-			case pp.allowTraining && d <= availT:
-				availT -= d
-			case pp.allowOnLoan && d <= availL:
-				availL -= d
-			default:
-				continue
-			}
-			chosen = append(chosen, j)
+	availT, availL := st.FreeSchedulableGPUs()
+	availT += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
+	availL += st.Cluster.FlexibleGPUs(cluster.PoolOnLoan)
+	chosen := sc.chosen[:0]
+	for _, j := range st.Pending {
+		if j.Hetero != heteroPass {
+			continue
 		}
-		sc.chosen = chosen
-		place.SortByDemand(chosen)
-		freed, failures := 0, 0
-		for _, j := range chosen {
-			pp := policy(st.Cluster, j)
-			ok := sc.gang(st, j, pp.options(j, false))
-			if !ok {
-				// Make room by scaling elastic jobs in, then retry.
-				sp := st.Prof.Start("make-room")
-				f := reclaimFlexible(st, j, pp)
-				sp.End()
-				if f > 0 {
-					freed += f
-					ok = sc.gang(st, j, pp.options(j, false))
-				}
-			}
-			if !ok {
-				failures++
-				continue // fragmentation or type constraints
-			}
-			st.Start(j, sc.placed)
-			sc.started = append(sc.started, j)
-		}
-		if failures == 0 || freed == 0 {
+		if availT <= 0 && availL <= 0 {
 			break
 		}
+		pp := policy(st.Cluster, j)
+		d := j.BaseGPUs()
+		switch {
+		case j.Hetero && pp.allowTraining && pp.allowOnLoan && d <= availT+availL:
+			take := min(d, availT)
+			availT, availL = availT-take, availL-(d-take)
+		case pp.allowOnLoan && pp.prefer == cluster.PoolOnLoan && d <= availL:
+			availL -= d
+		case pp.allowTraining && d <= availT:
+			availT -= d
+		case pp.allowOnLoan && d <= availL:
+			availL -= d
+		default:
+			continue
+		}
+		chosen = append(chosen, j)
+	}
+	sc.chosen = chosen
+	place.SortByDemand(chosen)
+	for _, j := range chosen {
+		opt := policy(st.Cluster, j).options(j, false)
+		if !sc.gang(st, j, opt) && !sc.makeRoom(st, j, opt) {
+			continue // fragmentation or type constraints
+		}
+		st.Start(j, sc.placed)
+		sc.started = append(sc.started, j)
 	}
 	st.CompactPending()
 }
 
-// reclaimFlexible scales elastic jobs in until roughly j's base demand
-// worth of flexible GPUs has been released in j's eligible pools, returning
-// the GPUs freed.
-func reclaimFlexible(st *sim.State, j *job.Job, pp poolPolicy) int {
-	want := j.BaseGPUs()
-	freed := 0
-	// Scale-downs here make room for a waiting base demand; tag them so
-	// the event stream distinguishes them from phase-2 resizes.
-	saved := st.Cause
-	st.Cause = "make-room"
-	defer func() { st.Cause = saved }()
-	for _, pool := range []cluster.Pool{pp.prefer, otherPool(pp.prefer)} {
-		if pool == cluster.PoolTraining && !pp.allowTraining {
-			continue
-		}
-		if pool == cluster.PoolOnLoan && !pp.allowOnLoan {
-			continue
-		}
-		// Scale-ins only release GPUs on the server being visited — they
-		// never move servers between pools or touch the servers still
-		// ahead — so iterating the live index is safe here, and the
-		// flexible-server index visits what a whole-pool walk skipping
-		// servers without flexible GPUs would. The server's job list
-		// changes as victims leave it, so it is walked from a snapshot.
-		st.Cluster.EachFlexibleServer(pool, func(s *cluster.Server) bool {
-			if freed >= want {
-				return false
+// makeRoom is gang with the flexible GPUs of j's pools counted as free
+// (place.Options.Evict). Only a complete plan scales workers in, only on
+// its servers and only as many as the gang needs there: lowest job ID
+// first, whole workers at a time.
+func (sc *scratch) makeRoom(st *sim.State, j *job.Job, opt place.Options) bool {
+	sp, saved := st.Prof.Start("make-room"), st.Cause
+	st.Cause = "make-room" // tells the scale-ins from phase-2 resizes
+	defer func() { st.Cause = saved; sp.End() }()
+	opt.Evict = func(s *cluster.Server, gpus int) {
+		var buf [16]int
+		for _, id := range s.AppendJobs(buf[:0]) {
+			if short := gpus - s.Free(); short > 0 && s.FlexibleGPUs(id) > 0 {
+				v := st.Running[id]
+				g := place.WorkerGPUs(v, s.GPU)
+				st.RemoveFlexibleOnServer(v, s.ID, (short+g-1)/g)
 			}
-			var buf [16]int
-			for _, id := range s.AppendJobs(buf[:0]) {
-				if freed >= want {
-					return false
-				}
-				if s.FlexibleGPUs(id) == 0 {
-					continue
-				}
-				victim := st.Running[id]
-				if victim == nil {
-					continue
-				}
-				removed := st.RemoveFlexibleOnServer(victim, s.ID)
-				freed += removed * victim.GPUsPerWorker
-			}
-			return true
-		})
-		if freed >= want {
-			return freed
 		}
 	}
-	return freed
-}
-
-func otherPool(p cluster.Pool) cluster.Pool {
-	if p == cluster.PoolTraining {
-		return cluster.PoolOnLoan
-	}
-	return cluster.PoolTraining
+	return sc.gang(st, j, opt)
 }
 
 // lessByArrival is the FIFO queue order.

@@ -168,11 +168,14 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	}
 	st.AddWorkers(j, flex)
 	other := 1 - flex[0].Server // no flexible workers there
-	if got := st.RemoveFlexibleOnServer(j, other); got != 0 {
+	if got := st.RemoveFlexibleOnServer(j, other, 2); got != 0 {
 		t.Errorf("removed %d workers from the wrong server", got)
 	}
-	if got := st.RemoveFlexibleOnServer(j, flex[0].Server); got != 2 {
-		t.Errorf("removed %d workers, want 2", got)
+	if got := st.RemoveFlexibleOnServer(j, flex[0].Server, 1); got != 1 {
+		t.Errorf("removed %d workers, want the 1 asked for", got)
+	}
+	if got := st.RemoveFlexibleOnServer(j, flex[0].Server, 2); got != 1 {
+		t.Errorf("removed %d workers, want the 1 left", got)
 	}
 	if j.NumWorkers() != 1 {
 		t.Errorf("workers after scale-in = %d, want base 1", j.NumWorkers())

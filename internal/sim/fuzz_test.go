@@ -89,7 +89,7 @@ func (o *chaosOrch) Epoch(st *State) {
 			s := srvs[o.rng.Intn(len(srvs))]
 			for _, id := range s.Jobs() {
 				if j := st.Running[id]; j != nil {
-					st.RemoveFlexibleOnServer(j, s.ID)
+					st.RemoveFlexibleOnServer(j, s.ID, len(j.Workers))
 				}
 			}
 			for _, id := range s.Jobs() {

@@ -461,11 +461,17 @@ func (st *State) AddWorkers(j *job.Job, workers []job.Worker) {
 	}
 }
 
-// RemoveFlexibleOnServer scales j in by removing all its flexible workers
-// placed on server sid, releasing their GPUs. It returns the number of
-// workers removed.
-func (st *State) RemoveFlexibleOnServer(j *job.Job, sid int) int {
-	return st.removeFlexible(j, func(i int, w job.Worker) bool { return w.Server == sid })
+// RemoveFlexibleOnServer scales j in by removing up to n of its flexible
+// workers placed on server sid, releasing their GPUs. It returns the number
+// of workers removed.
+func (st *State) RemoveFlexibleOnServer(j *job.Job, sid, n int) int {
+	return st.removeFlexible(j, func(i int, w job.Worker) bool {
+		if w.Server != sid || n == 0 {
+			return false
+		}
+		n--
+		return true
+	})
 }
 
 // RemoveFlexibleWorkers scales j in by up to n flexible workers anywhere,
@@ -739,7 +745,7 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) bool {
 		}
 		if s.FlexibleGPUs(id) == s.JobGPUs(id) {
 			// Only elastic surplus workers died: scale in, keep running.
-			st.RemoveFlexibleOnServer(j, sid)
+			st.RemoveFlexibleOnServer(j, sid, len(j.Workers))
 			scaledIn++
 		} else {
 			// A base (gang) worker died: the whole job restarts from its
