@@ -74,11 +74,11 @@ func TestCappedRunPinned(t *testing.T) {
 		report, eventsHash string
 	}{
 		{"capped-16+16", capped, cappedTrace(),
-			"e4d6c6f52bd41669c17cf9de06d4905f7097d5ac9b4caa821b980f25f1b58b40",
-			"206cc3f21b866ddd4b761d537767bccd43a8b397707072aa72eb4603fa22ac5f"},
+			"3dde039e50f64c3560d0ee6df5bee6ff3bdb1b3b3bb0113b3f758b92fa33410f",
+			"8cda24a6c084ac51138dddb70b2e747ba7b17d63aef3e4ca76874ebc69c7e4ce"},
 		{"sharded-2+2", sharded, GenerateTrace(tcfg),
-			"957b73b101a902dabdcd51ba07a926694df1526d9c01e3494cf640fef81f990b",
-			"e5820cc47cadff7bba299f7845a4b8715819386bbf0440454016ed2f88590675"},
+			"007261f00fdeffa6fd156d81fce32da111bf956ea2984911729baf2e0b396dfd",
+			"4186b0e88740f0678ec076a5913b95780374e58d56d53a3f1f98a777605da124"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			past := 0

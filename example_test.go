@@ -29,7 +29,7 @@ func ExampleRun() {
 	}
 	// Output:
 	// fifo  340/340 jobs  queuing mean  5354 s  JCT mean 21426 s  on loan 0
-	// lyra  340/340 jobs  queuing mean  2851 s  JCT mean 18046 s  on loan 8
+	// lyra  340/340 jobs  queuing mean  2891 s  JCT mean 18030 s  on loan 6
 }
 
 // ExampleRunTestbed drives the prototype runtime on the §7.5 testbed

@@ -50,7 +50,7 @@ func TestFigure2Pinned(t *testing.T) {
 	}{
 		{"fifo-12+16", fifo, "8f4b4b0226d4107ffbae566a8146ed9b7a7a8b393739742831a0e92d47b2e30c"},
 		{"lyra-2+2", sharded, "3f0a10361f89c4db17e1e41932fe57f48bc91ac7f819675d73ec4869e57e1463"},
-		{"capped-faulted", capped, "a260c68e52b09ff2fb406e0e46be7d40a5a5b97619869e1faa07b8b6c405f481"},
+		{"capped-faulted", capped, "3652f8a2b929a89eb79bab67869e7dbdad9ca08951a5f27cb1d649fed150cf8d"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := Run(tc.cfg, tr)

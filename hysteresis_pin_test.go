@@ -46,8 +46,8 @@ func TestHysteresisStreamPinned(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"audited-16+16", audited, "4b927dd2687c65a28cb35af610f66cc205689b6b632feaab1a441a70609f92da"},
-		{"sharded-2+2", sharded, "3ce9c1092ebb9b5d40080fee6447a0daf3621b1e2a5c2cca280575dd4099ccac"},
+		{"audited-16+16", audited, "30367c7edc602652a9b6bcb21e6bbb05f5c1836a068edba68d81272fd7a0ee5d"},
+		{"sharded-2+2", sharded, "e678c7c051484d75c9dcbc3f6773d33c016ee468cafbfc9829fbc202e93b1011"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := Run(tc.cfg, tr)

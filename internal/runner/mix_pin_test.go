@@ -60,14 +60,14 @@ func TestMixedRunsPinned(t *testing.T) {
 	}
 	want := map[string]string{
 		"baseline":        "451528f5c895da86f2055f11b184d277d39d15a28e5221cf28b013a6273b8133",
-		"basic":           "ddb70a3f0ca12625e739130f84094a0caa7d034d78a2e917879ba9878a78cd87",
-		"advanced":        "f4531312cba8e10a0fe69a15de4665a7bb49ea571b981f7fba02a49360665a1b",
-		"heterogeneous":   "24f2e313ecafe672916364c89b13f346e0b37d52e378f6ea8bff001c00fce32c",
-		"ideal":           "5cd186a071f3708e8ef2c2e49fd1497dfb719f5fc9acea4cd330071b364aa755",
-		"hetero-frac":     "6630da75db83aeb15b477e0591f1d9f3d6bbcd9913e8eb1c88ef1f0e3c493228",
-		"elastic-frac":    "ca24b4bd8549395dadd66d8205df64805e58c8a1fe85743ed4a492a8da246f04",
-		"checkpoint-frac": "d5de73dead610886e8bbda1ebd701edd8e26e91354479ad22dc0477e52882d0c",
-		"ideal+knobs":     "e72fba375c33c4894d37445eb599531261b8492708ffc7596e56d4bef5a88366",
+		"basic":           "65235c3026b5b43832651f5277e7a85a5ed0cc6114dda2cfe987977ff897665c",
+		"advanced":        "9912c5f99f3de566fcd62d50b4f230e76cee91a9986cfef5cf9013f24fb7c653",
+		"heterogeneous":   "be3e6cbde9f06f6c961c444a5f72d1577a1a582fda64d106bf0daa47ae513ef8",
+		"ideal":           "20411fd709e425401981a187de3f4f146210cd4a964fd9010207fd8e3cb716f4",
+		"hetero-frac":     "bd041b7367d5786dc7c902b420418d6533d1c9b2c2788e32435ef208c42127c3",
+		"elastic-frac":    "b8cd76bca4510141d43e5311920ffc6a76f8052bd3917b8e1dd41afe9bae7167",
+		"checkpoint-frac": "36ec4084342f2de14fe22c8463facd213e0240983a94b81945db1eb9c86e9c62",
+		"ideal+knobs":     "19e19708b7e07b67d46e17ab3fec69df30fa294523f11028bb4f9955a515e567",
 		"bootstrap":       "ad951a8871f8db5fdd6e858beccead1bb64dc108238eaf0c0570969ed49dd977",
 		"capped-elastic":  "cb298cbd4eabf6671ee0fe83c7e9e8edd7611737f5b065bfbf4fae7bc7222e44",
 		"sharded-2+2":     "dee5d41dbae6bead184079e4b5f1c3cb42206b62f11de15688be0831ea7281cb",

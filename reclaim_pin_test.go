@@ -11,7 +11,7 @@ import (
 
 // reclaimStreamPin is the sha256 of the event stream of the run in
 // TestReclaimStreamPinned.
-const reclaimStreamPin = "f6b52927be84c9f56f2c0a7e8e5a0ba21e5799841fc8e27d90b69df39b1178d1"
+const reclaimStreamPin = "19829ca50ad57d5cb72d20f85bc71d0924a37a66396730ad7479513c09c88aed"
 
 // TestReclaimStreamPinned pins, byte for byte, an event stream that loans
 // and reclaims: testdata/golden_events.jsonl never reclaims, so without this
