@@ -34,12 +34,11 @@ type Options struct {
 	Exclude []int
 	// Flexible marks the placed workers as elastic surplus.
 	Flexible bool
-	// Evict, when set, has AppendGang count the flexible GPUs on its pools
-	// as free (§5.2: base demands take priority over flexible ones) and
-	// take the plan evicting the fewest (planEvicting). Only a complete
-	// plan evicts: Evict(s, gpus) is called for each planned server short
-	// of free GPUs, with the GPUs the plan puts there, and must scale
-	// flexible workers in on s until that many are free.
+	// Evict, when set, lets a gang AppendGang cannot place on free GPUs
+	// count the flexible GPUs on its pools as free (§5.2), taking the plan
+	// that evicts the fewest (planEvicting). Only a complete plan evicts:
+	// Evict(s, gpus) is called for each planned server short of free GPUs,
+	// and must scale flexible workers in on s until gpus GPUs are free.
 	Evict func(s *cluster.Server, gpus int)
 }
 
@@ -83,11 +82,9 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 		}
 		return dst, false
 	}
-	var ws []job.Worker
-	if opt.Evict == nil {
-		ws = plan(dst, c, j, n, opt)
-	} else {
-		ws = planEvicting(dst, c, j, n, opt)
+	ws := plan(dst, c, j, n, opt)
+	if opt.Evict != nil && len(ws)-len(dst) < n {
+		ws = planEvicting(ws, len(dst), c, j, n, opt)
 	}
 	if len(ws)-len(dst) < n {
 		return dst, false
@@ -138,33 +135,40 @@ func plan(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) 
 	return dst
 }
 
-// planEvicting is plan with the flexible GPUs on opt's pools counted as
-// free, for a gang that plan alone cannot complete. A worker needing g GPUs
+// planEvicting extends plan's workers dst[start:] of a gang they do not
+// complete, with the flexible GPUs on opt's pools counted as free, and
+// leaves them as they are if no plan completes it. A worker needing g GPUs
 // on a server with f free and x flexible takes one of the server's f/g free
 // slots at no cost, or one of the (f+x)/g - f/g slots eviction opens: the
 // first evicts g - f%g GPUs and each later one g. Costs only rise on a
 // server, so taking every free slot, then the cheapest eviction slots,
 // evicts the fewest flexible GPUs (counted in GPUs, not whole victim
 // workers). Equal-cost slots go in pool order, then by server ID.
-func planEvicting(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
-	each := func(fn func(s *cluster.Server, g int)) {
+func planEvicting(dst []job.Worker, start int, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
+	each := func(fn func(s *cluster.Server, g int) bool) {
 		for _, pool := range poolOrder(opt) {
 			c.EachFlexibleServer(pool, func(s *cluster.Server) bool {
-				if !(opt.FixedGPU.Pinned && s.GPU != opt.FixedGPU.GPU) && !slices.Contains(opt.Exclude, s.ID) {
-					fn(s, WorkerGPUs(j, s.GPU))
-				}
-				return true
+				return opt.FixedGPU.Pinned && s.GPU != opt.FixedGPU.GPU || slices.Contains(opt.Exclude, s.ID) || fn(s, WorkerGPUs(j, s.GPU))
 			})
 		}
 	}
-	open := 0
-	each(func(s *cluster.Server, g int) { open += (s.Free()+s.TotalFlexible())/g - s.Free()/g })
-	start := len(dst)
-	if dst = plan(dst, c, j, n, opt); len(dst)-start+open < n {
+	open, costs := 0, uint64(0) // eviction slots, and a bit per cost they take
+	each(func(s *cluster.Server, g int) bool {
+		f := s.Free()
+		if k := (f+s.TotalFlexible())/g - f/g; k > 0 {
+			open += k
+			costs |= 1<<min(g-f%g, 63) | 1<<min(g, 63)
+		}
+		return true
+	})
+	if len(dst)-start+open < n {
 		return dst
 	}
 	for cost := 1; cost <= c.GPUsPerServer() && len(dst)-start < n; cost++ {
-		each(func(s *cluster.Server, g int) {
+		if costs&(1<<min(cost, 63)) == 0 {
+			continue
+		}
+		each(func(s *cluster.Server, g int) bool {
 			f := s.Free()
 			k, first := (f+s.TotalFlexible())/g-f/g, g-f%g
 			switch {
@@ -179,15 +183,15 @@ func planEvicting(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt O
 			for ; k > 0 && len(dst)-start < n; k-- {
 				dst = append(dst, w)
 			}
+			return len(dst)-start < n
 		})
 	}
 	return dst
 }
 
-// commit allocates plan's workers ws of j. Nothing else changes the cluster
-// in between, so an allocation that fails is a bookkeeping bug: it panics.
-// A worker short of free GPUs is one of planEvicting's: evict frees, first,
-// the GPUs the rest of the plan puts on its server.
+// commit allocates plan's workers ws of j; an allocation that fails is a
+// bookkeeping bug and panics. A worker short of free GPUs is planEvicting's:
+// evict first frees on its server what the rest of ws puts there.
 func commit(c *cluster.Cluster, j *job.Job, ws []job.Worker, evict func(*cluster.Server, int)) {
 	for i, w := range ws {
 		s := c.Server(w.Server)

@@ -135,10 +135,9 @@ func (sc *scratch) makeRoom(st *sim.State, j *job.Job, opt place.Options) bool {
 	opt.Evict = func(s *cluster.Server, gpus int) {
 		var buf [16]int
 		for _, id := range s.AppendJobs(buf[:0]) {
-			if short := gpus - s.Free(); short > 0 && s.FlexibleGPUs(id) > 0 {
-				v := st.Running[id]
+			if v := st.Running[id]; s.Free() < gpus && s.FlexibleGPUs(id) > 0 {
 				g := place.WorkerGPUs(v, s.GPU)
-				st.RemoveFlexibleOnServer(v, s.ID, (short+g-1)/g)
+				st.RemoveFlexibleOnServer(v, s.ID, (gpus-s.Free()+g-1)/g)
 			}
 		}
 	}
@@ -218,8 +217,7 @@ type scratch struct {
 }
 
 // gang places j's base gang under opt into sc.placed, reporting success.
-func (sc *scratch) gang(st *sim.State, j *job.Job, opt place.Options) bool {
-	var ok bool
+func (sc *scratch) gang(st *sim.State, j *job.Job, opt place.Options) (ok bool) {
 	sc.placed, ok = place.AppendGang(sc.placed[:0], st.Cluster, j, j.MinWorkers, opt)
 	return ok
 }
