@@ -40,6 +40,16 @@ if [ -n "$missing" ]; then
 	exit 1
 fi
 
+echo "== doc budgets (DESIGN.md under 60 KB and CHANGES.md under 30 KB; history moves verbatim to results/)"
+for budget in DESIGN.md:60000 CHANGES.md:30000; do
+	doc=${budget%%:*} max=${budget#*:}
+	size=$(wc -c <"$doc")
+	if [ "$size" -ge "$max" ]; then
+		echo "$doc is $size bytes, over its $max-byte budget"
+		exit 1
+	fi
+done
+
 echo "== go vet"
 go vet ./...
 
