@@ -210,7 +210,7 @@ func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Opt
 // lives on the instance, never in a package variable: the runner executes
 // simulations concurrently, one scheduler instance per run and per shard.
 type scratch struct {
-	chosen  []*job.Job   // startBase's selection of one pass
+	chosen  []*job.Job   // startBase's selection
 	started []*job.Job   // the jobs both startBase passes of this epoch started
 	exclude []int        // scaleOutOpts' on-loan base servers
 	placed  []job.Worker // the workers the last gang or scaleOut placed
