@@ -493,9 +493,18 @@ func BenchmarkPhase2(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			Phase2(jobs, 245, job.Imperfect, Tuning{}, ws) // warm even at -benchtime 1x
 			b.ReportAllocs()
+			var cells, evals int // the reused kernel's work (knapsack.Solver.Work)
+			if ws != nil {
+				cells, evals = ws.solver.Work()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Phase2(jobs, 245, job.Imperfect, Tuning{}, ws)
+			}
+			if ws != nil {
+				c, e := ws.solver.Work()
+				b.ReportMetric(float64(c-cells)/float64(b.N), "cells/op")
+				b.ReportMetric(float64(e-evals)/float64(b.N), "argmax-items/op")
 			}
 		})
 	}

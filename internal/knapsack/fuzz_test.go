@@ -45,7 +45,8 @@ func FuzzMultiChoiceAgainstBrute(f *testing.F) {
 // fuzzer-chosen sequence of instances, large then small then large again,
 // and requires every solve to be bit-equal in value and choice to the
 // reference DP (refMultiChoice). From 100 groups up, randomInstance also
-// draws production-shaped instances, where the Lagrangian bound engages.
+// draws production-shaped instances, where the Lagrangian bound engages,
+// half of them with items moved to the edge of the item reduction.
 func FuzzMultiChoiceAgainstReference(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3))
 	f.Add(int64(-7), uint8(2), uint8(60))
@@ -53,6 +54,12 @@ func FuzzMultiChoiceAgainstReference(f *testing.F) {
 	f.Add(int64(2), uint8(200), uint8(5))
 	f.Add(int64(4), uint8(255), uint8(255))
 	f.Add(int64(3), uint8(150), uint8(120))
+	// First instances in nearCut's mode: items on the edge of the reduction.
+	f.Add(int64(2), uint8(120), uint8(120))
+	f.Add(int64(3), uint8(120), uint8(30))
+	f.Add(int64(6), uint8(255), uint8(200))
+	f.Add(int64(7), uint8(120), uint8(0))
+	f.Add(int64(8), uint8(120), uint8(255))
 	f.Fuzz(func(t *testing.T, seed int64, first, second uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Solver

@@ -24,26 +24,42 @@ const MaxGroupItems = math.MaxInt16
 // it the multiplier search costs more than the cells the bound skips.
 const pruneWidth = 48
 
-// Solver is the reusable workspace of MultiChoice: two value rows, one flat
-// pick arena holding each group's band of budgets, the bands, the Lagrangian
-// bound's buffers and last multiplier, and the returned choice, valid until
-// the next call. Buffers grow on demand and are never shrunk, so a warm
-// Solver allocates nothing. The zero value is ready; a Solver is not safe
-// for concurrent use. A group of more than MaxGroupItems items panics.
+// Solver is the reusable workspace of MultiChoice: the usable items, two
+// value rows, one flat pick arena holding each group's band of budgets, the
+// bands, the Lagrangian bound's buffers and last multiplier, and the
+// returned choice, valid until the next call. Buffers grow on demand and are
+// never shrunk, so a warm Solver allocates nothing. The zero value is ready;
+// a Solver is not safe for concurrent use. A group of more than
+// MaxGroupItems items panics.
 type Solver struct {
+	items            []entry // the items the DP tries, group by group in index order
 	dp, next         []float64
 	pick             []int16   // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
-	ints             []int     // the choice, lo, hi, off, top and bound's open groups, n each
-	lo, hi, off, top []int     // top[g] is group g's heaviest usable item
+	ints             []int     // the choice, lo, hi, off, top and lagrange's open groups, n each, then start, n+1
+	lo, hi, off, top []int     // top[g] is the heaviest weight among group g's items
+	start            []int     // group g's items are items[start[g]:start[g+1]]
 	slack            []float64 // slack[g] = Σ_{h≥g} max(0, max_i v_i − λ·w_i) of group h; slack[n] = 0
-	probes           []probe   // bound's groups at the probe and at the bracket's bottom and top, n each
+	probes           []probe   // lagrange's groups at the probe and at the bracket's bottom and top, n each
 	lambda           float64   // the last bounded solve's λ, where the next one starts its search
+	cells, evals     int       // DP item-cell updates and argmax item evaluations, summed over solves
+}
+
+// entry is one usable item (0 ≤ Weight ≤ capacity) of a solve and its pick:
+// its index within its group plus one.
+type entry struct {
+	Item
+	pick int16
 }
 
 // MultiChoice solves one instance in a fresh Solver.
 func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	return new(Solver).MultiChoice(groups, capacity)
 }
+
+// Work returns the DP item-cell updates and the argmax item evaluations of
+// the multiplier search that s has made, summed over its solves: the
+// kernel's cost in operations, whatever the machine.
+func (s *Solver) Work() (cells, evals int) { return s.cells, s.evals }
 
 // MultiChoice solves the multiple-choice knapsack problem (§5.2): from each
 // group take at most one item, total weight <= capacity, maximize total
@@ -62,11 +78,11 @@ func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // budget the items are tried in index order against the same running best,
 // so ties break as in the one-cell-at-a-time textbook DP. When the bands
 // average pruneWidth budgets or more, a Lagrangian upper bound against a
-// feasible lower bound also skips every budget no optimal selection passes
-// through, leaving value and choice bit for bit the same.
+// feasible lower bound drops every item and skips every budget no optimal
+// selection passes through, leaving value and choice bit for bit the same.
 func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	n := len(groups)
-	s.ints = grow(s.ints, 6*n)
+	s.ints = grow(s.ints, 7*n+1)
 	choice := s.ints[:n]
 	for i := range choice {
 		choice[i] = -1
@@ -74,39 +90,22 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	if capacity < 0 || n == 0 {
 		return 0, choice
 	}
-	s.lo, s.hi, s.off, s.top = s.ints[n:2*n], s.ints[2*n:3*n], s.ints[3*n:4*n], s.ints[4*n:5*n]
-	reach, big := 0, 0 // forward: hi[g]
-	for g, items := range groups {
-		if len(items) > MaxGroupItems {
-			panic("knapsack: group exceeds MaxGroupItems")
-		}
-		big = max(big, len(items))
-		maxw := 0
-		for _, it := range items {
-			if it.Weight <= capacity {
-				maxw = max(maxw, it.Weight)
-			}
-		}
-		reach = min(capacity, reach+maxw)
-		s.top[g], s.hi[g] = maxw, reach
-	}
-	cells, need := 0, capacity // backward: lo[g] (no higher than hi[g]) and the row offsets
-	for g := n - 1; g >= 0; g-- {
-		s.lo[g], s.off[g] = min(need, s.hi[g]), cells
-		cells += s.hi[g] - s.lo[g] + 1
-		need = max(0, need-s.top[g])
-	}
-	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
+	big := s.collect(groups, capacity)
+	reach, cells := s.band(capacity)
 	// Row g keeps budget w only while dp[w] − lam·w ≥ floor − slack[g+1].
 	lam, floor, bounded := 0.0, 0.0, false
 	if cells >= pruneWidth*n {
-		lam, floor, bounded = s.bound(groups, capacity, big)
+		if lam, floor, bounded = s.lagrange(capacity, big); bounded {
+			s.reduce(lam, floor)
+			reach, cells = s.band(capacity)
+		}
 	}
+	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
 
-	dp, next := s.dp, s.next
+	dp, next, updates := s.dp, s.next, 0
 	clear(dp[:s.hi[0]+1])
 	a, b := 0, s.hi[0] // the previous row's kept budgets; all others read as -Inf
-	for g, items := range groups {
+	for g := range groups {
 		lo, hi := max(s.lo[g], a), min(s.hi[g], b+s.top[g])
 		row := s.pick[s.off[g]+lo-s.lo[g]:][:hi-lo+1] // row[i] is budget lo+i
 		clear(row)
@@ -115,19 +114,17 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 		for w := keep + 1; w <= hi; w++ {
 			next[w] = math.Inf(-1)
 		}
-		for idx, it := range items {
-			if it.Weight < 0 || it.Weight > hi {
-				continue
-			}
+		for _, it := range s.items[s.start[g]:s.start[g+1]] {
 			from, to := max(lo, a+it.Weight), min(hi, b+it.Weight)
 			if from > to {
 				continue
 			}
+			updates += to - from + 1
 			dst := next[from : to+1]
 			src, pk := dp[from-it.Weight:][:len(dst)], row[from-lo:][:len(dst)]
 			for i, best := range dst {
 				if v := src[i] + it.Value; v > best+eps {
-					dst[i], pk[i] = v, int16(idx+1)
+					dst[i], pk[i] = v, it.pick
 				}
 			}
 		}
@@ -149,6 +146,7 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 		}
 		dp, next = next, dp
 	}
+	s.cells += updates
 	w := capacity
 	for g := n - 1; g >= 0; g-- {
 		if p := s.pick[s.off[g]+min(w, s.hi[g])-s.lo[g]]; p > 0 {
@@ -159,35 +157,95 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	return dp[s.hi[n-1]], choice
 }
 
-// bound picks the Lagrange multiplier λ ≥ 0 of the row pruning (DESIGN.md
-// §10): the smallest λ, to within 1/256, at which every group's argmax of
-// v − λ·w fits the capacity, searched from the previous bounded solve's λ.
-// A probe evaluates the open groups only: as each item's rounded v − λ·w
-// falls with λ, a group closes, its argmax weight fixed, once its argmax at
-// the bracket's top beats there every other weight's items at the bottom.
-// It leaves in s.slack the suffix sums of P_g = max(0, max_i v_i − λ·w_i)
-// and returns λ and floor = LB − margin − λ·capacity, LB the value of that
-// argmax selection traded up into the capacity it leaves; false if 64
-// doublings find no λ that fits or the traded-up selection does not fit.
-func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bool) {
-	n := len(groups)
-	s.slack, s.ints, s.probes = grow(s.slack, n+1), grow(s.ints, 6*n), grow(s.probes, 3*n)
-	open, at, atLo, atHi := s.ints[5*n:], s.probes[:n], s.probes[n:2*n], s.probes[2*n:]
+// collect is MultiChoice's one pass over the items: it keeps each group's
+// usable items (0 ≤ weight ≤ capacity) in index order with their heaviest
+// weight, probes them at λ = 0 (v − 0·w is v) for lagrange's first probe,
+// and returns the size of the largest group.
+func (s *Solver) collect(groups [][]Item, capacity int) (big int) {
+	n, total := len(groups), 0
+	for _, group := range groups {
+		if len(group) > MaxGroupItems {
+			panic("knapsack: group exceeds MaxGroupItems")
+		}
+		total, big = total+len(group), max(big, len(group))
+	}
+	s.lo, s.hi, s.off, s.top, s.start = s.ints[n:2*n], s.ints[2*n:3*n], s.ints[3*n:4*n], s.ints[4*n:5*n], s.ints[6*n:]
+	s.probes = grow(s.probes, 3*n)
+	items := grow(s.items, total)[:0]
+	for g, group := range groups {
+		s.start[g] = len(items)
+		at, top := probe{rest: math.Inf(-1)}, 0
+		for i, it := range group {
+			if it.Weight >= 0 && it.Weight <= capacity {
+				items = append(items, entry{it, int16(i + 1)})
+				at.fold(it, it.Value)
+				top = max(top, it.Weight)
+			}
+		}
+		s.probes[g], s.top[g] = at, top
+	}
+	s.start[n], s.items = len(items), items
+	return big
+}
+
+// band sets every group's band [lo, hi] and pick-row offset from top, and
+// returns the last row's reach and the cells of all bands.
+func (s *Solver) band(capacity int) (reach, cells int) {
+	for g, t := range s.top { // forward: hi[g]
+		reach = min(capacity, reach+t)
+		s.hi[g] = reach
+	}
+	need := capacity // backward: lo[g] (no higher than hi[g]) and the row offsets
+	for g := len(s.top) - 1; g >= 0; g-- {
+		s.lo[g], s.off[g] = min(need, s.hi[g]), cells
+		cells += s.hi[g] - s.lo[g] + 1
+		need = max(0, need-s.top[g])
+	}
+	return reach, cells
+}
+
+// reduce drops every item whose excess v − λ·w is below floor − S_0 + P_g,
+// P_g = S_g − S_{g+1} its group's largest: a selection through it is worth
+// at most λ·C + S_0 − P_g + v − λ·w < LB − margin, the bound the rows are
+// pruned by (DESIGN.md §10). The argmax items stay, and "none" always does.
+// It compacts the items in place and sets each group's top to the heaviest
+// item left.
+func (s *Solver) reduce(lam, floor float64) {
+	k, cut := 0, floor-s.slack[0]
+	for g := range s.top {
+		thr, from, to := cut+(s.slack[g]-s.slack[g+1]), s.start[g], s.start[g+1]
+		s.start[g], s.top[g] = k, 0
+		for _, it := range s.items[from:to] {
+			if it.Value-lam*float64(it.Weight) >= thr {
+				s.items[k], k = it, k+1
+				s.top[g] = max(s.top[g], it.Weight)
+			}
+		}
+	}
+	s.start[len(s.top)], s.items = k, s.items[:k]
+}
+
+// lagrange picks the Lagrange multiplier λ ≥ 0 of the item reduction and
+// the row pruning (DESIGN.md §10): the smallest λ, to within 1/256, at which
+// every group's argmax of v − λ·w fits the capacity, searched from the
+// previous bounded solve's λ. Its first probe, at λ = 0, is the one collect
+// left in s.probes[:n]. A probe evaluates the open groups only: as each
+// item's rounded v − λ·w falls with λ, a group closes, its argmax weight
+// fixed, once its argmax at the bracket's top beats there every other
+// weight's items at the bottom. It leaves in s.slack the suffix sums of P_g
+// = max(0, max_i v_i − λ·w_i) and returns λ and floor = LB − margin −
+// λ·capacity, LB the value of that argmax selection traded up into the
+// capacity it leaves; false if 64 doublings find no λ that fits or the
+// traded-up selection does not fit.
+func (s *Solver) lagrange(capacity, big int) (float64, float64, bool) {
+	n := len(s.top)
+	s.slack = grow(s.slack, n+1)
+	open, at, atLo, atHi := s.ints[5*n:6*n], s.probes[:n], s.probes[n:2*n], s.probes[2*n:]
 	for g := range open { // no group closes before both ends are probed
 		open[g], atLo[g].rest, atHi[g].r = g, math.Inf(1), math.Inf(-1)
 	}
 	fixed, whi := 0, 0 // the closed groups' weight; the total at the top
-	fits := func(lam float64) bool {
-		k, w := 0, 0
-		for _, g := range open {
-			if bot, top := atLo[g], atHi[g]; bot.w == top.w && top.r > bot.rest { // closed
-				fixed += top.w
-				continue
-			}
-			at[g].w, _, at[g].r, at[g].rest = argmax(groups[g], capacity, lam)
-			open[k], k, w = g, k+1, w+at[g].w
-		}
-		open, w = open[:k], w+fixed
+	settle := func(w int) bool {
 		if w <= capacity {
 			atHi, at, whi = at, atHi, w
 		} else {
@@ -195,8 +253,25 @@ func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bo
 		}
 		return w <= capacity
 	}
+	fits := func(lam float64) bool {
+		k, w := 0, 0
+		for _, g := range open {
+			if bot, top := atLo[g], atHi[g]; bot.w == top.w && top.r > bot.rest { // closed
+				fixed += top.w
+				continue
+			}
+			at[g] = s.argmax(g, lam)
+			open[k], k, w = g, k+1, w+at[g].w
+		}
+		open = open[:k]
+		return settle(w + fixed)
+	}
+	w0 := 0
+	for _, p := range at {
+		w0 += p.w
+	}
 	lam := 0.0
-	if !fits(0) {
+	if !settle(w0) {
 		lo, hi := 0.0, s.lambda
 		if hi <= 0 {
 			hi = 1
@@ -224,11 +299,12 @@ func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bo
 	}
 	// One full pass: the slack, and LB traded up into the room at the top.
 	room, weight, lb := capacity-whi, 0, 0.0
-	for g, items := range groups {
-		w, v, best, _ := argmax(items, capacity, lam)
-		s.slack[g] = best
-		for _, it := range items {
-			if room > 0 && it.Weight >= 0 && it.Weight-w <= room && it.Value > v {
+	for g := range n {
+		p := s.argmax(g, lam)
+		w, v := p.w, p.v
+		s.slack[g] = p.r
+		for _, it := range s.items[s.start[g]:s.start[g+1]] {
+			if room > 0 && it.Weight-w <= room && it.Value > v {
 				room, w, v = room-(it.Weight-w), it.Weight, it.Value
 			}
 		}
@@ -246,30 +322,38 @@ func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bo
 	return lam, lb - margin - c, true
 }
 
-// probe is one group at one λ: argmax's weight, excess and rest.
+// probe is one group's argmax at one λ: the weight and value of the first
+// item with the largest excess r = v − λ·w above "none" (weight 0, excess
+// 0), and rest, at least the excess of every item, "none" included, of
+// another weight.
 type probe struct {
-	w       int
-	r, rest float64
+	w    int
+	v, r float64
+	rest float64
 }
 
-// argmax returns the weight, value and excess v − lam·w of the first usable
-// item with the largest excess above "none" (weight 0, excess 0), and rest,
-// at least the excess of every item, "none" included, of another weight.
-func argmax(items []Item, capacity int, lam float64) (w int, v, best, rest float64) {
-	rest = math.Inf(-1)
-	for _, it := range items {
-		switch r := it.Value - lam*float64(it.Weight); {
-		case it.Weight < 0 || it.Weight > capacity:
-		case r > best:
-			if it.Weight != w {
-				rest = max(rest, best)
-			}
-			best, w, v = r, it.Weight, it.Value
-		case it.Weight != w:
-			rest = max(rest, r)
+// fold scans one more item, of excess r, into p.
+func (p *probe) fold(it Item, r float64) {
+	switch {
+	case r > p.r:
+		if it.Weight != p.w {
+			p.rest = max(p.rest, p.r)
 		}
+		p.w, p.v, p.r = it.Weight, it.Value, r
+	case it.Weight != p.w:
+		p.rest = max(p.rest, r)
 	}
-	return w, v, best, rest
+}
+
+// argmax probes group g's items at lam.
+func (s *Solver) argmax(g int, lam float64) probe {
+	items := s.items[s.start[g]:s.start[g+1]]
+	s.evals += len(items)
+	p := probe{rest: math.Inf(-1)}
+	for _, it := range items {
+		p.fold(it.Item, it.Value-lam*float64(it.Weight))
+	}
+	return p
 }
 
 // grow returns s with length n, reallocating, to max(n, 2·cap(s)), only

@@ -258,10 +258,17 @@ func refMultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // some groups are empty; the capacity runs from -2 past the sum of the
 // heaviest items, so both band edges and the everything-fits case occur.
 // From 100 allowed groups, half the instances are production-shaped
-// instead (prodInstance), large enough for the bound to engage.
+// instead (prodInstance), large enough for the bound to engage; those of
+// even capacity have items moved to the edge of the item reduction
+// (nearCut), which draws from its own source, so rng's sequence is the
+// same in either mode.
 func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
 	if maxGroups >= 100 && rng.Intn(2) == 0 {
-		return prodInstance(rng, 100+rng.Intn(min(maxGroups, 300)-99), rng.Intn(4) == 0)
+		groups, capacity := prodInstance(rng, 100+rng.Intn(min(maxGroups, 300)-99), rng.Intn(4) == 0)
+		if capacity%2 == 0 {
+			nearCut(groups, capacity)
+		}
+		return groups, capacity
 	}
 	mode, maxWeight := rng.Intn(4), rng.Intn(12)+1
 	groups := make([][]Item, rng.Intn(maxGroups+1))
@@ -318,6 +325,87 @@ func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
 		reach += groups[g][len(groups[g])-1].Weight
 	}
 	return groups, reach/3 + rng.Intn(reach/10+1) - reach/20
+}
+
+// nearCut moves up to three items of a bounded instance, each in a copy of
+// its group, so that a fresh Solver's reduce meets each with an excess
+// v − λ·w of its threshold plus k·eps, k from -3 to 3: items a rounding
+// step either side of the cut, and some exactly on it (kept). A moved item
+// is no heavier than its group's argmax at λ and stays below it in excess,
+// so at no probe of the search and in no trade-up of LB does it win: λ,
+// LB and the slack, and so the threshold, stay where they were. It returns
+// the largest distance, in eps, between a moved item's excess and its aim
+// in a solve after the move, or NaN when the solve is not bounded or no
+// item could be moved. Its
+// draws are seeded by the capacity.
+func nearCut(groups [][]Item, capacity int) float64 {
+	bound := func() (*Solver, float64, float64, bool) {
+		s := new(Solver)
+		s.ints = grow(s.ints, 7*len(groups)+1)
+		big := s.collect(groups, capacity)
+		if _, cells := s.band(capacity); cells < pruneWidth*len(groups) {
+			return s, 0, 0, false
+		}
+		lam, floor, ok := s.lagrange(capacity, big)
+		return s, lam, floor, ok
+	}
+	type move struct{ g, i, k int }
+	aim := func(s *Solver, floor float64, m move) float64 {
+		return floor - s.slack[0] + (s.slack[m.g] - s.slack[m.g+1]) + float64(m.k)*eps
+	}
+	s, lam, floor, ok := bound()
+	if !ok {
+		return math.NaN()
+	}
+	rng := rand.New(rand.NewSource(int64(capacity)))
+	var moves []move
+	for tries := 0; len(moves) < 3 && tries < 100; tries++ {
+		g := rng.Intn(len(groups))
+		if len(groups[g]) == 0 || slices.ContainsFunc(moves, func(m move) bool { return m.g == g }) {
+			continue
+		}
+		i, top := rng.Intn(len(groups[g])), s.argmax(g, lam)
+		if it := groups[g][i]; it.Weight < 0 || it.Weight > top.w || it.Value-lam*float64(it.Weight) >= top.r {
+			continue // unusable, heavier than the argmax, or the argmax
+		}
+		m := move{g, i, rng.Intn(7) - 3}
+		groups[g] = slices.Clone(groups[g])
+		groups[g][i].Value = aim(s, floor, m) + lam*float64(groups[g][i].Weight)
+		moves = append(moves, m)
+	}
+	if len(moves) == 0 {
+		return math.NaN()
+	}
+	s, lam, floor, _ = bound()
+	off := 0.0
+	for _, m := range moves {
+		it := groups[m.g][m.i]
+		off = max(off, math.Abs(it.Value-lam*float64(it.Weight)-aim(s, floor, m))/eps)
+	}
+	return off
+}
+
+func TestNearCutLandsOnTheCut(t *testing.T) {
+	// The near-cut mode must put items where it says, or the fuzz seeds in
+	// that mode test nothing near the cut; each instance must still solve
+	// as the reference does.
+	rng := rand.New(rand.NewSource(41))
+	landed, bounded := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		groups, capacity := prodInstance(rng, 100+rng.Intn(201), trial%5 == 4)
+		off := nearCut(groups, capacity)
+		if !math.IsNaN(off) {
+			bounded++
+			if off <= 0.5 {
+				landed++
+			}
+		}
+		var s Solver
+		checkAgainstReference(t, &s, groups, capacity)
+	}
+	if bounded < 30 || landed < bounded {
+		t.Fatalf("%d of %d instances with moved items have them within half an eps of the aim, of 40 drawn", landed, bounded)
+	}
 }
 
 // checkAgainstReference solves one instance through s and through the
@@ -429,21 +517,26 @@ func medianGroups(n, items int) [][]Item {
 	return groups
 }
 
+// benchShapes are BenchmarkMultiChoice's instances.
+var benchShapes = []struct {
+	name     string
+	groups   [][]Item
+	capacity int
+}{
+	{"paper-59x6-cap245", paperScaleGroups(42), 245},
+	{"registry-median-22g-124i-cap42", medianGroups(22, 124), 42},
+	{"prod-sharded-median-17g-124i-cap32", medianGroups(17, 124), 32},
+	{"prod-basic-median-76g-543i-cap281", medianGroups(76, 543), 281},
+	{"prod-ideal-median-277g-854i-cap1042", medianProdIdealGroups(), 1042},
+}
+
 // BenchmarkMultiChoice is the kernel's one-second loop (make bench): a warm
 // Solver as the scheduler holds one, the zero-workspace package function,
-// and the reference DP for the ratio.
+// and the reference DP for the ratio. The warm rows also report the
+// kernel's work per solve (Solver.Work): DP item-cell updates and argmax
+// item evaluations.
 func BenchmarkMultiChoice(b *testing.B) {
-	for _, shape := range []struct {
-		name     string
-		groups   [][]Item
-		capacity int
-	}{
-		{"paper-59x6-cap245", paperScaleGroups(42), 245},
-		{"registry-median-22g-124i-cap42", medianGroups(22, 124), 42},
-		{"prod-sharded-median-17g-124i-cap32", medianGroups(17, 124), 32},
-		{"prod-basic-median-76g-543i-cap281", medianGroups(76, 543), 281},
-		{"prod-ideal-median-277g-854i-cap1042", medianProdIdealGroups(), 1042},
-	} {
+	for _, shape := range benchShapes {
 		var s Solver
 		for _, solve := range []struct {
 			name string
@@ -452,13 +545,56 @@ func BenchmarkMultiChoice(b *testing.B) {
 			b.Run(shape.name+"/"+solve.name, func(b *testing.B) {
 				solve.fn(shape.groups, shape.capacity) // warm even at -benchtime 1x
 				b.ReportAllocs()
+				cells, evals := s.Work()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					solve.fn(shape.groups, shape.capacity)
 				}
+				if solve.name == "warm" {
+					c, e := s.Work()
+					b.ReportMetric(float64(c-cells)/float64(b.N), "cells/op")
+					b.ReportMetric(float64(e-evals)/float64(b.N), "argmax-items/op")
+				}
 			})
 		}
 	}
+}
+
+func TestMultiChoiceWorkPinned(t *testing.T) {
+	// A warm solve of each benchmark shape does exactly this much work.
+	// Before the item reduction the kernel made 57,541 item-cell updates
+	// and 4,207 argmax item evaluations on the prod-ideal median (4,080 and
+	// 1,542 on the paper's shape, 11,137 and 3,049 on prod-basic's; the two
+	// narrow shapes are not bounded and did what they do now); the reduction
+	// must keep at least half of those cells away.
+	want := map[string][2]int{
+		"paper-59x6-cap245":                   {936, 1188},
+		"registry-median-22g-124i-cap42":      {3664, 0},
+		"prod-sharded-median-17g-124i-cap32":  {2661, 0},
+		"prod-basic-median-76g-543i-cap281":   {1194, 2506},
+		"prod-ideal-median-277g-854i-cap1042": {14845, 3353},
+	}
+	for _, shape := range benchShapes {
+		var s Solver
+		s.MultiChoice(shape.groups, shape.capacity)
+		c0, e0 := s.Work()
+		s.MultiChoice(shape.groups, shape.capacity)
+		c, e := s.Work()
+		if got := [2]int{c - c0, e - e0}; got != want[shape.name] {
+			t.Errorf("%s: a warm solve made %d cell updates and %d argmax evaluations, want %v", shape.name, got[0], got[1], want[shape.name])
+		}
+		if shape.name == "prod-ideal-median-277g-854i-cap1042" && (c-c0)*2 > 57541 {
+			t.Errorf("prod-ideal median: %d cells, more than half the unreduced kernel's 57,541", c-c0)
+		}
+	}
+}
+
+// bound is the multiplier search as MultiChoice runs it: collect's pass
+// over the items, which makes the λ = 0 probe, then lagrange.
+func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bool) {
+	s.ints = grow(s.ints, 7*len(groups)+1)
+	s.collect(groups, capacity)
+	return s.lagrange(capacity, big)
 }
 
 // refBound is Solver.bound as it stood before the multiplier search
