@@ -365,16 +365,17 @@ func (a *Auditor) checkJobs(v View, add func(Violation)) {
 				Actual:   "no workers",
 			})
 		} else {
-			if base := j.NumWorkers() - j.FlexibleWorkers(); base != j.MinWorkers {
+			flex := j.CountFlexible()
+			if base := j.NumWorkers() - flex; base != j.MinWorkers {
 				add(Violation{
 					Rule:     RuleLifecycle,
 					Subject:  jobSubject(id),
 					Expected: fmt.Sprintf("%d base (non-flexible) workers", j.MinWorkers),
-					Actual:   fmt.Sprintf("%d base workers", base),
-					Detail:   "gang-scheduled base demand must stay intact while running",
+					Actual:   fmt.Sprintf("%d base workers (%d flexible, FlexibleWorkers reads %d)", base, flex, j.FlexibleWorkers()),
+					Detail:   "gang-scheduled base demand must stay intact while running; schedulers count flexible workers as the workers beyond it",
 				})
 			}
-			if flex := j.FlexibleWorkers(); flex > j.FlexRange() {
+			if flex > j.FlexRange() {
 				add(Violation{
 					Rule:     RuleLifecycle,
 					Subject:  jobSubject(id),

@@ -181,6 +181,24 @@ func TestBaseDemandBroken(t *testing.T) {
 	mustViolate(t, f.audit(), RuleLifecycle)
 }
 
+func TestFlexibleCountMatchesScan(t *testing.T) {
+	// A third base worker, consistent on the cluster side: the job holds
+	// one worker flagged flexible, yet the workers beyond its base gang,
+	// which the schedulers read as its flexible count, are two.
+	f := newFixture(t)
+	if err := f.c.Server(2).Allocate(f.running.ID, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	f.running.Workers = append(f.running.Workers, job.Worker{Server: 2, GPU: cluster.V100, GPUs: 2})
+	if f.running.FlexibleWorkers() == f.running.CountFlexible() {
+		t.Fatal("the fixture must put the read count and the scan apart")
+	}
+	ae := mustViolate(t, f.audit(), RuleLifecycle)
+	if len(ae.Violations) != 1 || !strings.Contains(ae.Violations[0].Actual, "1 flexible, FlexibleWorkers reads 2") {
+		t.Errorf("want one violation naming both counts, got %v", ae)
+	}
+}
+
 func TestNegativeRemaining(t *testing.T) {
 	f := newFixture(t)
 	f.running.Remaining = -1

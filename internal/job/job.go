@@ -266,8 +266,15 @@ func (j *Job) RemainingRuntime(sm ScalingModel) (float64, bool) {
 // NumWorkers returns the number of placed workers.
 func (j *Job) NumWorkers() int { return len(j.Workers) }
 
-// FlexibleWorkers returns the number of placed flexible workers.
-func (j *Job) FlexibleWorkers() int {
+// FlexibleWorkers returns the number of placed flexible workers without
+// looking at them: the workers beyond the MinWorkers base gang, which stays
+// whole while a job runs (the invariant auditor's lifecycle rule holds
+// every running job to CountFlexible); 0 for a job holding none.
+func (j *Job) FlexibleWorkers() int { return max(0, len(j.Workers)-j.MinWorkers) }
+
+// CountFlexible counts the placed workers flagged Flexible: the recount
+// FlexibleWorkers is audited against.
+func (j *Job) CountFlexible() int {
 	n := 0
 	for _, w := range j.Workers {
 		if w.Flexible {

@@ -167,8 +167,17 @@ func TestWorkerCountsAndGPUs(t *testing.T) {
 		{Server: 1, GPU: cluster.T4, GPUs: 2, Flexible: true},
 		{Server: 1, GPU: cluster.T4, GPUs: 2, Flexible: true},
 	}
-	if j.NumWorkers() != 3 || j.FlexibleWorkers() != 2 || j.GPUsHeld() != 6 {
-		t.Errorf("workers=%d flexible=%d gpus=%d", j.NumWorkers(), j.FlexibleWorkers(), j.GPUsHeld())
+	if j.NumWorkers() != 3 || j.FlexibleWorkers() != 2 || j.CountFlexible() != 2 || j.GPUsHeld() != 6 {
+		t.Errorf("workers=%d flexible=%d (counted %d) gpus=%d", j.NumWorkers(), j.FlexibleWorkers(), j.CountFlexible(), j.GPUsHeld())
+	}
+	// FlexibleWorkers reads the workers beyond the base gang; only the
+	// count looks at the flags, so a broken gang shows as the two differing.
+	j.Workers[1].Flexible = false
+	if j.FlexibleWorkers() != 2 || j.CountFlexible() != 1 {
+		t.Errorf("flexible=%d counted=%d, want 2 and 1", j.FlexibleWorkers(), j.CountFlexible())
+	}
+	if j.Workers = nil; j.FlexibleWorkers() != 0 {
+		t.Errorf("a job holding no workers has %d flexible", j.FlexibleWorkers())
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"lyra/internal/cluster"
@@ -262,6 +263,16 @@ func TestRemoveFlexibleWorkers(t *testing.T) {
 	if j.NumWorkers() != 2 || j.FlexibleWorkers() != 1 {
 		t.Errorf("workers=%d flexible=%d, want 2/1", j.NumWorkers(), j.FlexibleWorkers())
 	}
+	// The recount holds the read count to the flags: a flexible worker
+	// flagged as base breaks the gang, and the check at a view read says so.
+	if err := st.AuditIncremental(); err != nil {
+		t.Fatal(err)
+	}
+	j.Workers[1].Flexible = false
+	if err := st.AuditIncremental(); err == nil || !strings.Contains(err.Error(), "FlexibleWorkers=1, recount=0") {
+		t.Errorf("a broken gang must fail the recount, got %v", err)
+	}
+	j.Workers[1].Flexible = true
 	if c.UsedGPUs(cluster.PoolTraining) != 4 {
 		t.Errorf("cluster use = %d GPUs, want 4", c.UsedGPUs(cluster.PoolTraining))
 	}

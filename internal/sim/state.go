@@ -311,15 +311,20 @@ func (st *State) checkViews() {
 }
 
 // AuditIncremental recounts every maintained view from the Running map
-// (DESIGN.md §10): the flexible-GPU sum, the ID-sorted running list and its
-// elastic-candidate subset, which Start, Preempt and Finish update in place.
+// (DESIGN.md §10): each running job's FlexibleWorkers, the flexible-GPU
+// sum, the ID-sorted running list and its elastic-candidate subset, which
+// Start, Preempt and Finish update in place.
 // The engine runs it after every event when auditing is on, and checkViews
 // before every read.
 func (st *State) AuditIncremental() error {
 	wantFlex := 0
 	for _, j := range st.Running {
+		n := j.CountFlexible()
+		if n != j.FlexibleWorkers() {
+			return fmt.Errorf("job %d: FlexibleWorkers=%d, recount=%d", j.ID, j.FlexibleWorkers(), n)
+		}
 		if elasticCandidate(j) {
-			wantFlex += j.FlexibleWorkers() * j.GPUsPerWorker
+			wantFlex += n * j.GPUsPerWorker
 		}
 	}
 	if wantFlex != st.flexNominal {
