@@ -462,7 +462,9 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 		}
 		return cmp.Compare(a.end, b.end)
 	})
-	var out []Event
+	// Every downtime folds to at most one crash and one recovery; only
+	// held recoveries' retries append past that.
+	out := slices.Grow([]Event(nil), 2*len(down)) // nil when nothing fails
 	var applied []float64
 	for len(down) > 0 {
 		sid := down[0].server
