@@ -336,10 +336,9 @@ func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
 // LB and the slack, and so the threshold, stay where they were. It returns
 // the largest distance, in eps, between a moved item's excess and its aim
 // in a solve after the move, or NaN when the solve is not bounded or no
-// item could be moved. Its
-// draws are seeded by the capacity.
+// item could be moved. Its draws are seeded by the capacity.
 func nearCut(groups [][]Item, capacity int) float64 {
-	bound := func() (*Solver, float64, float64, bool) {
+	solve := func() (*Solver, float64, float64, bool) { // as MultiChoice does, up to the reduction
 		s := new(Solver)
 		s.ints = grow(s.ints, 7*len(groups)+1)
 		big := s.collect(groups, capacity)
@@ -353,7 +352,7 @@ func nearCut(groups [][]Item, capacity int) float64 {
 	aim := func(s *Solver, floor float64, m move) float64 {
 		return floor - s.slack[0] + (s.slack[m.g] - s.slack[m.g+1]) + float64(m.k)*eps
 	}
-	s, lam, floor, ok := bound()
+	s, lam, floor, ok := solve()
 	if !ok {
 		return math.NaN()
 	}
@@ -376,7 +375,7 @@ func nearCut(groups [][]Item, capacity int) float64 {
 	if len(moves) == 0 {
 		return math.NaN()
 	}
-	s, lam, floor, _ = bound()
+	s, lam, floor, _ = solve()
 	off := 0.0
 	for _, m := range moves {
 		it := groups[m.g][m.i]
@@ -390,12 +389,12 @@ func TestNearCutLandsOnTheCut(t *testing.T) {
 	// that mode test nothing near the cut; each instance must still solve
 	// as the reference does.
 	rng := rand.New(rand.NewSource(41))
-	landed, bounded := 0, 0
+	landed, moved := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		groups, capacity := prodInstance(rng, 100+rng.Intn(201), trial%5 == 4)
 		off := nearCut(groups, capacity)
 		if !math.IsNaN(off) {
-			bounded++
+			moved++
 			if off <= 0.5 {
 				landed++
 			}
@@ -403,8 +402,8 @@ func TestNearCutLandsOnTheCut(t *testing.T) {
 		var s Solver
 		checkAgainstReference(t, &s, groups, capacity)
 	}
-	if bounded < 30 || landed < bounded {
-		t.Fatalf("%d of %d instances with moved items have them within half an eps of the aim, of 40 drawn", landed, bounded)
+	if moved < 30 || landed < moved {
+		t.Fatalf("%d of %d instances with moved items have them within half an eps of the aim, of 40 drawn", landed, moved)
 	}
 }
 
