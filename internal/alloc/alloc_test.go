@@ -349,9 +349,9 @@ func TestPhase2ReusedWorkspaceMatchesFresh(t *testing.T) {
 	// jobs' flexible ranges, capacities from one GPU to everything-fits
 	// and progress advancing between calls: every call must return what a
 	// nil workspace returns, and what Phase2 returned before it had one.
-	// Solves wide enough for the kernel's Lagrangian bound (knapsack's
-	// pruneWidth, 48 cells per group) carry the reused Solver's multiplier
-	// from one call into the next, where the fresh one starts cold.
+	// Solves wide enough for the kernel's Lagrangian bound (48 cells per
+	// group is above knapsack's pruneWidth) carry the reused Solver's
+	// multiplier from one call into the next, where the fresh one starts cold.
 	rng := rand.New(rand.NewSource(5))
 	jobs := contendedJobs(rng, 60)
 	sorted := slices.Clone(jobs)
@@ -493,9 +493,9 @@ func BenchmarkPhase2(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			Phase2(jobs, 245, job.Imperfect, Tuning{}, ws) // warm even at -benchtime 1x
 			b.ReportAllocs()
-			var cells, evals int // the reused kernel's work (knapsack.Solver.Work)
+			var cells, search int // the reused kernel's work (knapsack.Solver.Work)
 			if ws != nil {
-				cells, evals = ws.solver.Work()
+				cells, search = ws.solver.Work()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -504,7 +504,7 @@ func BenchmarkPhase2(b *testing.B) {
 			if ws != nil {
 				c, e := ws.solver.Work()
 				b.ReportMetric(float64(c-cells)/float64(b.N), "cells/op")
-				b.ReportMetric(float64(e-evals)/float64(b.N), "argmax-items/op")
+				b.ReportMetric(float64(e-search)/float64(b.N), "bound-steps/op")
 			}
 		})
 	}

@@ -46,7 +46,8 @@ func FuzzMultiChoiceAgainstBrute(f *testing.F) {
 // and requires every solve to be bit-equal in value and choice to the
 // reference DP (refMultiChoice). From 100 groups up, randomInstance also
 // draws production-shaped instances, where the Lagrangian bound engages,
-// half of them with items moved to the edge of the item reduction.
+// half of them with items moved to the edge of the item reduction and a
+// quarter with groups that share their hull slopes.
 func FuzzMultiChoiceAgainstReference(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3))
 	f.Add(int64(-7), uint8(2), uint8(60))
@@ -60,6 +61,12 @@ func FuzzMultiChoiceAgainstReference(f *testing.F) {
 	f.Add(int64(6), uint8(255), uint8(200))
 	f.Add(int64(7), uint8(120), uint8(0))
 	f.Add(int64(8), uint8(120), uint8(255))
+	// First instances in shareSlopes' mode: λ on a slope many groups share.
+	f.Add(int64(2), uint8(255), uint8(3))
+	f.Add(int64(5), uint8(200), uint8(150))
+	f.Add(int64(7), uint8(255), uint8(40))
+	f.Add(int64(11), uint8(120), uint8(255))
+	f.Add(int64(16), uint8(200), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, first, second uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Solver

@@ -3,7 +3,11 @@
 // the brute-force reference solver the tests verify it against.
 package knapsack
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Item is one knapsack item. Weight must be non-negative; Value may be any
 // finite float.
@@ -21,27 +25,27 @@ const MaxGroupItems = math.MaxInt16
 
 // pruneWidth is the mean band width per group (banded cells / groups) from
 // which MultiChoice bounds its rows (DESIGN.md §10, "MCKP kernel"): below
-// it the multiplier search costs more than the cells the bound skips.
-const pruneWidth = 48
+// it the bound's pass over the items costs more than the cells it skips.
+const pruneWidth = 12
 
-// Solver is the reusable workspace of MultiChoice: the usable items, two
-// value rows, one flat pick arena holding each group's band of budgets, the
-// bands, the Lagrangian bound's buffers and last multiplier, and the
-// returned choice, valid until the next call. Buffers grow on demand and are
-// never shrunk, so a warm Solver allocates nothing. The zero value is ready;
-// a Solver is not safe for concurrent use. A group of more than
-// MaxGroupItems items panics.
+// Solver is the reusable workspace of MultiChoice: the usable items and
+// each group's upper hull, two value rows, one flat pick arena holding each
+// group's band of budgets, the bands, the Lagrangian bound's buffers and
+// last multiplier, and the returned choice, valid until the next call.
+// Buffers grow on demand and are never shrunk, so a warm Solver allocates
+// nothing. The zero value is ready; a Solver is not safe for concurrent
+// use. A group of more than MaxGroupItems items panics.
 type Solver struct {
-	items            []entry // the items the DP tries, group by group in index order
-	dp, next         []float64
-	pick             []int16   // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
-	ints             []int     // the choice, lo, hi, off, top and lagrange's open groups, n each, then start, n+1
-	lo, hi, off, top []int     // top[g] is the heaviest weight among group g's items
-	start            []int     // group g's items are items[start[g]:start[g+1]]
-	slack            []float64 // slack[g] = Σ_{h≥g} max(0, max_i v_i − λ·w_i) of group h; slack[n] = 0
-	probes           []probe   // lagrange's groups at the probe and at the bracket's bottom and top, n each
-	lambda           float64   // the last bounded solve's λ, where the next one starts its search
-	cells, evals     int       // DP item-cell updates and argmax item evaluations, summed over solves
+	items                []entry  // the items the DP tries, group by group in index order
+	hull                 []vertex // group g's upper hull is hull[hs[g]:hs[g+1]]
+	dp, next             []float64
+	pick                 []int16   // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
+	ints                 []int     // the choice, lo, hi, off, top, at and heap, n each, then start and hs, n+1 each
+	lo, hi, off, top, at []int     // top[g] is the heaviest weight among group g's items; at[g] its selected hull vertex
+	heap, start, hs      []int     // walk's groups; group g's items are items[start[g]:start[g+1]]
+	slack                []float64 // slack[g] = Σ_{h≥g} max(0, max_i v_i − λ·w_i) of group h; slack[n] = 0
+	lambda               float64   // the last bounded solve's λ, where the next one starts its walk
+	cells, search        int       // DP item-cell updates and the bound's steps, summed over solves
 }
 
 // entry is one usable item (0 ≤ Weight ≤ capacity) of a solve and its pick:
@@ -51,15 +55,22 @@ type entry struct {
 	pick int16
 }
 
+// vertex is one point of a group's upper hull and the slope of the hull
+// segment that reaches it (+Inf for the first).
+type vertex struct {
+	Item
+	slope float64
+}
+
 // MultiChoice solves one instance in a fresh Solver.
 func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	return new(Solver).MultiChoice(groups, capacity)
 }
 
-// Work returns the DP item-cell updates and the argmax item evaluations of
-// the multiplier search that s has made, summed over its solves: the
-// kernel's cost in operations, whatever the machine.
-func (s *Solver) Work() (cells, evals int) { return s.cells, s.evals }
+// Work returns the DP item-cell updates and the Lagrangian bound's steps
+// (hull vertices scanned, heap entries and moves, slack-pass items) that s
+// has made, summed over its solves: the kernel's cost, whatever the machine.
+func (s *Solver) Work() (cells, search int) { return s.cells, s.search }
 
 // MultiChoice solves the multiple-choice knapsack problem (§5.2): from each
 // group take at most one item, total weight <= capacity, maximize total
@@ -70,19 +81,18 @@ func (s *Solver) Work() (cells, evals int) { return s.cells, s.evals }
 // elastic job is a group; the item for "+k workers" has weight k*GPUs and
 // value equal to the job's JCT reduction (the paper reports at most 0.02 s
 // for 354 items and 245 GPUs). The DP visits every item once per budget of
-// its group's band [lo, hi], at most totalItems*(capacity+1) cells. The
-// bands are exact (DESIGN.md §10): with maxw the heaviest usable item of a
-// group, every budget above hi = min(capacity, Σ maxw of groups 0..g)
-// repeats the row's cell at hi, and the recovery walk down from capacity
-// never reads group g below lo = capacity - Σ maxw of groups g+1.. . Per
-// budget the items are tried in index order against the same running best,
-// so ties break as in the one-cell-at-a-time textbook DP. When the bands
-// average pruneWidth budgets or more, a Lagrangian upper bound against a
-// feasible lower bound drops every item and skips every budget no optimal
-// selection passes through, leaving value and choice bit for bit the same.
+// its group's band [lo, hi]. The bands are exact (DESIGN.md §10): with maxw
+// the heaviest usable item of a group, every budget above hi = min(capacity,
+// Σ maxw of groups 0..g) repeats the row's cell at hi, and the recovery walk
+// down from capacity never reads group g below lo = capacity - Σ maxw of
+// groups g+1.. . Per budget the items are tried in index order against the
+// same running best, so ties break as in the textbook DP. When the bands
+// average pruneWidth budgets or more, a Lagrangian bound drops every item
+// and skips every budget no optimal selection passes through, leaving value
+// and choice bit for bit the same.
 func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	n := len(groups)
-	s.ints = grow(s.ints, 7*n+1)
+	s.ints = grow(s.ints, 9*n+2)
 	choice := s.ints[:n]
 	for i := range choice {
 		choice[i] = -1
@@ -93,12 +103,11 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	big := s.collect(groups, capacity)
 	reach, cells := s.band(capacity)
 	// Row g keeps budget w only while dp[w] − lam·w ≥ floor − slack[g+1].
-	lam, floor, bounded := 0.0, 0.0, false
-	if cells >= pruneWidth*n {
-		if lam, floor, bounded = s.lagrange(capacity, big); bounded {
-			s.reduce(lam, floor)
-			reach, cells = s.band(capacity)
-		}
+	lam, floor, bounded := 0.0, 0.0, cells >= pruneWidth*n
+	if bounded {
+		lam, floor = s.lagrange(capacity, big)
+		s.reduce(lam, floor)
+		reach, cells = s.band(capacity)
 	}
 	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
 
@@ -159,8 +168,8 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 
 // collect is MultiChoice's one pass over the items: it keeps each group's
 // usable items (0 ≤ weight ≤ capacity) in index order with their heaviest
-// weight, probes them at λ = 0 (v − 0·w is v) for lagrange's first probe,
-// and returns the size of the largest group.
+// weight, reduces them to the group's upper hull for lagrange, and returns
+// the size of the largest group.
 func (s *Solver) collect(groups [][]Item, capacity int) (big int) {
 	n, total := len(groups), 0
 	for _, group := range groups {
@@ -169,23 +178,49 @@ func (s *Solver) collect(groups [][]Item, capacity int) (big int) {
 		}
 		total, big = total+len(group), max(big, len(group))
 	}
-	s.lo, s.hi, s.off, s.top, s.start = s.ints[n:2*n], s.ints[2*n:3*n], s.ints[3*n:4*n], s.ints[4*n:5*n], s.ints[6*n:]
-	s.probes = grow(s.probes, 3*n)
-	items := grow(s.items, total)[:0]
+	s.lo, s.hi, s.off, s.top, s.at = s.ints[n:2*n], s.ints[2*n:3*n], s.ints[3*n:4*n], s.ints[4*n:5*n], s.ints[5*n:6*n]
+	s.heap, s.start, s.hs = s.ints[6*n:7*n], s.ints[7*n:8*n+1], s.ints[8*n+1:]
+	items, hull := grow(s.items, total)[:0], grow(s.hull, total+n)[:0]
 	for g, group := range groups {
-		s.start[g] = len(items)
-		at, top := probe{rest: math.Inf(-1)}, 0
+		s.start[g], s.hs[g] = len(items), len(hull)
+		hull = append(hull, vertex{slope: math.Inf(1)}) // "none"
+		top, sorted := 0, true
 		for i, it := range group {
 			if it.Weight >= 0 && it.Weight <= capacity {
 				items = append(items, entry{it, int16(i + 1)})
-				at.fold(it, it.Value)
-				top = max(top, it.Weight)
+				hull = append(hull, vertex{Item: it})
+				sorted, top = sorted && it.Weight >= top, max(top, it.Weight)
 			}
 		}
-		s.probes[g], s.top[g] = at, top
+		pts := hull[s.hs[g]:]
+		if !sorted { // phase 2's items come weight-ascending
+			slices.SortFunc(pts[1:], func(a, b vertex) int { return cmp.Compare(a.Weight, b.Weight) })
+		}
+		hull, s.top[g] = hull[:s.hs[g]+upper(pts)], top
 	}
-	s.start[n], s.items = len(items), items
+	s.start[n], s.hs[n], s.items, s.hull = len(items), len(hull), items, hull
 	return big
+}
+
+// upper reduces pts, "none" and then points of ascending weight, in place
+// to their upper concave hull up to its highest value, each vertex with the
+// slope of the segment that reaches it, and returns its length. The slopes
+// fall strictly along it, and its values rise.
+func upper(pts []vertex) int {
+	k := 1
+	for _, p := range pts[1:] {
+		if p.Value <= pts[k-1].Value {
+			continue
+		}
+		for p.slope = math.Inf(1); k > 0; k-- { // an equal weight's slope is +Inf: its vertex goes
+			if p.slope = (p.Value - pts[k-1].Value) / float64(p.Weight-pts[k-1].Weight); p.slope < pts[k-1].slope {
+				break
+			}
+			p.slope = math.Inf(1)
+		}
+		pts[k], k = p, k+1
+	}
+	return k
 }
 
 // band sets every group's band [lo, hi] and pick-row offset from top, and
@@ -226,134 +261,94 @@ func (s *Solver) reduce(lam, floor float64) {
 }
 
 // lagrange picks the Lagrange multiplier λ ≥ 0 of the item reduction and
-// the row pruning (DESIGN.md §10): the smallest λ, to within 1/256, at which
-// every group's argmax of v − λ·w fits the capacity, searched from the
-// previous bounded solve's λ. Its first probe, at λ = 0, is the one collect
-// left in s.probes[:n]. A probe evaluates the open groups only: as each
-// item's rounded v − λ·w falls with λ, a group closes, its argmax weight
-// fixed, once its argmax at the bracket's top beats there every other
-// weight's items at the bottom. It leaves in s.slack the suffix sums of P_g
-// = max(0, max_i v_i − λ·w_i) and returns λ and floor = LB − margin −
-// λ·capacity, LB the value of that argmax selection traded up into the
-// capacity it leaves; false if 64 doublings find no λ that fits or the
-// traded-up selection does not fit.
-func (s *Solver) lagrange(capacity, big int) (float64, float64, bool) {
-	n := len(s.top)
+// the row pruning (DESIGN.md §10), the LP relaxation's: the smallest hull
+// slope, or 0, at which the hull selection (each group's heaviest vertex
+// reached by a slope above λ) fits the capacity, walked to from the last
+// bounded solve's λ. Its one pass over the items leaves in s.slack the
+// suffix sums of P_g = max(0, max_i v_i − λ·w_i) and returns λ and floor =
+// LB − margin − λ·capacity, LB the hull selection traded up into the room.
+func (s *Solver) lagrange(capacity, big int) (float64, float64) {
+	n, lam, w := len(s.top), s.lambda, 0
 	s.slack = grow(s.slack, n+1)
-	open, at, atLo, atHi := s.ints[5*n:6*n], s.probes[:n], s.probes[n:2*n], s.probes[2*n:]
-	for g := range open { // no group closes before both ends are probed
-		open[g], atLo[g].rest, atHi[g].r = g, math.Inf(1), math.Inf(-1)
-	}
-	fixed, whi := 0, 0 // the closed groups' weight; the total at the top
-	settle := func(w int) bool {
-		if w <= capacity {
-			atHi, at, whi = at, atHi, w
-		} else {
-			atLo, at = at, atLo
-		}
-		return w <= capacity
-	}
-	fits := func(lam float64) bool {
-		k, w := 0, 0
-		for _, g := range open {
-			if bot, top := atLo[g], atHi[g]; bot.w == top.w && top.r > bot.rest { // closed
-				fixed += top.w
-				continue
-			}
-			at[g] = s.argmax(g, lam)
-			open[k], k, w = g, k+1, w+at[g].w
-		}
-		open = open[:k]
-		return settle(w + fixed)
-	}
-	w0 := 0
-	for _, p := range at {
-		w0 += p.w
-	}
-	lam := 0.0
-	if !settle(w0) {
-		lo, hi := 0.0, s.lambda
-		if hi <= 0 {
-			hi = 1
-		}
-		// Bracket [lo, hi] with hi fitting: double an unfitting start, or
-		// halve a fitting one while its half still fits.
-		for i := 0; !fits(hi); i++ {
-			if i == 64 {
-				return 0, 0, false
-			}
-			lo, hi = hi, 2*hi
-		}
-		for i := 0; lo == 0 && i < 64 && fits(hi/2); i++ {
-			hi /= 2
-		}
-		lo = max(lo, hi/2)
-		for hi-lo > hi/256 {
-			if mid := (lo + hi) / 2; fits(mid) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		lam, s.lambda = hi, hi
-	}
-	// One full pass: the slack, and LB traded up into the room at the top.
-	room, weight, lb := capacity-whi, 0, 0.0
 	for g := range n {
-		p := s.argmax(g, lam)
-		w, v := p.w, p.v
-		s.slack[g] = p.r
+		k := s.hs[g+1] - 1
+		for s.hull[k].slope <= lam { // the first vertex's slope is +Inf
+			k--
+		}
+		s.at[g], w, s.search = k, w+s.hull[k].Weight, s.search+s.hs[g+1]-k
+	}
+	if w <= capacity {
+		w, _ = s.walk(1, w, capacity)
+	}
+	if lam = 0; w > capacity {
+		w, lam = s.walk(-1, w, capacity)
+	}
+	// One pass over the items: the slack, and LB traded up into the room.
+	room, lb := capacity-w, 0.0
+	for g := range n {
+		at := s.hull[s.at[g]]
+		w, v, r := at.Weight, at.Value, 0.0
 		for _, it := range s.items[s.start[g]:s.start[g+1]] {
+			r = max(r, it.Value-lam*float64(it.Weight))
 			if room > 0 && it.Weight-w <= room && it.Value > v {
 				room, w, v = room-(it.Weight-w), it.Weight, it.Value
 			}
 		}
-		weight, lb = weight+w, lb+v
+		s.slack[g], lb = r, lb+v
 	}
-	if weight > capacity {
-		return 0, 0, false
-	}
-	s.slack[n] = 0
+	s.slack[n], s.lambda, s.search = 0, lam, s.search+len(s.items)
 	for g := n - 1; g >= 0; g-- {
 		s.slack[g] += s.slack[g+1]
 	}
 	c := lam * float64(capacity)
 	margin := 1e-9*(s.slack[0]+c) + float64((n+1)*(n+big+3))*eps
-	return lam, lb - margin - c, true
+	return lam, lb - margin - c
 }
 
-// probe is one group's argmax at one λ: the weight and value of the first
-// item with the largest excess r = v − λ·w above "none" (weight 0, excess
-// 0), and rest, at least the excess of every item, "none" included, of
-// another weight.
-type probe struct {
-	w    int
-	v, r float64
-	rest float64
-}
-
-// fold scans one more item, of excess r, into p.
-func (p *probe) fold(it Item, r float64) {
-	switch {
-	case r > p.r:
-		if it.Weight != p.w {
-			p.rest = max(p.rest, p.r)
+// walk moves the hull selection of weight w through the breakpoints: up
+// (d = 1) it adds the groups' next vertices, steepest first, while the
+// selection fits and the slope is positive; down (d = −1) it drops their
+// selected vertices, shallowest first, until the selection fits, and then
+// the rest of the last slope dropped, which it returns with the weight.
+func (s *Solver) walk(d, w, capacity int) (int, float64) {
+	h, key := s.heap, s.slack // a heap of the groups by key[g], least first
+	next := func(g int) {     // key[g] is the slope of g's next step, +Inf if it has none
+		key[g] = math.Inf(1)
+		if e := s.at[g] + (d+1)/2; e > s.hs[g] && e < s.hs[g+1] {
+			key[g] = -float64(d) * s.hull[e].slope
 		}
-		p.w, p.v, p.r = it.Weight, it.Value, r
-	case it.Weight != p.w:
-		p.rest = max(p.rest, r)
+	}
+	for g := range h {
+		h[g] = g
+		next(g)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, key, i)
+	}
+	lam := 0.0
+	for s.search += len(h); ; s.search++ {
+		g := h[0]
+		if d > 0 && (w > capacity || key[g] >= 0) || d < 0 && w <= capacity && key[g] != lam {
+			return w, lam
+		}
+		at := s.at[g]
+		s.at[g], w, lam = at+d, w+s.hull[at+d].Weight-s.hull[at].Weight, key[g]
+		next(g)
+		down(h, key, 0)
 	}
 }
 
-// argmax probes group g's items at lam.
-func (s *Solver) argmax(g int, lam float64) probe {
-	items := s.items[s.start[g]:s.start[g+1]]
-	s.evals += len(items)
-	p := probe{rest: math.Inf(-1)}
-	for _, it := range items {
-		p.fold(it.Item, it.Value-lam*float64(it.Weight))
+// down sifts h[i] down the heap h of groups, least key first.
+func down(h []int, key []float64, i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && key[h[c+1]] < key[h[c]] {
+			c++
+		}
+		if key[h[i]] <= key[h[c]] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
 	}
-	return p
 }
 
 // grow returns s with length n, reallocating, to max(n, 2·cap(s)), only

@@ -260,13 +260,17 @@ func refMultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // From 100 allowed groups, half the instances are production-shaped
 // instead (prodInstance), large enough for the bound to engage; those of
 // even capacity have items moved to the edge of the item reduction
-// (nearCut), which draws from its own source, so rng's sequence is the
-// same in either mode.
+// (nearCut), and those of capacity 1 mod 4 have groups that share their
+// hull slopes (shareSlopes). Both draw from their own source, so rng's
+// sequence is the same in every mode.
 func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
 	if maxGroups >= 100 && rng.Intn(2) == 0 {
 		groups, capacity := prodInstance(rng, 100+rng.Intn(min(maxGroups, 300)-99), rng.Intn(4) == 0)
-		if capacity%2 == 0 {
+		switch capacity % 4 {
+		case 0, 2:
 			nearCut(groups, capacity)
+		case 1:
+			shareSlopes(groups, capacity)
 		}
 		return groups, capacity
 	}
@@ -331,22 +335,23 @@ func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
 // its group, so that a fresh Solver's reduce meets each with an excess
 // v − λ·w of its threshold plus k·eps, k from -3 to 3: items a rounding
 // step either side of the cut, and some exactly on it (kept). A moved item
-// is no heavier than its group's argmax at λ and stays below it in excess,
-// so at no probe of the search and in no trade-up of LB does it win: λ,
-// LB and the slack, and so the threshold, stay where they were. It returns
+// is no heavier than its group's hull selection at λ and stays below it in
+// excess, so it moves no breakpoint the walk to λ passes, is never traded
+// up into LB and is no group's largest excess: λ, LB and the slack, and so
+// the threshold, stay where they were. It returns
 // the largest distance, in eps, between a moved item's excess and its aim
 // in a solve after the move, or NaN when the solve is not bounded or no
 // item could be moved. Its draws are seeded by the capacity.
 func nearCut(groups [][]Item, capacity int) float64 {
 	solve := func() (*Solver, float64, float64, bool) { // as MultiChoice does, up to the reduction
 		s := new(Solver)
-		s.ints = grow(s.ints, 7*len(groups)+1)
+		s.ints = grow(s.ints, 9*len(groups)+2)
 		big := s.collect(groups, capacity)
 		if _, cells := s.band(capacity); cells < pruneWidth*len(groups) {
 			return s, 0, 0, false
 		}
-		lam, floor, ok := s.lagrange(capacity, big)
-		return s, lam, floor, ok
+		lam, floor := s.lagrange(capacity, big)
+		return s, lam, floor, true
 	}
 	type move struct{ g, i, k int }
 	aim := func(s *Solver, floor float64, m move) float64 {
@@ -363,9 +368,9 @@ func nearCut(groups [][]Item, capacity int) float64 {
 		if len(groups[g]) == 0 || slices.ContainsFunc(moves, func(m move) bool { return m.g == g }) {
 			continue
 		}
-		i, top := rng.Intn(len(groups[g])), s.argmax(g, lam)
-		if it := groups[g][i]; it.Weight < 0 || it.Weight > top.w || it.Value-lam*float64(it.Weight) >= top.r {
-			continue // unusable, heavier than the argmax, or the argmax
+		i, at := rng.Intn(len(groups[g])), s.hull[s.at[g]]
+		if it := groups[g][i]; it.Weight < 0 || it.Weight > at.Weight || it.Value-lam*float64(it.Weight) >= at.Value-lam*float64(at.Weight) {
+			continue // unusable, heavier than the selection, or no lower in excess
 		}
 		m := move{g, i, rng.Intn(7) - 3}
 		groups[g] = slices.Clone(groups[g])
@@ -382,6 +387,54 @@ func nearCut(groups [][]Item, capacity int) float64 {
 		off = max(off, math.Abs(it.Value-lam*float64(it.Weight)-aim(s, floor, m))/eps)
 	}
 	return off
+}
+
+// shareSlopes replaces about half the groups of an instance with copies of
+// one of them, weights and values scaled by 1, 2 or 4 (exact in floating
+// point), so the copies' hulls have the same slopes: the walk to λ meets
+// breakpoints of several groups at one slope, and λ is often one of them.
+// Its draws are seeded by the capacity.
+func shareSlopes(groups [][]Item, capacity int) {
+	rng := rand.New(rand.NewSource(int64(capacity)))
+	src := groups[rng.Intn(len(groups))]
+	for g := range groups {
+		if rng.Intn(2) == 0 {
+			k := 1 << rng.Intn(3)
+			groups[g] = make([]Item, len(src))
+			for i, it := range src {
+				groups[g][i] = Item{Weight: k * it.Weight, Value: float64(k) * it.Value}
+			}
+		}
+	}
+}
+
+func TestSharedSlopesTieAtTheMultiplier(t *testing.T) {
+	// The shared-slope mode must put λ on a slope several groups break at,
+	// or its fuzz seeds test no tie; each instance must still solve as the
+	// reference does, and a warm Solver must agree with a fresh one.
+	rng := rand.New(rand.NewSource(43))
+	var warm Solver
+	tied := 0
+	for trial := 0; trial < 40; trial++ {
+		groups, capacity := prodInstance(rng, 100+rng.Intn(201), trial%5 == 4)
+		shareSlopes(groups, capacity)
+		var s Solver
+		lam, _ := s.bound(groups, capacity, 6)
+		at := 0
+		for _, v := range s.hull {
+			if v.slope == lam {
+				at++
+			}
+		}
+		if at > 1 {
+			tied++
+		}
+		checkAgainstReference(t, &warm, groups, capacity)
+		checkAgainstReference(t, &s, groups, capacity)
+	}
+	if tied < 30 {
+		t.Fatalf("%d of 40 instances have λ on a slope shared by several groups' hulls", tied)
+	}
 }
 
 func TestNearCutLandsOnTheCut(t *testing.T) {
@@ -532,8 +585,8 @@ var benchShapes = []struct {
 // BenchmarkMultiChoice is the kernel's one-second loop (make bench): a warm
 // Solver as the scheduler holds one, the zero-workspace package function,
 // and the reference DP for the ratio. The warm rows also report the
-// kernel's work per solve (Solver.Work): DP item-cell updates and argmax
-// item evaluations.
+// kernel's work per solve (Solver.Work): DP item-cell updates and the
+// Lagrangian bound's steps.
 func BenchmarkMultiChoice(b *testing.B) {
 	for _, shape := range benchShapes {
 		var s Solver
@@ -544,7 +597,7 @@ func BenchmarkMultiChoice(b *testing.B) {
 			b.Run(shape.name+"/"+solve.name, func(b *testing.B) {
 				solve.fn(shape.groups, shape.capacity) // warm even at -benchtime 1x
 				b.ReportAllocs()
-				cells, evals := s.Work()
+				cells, search := s.Work()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					solve.fn(shape.groups, shape.capacity)
@@ -552,7 +605,7 @@ func BenchmarkMultiChoice(b *testing.B) {
 				if solve.name == "warm" {
 					c, e := s.Work()
 					b.ReportMetric(float64(c-cells)/float64(b.N), "cells/op")
-					b.ReportMetric(float64(e-evals)/float64(b.N), "argmax-items/op")
+					b.ReportMetric(float64(e-search)/float64(b.N), "bound-steps/op")
 				}
 			})
 		}
@@ -560,38 +613,48 @@ func BenchmarkMultiChoice(b *testing.B) {
 }
 
 func TestMultiChoiceWorkPinned(t *testing.T) {
-	// A warm solve of each benchmark shape does exactly this much work.
-	// Before the item reduction the kernel made 57,541 item-cell updates
-	// and 4,207 argmax item evaluations on the prod-ideal median (4,080 and
-	// 1,542 on the paper's shape, 11,137 and 3,049 on prod-basic's; the two
-	// narrow shapes are not bounded and did what they do now); the reduction
-	// must keep at least half of those cells away.
+	// A fresh Solver's solve of each benchmark shape does exactly this much
+	// work (λ depends on the instance only, so a warm solve ends where a
+	// fresh one does). With the bisection the kernel ran before, a warm
+	// solve made 936, 3,664, 2,661, 1,194 and 14,845 cell updates and 1,188,
+	// 0, 0, 2,506 and 3,353 argmax item evaluations, in this order: the two
+	// narrow shapes were not bounded. Now they must be, with a third of those
+	// cells at most, and prod-basic's bound must cost a third of its search.
 	want := map[string][2]int{
-		"paper-59x6-cap245":                   {936, 1188},
-		"registry-median-22g-124i-cap42":      {3664, 0},
-		"prod-sharded-median-17g-124i-cap32":  {2661, 0},
-		"prod-basic-median-76g-543i-cap281":   {1194, 2506},
-		"prod-ideal-median-277g-854i-cap1042": {14845, 3353},
+		"paper-59x6-cap245":                   {936, 484},
+		"registry-median-22g-124i-cap42":      {355, 196},
+		"prod-sharded-median-17g-124i-cap32":  {366, 182},
+		"prod-basic-median-76g-543i-cap281":   {1405, 753},
+		"prod-ideal-median-277g-854i-cap1042": {14547, 1602},
 	}
 	for _, shape := range benchShapes {
 		var s Solver
 		s.MultiChoice(shape.groups, shape.capacity)
-		c0, e0 := s.Work()
-		s.MultiChoice(shape.groups, shape.capacity)
 		c, e := s.Work()
-		if got := [2]int{c - c0, e - e0}; got != want[shape.name] {
-			t.Errorf("%s: a warm solve made %d cell updates and %d argmax evaluations, want %v", shape.name, got[0], got[1], want[shape.name])
+		if got := [2]int{c, e}; got != want[shape.name] {
+			t.Errorf("%s: a fresh solve made %d cell updates and %d bound steps, want %v", shape.name, c, e, want[shape.name])
 		}
-		if shape.name == "prod-ideal-median-277g-854i-cap1042" && (c-c0)*2 > 57541 {
-			t.Errorf("prod-ideal median: %d cells, more than half the unreduced kernel's 57,541", c-c0)
+		switch shape.name {
+		case "registry-median-22g-124i-cap42":
+			if c*3 > 3664 {
+				t.Errorf("registry median: %d cells, more than a third of the unbounded 3,664", c)
+			}
+		case "prod-sharded-median-17g-124i-cap32":
+			if c*3 > 2661 {
+				t.Errorf("prod-sharded median: %d cells, more than a third of the unbounded 2,661", c)
+			}
+		case "prod-basic-median-76g-543i-cap281":
+			if e*3 > 2506 {
+				t.Errorf("prod-basic median: %d bound steps, more than a third of the bisection's 2,506", e)
+			}
 		}
 	}
 }
 
-// bound is the multiplier search as MultiChoice runs it: collect's pass
-// over the items, which makes the λ = 0 probe, then lagrange.
-func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64, bool) {
-	s.ints = grow(s.ints, 7*len(groups)+1)
+// bound is the Lagrangian bound as MultiChoice computes it: collect's pass
+// over the items, which builds the hulls, then lagrange.
+func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64) {
+	s.ints = grow(s.ints, 9*len(groups)+2)
 	s.collect(groups, capacity)
 	return s.lagrange(capacity, big)
 }
@@ -667,16 +730,20 @@ func (s *Solver) refRelax(groups [][]Item, capacity int, lam float64, room int) 
 	return weight, value
 }
 
-func TestBoundMatchesFullPassBisection(t *testing.T) {
-	// One reused Solver and one reference Solver, each carrying its own λ
-	// from draw to draw, through production-shaped instances (duplicated
-	// groups, eps-scale values) and random ones (ties, negative values,
-	// weights -1 and 0, empty groups): the multiplier, the floor, the
-	// suffix sums the rows are pruned by and whether a bound exists at all
-	// must be the full-pass bisection's, bit for bit.
+func TestBoundBeatsFullPassBisection(t *testing.T) {
+	// The multiplier is the LP relaxation's, read off the hulls. Over
+	// production-shaped instances (duplicated groups, eps-scale values,
+	// groups sharing hull slopes) and random ones (ties, negative values,
+	// weights -1 and 0, empty groups), against the full-pass bisection this
+	// kernel ran before (refBound, carrying its λ from draw to draw): λ is
+	// no larger, the dual bound λ·C + S_0 no weaker, the hull selection at λ
+	// fits, and LB is the value of a feasible selection. lagrange has no
+	// failure path, so every draw the bisection bounds is bounded. λ is a
+	// function of the instance: a Solver that solved every earlier draw and
+	// a fresh one return the same λ, floor and slack, bit for bit.
 	rng := rand.New(rand.NewSource(29))
-	var s, ref Solver
-	draws, bounded := 0, 0
+	var warm, ref Solver
+	draws, positive := 0, 0
 	for draws < 400 {
 		var groups [][]Item
 		var capacity int
@@ -696,23 +763,37 @@ func TestBoundMatchesFullPassBisection(t *testing.T) {
 		for _, items := range groups {
 			big = max(big, len(items))
 		}
-		lam, floor, ok := s.bound(groups, capacity, big)
-		wantLam, wantFloor, wantOK := ref.refBound(groups, capacity, big)
-		if ok != wantOK || math.Float64bits(lam) != math.Float64bits(wantLam) ||
-			math.Float64bits(floor) != math.Float64bits(wantFloor) || math.Float64bits(s.lambda) != math.Float64bits(ref.lambda) {
-			t.Fatalf("draw %d: bound = (%v, %v, %v) carrying %v, full-pass bisection = (%v, %v, %v) carrying %v",
-				draws, lam, floor, ok, s.lambda, wantLam, wantFloor, wantOK, ref.lambda)
+		lam, floor := warm.bound(groups, capacity, big)
+		var fresh Solver
+		freshLam, freshFloor := fresh.bound(groups, capacity, big)
+		if math.Float64bits(lam) != math.Float64bits(freshLam) || math.Float64bits(floor) != math.Float64bits(freshFloor) {
+			t.Fatalf("draw %d: a warm Solver's bound is (%v, %v), a fresh one's (%v, %v)", draws, lam, floor, freshLam, freshFloor)
 		}
-		for g := 0; ok && g <= len(groups); g++ {
-			if math.Float64bits(s.slack[g]) != math.Float64bits(ref.slack[g]) {
-				t.Fatalf("draw %d: slack[%d] = %v, full-pass bisection %v", draws, g, s.slack[g], ref.slack[g])
+		for g := range len(groups) + 1 {
+			if math.Float64bits(warm.slack[g]) != math.Float64bits(fresh.slack[g]) {
+				t.Fatalf("draw %d: slack[%d] = %v warm, %v fresh", draws, g, warm.slack[g], fresh.slack[g])
 			}
 		}
-		if ok && lam > 0 {
-			bounded++
+		refLam, _, refOK := ref.refBound(groups, capacity, big)
+		c := float64(capacity)
+		if dual, refDual := lam*c+warm.slack[0], refLam*c+ref.slack[0]; refOK && (lam > refLam*(1+1e-9) || dual > refDual*(1+1e-12)) {
+			t.Fatalf("draw %d: λ = %v with dual bound %v, the bisection's λ = %v with %v", draws, lam, dual, refLam, refDual)
+		}
+		w := 0
+		for g := range groups {
+			w += warm.hull[warm.at[g]].Weight
+		}
+		if w > capacity {
+			t.Fatalf("draw %d: the hull selection at λ = %v weighs %d of %d", draws, lam, w, capacity)
+		}
+		if best, _ := refMultiChoice(groups, capacity); floor+lam*c > best {
+			t.Fatalf("draw %d: LB is at least %v, above the optimum %v", draws, floor+lam*c, best)
+		}
+		if lam > 0 {
+			positive++
 		}
 	}
-	if bounded < 250 {
-		t.Fatalf("only %d of %d draws needed a positive multiplier: the sequence tests too little", bounded, draws)
+	if positive < 250 {
+		t.Fatalf("only %d of %d draws needed a positive multiplier: the sequence tests too little", positive, draws)
 	}
 }
