@@ -242,9 +242,9 @@ func (s *Solver) band(capacity int) (reach, cells int) {
 // reduce drops every item whose excess v − λ·w is below floor − S_0 + P_g,
 // P_g = S_g − S_{g+1} its group's largest: a selection through it is worth
 // at most λ·C + S_0 − P_g + v − λ·w < LB − margin, the bound the rows are
-// pruned by (DESIGN.md §10). The argmax items stay, and "none" always does.
-// It compacts the items in place and sets each group's top to the heaviest
-// item left.
+// pruned by (DESIGN.md §10). Each group's item of largest excess stays, and
+// "none" always does. It compacts the items in place and sets each group's
+// top to the heaviest item left.
 func (s *Solver) reduce(lam, floor float64) {
 	k, cut := 0, floor-s.slack[0]
 	for g := range s.top {
@@ -280,7 +280,8 @@ func (s *Solver) lagrange(capacity, big int) (float64, float64) {
 	if w <= capacity {
 		w, _ = s.walk(1, w, capacity)
 	}
-	if lam = 0; w > capacity {
+	lam = 0
+	if w > capacity {
 		w, lam = s.walk(-1, w, capacity)
 	}
 	// One pass over the items: the slack, and LB traded up into the room.
@@ -309,7 +310,8 @@ func (s *Solver) lagrange(capacity, big int) (float64, float64) {
 // (d = 1) it adds the groups' next vertices, steepest first, while the
 // selection fits and the slope is positive; down (d = −1) it drops their
 // selected vertices, shallowest first, until the selection fits, and then
-// the rest of the last slope dropped, which it returns with the weight.
+// the rest of the last slope dropped. It returns the selection's weight
+// and, down, that slope.
 func (s *Solver) walk(d, w, capacity int) (int, float64) {
 	h, key := s.heap, s.slack // a heap of the groups by key[g], least first
 	next := func(g int) {     // key[g] is the slope of g's next step, +Inf if it has none

@@ -338,10 +338,10 @@ func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
 // is no heavier than its group's hull selection at λ and stays below it in
 // excess, so it moves no breakpoint the walk to λ passes, is never traded
 // up into LB and is no group's largest excess: λ, LB and the slack, and so
-// the threshold, stay where they were. It returns
-// the largest distance, in eps, between a moved item's excess and its aim
-// in a solve after the move, or NaN when the solve is not bounded or no
-// item could be moved. Its draws are seeded by the capacity.
+// the threshold, stay where they were. It returns the largest distance, in
+// eps, between a moved item's excess and its aim in a solve after the move,
+// or NaN when the solve is not bounded or no item could be moved. Its draws
+// are seeded by the capacity.
 func nearCut(groups [][]Item, capacity int) float64 {
 	solve := func() (*Solver, float64, float64, bool) { // as MultiChoice does, up to the reduction
 		s := new(Solver)
