@@ -6,9 +6,9 @@ all: check
 
 # check is the default gate. scripts/check.sh is the one list of gates
 # (formatting, vet, build, the full test suite, the race detector over the
-# internal packages and the smoke tests); the targets below run one gate
-# each. Performance is measured by the repository benchmark (BENCHMARK.json,
-# benchmark/README.md), not here.
+# internal packages, 15 s of each MCKP fuzz target and the smoke tests); the
+# targets below run one gate each. Performance is measured by the repository
+# benchmark (BENCHMARK.json, benchmark/README.md), not here.
 check:
 	@./scripts/check.sh
 
@@ -43,8 +43,9 @@ smoke:
 # day with every job elastic under a scheduler that rescales each running
 # job every epoch (BenchmarkEngineElastic: each rescale moves a finish
 # event in the timeline); then the
-# one-second loops of the phase-2 kernels: the MCKP solve at the paper's and at prod-ideal's median
-# instance size (warm Solver, fresh, reference DP) and alloc.Phase2 around it,
+# one-second loops of the phase-2 kernels: the MCKP solve on five shapes, the paper's and the
+# median instances of registry-sim, prod-sharded, prod-basic and prod-ideal (warm Solver, fresh,
+# reference DP; the warm rows report cells/op and bound-steps/op) and alloc.Phase2 around it,
 # and of best-fit placement: a 1-GPU worker (lands on a server hosting work)
 # and a whole-server worker (falls through to the idle servers) at 1x, 10x and
 # 100x the paper's cluster, which must read flat across the three, and a gang
