@@ -620,6 +620,8 @@ func TestMultiChoiceWorkPinned(t *testing.T) {
 	// 0, 0, 2,506 and 3,353 argmax item evaluations, in this order: the two
 	// narrow shapes were not bounded. Now they must be, with a third of those
 	// cells at most, and prod-basic's bound must cost a third of its search.
+	// Before the item reduction prod-ideal's median took 57,541 cells; the
+	// reduction must keep at least half of them away.
 	want := map[string][2]int{
 		"paper-59x6-cap245":                   {936, 484},
 		"registry-median-22g-124i-cap42":      {355, 196},
@@ -647,6 +649,10 @@ func TestMultiChoiceWorkPinned(t *testing.T) {
 			if e*3 > 2506 {
 				t.Errorf("prod-basic median: %d bound steps, more than a third of the bisection's 2,506", e)
 			}
+		case "prod-ideal-median-277g-854i-cap1042":
+			if c*2 > 57541 {
+				t.Errorf("prod-ideal median: %d cells, more than half the unreduced kernel's 57,541", c)
+			}
 		}
 	}
 }
@@ -659,11 +665,11 @@ func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64) {
 	return s.lagrange(capacity, big)
 }
 
-// refBound is Solver.bound as it stood before the multiplier search
-// narrowed to the groups still open, kept verbatim as the oracle of the λ
-// sequence: every probe of the bisection is a full relaxation pass, and the
-// final λ is evaluated twice. The Solver's bound must return the same λ,
-// floor and ok bit for bit, and carry the same λ into the next solve.
+// refBound is the bisection the kernel searched λ with before it walked the
+// hull breakpoints, kept verbatim as an oracle: every probe is a full
+// relaxation pass, it starts from the λ its Solver carried out of the last
+// solve, and the final λ is evaluated twice. The Solver's λ must be no
+// larger than its λ, and the dual bound λ·C + S_0 no weaker than its.
 func (s *Solver) refBound(groups [][]Item, capacity, big int) (float64, float64, bool) {
 	n := len(groups)
 	s.slack = grow(s.slack, n+1)
@@ -737,10 +743,11 @@ func TestBoundBeatsFullPassBisection(t *testing.T) {
 	// weights -1 and 0, empty groups), against the full-pass bisection this
 	// kernel ran before (refBound, carrying its λ from draw to draw): λ is
 	// no larger, the dual bound λ·C + S_0 no weaker, the hull selection at λ
-	// fits, and LB is the value of a feasible selection. lagrange has no
-	// failure path, so every draw the bisection bounds is bounded. λ is a
-	// function of the instance: a Solver that solved every earlier draw and
-	// a fresh one return the same λ, floor and slack, bit for bit.
+	// (ties to the lighter vertex) fits, and LB is the value of that
+	// selection traded up, whose weight fits too. lagrange has no failure
+	// path, so every draw the bisection bounds is bounded. λ is a function
+	// of the instance: a Solver that solved every earlier draw and a fresh
+	// one return the same λ, floor and slack, bit for bit.
 	rng := rand.New(rand.NewSource(29))
 	var warm, ref Solver
 	draws, positive := 0, 0
@@ -780,11 +787,33 @@ func TestBoundBeatsFullPassBisection(t *testing.T) {
 			t.Fatalf("draw %d: λ = %v with dual bound %v, the bisection's λ = %v with %v", draws, lam, dual, refLam, refDual)
 		}
 		w := 0
-		for g := range groups {
-			w += warm.hull[warm.at[g]].Weight
+		for g := range groups { // each group's heaviest vertex reached by a slope above λ
+			at, end := warm.at[g], warm.hs[g+1]
+			if warm.hull[at].slope <= lam || at+1 < end && warm.hull[at+1].slope > lam {
+				t.Fatalf("draw %d: group %d selects hull vertex %d of %d, not the last with a slope above λ = %v", draws, g, at-warm.hs[g], end-warm.hs[g], lam)
+			}
+			w += warm.hull[at].Weight
 		}
 		if w > capacity {
 			t.Fatalf("draw %d: the hull selection at λ = %v weighs %d of %d", draws, lam, w, capacity)
+		}
+		// Trade the hull selection up into the room, item by item in
+		// index order: its weight must fit, and floor must be its value
+		// less the margin and λ·C, bit for bit.
+		room, lb := capacity-w, 0.0
+		for g := range groups {
+			at := warm.hull[warm.at[g]]
+			gw, v := at.Weight, at.Value
+			for _, it := range groups[g] {
+				if it.Weight >= 0 && it.Weight <= capacity && room > 0 && it.Weight-gw <= room && it.Value > v {
+					room, gw, v = room-(it.Weight-gw), it.Weight, it.Value
+				}
+			}
+			w, lb = w-at.Weight+gw, lb+v
+		}
+		margin := 1e-9*(warm.slack[0]+lam*c) + float64((len(groups)+1)*(len(groups)+big+3))*eps
+		if w > capacity || math.Float64bits(floor) != math.Float64bits(lb-margin-lam*c) {
+			t.Fatalf("draw %d: floor %v, the traded-up selection weighs %d of %d and is worth %v less margin %v", draws, floor, w, capacity, lb, margin)
 		}
 		if best, _ := refMultiChoice(groups, capacity); floor+lam*c > best {
 			t.Fatalf("draw %d: LB is at least %v, above the optimum %v", draws, floor+lam*c, best)
