@@ -6,8 +6,10 @@ all: check
 
 # check is the default gate. scripts/check.sh is the one list of gates
 # (formatting, vet, build, the full test suite, the race detector over the
-# internal packages, 15 s of each MCKP fuzz target and the smoke tests); the
-# targets below run one gate each. Performance is measured by the repository
+# internal packages, 15 s of each MCKP fuzz target and of
+# FuzzIncrementalVsRescan, which drives phase 2's reused workspace through
+# sched.Lyra against cold ones, and the smoke tests); the targets below run
+# one gate each. Performance is measured by the repository
 # benchmark (BENCHMARK.json, benchmark/README.md), not here.
 check:
 	@./scripts/check.sh

@@ -71,7 +71,7 @@ func (s State) String() string {
 type Worker struct {
 	Server   int
 	GPU      cluster.GPUType
-	GPUs     int  // GPUs this worker occupies (== job.GPUsPerWorker)
+	GPUs     int  // GPUs this worker occupies (place.WorkerGPUs: twice GPUsPerWorker on a T4)
 	Flexible bool // part of the elastic surplus beyond MinWorkers
 }
 

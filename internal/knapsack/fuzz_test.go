@@ -19,7 +19,7 @@ func FuzzMultiChoiceAgainstBrute(f *testing.F) {
 					Value:  float64((int(bits) * (g + i + 2)) % 30),
 				}
 			}
-			groups[g] = items
+			groups[g] = ascending(items)
 		}
 		capGPUs := int(capacity) % 14
 		dp, choice := MultiChoice(groups, capGPUs)

@@ -1,16 +1,12 @@
 // Package knapsack implements the combinatorial kernel Lyra's phase-2
-// elastic allocation reduces to, the multiple-choice knapsack (§5.2), and
-// the brute-force reference solver the tests verify it against.
+// elastic allocation reduces to, the multiple-choice knapsack (§5.2).
 package knapsack
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
-// Item is one knapsack item. Weight must be non-negative; Value may be any
-// finite float.
+// Item is one knapsack item. Within a group weights are non-negative and
+// non-decreasing, as phase 2's "+k workers" items come (MultiChoice panics
+// otherwise); Value may be any finite float.
 type Item struct {
 	Weight int
 	Value  float64
@@ -28,31 +24,23 @@ const MaxGroupItems = math.MaxInt16
 // it the bound's pass over the items costs more than the cells it skips.
 const pruneWidth = 12
 
-// Solver is the reusable workspace of MultiChoice: the usable items and
-// each group's upper hull, two value rows, one flat pick arena holding each
-// group's band of budgets, the bands, the Lagrangian bound's buffers and
-// last multiplier, and the returned choice, valid until the next call.
+// Solver is the reusable workspace of MultiChoice: each group's upper hull,
+// two value rows, one flat pick arena holding each group's band of budgets,
+// the bands, the Lagrangian bound's buffers and last multiplier, and the
+// returned choice, valid until the next call. The items stay where they lie.
 // Buffers grow on demand and are never shrunk, so a warm Solver allocates
-// nothing. The zero value is ready; a Solver is not safe for concurrent
-// use. A group of more than MaxGroupItems items panics.
+// nothing. The zero value is ready; a Solver is not safe for concurrent use.
+// A group of more than MaxGroupItems items, or out of Item's order, panics.
 type Solver struct {
-	items                []entry  // the items the DP tries, group by group in index order
 	hull                 []vertex // group g's upper hull is hull[hs[g]:hs[g+1]]
 	dp, next             []float64
 	pick                 []int16   // group g's row is pick[off[g]:][:hi[g]-lo[g]+1], budget lo[g] first; 0 = no item
-	ints                 []int     // the choice, lo, hi, off, top, at and heap, n each, then start and hs, n+1 each
-	lo, hi, off, top, at []int     // top[g] is the heaviest weight among group g's items; at[g] its selected hull vertex
-	heap, start, hs      []int     // walk's groups; group g's items are items[start[g]:start[g+1]]
+	ints                 []int     // the choice, lo, hi, off, top, at, heap and use, n each, then hs, n+1
+	lo, hi, off, top, at []int     // top[g] is the weight of group g's last usable item; at[g] its selected hull vertex
+	heap, use, hs        []int     // walk's groups; group g's usable items are groups[g][:use[g]]
 	slack                []float64 // slack[g] = Σ_{h≥g} max(0, max_i v_i − λ·w_i) of group h; slack[n] = 0
 	lambda               float64   // the last bounded solve's λ, where the next one starts its walk
 	cells, search        int       // DP item-cell updates and the bound's steps, summed over solves
-}
-
-// entry is one usable item (0 ≤ Weight ≤ capacity) of a solve and its pick:
-// its index within its group plus one.
-type entry struct {
-	Item
-	pick int16
 }
 
 // vertex is one point of a group's upper hull and the slope of the hull
@@ -92,7 +80,7 @@ func (s *Solver) Work() (cells, search int) { return s.cells, s.search }
 // and choice bit for bit the same.
 func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	n := len(groups)
-	s.ints = grow(s.ints, 9*n+2)
+	s.ints = grow(s.ints, 9*n+1)
 	choice := s.ints[:n]
 	for i := range choice {
 		choice[i] = -1
@@ -105,8 +93,8 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	// Row g keeps budget w only while dp[w] − lam·w ≥ floor − slack[g+1].
 	lam, floor, bounded := 0.0, 0.0, cells >= pruneWidth*n
 	if bounded {
-		lam, floor = s.lagrange(capacity, big)
-		s.reduce(lam, floor)
+		lam, floor = s.lagrange(groups, capacity, big)
+		s.reduce(groups, lam, floor)
 		reach, cells = s.band(capacity)
 	}
 	s.dp, s.next, s.pick = grow(s.dp, reach+1), grow(s.next, reach+1), grow(s.pick, cells)
@@ -114,7 +102,7 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	dp, next, updates := s.dp, s.next, 0
 	clear(dp[:s.hi[0]+1])
 	a, b := 0, s.hi[0] // the previous row's kept budgets; all others read as -Inf
-	for g := range groups {
+	for g, group := range groups {
 		lo, hi := max(s.lo[g], a), min(s.hi[g], b+s.top[g])
 		row := s.pick[s.off[g]+lo-s.lo[g]:][:hi-lo+1] // row[i] is budget lo+i
 		clear(row)
@@ -123,17 +111,21 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 		for w := keep + 1; w <= hi; w++ {
 			next[w] = math.Inf(-1)
 		}
-		for _, it := range s.items[s.start[g]:s.start[g+1]] {
+		drop := math.Inf(-1) // the items reduce drops, by its own test
+		if bounded {
+			drop = s.cut(g, floor)
+		}
+		for k, it := range group[:s.use[g]] {
 			from, to := max(lo, a+it.Weight), min(hi, b+it.Weight)
-			if from > to {
+			if from > to || it.Value-lam*float64(it.Weight) < drop {
 				continue
 			}
 			updates += to - from + 1
-			dst := next[from : to+1]
+			dst, p := next[from:to+1], int16(k+1)
 			src, pk := dp[from-it.Weight:][:len(dst)], row[from-lo:][:len(dst)]
 			for i, best := range dst {
 				if v := src[i] + it.Value; v > best+eps {
-					dst[i], pk[i] = v, it.pick
+					dst[i], pk[i] = v, p
 				}
 			}
 		}
@@ -166,61 +158,54 @@ func (s *Solver) MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	return dp[s.hi[n-1]], choice
 }
 
-// collect is MultiChoice's one pass over the items: it keeps each group's
-// usable items (0 ≤ weight ≤ capacity) in index order with their heaviest
-// weight, reduces them to the group's upper hull for lagrange, and returns
-// the size of the largest group.
+// collect is MultiChoice's one pass over the items. It checks each group
+// against Item's contract, counts its usable items (the prefix of weights up
+// to the capacity) with the last one's weight, builds the group's upper hull
+// for lagrange as it reads them, and returns the size of the largest group.
 func (s *Solver) collect(groups [][]Item, capacity int) (big int) {
 	n, total := len(groups), 0
 	for _, group := range groups {
-		if len(group) > MaxGroupItems {
-			panic("knapsack: group exceeds MaxGroupItems")
-		}
 		total, big = total+len(group), max(big, len(group))
 	}
+	if big > MaxGroupItems {
+		panic("knapsack: group exceeds MaxGroupItems")
+	}
 	s.lo, s.hi, s.off, s.top, s.at = s.ints[n:2*n], s.ints[2*n:3*n], s.ints[3*n:4*n], s.ints[4*n:5*n], s.ints[5*n:6*n]
-	s.heap, s.start, s.hs = s.ints[6*n:7*n], s.ints[7*n:8*n+1], s.ints[8*n+1:]
-	items, hull := grow(s.items, total)[:0], grow(s.hull, total+n)[:0]
+	s.heap, s.use, s.hs = s.ints[6*n:7*n], s.ints[7*n:8*n], s.ints[8*n:]
+	hull := grow(s.hull, total+n)[:0]
 	for g, group := range groups {
-		s.start[g], s.hs[g] = len(items), len(hull)
+		s.hs[g], s.use[g], s.top[g] = len(hull), 0, 0
 		hull = append(hull, vertex{slope: math.Inf(1)}) // "none"
-		top, sorted := 0, true
 		for i, it := range group {
-			if it.Weight >= 0 && it.Weight <= capacity {
-				items = append(items, entry{it, int16(i + 1)})
-				hull = append(hull, vertex{Item: it})
-				sorted, top = sorted && it.Weight >= top, max(top, it.Weight)
+			if it.Weight < 0 || i > 0 && it.Weight < group[i-1].Weight {
+				panic("knapsack: a group's weights must be non-negative and non-decreasing")
+			}
+			if it.Weight <= capacity {
+				hull, s.use[g], s.top[g] = upper(hull, s.hs[g], it), i+1, it.Weight
 			}
 		}
-		pts := hull[s.hs[g]:]
-		if !sorted { // phase 2's items come weight-ascending
-			slices.SortFunc(pts[1:], func(a, b vertex) int { return cmp.Compare(a.Weight, b.Weight) })
-		}
-		hull, s.top[g] = hull[:s.hs[g]+upper(pts)], top
 	}
-	s.start[n], s.hs[n], s.items, s.hull = len(items), len(hull), items, hull
+	s.hs[n], s.hull = len(hull), hull
 	return big
 }
 
-// upper reduces pts, "none" and then points of ascending weight, in place
-// to their upper concave hull up to its highest value, each vertex with the
-// slope of the segment that reaches it, and returns its length. The slopes
-// fall strictly along it, and its values rise.
-func upper(pts []vertex) int {
-	k := 1
-	for _, p := range pts[1:] {
-		if p.Value <= pts[k-1].Value {
-			continue
-		}
-		for p.slope = math.Inf(1); k > 0; k-- { // an equal weight's slope is +Inf: its vertex goes
-			if p.slope = (p.Value - pts[k-1].Value) / float64(p.Weight-pts[k-1].Weight); p.slope < pts[k-1].slope {
-				break
-			}
-			p.slope = math.Inf(1)
-		}
-		pts[k], k = p, k+1
+// upper takes p, no lighter than any point before it, onto the group's
+// upper concave hull hull[first:], "none" and then the points taken so far
+// up to their highest value, each vertex with the slope of the segment that
+// reaches it. The slopes fall strictly along it, and its values rise.
+func upper(hull []vertex, first int, p Item) []vertex {
+	k := len(hull)
+	if p.Value <= hull[k-1].Value {
+		return hull
 	}
-	return k
+	v := vertex{Item: p}
+	for v.slope = math.Inf(1); k > first; k-- { // an equal weight's slope is +Inf: its vertex goes
+		if v.slope = (p.Value - hull[k-1].Value) / float64(p.Weight-hull[k-1].Weight); v.slope < hull[k-1].slope {
+			break
+		}
+		v.slope = math.Inf(1)
+	}
+	return append(hull[:k], v)
 }
 
 // band sets every group's band [lo, hi] and pick-row offset from top, and
@@ -239,25 +224,26 @@ func (s *Solver) band(capacity int) (reach, cells int) {
 	return reach, cells
 }
 
-// reduce drops every item whose excess v − λ·w is below floor − S_0 + P_g,
-// P_g = S_g − S_{g+1} its group's largest: a selection through it is worth
-// at most λ·C + S_0 − P_g + v − λ·w < LB − margin, the bound the rows are
-// pruned by (DESIGN.md §10). Each group's item of largest excess stays, and
-// "none" always does. It compacts the items in place and sets each group's
-// top to the heaviest item left.
-func (s *Solver) reduce(lam, floor float64) {
-	k, cut := 0, floor-s.slack[0]
-	for g := range s.top {
-		thr, from, to := cut+(s.slack[g]-s.slack[g+1]), s.start[g], s.start[g+1]
-		s.start[g], s.top[g] = k, 0
-		for _, it := range s.items[from:to] {
-			if it.Value-lam*float64(it.Weight) >= thr {
-				s.items[k], k = it, k+1
-				s.top[g] = max(s.top[g], it.Weight)
-			}
+// cut is the excess v − λ·w below which reduce drops group g's items at floor f.
+func (s *Solver) cut(g int, f float64) float64 { return f - s.slack[0] + (s.slack[g] - s.slack[g+1]) }
+
+// reduce drops every item whose excess is below its group's cut, floor − S_0
+// + P_g, P_g = S_g − S_{g+1} the group's largest: a selection through it is
+// worth at most λ·C + S_0 − P_g + v − λ·w < LB − margin, the bound the rows
+// are pruned by (DESIGN.md §10). Each group's item of largest excess stays,
+// and "none" always does. It trims each usable prefix to its last item kept
+// and sets top to that item's weight; the DP skips those dropped inside it.
+func (s *Solver) reduce(groups [][]Item, lam, floor float64) {
+	for g, group := range groups {
+		u, cut := s.use[g], s.cut(g, floor)
+		for u > 0 && group[u-1].Value-lam*float64(group[u-1].Weight) < cut {
+			u--
+		}
+		s.use[g], s.top[g] = u, 0
+		if u > 0 {
+			s.top[g] = group[u-1].Weight
 		}
 	}
-	s.start[len(s.top)], s.items = k, s.items[:k]
 }
 
 // lagrange picks the Lagrange multiplier λ ≥ 0 of the item reduction and
@@ -267,7 +253,7 @@ func (s *Solver) reduce(lam, floor float64) {
 // bounded solve's λ. Its one pass over the items leaves in s.slack the
 // suffix sums of P_g = max(0, max_i v_i − λ·w_i) and returns λ and floor =
 // LB − margin − λ·capacity, LB the hull selection traded up into the room.
-func (s *Solver) lagrange(capacity, big int) (float64, float64) {
+func (s *Solver) lagrange(groups [][]Item, capacity, big int) (float64, float64) {
 	n, lam, w := len(s.top), s.lambda, 0
 	s.slack = grow(s.slack, n+1)
 	for g := range n {
@@ -286,18 +272,18 @@ func (s *Solver) lagrange(capacity, big int) (float64, float64) {
 	}
 	// One pass over the items: the slack, and LB traded up into the room.
 	room, lb := capacity-w, 0.0
-	for g := range n {
+	for g, group := range groups {
 		at := s.hull[s.at[g]]
 		w, v, r := at.Weight, at.Value, 0.0
-		for _, it := range s.items[s.start[g]:s.start[g+1]] {
+		for _, it := range group[:s.use[g]] {
 			r = max(r, it.Value-lam*float64(it.Weight))
 			if room > 0 && it.Weight-w <= room && it.Value > v {
 				room, w, v = room-(it.Weight-w), it.Weight, it.Value
 			}
 		}
-		s.slack[g], lb = r, lb+v
+		s.slack[g], lb, s.search = r, lb+v, s.search+s.use[g]
 	}
-	s.slack[n], s.lambda, s.search = 0, lam, s.search+len(s.items)
+	s.slack[n], s.lambda = 0, lam
 	for g := n - 1; g >= 0; g-- {
 		s.slack[g] += s.slack[g+1]
 	}

@@ -1,6 +1,7 @@
 package knapsack
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -57,7 +58,7 @@ func TestMultiChoiceSelectionConsistent(t *testing.T) {
 			for i := range items {
 				items[i] = Item{Weight: rng.Intn(6) + 1, Value: float64(rng.Intn(30))}
 			}
-			groups[g] = items
+			groups[g] = ascending(items)
 		}
 		cap := rng.Intn(15)
 		best, choice := MultiChoice(groups, cap)
@@ -91,7 +92,7 @@ func TestPropertyMultiChoiceMatchesBrute(t *testing.T) {
 			for i := range items {
 				items[i] = Item{Weight: rng.Intn(6), Value: float64(rng.Intn(40))}
 			}
-			groups[g] = items
+			groups[g] = ascending(items)
 		}
 		cap := rng.Intn(12)
 		dp, _ := MultiChoice(groups, cap)
@@ -114,7 +115,8 @@ func TestMultiChoiceBruteTooLarge(t *testing.T) {
 }
 
 // paperScaleGroups is the instance size §5.2 quotes: 59 groups x 6 items =
-// 354 items, solved against 245 GPUs.
+// 354 items, solved against 245 GPUs. Weights and values are drawn at
+// random, each group's items then sorted by weight.
 func paperScaleGroups(seed int64) [][]Item {
 	rng := rand.New(rand.NewSource(seed))
 	groups := make([][]Item, 59)
@@ -123,9 +125,16 @@ func paperScaleGroups(seed int64) [][]Item {
 		for i := range items {
 			items[i] = Item{Weight: rng.Intn(8) + 1, Value: rng.Float64() * 100}
 		}
-		groups[g] = items
+		groups[g] = ascending(items)
 	}
 	return groups
+}
+
+// ascending sorts a group's items by weight, stably, into the order Item's
+// contract asks of MultiChoice's input, and returns them.
+func ascending(items []Item) []Item {
+	slices.SortStableFunc(items, func(a, b Item) int { return cmp.Compare(a.Weight, b.Weight) })
+	return items
 }
 
 func TestMultiChoicePaperScalePerformance(t *testing.T) {
@@ -151,13 +160,26 @@ func TestMultiChoicePaperScalePerformance(t *testing.T) {
 	}
 }
 
-func TestMultiChoiceGroupTooLargePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("a group of more than MaxGroupItems items must panic, not wrap its int16 pick")
-		}
-	}()
-	MultiChoice([][]Item{make([]Item, MaxGroupItems+1)}, 1)
+func TestMultiChoiceContractPanics(t *testing.T) {
+	// Each input breaks the contract MultiChoice reads its groups under and
+	// must panic, not be sorted, skipped or wrapped silently.
+	for _, tc := range []struct {
+		name  string
+		group []Item
+	}{
+		{"descending", []Item{{Weight: 1, Value: 1}, {Weight: 3, Value: 2}, {Weight: 2, Value: 3}}},
+		{"negative", []Item{{Weight: -1, Value: 1}, {Weight: 1, Value: 2}}},
+		{"too large", make([]Item, MaxGroupItems+1)}, // would wrap the int16 pick
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s group: MultiChoice returned, want a panic", tc.name)
+				}
+			}()
+			MultiChoice([][]Item{{{Weight: 1, Value: 1}}, tc.group}, 4)
+		}()
+	}
 }
 
 // MultiChoiceBrute solves MCKP by exhaustive enumeration for verification.
@@ -254,9 +276,10 @@ func refMultiChoice(groups [][]Item, capacity int) (float64, []int) {
 // randomInstance draws one MCKP instance of up to maxGroups groups. mode
 // picks the value distribution: random floats, small integers (many exact
 // ties), multiples of eps/2 (differences at the comparison threshold) or
-// signed values. Weights run from -1 (skipped by the DP) and 0 (free) up;
-// some groups are empty; the capacity runs from -2 past the sum of the
-// heaviest items, so both band edges and the everything-fits case occur.
+// signed values. Weights run from 0 (free) up, each group sorted stably by
+// weight as Item's contract asks; some groups are empty; the capacity runs
+// from -2 past the sum of the heaviest items, so both band edges and the
+// everything-fits case occur.
 // From 100 allowed groups, half the instances are production-shaped
 // instead (prodInstance), large enough for the bound to engage; those of
 // even capacity have items moved to the edge of the item reduction
@@ -281,7 +304,7 @@ func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
 		items := make([]Item, rng.Intn(6))
 		maxw := 0
 		for i := range items {
-			it := Item{Weight: rng.Intn(maxWeight+2) - 1}
+			it := Item{Weight: rng.Intn(maxWeight + 1)}
 			switch mode {
 			case 0:
 				it.Value = rng.Float64() * 100
@@ -295,7 +318,7 @@ func randomInstance(rng *rand.Rand, maxGroups int) ([][]Item, int) {
 			items[i] = it
 			maxw = max(maxw, it.Weight)
 		}
-		groups[g] = items
+		groups[g] = ascending(items)
 		reach += maxw
 	}
 	return groups, rng.Intn(reach+6) - 2
@@ -345,12 +368,12 @@ func prodInstance(rng *rand.Rand, n int, epsScale bool) ([][]Item, int) {
 func nearCut(groups [][]Item, capacity int) float64 {
 	solve := func() (*Solver, float64, float64, bool) { // as MultiChoice does, up to the reduction
 		s := new(Solver)
-		s.ints = grow(s.ints, 9*len(groups)+2)
+		s.ints = grow(s.ints, 9*len(groups)+1)
 		big := s.collect(groups, capacity)
 		if _, cells := s.band(capacity); cells < pruneWidth*len(groups) {
 			return s, 0, 0, false
 		}
-		lam, floor := s.lagrange(capacity, big)
+		lam, floor := s.lagrange(groups, capacity, big)
 		return s, lam, floor, true
 	}
 	type move struct{ g, i, k int }
@@ -369,8 +392,8 @@ func nearCut(groups [][]Item, capacity int) float64 {
 			continue
 		}
 		i, at := rng.Intn(len(groups[g])), s.hull[s.at[g]]
-		if it := groups[g][i]; it.Weight < 0 || it.Weight > at.Weight || it.Value-lam*float64(it.Weight) >= at.Value-lam*float64(at.Weight) {
-			continue // unusable, heavier than the selection, or no lower in excess
+		if it := groups[g][i]; it.Weight > at.Weight || it.Value-lam*float64(it.Weight) >= at.Value-lam*float64(at.Weight) {
+			continue // heavier than the selection, or no lower in excess
 		}
 		m := move{g, i, rng.Intn(7) - 3}
 		groups[g] = slices.Clone(groups[g])
@@ -660,9 +683,9 @@ func TestMultiChoiceWorkPinned(t *testing.T) {
 // bound is the Lagrangian bound as MultiChoice computes it: collect's pass
 // over the items, which builds the hulls, then lagrange.
 func (s *Solver) bound(groups [][]Item, capacity, big int) (float64, float64) {
-	s.ints = grow(s.ints, 9*len(groups)+2)
+	s.ints = grow(s.ints, 9*len(groups)+1)
 	s.collect(groups, capacity)
-	return s.lagrange(capacity, big)
+	return s.lagrange(groups, capacity, big)
 }
 
 // refBound is the bisection the kernel searched λ with before it walked the
@@ -740,7 +763,7 @@ func TestBoundBeatsFullPassBisection(t *testing.T) {
 	// The multiplier is the LP relaxation's, read off the hulls. Over
 	// production-shaped instances (duplicated groups, eps-scale values,
 	// groups sharing hull slopes) and random ones (ties, negative values,
-	// weights -1 and 0, empty groups), against the full-pass bisection this
+	// weights of 0, empty groups), against the full-pass bisection this
 	// kernel ran before (refBound, carrying its λ from draw to draw): λ is
 	// no larger, the dual bound λ·C + S_0 no weaker, the hull selection at λ
 	// (ties to the lighter vertex) fits, and LB is the value of that

@@ -111,3 +111,25 @@ func TestLoanDemandHonoursServerSize(t *testing.T) {
 		}
 	}
 }
+
+// TestLoanAtTheInferenceTierRate: a shortfall converts to servers at the
+// rate a worker lands on the cluster's own inference GPU. On a V100 or A100
+// tier a worker needs no more GPUs than it asks for, so an 8-GPU gang with
+// no free training GPUs borrows one 8-GPU server, not the two a T4 tier's
+// memory doubling would take.
+func TestLoanAtTheInferenceTierRate(t *testing.T) {
+	for _, inf := range []cluster.GPUType{cluster.A100, cluster.V100} {
+		c := cluster.New(cluster.Config{TrainingServers: 1, InferenceServers: 10,
+			TrainingGPU: cluster.A100, InferenceGPU: inf})
+		st := sim.NewState(c, job.Linear, 63)
+		o := New(fixedSeries([]float64{0.50}, 10), reclaim.Lyra{}, lessByID) // cap 4
+		startOnServer0(t, st, job.New(1, 0, job.Generic, 8, 1, 1, 1000), 1, 0)
+		gang := job.New(2, 0, job.Generic, 8, 1, 1, 1000)
+		gang.Fungible = true
+		st.Enqueue(gang, lessByID)
+		o.Epoch(st)
+		if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != 1 {
+			t.Errorf("A100 training over %v inference: on-loan = %d, want 1", inf, got)
+		}
+	}
+}

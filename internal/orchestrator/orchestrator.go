@@ -66,11 +66,13 @@ func (b Borrower) tag(f obs.Fields) obs.Fields {
 }
 
 // loanServers converts a GPU shortfall on st's training side to whole
-// inference servers at the T4 memory-doubling rate (§2.1: local batches
-// split, twice the GPUs per worker), rounding up.
+// inference servers, rounding up, at the rate a worker lands on the
+// cluster's inference GPU: place.WorkerGPUs' memory rule (§2.1: on a T4 the
+// local batch splits over twice the GPUs; on a V100 or A100 it does not).
 func loanServers(st *sim.State, gpus int) int {
 	perServer := st.Cluster.GPUsPerServer()
-	return (2*gpus + perServer - 1) / perServer
+	need := place.WorkerGPUs(&job.Job{GPUsPerWorker: gpus}, st.Cluster.InferenceGPU())
+	return (need + perServer - 1) / perServer
 }
 
 // Orchestrator wires the inference scheduler's instructions to a reclaim
@@ -155,10 +157,10 @@ func (l *Loans) Decide(b Borrower, capSrv int, from []*sim.State, take, giveBack
 // raiseForCapacityLoss is the emergency-reclaim policy: when a correlated
 // outage quarantines enough training servers that the healthy training
 // capacity no longer covers the running jobs' gang floor, the loan target
-// is raised by the deficit (converted at the T4 memory-doubling rate) so
-// on-loan capacity is pulled in — and kept — ahead of the voluntary
-// idle-return path. The inference scheduler's cap still binds: the raise
-// never exceeds capSrv, so inference's utilization threshold holds.
+// is raised by the deficit (converted by loanServers) so on-loan capacity
+// is pulled in — and kept — ahead of the voluntary idle-return path. The
+// inference scheduler's cap still binds: the raise never exceeds capSrv, so
+// inference's utilization threshold holds.
 func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 	trainCap := st.Cluster.TotalGPUs(cluster.PoolTraining)
 	floor := 0
@@ -189,7 +191,7 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 // demandServers estimates how many additional inference servers the
 // training side could fill right now: the pending base demand plus the
 // running elastic jobs' unmet flexible demand, beyond the free schedulable
-// GPUs, converted at the T4 memory-doubling rate.
+// GPUs, converted by loanServers.
 func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
 	demand := 0

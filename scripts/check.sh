@@ -62,10 +62,11 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== fuzz the MCKP kernel against the reference DP and brute force (15 s each, one worker; the corpus it grows stays in the Go build cache)"
+echo "== fuzz the MCKP kernel against the reference DP and brute force, and phase 2's reused workspace against cold ones (15 s each, one worker; the corpus it grows stays in the Go build cache)"
 for target in FuzzMultiChoiceAgainstReference FuzzMultiChoiceAgainstBrute; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 15s -parallel 1 ./internal/knapsack/
 done
+go test -run '^$' -fuzz '^FuzzIncrementalVsRescan$' -fuzztime 15s -parallel 1 ./internal/sched/
 
 echo "== engine, scale-tier set-up (fault timeline, trace clone, cluster), comparison-kernel, best-fit placement, scheduling-epoch, reclaim-plan, runner-pool and capped scale-run benchmarks, once (they compile and run; the engine replays, the elastic one rescaling every epoch, the MCKP kernels, the LSTM fit, the Pollux search, a warm AFS call, the placements and the gang that fits nowhere, the epoch, the plan, a pool's batch of mixed runs and the capped lyra.Run print their allocs/op and B/op)"
 go test -run NONE -bench 'BenchmarkEngineAudit|BenchmarkEngineEvents|BenchmarkEngineFaults|BenchmarkEngineProf|BenchmarkEngineElastic' -benchtime 1x -benchmem ./internal/sim/
