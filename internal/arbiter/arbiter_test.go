@@ -46,8 +46,8 @@ func storm(t *testing.T, target int) (*sim.Shards, *Arbiter, *obs.Ring) {
 
 // auditShards verifies cross-shard GPU conservation and ownership
 // consistency after an arbitration epoch: the given number of 8-GPU servers
-// exists globally, every server is attached to exactly the shard the
-// ownership index names, no server appears in two shards, and the pool a
+// exists globally, every server is attached to exactly the shard Owner
+// reads off the clusters, no server appears in two shards, and the pool a
 // server sits in agrees with its home — at home unless on loan, and on loan
 // only from an inference shard to a training shard.
 func auditShards(t *testing.T, sh *sim.Shards, want int) {
@@ -63,7 +63,7 @@ func auditShards(t *testing.T, sh *sim.Shards, want int) {
 			}
 			seen[s.ID] = i
 			if sh.Owner(s.ID) != i {
-				t.Fatalf("server %d attached to shard %d but owner index says %d", s.ID, i, sh.Owner(s.ID))
+				t.Fatalf("server %d attached to shard %d but Owner says %d", s.ID, i, sh.Owner(s.ID))
 			}
 			home := sh.Home(s.ID)
 			if lent := s.Pool == cluster.PoolOnLoan; lent != (home != i) || lent && (i >= sh.NumTrain || home < sh.NumTrain) {

@@ -311,16 +311,15 @@ func (s *Server) ReleaseJob(id int) int {
 // pool; free counts match allocations; indexes match the servers) cannot be
 // violated from outside.
 type Cluster struct {
-	// servers is indexed by ID - firstID. Slots are nil where no server with
-	// that ID is currently attached (after Detach, or for IDs adopted beyond
-	// the initial range), so lookups stay O(1) under sharded topologies where
-	// each shard owns a contiguous slice of the global ID space plus any
-	// servers currently on loan to it.
+	// servers is indexed by ID - layout.FirstID. Slots are nil where no
+	// server with that ID is currently attached (after Detach, or for IDs
+	// adopted beyond the initial range), so lookups stay O(1) under sharded
+	// topologies where each shard owns a contiguous slice of the global ID
+	// space plus any servers currently on loan to it.
 	servers []*Server
-	firstID int
-	// shard labels which shard this cluster is in a sharded topology
-	// (-1 when unsharded).
-	shard int
+	// layout is the shape New built: the home ID range and, computed from
+	// it on demand, the racks and zones.
+	layout Layout
 	// gpusPerServer is the configured server size, shared by every server
 	// the cluster was built with or can adopt.
 	gpusPerServer int
@@ -329,8 +328,8 @@ type Cluster struct {
 	inferenceGPU GPUType
 	// n counts attached (non-nil) servers.
 	n int
-	// pools[p] is the set of pool p's server slots (ID - firstID), written
-	// only by addServer/Detach/Move; iteration ascends by ID.
+	// pools[p] is the set of pool p's server slots (ID - layout.FirstID),
+	// written only by addServer/Detach/Move; iteration ascends by ID.
 	pools [numPools]idset
 	// buckets[p][f] holds pool p's servers with exactly f free GPUs that
 	// host work (Used > 0), idle[p][f] the empty ones (f == NumGPUs): the
@@ -352,16 +351,6 @@ type Cluster struct {
 	// holds any server of a type.
 	emptyCnt  [numPools]int
 	srvByType [numPools][numGPUTypes]int
-	// Failure-domain topology, assigned once in New and immutable after:
-	// rackOf/zoneOf map server ID -> domain index, racks/zones list each
-	// domain's member server IDs in ascending order. Racks never span the
-	// training/inference boundary (an outage of a training rack cannot
-	// take inference capacity with it by construction), and zones group
-	// whole racks within the same segment.
-	rackOf []int
-	zoneOf []int
-	racks  [][]int
-	zones  [][]int
 	// heldChunk is the unused tail of heldWindow's chunk.
 	heldChunk []holding
 }
@@ -395,7 +384,7 @@ type Config struct {
 	InferenceGPU     GPUType
 	// RackSize and ZoneRacks shape the failure-domain topology: servers
 	// per rack and racks per zone. Zero means the defaults (8 servers per
-	// rack, 4 racks per zone), resolved inside New so that configurations
+	// rack, 4 racks per zone), resolved by Layout so that configurations
 	// written before the topology existed keep their content keys. The
 	// json tags keep the zero values out of runner cache keys.
 	RackSize  int `json:",omitempty"`
@@ -406,8 +395,8 @@ type Config struct {
 	// keeps its identity as loans move it between shard clusters. Zero (the
 	// unsharded case) is omitted from runner cache keys.
 	FirstID int `json:",omitempty"`
-	// Shard labels the shard this cluster is in a sharded topology. It is
-	// decoration only (obs, debugging); zero keys identically to unsharded.
+	// Shard labels the shard this cluster is in a sharded topology; New
+	// reads nothing from it, and zero keys identically to unsharded.
 	Shard int `json:",omitempty"`
 }
 
@@ -446,7 +435,7 @@ func New(cfg Config) *Cluster {
 		cfg.InferenceGPU = T4
 	}
 	total := cfg.TrainingServers + cfg.InferenceServers
-	c := &Cluster{firstID: cfg.FirstID, shard: cfg.Shard, gpusPerServer: cfg.GPUsPerServer,
+	c := &Cluster{layout: cfg.Layout(), gpusPerServer: cfg.GPUsPerServer,
 		inferenceGPU: cfg.InferenceGPU, servers: make([]*Server, 0, total)}
 	var chunk []Server
 	for i := 0; i < total; i++ {
@@ -461,13 +450,8 @@ func New(cfg Config) *Cluster {
 		c.addServer(&chunk[0])
 		chunk = chunk[1:]
 	}
-	c.assignDomains(cfg)
 	return c
 }
-
-// Shard returns the shard label assigned at construction (zero when
-// unsharded).
-func (c *Cluster) Shard() int { return c.shard }
 
 // GPUsPerServer returns the configured number of GPUs in one server.
 func (c *Cluster) GPUsPerServer() int { return c.gpusPerServer }
@@ -476,85 +460,20 @@ func (c *Cluster) GPUsPerServer() int { return c.gpusPerServer }
 // that can come on loan, as New resolved it from the configuration.
 func (c *Cluster) InferenceGPU() GPUType { return c.inferenceGPU }
 
-// assignDomains computes the deterministic server -> rack -> zone mapping
-// from the cluster shape: consecutive server IDs fill racks of RackSize
-// within each segment (training first, then inference), and consecutive
-// racks fill zones of ZoneRacks, also per segment. The mapping depends only
-// on Config, so two clusters built from the same shape agree on it.
-func (c *Cluster) assignDomains(cfg Config) {
-	rackSize := cfg.RackSize
-	if rackSize <= 0 {
-		rackSize = DefaultRackSize
-	}
-	zoneRacks := cfg.ZoneRacks
-	if zoneRacks <= 0 {
-		zoneRacks = DefaultZoneRacks
-	}
-	n := len(c.servers)
-	c.rackOf = make([]int, n)
-	c.zoneOf = make([]int, n)
-	// A rack or a zone is a run of consecutive IDs, so every member list is
-	// a capacity-limited window of one shared ID slab.
-	ids := make([]int, n)
-	for off := range ids {
-		ids[off] = off + c.firstID
-	}
-	for _, seg := range [][2]int{{0, cfg.TrainingServers}, {cfg.TrainingServers, n}} {
-		for a := seg[0]; a < seg[1]; a += rackSize {
-			if (a-seg[0])/rackSize%zoneRacks == 0 {
-				end := min(a+rackSize*zoneRacks, seg[1])
-				c.zones = append(c.zones, ids[a:end:end])
-			}
-			end := min(a+rackSize, seg[1])
-			for off := a; off < end; off++ {
-				c.rackOf[off], c.zoneOf[off] = len(c.racks), len(c.zones)-1
-			}
-			c.racks = append(c.racks, ids[a:end:end])
-		}
-	}
-}
+// Layout returns the layout New built the cluster with.
+func (c *Cluster) Layout() Layout { return c.layout }
 
 // NumRacks returns the number of racks in the failure-domain topology.
-func (c *Cluster) NumRacks() int { return len(c.racks) }
+func (c *Cluster) NumRacks() int { return c.layout.NumRacks() }
 
 // NumZones returns the number of zones in the failure-domain topology.
-func (c *Cluster) NumZones() int { return len(c.zones) }
+func (c *Cluster) NumZones() int { return c.layout.NumZones() }
 
-// RackOf returns the rack index of server id (-1 for unknown IDs).
-func (c *Cluster) RackOf(id int) int {
-	off := id - c.firstID
-	if off < 0 || off >= len(c.rackOf) {
-		return -1
-	}
-	return c.rackOf[off]
-}
+// Rack returns rack r's server IDs [lo, hi).
+func (c *Cluster) Rack(r int) (lo, hi int) { return c.layout.Rack(r) }
 
-// ZoneOf returns the zone index of server id (-1 for unknown IDs).
-func (c *Cluster) ZoneOf(id int) int {
-	off := id - c.firstID
-	if off < 0 || off >= len(c.zoneOf) {
-		return -1
-	}
-	return c.zoneOf[off]
-}
-
-// RackServers returns the server IDs of rack r in ascending order. The
-// returned slice is the live index: callers must not modify it.
-func (c *Cluster) RackServers(r int) []int {
-	if r < 0 || r >= len(c.racks) {
-		return nil
-	}
-	return c.racks[r]
-}
-
-// ZoneServers returns the server IDs of zone z in ascending order. The
-// returned slice is the live index: callers must not modify it.
-func (c *Cluster) ZoneServers(z int) []int {
-	if z < 0 || z >= len(c.zones) {
-		return nil
-	}
-	return c.zones[z]
-}
+// Zone returns zone z's server IDs [lo, hi).
+func (c *Cluster) Zone(z int) (lo, hi int) { return c.layout.Zone(z) }
 
 // fileUnder returns the best-fit set a server of pool p with free free GPUs
 // belongs in: idle[p][free] when that leaves it empty, buckets[p][free]
@@ -573,7 +492,7 @@ func (c *Cluster) fileUnder(p Pool, s *Server, free int) *idset {
 // mustDel removes s from one of its index sets. A missing entry is index
 // corruption, which must fail loudly rather than silently desync.
 func (c *Cluster) mustDel(set *idset, s *Server) {
-	if !set.del(s.ID - c.firstID) {
+	if !set.del(s.ID - c.layout.FirstID) {
 		panic(fmt.Sprintf("cluster: server %d missing from its index", s.ID))
 	}
 }
@@ -581,8 +500,8 @@ func (c *Cluster) mustDel(set *idset, s *Server) {
 // enterPool adds s (whose Pool field is already p) to every per-pool index
 // and counter.
 func (c *Cluster) enterPool(p Pool, s *Server) {
-	c.pools[p].add(s.ID - c.firstID)
-	c.fileUnder(p, s, s.free).add(s.ID - c.firstID)
+	c.pools[p].add(s.ID - c.layout.FirstID)
+	c.fileUnder(p, s, s.free).add(s.ID - c.layout.FirstID)
 	c.freeCnt[p] += s.free
 	c.usedCnt[p] += s.Used()
 	c.totalCnt[p] += s.NumGPUs
@@ -592,7 +511,7 @@ func (c *Cluster) enterPool(p Pool, s *Server) {
 		c.emptyCnt[p]++
 	}
 	if s.flexTotal > 0 {
-		c.flexHosts[p].add(s.ID - c.firstID)
+		c.flexHosts[p].add(s.ID - c.layout.FirstID)
 	}
 }
 
@@ -621,7 +540,7 @@ func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 	c.flexCnt[p] += flexDelta
 	switch {
 	case flexDelta > 0 && s.flexTotal == flexDelta: // 0 -> >0
-		c.flexHosts[p].add(s.ID - c.firstID)
+		c.flexHosts[p].add(s.ID - c.layout.FirstID)
 	case flexDelta < 0 && s.flexTotal == 0: // >0 -> 0
 		c.mustDel(&c.flexHosts[p], s)
 	}
@@ -629,7 +548,7 @@ func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 		return
 	}
 	c.mustDel(c.fileUnder(p, s, oldFree), s)
-	c.fileUnder(p, s, s.free).add(s.ID - c.firstID)
+	c.fileUnder(p, s, s.free).add(s.ID - c.layout.FirstID)
 	d := s.free - oldFree
 	c.freeCnt[p] += d
 	c.usedCnt[p] -= d
@@ -643,7 +562,7 @@ func (c *Cluster) serverChanged(s *Server, oldFree, flexDelta int) {
 
 func (c *Cluster) addServer(s *Server) {
 	s.owner = c
-	off := s.ID - c.firstID
+	off := s.ID - c.layout.FirstID
 	for len(c.servers) <= off {
 		c.servers = append(c.servers, nil)
 	}
@@ -657,7 +576,7 @@ func (c *Cluster) addServer(s *Server) {
 
 // Server returns the server with the given ID, or nil.
 func (c *Cluster) Server(id int) *Server {
-	off := id - c.firstID
+	off := id - c.layout.FirstID
 	if off < 0 || off >= len(c.servers) {
 		return nil
 	}
@@ -723,7 +642,7 @@ func (c *Cluster) Detach(id int) (*Server, error) {
 	}
 	c.leavePool(s.Pool, s)
 	s.owner = nil
-	c.servers[id-c.firstID] = nil
+	c.servers[id-c.layout.FirstID] = nil
 	c.n--
 	return s, nil
 }
@@ -736,8 +655,8 @@ func (c *Cluster) Adopt(s *Server, p Pool) error {
 	if s.owner != nil {
 		return fmt.Errorf("cluster: adopt server %d still owned by another cluster", s.ID)
 	}
-	if s.ID < c.firstID {
-		return fmt.Errorf("cluster: adopt server %d below first ID %d", s.ID, c.firstID)
+	if s.ID < c.layout.FirstID {
+		return fmt.Errorf("cluster: adopt server %d below first ID %d", s.ID, c.layout.FirstID)
 	}
 	if (p == PoolInference || p == PoolQuarantine) && s.Used() > 0 {
 		return fmt.Errorf("cluster: server %d still runs %d GPUs of training work, cannot adopt into %v", s.ID, s.Used(), p)
@@ -884,7 +803,7 @@ func (c *Cluster) CheckInvariants() error {
 	seen := make(map[int]Pool)
 	for p := Pool(0); p < numPools; p++ {
 		for i := c.pools[p].next(0); i >= 0; i = c.pools[p].next(i + 1) {
-			s := c.Server(i + c.firstID)
+			s := c.Server(i + c.layout.FirstID)
 			if s == nil {
 				return fmt.Errorf("pool %v indexes slot %d, which holds no server", p, i)
 			}
@@ -966,7 +885,7 @@ func (c *Cluster) AuditIndexes() error {
 		// GPUs, and there are as many as the recount: the sets are equal.
 		indexed := 0
 		for i := c.flexHosts[p].next(0); i >= 0; i = c.flexHosts[p].next(i + 1) {
-			if s := c.Server(i + c.firstID); s == nil || s.Pool != p || s.flexTotal == 0 {
+			if s := c.Server(i + c.layout.FirstID); s == nil || s.Pool != p || s.flexTotal == 0 {
 				return fmt.Errorf("pool %v: flexible index holds slot %d, not a server of the pool hosting flexible GPUs", p, i)
 			}
 			indexed++
@@ -992,7 +911,7 @@ func (c *Cluster) AuditIndexes() error {
 			for f := range side {
 				found := 0
 				for i := side[f].next(0); i >= 0; i = side[f].next(i + 1) {
-					s := c.Server(i + c.firstID)
+					s := c.Server(i + c.layout.FirstID)
 					if s == nil {
 						return fmt.Errorf("pool %v bucket %d indexes slot %d, which holds no server", p, f, i)
 					}

@@ -54,10 +54,10 @@ func TestNewDefaultConfigScale(t *testing.T) {
 }
 
 // A cluster's servers come in chunks of up to chunkServers — their
-// holdings lists wait for the first Allocate — plus a few dozen slices: the
-// domain tables (every rack and zone member list is a window of one ID
-// slab) and the index words, at the paper's scale, ten times it and the
-// scale tier's hundred times.
+// holdings lists wait for the first Allocate — plus a few dozen slices of
+// index words (racks and zones are arithmetic on the layout and take
+// none), at the paper's scale, ten times it and the scale tier's hundred
+// times.
 func TestNewAllocatesPerChunk(t *testing.T) {
 	for _, scale := range []int{1, 10, 100} {
 		cfg := Config{TrainingServers: 443 * scale, InferenceServers: 520 * scale}

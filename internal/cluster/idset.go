@@ -2,8 +2,8 @@ package cluster
 
 import "math/bits"
 
-// idset is an ordered set of server slots (ID - firstID): one bit per slot
-// in words, plus one summary bit per word in sum (bit w of sum is set iff
+// idset is an ordered set of server slots (ID - Layout.FirstID): one bit per
+// slot in words, plus one summary bit per word in sum (bit w of sum is set iff
 // words[w] != 0). Insert and remove are O(1) with nothing to shift, and
 // ascending iteration skips 4,096 absent slots per summary word, so a
 // sparse set over a large cluster is walked in proportion to its members.

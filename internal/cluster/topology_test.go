@@ -1,13 +1,21 @@
 package cluster
 
 import (
-	"reflect"
+	"math/rand"
 	"testing"
+
+	"lyra/internal/fault"
+)
+
+// Both the value and the cluster answer the fault schedule's questions.
+var (
+	_ fault.Topology = Layout{}
+	_ fault.Topology = (*Cluster)(nil)
 )
 
 // TestTopologyDefaults: with no rack/zone configuration the cluster shapes
-// itself into 8-server racks grouped 4 racks to a zone, and the mapping is
-// a pure function of the cluster shape (two identical clusters agree).
+// itself into 8-server racks grouped 4 racks to a zone, and its layout is
+// the one its configuration computes without building it.
 func TestTopologyDefaults(t *testing.T) {
 	cfg := Config{TrainingServers: 16, InferenceServers: 8}
 	c := New(cfg)
@@ -17,113 +25,118 @@ func TestTopologyDefaults(t *testing.T) {
 	if got := c.NumZones(); got != 2 { // zones never span the pool boundary either
 		t.Fatalf("NumZones = %d, want 2", got)
 	}
-	c2 := New(cfg)
-	for sid := 0; sid < 24; sid++ {
-		if c.RackOf(sid) != c2.RackOf(sid) || c.ZoneOf(sid) != c2.ZoneOf(sid) {
-			t.Fatalf("server %d: domain mapping differs between identical clusters", sid)
+	if c.Layout() != cfg.Layout() {
+		t.Fatalf("cluster layout %+v, configuration computes %+v", c.Layout(), cfg.Layout())
+	}
+	for _, r := range []int{-1, 3} {
+		if lo, hi := c.Rack(r); lo != hi {
+			t.Errorf("unknown rack %d spans [%d, %d)", r, lo, hi)
 		}
 	}
-	if c.RackOf(-1) != -1 || c.RackOf(24) != -1 || c.ZoneOf(99) != -1 {
-		t.Error("unknown server id should map to rack/zone -1")
+	if lo, hi := c.Zone(2); lo != hi {
+		t.Errorf("unknown zone 2 spans [%d, %d)", lo, hi)
 	}
 }
 
-// TestTopologyNeverSpansPoolBoundary: a rack (and zone) contains only
-// training servers or only inference servers — correlated outages must not
-// couple the two pools, and a short training remainder gets its own rack.
+// TestTopologyNeverSpansPoolBoundary: a short training remainder gets its
+// own rack rather than being padded with inference servers.
 func TestTopologyNeverSpansPoolBoundary(t *testing.T) {
 	c := New(Config{TrainingServers: 12, InferenceServers: 6, RackSize: 8})
-	// Training: rack 0 = 0..7, rack 1 = 8..11 (remainder, not padded with
-	// inference servers). Inference: rack 2 = 12..17.
-	for r := 0; r < c.NumRacks(); r++ {
-		members := c.RackServers(r)
-		if len(members) == 0 {
-			t.Fatalf("rack %d is empty", r)
-		}
-		training := members[0] < 12
-		for _, sid := range members {
-			if (sid < 12) != training {
-				t.Fatalf("rack %d mixes training and inference servers: %v", r, members)
-			}
-		}
+	want := [][2]int{{0, 8}, {8, 12}, {12, 18}}
+	if c.NumRacks() != len(want) {
+		t.Fatalf("NumRacks = %d, want %d", c.NumRacks(), len(want))
 	}
-	for z := 0; z < c.NumZones(); z++ {
-		members := c.ZoneServers(z)
-		if len(members) == 0 {
-			t.Fatalf("zone %d is empty", z)
-		}
-		training := members[0] < 12
-		for _, sid := range members {
-			if (sid < 12) != training {
-				t.Fatalf("zone %d mixes training and inference servers: %v", z, members)
-			}
+	for r, w := range want {
+		if lo, hi := c.Rack(r); [2]int{lo, hi} != w {
+			t.Errorf("rack %d = [%d, %d), want %v", r, lo, hi, w)
 		}
 	}
 }
 
-// TestTopologyPartition: every server is in exactly one rack and one zone,
-// RackServers/ZoneServers agree with RackOf/ZoneOf, and custom RackSize /
-// ZoneRacks are honored.
+// TestTopologyPartition: for random shapes, the racks and zones partition
+// each segment into runs that never straddle the training/inference
+// boundary, every zone is whole racks, and both equal a per-server
+// assignment that fills racks and zones one server at a time.
 func TestTopologyPartition(t *testing.T) {
-	c := New(Config{TrainingServers: 24, InferenceServers: 24, RackSize: 6, ZoneRacks: 2})
-	if got := c.NumRacks(); got != 8 { // 4 training + 4 inference racks of 6
-		t.Fatalf("NumRacks = %d, want 8", got)
-	}
-	if got := c.NumZones(); got != 4 { // 2 zones per pool at 2 racks each
-		t.Fatalf("NumZones = %d, want 4", got)
-	}
-	seenRack := make(map[int]int)
-	for r := 0; r < c.NumRacks(); r++ {
-		for _, sid := range c.RackServers(r) {
-			if prev, dup := seenRack[sid]; dup {
-				t.Fatalf("server %d in racks %d and %d", sid, prev, r)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		cfg := Config{TrainingServers: rng.Intn(60), InferenceServers: rng.Intn(60),
+			RackSize: rng.Intn(10), ZoneRacks: rng.Intn(6), FirstID: rng.Intn(1000)}
+		l := cfg.Layout()
+		n, boundary := l.NumServers(), l.FirstID+cfg.TrainingServers
+
+		// The reference: walk the servers, opening a rack every RackSize
+		// servers into a segment and a zone every ZoneRacks racks.
+		rackOf, zoneOf := make([]int, n), make([]int, n)
+		rack, zone := -1, -1
+		for off := range n {
+			k := off
+			if off >= cfg.TrainingServers {
+				k -= cfg.TrainingServers
 			}
-			seenRack[sid] = r
-			if c.RackOf(sid) != r {
-				t.Fatalf("server %d: RackOf=%d but listed in rack %d", sid, c.RackOf(sid), r)
-			}
-		}
-	}
-	seenZone := make(map[int]int)
-	for z := 0; z < c.NumZones(); z++ {
-		for _, sid := range c.ZoneServers(z) {
-			if prev, dup := seenZone[sid]; dup {
-				t.Fatalf("server %d in zones %d and %d", sid, prev, z)
-			}
-			seenZone[sid] = z
-			if c.ZoneOf(sid) != z {
-				t.Fatalf("server %d: ZoneOf=%d but listed in zone %d", sid, c.ZoneOf(sid), z)
-			}
-		}
-	}
-	if len(seenRack) != 48 || len(seenZone) != 48 {
-		t.Fatalf("partition covers %d/%d servers in racks/zones, want 48 in both", len(seenRack), len(seenZone))
-	}
-	// Zones are unions of whole racks.
-	for z := 0; z < c.NumZones(); z++ {
-		racks := make(map[int]bool)
-		for _, sid := range c.ZoneServers(z) {
-			racks[c.RackOf(sid)] = true
-		}
-		for r := range racks {
-			for _, sid := range c.RackServers(r) {
-				if c.ZoneOf(sid) != z {
-					t.Fatalf("rack %d straddles zones %d and %d", r, z, c.ZoneOf(sid))
+			if k%l.RackSize == 0 {
+				rack++
+				if k/l.RackSize%l.ZoneRacks == 0 {
+					zone++
 				}
 			}
+			rackOf[off], zoneOf[off] = rack, zone
+		}
+
+		rackEdge := map[int]bool{}
+		for _, dom := range []struct {
+			name  string
+			count int
+			span  func(int) (int, int)
+			of    []int
+		}{{"rack", l.NumRacks(), l.Rack, rackOf}, {"zone", l.NumZones(), l.Zone, zoneOf}} {
+			want := -1
+			if n > 0 {
+				want = dom.of[n-1]
+			}
+			if dom.count != want+1 {
+				t.Fatalf("%+v: %d %ss, reference has %d", cfg, dom.count, dom.name, want+1)
+			}
+			next := l.FirstID
+			for d := 0; d < dom.count; d++ {
+				lo, hi := dom.span(d)
+				switch {
+				case lo != next || hi <= lo:
+					t.Fatalf("%+v: %s %d = [%d, %d) does not follow on at %d", cfg, dom.name, d, lo, hi, next)
+				case lo < boundary && hi > boundary:
+					t.Fatalf("%+v: %s %d = [%d, %d) straddles the boundary %d", cfg, dom.name, d, lo, hi, boundary)
+				case dom.name == "rack":
+					rackEdge[lo], rackEdge[hi] = true, true
+				case !rackEdge[lo] || !rackEdge[hi]:
+					t.Fatalf("%+v: zone %d = [%d, %d) cuts a rack", cfg, d, lo, hi)
+				}
+				for sid := lo; sid < hi; sid++ {
+					if got := dom.of[sid-l.FirstID]; got != d {
+						t.Fatalf("%+v: server %d in %s %d, reference says %d", cfg, sid, dom.name, d, got)
+					}
+				}
+				next = hi
+			}
+			if next != l.FirstID+n {
+				t.Fatalf("%+v: %ss end at %d, servers at %d", cfg, dom.name, next, l.FirstID+n)
+			}
 		}
 	}
 }
 
-// TestTopologySatisfiesFaultInterface: RackServers returns stable sorted
-// member lists usable as a fault.Topology (compile-time satisfaction is in
-// the sim package; here we pin the member ordering the schedules key off).
+// TestTopologySatisfiesFaultInterface: a cluster answers the fault
+// schedule's questions from its layout, whatever servers it holds now.
 func TestTopologySatisfiesFaultInterface(t *testing.T) {
-	c := New(Config{TrainingServers: 8, InferenceServers: 0, RackSize: 4})
-	want := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	for r, members := range want {
-		if got := c.RackServers(r); !reflect.DeepEqual(got, members) {
-			t.Fatalf("RackServers(%d) = %v, want %v", r, got, members)
+	c := New(Config{TrainingServers: 8, InferenceServers: 0, RackSize: 4, FirstID: 16})
+	if _, err := c.Detach(20); err != nil {
+		t.Fatal(err)
+	}
+	for r, w := range [][2]int{{16, 20}, {20, 24}} {
+		if lo, hi := c.Rack(r); [2]int{lo, hi} != w {
+			t.Errorf("Rack(%d) = [%d, %d), want %v", r, lo, hi, w)
 		}
+	}
+	if lo, hi := c.Zone(0); lo != 16 || hi != 24 {
+		t.Errorf("Zone(0) = [%d, %d), want [16, 24)", lo, hi)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"lyra/internal/alloc"
 	"lyra/internal/cluster"
 	"lyra/internal/inference"
 	"lyra/internal/job"
@@ -71,8 +72,8 @@ func Fig3(Params) []*Table {
 	for step := 0; step < 6; step++ {
 		workers := 1 << step
 		row := []string{fmt.Sprintf("%d", step*5+1), fmt.Sprintf("%d", workers)}
-		for range models {
-			j := job.New(0, 0, job.ResNet, 2, 1, 64, 1000)
+		for _, m := range models {
+			j := job.New(0, 0, m, 2, 1, 64, 1000)
 			base := j.NominalThroughput(1, cluster.V100, job.Linear)
 			row = append(row, fmtF(j.NominalThroughput(workers, cluster.V100, job.Linear)/base))
 		}
@@ -200,18 +201,12 @@ func Table4(Params) []*Table {
 		Title:  "MCKP items for the Table 4 jobs (A: 2 GPUs/worker, B: 1 GPU/worker)",
 		Header: []string{"group", "item (+workers)", "weight (GPUs)", "JCT reduction"},
 	}
-	f.Rows = append(f.Rows, []string{"A", "1", "2", fmtS(jctReduction(a, 1))})
+	f.Rows = append(f.Rows, []string{"A", "1", "2", fmtS(alloc.JCTReduction(a, 1, job.Linear))})
 	for k := 1; k <= 4; k++ {
-		f.Rows = append(f.Rows, []string{"B", fmt.Sprintf("%d", k), fmt.Sprintf("%d", k), fmtS(jctReduction(b, k))})
+		f.Rows = append(f.Rows, []string{"B", fmt.Sprintf("%d", k), fmt.Sprintf("%d", k), fmtS(alloc.JCTReduction(b, k, job.Linear))})
 	}
 	f.Notes = append(f.Notes, "paper Figure 6 values: A(+1)=50; B(+1..4)=20, 30, 36, 40")
 	return []*Table{t, f}
-}
-
-func jctReduction(j *job.Job, extra int) float64 {
-	base := j.NominalThroughput(j.MinWorkers, cluster.V100, job.Linear)
-	more := j.NominalThroughput(j.MinWorkers+extra, cluster.V100, job.Linear)
-	return j.Remaining/base - j.Remaining/more
 }
 
 // twoJobJCT computes the completion times of two elastic jobs analytically:

@@ -8,19 +8,20 @@ import (
 	"testing"
 )
 
-// fakeTopo is a hand-shaped failure-domain layout for schedule tests; the
-// production implementation is *cluster.Cluster.
+// fakeTopo is a hand-shaped failure-domain layout for schedule tests, each
+// rack and zone a server ID range [lo, hi); the production implementation
+// is cluster.Layout.
 type fakeTopo struct {
 	servers int
-	racks   [][]int
-	zones   [][]int
+	racks   [][2]int
+	zones   [][2]int
 }
 
 func (t fakeTopo) NumServers() int         { return t.servers }
 func (t fakeTopo) NumRacks() int           { return len(t.racks) }
 func (t fakeTopo) NumZones() int           { return len(t.zones) }
-func (t fakeTopo) RackServers(r int) []int { return t.racks[r] }
-func (t fakeTopo) ZoneServers(z int) []int { return t.zones[z] }
+func (t fakeTopo) Rack(r int) (lo, hi int) { return t.racks[r][0], t.racks[r][1] }
+func (t fakeTopo) Zone(z int) (lo, hi int) { return t.zones[z][0], t.zones[z][1] }
 
 func TestDomainKeysEnabledAndValidated(t *testing.T) {
 	if !(&Plan{RackOutMTBF: 3600}).Enabled() {
@@ -130,8 +131,8 @@ func TestStringRendersServerMTTRDefault(t *testing.T) {
 // topology has.
 func TestFullScheduleLegacyIdentity(t *testing.T) {
 	topo := fakeTopo{servers: 16,
-		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}},
-		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14, 15}}}
+		racks: [][2]int{{0, 4}, {4, 8}, {8, 12}, {12, 16}},
+		zones: [][2]int{{0, 8}, {8, 16}}}
 	p := Plan{Seed: 3, ServerMTBF: 7200, ServerMTTR: 600}
 	const horizon = 6 * 86400
 	evs, devs := FullSchedule(p, Hysteresis{}, topo, horizon)
@@ -157,8 +158,8 @@ func TestFullScheduleLegacyIdentity(t *testing.T) {
 // server downtime.
 func TestFullScheduleRackAtomicity(t *testing.T) {
 	topo := fakeTopo{servers: 8,
-		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
-		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}
+		racks: [][2]int{{0, 4}, {4, 8}},
+		zones: [][2]int{{0, 8}}}
 	p := Plan{Seed: 11, ServerMTBF: 14400, ServerMTTR: 300, RackOutMTBF: 21600, RackMTTR: 900}
 	const horizon = 4 * 86400
 	evs, devs := FullSchedule(p, Hysteresis{}, topo, horizon)
@@ -210,7 +211,7 @@ func TestFullScheduleRackAtomicity(t *testing.T) {
 		if d.Recover || d.Zone {
 			continue
 		}
-		for _, sid := range topo.racks[d.Domain] {
+		for sid := topo.racks[d.Domain][0]; sid < topo.racks[d.Domain][1]; sid++ {
 			if !downAt(sid, d.T) {
 				t.Fatalf("rack %d down at t=%g but member server %d is up", d.Domain, d.T, sid)
 			}
@@ -222,8 +223,8 @@ func TestFullScheduleRackAtomicity(t *testing.T) {
 // the zone, across rack boundaries.
 func TestFullScheduleZoneCoversAllMembers(t *testing.T) {
 	topo := fakeTopo{servers: 8,
-		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}},
-		zones: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}
+		racks: [][2]int{{0, 4}, {4, 8}},
+		zones: [][2]int{{0, 8}}}
 	p := Plan{Seed: 5, ZoneOutMTBF: 43200, ZoneMTTR: 600}
 	evs, devs := FullSchedule(p, Hysteresis{}, topo, 6*86400)
 	if len(devs) == 0 {
@@ -256,10 +257,10 @@ func TestFullScheduleZoneCoversAllMembers(t *testing.T) {
 func TestFullScheduleShorterHorizonIsAPrefix(t *testing.T) {
 	topo := fakeTopo{servers: 32}
 	for r := 0; r < 8; r++ {
-		topo.racks = append(topo.racks, []int{4 * r, 4*r + 1, 4*r + 2, 4*r + 3})
+		topo.racks = append(topo.racks, [2]int{4 * r, 4*r + 4})
 	}
 	for z := 0; z < 4; z++ {
-		topo.zones = append(topo.zones, append(append([]int(nil), topo.racks[2*z]...), topo.racks[2*z+1]...))
+		topo.zones = append(topo.zones, [2]int{8 * z, 8*z + 8})
 	}
 	rng := rand.New(rand.NewSource(1))
 	merged := 0

@@ -364,14 +364,16 @@ type DomainEvent struct {
 	Recover bool
 }
 
-// Topology is the failure-domain view FullSchedule needs; *cluster.Cluster
-// satisfies it. Keeping it an interface leaves this package dependency-free.
+// Topology is the failure-domain view FullSchedule needs: every rack and
+// zone is a run of consecutive server IDs [lo, hi). cluster.Layout and
+// *cluster.Cluster satisfy it. Keeping it an interface leaves this package
+// dependency-free.
 type Topology interface {
 	NumServers() int
 	NumRacks() int
 	NumZones() int
-	RackServers(r int) []int
-	ZoneServers(z int) []int
+	Rack(r int) (lo, hi int)
+	Zone(z int) (lo, hi int)
 }
 
 // Seed salts decorrelating the per-rack and per-zone outage streams from
@@ -427,28 +429,30 @@ func FullSchedule(p Plan, h Hysteresis, topo Topology, horizon int64) ([]Event, 
 	}
 	var domains []DomainEvent
 	copies := 0
-	addDomain := func(zone bool, d int, members []int, key int64, mtbf, mttr float64) {
+	addDomain := func(zone bool, d, members int, key int64, mtbf, mttr float64) {
 		ivs = renewal(ivs[:0], &pcg, key, mtbf, mttr, horizon)
 		for _, iv := range ivs {
 			domains = append(domains,
 				DomainEvent{T: iv[0], Zone: zone, Domain: d},
 				DomainEvent{T: iv[1], Zone: zone, Domain: d, Recover: true})
 		}
-		copies += len(ivs) * len(members)
+		copies += len(ivs) * members
 	}
 	for r := 0; r < topo.NumRacks(); r++ {
-		addDomain(false, r, topo.RackServers(r), subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR)
+		lo, hi := topo.Rack(r)
+		addDomain(false, r, hi-lo, subSeed(p.Seed^rackSeedSalt, r), p.RackOutMTBF, p.RackMTTR)
 	}
 	for z := 0; z < topo.NumZones(); z++ {
-		addDomain(true, z, topo.ZoneServers(z), subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR)
+		lo, hi := topo.Zone(z)
+		addDomain(true, z, hi-lo, subSeed(p.Seed^zoneSeedSalt, z), p.ZoneOutMTBF, p.ZoneMTTR)
 	}
 	down = slices.Grow(down, copies)
 	for i := 0; i < len(domains); i += 2 {
-		members := topo.RackServers(domains[i].Domain)
+		lo, hi := topo.Rack(domains[i].Domain)
 		if domains[i].Zone {
-			members = topo.ZoneServers(domains[i].Domain)
+			lo, hi = topo.Zone(domains[i].Domain)
 		}
-		for _, sid := range members {
+		for sid := lo; sid < hi; sid++ {
 			down = append(down, downtime{sid, domains[i].T, domains[i+1].T})
 		}
 	}

@@ -70,8 +70,8 @@ func TestHysteresisFold(t *testing.T) {
 func TestHysteresisScheduleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	topo := fakeTopo{servers: 12,
-		racks: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}},
-		zones: [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}}}
+		racks: [][2]int{{0, 4}, {4, 8}, {8, 12}},
+		zones: [][2]int{{0, 6}, {6, 12}}}
 	held := 0
 	for trial := 0; trial < 200; trial++ {
 		p := Plan{Seed: rng.Int63(), ServerMTBF: 300 + rng.Float64()*7200, ServerMTTR: 1 + rng.Float64()*900}

@@ -15,20 +15,12 @@ import (
 func unevenTopo(extra int, rackSizes, zoneRacks []int) fakeTopo {
 	var topo fakeTopo
 	for _, n := range rackSizes {
-		rack := make([]int, n)
-		for i := range rack {
-			rack[i] = topo.servers + i
-		}
-		topo.racks = append(topo.racks, rack)
+		topo.racks = append(topo.racks, [2]int{topo.servers, topo.servers + n})
 		topo.servers += n
 	}
 	r := 0
 	for _, n := range zoneRacks {
-		var zone []int
-		for _, rack := range topo.racks[r : r+n] {
-			zone = append(zone, rack...)
-		}
-		topo.zones = append(topo.zones, zone)
+		topo.zones = append(topo.zones, [2]int{topo.racks[r][0], topo.racks[r+n-1][1]})
 		r += n
 	}
 	topo.servers += extra

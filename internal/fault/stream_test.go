@@ -165,12 +165,8 @@ var scaleHyst = Hysteresis{Crashes: 3, Window: 3600, Hold: 900}
 func scaleTopo() fakeTopo {
 	topo := fakeTopo{servers: scaleTraining + scaleInference}
 	for _, seg := range [][2]int{{0, scaleTraining}, {scaleTraining, topo.servers}} {
-		for sid := seg[0]; sid < seg[1]; sid++ {
-			if (sid-seg[0])%8 == 0 {
-				topo.racks = append(topo.racks, nil)
-			}
-			r := len(topo.racks) - 1
-			topo.racks[r] = append(topo.racks[r], sid)
+		for lo := seg[0]; lo < seg[1]; lo += 8 {
+			topo.racks = append(topo.racks, [2]int{lo, min(lo+8, seg[1])})
 		}
 	}
 	return topo

@@ -30,11 +30,12 @@ func (st *State) AuditView(ctx string, less func(a, b *job.Job) bool) invariant.
 // it can be trusted, so failing loudly at the offending event is the only
 // safe behavior. On top of the per-state rules it checks cross-shard
 // conservation: the global GPU and server totals must match the per-shard
-// sums (no GPU created or lost across a loan in flight), and every server
-// must be attached to exactly the shard the ownership index says, and every
-// running job must hold the one finish event the timeline's index names.
+// sums (no GPU created or lost across a loan in flight), every server must
+// sit at home unless it is on loan, and on loan only from an inference home
+// into a training shard, and every running job must hold the one finish
+// event the timeline's index names.
 func (e *Engine) auditAfter(ev event) {
-	gpus, servers := 0, 0
+	gpus, servers, nT := 0, 0, e.sh.NumTrain
 	id := ev.jobID
 	switch ev.kind {
 	case evArrival, evFinish, evRelease:
@@ -59,12 +60,14 @@ func (e *Engine) auditAfter(ev event) {
 		gpus += totalClusterGPUs(st.Cluster)
 		servers += st.Cluster.NumServers()
 		st.Cluster.EachServer(func(s *cluster.Server) bool {
-			if owner := e.sh.Owner(s.ID); owner != i {
+			// In the one-state topology loans stay inside the one cluster.
+			home := e.sh.Home(s.ID)
+			if lent := s.Pool == cluster.PoolOnLoan && len(e.sh.States) > 1; lent != (home != i) || lent && (i >= nT || home < nT) {
 				invariant.Fail(ctx, invariant.Violation{
 					Rule:     invariant.RuleCrossShard,
 					Subject:  fmt.Sprintf("server %d", s.ID),
-					Expected: fmt.Sprintf("attached to its owner shard %d", owner),
-					Actual:   fmt.Sprintf("attached to shard %d", i),
+					Expected: "at its home shard, or on loan from an inference home in a training shard",
+					Actual:   fmt.Sprintf("home shard %d, in shard %d's %v pool", home, i, s.Pool),
 				})
 			}
 			return true

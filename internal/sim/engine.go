@@ -296,7 +296,7 @@ type Engine struct {
 	sh      *Shards
 	arb     ShardArbiter
 	orch    bool
-	refTopo *cluster.Cluster
+	refTopo fault.Topology
 	// infUtil[i] is state i's own inference utilization series for
 	// combined-usage accounting; nil for states that carry none.
 	infUtil []func(int64) float64
@@ -691,21 +691,22 @@ func (e *Engine) finishEvent(ev event) {
 // t, on either substrate. It is a pure announcement: the member servers'
 // crashes and recoveries are ordinary timeline events (fault.FullSchedule
 // merges them per server), so the marker only records that they share one
-// cause. topo is the unsharded cluster the timeline was drawn over.
+// cause. topo is the unsharded layout the timeline was drawn over.
 func AnnounceDomain(rec *obs.Recorder, t float64, topo fault.Topology, d fault.DomainEvent) {
 	if !rec.Enabled() {
 		return
 	}
-	name, servers := "rack", topo.RackServers(d.Domain)
+	name, span := "rack", topo.Rack
 	if d.Zone {
-		name, servers = "zone", topo.ZoneServers(d.Domain)
+		name, span = "zone", topo.Zone
 	}
+	lo, hi := span(d.Domain)
 	cause := name + "-down"
 	if d.Recover {
 		cause = name + "-up"
 	}
 	rec.Emit(obs.Ev(t, obs.KindFaultDomain).WithCause(cause).WithF(obs.Fields{
-		"domain": d.Domain, "servers": len(servers),
+		"domain": d.Domain, "servers": hi - lo,
 	}))
 }
 

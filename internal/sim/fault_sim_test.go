@@ -5,6 +5,7 @@ import (
 
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
+	"lyra/internal/invariant"
 	"lyra/internal/job"
 	"lyra/internal/place"
 )
@@ -158,6 +159,79 @@ func TestOnLoanCrashRecoversHome(t *testing.T) {
 	}
 	if lost := LostCapacity(e.lostGPUSec, e.sh.States...); e.lostGPUSec != down*8 || lost != down*8 {
 		t.Errorf("lost capacity: %v recovered, %v in total; want %v once", e.lostGPUSec, lost, down*8)
+	}
+}
+
+// TestOwnerReadsTheClusters: a server's home is the shard built with its
+// ID and its owner the shard holding it now, both read off the shard
+// clusters as a loan moves it; a server attached to no shard is a
+// cross-shard violation, not shard 0.
+func TestOwnerReadsTheClusters(t *testing.T) {
+	sh := NewShards(ShardedConfig{
+		Train:  []*cluster.Cluster{cluster.New(cluster.Config{TrainingServers: 2})},
+		Inf:    []*cluster.Cluster{cluster.New(cluster.Config{InferenceServers: 2, FirstID: 2, Shard: 1})},
+		Scheds: []Scheduler{fifoSched{}},
+	}, Config{})
+	for sid, want := range []int{0, 0, 1, 1} {
+		if sh.Home(sid) != want || sh.Owner(sid) != want {
+			t.Errorf("server %d: home %d, owner %d; want both %d", sid, sh.Home(sid), sh.Owner(sid), want)
+		}
+	}
+	if sh.Home(4) != -1 {
+		t.Errorf("server 4, built by no shard, has home %d", sh.Home(4))
+	}
+	sh.Transfer(3, 0, cluster.PoolOnLoan)
+	if sh.Home(3) != 1 || sh.Owner(3) != 0 {
+		t.Errorf("lent server 3: home %d, owner %d; want 1, 0", sh.Home(3), sh.Owner(3))
+	}
+	if _, err := sh.States[0].Cluster.Detach(3); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if e, ok := recover().(*invariant.Error); !ok || e.Violations[0].Rule != invariant.RuleCrossShard {
+			t.Errorf("Owner of a detached server raised %v, want a %s violation", e, invariant.RuleCrossShard)
+		}
+	}()
+	t.Errorf("Owner of a detached server answered %d", sh.Owner(3))
+}
+
+// TestAuditHoldsServersAtHomeUnlessLent: in a 1+2 topology the auditor
+// passes the last inference shard's server lent into the training shard
+// and fails a
+// server away from home outside the on-loan pool, one lent into another
+// inference shard, and one in the on-loan pool of its own home.
+func TestAuditHoldsServersAtHomeUnlessLent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		to   int
+		pool cluster.Pool
+		ok   bool
+	}{
+		{"lent to training", 0, cluster.PoolOnLoan, true},
+		{"training pool of the borrower", 0, cluster.PoolTraining, false},
+		{"lent to an inference shard", 1, cluster.PoolOnLoan, false},
+		{"on loan at home", 2, cluster.PoolOnLoan, false},
+	} {
+		e := NewSharded(ShardedConfig{
+			Train: []*cluster.Cluster{cluster.New(cluster.Config{TrainingServers: 1})},
+			Inf: []*cluster.Cluster{
+				cluster.New(cluster.Config{InferenceServers: 1, FirstID: 1, Shard: 1}),
+				cluster.New(cluster.Config{InferenceServers: 1, FirstID: 2, Shard: 2}),
+			},
+			Scheds:  []Scheduler{fifoSched{}},
+			Arbiter: modRoute{},
+			RefTopo: smallCluster(1, 2),
+		}, nil, 3600, Config{Audit: true})
+		e.sh.Transfer(2, c.to, c.pool)
+		func() {
+			defer func() {
+				e, _ := recover().(*invariant.Error)
+				if failed := e != nil && e.Violations[0].Rule == invariant.RuleCrossShard; failed == c.ok {
+					t.Errorf("%s: audit raised %v", c.name, e)
+				}
+			}()
+			e.auditAfter(event{kind: evSched})
+		}()
 	}
 }
 

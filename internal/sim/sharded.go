@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lyra/internal/cluster"
+	"lyra/internal/fault"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
 )
@@ -14,7 +15,8 @@ import (
 // shard (the shard whose ID range contains it) and a current owner shard
 // (where it is attached right now); loans detach a server from its home
 // inference shard and adopt it into a borrowing training shard's on-loan
-// pool, and reclaims/returns reverse the transfer. The global capacity
+// pool, and reclaims/returns reverse the transfer. Both are read off the
+// shard clusters, so nothing else records them. The global capacity
 // arbitrator (internal/arbiter) operates on this view.
 //
 // The unsharded run is the one-state topology (New): a single training
@@ -34,11 +36,6 @@ type Shards struct {
 	// with one training shard and at most one inference shard are untagged,
 	// so their event streams are byte-identical to one another.
 	Tagged bool
-
-	// Both indexes stay empty for the one-state topology: a missing entry
-	// reads as shard 0, which is every server's home and owner there.
-	home  map[int]int // server ID -> home shard (fixed)
-	owner map[int]int // server ID -> current owner shard
 }
 
 // Train returns the training shard states.
@@ -47,11 +44,37 @@ func (sh *Shards) Train() []*State { return sh.States[:sh.NumTrain] }
 // Inference returns the inference shard states.
 func (sh *Shards) Inference() []*State { return sh.States[sh.NumTrain:] }
 
-// Home returns server sid's fixed home shard index.
-func (sh *Shards) Home(sid int) int { return sh.home[sid] }
+// Home returns server sid's fixed home shard index: the shard whose
+// cluster was built with its ID, or -1 for an ID no shard was built with.
+func (sh *Shards) Home(sid int) int {
+	for i, st := range sh.States {
+		if st.Cluster.Layout().Contains(sid) {
+			return i
+		}
+	}
+	return -1
+}
 
-// Owner returns the shard currently hosting server sid.
-func (sh *Shards) Owner(sid int) int { return sh.owner[sid] }
+// Owner returns the shard currently hosting server sid: its home, or the
+// training shard that borrowed it. A server attached nowhere is state
+// corruption and raises a structured violation.
+func (sh *Shards) Owner(sid int) int {
+	if home := sh.Home(sid); home >= 0 && sh.States[home].Cluster.Server(sid) != nil {
+		return home
+	}
+	for n, st := range sh.Train() {
+		if st.Cluster.Server(sid) != nil {
+			return n
+		}
+	}
+	invariant.Fail(fmt.Sprintf("sim:owner server=%d", sid), invariant.Violation{
+		Rule:     invariant.RuleCrossShard,
+		Subject:  fmt.Sprintf("server %d", sid),
+		Expected: "attached to its home shard or to the training shard borrowing it",
+		Actual:   "attached to no shard",
+	})
+	return -1
+}
 
 // Transfer moves server sid into pool p of shard `to`: a same-shard move
 // when the owner already is `to`, otherwise a detach/adopt pair that keeps
@@ -59,7 +82,7 @@ func (sh *Shards) Owner(sid int) int { return sh.owner[sid] }
 // be empty for cross-shard transfers and for any move a plain Move would
 // refuse; a failure is state corruption and raises a structured violation.
 func (sh *Shards) Transfer(sid, to int, p cluster.Pool) {
-	from := sh.owner[sid]
+	from := sh.Owner(sid)
 	if from == to {
 		if err := sh.States[to].Cluster.Move(sid, p); err != nil {
 			sh.failTransfer(sid, to, p, err)
@@ -73,9 +96,7 @@ func (sh *Shards) Transfer(sid, to int, p cluster.Pool) {
 	}
 	if err := sh.States[to].Cluster.Adopt(s, p); err != nil {
 		sh.failTransfer(sid, to, p, err)
-		return
 	}
-	sh.owner[sid] = to
 }
 
 func (sh *Shards) failTransfer(sid, to int, p cluster.Pool, err error) {
@@ -114,19 +135,19 @@ type ShardedConfig struct {
 	// Orchestrate enables the periodic arbiter epoch (capacity loaning);
 	// off, the arbiter only routes.
 	Orchestrate bool
-	// RefTopo is the unsharded reference cluster of the same global shape.
-	// Fault timelines are generated from it (fault sub-seeds key on global
-	// server IDs, so sharded runs draw the exact timelines an unsharded
-	// run would) and domain-outage obs reads its rack/zone membership.
-	RefTopo *cluster.Cluster
+	// RefTopo is the failure-domain layout of the same global shape
+	// unsharded. Fault timelines are generated from it (fault sub-seeds key
+	// on global server IDs, so sharded runs draw the exact timelines an
+	// unsharded run would) and domain-outage obs reads its rack/zone sizes.
+	RefTopo fault.Topology
 	// InfUtil reports each inference shard's own utilization at time t for
 	// combined-usage accounting.
 	InfUtil []func(t int64) float64
 }
 
-// NewShards builds the per-shard states and server-ownership index of a
-// topology without an engine around them. NewSharded uses it; arbiter unit
-// tests drive a ShardArbiter's Epoch against it directly.
+// NewShards builds the per-shard states of a topology without an engine
+// around them. NewSharded uses it; arbiter unit tests drive a
+// ShardArbiter's Epoch against it directly.
 func NewShards(sc ShardedConfig, cfg Config) *Shards {
 	cfg = cfg.withDefaults()
 	nT, nI := len(sc.Train), len(sc.Inf)
@@ -138,24 +159,12 @@ func NewShards(sc ShardedConfig, cfg Config) *Shards {
 	if nT > 0 {
 		sh.Less = sc.Scheds[0].Less
 	}
-	if nT+nI > 1 {
-		sh.home = make(map[int]int)
-		sh.owner = make(map[int]int)
-	}
-	for i, c := range append(append([]*cluster.Cluster(nil), sc.Train...), sc.Inf...) {
+	for _, c := range append(append([]*cluster.Cluster(nil), sc.Train...), sc.Inf...) {
 		st := NewState(c, cfg.Scaling, cfg.PreemptOverhead)
 		st.audit = cfg.Audit
 		st.Obs = cfg.Obs
 		st.Prof = cfg.Prof
 		sh.States = append(sh.States, st)
-		if sh.home == nil {
-			continue
-		}
-		c.EachServer(func(s *cluster.Server) bool {
-			sh.home[s.ID] = i
-			sh.owner[s.ID] = i
-			return true
-		})
 	}
 	return sh
 }

@@ -41,12 +41,6 @@ func shardedEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 		cc.InferenceGPU = cluster.T4
 	}
 
-	// Reference topology of the full unsharded shape: fault timelines key
-	// their per-server draws on global server IDs and domain streams on
-	// this topology's rack/zone indexes, so a sharded run draws the exact
-	// fault schedule the unsharded run does.
-	refTopo := cluster.New(cfg.Cluster)
-
 	trainCounts := splitServers(cc.TrainingServers, cfg.TrainingShards)
 	infCounts := splitServers(cc.InferenceServers, cfg.InferenceShards)
 	firstID := 0
@@ -95,6 +89,11 @@ func shardedEngine(cfg Config, tr *Trace, simCfg sim.Config) *sim.Engine {
 
 	return sim.NewSharded(sim.ShardedConfig{
 		Train: trainCls, Inf: infCls, Scheds: scheds, Arbiter: arb,
-		Orchestrate: cfg.Loaning, RefTopo: refTopo, InfUtil: infUtil,
+		Orchestrate: cfg.Loaning, InfUtil: infUtil,
+		// Fault timelines key their per-server draws on global server IDs
+		// and domain streams on the unsharded layout's rack/zone indexes,
+		// so a sharded run draws the exact fault schedule the unsharded
+		// run does.
+		RefTopo: cfg.Cluster.Layout(),
 	}, tr.Jobs, tr.Horizon, simCfg)
 }

@@ -3,6 +3,8 @@ package lyra_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,48 +235,58 @@ func scalars(r *lyra.Report) lyra.Report {
 	return c
 }
 
-// TestTopologyInvariants runs one faulted, audited scenario through every
-// way of cutting the cluster. The auditor (cross-shard conservation
+// TestTopologyInvariants runs one faulted, audited scenario through seeded
+// ways of cutting clusters of seeded sizes: 1 to 4 training and 1 to 4
+// inference shards, every training shard at least as wide as the widest
+// job, so every topology can place every job. The trace overloads the
+// training side, so loans drain the first inference shard and reach into
+// the second. The auditor (cross-shard conservation and the home/loan rule
 // included) panics the run on any violation, so a returned report means it
-// held at every event; job width is capped at the smallest shard so every
-// topology can place every job. One state and 1+1 are the same simulation
-// and must report the same statistics.
+// held at every event. One state and 1+1 are the same simulation and must
+// report the same statistics.
 func TestTopologyInvariants(t *testing.T) {
+	const widest = 4 // servers of 8 GPUs: MaxJobGPUs below
 	tcfg := lyra.DefaultTraceConfig(5)
 	tcfg.Days = 1
 	tcfg.TrainingGPUs = 96
-	tcfg.MaxJobGPUs = 32 // 12 training servers over 3 shards: 4 servers of 8 GPUs each
+	tcfg.LoadFactor = 1.5
+	tcfg.MaxJobGPUs = 8 * widest
 	tr := lyra.GenerateTrace(tcfg)
 
 	fp, err := lyra.ResolveFaultPlan("mtbf=21600,mttr=900,rackout=43200", 5, 5)
 	if err != nil {
 		t.Fatalf("fault plan: %v", err)
 	}
-
-	reports := make(map[string]*lyra.Report)
-	for _, topo := range []struct {
-		name       string
-		train, inf int
-	}{{"one-state", 0, 0}, {"1+1", 1, 1}, {"2+2", 2, 2}, {"3+2", 3, 2}} {
+	run := func(train, inf, trainServers, infServers int) *lyra.Report {
+		t.Helper()
+		name := fmt.Sprintf("%d+%d shards over %d+%d servers", train, inf, trainServers, infServers)
 		cfg := lyra.DefaultConfig()
-		cfg.Cluster = lyra.ClusterConfig{TrainingServers: 12, InferenceServers: 8}
+		cfg.Cluster = lyra.ClusterConfig{TrainingServers: trainServers, InferenceServers: infServers}
 		cfg.Audit = true
 		cfg.SchedInterval = 300
 		cfg.Faults = fp
-		cfg.TrainingShards, cfg.InferenceShards = topo.train, topo.inf
+		cfg.TrainingShards, cfg.InferenceShards = train, inf
 		r, err := lyra.Run(cfg, tr)
 		if err != nil {
-			t.Fatalf("%s: %v", topo.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if r.Completed != r.Total {
-			t.Errorf("%s: completed %d of %d jobs", topo.name, r.Completed, r.Total)
+			t.Errorf("%s: completed %d of %d jobs", name, r.Completed, r.Total)
 		}
 		if r.Crashes == 0 || r.Recoveries == 0 {
-			t.Errorf("%s: fault plan injected nothing (crashes %d, recoveries %d)", topo.name, r.Crashes, r.Recoveries)
+			t.Errorf("%s: fault plan injected nothing (crashes %d, recoveries %d)", name, r.Crashes, r.Recoveries)
 		}
-		reports[topo.name] = r
+		return r
 	}
-	if a, b := scalars(reports["one-state"]), scalars(reports["1+1"]); !reflect.DeepEqual(a, b) {
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 8; trial++ {
+		train, inf := 1+rng.Intn(4), 1+rng.Intn(4)
+		run(train, inf, train*widest+rng.Intn(8), inf*(2+rng.Intn(6)))
+	}
+	trainServers, infServers := widest+rng.Intn(12), 1+rng.Intn(12)
+	oneState, split := run(0, 0, trainServers, infServers), run(1, 1, trainServers, infServers)
+	if a, b := scalars(oneState), scalars(split); !reflect.DeepEqual(a, b) {
 		t.Errorf("one-state and 1+1 reports differ:\none-state: %+v\n1+1:       %+v", a, b)
 	}
 }
