@@ -196,10 +196,9 @@ func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
 	demand := 0
 	for _, j := range st.Pending {
-		// Only GPU-type-agnostic work whose workers actually fit an
-		// inference server can land on loaned capacity (§2.1); loaning
-		// for the rest of the backlog would idle the servers.
-		if (j.Fungible || j.Elastic || j.Hetero) && place.FitsOnLoan(st.Cluster, j) {
+		// Only jobs §5.3's rule lets on loan can land there; loaning for
+		// the rest of the backlog would idle the servers.
+		if slices.Contains(place.PoolOrder(place.Default(st.Cluster, j)), cluster.PoolOnLoan) {
 			demand += j.BaseGPUs()
 			if l.IncludeElasticDemand {
 				demand += j.FlexRange() * j.GPUsPerWorker

@@ -142,6 +142,10 @@ func TestVoluntaryReturnOfIdleServers(t *testing.T) {
 	_ = jobs
 }
 
+// onLoanFirst places a single-type gang on on-loan servers first, as the
+// default placement rule does an elastic job's.
+var onLoanFirst = place.Options{PreferPool: cluster.PoolOnLoan, AllowOther: true, SingleGPUType: true}
+
 func TestReclaimPreemptsBaseJobs(t *testing.T) {
 	st, o := newHarness(0, 4, []float64{0.40, 0.98})
 	// The pending fungible job is the loan demand.
@@ -152,7 +156,7 @@ func TestReclaimPreemptsBaseJobs(t *testing.T) {
 	if st.Cluster.PoolSize(cluster.PoolOnLoan) == 0 {
 		t.Fatalf("no servers loaned despite demand")
 	}
-	ws, ok := place.Gang(st.Cluster, j, 1, place.PreferOnLoan(false))
+	ws, ok := place.Gang(st.Cluster, j, 1, onLoanFirst)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -186,13 +190,14 @@ func TestReclaimScalesInFlexibleFirst(t *testing.T) {
 	if st.Cluster.PoolSize(cluster.PoolOnLoan) < 2 {
 		t.Fatalf("on-loan = %d, want >= 2", st.Cluster.PoolSize(cluster.PoolOnLoan))
 	}
-	base, ok := place.Gang(st.Cluster, j, 2, place.PreferOnLoan(false))
+	base, ok := place.Gang(st.Cluster, j, 2, onLoanFirst)
 	if !ok {
 		t.Fatal("base placement failed")
 	}
 	st.Start(j, base)
 	st.CompactPending()
-	flexOpts := place.PreferOnLoan(true)
+	flexOpts := onLoanFirst
+	flexOpts.Flexible = true
 	for _, w := range base {
 		flexOpts.Exclude = append(flexOpts.Exclude, w.Server)
 	}
@@ -226,7 +231,7 @@ func TestCollateralAccounting(t *testing.T) {
 	j.Fungible = true
 	st.Enqueue(j, lessByID)
 	o.Epoch(st) // loan for the job's demand
-	ws, ok := place.Gang(st.Cluster, j, 2, place.PreferOnLoan(false))
+	ws, ok := place.Gang(st.Cluster, j, 2, onLoanFirst)
 	if !ok {
 		t.Fatal("placement failed")
 	}

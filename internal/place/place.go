@@ -42,14 +42,70 @@ type Options struct {
 	Evict func(s *cluster.Server, gpus int)
 }
 
-// PreferOnLoan returns the preference Lyra uses for elastic jobs.
-func PreferOnLoan(flexible bool) Options {
-	return Options{PreferPool: cluster.PoolOnLoan, AllowOther: true, SingleGPUType: true, Flexible: flexible}
-}
-
 // PreferTraining returns the preference Lyra uses for inelastic jobs.
 func PreferTraining(allowOther bool) Options {
 	return Options{PreferPool: cluster.PoolTraining, AllowOther: allowOther, SingleGPUType: true}
+}
+
+// Rule gives the Options a pending job's base gang is placed under on c:
+// which pools it may use, in what order, and whether it must be of one GPU
+// type. Default and Opportunistic are the two rules the schedulers run.
+type Rule func(c *cluster.Cluster, j *job.Job) Options
+
+// Default is §5.3's rule: elastic jobs prefer on-loan servers, the rest
+// training servers; fungible, elastic and heterogeneous jobs whose workers
+// fit an inference server may use both pools, everything else only the
+// training pool. Only heterogeneous gangs may mix GPU types.
+func Default(c *cluster.Cluster, j *job.Job) Options {
+	opt := Options{PreferPool: cluster.PoolTraining, SingleGPUType: !j.Hetero}
+	if (j.Fungible || j.Elastic || j.Hetero) && FitsOnLoan(c, j) {
+		opt.AllowOther = true
+		if j.Elastic && !j.Hetero {
+			opt.PreferPool = cluster.PoolOnLoan
+		}
+	}
+	return opt
+}
+
+// opportunisticMaxRuntime bounds which fungible jobs are queued to the
+// inference cluster under the Opportunistic scheme: a job longer than the
+// typical low-traffic window can never finish there — every traffic rise
+// preempts it and (without checkpointing) restarts it from scratch — so in
+// practice only short jobs are offloaded opportunistically.
+const opportunisticMaxRuntime = 4 * 3600
+
+// Opportunistic is the Opportunistic scheme's rule (§7.1): short fungible
+// jobs are queued to the inference cluster only; everything else stays on
+// the training cluster.
+func Opportunistic(c *cluster.Cluster, j *job.Job) Options {
+	opt := Options{PreferPool: cluster.PoolTraining, SingleGPUType: !j.Hetero}
+	if j.Fungible && FitsOnLoan(c, j) && j.EstimatedRuntime <= opportunisticMaxRuntime {
+		opt.PreferPool = cluster.PoolOnLoan
+	}
+	return opt
+}
+
+// ScaleOut is the rule running job j's flexible workers are added under:
+// on-loan servers first, on its workers' GPU type unless heterogeneous
+// (§6), and unless naive (Table 6) off the on-loan servers holding its base
+// workers, so reclaiming can release the flexible group without preemption
+// (§5.3; reclaiming never touches training servers, so those stay allowed).
+// The excluded IDs go to exclude[:0], the caller's reused buffer.
+func ScaleOut(c *cluster.Cluster, j *job.Job, naive bool, exclude []int) Options {
+	opt := Options{PreferPool: cluster.PoolOnLoan, AllowOther: true, SingleGPUType: !j.Hetero, Flexible: true, Exclude: exclude[:0]}
+	if !j.Hetero && len(j.Workers) > 0 {
+		opt.FixedGPU = cluster.PinGPU(j.Workers[0].GPU)
+	}
+	if naive {
+		opt.PreferPool = cluster.PoolTraining
+		return opt
+	}
+	for _, w := range j.Workers {
+		if !w.Flexible && c.Server(w.Server).Pool == cluster.PoolOnLoan {
+			opt.Exclude = append(opt.Exclude, w.Server) // a repeat is harmless
+		}
+	}
+	return opt
 }
 
 // Gang places exactly n workers of j, all-or-nothing (gang scheduling of
@@ -71,7 +127,7 @@ func AppendGang(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 	}
 	if opt.SingleGPUType && !opt.FixedGPU.Pinned {
 		// Try each candidate type in preference order.
-		for _, pool := range poolOrder(opt) {
+		for _, pool := range PoolOrder(opt) {
 			if gpu, ok := poolGPU(c, pool); ok {
 				o := opt
 				o.FixedGPU, o.PreferPool, o.AllowOther = cluster.PinGPU(gpu), pool, false
@@ -108,12 +164,12 @@ func AppendUpTo(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Opt
 // fit fills each server it picks before moving on (its free count only
 // falls, and a server fitting at a lower count would have been picked
 // first), so the sequence is one cluster.EachFit walk per pool in
-// poolOrder, taking Free()/need workers from each server it visits. An
+// PoolOrder, taking Free()/need workers from each server it visits. An
 // unpinned single-type job is pinned to its first server's GPU type.
 func plan(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
 	need := func(g cluster.GPUType) int { return WorkerGPUs(j, g) }
 	pin := opt.FixedGPU
-	for _, pool := range poolOrder(opt) {
+	for _, pool := range PoolOrder(opt) {
 		if n <= 0 {
 			break
 		}
@@ -146,7 +202,7 @@ func plan(dst []job.Worker, c *cluster.Cluster, j *job.Job, n int, opt Options) 
 // workers). Equal-cost slots go in pool order, then by server ID.
 func planEvicting(dst []job.Worker, start int, c *cluster.Cluster, j *job.Job, n int, opt Options) []job.Worker {
 	each := func(fn func(s *cluster.Server, g int) bool) {
-		for _, pool := range poolOrder(opt) {
+		for _, pool := range PoolOrder(opt) {
 			c.EachFlexibleServer(pool, func(s *cluster.Server) bool {
 				return opt.FixedGPU.Pinned && s.GPU != opt.FixedGPU.GPU || slices.Contains(opt.Exclude, s.ID) || fn(s, WorkerGPUs(j, s.GPU))
 			})
@@ -226,14 +282,24 @@ func WorkerGPUs(j *job.Job, g cluster.GPUType) int {
 	return j.GPUsPerWorker * ((ref + mem - 1) / mem)
 }
 
-func poolOrder(opt Options) []cluster.Pool {
-	if !opt.AllowOther {
-		return []cluster.Pool{opt.PreferPool}
-	}
+// The orders PoolOrder returns, shared so that reading one allocates nothing.
+var (
+	trainingFirst = []cluster.Pool{cluster.PoolTraining, cluster.PoolOnLoan}
+	onLoanFirst   = []cluster.Pool{cluster.PoolOnLoan, cluster.PoolTraining}
+)
+
+// PoolOrder returns the pools opt places in, in the order they are tried:
+// PreferPool, then the other schedulable pool if AllowOther — the four
+// legal orders. The slice is shared and must not be modified.
+func PoolOrder(opt Options) []cluster.Pool {
+	order := trainingFirst
 	if opt.PreferPool == cluster.PoolOnLoan {
-		return []cluster.Pool{cluster.PoolOnLoan, cluster.PoolTraining}
+		order = onLoanFirst
 	}
-	return []cluster.Pool{cluster.PoolTraining, cluster.PoolOnLoan}
+	if !opt.AllowOther {
+		return order[:1]
+	}
+	return order
 }
 
 // poolGPU returns the GPU type of pool p's servers, false if the pool is

@@ -3,6 +3,7 @@ package sched
 import (
 	"lyra/internal/alloc"
 	"lyra/internal/job"
+	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -24,12 +25,12 @@ func (f *FIFO) Memoryless() bool { return true }
 
 // Schedule implements sim.Scheduler.
 func (f *FIFO) Schedule(st *sim.State) {
-	policy := defaultPoolPolicy
+	rule := place.Default
 	if f.Opportunistic {
-		policy = opportunisticPoolPolicy
+		rule = place.Opportunistic
 	}
-	f.sc.startBase(st, policy, false)
-	f.sc.startBase(st, policy, true)
+	f.sc.startBase(st, rule, false)
+	f.sc.startBase(st, rule, true)
 }
 
 // Gandiva models Gandiva's opportunistic elasticity as described in §7.1:
@@ -49,8 +50,8 @@ func (g *Gandiva) Memoryless() bool { return true }
 func (g *Gandiva) Schedule(st *sim.State) {
 	// Opportunistic growth is revoked on demand inside startBase: waiting
 	// base demands reclaim flexible workers directly.
-	g.sc.startBase(st, defaultPoolPolicy, false)
-	g.sc.startBase(st, defaultPoolPolicy, true)
+	g.sc.startBase(st, place.Default, false)
+	g.sc.startBase(st, place.Default, true)
 	if len(st.Pending) > 0 {
 		return // not under-utilized: no opportunistic scaling
 	}
@@ -92,8 +93,8 @@ func (a *AFS) Memoryless() bool { return true }
 
 // Schedule implements sim.Scheduler.
 func (a *AFS) Schedule(st *sim.State) {
-	a.sc.startBase(st, defaultPoolPolicy, false)
-	a.sc.startBase(st, defaultPoolPolicy, true)
+	a.sc.startBase(st, place.Default, false)
+	a.sc.startBase(st, place.Default, true)
 	// ID order, not map order: candidate order decides who wins marginal-
 	// gain ties, which must not vary run to run. Both the candidate set
 	// and the flexible-GPU count are maintained views.

@@ -2,9 +2,9 @@ package sched
 
 import (
 	"lyra/internal/alloc"
-	"lyra/internal/cluster"
 	"lyra/internal/job"
 	"lyra/internal/obs"
+	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -25,7 +25,7 @@ type Lyra struct {
 	// learning rate whenever the allocation changes, modeled as a
 	// throughput bonus on scaled jobs via ScalingModel.TunedGain.
 	Tuned bool
-	// Opportunistic switches the pool policy to the Opportunistic
+	// Opportunistic switches the pool rule to the Opportunistic
 	// comparison scheme (§7.1) — only meaningful with Elastic=false.
 	Opportunistic bool
 	// InfoAgnostic replaces SJF with least-attained-service ordering
@@ -68,20 +68,17 @@ func (l *Lyra) Less(a, b *job.Job) bool {
 	return lessByEstimate(a, b)
 }
 
-func (l *Lyra) policy(c *cluster.Cluster, j *job.Job) poolPolicy {
-	if l.Opportunistic {
-		return opportunisticPoolPolicy(c, j)
-	}
-	return defaultPoolPolicy(c, j)
-}
-
 // Schedule implements sim.Scheduler.
 func (l *Lyra) Schedule(st *sim.State) {
+	rule := place.Default
+	if l.Opportunistic {
+		rule = place.Opportunistic
+	}
 	sp := st.Prof.Start("phase1")
-	l.sc.startBase(st, l.policy, false)
+	l.sc.startBase(st, rule, false)
 	sp.End()
 	sp = st.Prof.Start("phase1.hetero")
-	l.sc.startBase(st, l.policy, true)
+	l.sc.startBase(st, rule, true)
 	sp.End()
 	if l.Tuned {
 		for _, j := range l.sc.started {

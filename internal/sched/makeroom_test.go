@@ -9,6 +9,7 @@ import (
 	"lyra/internal/cluster"
 	"lyra/internal/job"
 	"lyra/internal/obs"
+	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -140,28 +141,6 @@ func TestMakeRoomFreesOnlyForItsGang(t *testing.T) {
 	}
 }
 
-// TestScaleOutOptsExcludesOnLoanBaseServers pins the §5.3 separation a
-// scale-out is placed under: every on-loan server hosting one of the job's
-// base workers is excluded, and no training server or flexible-only server
-// is.
-func TestScaleOutOptsExcludesOnLoanBaseServers(t *testing.T) {
-	st := harness(t, 2, 3) // servers 0-1 training, 2-4 on loan
-	j := job.New(1, 0, job.Generic, 1, 3, 6, 100)
-	j.Elastic = true
-	j.Workers = []job.Worker{
-		{Server: 0}, {Server: 2}, {Server: 3, Flexible: true}, {Server: 4},
-	}
-	var sc scratch
-	got := sc.scaleOutOpts(st, j, false).Exclude
-	slices.Sort(got)
-	if want := []int{2, 4}; !slices.Equal(got, want) {
-		t.Errorf("Exclude = %v, want the on-loan base servers %v", got, want)
-	}
-	if ex := new(scratch).scaleOutOpts(st, j, true).Exclude; ex != nil {
-		t.Errorf("naive placement excludes %v, want nothing", ex)
-	}
-}
-
 // BenchmarkMakeRoom measures one make-room round trip at the paper's scale:
 // 443 training + 520 inference servers, all of them loaned, packed by 1,000
 // jobs of which a quarter are elastic, so flexible workers sit on ~50
@@ -185,7 +164,7 @@ func BenchmarkMakeRoom(b *testing.B) {
 		return true
 	})
 	gang := job.New(1_000_000, 0, job.Generic, 8, idle+1, idle+1, 100)
-	opt := defaultPoolPolicy(st.Cluster, gang).options(gang, false)
+	opt := place.Default(st.Cluster, gang)
 	var sc scratch
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package sched
 import (
 	"lyra/internal/alloc"
 	"lyra/internal/job"
+	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -95,8 +96,7 @@ func (p *Pollux) Schedule(st *sim.State) {
 		if j.State != job.Pending {
 			continue
 		}
-		pp := defaultPoolPolicy(st.Cluster, j)
-		if !p.sc.gang(st, j, pp.options(j, false)) {
+		if !p.sc.gang(st, j, place.Default(st.Cluster, j)) {
 			continue
 		}
 		st.Start(j, p.sc.placed)

@@ -15,106 +15,44 @@ import (
 	"lyra/internal/sim"
 )
 
-// poolPolicy says where a job's workers may go and which pool is preferred.
-type poolPolicy struct {
-	allowTraining bool
-	allowOnLoan   bool
-	prefer        cluster.Pool
-}
-
-// defaultPoolPolicy encodes §5.3: inelastic jobs prefer training servers;
-// elastic jobs prefer on-loan servers; fungible jobs may use either pool;
-// heterogeneous jobs may mix, base preferring training; everything else is
-// pinned to the training pool.
-func defaultPoolPolicy(c *cluster.Cluster, j *job.Job) poolPolicy {
-	loanable := place.FitsOnLoan(c, j)
-	switch {
-	case j.Hetero:
-		return poolPolicy{allowTraining: true, allowOnLoan: loanable, prefer: cluster.PoolTraining}
-	case j.Elastic && loanable:
-		return poolPolicy{allowTraining: true, allowOnLoan: true, prefer: cluster.PoolOnLoan}
-	case j.Fungible && loanable:
-		return poolPolicy{allowTraining: true, allowOnLoan: true, prefer: cluster.PoolTraining}
-	default:
-		return poolPolicy{allowTraining: true, prefer: cluster.PoolTraining}
-	}
-}
-
-// opportunisticMaxRuntime bounds which fungible jobs are queued to the
-// inference cluster under the Opportunistic scheme: a job longer than the
-// typical low-traffic window can never finish there — every traffic rise
-// preempts it and (without checkpointing) restarts it from scratch — so in
-// practice only short jobs are offloaded opportunistically.
-const opportunisticMaxRuntime = 4 * 3600
-
-// opportunisticPoolPolicy encodes the Opportunistic scheme (§7.1): short
-// fungible jobs are queued to the inference cluster only; everything else
-// stays on the training cluster.
-func opportunisticPoolPolicy(c *cluster.Cluster, j *job.Job) poolPolicy {
-	if j.Fungible && place.FitsOnLoan(c, j) && j.EstimatedRuntime <= opportunisticMaxRuntime {
-		return poolPolicy{allowOnLoan: true, prefer: cluster.PoolOnLoan}
-	}
-	return poolPolicy{allowTraining: true, prefer: cluster.PoolTraining}
-}
-
-func (pp poolPolicy) options(j *job.Job, flexible bool) place.Options {
-	return place.Options{
-		PreferPool:    pp.prefer,
-		AllowOther:    pp.allowTraining && pp.allowOnLoan,
-		SingleGPUType: !j.Hetero,
-		Flexible:      flexible,
-	}
-}
-
 // startBase selects pending jobs in queue order whose base demand fits the
-// counted capacity, then gang-places them in best-fit-decreasing order
-// (§5.3) and starts them. The counted capacity includes GPUs held by
-// flexible workers — §5.2: available resources are "idle GPUs and GPUs
-// being used by flexible workers for resizing" — and a gang that does not
-// fit the free GPUs takes them from flexible workers (makeRoom): base
-// demands always take priority over flexible ones.
+// counted capacity of the pools rule lets them use (take), then gang-places
+// them under rule in best-fit-decreasing order (§5.3) and starts them. The
+// counted capacity includes GPUs held by flexible workers — §5.2: available
+// resources are "idle GPUs and GPUs being used by flexible workers for
+// resizing" — and a gang that does not fit the free GPUs takes them from
+// flexible workers (makeRoom): base demands always take priority over
+// flexible ones.
 //
 // When heteroPass is false only non-heterogeneous jobs are considered; the
 // caller runs a second pass for heterogeneous jobs after everything else
 // (§6: they get the lowest priority). The jobs started are appended to
 // sc.started, which the first, non-heterogeneous pass empties: after both
 // passes it holds the epoch's starts.
-func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.Job) poolPolicy, heteroPass bool) {
+func (sc *scratch) startBase(st *sim.State, rule place.Rule, heteroPass bool) {
 	if !heteroPass {
 		sc.started = sc.started[:0]
 	}
-	availT, availL := st.FreeSchedulableGPUs()
-	availT += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
-	availL += st.Cluster.FlexibleGPUs(cluster.PoolOnLoan)
+	var avail [cluster.PoolOnLoan + 1]int
+	avail[cluster.PoolTraining], avail[cluster.PoolOnLoan] = st.FreeSchedulableGPUs()
+	avail[cluster.PoolTraining] += st.Cluster.FlexibleGPUs(cluster.PoolTraining)
+	avail[cluster.PoolOnLoan] += st.Cluster.FlexibleGPUs(cluster.PoolOnLoan)
 	chosen := sc.chosen[:0]
 	for _, j := range st.Pending {
 		if j.Hetero != heteroPass {
 			continue
 		}
-		if availT <= 0 && availL <= 0 {
+		if avail[cluster.PoolTraining] <= 0 && avail[cluster.PoolOnLoan] <= 0 {
 			break
 		}
-		pp := policy(st.Cluster, j)
-		d := j.BaseGPUs()
-		switch {
-		case j.Hetero && pp.allowTraining && pp.allowOnLoan && d <= availT+availL:
-			take := min(d, availT)
-			availT, availL = availT-take, availL-(d-take)
-		case pp.allowOnLoan && pp.prefer == cluster.PoolOnLoan && d <= availL:
-			availL -= d
-		case pp.allowTraining && d <= availT:
-			availT -= d
-		case pp.allowOnLoan && d <= availL:
-			availL -= d
-		default:
-			continue
+		if take(&avail, j, rule(st.Cluster, j)) {
+			chosen = append(chosen, j)
 		}
-		chosen = append(chosen, j)
 	}
 	sc.chosen = chosen
 	place.SortByDemand(chosen)
 	for _, j := range chosen {
-		opt := policy(st.Cluster, j).options(j, false)
+		opt := rule(st.Cluster, j)
 		if !sc.gang(st, j, opt) && !sc.makeRoom(st, j, opt) {
 			continue // fragmentation or type constraints
 		}
@@ -122,6 +60,34 @@ func (sc *scratch) startBase(st *sim.State, policy func(*cluster.Cluster, *job.J
 		sc.started = append(sc.started, j)
 	}
 	st.CompactPending()
+}
+
+// take counts j's base demand against avail, the counted GPUs per pool, in
+// the pool order opt places its gang in: a gang that may mix GPU types
+// spills across its pools, any other takes the first its whole demand fits.
+func take(avail *[cluster.PoolOnLoan + 1]int, j *job.Job, opt place.Options) bool {
+	d, order := j.BaseGPUs(), place.PoolOrder(opt)
+	if !opt.SingleGPUType {
+		left := d
+		for _, p := range order {
+			left -= avail[p]
+		}
+		if left > 0 {
+			return false
+		}
+		for _, p := range order {
+			t := min(d, avail[p])
+			avail[p], d = avail[p]-t, d-t
+		}
+		return true
+	}
+	for _, p := range order {
+		if d <= avail[p] {
+			avail[p] -= d
+			return true
+		}
+	}
+	return false
 }
 
 // makeRoom is gang with the flexible GPUs of j's pools counted as free
@@ -172,38 +138,6 @@ func lessByAttained(a, b *job.Job) bool {
 	return lessByArrival(a, b)
 }
 
-// scaleOutOpts builds the placement options for adding flexible workers to
-// a running job: same GPU type as its existing workers (unless
-// heterogeneous — then flexible workers go to inference servers whenever
-// possible, §6), and, unless naive placement is requested (Table 6), on a
-// server group disjoint from the base workers (§5.3). The separation only
-// concerns on-loan servers — its purpose is letting the orchestrator
-// release the flexible group without preemption during reclaiming, which
-// never touches training servers — so base servers in the training pool
-// are not excluded.
-func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Options {
-	opt := place.Options{Flexible: true, AllowOther: true}
-	if !j.Hetero {
-		opt.SingleGPUType = true
-		if len(j.Workers) > 0 {
-			opt.FixedGPU = cluster.PinGPU(j.Workers[0].GPU)
-		}
-	}
-	if naive {
-		opt.PreferPool = cluster.PoolTraining
-		return opt
-	}
-	opt.PreferPool = cluster.PoolOnLoan
-	ex := sc.exclude[:0]
-	for _, w := range j.Workers {
-		if !w.Flexible && st.Cluster.Server(w.Server).Pool == cluster.PoolOnLoan {
-			ex = append(ex, w.Server) // a repeat is harmless
-		}
-	}
-	sc.exclude, opt.Exclude = ex, ex
-	return opt
-}
-
 // scratch is one scheduler instance's placement buffers, reused every
 // epoch. Each buffer but started is dead once the call that filled it
 // returns (Start and AddWorkers copy the workers they are given), and it
@@ -212,7 +146,7 @@ func (sc *scratch) scaleOutOpts(st *sim.State, j *job.Job, naive bool) place.Opt
 type scratch struct {
 	chosen  []*job.Job   // startBase's selection
 	started []*job.Job   // the jobs both startBase passes of this epoch started
-	exclude []int        // scaleOutOpts' on-loan base servers
+	exclude []int        // place.ScaleOut's on-loan base servers
 	placed  []job.Worker // the workers the last gang or scaleOut placed
 }
 
@@ -223,9 +157,11 @@ func (sc *scratch) gang(st *sim.State, j *job.Job, opt place.Options) (ok bool) 
 }
 
 // scaleOut adds up to n flexible workers to running job j under
-// scaleOutOpts, reporting whether any fit.
+// place.ScaleOut, reporting whether any fit.
 func (sc *scratch) scaleOut(st *sim.State, j *job.Job, n int, naive bool) bool {
-	sc.placed = place.AppendUpTo(sc.placed[:0], st.Cluster, j, n, sc.scaleOutOpts(st, j, naive))
+	opt := place.ScaleOut(st.Cluster, j, naive, sc.exclude)
+	sc.exclude = opt.Exclude
+	sc.placed = place.AppendUpTo(sc.placed[:0], st.Cluster, j, n, opt)
 	if len(sc.placed) == 0 {
 		return false
 	}

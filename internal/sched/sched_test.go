@@ -255,18 +255,6 @@ func TestInfoAgnosticLessIsLAS(t *testing.T) {
 	}
 }
 
-func TestOpportunisticPolicyRestrictsFungible(t *testing.T) {
-	c := cluster.New(cluster.Config{})
-	pp := opportunisticPoolPolicy(c, &job.Job{Fungible: true})
-	if pp.allowTraining || !pp.allowOnLoan {
-		t.Error("opportunistic fungible jobs go to the inference cluster only")
-	}
-	pp = opportunisticPoolPolicy(c, &job.Job{})
-	if !pp.allowTraining || pp.allowOnLoan {
-		t.Error("opportunistic non-fungible jobs stay on training")
-	}
-}
-
 func TestGandivaGrowsOnlyWhenIdle(t *testing.T) {
 	st := harness(t, 2, 0)
 	g := &Gandiva{}
@@ -349,37 +337,5 @@ func TestSchedulersLeaveClusterConsistent(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestUnloanableWorkerStaysOnTraining(t *testing.T) {
-	// A fungible job with 8-GPU workers cannot use T4 servers (16 GPUs
-	// after memory doubling): it must be pinned to the training pool.
-	j := job.New(1, 0, job.Generic, 8, 1, 1, 100)
-	j.Fungible = true
-	c := cluster.New(cluster.Config{})
-	pp := defaultPoolPolicy(c, j)
-	if pp.allowOnLoan {
-		t.Error("unloanable fungible job must not be allowed on loaned servers")
-	}
-	pp = opportunisticPoolPolicy(c, j)
-	if pp.allowOnLoan || !pp.allowTraining {
-		t.Error("opportunistic mode must keep unloanable jobs on training")
-	}
-}
-
-func TestOpportunisticRuntimeBound(t *testing.T) {
-	short := job.New(1, 0, job.Generic, 2, 1, 1, 600)
-	short.Fungible = true
-	short.EstimatedRuntime = 600
-	long := job.New(2, 0, job.Generic, 2, 1, 1, 100000)
-	long.Fungible = true
-	long.EstimatedRuntime = 100000
-	c := cluster.New(cluster.Config{})
-	if pp := opportunisticPoolPolicy(c, short); !pp.allowOnLoan || pp.allowTraining {
-		t.Error("short fungible jobs go to the inference cluster only")
-	}
-	if pp := opportunisticPoolPolicy(c, long); pp.allowOnLoan || !pp.allowTraining {
-		t.Error("long fungible jobs stay on training (they could never finish on transient loans)")
 	}
 }

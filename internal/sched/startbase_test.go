@@ -5,6 +5,7 @@ import (
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
+	"lyra/internal/place"
 	"lyra/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func TestStartBaseRecountsAfterReclaim(t *testing.T) {
 	st.Enqueue(a, lessByArrival)
 
 	sc := new(scratch)
-	sc.startBase(st, defaultPoolPolicy, false)
+	sc.startBase(st, place.Default, false)
 	started := sc.started
 
 	if a.State != job.Running {
@@ -87,5 +88,37 @@ func TestStartBaseRecountsAfterReclaim(t *testing.T) {
 	}
 	if err := st.AuditIncremental(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTakeCountsAlongThePoolOrder pins phase 1's capacity count against
+// the order place puts the gang in: a heterogeneous base spills across its
+// pools in order, any other base takes the first pool it fits whole.
+func TestTakeCountsAlongThePoolOrder(t *testing.T) {
+	c := cluster.New(cluster.Config{})
+	T, L := cluster.PoolTraining, cluster.PoolOnLoan
+	for _, tc := range []struct {
+		name                      string
+		elastic, fungible, hetero bool
+		avail, want               [2]int
+		fits                      bool
+	}{
+		{"elastic takes on-loan first", true, false, false, [2]int{8, 8}, [2]int{8, 4}, true},
+		{"elastic falls back to training", true, false, false, [2]int{8, 2}, [2]int{4, 2}, true},
+		{"fungible takes training first", false, true, false, [2]int{8, 8}, [2]int{4, 8}, true},
+		{"fungible falls back to on-loan", false, true, false, [2]int{2, 8}, [2]int{2, 4}, true},
+		{"inelastic never splits", false, false, false, [2]int{2, 8}, [2]int{2, 8}, false},
+		{"fungible never splits", false, true, false, [2]int{2, 2}, [2]int{2, 2}, false},
+		{"hetero spills training to on-loan", true, true, true, [2]int{3, 8}, [2]int{0, 7}, true},
+		{"hetero short of both", true, true, true, [2]int{1, 2}, [2]int{1, 2}, false},
+	} {
+		j := job.New(1, 0, job.Generic, 2, 2, 4, 100) // base demand 4 GPUs
+		j.Elastic, j.Fungible, j.Hetero = tc.elastic, tc.fungible, tc.hetero
+		var avail [cluster.PoolOnLoan + 1]int
+		avail[T], avail[L] = tc.avail[0], tc.avail[1]
+		fits := take(&avail, j, place.Default(c, j))
+		if fits != tc.fits || avail[T] != tc.want[0] || avail[L] != tc.want[1] {
+			t.Errorf("%s: fits %v, left %v; want %v, %v", tc.name, fits, avail, tc.fits, tc.want)
+		}
 	}
 }

@@ -56,7 +56,7 @@ type loanSched struct{}
 func (loanSched) Less(a, b *job.Job) bool { return a.ID < b.ID }
 func (loanSched) Schedule(st *State) {
 	for _, j := range st.Pending {
-		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, place.PreferOnLoan(false))
+		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, onLoanFirst)
 		if ok {
 			st.Start(j, ws)
 		}

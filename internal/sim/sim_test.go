@@ -386,12 +386,16 @@ func TestRanOnLoanTracking(t *testing.T) {
 	}
 }
 
+// onLoanFirst places a single-type gang on on-loan servers first, as the
+// default placement rule does an elastic job's.
+var onLoanFirst = place.Options{PreferPool: cluster.PoolOnLoan, AllowOther: true, SingleGPUType: true}
+
 type onLoanSched struct{}
 
 func (onLoanSched) Less(a, b *job.Job) bool { return a.ID < b.ID }
 func (onLoanSched) Schedule(st *State) {
 	for _, j := range st.Pending {
-		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, place.PreferOnLoan(false))
+		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, onLoanFirst)
 		if ok {
 			st.Start(j, ws)
 		}
