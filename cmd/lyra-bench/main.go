@@ -86,7 +86,11 @@ func main() {
 	run := func(e experiments.Experiment) {
 		start := time.Now()
 		for _, t := range e.Run(params) {
-			t.Fprint(os.Stdout)
+			w := os.Stdout
+			if t.WallClock {
+				w = os.Stderr
+			}
+			t.Fprint(w)
 			tables++
 		}
 		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", e.Name, time.Since(start).Round(time.Millisecond))

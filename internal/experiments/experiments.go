@@ -72,6 +72,10 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// WallClock marks a table of measured wall times, which differ run to
+	// run: lyra-bench prints it to stderr, with the "completed in" lines,
+	// so that its stdout repeats byte for byte.
+	WallClock bool
 }
 
 // Fprint renders the table as aligned text.

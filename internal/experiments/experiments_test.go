@@ -204,8 +204,7 @@ func TestFig3LinearScaling(t *testing.T) {
 
 // TestEveryExperimentRuns smoke-tests the full registry at tiny scale so a
 // broken experiment cannot hide until someone runs the bench binary. The
-// deterministic experiments' tables are the shared serial pass's; the
-// wall-clock ones run here.
+// tables are the shared serial pass's.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -215,9 +214,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			tabs := pass.tables[e.Name]
-			if wallClockExperiments[e.Name] {
-				tabs = e.Run(tiny())
-			}
 			if len(tabs) == 0 {
 				t.Fatal("no tables")
 			}

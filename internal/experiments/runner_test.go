@@ -8,25 +8,19 @@ import (
 	"lyra/internal/runner"
 )
 
-// wallClockExperiments print measured wall time (reclaimopt: the reclaim
-// solvers' run times) and are therefore excluded from the byte-identity
-// guarantee; see DESIGN.md §6.
-var wallClockExperiments = map[string]bool{
-	"reclaimopt": true,
-}
-
-// renderDeterministic prints every deterministic registry experiment and
-// returns the bytes with each experiment's tables.
+// renderDeterministic runs every registry experiment and returns the
+// printed bytes of every table but the WallClock ones (measured wall times,
+// outside the byte-identity guarantee; see DESIGN.md §6) with each
+// experiment's tables.
 func renderDeterministic(p Params) ([]byte, map[string][]*Table) {
 	var buf bytes.Buffer
 	tables := make(map[string][]*Table)
 	for _, e := range Registry() {
-		if wallClockExperiments[e.Name] {
-			continue
-		}
 		tables[e.Name] = e.Run(p)
 		for _, tab := range tables[e.Name] {
-			tab.Fprint(&buf)
+			if !tab.WallClock {
+				tab.Fprint(&buf)
+			}
 		}
 	}
 	return buf.Bytes(), tables

@@ -68,6 +68,9 @@ for target in FuzzMultiChoiceAgainstReference FuzzMultiChoiceAgainstBrute; do
 done
 go test -run '^$' -fuzz '^FuzzIncrementalVsRescan$' -fuzztime 15s -parallel 1 ./internal/sched/
 
+echo "== results/small.txt is current (lyra-bench -exp all reprints it; wall-clock tables and the \"completed in\" lines go to stderr)"
+go run ./cmd/lyra-bench -exp all 2>/dev/null | diff -u results/small.txt -
+
 echo "== micro-benchmarks, once (scripts/bench.sh at -benchtime 1x: they compile and run and print their allocs/op and B/op)"
 ./scripts/bench.sh 1x
 
