@@ -133,3 +133,25 @@ func TestLoanAtTheInferenceTierRate(t *testing.T) {
 		}
 	}
 }
+
+// TestOpportunisticDemandReadsTheOpportunisticRule: under LoanOnlyDemand
+// the orchestrator borrows only for jobs the Opportunistic scheme places on
+// loan, short fungible ones. A 5-hour fungible job stays on the training
+// cluster and creates no loan demand; a 1-hour one borrows a server.
+func TestOpportunisticDemandReadsTheOpportunisticRule(t *testing.T) {
+	for _, tc := range []struct {
+		hours float64
+		want  int
+	}{{5, 0}, {1, 1}} {
+		st, o := newHarness(1, 10, []float64{0.50})
+		o.LoanOnlyDemand = true
+		j := job.New(1, 0, job.Generic, 2, 2, 2, tc.hours*3600)
+		j.Fungible = true
+		j.EstimatedRuntime = tc.hours * 3600
+		st.Enqueue(j, lessByID)
+		o.Epoch(st)
+		if got := st.Cluster.PoolSize(cluster.PoolOnLoan); got != tc.want {
+			t.Errorf("pending %.0f-hour fungible job: on-loan = %d, want %d", tc.hours, got, tc.want)
+		}
+	}
+}

@@ -34,10 +34,10 @@ type Loans struct {
 	// scheduler actually performs elastic scaling, or the orchestrator
 	// borrows servers nobody will fill.
 	IncludeElasticDemand bool
-	// LoanOnlyDemand marks the Opportunistic scheme (§7.1), where
-	// fungible jobs may run exclusively on inference-cluster servers:
-	// their backlog then cannot be offset by free training capacity when
-	// estimating loan demand.
+	// LoanOnlyDemand marks the Opportunistic scheme (§7.1), where short
+	// fungible jobs run exclusively on inference-cluster servers: loan
+	// demand counts the jobs place.Opportunistic puts there, and their
+	// backlog cannot be offset by free training capacity.
 	LoanOnlyDemand bool
 	// EmergencyReclaim enables the degraded-mode capacity-loss response
 	// (DESIGN.md §13): when healthy training capacity falls below the
@@ -194,11 +194,15 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 // GPUs, converted by loanServers.
 func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
+	rule := place.Default
+	if l.LoanOnlyDemand {
+		rule = place.Opportunistic
+	}
 	demand := 0
 	for _, j := range st.Pending {
-		// Only jobs §5.3's rule lets on loan can land there; loaning for
-		// the rest of the backlog would idle the servers.
-		if slices.Contains(place.PoolOrder(place.Default(st.Cluster, j)), cluster.PoolOnLoan) {
+		// Only jobs the scheme's rule lets on loan can land there; loaning
+		// for the rest of the backlog would idle the servers.
+		if slices.Contains(place.PoolOrder(rule(st.Cluster, j)), cluster.PoolOnLoan) {
 			demand += j.BaseGPUs()
 			if l.IncludeElasticDemand {
 				demand += j.FlexRange() * j.GPUsPerWorker
