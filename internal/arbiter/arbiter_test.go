@@ -263,3 +263,59 @@ func TestReturnRoutesHome(t *testing.T) {
 		}
 	}
 }
+
+// TestLendsFromEveryInferenceShard: a backlog that outgrows the first
+// inference shards borrows from the third and fourth as well, runs work on
+// their servers, and every server goes back to its home shard when the
+// targets drop to zero. The ownership audit — at home unless on loan, and on
+// loan only from an inference home into a training shard — holds after each
+// step, on all four inference shards.
+func TestLendsFromEveryInferenceShard(t *testing.T) {
+	sh := topology(1, 4, sim.Config{}) // training 0-1; inference 2-4, 5-7, 8-10, 11-13
+	st := sh.Train()[0]
+	// 20 fungible jobs of one 4-GPU worker, a whole T4 server each: 80 GPUs
+	// of demand against 16 free training GPUs wants 16 servers, above the
+	// 4 x 3 the targets allow.
+	for i := 0; i < 20; i++ {
+		j := job.New(i, 0, job.Generic, 4, 1, 1, 1000)
+		j.Fungible = true
+		st.Enqueue(j, lessByID)
+	}
+	targets := make([]orchestrator.LoanTargeter, 4)
+	for m := range targets {
+		targets[m] = fixedTarget(3)
+	}
+	a := New(targets, reclaim.Lyra{}, lessByID)
+	a.Epoch(sh)
+	auditShards(t, sh, 14)
+	lentFrom := make([]int, len(sh.Inference()))
+	st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
+		lentFrom[sh.Home(s.ID)-sh.NumTrain]++
+		return true
+	})
+	if want := []int{3, 3, 3, 3}; !reflect.DeepEqual(lentFrom, want) {
+		t.Fatalf("servers lent per inference shard = %v, want %v", lentFrom, want)
+	}
+
+	sh.Scheds[0].Schedule(st)
+	auditShards(t, sh, 14)
+	for _, sid := range []int{8, 9, 10, 11, 12, 13} { // the third and fourth shards
+		if s := st.Cluster.Server(sid); s == nil || s.Used() == 0 {
+			t.Fatalf("server %d of a later inference shard hosts no work after the schedule", sid)
+		}
+	}
+
+	for m := range a.Targets {
+		a.Targets[m] = fixedTarget(0)
+	}
+	a.Epoch(sh)
+	auditShards(t, sh, 14)
+	if lent := onLoan(sh); lent[0] != 0 {
+		t.Fatalf("%d servers still on loan after the targets dropped to zero", lent[0])
+	}
+	for m, inf := range sh.Inference() {
+		if got := inf.Cluster.PoolSize(cluster.PoolInference); got != 3 {
+			t.Errorf("inference shard %d holds %d of its 3 servers", m, got)
+		}
+	}
+}
