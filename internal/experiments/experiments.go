@@ -72,9 +72,8 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// WallClock marks a table of measured wall times, which differ run to
-	// run: lyra-bench prints it to stderr, with the "completed in" lines,
-	// so that its stdout repeats byte for byte.
+	// WallClock marks measured wall times, which differ run to run:
+	// lyra-bench prints the table to stderr so its stdout repeats exactly.
 	WallClock bool
 }
 

@@ -194,10 +194,7 @@ func raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 // GPUs, converted by loanServers.
 func (l *Loans) demandServers(st *sim.State) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
-	rule := place.Default
-	if l.LoanOnlyDemand {
-		rule = place.Opportunistic
-	}
+	rule := place.SchemeRule(l.LoanOnlyDemand)
 	demand := 0
 	for _, j := range st.Pending {
 		// Only jobs the scheme's rule lets on loan can land there; loaning

@@ -85,6 +85,15 @@ func Opportunistic(c *cluster.Cluster, j *job.Job) Options {
 	return opt
 }
 
+// SchemeRule is the rule a scheme places gangs under, and the one its loan
+// demand counts by: Opportunistic for the Opportunistic scheme, else Default.
+func SchemeRule(opportunistic bool) Rule {
+	if opportunistic {
+		return Opportunistic
+	}
+	return Default
+}
+
 // ScaleOut is the rule running job j's flexible workers are added under:
 // on-loan servers first, on its workers' GPU type unless heterogeneous
 // (§6), and unless naive (Table 6) off the on-loan servers holding its base

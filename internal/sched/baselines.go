@@ -25,10 +25,7 @@ func (f *FIFO) Memoryless() bool { return true }
 
 // Schedule implements sim.Scheduler.
 func (f *FIFO) Schedule(st *sim.State) {
-	rule := place.Default
-	if f.Opportunistic {
-		rule = place.Opportunistic
-	}
+	rule := place.SchemeRule(f.Opportunistic)
 	f.sc.startBase(st, rule, false)
 	f.sc.startBase(st, rule, true)
 }

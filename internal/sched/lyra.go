@@ -70,10 +70,7 @@ func (l *Lyra) Less(a, b *job.Job) bool {
 
 // Schedule implements sim.Scheduler.
 func (l *Lyra) Schedule(st *sim.State) {
-	rule := place.Default
-	if l.Opportunistic {
-		rule = place.Opportunistic
-	}
+	rule := place.SchemeRule(l.Opportunistic)
 	sp := st.Prof.Start("phase1")
 	l.sc.startBase(st, rule, false)
 	sp.End()
