@@ -299,14 +299,15 @@ var (
 
 // PoolOrder returns the pools opt places in, in the order they are tried:
 // PreferPool, then the other schedulable pool if AllowOther — the four
-// legal orders. The slice is shared and must not be modified.
+// legal orders. The slice is shared and must not be modified; it is capped
+// at its length, so an append copies it.
 func PoolOrder(opt Options) []cluster.Pool {
 	order := trainingFirst
 	if opt.PreferPool == cluster.PoolOnLoan {
 		order = onLoanFirst
 	}
 	if !opt.AllowOther {
-		return order[:1]
+		return order[:1:1]
 	}
 	return order
 }

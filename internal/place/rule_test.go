@@ -119,8 +119,13 @@ func TestScaleOutExcludesOnLoanBaseServers(t *testing.T) {
 }
 
 // TestPoolOrderAllocatesNothing: every placement reads its pool order, so
-// reading one must not allocate.
+// reading one must not allocate, and appending to a shared order must not
+// change it.
 func TestPoolOrderAllocatesNothing(t *testing.T) {
+	_ = append(PoolOrder(Options{PreferPool: cluster.PoolOnLoan}), cluster.PoolInference)
+	if got := PoolOrder(Options{PreferPool: cluster.PoolOnLoan, AllowOther: true}); got[1] != cluster.PoolTraining {
+		t.Fatalf("an append to the on-loan-only order overwrote the shared order: %v", got)
+	}
 	opts := []Options{
 		{PreferPool: cluster.PoolTraining}, {PreferPool: cluster.PoolTraining, AllowOther: true},
 		{PreferPool: cluster.PoolOnLoan}, {PreferPool: cluster.PoolOnLoan, AllowOther: true},
